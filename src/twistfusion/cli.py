@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
@@ -266,10 +267,7 @@ def cmd_scan(args) -> int:
             [parse_rational(v) for v in chunk.split(",") if v.strip()] for chunk in lists
         ]
         points = list(product(*axes))
-    grows = None
-    if args.g_file:
-        grows = [[str(v) for v in row] for row in
-                 json.load(open(args.g_file))]
+    grows = [[str(v) for v in row] for row in form.g] if args.g_file else None
     payloads = [
         (args.form, args.n, grows, [str(d) for d in dias], args.k, args.depth, args.box_cap, zs)
         for zs in points
@@ -311,9 +309,26 @@ _COMMANDS = {
 }
 
 
+# flags whose value may be a negative rational such as -1/3, which argparse
+# would otherwise read as an option of its own
+_RATIONAL_FLAGS = ("--grid", "--z")
+
+
+def _bind_negative_values(argv: list[str]) -> list[str]:
+    """Rewrite '--grid -1/3,...' as '--grid=-1/3,...' (likewise --z)."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in _RATIONAL_FLAGS and re.match(r"-[\d.]", arg):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(_bind_negative_values(argv))
     try:
         return _COMMANDS[args.command](args)
     except TwistFusionError as exc:

@@ -15,8 +15,6 @@ from typing import Iterable, Sequence
 
 from .errors import PoleAtInfinity, PoleAtPoint, ZeroFunction
 
-Rational = Fraction
-
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
@@ -233,14 +231,6 @@ class RatFunc:
     # -- predicates ---------------------------------------------------
     def is_zero(self) -> bool:
         return self.num.is_zero()
-
-    def is_constant(self) -> bool:
-        return self.num.degree <= 0 and self.den.degree == 0
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_constant():
-            raise ValueError("not a constant rational function")
-        return self.num.eval(_ZERO)
 
     def __bool__(self):
         return not self.is_zero()

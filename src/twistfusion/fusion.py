@@ -28,14 +28,13 @@ from .tensor import (
     Basis,
     GForm,
     TensorOperator,
+    apply_factor_chain,
     image_basis,
     reversal_op,
-    right_apply_two_leg,
     transpose_legs,
 )
 
 _F0 = Fraction(0)
-_F1 = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -216,10 +215,8 @@ def defining_action_product(u, params, N: int, ascending: bool = True) -> Tensor
     u may be a Fraction (SingularParameter at a pole) or RatFunc.
     """
     n = len(params)
-    dims = (N,) * (n + 1)
-    M = feye(N ** (n + 1))
-    p_entries = [(a, b, b, a, _F1) for a in range(N) for b in range(N)]
     legs = range(1, n + 1) if ascending else range(n, 0, -1)
+    chain = []
     for q in legs:
         a_q = params[q - 1]
         den = u - a_q
@@ -231,8 +228,9 @@ def defining_action_product(u, params, N: int, ascending: bool = True) -> Tensor
             if den == 0:
                 raise SingularParameter(f"factor {q}: u = {a_q} is a pole")
             beta = Fraction(-1, 1) / den
-        scaled = [(a, b, c, d, beta * v) for (a, b, c, d, v) in p_entries]
-        M = right_apply_two_leg(M, dims, 0, q, scaled, 1)
+        chain.append((0, q, 1, 0, [(a, b, b, a, beta) for a in range(N) for b in range(N)]))
+    dims = (N,) * (n + 1)
+    M, = apply_factor_chain(feye(N ** (n + 1)), dims, chain)
     return TensorOperator(M, dims)
 
 

@@ -6,7 +6,10 @@ Two independent engines:
   (W the zeta-shifted copy of Z), contracted to a map End(W) -> End(Z);
   surjectivity of that map certifies irreducibility;
 * a commutant oracle: the dimension of the joint commutant of the generator
-  coefficient matrices, which equals 1 exactly for irreducible modules.
+  coefficient matrices.  An irreducible module has dimension 1 (Schur's
+  lemma), so a larger dimension proves reducibility; dimension 1 does not
+  prove irreducibility (sp2 ``1:1/3;1:4/3`` has commutant 1 but a generated
+  algebra of dimension 13 of 16, so it is reducible).
 
 Surjectivity implies commutant dimension 1; the converse combination is the
 cross-check wired into every verdict.
@@ -25,13 +28,13 @@ from .exactnum import RatFunc
 from .linalg import feye, is_zero_matrix, nullspace_exact, rank_exact
 from .repmatrix import (
     FusedModuleSpec,
+    frame_product,
     r_factorized_blocks,
     s_fused_blocks,
     s_generators,
     swz_frame_blocks,
 )
 from .tensor import (
-    MatrixLaurentSeries,
     TensorOperator,
     _WindowExhausted,
     contraction_map_matrix,
@@ -93,12 +96,7 @@ def phi_leading(Z: FusedModuleSpec, depth: int = 3) -> PhiOperator:
     window = depth + 4
     while window <= 256:
         try:
-            prod = None
-            for fb, slots in blocks:
-                mls = MatrixLaurentSeries.from_frames(fb.frames, fb.den, window)
-                mls = mls.embedded(slots, dims)
-                prod = mls if prod is None else prod @ mls
-            prod = prod.trimmed()
+            prod = frame_product(blocks, dims, window)
             r = prod.order
             for t in range(depth + 1):
                 coeff = prod.coefficient(r + t).to_fractions()

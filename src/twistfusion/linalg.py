@@ -43,13 +43,6 @@ _PRIMES = (
 _SMALL = 64
 
 
-def object_array(rows) -> np.ndarray:
-    out = np.array(rows, dtype=object)
-    if out.ndim == 1:
-        out = out.reshape(1, -1)
-    return out
-
-
 def fzeros(shape) -> np.ndarray:
     out = np.empty(shape, dtype=object)
     out[...] = Fraction(0)
@@ -135,8 +128,12 @@ def int_kernel(arrays, bound: int) -> list[np.ndarray]:
 
 
 def int_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Exact product of two integer matrices, in int64 when certified."""
-    A, B = int_kernel((A, B), max_abs(A) * max_abs(B) * A.shape[1])
+    """Exact product of two integer matrices, in int64 when certified.
+
+    The certificate also bounds every entry of A and B, so a zero factor
+    does not let the other one be cast to int64 unchecked."""
+    bound = max(max_abs(A), 1) * max(max_abs(B), 1) * A.shape[1]
+    A, B = int_kernel((A, B), bound)
     return A @ B
 
 
@@ -481,28 +478,50 @@ class BasisSolver:
     """Solves B x = rhs for a fixed full-column-rank Fraction matrix B.
 
     Precomputes an inverse of a pivot-row square block; solve() returns the
-    coordinates plus an exact consistency residual check.
+    coordinates plus an exact consistency residual check.  Rational systems
+    are solved on integers: B = B_scale * B_int and the inverse are cleared
+    to integer matrices once, and the residual check compares integers.
     """
 
     def __init__(self, B: np.ndarray):
         m, k = B.shape
         self.B = B
         self.k = k
-        R, pivots = fraction_rref(B.T.copy())
-        if len(pivots) != k:
+        rank, pivots = bareiss_pivots(B.T)
+        if rank != k:
             raise DimensionMismatch("basis matrix does not have full column rank")
         self.rows = pivots  # k independent rows of B
         sub = B[pivots, :]
         self.inv = _invert_fraction(sub)
+        self.B_int, self.B_scale = to_int_scaled(B)
+        self._inv_int, self._inv_scale = to_int_scaled(self.inv)
+        self._ratio = self.B_scale * self._inv_scale
 
     def solve(self, rhs: np.ndarray) -> np.ndarray | None:
         """Coordinates X with B @ X = rhs, or None if inconsistent."""
         single = rhs.ndim == 1
         R = rhs.reshape(-1, 1) if single else rhs
-        X = generic_dot(self.inv, R[self.rows, :])
-        if not mat_equal(generic_dot(self.B, X), R):
+        if _numeric(R):
+            X = self._solve_rational(R)
+        else:
+            X = self.inv @ R[self.rows, :]
+            if not mat_equal(self.B @ X, R):
+                X = None
+        if X is None:
             return None
         return X[:, 0] if single else X
+
+    def _solve_rational(self, R: np.ndarray) -> np.ndarray | None:
+        # R = sr * Ri and X = inv_scale * sr * Y with Y = inv_int @ Ri[rows];
+        # B @ X = R  <=>  ratio * (B_int @ Y) = Ri
+        Ri, sr = to_int_scaled(R)
+        Y = int_matmul(self._inv_int, Ri[self.rows, :]).astype(object)
+        lhs = int_matmul(self.B_int, Y).astype(object)
+        c = self._ratio
+        if not np.array_equal(lhs * c.numerator, Ri * c.denominator):
+            return None
+        s = self._inv_scale * sr
+        return Y * s if s != 1 else Y
 
 
 def _invert_fraction(A: np.ndarray) -> np.ndarray:

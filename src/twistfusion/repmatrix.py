@@ -31,7 +31,7 @@ from .errors import (
     SingularFamily,
     SingularParameter,
 )
-from .exactnum import RatFunc, parse_rational
+from .exactnum import Poly, RatFunc, parse_rational
 from .linalg import (
     ScaledIntMatrix,
     feye,
@@ -45,12 +45,12 @@ from .linalg import (
 from .tensor import (
     Basis,
     GForm,
+    MatrixLaurentSeries,
     TensorOperator,
     embed_matrix,
     embed_operator,
-    restrict,
+    restricted_chain,
     reversal_op,
-    right_apply_two_leg,
     structural_ops,
     transpose_legs,
     two_leg_entries,
@@ -209,9 +209,7 @@ def _pair_block(
     V_A (x) V_B; returned with leg dims (dim A, dim B)."""
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}")
-    N = form.N
     nA, nB = len(contA), len(contB)
-    dims = (N,) * (nA + nB)
     P, Q = structural_ops(form)
     p_entries = two_leg_entries(P)
     q_entries = two_leg_entries(Q)
@@ -219,10 +217,10 @@ def _pair_block(
         seq = [(p, q) for p in reversed(range(nA)) for q in range(nB)]
     else:
         seq = [(p, q) for p in reversed(range(nA)) for q in reversed(range(nB))]
-    M = feye(N ** (nA + nB))
+    chain = []
     for (p, q) in seq:
-        u = paramA + Fraction(contA[p]) if not isinstance(paramA, RatFunc) else paramA + contA[p]
-        v = paramB + Fraction(contB[q]) if not isinstance(paramB, RatFunc) else paramB + contB[q]
+        u = _lift(paramA) + contA[p]
+        v = _lift(paramB) + contB[q]
         if kind == "R":
             alpha, entries, coef = u - v, p_entries, -_F1
         elif kind == "R'":
@@ -236,11 +234,10 @@ def _pair_block(
             _check_denominator(den, f"boxes ({p+1},{q+1})")
             alpha, entries, coef = _F1, q_entries, 1 / den
         scaled = [(a, b, c, d, coef * val) for (a, b, c, d, val) in entries]
-        M = right_apply_two_leg(M, dims, p, nA + q, scaled, alpha)
+        chain.append((p, nA + q, alpha, 0, scaled))
     kb = Basis.kron(basisA, basisB)
-    return restrict(
-        TensorOperator(M, dims), kb, kb, dims=(basisA.size, basisB.size)
-    )
+    M, = restricted_chain(chain, kb, (form.N,) * (nA + nB))
+    return TensorOperator(M, (basisA.size, basisB.size))
 
 
 def _check_denominator(den, where: str):
@@ -264,117 +261,81 @@ class FrameBlock:
     dims: tuple[int, ...]
 
 
-def _frame_chain_apply(frames, dims, p, q, a, b, entries):
-    """Multiply polynomial frames by ((a + b*zeta) * 1 + X_{p,q}) on the right."""
-    out = []
-    for k in range(len(frames) + 1):
-        term = None
-        if k < len(frames):
-            term = right_apply_two_leg(frames[k], dims, p, q, entries, a)
-        if b != 0 and k >= 1:
-            lower = b * frames[k - 1]
-            term = lower if term is None else term + lower
-        out.append(term)
-    while len(out) > 1 and mat_equal(out[-1], 0 * out[-1]):
-        out.pop()
-    return out
+def _negated(entries):
+    return [(a, b, c, d, -v) for (a, b, c, d, v) in entries]
 
 
 def _pair_block_frames(
-    form: GForm,
-    contA,
-    basisA: Basis,
-    zA,
-    shiftA: bool,
-    contB,
-    basisB: Basis,
-    zB,
-    shiftB: bool,
-    kind: str,
+    Z: FusedModuleSpec, i: int, shiftA: bool, j: int, shiftB: bool, kind: str
 ) -> FrameBlock:
-    """Frame form of _pair_block, with parameters affine in the deformation
-    variable: u_p = zA + c_p (+ zeta if shiftA), likewise v_q."""
-    from .exactnum import Poly
-
-    N = form.N
+    """Frame form of the block of the given kind between factors i and j of
+    Z, with box parameters affine in the deformation variable:
+    u_p = z_i + c_p (+ zeta if shiftA), likewise v_q = z_j + c_q."""
+    contA, contB = Z.contents(i), Z.contents(j)
     nA, nB = len(contA), len(contB)
-    dims = (N,) * (nA + nB)
-    P, Q = structural_ops(form)
-    p_entries = two_leg_entries(P)
-    q_entries = two_leg_entries(Q)
     if kind in ("R", "Rb"):
         seq = [(p, q) for p in reversed(range(nA)) for q in range(nB)]
     else:
         seq = [(p, q) for p in reversed(range(nA)) for q in reversed(range(nB))]
-    bu = 1 if shiftA else 0
-    bv = 1 if shiftB else 0
-    frames = [feye(N ** (nA + nB))]
+    P, Q = structural_ops(Z.form)
+    q_entries = two_leg_entries(Q)
+    minus_p, minus_q = _negated(two_leg_entries(P)), _negated(q_entries)
+    bu, bv = int(shiftA), int(shiftB)
+    chain = []
     den = Poly.const(1)
     for (p, q) in seq:
-        au = zA + contA[p]
-        av = zB + contB[q]
-        if kind == "R":
-            a, b, entries = au - av, bu - bv, [(x, y, z, w, -v) for (x, y, z, w, v) in p_entries]
-        elif kind == "Rb":
-            # numerator (u-v) - P over denominator (u-v)
-            a, b, entries = au - av, bu - bv, [(x, y, z, w, -v) for (x, y, z, w, v) in p_entries]
-            if b == 0 and a == 0:
-                raise SingularParameter(f"breve R singular at boxes ({p+1},{q+1})")
-            den = den * Poly((a, Fraction(b)))
+        au, av = Z.z(i) + contA[p], Z.z(j) + contB[q]
+        # numerators: (u-v) - P for R and Rb, -(u+v) - Q for R', (u+v) + Q
+        # for Rb'; Rb and Rb' divide by u-v and u+v
+        if kind in ("R", "Rb"):
+            a, b, entries = au - av, bu - bv, minus_p
         elif kind == "R'":
-            a, b, entries = -(au + av), -(bu + bv), [(x, y, z, w, -v) for (x, y, z, w, v) in q_entries]
-        else:  # Rb': numerator (u+v) + Q over denominator (u+v)
-            a, b, entries = au + av, bu + bv, list(q_entries)
-            if b == 0 and a == 0:
-                raise SingularParameter(f"breve R' singular at boxes ({p+1},{q+1})")
+            a, b, entries = -(au + av), -(bu + bv), minus_q
+        else:
+            a, b, entries = au + av, bu + bv, q_entries
+        if kind in ("Rb", "Rb'"):
+            if a == 0 and b == 0:
+                name = "breve R" if kind == "Rb" else "breve R'"
+                raise SingularParameter(f"{name} singular at boxes ({p+1},{q+1})")
             den = den * Poly((a, Fraction(b)))
-        frames = _frame_chain_apply(frames, dims, p, nA + q, a, b, entries)
-    kb = Basis.kron(basisA, basisB)
-    sub = (basisA.size, basisB.size)
-    frames = [restrict(TensorOperator(fr, dims), kb, kb, dims=sub).mat for fr in frames]
-    return FrameBlock(frames, den, sub)
+        chain.append((p, nA + q, a, b, entries))
+    frames = restricted_chain(chain, Z.kron_basis(i, j), (Z.N,) * (nA + nB))
+    return FrameBlock(frames, den, (Z.basis(i).size, Z.basis(j).size))
 
 
-def _elementary_s_frames(omega: SkewDiagram, z, shifted: bool, form: GForm) -> FrameBlock:
-    """Frame form of s_elementary (polynomial, denominator 1)."""
-    from .exactnum import Poly
-
-    N = form.N
+def _elementary_s_frames(
+    omega: SkewDiagram, z, shifted: bool, form: GForm, basis: Basis | None = None
+) -> FrameBlock:
+    """S of one elementary module: the ordered product of the R' factors
+    -(v_p + v_q) - Q_{pq} over box pairs (p descending, q descending below
+    p) with v_p = z + c_p (+ zeta if shifted), restricted to the module.
+    Polynomial: the denominator is 1."""
     n = omega.size
-    fus = fusion_mod.fusion_operator(omega, N, box_cap=max(6, n))
-    basis = fus.module_basis
+    if basis is None:
+        basis = fusion_mod.fusion_operator(omega, form.N, box_cap=max(6, n)).module_basis
+    one = Poly.const(1)
     if n <= 1:
-        return FrameBlock([feye(basis.size)], Poly.const(1), (basis.size,))
+        return FrameBlock([feye(basis.size)], one, (basis.size,))
     cont = column_tableau(omega).contents
     _, Q = structural_ops(form)
-    q_entries = [(x, y, zz, w, -v) for (x, y, zz, w, v) in two_leg_entries(Q)]
-    dims = (N,) * n
-    bshift = 2 if shifted else 0
-    frames = [feye(N**n)]
-    for p in reversed(range(n)):
-        for q in reversed(range(p)):
-            a = -((z + cont[p]) + (z + cont[q]))
-            frames = _frame_chain_apply(frames, dims, p, q, a, -bshift, q_entries)
-    frames = [
-        restrict(TensorOperator(fr, dims), basis, basis, dims=(basis.size,)).mat
-        for fr in frames
+    entries = _negated(two_leg_entries(Q))
+    b = -2 if shifted else 0
+    chain = [
+        (p, q, -((z + cont[p]) + (z + cont[q])), b, entries)
+        for p in reversed(range(n))
+        for q in reversed(range(p))
     ]
-    return FrameBlock(frames, Poly.const(1), (basis.size,))
+    return FrameBlock(restricted_chain(chain, basis, (form.N,) * n), one, (basis.size,))
 
 
 def breve_r_frame_blocks(Z: FusedModuleSpec) -> list[tuple[FrameBlock, tuple[int, ...]]]:
     """Ordered frame blocks of breve-R_{W,Z}(zeta), W the zeta-shifted copy of Z."""
     ell = Z.ell
-    blocks = []
-    for (i, j) in [(i, j) for i in reversed(range(ell)) for j in range(ell)]:
-        fb = _pair_block_frames(
-            Z.form,
-            Z.contents(i), Z.basis(i), Z.z(i), True,
-            Z.contents(j), Z.basis(j), Z.z(j), False,
-            "Rb",
-        )
-        blocks.append((fb, (i, ell + j)))
-    return blocks
+    return [
+        (_pair_block_frames(Z, i, True, j, False, "Rb"), (i, ell + j))
+        for i in reversed(range(ell))
+        for j in range(ell)
+    ]
 
 
 def swz_frame_blocks(Z: FusedModuleSpec) -> list[tuple[FrameBlock, tuple[int, ...]]]:
@@ -382,40 +343,35 @@ def swz_frame_blocks(Z: FusedModuleSpec) -> list[tuple[FrameBlock, tuple[int, ..
 
     Slots 0..l-1 are the W factors, l..2l-1 the Z factors."""
     ell = Z.ell
-    blocks: list[tuple[FrameBlock, tuple[int, ...]]] = []
-    for (i, j) in [(i, j) for i in reversed(range(ell)) for j in reversed(range(ell))]:
-        fb = _pair_block_frames(
-            Z.form,
-            Z.contents(i), Z.basis(i), Z.z(i), True,
-            Z.contents(j), Z.basis(j), Z.z(j), False,
-            "Rb'",
-        )
-        blocks.append((fb, (i, ell + j)))
+    blocks = [
+        (_pair_block_frames(Z, i, True, j, False, "Rb'"), (i, ell + j))
+        for i in reversed(range(ell))
+        for j in reversed(range(ell))
+    ]
     for i in reversed(range(ell)):
-        blocks.append((_elementary_s_frames(Z.factors[i][0], Z.z(i), True, Z.form), (i,)))
+        s_block = _elementary_s_frames(Z.factors[i][0], Z.z(i), True, Z.form, Z.basis(i))
+        blocks.append((s_block, (i,)))
         for j in reversed(range(i)):
-            fb = _pair_block_frames(
-                Z.form,
-                Z.contents(i), Z.basis(i), Z.z(i), True,
-                Z.contents(j), Z.basis(j), Z.z(j), True,
-                "R'",
-            )
-            blocks.append((fb, (i, j)))
+            blocks.append((_pair_block_frames(Z, i, True, j, True, "R'"), (i, j)))
     blocks.extend(breve_r_frame_blocks(Z))
     return blocks
+
+
+def frame_product(blocks, dims, window: int) -> MatrixLaurentSeries:
+    """Laurent series at zeta = 0 of the ordered product of frame blocks,
+    each embedded in its slots of the legs ``dims``, past its exactly-zero
+    leading coefficients; _WindowExhausted if ``window`` is used up."""
+    prod = None
+    for fb, slots in blocks:
+        mls = MatrixLaurentSeries.from_frames(fb.frames, fb.den, window).embedded(slots, dims)
+        prod = mls if prod is None else prod @ mls
+    return prod.trimmed()
 
 
 def breve_r_family_leading(Z: FusedModuleSpec, window: int = 6):
     """Laurent order and exact leading coefficient matrix of the breve-R
     family of the shifted pair (W, Z) at zeta = 0."""
-    from .tensor import MatrixLaurentSeries
-
-    dims = Z.factor_dims + Z.factor_dims
-    prod = None
-    for fb, slots in breve_r_frame_blocks(Z):
-        mls = MatrixLaurentSeries.from_frames(fb.frames, fb.den, window).embedded(slots, dims)
-        prod = mls if prod is None else prod @ mls
-    prod = prod.trimmed()
+    prod = frame_product(breve_r_frame_blocks(Z), Z.factor_dims + Z.factor_dims, window)
     return prod.order, prod.coefficient(prod.order).to_fractions()
 
 
@@ -465,25 +421,8 @@ def r_factorized(W: FusedModuleSpec, Z: FusedModuleSpec, kind: str, w_shift=None
 def s_elementary(omega: SkewDiagram, z, form: GForm, basis: Basis | None = None) -> TensorOperator:
     """Twisted S-matrix of one elementary module: ordered product of R'
     factors over box pairs, restricted to the module."""
-    N = form.N
-    n = omega.size
-    fus = fusion_mod.fusion_operator(omega, N, box_cap=max(6, n))
-    basis = basis or fus.module_basis
-    if n <= 1:
-        return TensorOperator.identity((basis.size,))
-    cont = column_tableau(omega).contents
-    _, Q = structural_ops(form)
-    q_entries = two_leg_entries(Q)
-    dims = (N,) * n
-    M = feye(N**n)
-    for p in reversed(range(n)):
-        for q in reversed(range(p)):
-            vp = z + cont[p]
-            vq = z + cont[q]
-            alpha = -(vp + vq)
-            scaled = [(a, b, c, d, -val) for (a, b, c, d, val) in q_entries]
-            M = right_apply_two_leg(M, dims, p, q, scaled, alpha)
-    return restrict(TensorOperator(M, dims), basis, basis, dims=(basis.size,))
+    fb = _elementary_s_frames(omega, z, False, form, basis)
+    return TensorOperator(fb.frames[0], fb.dims)
 
 
 def s_fused_blocks(Z: FusedModuleSpec, shift=None) -> list[tuple[TensorOperator, tuple[int, ...]]]:
@@ -554,8 +493,6 @@ class _TData:
         return primitive_part(acc)
 
     def ratfunc_matrix(self) -> np.ndarray:
-        from .exactnum import Poly
-
         shape = self.frames[0].shape
         out = np.empty(shape, dtype=object)
         for idx in np.ndindex(shape):
@@ -565,58 +502,36 @@ class _TData:
 
 
 def _t_data(Z: FusedModuleSpec) -> _TData:
-    from .exactnum import Poly
-
     if Z._tdata is not None:
         return Z._tdata
     N = Z.N
     dims = (N,) + Z.factor_dims
-    D = N * Z.dimZ
     P, _ = structural_ops(Z.form)
-    p_entries = two_leg_entries(P)
-    full_aux = Basis.full(N)
-    acc = [feye(D)]  # coefficient frames of the accumulated product, low first
+    entries = _negated(two_leg_entries(P))
+    # coefficient frames of the accumulated product, low first
+    acc = [ScaledIntMatrix.from_fractions(feye(N * Z.dimZ))]
     den = Poly.const(1)
     for j in range(Z.ell):
-        nj = Z.factors[j][0].size
-        bdims = (N,) * (nj + 1)
-        bD = N ** (nj + 1)
-        frames = [feye(bD)]
-        for q, vq in enumerate(Z.box_params(j), start=1):
-            # multiply by (u - v_q) - P_{0,q}; frames move up one degree
-            new = [None] * (len(frames) + 1)
-            for k in range(len(frames) + 1):
-                term = frames[k - 1] if k >= 1 else None
-                if k < len(frames):
-                    base = right_apply_two_leg(
-                        frames[k], bdims, 0, q, p_entries, 0
-                    )  # frames[k] @ P part
-                    low = -vq * frames[k] - base
-                    term = low if term is None else term + low
-                new[k] = term
-            frames = new
+        # (u - v_q) - P_{0,q} over the boxes q of factor j, ascending
+        params = Z.box_params(j)
+        chain = [(0, q, -vq, 1, entries) for q, vq in enumerate(params, start=1)]
+        for vq in params:
             den = den * Poly((-vq, _F1))
-        kb = Basis.kron(full_aux, Z.basis(j))
-        sub_dims = (N, Z.basis(j).size)
-        frames = [
-            restrict(TensorOperator(fr, bdims), kb, kb, dims=sub_dims).mat for fr in frames
-        ]
+        kb = Basis.kron(Basis.full(N), Z.basis(j))
+        frames = restricted_chain(chain, kb, (N,) * (len(params) + 1))
         emb = [
-            ScaledIntMatrix.from_fractions(
-                embed_matrix(fr, (0, 1 + j), dims)
-            )
+            ScaledIntMatrix.from_fractions(embed_matrix(fr, (0, 1 + j), dims))
             for fr in frames
         ]
-        acc_s = [ScaledIntMatrix.from_fractions(fr) for fr in acc]
         out = []
-        for k in range(len(acc_s) + len(emb) - 1):
+        for k in range(len(acc) + len(emb) - 1):
             tot = None
-            for a in range(max(0, k - len(emb) + 1), min(len(acc_s), k + 1)):
-                term = acc_s[a] @ emb[k - a]
+            for a in range(max(0, k - len(emb) + 1), min(len(acc), k + 1)):
+                term = acc[a] @ emb[k - a]
                 tot = term if tot is None else tot + term
-            out.append(tot.to_fractions())
+            out.append(tot)
         acc = out
-    data = _TData(acc, den)
+    data = _TData([m.to_fractions() for m in acc], den)
     Z._tdata = data
     return data
 

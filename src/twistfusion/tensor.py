@@ -18,11 +18,10 @@ from . import linalg
 from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
-    LimitSingular,
     NotInvariant,
 )
-from .exactnum import RatFunc
-from .linalg import ScaledIntMatrix, fzeros, feye, is_zero_matrix, mat_equal
+from .exactnum import Poly, RatFunc
+from .linalg import ScaledIntMatrix, fzeros, feye, generic_dot, is_zero_matrix, mat_equal
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -30,20 +29,6 @@ _F1 = Fraction(1)
 
 def _prod(xs) -> int:
     return math.prod(xs) if xs else 1
-
-
-def _is_numeric(mat: np.ndarray) -> bool:
-    for v in mat.flat:
-        if not isinstance(v, (int, Fraction)):
-            return False
-    return True
-
-
-def exact_dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Matmul with the integer fast path when entries are plain rationals."""
-    if _is_numeric(A) and _is_numeric(B):
-        return linalg.fdot(A, B)
-    return A @ B
 
 
 # ---------------------------------------------------------------------------
@@ -99,10 +84,6 @@ class GForm:
     def default(kind: str, N: int) -> "GForm":
         return GForm.orthogonal(N) if kind == "so" else GForm.symplectic(N)
 
-    def t_matrix(self, A: np.ndarray) -> np.ndarray:
-        """A -> g A^T g^-1 on a single N x N matrix."""
-        return exact_dot(exact_dot(self.g, A.T), self.g_inv)
-
 
 # ---------------------------------------------------------------------------
 # operators
@@ -135,7 +116,7 @@ class TensorOperator:
     def __matmul__(self, other: "TensorOperator") -> "TensorOperator":
         if self.size != other.size:
             raise DimensionMismatch("operator sizes differ")
-        return TensorOperator(exact_dot(self.mat, other.mat), self.dims)
+        return TensorOperator(generic_dot(self.mat, other.mat), self.dims)
 
     def __add__(self, other: "TensorOperator") -> "TensorOperator":
         return TensorOperator(self.mat + other.mat, self.dims)
@@ -178,15 +159,6 @@ class TensorOperator:
 
     def __repr__(self):
         return f"TensorOperator(dims={self.dims}, size={self.size})"
-
-
-def tensor_product(*ops: TensorOperator) -> TensorOperator:
-    mat = ops[0].mat
-    dims = ops[0].dims
-    for op in ops[1:]:
-        mat = np.kron(mat, op.mat)
-        dims = dims + op.dims
-    return TensorOperator(mat, dims)
 
 
 def flip(d: int) -> TensorOperator:
@@ -372,7 +344,7 @@ def image_basis(A: TensorOperator) -> Basis:
 
 def restrict(A: TensorOperator, domain: Basis, codomain: Basis, dims=None) -> TensorOperator:
     """Matrix of A in the given bases; NotInvariant if A leaves the codomain span."""
-    rhs = exact_dot(A.mat, domain.matrix())
+    rhs = generic_dot(A.mat, domain.matrix())
     X = codomain.solver().solve(rhs)
     if X is None:
         raise NotInvariant("operator does not map domain span into codomain span")
@@ -411,7 +383,7 @@ def contraction_map_matrix(M: np.ndarray, dimW: int, dimZ: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# sparse structural application (factors alpha + sum of two-leg entries)
+# factor chains: ordered products of (a + b*zeta) * 1 + two-leg operators
 
 def two_leg_entries(op2: TensorOperator) -> list[tuple[int, int, int, int, object]]:
     """Nonzero entries ((a,b),(c,d),value) of a 2-leg operator."""
@@ -425,30 +397,72 @@ def two_leg_entries(op2: TensorOperator) -> list[tuple[int, int, int, int, objec
     return out
 
 
-def right_apply_two_leg(M: np.ndarray, dims, p: int, q: int, entries, alpha) -> np.ndarray:
-    """Exact M @ (alpha * 1 + X_{p,q}) with X given by two-leg entries.
+def apply_factor_chain(V: np.ndarray, dims, chain) -> list[np.ndarray]:
+    """Coefficient frames of F_1 F_2 ... F_m V in zeta, lowest degree first.
 
-    p, q are 0-indexed slots; column operations only, no matmul.
+    Each factor (p, q, a, b, entries) of ``chain`` (leftmost first) is
+    (a + b*zeta) * 1 + X_{p,q}, X the two-leg operator on the 0-indexed legs
+    p, q given by its nonzero entries (r_p, r_q, c_p, c_q, value).  V has one
+    row per basis vector of the legs ``dims``; the factors act right to left
+    as row operations.  a and the values may be scalars or RatFuncs, b is a
+    scalar, and a factor with b = 0 adds no frame.
     """
     dims = tuple(dims)
-    D = _prod(dims)
-    sp = _prod(dims[p + 1:])
-    sq = _prod(dims[q + 1:])
-    if alpha == 1:
-        out = M.copy()
-    else:
-        out = M * alpha
-    cols = np.arange(D)
-    digits = np.unravel_index(cols, dims)
-    dp, dq = digits[p], digits[q]
-    for (a, b, c, d, v) in entries:
-        mask = (dp == c) & (dq == d)
-        tgt = cols[mask]
-        if tgt.size == 0:
-            continue
-        src = tgt + (a - c) * sp + (b - d) * sq
-        out[:, tgt] = out[:, tgt] + v * M[:, src]
+    rows = np.arange(_prod(dims))
+    digits = np.unravel_index(rows, dims)
+    frames = [V]
+    for (p, q, a, b, entries) in reversed(chain):
+        sp, sq = _prod(dims[p + 1:]), _prod(dims[q + 1:])
+        moves = []
+        for (rp, rq, cp, cq, val) in entries:
+            tgt = rows[(digits[p] == rp) & (digits[q] == rq)]
+            moves.append((tgt, tgt + (cp - rp) * sp + (cq - rq) * sq, val))
+        out = []
+        for k in range(len(frames) + (b != 0)):
+            if k < len(frames):
+                fr = frames[k]
+                term = fr.copy() if a == 1 else fr * a
+                for tgt, src, val in moves:
+                    term[tgt] += val * fr[src]
+                if b != 0 and k >= 1:
+                    term += b * frames[k - 1]
+            else:
+                term = b * frames[k - 1]
+            out.append(term)
+        frames = out
+    return frames
+
+
+def restricted_chain(chain, basis: Basis, dims) -> list[np.ndarray]:
+    """Frames of the chain's operator in ``basis``, whose span it must map
+    into itself (NotInvariant otherwise); see apply_factor_chain.
+
+    The kernel runs on integers: it starts from the cleared basis matrix
+    B_int = B / s and multiplies each factor by the lcm L of its rational
+    denominators, which scales the solved frames by prod(L) / s; they are
+    multiplied by s / prod(L) at the end."""
+    solver = basis.solver()
+    V, scale = solver.B_int, solver.B_scale
+    cleared = []
+    for (p, q, a, b, entries) in chain:
+        vals = [a, b] + [e[4] for e in entries]
+        L = math.lcm(*(getattr(v, "denominator", 1) for v in vals))
+        scale /= L
+        cleared.append((p, q, _times(a, L), _times(b, L),
+                        [(rp, rq, cp, cq, _times(v, L)) for (rp, rq, cp, cq, v) in entries]))
+    out = []
+    for fr in apply_factor_chain(V, dims, cleared):
+        X = solver.solve(fr)
+        if X is None:
+            raise NotInvariant("factor chain does not preserve the basis span")
+        out.append(X if scale == 1 else X * scale)
     return out
+
+
+def _times(v, L: int):
+    """v * L, as a Python int when that is an integral Fraction."""
+    w = v * L
+    return w.numerator if isinstance(w, Fraction) and w.denominator == 1 else w
 
 
 # ---------------------------------------------------------------------------
@@ -469,15 +483,9 @@ class MatrixLaurentSeries:
         self.exact_tail = exact_tail
 
     @classmethod
-    def constant(cls, mat: np.ndarray) -> "MatrixLaurentSeries":
-        return cls(0, [ScaledIntMatrix.from_fractions(mat)], exact_tail=True)
-
-    @classmethod
     def from_frames(cls, frames, den, window: int) -> "MatrixLaurentSeries":
         """Series of (sum_k frames[k] t^k) / den(t); frames are exact Fraction
         matrices, den a scalar polynomial."""
-        from .exactnum import Poly, RatFunc
-
         if all(is_zero_matrix(f) for f in frames):
             return cls(0, [ScaledIntMatrix.zeros(frames[0].shape)], exact_tail=True)
         val = den.valuation()
@@ -499,45 +507,6 @@ class MatrixLaurentSeries:
                 acc = term if acc is None else acc + term
             out.append(acc if acc is not None else ScaledIntMatrix.zeros(shape))
         return cls(order, out, exact_tail=False)
-
-    @classmethod
-    def from_ratfunc_matrix(cls, mat: np.ndarray, window: int) -> "MatrixLaurentSeries":
-        """Entrywise Laurent expansion at 0 of a RatFunc/Fraction matrix."""
-        entries = []
-        min_order = None
-        exact = True
-        max_top = None  # exclusive top exponent when exact
-        for idx, v in np.ndenumerate(mat):
-            f = v if isinstance(v, RatFunc) else RatFunc.const(v)
-            if f.is_zero():
-                continue
-            val_d = f.den.valuation()
-            pure_pole = f.den.degree == val_d  # denominator is a monomial
-            o = f.num.valuation() - val_d
-            entries.append((idx, f, o, pure_pole))
-            min_order = o if min_order is None else min(min_order, o)
-            if pure_pole:
-                top = f.num.degree - val_d + 1
-                max_top = top if max_top is None else max(max_top, top)
-            else:
-                exact = False
-        if min_order is None:
-            return cls(0, [ScaledIntMatrix.zeros(mat.shape)], exact_tail=True)
-        length = (max_top - min_order) if exact else window
-        length = max(length, 1)
-        frames = [fzeros(mat.shape) for _ in range(length)]
-        for idx, f, o, _pole in entries:
-            cnt = length - (o - min_order)
-            if cnt <= 0:
-                continue
-            _, cs = f.laurent_at(0, cnt)
-            for k, c in enumerate(cs):
-                frames[o - min_order + k][idx] = c
-        coeffs = [ScaledIntMatrix.from_fractions(fr) for fr in frames]
-        return cls(min_order, coeffs, exact_tail=exact)
-
-    def window(self) -> int:
-        return len(self.coeffs)
 
     def embedded(self, slots, dims) -> "MatrixLaurentSeries":
         out = []
@@ -587,13 +556,6 @@ class MatrixLaurentSeries:
         if k >= len(self.coeffs):
             raise _WindowExhausted
         return self.coeffs[k]
-
-    def value_at_zero(self) -> np.ndarray:
-        """Exact value at t=0; LimitSingular if any pole part survives."""
-        t = self.trimmed()
-        if t.order < 0 and not t.coeffs[0].is_zero():
-            raise LimitSingular(f"pole of order {-t.order} at the limit point")
-        return t.coefficient(0).to_fractions()
 
 
 class _WindowExhausted(Exception):

@@ -137,3 +137,24 @@ def test_scan_two_factor_grid_broadcast():
     offwall = [p for p in data["points"] if not p["report"]["on_wall"]]
     for p in offwall:
         assert p["report"]["verdict"] == "irreducible"
+
+
+@pytest.mark.parametrize("argv,flag,value", [
+    (["scan", "--n", "2", "--form", "sp", "--modules", "1", "--json"], "--grid", "-1/3,1/3"),
+    (["duality", "--diagram", "1,1", "--n", "2", "--form", "sp"], "--z", "-2/5"),
+])
+def test_negative_rational_flag_values(argv, flag, value):
+    code, spaced = run_cli(argv + [flag, value])
+    assert code == 0
+    assert run_cli(argv + [f"{flag}={value}"]) == (code, spaced)
+
+
+def test_scan_g_file_matches_default_form(tmp_path):
+    gfile = tmp_path / "g.json"
+    gfile.write_text(json.dumps([["0", "1"], ["-1", "0"]]))
+    args = ["scan", "--n", "2", "--form", "sp", "--modules", "1;1",
+            "--grid", "1/3,7/5", "--json"]
+    _, plain = run_cli(args)
+    code, custom = run_cli(args + ["--g-file", str(gfile)])
+    assert code == 0
+    assert json.loads(custom) == json.loads(plain)

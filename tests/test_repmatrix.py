@@ -21,6 +21,7 @@ from twistfusion.repmatrix import (
     yang_matrices,
 )
 from twistfusion.tensor import (
+    Basis,
     GForm,
     TensorOperator,
     embed_operator,
@@ -127,6 +128,45 @@ def test_rb_leading_term_proportional_to_flip():
             break
     assert scale != 0
     assert mat_equal(coeff, scale * FL)
+
+
+def _pair_block_oracle(Z, i, shiftA, j, shiftB, kind, zeta):
+    """Dense product of embedded two-leg Yang matrices at the box parameters
+    u_p = z_i + c_p (+ zeta), v_q = z_j + c_q (+ zeta), in the block order
+    (p descending; q ascending for R, Rb and descending for R', Rb'),
+    restricted to V_i (x) V_j."""
+    contA, contB = Z.contents(i), Z.contents(j)
+    nA, nB = len(contA), len(contB)
+    u = [Z.z(i) + c + (zeta if shiftA else 0) for c in contA]
+    v = [Z.z(j) + c + (zeta if shiftB else 0) for c in contB]
+    pick = repmatrix.KINDS.index(kind)
+    out = TensorOperator.identity((Z.N,) * (nA + nB))
+    for p in reversed(range(nA)):
+        for q in (range(nB) if kind in ("R", "Rb") else reversed(range(nB))):
+            factor = yang_matrices(Z.form, u[p], v[q])[pick]
+            out = out @ embed_two_leg(factor, p + 1, nA + q + 1, nA + nB)
+    basis = Basis.kron(Z.basis(i), Z.basis(j))
+    return restrict(out, basis, basis, dims=(Z.basis(i).size, Z.basis(j).size))
+
+
+@pytest.mark.parametrize("shifts", [(True, False), (True, True), (False, False)])
+@pytest.mark.parametrize("form,modules", [(SO3, "1,1:1/5;2:-3/7"), (SP2, "2:2/7;1:1/5")],
+                         ids=["so3", "sp2"])
+@pytest.mark.parametrize("kind", repmatrix.KINDS)
+def test_pair_blocks_match_dense_product(kind, form, modules, shifts):
+    Z = FusedModuleSpec.from_string(form, modules)
+    zeta = Fraction(2, 9)
+    oracle = _pair_block_oracle(Z, 0, shifts[0], 1, shifts[1], kind, zeta)
+    fb = repmatrix._pair_block_frames(Z, 0, shifts[0], 1, shifts[1], kind)
+    value = sum(fr * zeta**k for k, fr in enumerate(fb.frames)) / fb.den.eval(zeta)
+    assert fb.dims == oracle.dims
+    assert mat_equal(value, oracle.mat)
+    # the scalar-parameter route of r_factorized at the same point
+    block = repmatrix._pair_block(
+        form, Z.contents(0), Z.basis(0), Z.z(0) + (zeta if shifts[0] else 0),
+        Z.contents(1), Z.basis(1), Z.z(1) + (zeta if shifts[1] else 0), kind,
+    )
+    assert block == oracle
 
 
 # ---------------------------------------------------------------------------
