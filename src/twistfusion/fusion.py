@@ -3,8 +3,13 @@
 F is the value at 0 of the ordered product of breve Yang factors
 1 - P_{pq}/(v_p - v_q) over lexicographic pairs p < q, with v_p approaching
 the content line along a univariate path v_p = c_p + s_{col(p)} * eps using
-distinct integer slopes per column.  The theory guarantees the limit exists;
-a surviving pole raises LimitSingular.
+distinct integer slopes per column.  With d = c_p - c_q and s the slope
+difference, each factor is ((d + s*eps) - P_{pq}) / (d + s*eps).  The ordered
+chain of numerators is applied to the integer identity by
+tensor.apply_factor_chain, giving frames in eps.  If m pairs have equal
+content (the poles), frames 0..m-1 must vanish (else LimitSingular) and
+
+    F = frame[m] / c0,   c0 = prod of s over the poles * prod of d otherwise.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from .errors import (
     SlopeCollision,
 )
 from .exactnum import RatFunc
-from .linalg import feye, fzeros, mat_equal
+from .linalg import feye, is_zero_matrix
 from .tensor import (
     Basis,
     GForm,
@@ -33,8 +38,6 @@ from .tensor import (
     reversal_op,
     transpose_legs,
 )
-
-_F0 = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -57,14 +60,6 @@ def default_slopes(omega: SkewDiagram) -> tuple[int, ...]:
     return tuple(range(1, omega.n_cols + 1))
 
 
-def _swap_index(dims, p: int, q: int) -> np.ndarray:
-    """Column index map for right-multiplication by the flip on slots p, q."""
-    D = int(np.prod(dims)) if dims else 1
-    digits = list(np.unravel_index(np.arange(D), dims))
-    digits[p], digits[q] = digits[q], digits[p]
-    return np.ravel_multi_index(tuple(digits), dims)
-
-
 def fusion_operator(
     omega: SkewDiagram,
     N: int,
@@ -80,6 +75,9 @@ def fusion_operator(
     if slopes is None:
         slopes = default_slopes(omega)
     else:
+        slopes = tuple(slopes)
+        if any(Fraction(s).denominator != 1 for s in slopes):
+            raise SlopeCollision(f"slopes must be integers, got {slopes}")
         slopes = tuple(int(s) for s in slopes)
         if len(slopes) != omega.n_cols or any(s <= 0 for s in slopes):
             raise SlopeCollision(f"need {omega.n_cols} positive slopes, got {slopes}")
@@ -94,13 +92,15 @@ def fusion_operator(
     cols = [j for (_, j) in ct.boxes]
     cont = ct.contents
     dims = (N,) * n
-    D = N**n
+    minus_p = [(a, b, b, a, -1) for a in range(N) for b in range(N)]
 
-    pairs = []
+    # numerators (d + s*eps) - P_pq of the factors, in lexicographic order
+    chain = []
     n_poles = 0
+    c0 = 1
     for p in range(n):
         for q in range(p + 1, n):
-            d = Fraction(cont[p] - cont[q])
+            d = cont[p] - cont[q]
             s = slopes[cols[p] - 1] - slopes[cols[q] - 1]
             if d == 0:
                 if s == 0:
@@ -108,48 +108,19 @@ def fusion_operator(
                         f"boxes {p+1},{q+1} of {omega} collide: equal content and slope"
                     )
                 n_poles += 1
-            pairs.append((p, q, d, s))
+            c0 *= s if d == 0 else d
+            chain.append((p, q, d, s, minus_p))
 
-    # frames[t] is the exact coefficient of eps^(order + t); the window slides
-    # down as pole factors multiply in, ending at [-n_poles, 2).
-    width = n_poles + 2
-    frames = [fzeros((D, D)) for _ in range(width)]
-    frames[0] = feye(D)
-    order = 0
-
-    for (p, q, d, s) in pairs:
-        if d != 0:
-            beta_order = 0
-            inv = -1 / d
-            beta = [inv]
-            for _ in range(width - 1):
-                beta.append(beta[-1] * (-s) / d)
-        else:
-            beta_order = -1
-            beta = [Fraction(-1, s)] + [_F0] * (width - 1)
-        swap = _swap_index(dims, p, q)
-        fo = min(0, beta_order)
-        new = []
-        for t in range(width):
-            k_id = t + fo  # identity part: old coefficient at the same exponent
-            acc = frames[k_id].copy() if 0 <= k_id < width else fzeros((D, D))
-            for b, bc in enumerate(beta):
-                if bc == 0:
-                    continue
-                k = t + fo - beta_order - b
-                if 0 <= k < width:
-                    acc += bc * frames[k][:, swap]
-            new.append(acc)
-        frames = new
-        order += fo
-
-    zero = fzeros((D, D))
-    for t in range(-order):
-        if not mat_equal(frames[t], zero):
+    identity = np.eye(N**n, dtype=int).astype(object)
+    # without factors (at most one box) the kernel is skipped: it cannot
+    # index the legs of the empty diagram
+    frames = apply_factor_chain(identity, dims, chain) if chain else [identity]
+    for t in range(n_poles):
+        if not is_zero_matrix(frames[t]):
             raise LimitSingular(
-                f"pole of order {-(order + t)} in the fusion limit of {omega}"
+                f"pole of order {n_poles - t} in the fusion limit of {omega}"
             )
-    F = TensorOperator(frames[-order], dims if n else ())
+    F = TensorOperator(frames[n_poles] * Fraction(1, c0), dims)
     result = FusionOperator(omega, N, F, image_basis(F), slopes)
     _cache[key] = result
     return result

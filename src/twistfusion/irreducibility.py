@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ExhaustedDepth, InternalInconsistency
 from .exactnum import RatFunc
-from .linalg import feye, is_zero_matrix, nullspace_exact, rank_exact
+from .linalg import feye, generic_dot, is_zero_matrix, nullspace_exact, rank_exact
 from .repmatrix import (
     FusedModuleSpec,
     frame_product,
@@ -164,8 +164,6 @@ def commutant_dim(Z: FusedModuleSpec, K: int) -> tuple[int, bool]:
 
 
 def _comm(X: np.ndarray, G: np.ndarray) -> np.ndarray:
-    from .linalg import generic_dot
-
     return generic_dot(X, G) - generic_dot(G, X)
 
 

@@ -403,7 +403,8 @@ def rank_exact(A: np.ndarray) -> int:
         # deficient mod p: settle via a verified nullspace
         basis = nullspace_exact(A)
         return cols - len(basis)
-    raise RuntimeError("all primes were bad for this matrix")
+    # every prime divides a denominator: exact elimination, as nullspace_exact
+    return len(fraction_rref(A)[1])
 
 
 def nullspace_exact(A: np.ndarray) -> list[np.ndarray]:

@@ -17,6 +17,7 @@ Ordering conventions (leftmost factor first):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -47,7 +48,6 @@ from .tensor import (
     GForm,
     MatrixLaurentSeries,
     TensorOperator,
-    embed_matrix,
     embed_operator,
     restricted_chain,
     reversal_op,
@@ -508,8 +508,9 @@ def _t_data(Z: FusedModuleSpec) -> _TData:
     dims = (N,) + Z.factor_dims
     P, _ = structural_ops(Z.form)
     entries = _negated(two_leg_entries(P))
-    # coefficient frames of the accumulated product, low first
-    acc = [ScaledIntMatrix.from_fractions(feye(N * Z.dimZ))]
+    # the accumulated product: a polynomial in u, as an exact-tail series
+    identity = ScaledIntMatrix.from_fractions(feye(N * Z.dimZ))
+    acc = MatrixLaurentSeries(0, [identity], exact_tail=True)
     den = Poly.const(1)
     for j in range(Z.ell):
         # (u - v_q) - P_{0,q} over the boxes q of factor j, ascending
@@ -519,19 +520,9 @@ def _t_data(Z: FusedModuleSpec) -> _TData:
             den = den * Poly((-vq, _F1))
         kb = Basis.kron(Basis.full(N), Z.basis(j))
         frames = restricted_chain(chain, kb, (N,) * (len(params) + 1))
-        emb = [
-            ScaledIntMatrix.from_fractions(embed_matrix(fr, (0, 1 + j), dims))
-            for fr in frames
-        ]
-        out = []
-        for k in range(len(acc) + len(emb) - 1):
-            tot = None
-            for a in range(max(0, k - len(emb) + 1), min(len(acc), k + 1)):
-                term = acc[a] @ emb[k - a]
-                tot = term if tot is None else tot + term
-            out.append(tot)
-        acc = out
-    data = _TData([m.to_fractions() for m in acc], den)
+        block = [ScaledIntMatrix.from_fractions(fr) for fr in frames]
+        acc = acc @ MatrixLaurentSeries(0, block, exact_tail=True).embedded((0, 1 + j), dims)
+    data = _TData([m.to_fractions() for m in acc.coeffs], den)
     Z._tdata = data
     return data
 
@@ -579,12 +570,9 @@ def s_generators(Z: FusedModuleSpec, K: int) -> GeneratorMatrices:
     A = [ScaledIntMatrix.from_fractions(m) for m in _entrywise_series(Tt, K)]
     B = [ScaledIntMatrix.from_fractions(m) for m in _entrywise_series(T, K)]
     rho = []
-    for k in range(K + 1):
-        acc = None
-        for a in range(k + 1):
-            term = A[a] @ B[k - a]
-            acc = term if acc is None else acc + term
-        Sk = acc.to_fractions().reshape(N, dZ, N, dZ)
+    # both factors are known through u^-K only, so their product is too
+    for coeff in (MatrixLaurentSeries(0, A) @ MatrixLaurentSeries(0, B)).coeffs:
+        Sk = coeff.to_fractions().reshape(N, dZ, N, dZ)
         rho.append([[Sk[i, :, j, :] for j in range(N)] for i in range(N)])
     return GeneratorMatrices(K=K, N=N, dimZ=dZ, rho=rho)
 
@@ -650,12 +638,7 @@ def _blocked(mat: np.ndarray, N: int, d: int) -> list:
 def _int_cleared(entries: dict) -> dict:
     """Scale a sparse coefficient dict to integer values (same factor on both
     relation sides, so equality is unaffected)."""
-    import math as _math
-
-    lcm = 1
-    for v in entries.values():
-        if isinstance(v, Fraction) and v.denominator != 1:
-            lcm = lcm * v.denominator // _math.gcd(lcm, v.denominator)
+    lcm = math.lcm(*(v.denominator for v in entries.values()))
     return {k: int(v * lcm) for k, v in entries.items()}
 
 

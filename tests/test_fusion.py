@@ -1,15 +1,19 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from twistfusion.diagrams import SkewDiagram, ssyt_count
+from twistfusion.diagrams import SkewDiagram, column_tableau, parse_skew, ssyt_count
 from twistfusion.errors import BoxCapExceeded, ShapeTooTall, SingularParameter, SlopeCollision
+from twistfusion.exactnum import RatFunc
 from twistfusion.fusion import (
+    default_slopes,
     fusion_operator,
     intertwining_check,
     verify_fusion_invariants,
 )
-from twistfusion.tensor import GForm, TensorOperator, structural_ops
+from twistfusion.repmatrix import yang_matrices
+from twistfusion.tensor import GForm, TensorOperator, embed_two_leg, structural_ops
 
 BOX = SkewDiagram((1,))
 VDOM = SkewDiagram((1, 1))
@@ -86,8 +90,48 @@ def test_slope_validation():
         fusion_operator(SkewDiagram((2, 2)), 2, slopes=(1, 1))
     with pytest.raises(SlopeCollision):
         fusion_operator(SkewDiagram((2, 2)), 2, slopes=(1,))
+    for slopes in ((Fraction(5, 2), 1), (2.5, 1)):
+        with pytest.raises(SlopeCollision):
+            fusion_operator(SkewDiagram((2, 2)), 2, slopes=slopes)
     alt = fusion_operator(SkewDiagram((2, 2)), 2, slopes=(5, 2))
     assert alt.matrix == fusion_operator(SkewDiagram((2, 2)), 2).matrix
+
+
+def _times_sparse(A, E):
+    """A @ E for object matrices, summing over nonzero products only."""
+    out = np.empty(A.shape, dtype=object)
+    out[...] = RatFunc.const(0)
+    for r, c in zip(*np.nonzero(E != 0)):
+        rows = np.nonzero(A[:, r] != 0)[0]
+        out[rows, c] = out[rows, c] + A[rows, r] * E[r, c]
+    return out
+
+
+def _fusion_oracle(omega, N, slopes):
+    """F from the product of the embedded breve Yang matrices as RatFunc
+    matrices in x, with u_p = c_p + s_col(p) * x, evaluated at x = 0 once no
+    pole remains."""
+    ct = column_tableau(omega)
+    n = omega.size
+    x = RatFunc.x()
+    u = [c + slopes[j - 1] * x for c, (_, j) in zip(ct.contents, ct.boxes)]
+    form = GForm.orthogonal(N)
+    out = TensorOperator.identity((N,) * n).map_entries(RatFunc.coerce).mat
+    for p in range(n):
+        for q in range(p + 1, n):
+            Rb = yang_matrices(form, u[p], u[q])[2]
+            out = _times_sparse(out, embed_two_leg(Rb, p + 1, q + 1, n).mat)
+    assert all(v.den.eval(0) != 0 for v in out.flat)
+    return TensorOperator(np.vectorize(lambda v: v.eval(0), otypes=[object])(out), (N,) * n)
+
+
+@pytest.mark.parametrize("text,N", [("2,2", 2), ("2,2", 3), ("3,3/1", 2), ("2,1", 3)])
+def test_fusion_operator_matches_ratfunc_product(text, N):
+    # every case but 2,1 has a pair of boxes of equal content (a pole)
+    omega = parse_skew(text)
+    for slopes in (default_slopes(omega), tuple(reversed(range(2, omega.n_cols + 2)))):
+        F = fusion_operator(omega, N, slopes=slopes)
+        assert F.matrix == _fusion_oracle(omega, N, slopes)
 
 
 def test_intertwining_passes():
