@@ -20,7 +20,7 @@ from .diagrams import parse_skew
 from .errors import TwistFusionError
 from .exactnum import parse_rational
 from .fusion import fusion_operator, verify_fusion_invariants
-from .irreducibility import verdict
+from .irreducibility import check_truncation, verdict
 from .repmatrix import FusedModuleSpec, check_defining_relations, duality_check, yang_matrices
 from .tensor import GForm, embed_two_leg
 
@@ -255,6 +255,8 @@ def _scan_point(payload):
 def cmd_scan(args) -> int:
     form = _form_from_args(args)
     dias = _parse_scan_modules(args.modules)
+    if args.k is not None:
+        check_truncation(args.k)
     if args.grid.strip() == "":
         points = []
     else:

@@ -17,6 +17,11 @@ class PoleAtInfinity(TwistFusionError, ArithmeticError):
     """Expansion at infinity requested for a function with a pole there."""
 
 
+class MalformedInput(TwistFusionError, ValueError):
+    """A value given to the program (a rational, a module spec, a truncation
+    order) is not valid input."""
+
+
 class MalformedShape(TwistFusionError, ValueError):
     """Text or data does not describe a valid skew Young diagram."""
 

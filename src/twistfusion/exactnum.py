@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import PoleAtInfinity, PoleAtPoint, ZeroFunction
+from .errors import MalformedInput, PoleAtInfinity, PoleAtPoint, ZeroFunction
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -24,7 +24,7 @@ def parse_rational(text: str) -> Fraction:
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational: {text!r}") from exc
+        raise MalformedInput(f"not a rational: {text!r}") from exc
 
 
 def format_rational(q: Fraction) -> str:

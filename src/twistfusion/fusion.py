@@ -155,8 +155,11 @@ def verify_fusion_invariants(F: FusionOperator, form: GForm | None = None) -> Fu
     if n > 0:
         t_ok = transpose_legs(F.matrix, range(1, n + 1), form) == F.matrix
         sh, _ = sharp(omega)
-        s_hat = reversal_op(n, N)
-        sharp_ok = (s_hat @ F.matrix @ s_hat) == fusion_operator(sh, N).matrix
+        # s_hat F s_hat for the leg reversal s_hat: F on reversed tensor indices
+        dims = F.matrix.dims
+        rev = np.ravel_multi_index(np.unravel_index(np.arange(F.matrix.size), dims)[::-1], dims)
+        conj = TensorOperator(F.matrix.mat[np.ix_(rev, rev)], dims)
+        sharp_ok = conj == fusion_operator(sh, N).matrix
         alt = tuple(reversed(range(2, omega.n_cols + 2)))
         alt_ok = fusion_operator(omega, N, slopes=alt).matrix == F.matrix
     else:

@@ -23,9 +23,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ExhaustedDepth, InternalInconsistency
+from .errors import ExhaustedDepth, InternalInconsistency, MalformedInput
 from .exactnum import RatFunc
-from .linalg import feye, generic_dot, is_zero_matrix, nullspace_exact, rank_exact
+from .linalg import fdot, feye, is_zero_matrix, nullspace_exact, rank_exact
 from .repmatrix import (
     FusedModuleSpec,
     frame_product,
@@ -120,6 +120,12 @@ def surjectivity(phi: PhiOperator) -> tuple[int, bool]:
 # ---------------------------------------------------------------------------
 # commutant oracle
 
+def check_truncation(K: int) -> None:
+    """MalformedInput unless K is a usable generator truncation order."""
+    if K < 2:
+        raise MalformedInput(f"K must be >= 2, got {K}")
+
+
 def commutant_dim(Z: FusedModuleSpec, K: int) -> tuple[int, bool]:
     """Dimension of the joint commutant of the generator matrices up to
     truncation K, and whether it stabilized between K-1 and K.
@@ -127,8 +133,7 @@ def commutant_dim(Z: FusedModuleSpec, K: int) -> tuple[int, bool]:
     Exact nullspace computation over Q; the dimension over any extension
     field is the same, so 1 here means scalars only.
     """
-    if K < 2:
-        raise ValueError("K must be >= 2")
+    check_truncation(K)
     d = Z.dimZ
     if d == 1:
         return 1, True
@@ -138,16 +143,17 @@ def commutant_dim(Z: FusedModuleSpec, K: int) -> tuple[int, bool]:
     for k in range(1, K + 1):
         b = B.shape[1]
         if b > 1:
+            # the b candidates X_m = B[:, m] as d x d matrices, stacked
+            X = B.T.reshape(b, d, d)
+            X_rows = X.reshape(b * d, d)  # rows of X_0, X_1, ...
+            X_cols = X.transpose(1, 0, 2).reshape(d, b * d)  # [X_0 | X_1 | ...]
             rows = []
             for i in range(Z.N):
                 for j in range(Z.N):
                     G = gens.rho[k][i][j]
-                    cols = []
-                    for m in range(b):
-                        X = B[:, m].reshape(d, d)
-                        comm = _comm(X, G)
-                        cols.append(comm.reshape(d * d))
-                    rows.append(np.stack(cols, axis=1))
+                    XG = fdot(X_rows, G).reshape(b, d, d)
+                    GX = fdot(G, X_cols).reshape(d, b, d).transpose(1, 0, 2)
+                    rows.append((XG - GX).reshape(b, d * d).T)
             system = np.concatenate(rows, axis=0)
             null = nullspace_exact(system)
             if len(null) < b:
@@ -156,15 +162,11 @@ def commutant_dim(Z: FusedModuleSpec, K: int) -> tuple[int, bool]:
                     if null
                     else np.empty((b, 0), dtype=object)
                 )
-                B = B @ Y
+                B = fdot(B, Y)
         dims_after.append(B.shape[1])
     dim = dims_after[-1]
     stabilized = len(dims_after) >= 2 and dims_after[-1] == dims_after[-2]
     return dim, stabilized
-
-
-def _comm(X: np.ndarray, G: np.ndarray) -> np.ndarray:
-    return generic_dot(X, G) - generic_dot(G, X)
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +269,7 @@ def verdict(Z: FusedModuleSpec, K: int | None = None, depth: int = 3) -> Irreduc
     contradiction of the theory and aborts."""
     if K is None:
         K = max(2, default_truncation(Z))
+    check_truncation(K)
     params = [z for _, z in Z.factors]
     on_wall = [c.describe() for c in walls(Z).violated(params)]
     if Z.ell == 0:

@@ -1,22 +1,22 @@
 """Exact dense linear algebra on numpy object arrays.
 
-Four layers, all exact:
+Three layers, all exact:
 
-* Fraction/int object matrices with Bareiss (fraction-free) elimination for
-  ranks, pivot columns and nullspaces at small sizes.
-* Integer-cleared fast products: clearing denominators first makes object
-  matmuls run on Python ints, which is roughly two orders of magnitude faster
+* Integer clearing: A = scale * M with M an integer matrix, so products and
+  eliminations run on Python ints, roughly two orders of magnitude faster
   than Fraction arithmetic (no gcd per operation).
-* Certified int64 kernels for integer products and the sums that combine
-  them: a computation runs in numpy int64 only when a runtime certificate
-  bounds every intermediate below 2^62 in absolute value (for a product,
-  max|A| * max|B| * inner dimension; a further sum of terms c * (A B)
-  multiplies that by sum |c|).  Otherwise it runs on Python ints.  Both
-  paths give the same exact integers.
-* Certified modular ranks/nullspaces for larger systems: a full-rank result
-  modulo one prime is already a proof over Q (a nonzero minor mod p is nonzero
-  over Q); deficient cases are settled by lifting a candidate nullspace basis
-  with rational reconstruction and verifying it exactly.
+* One certified integer product, int_matmul, behind fdot, ScaledIntMatrix
+  and the checks below.  A computation runs in numpy int64 only when a
+  runtime certificate bounds every intermediate below 2^62 in absolute value
+  (for a product, max|A| * max|B| * inner dimension; a further sum of terms
+  c * (A B) multiplies that by sum |c|).  Otherwise it runs on Python ints.
+  Both paths give the same exact integers.
+* One certified echelon, echelon(A): the leftmost pivot columns of A over Q
+  and the exact coefficients of the other columns in them.  Modular RREF
+  proposes both, rational reconstruction (Wang, Guy & Davenport) over CRT
+  lifts the coefficients and one integer product proves the lift; Fraction
+  RREF decides when no prime gives a verified lift.  Ranks, nullspaces,
+  inverses and basis solves are all read off it.
 """
 
 from __future__ import annotations
@@ -38,9 +38,6 @@ _PRIMES = (
     2147483497,
     2147483489,
 )
-
-# Size threshold below which plain Fraction elimination is used directly.
-_SMALL = 64
 
 
 def fzeros(shape) -> np.ndarray:
@@ -109,9 +106,7 @@ def max_abs(A: np.ndarray) -> int:
     """Largest absolute entry of an integer matrix (Python ints or int64)."""
     if A.size == 0:
         return 0
-    if A.dtype == object:
-        return max(abs(v) for v in A.flat)
-    return int(np.abs(A).max())
+    return max(int(A.max()), -int(A.min()))
 
 
 def int64_certified(bound: int) -> bool:
@@ -141,7 +136,7 @@ def fdot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Exact matmul; clears denominators so the inner loop runs on ints."""
     Ai, sa = to_int_scaled(A)
     Bi, sb = to_int_scaled(B)
-    C = Ai @ Bi
+    C = int_matmul(Ai, Bi).astype(object)
     s = sa * sb
     if s != 1:
         C = C * s
@@ -182,9 +177,7 @@ class ScaledIntMatrix:
 
     @classmethod
     def zeros(cls, shape) -> "ScaledIntMatrix":
-        m = np.zeros(shape, dtype=object)
-        m[...] = 0
-        return cls(m, Fraction(1))
+        return cls(np.zeros(shape, dtype=object), Fraction(1))
 
     def to_fractions(self) -> np.ndarray:
         if self.scale == 1:
@@ -198,7 +191,8 @@ class ScaledIntMatrix:
         return is_zero_matrix(self.mat)
 
     def __matmul__(self, other: "ScaledIntMatrix") -> "ScaledIntMatrix":
-        return ScaledIntMatrix(self.mat @ other.mat, self.scale * other.scale)
+        return ScaledIntMatrix(int_matmul(self.mat, other.mat).astype(object),
+                               self.scale * other.scale)
 
     def __add__(self, other: "ScaledIntMatrix") -> "ScaledIntMatrix":
         s1, s2 = self.scale, other.scale
@@ -228,55 +222,7 @@ class ScaledIntMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Bareiss fraction-free elimination
-
-def bareiss_pivots(A: np.ndarray) -> tuple[int, list[int]]:
-    """Rank and pivot columns via fraction-free row echelon.
-
-    Pivot search order: columns left to right, rows top to bottom. Input may
-    have Fraction entries; rows are cleared to integers first (row scaling
-    does not change the pivot-column structure).
-    """
-    rows, cols = A.shape
-    M = np.empty(A.shape, dtype=object)
-    for i in range(rows):
-        lcm = 1
-        for v in A[i]:
-            if isinstance(v, Fraction) and v.denominator != 1:
-                lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
-        for j in range(cols):
-            M[i, j] = int(A[i, j] * lcm)
-    piv_row = 0
-    prev = 1
-    pivot_cols: list[int] = []
-    for c in range(cols):
-        sel = None
-        for i in range(piv_row, rows):
-            if M[i, c] != 0:
-                sel = i
-                break
-        if sel is None:
-            continue
-        if sel != piv_row:
-            M[[sel, piv_row]] = M[[piv_row, sel]]
-        pivot_cols.append(c)
-        pk = M[piv_row, c]
-        if piv_row + 1 < rows:
-            block = M[piv_row + 1:]
-            factor = block[:, c].copy()
-            block[...] = block * pk - np.outer(factor, M[piv_row])
-            if prev != 1:
-                for idx, v in np.ndenumerate(block):
-                    block[idx] = v // prev
-        prev = pk
-        piv_row += 1
-        if piv_row == rows:
-            break
-    return len(pivot_cols), pivot_cols
-
-
-# ---------------------------------------------------------------------------
-# Fraction Gaussian elimination (small systems)
+# Fraction Gaussian elimination (the fallback of echelon)
 
 def fraction_rref(A: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form over Fraction, with pivot column list."""
@@ -306,40 +252,8 @@ def fraction_rref(A: np.ndarray) -> tuple[np.ndarray, list[int]]:
     return M, pivots
 
 
-def fraction_nullspace(A: np.ndarray) -> list[np.ndarray]:
-    """Exact basis of the right nullspace (list of 1-D Fraction arrays)."""
-    R, pivots = fraction_rref(A)
-    cols = A.shape[1]
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = fzeros((cols,))
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -Fraction(R[r, fc])
-        basis.append(v)
-    return basis
-
-
 # ---------------------------------------------------------------------------
-# certified modular rank / nullspace
-
-class _BadPrime(Exception):
-    pass
-
-
-def _mat_mod(A: np.ndarray, p: int) -> np.ndarray:
-    out = np.empty(A.shape, dtype=np.int64)
-    for idx, v in np.ndenumerate(A):
-        if isinstance(v, Fraction):
-            d = v.denominator % p
-            if d == 0:
-                raise _BadPrime
-            out[idx] = (v.numerator % p) * pow(d, p - 2, p) % p
-        else:
-            out[idx] = int(v) % p
-    return out
-
+# certified echelon
 
 def _modp_rref(M: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
     """In-place RREF of an int64 matrix mod p; returns pivot columns."""
@@ -384,92 +298,109 @@ def _rat_reconstruct(a: int, m: int) -> Fraction | None:
     return Fraction(n, d)
 
 
-def rank_exact(A: np.ndarray) -> int:
-    """Exact rank over Q of a Fraction/int object matrix."""
-    rows, cols = A.shape
-    if rows == 0 or cols == 0:
-        return 0
-    if max(rows, cols) <= _SMALL:
-        return len(fraction_rref(A)[1])
-    for p in _PRIMES:
-        try:
-            Mp = _mat_mod(A, p)
-        except _BadPrime:
+def _free_columns(pivots: list[int], cols: int) -> list[int]:
+    taken = set(pivots)
+    return [c for c in range(cols) if c not in taken]
+
+
+def _lift(residues: np.ndarray, modulus: int, pivots, free) -> np.ndarray | None:
+    """Rational reconstruction of the RREF coefficients, or None.  Entries
+    left of their row's pivot are zero in any RREF and are set so here."""
+    C = np.empty(residues.shape, dtype=object)
+    for (r, j), v in np.ndenumerate(residues):
+        if free[j] < pivots[r]:
+            C[r, j] = Fraction(0)
             continue
-        pivots, _ = _modp_rref(Mp, p)
-        rp = len(pivots)
-        if rp == min(rows, cols):
-            return rp  # a nonzero maximal minor mod p certifies full rank over Q
-        # deficient mod p: settle via a verified nullspace
-        basis = nullspace_exact(A)
-        return cols - len(basis)
-    # every prime divides a denominator: exact elimination, as nullspace_exact
-    return len(fraction_rref(A)[1])
+        q = _rat_reconstruct(int(v), modulus)
+        if q is None:
+            return None
+        C[r, j] = q
+    return C
+
+
+def _lift_holds(M: np.ndarray, pivots, free, C: np.ndarray) -> bool:
+    """The integer check M[:, free] * den == M[:, pivots] @ (C * den), one
+    denominator per free column."""
+    dens = [math.lcm(*(q.denominator for q in C[:, j])) for j in range(len(free))]
+    C_int = np.empty(C.shape, dtype=object)
+    for (r, j), q in np.ndenumerate(C):
+        C_int[r, j] = q.numerator * (dens[j] // q.denominator)
+    lhs = M[:, free] * np.array(dens, dtype=object)
+    return bool(np.array_equal(lhs, int_matmul(M[:, pivots], C_int)))
+
+
+def echelon(A: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """Leftmost pivot columns of A over Q and the exact Fraction matrix C
+    with A[:, free] = A[:, pivots] @ C, free the other columns in order.
+
+    A is cleared once to an integer matrix M, so no prime divides a
+    denominator.  Modular RREF of M proposes the pivots and C; CRT and
+    rational reconstruction lift C, and one integer product proves it.  The
+    proof: pivot columns independent mod p are independent over Q, and C is
+    zero left of each pivot, so every free column lies in the span of the
+    pivot columns to its left; the verified pivots are therefore the
+    leftmost basis of the column space.  Without free columns the nonzero
+    pivot minor mod p is the whole proof.  Each prefix of columns has a rank
+    mod p at most its rank over Q, so more pivots, then earlier ones, are
+    nearer the true ones: a prime with fewer or later pivots than one seen
+    before is unlucky and skipped, and a better one restarts the CRT.  When
+    no prime gives a verified lift, Fraction RREF decides.
+    """
+    cols = A.shape[1]
+    M, _ = to_int_scaled(A)
+    best: list[int] | None = None
+    residues, modulus = None, 1
+    for p in _PRIMES:
+        pivots, R = _modp_rref((M % p).astype(np.int64), p)
+        if best is None or (-len(pivots), pivots) < (-len(best), best):
+            best, residues, modulus = pivots, None, 1
+        if pivots != best:
+            continue
+        free = _free_columns(pivots, cols)
+        if not free:
+            return pivots, np.empty((len(pivots), 0), dtype=object)
+        vals = R[: len(pivots)][:, free].astype(object)
+        if residues is None:
+            residues = vals
+        else:
+            residues = residues + modulus * ((vals - residues) * pow(modulus, -1, p) % p)
+        modulus *= p
+        C = _lift(residues, modulus, pivots, free)
+        if C is not None and _lift_holds(M, pivots, free, C):
+            return pivots, C
+    R, pivots = fraction_rref(M)
+    return pivots, R[: len(pivots)][:, _free_columns(pivots, cols)]
+
+
+def rank_exact(A: np.ndarray) -> int:
+    """Exact rank over Q: the pivot count of A or of its transpose,
+    whichever is tall (so fewer free columns are lifted)."""
+    rows, cols = A.shape
+    return len(echelon(A if rows >= cols else A.T)[0])
 
 
 def nullspace_exact(A: np.ndarray) -> list[np.ndarray]:
-    """Exact verified basis of the right nullspace over Q.
+    """Exact basis of the right nullspace over Q: for each free column f of
+    echelon(A), e_f minus column f of C placed on the pivot rows."""
+    pivots, C = echelon(A)
+    cols = A.shape[1]
+    basis = []
+    for j, f in enumerate(_free_columns(pivots, cols)):
+        v = fzeros((cols,))
+        v[f] = Fraction(1)
+        v[pivots] = -C[:, j]
+        basis.append(v)
+    return basis
 
-    Modular elimination proposes the dimension and a candidate basis, rational
-    reconstruction with CRT lifts it, and an exact residual check proves it.
-    rank(mod p) <= rank(Q) bounds the nullity from above, so a verified basis
-    of matching size settles the dimension exactly.
-    """
-    rows, cols = A.shape
-    if cols == 0:
-        return []
-    if max(rows, cols) <= _SMALL:
-        return fraction_nullspace(A)
 
-    crt_vals: np.ndarray | None = None
-    crt_mod = 1
-    pivots_ref: list[int] | None = None
-    for p in _PRIMES:
-        try:
-            Mp = _mat_mod(A, p)
-        except _BadPrime:
-            continue
-        pivots, R = _modp_rref(Mp, p)
-        if pivots_ref is None or len(pivots) > len(pivots_ref):
-            pivots_ref, crt_vals, crt_mod = pivots, None, 1
-        if pivots != pivots_ref:
-            continue  # lower-rank prime is bad
-        free = [c for c in range(cols) if c not in pivots]
-        vals = np.zeros((len(pivots), len(free)), dtype=object)
-        for r in range(len(pivots)):
-            for j, fc in enumerate(free):
-                vals[r, j] = int(R[r, fc])
-        if crt_vals is None:
-            crt_vals, crt_mod = vals, p
-        else:
-            # CRT combine
-            inv = pow(crt_mod % p, p - 2, p)
-            for idx, v in np.ndenumerate(crt_vals):
-                delta = (int(vals[idx]) - v) % p
-                crt_vals[idx] = v + crt_mod * (delta * inv % p)
-            crt_mod *= p
-        # attempt reconstruction
-        lifted = np.empty(crt_vals.shape, dtype=object)
-        ok = True
-        for idx, v in np.ndenumerate(crt_vals):
-            q = _rat_reconstruct(int(v), crt_mod)
-            if q is None:
-                ok = False
-                break
-            lifted[idx] = q
-        if not ok:
-            continue
-        basis = []
-        for j, fc in enumerate(free):
-            v = fzeros((cols,))
-            v[fc] = Fraction(1)
-            for r, pc in enumerate(pivots):
-                v[pc] = -lifted[r, j]
-            basis.append(v)
-        if all(is_zero_matrix(A @ v.reshape(-1, 1)) for v in basis):
-            return basis
-    # last resort: exact elimination
-    return fraction_nullspace(A)
+def inverse(A: np.ndarray) -> np.ndarray:
+    """Exact inverse of a square matrix, the C of echelon([A | 1]);
+    DimensionMismatch if A is singular."""
+    n = A.shape[0]
+    pivots, C = echelon(np.concatenate([A, feye(n)], axis=1))
+    if pivots != list(range(n)):
+        raise DimensionMismatch("matrix is singular")
+    return C
 
 
 # ---------------------------------------------------------------------------
@@ -478,22 +409,20 @@ def nullspace_exact(A: np.ndarray) -> list[np.ndarray]:
 class BasisSolver:
     """Solves B x = rhs for a fixed full-column-rank Fraction matrix B.
 
-    Precomputes an inverse of a pivot-row square block; solve() returns the
-    coordinates plus an exact consistency residual check.  Rational systems
-    are solved on integers: B = B_scale * B_int and the inverse are cleared
-    to integer matrices once, and the residual check compares integers.
+    Precomputes the inverse of a square block of pivot rows (the pivots of
+    B^T); solve() returns the coordinates plus an exact consistency residual
+    check.  Rational systems are solved on integers: B = B_scale * B_int and
+    the inverse are cleared to integer matrices once, and the residual check
+    compares integers.
     """
 
     def __init__(self, B: np.ndarray):
-        m, k = B.shape
         self.B = B
-        self.k = k
-        rank, pivots = bareiss_pivots(B.T)
-        if rank != k:
+        pivots, _ = echelon(B.T)
+        if len(pivots) != B.shape[1]:
             raise DimensionMismatch("basis matrix does not have full column rank")
         self.rows = pivots  # k independent rows of B
-        sub = B[pivots, :]
-        self.inv = _invert_fraction(sub)
+        self.inv = inverse(B[pivots, :])
         self.B_int, self.B_scale = to_int_scaled(B)
         self._inv_int, self._inv_scale = to_int_scaled(self.inv)
         self._ratio = self.B_scale * self._inv_scale
@@ -523,12 +452,3 @@ class BasisSolver:
             return None
         s = self._inv_scale * sr
         return Y * s if s != 1 else Y
-
-
-def _invert_fraction(A: np.ndarray) -> np.ndarray:
-    n = A.shape[0]
-    aug = np.concatenate([A.copy(), feye(n)], axis=1)
-    R, pivots = fraction_rref(aug)
-    if pivots[:n] != list(range(n)):
-        raise DimensionMismatch("matrix is singular")
-    return R[:, n:]

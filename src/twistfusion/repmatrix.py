@@ -28,6 +28,7 @@ from .diagrams import SkewDiagram, column_tableau, parse_skew, sharp
 from .errors import (
     BoxCapExceeded,
     DimensionMismatch,
+    MalformedInput,
     ShapeTooTall,
     SingularFamily,
     SingularParameter,
@@ -124,7 +125,7 @@ class FusedModuleSpec:
         if text:
             for chunk in text.split(";"):
                 if ":" not in chunk:
-                    raise ValueError(f"factor {chunk!r} missing ':z'")
+                    raise MalformedInput(f"factor {chunk!r} missing ':z'")
                 dia, _, zs = chunk.rpartition(":")
                 factors.append((parse_skew(dia), parse_rational(zs)))
         return cls(form, factors, box_cap=box_cap)
@@ -563,7 +564,7 @@ def _entrywise_series(op: TensorOperator, K: int) -> list[np.ndarray]:
 def s_generators(Z: FusedModuleSpec, K: int) -> GeneratorMatrices:
     """Expand S_Z(u) = T^t(-u) T(u) at infinity to order K."""
     if K < 1:
-        raise ValueError("K must be >= 1")
+        raise MalformedInput(f"K must be >= 1, got {K}")
     N, dZ = Z.N, Z.dimZ
     T = t_action(Z)
     Tt = transpose_legs(T.map_entries(lambda f: RatFunc.coerce(f).subs_neg()), {1}, Z.form)
@@ -601,26 +602,22 @@ class RelationReport:
         )
 
 
-def _aux_sparse(form: GForm, u, v, primed: bool):
-    """Sparse entries ((i,j),(a,b)) -> value of R or R' on the two aux legs."""
-    N = form.N
-    P, Q = structural_ops(form)
-    out: dict = {}
-    if not primed:
-        for i in range(N):
-            for j in range(N):
-                out[((i, j), (i, j))] = u - v
-        for (a, b, c, d, val) in two_leg_entries(P):
-            key = ((a, b), (c, d))
-            out[key] = out.get(key, Fraction(0)) - val
-    else:
-        for i in range(N):
-            for j in range(N):
-                out[((i, j), (i, j))] = -(u + v)
-        for (a, b, c, d, val) in two_leg_entries(Q):
-            key = ((a, b), (c, d))
-            out[key] = out.get(key, Fraction(0)) - val
-    return {k: v for k, v in out.items() if v != 0}
+def _aux_minus(op2: TensorOperator) -> dict:
+    """-X for a two-leg operator X, as sparse entries ((i,j),(a,b)) -> value."""
+    return {((a, b), (c, d)): -val for (a, b, c, d, val) in two_leg_entries(op2)}
+
+
+def _aux_sparse(diag, minus_x: dict, N: int) -> dict:
+    """diag * 1 - X on the two aux legs (R(u-v) = (u-v) - P, R'(u+v) =
+    -(u+v) - Q) as sparse entries ((i,j),(a,b)) -> value, scaled to integers
+    by the lcm of their denominators (the same factor on both relation
+    sides, so equality is unaffected)."""
+    out = {((i, j), (i, j)): diag for i in range(N) for j in range(N)}
+    for key, val in minus_x.items():
+        out[key] = out.get(key, 0) + val
+    out = {k: v for k, v in out.items() if v != 0}
+    lcm = math.lcm(*(v.denominator for v in out.values()))
+    return {k: int(v * lcm) for k, v in out.items()}
 
 
 def _blocked(mat: np.ndarray, N: int, d: int) -> list:
@@ -633,13 +630,6 @@ def _blocked(mat: np.ndarray, N: int, d: int) -> list:
     equality of the scaled sides is exact."""
     T4 = mat.reshape(N, d, N, d)
     return [[np.ascontiguousarray(T4[i, :, j, :]) for j in range(N)] for i in range(N)]
-
-
-def _int_cleared(entries: dict) -> dict:
-    """Scale a sparse coefficient dict to integer values (same factor on both
-    relation sides, so equality is unaffected)."""
-    lcm = math.lcm(*(v.denominator for v in entries.values()))
-    return {k: int(v * lcm) for k, v in entries.items()}
 
 
 def _weight(R: dict) -> int:
@@ -702,6 +692,7 @@ def check_defining_relations(Z: FusedModuleSpec, samples=None) -> RelationReport
     # g and g^-1 cleared to integers: the transposition they define is the
     # true one times a nonzero scalar
     int_form = GForm(Z.form.kind, N, to_int_scaled(Z.form.g)[0], to_int_scaled(Z.form.g_inv)[0])
+    minus_p, minus_q = (_aux_minus(X) for X in structural_ops(Z.form))
     poles = set()
     for p in Z.all_box_params():
         poles.add(p)
@@ -745,8 +736,8 @@ def check_defining_relations(Z: FusedModuleSpec, samples=None) -> RelationReport
                 {"u": str(u0), "v": str(v0), "error": "SingularParameter: sample at a pole"}
             )
             continue
-        R = _int_cleared(_aux_sparse(Z.form, u0, v0, primed=False))
-        Rp = _int_cleared(_aux_sparse(Z.form, u0, v0, primed=True))
+        R = _aux_sparse(u0 - v0, minus_p, N)
+        Rp = _aux_sparse(-(u0 + v0), minus_q, N)
         _, Tu = t_for(u0)
         _, Tv = t_for(v0)
         rtt_n += 1

@@ -67,8 +67,7 @@ class GForm:
         N = g.shape[0]
         if g.shape != (N, N):
             raise DimensionMismatch("g must be square")
-        rank, _ = linalg.bareiss_pivots(g)
-        if rank != N:
+        if linalg.rank_exact(g) != N:
             raise DimensionMismatch("g must be non-degenerate")
         if mat_equal(g.T, g):
             kind = "so"
@@ -78,7 +77,7 @@ class GForm:
                 raise DimensionMismatch("skew-symmetric g requires even N")
         else:
             raise DimensionMismatch("g must be symmetric or skew-symmetric")
-        return GForm(kind, N, g, linalg._invert_fraction(g))
+        return GForm(kind, N, g, linalg.inverse(g))
 
     @staticmethod
     def default(kind: str, N: int) -> "GForm":
@@ -337,8 +336,8 @@ class Basis:
 
 
 def image_basis(A: TensorOperator) -> Basis:
-    """Basis of the column space (original pivot columns, fraction-free pivoting)."""
-    rank, pivots = linalg.bareiss_pivots(A.mat)
+    """Basis of the column space: the leftmost pivot columns of A."""
+    pivots, _ = linalg.echelon(A.mat)
     return Basis(A.size, [A.mat[:, c].copy() for c in pivots])
 
 

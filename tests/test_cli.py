@@ -1,9 +1,14 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
+import twistfusion
 from twistfusion.cli import main
 
 
@@ -158,3 +163,22 @@ def test_scan_g_file_matches_default_form(tmp_path):
     code, custom = run_cli(args + ["--g-file", str(gfile)])
     assert code == 0
     assert json.loads(custom) == json.loads(plain)
+
+
+@pytest.mark.parametrize("argv,bad", [
+    (["irreducible", "--modules", "1:1/3", "--k", "1"], "got 1"),
+    (["scan", "--modules", "1", "--grid", "1/3", "--k", "1"], "got 1"),
+    (["irreducible", "--modules", "1:abc"], "'abc'"),
+    (["irreducible", "--modules", "1"], "'1'"),
+    (["duality", "--diagram", "1", "--z", "1/0"], "'1/0'"),
+    (["scan", "--modules", "1", "--grid", "1/3,abc"], "'abc'"),
+])
+def test_malformed_input_fails_without_traceback(argv, bad):
+    # a fresh interpreter, so stderr shows exactly what a user would see
+    src = str(Path(twistfusion.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "twistfusion.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode != 0
+    assert "Traceback" not in proc.stderr
+    assert "MalformedInput" in proc.stderr and bad in proc.stderr

@@ -1,8 +1,12 @@
 from fractions import Fraction
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twistfusion import linalg
+from twistfusion.errors import DimensionMismatch
 
 
 def _thirds_of_rank_60() -> np.ndarray:
@@ -13,9 +17,113 @@ def _thirds_of_rank_60() -> np.ndarray:
     return np.vectorize(lambda v: Fraction(int(v), 3), otypes=[object])(np.vstack([top, low]))
 
 
+def _count_fallbacks(monkeypatch) -> list:
+    calls = []
+    original = linalg.fraction_rref
+
+    def counting(A):
+        calls.append(A.shape)
+        return original(A)
+
+    monkeypatch.setattr(linalg, "fraction_rref", counting)
+    return calls
+
+
+_fraction_rref = linalg.fraction_rref  # the reference, whatever a test patches
+
+
+def _reference(A: np.ndarray):
+    """Pivots and C from Fraction RREF alone."""
+    R, pivots = _fraction_rref(A)
+    free = [c for c in range(A.shape[1]) if c not in pivots]
+    return pivots, R[: len(pivots)][:, free]
+
+
+def _assert_matches_reference(A: np.ndarray):
+    pivots, C = linalg.echelon(A)
+    ref_pivots, ref_C = _reference(A)
+    assert pivots == ref_pivots
+    assert C.shape == ref_C.shape and linalg.mat_equal(C, ref_C)
+    return pivots, C
+
+
 def test_rank_exact_when_every_prime_divides_a_denominator(monkeypatch):
     A = _thirds_of_rank_60()
-    assert max(A.shape) > linalg._SMALL
     monkeypatch.setattr(linalg, "_PRIMES", (3,))
+    calls = _count_fallbacks(monkeypatch)
     assert linalg.rank_exact(A) == 60
     assert linalg.rank_exact(A.T.copy()) == 60
+    # mod 3 the entries of C cannot be reconstructed, so Fraction RREF decided
+    assert len(calls) == 2
+
+
+_entries = st.one_of(
+    st.fractions(min_value=-9, max_value=9, max_denominator=6),
+    # large entries need several primes before the lift verifies
+    st.builds(Fraction, st.integers(-10**12, 10**12), st.integers(1, 10**6)),
+)
+
+
+@st.composite
+def _rational_matrices(draw):
+    rows, cols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    rank = draw(st.integers(0, min(rows, cols)))
+    L = np.array(draw(st.lists(_entries, min_size=rows * rank, max_size=rows * rank)),
+                 dtype=object).reshape(rows, rank)
+    R = np.array(draw(st.lists(_entries, min_size=rank * cols, max_size=rank * cols)),
+                 dtype=object).reshape(rank, cols)
+    A = linalg.fzeros((rows, cols))
+    return A + L @ R if rank else A  # rank at most ``rank``, wide or tall
+
+
+@settings(max_examples=80, deadline=None)
+@given(_rational_matrices())
+def test_echelon_matches_fraction_rref(A):
+    pivots, _ = _assert_matches_reference(A)
+    assert linalg.rank_exact(A) == len(pivots)
+    null = linalg.nullspace_exact(A)
+    assert len(null) == A.shape[1] - len(pivots)
+    for v in null:
+        assert linalg.is_zero_matrix(A @ v)
+
+
+_P0 = linalg._PRIMES[0]
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, 1, 2], [1, 1 + _P0, 2 + _P0]],  # rank 1 mod the first prime, 2 over Q
+    [[1, 1, 0], [0, _P0, 1]],  # rank 2 mod it, but pivots [0, 2], not [0, 1]
+])
+def test_unlucky_first_prime(rows, monkeypatch):
+    A = np.array(rows, dtype=object)
+    calls = _count_fallbacks(monkeypatch)
+    pivots, _ = _assert_matches_reference(A)
+    assert pivots == [0, 1]
+    assert calls == []  # a later prime gave the verified lift
+
+
+def test_perturbed_lift_is_rejected(monkeypatch):
+    A = np.array([[2, 4, 1, 3], [1, 2, Fraction(1, 2), 5], [3, 6, Fraction(3, 2), 8]],
+                 dtype=object)
+    original = linalg._rat_reconstruct
+
+    def perturbed(a, m):
+        q = original(a, m)
+        return None if q is None else q + Fraction(1, 7)
+
+    monkeypatch.setattr(linalg, "_rat_reconstruct", perturbed)
+    calls = _count_fallbacks(monkeypatch)
+    pivots, _ = _assert_matches_reference(A)
+    assert pivots == [0, 3]
+    assert calls == [A.shape]  # the integer check refused every lift
+
+
+def test_inverse_and_singular_inputs():
+    A = np.array([[2, Fraction(1, 3), 0], [1, 1, 5], [0, Fraction(-2, 7), 1]], dtype=object)
+    assert linalg.mat_equal(linalg.fdot(linalg.inverse(A), A), linalg.feye(3))
+    singular = np.array([[1, 2], [Fraction(1, 2), 1]], dtype=object)
+    with pytest.raises(DimensionMismatch):
+        linalg.inverse(singular)
+    deficient = np.array([[1, 2], [2, 4], [3, 6]], dtype=object)
+    with pytest.raises(DimensionMismatch):
+        linalg.BasisSolver(deficient)

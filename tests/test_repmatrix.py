@@ -388,8 +388,9 @@ def _sample_blocks(Z, u0, v0):
         S = transpose_legs(T.eval_ratfuncs(-u), {1}, Z.form) @ T.eval_ratfuncs(u)
         return linalg.to_int_scaled(S.mat)[0]
 
-    R = repmatrix._int_cleared(repmatrix._aux_sparse(Z.form, u0, v0, primed=False))
-    Rp = repmatrix._int_cleared(repmatrix._aux_sparse(Z.form, u0, v0, primed=True))
+    minus_p, minus_q = (repmatrix._aux_minus(X) for X in structural_ops(Z.form))
+    R = repmatrix._aux_sparse(u0 - v0, minus_p, Z.N)
+    Rp = repmatrix._aux_sparse(-(u0 + v0), minus_q, Z.N)
     return (t_mat(u0), t_mat(v0)), (s_mat(u0), s_mat(v0)), R, Rp
 
 
