@@ -12,6 +12,7 @@ import json
 import random
 import re
 import sys
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from itertools import product
@@ -248,7 +249,9 @@ def _scan_point(payload):
         spec = FusedModuleSpec.from_string(form, spec_text, box_cap=box_cap)
         rep = verdict(spec, K=k, depth=depth)
         return {"z": [str(q) for q in zs], "report": rep.to_json()}
-    except TwistFusionError as exc:
+    except Exception as exc:  # one bad point must not sink the scan
+        if not isinstance(exc, TwistFusionError):
+            traceback.print_exc(file=sys.stderr)
         return {"z": [str(q) for q in zs], "error": f"{type(exc).__name__}: {exc}"}
 
 

@@ -51,7 +51,6 @@ from .tensor import (
     TensorOperator,
     embed_operator,
     restricted_chain,
-    reversal_op,
     structural_ops,
     transpose_legs,
     two_leg_entries,
@@ -360,12 +359,16 @@ def swz_frame_blocks(Z: FusedModuleSpec) -> list[tuple[FrameBlock, tuple[int, ..
 
 def frame_product(blocks, dims, window: int) -> MatrixLaurentSeries:
     """Laurent series at zeta = 0 of the ordered product of frame blocks,
-    each embedded in its slots of the legs ``dims``, past its exactly-zero
-    leading coefficients; _WindowExhausted if ``window`` is used up."""
-    prod = None
+    past its exactly-zero leading coefficients; _WindowExhausted if
+    ``window`` is used up.
+
+    The product starts at the identity on the legs ``dims`` and multiplies
+    each block in on its own slots (MatrixLaurentSeries.embedded): the
+    blocks act on one or two factors, and no D x D block matrix is formed."""
+    prod = MatrixLaurentSeries.identity(math.prod(dims))
     for fb, slots in blocks:
-        mls = MatrixLaurentSeries.from_frames(fb.frames, fb.den, window).embedded(slots, dims)
-        prod = mls if prod is None else prod @ mls
+        block = MatrixLaurentSeries.from_frames(fb.frames, fb.den, window)
+        prod = prod @ block.embedded(slots, dims)
     return prod.trimmed()
 
 
@@ -510,8 +513,7 @@ def _t_data(Z: FusedModuleSpec) -> _TData:
     P, _ = structural_ops(Z.form)
     entries = _negated(two_leg_entries(P))
     # the accumulated product: a polynomial in u, as an exact-tail series
-    identity = ScaledIntMatrix.from_fractions(feye(N * Z.dimZ))
-    acc = MatrixLaurentSeries(0, [identity], exact_tail=True)
+    acc = MatrixLaurentSeries.identity(N * Z.dimZ)
     den = Poly.const(1)
     for j in range(Z.ell):
         # (u - v_q) - P_{0,q} over the boxes q of factor j, ascending
@@ -803,20 +805,25 @@ def duality_check(omega: SkewDiagram, z, form: GForm, K: int | None = None) -> D
     U_tau = fusion_mod.defining_action_product(x, t_tau, N, ascending=False)
 
     dims = (N,) * (n + 1)
-    s_hat = reversal_op(n, N)
-    sig = TensorOperator(np.kron(feye(N), s_hat.mat), dims)
     Fe = TensorOperator(np.kron(feye(N), F.matrix.mat), dims)
     Fse = TensorOperator(np.kron(feye(N), Fs.matrix.mat), dims)
     legs = set(range(2, n + 2))
+    # sigma_hat on legs 2..n+1 is an involutive permutation matrix, so
+    # conjugating by it reads X on the index with those legs reversed
+    digits = np.unravel_index(np.arange(N ** (n + 1)), dims)
+    rev = np.ravel_multi_index((digits[0],) + digits[:0:-1], dims)
+
+    def conj(X: TensorOperator) -> TensorOperator:
+        return TensorOperator(X.mat[np.ix_(rev, rev)], dims)
 
     Cs = _entrywise_series(U_sharp, K)
     Ct = _entrywise_series(U_tau, K)
     failures = []
     for k in range(K + 1):
-        Lk = (sig @ TensorOperator(Cs[k], dims) @ sig) @ Fse
-        rho_tau = sig @ transpose_legs(TensorOperator(Ct[k], dims), legs, form) @ sig
+        Lk = conj(TensorOperator(Cs[k], dims)) @ Fse
+        rho_tau = conj(transpose_legs(TensorOperator(Ct[k], dims), legs, form))
         Xk = rho_tau @ Fe
-        Rk = sig @ transpose_legs(Xk, legs, form) @ sig
+        Rk = conj(transpose_legs(Xk, legs, form))
         if Lk != Rk:
             failures.append(k)
     return DualityReport(omega, N, form.kind, z, K, failures)

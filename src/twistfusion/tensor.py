@@ -472,19 +472,34 @@ class MatrixLaurentSeries:
 
     ``exact_tail`` means every higher coefficient is exactly zero; otherwise
     the expansion is only known through the stored window.
+
+    A series made by ``embedded`` stands for block (x) identity on some slots
+    of a tensor product: its coeffs are the block's own small coefficients
+    and ``slot_map`` (see _slot_rest_index) places them.  It is only ever the
+    right operand of ``@``, which applies it on its slots; no D x D matrix of
+    it is ever formed.
     """
 
-    __slots__ = ("order", "coeffs", "exact_tail")
+    __slots__ = ("order", "coeffs", "exact_tail", "slot_map")
 
-    def __init__(self, order: int, coeffs: list[ScaledIntMatrix], exact_tail: bool = False):
+    def __init__(self, order: int, coeffs: list[ScaledIntMatrix], exact_tail: bool = False,
+                 slot_map: np.ndarray | None = None):
         self.order = order
         self.coeffs = coeffs
         self.exact_tail = exact_tail
+        self.slot_map = slot_map
+
+    @classmethod
+    def identity(cls, n: int) -> "MatrixLaurentSeries":
+        """The constant series 1 on n x n matrices."""
+        return cls(0, [ScaledIntMatrix(np.eye(n, dtype=np.int64).astype(object))],
+                   exact_tail=True)
 
     @classmethod
     def from_frames(cls, frames, den, window: int) -> "MatrixLaurentSeries":
         """Series of (sum_k frames[k] t^k) / den(t); frames are exact Fraction
-        matrices, den a scalar polynomial."""
+        matrices, den a scalar polynomial.  Each frame is cleared to integers
+        once."""
         if all(is_zero_matrix(f) for f in frames):
             return cls(0, [ScaledIntMatrix.zeros(frames[0].shape)], exact_tail=True)
         val = den.valuation()
@@ -494,6 +509,7 @@ class MatrixLaurentSeries:
             coeffs = [ScaledIntMatrix.from_fractions(inv * f) for f in frames]
             return cls(-val, coeffs, exact_tail=True)
         order, cs = RatFunc(Poly.const(1), den).laurent_at(0, window)
+        cleared = [ScaledIntMatrix.from_fractions(f) for f in frames]
         out = []
         shape = frames[0].shape
         for s in range(window):
@@ -502,18 +518,32 @@ class MatrixLaurentSeries:
                 c = cs[s - k]
                 if c == 0:
                     continue
-                term = ScaledIntMatrix.from_fractions(frames[k]) * c
+                term = cleared[k] * c
                 acc = term if acc is None else acc + term
             out.append(acc if acc is not None else ScaledIntMatrix.zeros(shape))
         return cls(order, out, exact_tail=False)
 
     def embedded(self, slots, dims) -> "MatrixLaurentSeries":
-        out = []
-        for c in self.coeffs:
-            out.append(ScaledIntMatrix(embed_matrix(c.mat, slots, dims, zero=0), c.scale))
-        return MatrixLaurentSeries(self.order, out, self.exact_tail)
+        """This series of block matrices as block (x) identity on the given
+        slots (0-indexed, in the order of the block's legs) of the legs
+        ``dims``, to be applied by ``@`` from the right."""
+        slot_map = _slot_rest_index(slots, dims)
+        ds = slot_map.shape[0]
+        if self.coeffs[0].mat.shape != (ds, ds):
+            raise DimensionMismatch("block size does not match slot dimensions")
+        return MatrixLaurentSeries(self.order, self.coeffs, self.exact_tail, slot_map)
 
     def __matmul__(self, other: "MatrixLaurentSeries") -> "MatrixLaurentSeries":
+        """Cauchy product, known as far as both windows reach.
+
+        An embedded right operand is applied on its slots by the (A (x) I) X
+        reshape identity: the columns of a left coefficient P, gathered by
+        slot map into a (rows * d_rest) x d_slots matrix G, give
+        P (B (x) 1) as G @ B scattered back, D^2 d_slots multiplications
+        instead of D^3.  Every product runs through ScaledIntMatrix, so
+        under the int64 certificate of int_matmul."""
+        if self.slot_map is not None:
+            raise DimensionMismatch("an embedded series multiplies only from the right")
         la, lb = len(self.coeffs), len(other.coeffs)
         wa = math.inf if self.exact_tail else la
         wb = math.inf if other.exact_tail else lb
@@ -521,17 +551,32 @@ class MatrixLaurentSeries:
         length = la + lb - 1 if w is math.inf else int(w)
         za = [c.is_zero() for c in self.coeffs]
         zb = [c.is_zero() for c in other.coeffs]
+        rows, inner = self.coeffs[0].mat.shape
+        cols = None if other.slot_map is None else other.slot_map.T  # [rest, slot]
+        if cols is None:
+            left = self.coeffs
+            shape = (rows, other.coeffs[0].mat.shape[1])
+        else:
+            if cols.size != inner:
+                raise DimensionMismatch("embedded operand lives on another space")
+            left = [None if z else ScaledIntMatrix(c.mat[:, cols].reshape(-1, cols.shape[1]),
+                                                   c.scale)
+                    for c, z in zip(self.coeffs, za)]
+            shape = (rows, inner)
         out = []
         for t in range(length):
             acc = None
             for a in range(max(0, t - lb + 1), min(la, t + 1)):
                 if za[a] or zb[t - a]:
                     continue
-                term = self.coeffs[a] @ other.coeffs[t - a]
+                term = left[a] @ other.coeffs[t - a]
                 acc = term if acc is None else acc + term
             if acc is None:
-                shape = (self.coeffs[0].mat.shape[0], other.coeffs[0].mat.shape[1])
                 acc = ScaledIntMatrix.zeros(shape)
+            elif cols is not None:
+                mat = np.empty(shape, dtype=object)
+                mat[:, cols] = acc.mat.reshape((rows,) + cols.shape)
+                acc = ScaledIntMatrix(mat, acc.scale)
             out.append(acc)
         return MatrixLaurentSeries(
             self.order + other.order, out, self.exact_tail and other.exact_tail
@@ -544,9 +589,10 @@ class MatrixLaurentSeries:
             k += 1
         if k == len(self.coeffs):
             if self.exact_tail:
-                return MatrixLaurentSeries(0, [self.coeffs[0]], exact_tail=True)
+                return MatrixLaurentSeries(0, [self.coeffs[0]], True, self.slot_map)
             raise _WindowExhausted
-        return MatrixLaurentSeries(self.order + k, self.coeffs[k:], self.exact_tail)
+        return MatrixLaurentSeries(self.order + k, self.coeffs[k:], self.exact_tail,
+                                   self.slot_map)
 
     def coefficient(self, exponent: int) -> ScaledIntMatrix:
         k = exponent - self.order

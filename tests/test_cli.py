@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -103,6 +104,29 @@ def test_scan_per_point_error_recorded():
     data = json.loads(out)
     assert data["summary"]["errors"] == 2
     assert all("error" in p for p in data["points"])
+
+
+def test_scan_unexpected_exception_stays_at_its_point(monkeypatch):
+    from twistfusion import cli
+
+    real_verdict = cli.verdict
+
+    def flaky(spec, **kwargs):
+        if spec.z(0) == Fraction(2, 3):
+            raise ZeroDivisionError("boom")
+        return real_verdict(spec, **kwargs)
+
+    monkeypatch.setattr(cli, "verdict", flaky)
+    code, out = run_cli([
+        "scan", "--n", "2", "--form", "sp", "--modules", "1",
+        "--grid", "1/3,2/3,2/5", "--jobs", "1", "--json",
+    ])
+    assert code == 0
+    data = json.loads(out)
+    assert [p["z"] for p in data["points"]] == [["1/3"], ["2/3"], ["2/5"]]
+    assert data["points"][1]["error"] == "ZeroDivisionError: boom"
+    assert all("report" in data["points"][i] for i in (0, 2))
+    assert data["summary"]["errors"] == 1
 
 
 def test_determinism_byte_identical():

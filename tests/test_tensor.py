@@ -4,12 +4,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from twistfusion.errors import IndexOutOfRange, NotInvariant
-from twistfusion.linalg import feye, fzeros, mat_equal
+from twistfusion.errors import DimensionMismatch, IndexOutOfRange, NotInvariant
+from twistfusion.linalg import ScaledIntMatrix, feye, fzeros, mat_equal
 from twistfusion.tensor import (
     Basis,
     GForm,
+    MatrixLaurentSeries,
     TensorOperator,
+    _WindowExhausted,
+    embed_matrix,
     embed_two_leg,
     flip,
     image_basis,
@@ -237,3 +240,78 @@ def test_basis_kron_and_solver():
     v = bk.vectors[0]
     sol = bk.solver().solve(v)
     assert sol is not None and sol[0] == 1 and sol[1] == 0
+
+
+# ---------------------------------------------------------------------------
+# slot-wise Laurent products against the dense embedding
+
+DIMS3 = (2, 3, 4)
+
+
+def rand_series(rng, n, length, exact_tail, order):
+    """Random rational n x n coefficients; the second one is zero."""
+    coeffs = []
+    for k in range(length):
+        mat = fzeros((n, n))
+        if k != 1:
+            for idx in np.ndindex(n, n):
+                if rng.random() < 0.6:
+                    mat[idx] = Fraction(rng.randint(-9, 9), rng.choice([1, 2, 5, 7]))
+        coeffs.append(ScaledIntMatrix.from_fractions(mat))
+    return MatrixLaurentSeries(order, coeffs, exact_tail)
+
+
+def dense_embedded(series, slots, dims):
+    """The oracle: every block coefficient embedded as a dense D x D matrix."""
+    coeffs = [ScaledIntMatrix(embed_matrix(c.mat, slots, dims, zero=0), c.scale)
+              for c in series.coeffs]
+    return MatrixLaurentSeries(series.order, coeffs, series.exact_tail)
+
+
+def assert_series_equal(a, b):
+    assert (a.order, a.exact_tail, len(a.coeffs)) == (b.order, b.exact_tail, len(b.coeffs))
+    for x, y in zip(a.coeffs, b.coeffs):
+        assert mat_equal(x.to_fractions(), y.to_fractions())
+
+
+@pytest.mark.parametrize("slots", [(2, 0), (1,), (0, 1, 2)])
+@pytest.mark.parametrize("left_exact,block_exact",
+                         [(True, True), (True, False), (False, True), (False, False)])
+def test_slotwise_product_matches_dense_embedding(slots, left_exact, block_exact):
+    rng = random.Random(f"{slots} {left_exact} {block_exact}")
+    D = 2 * 3 * 4
+    ds = int(np.prod([DIMS3[s] for s in slots]))
+    left = rand_series(rng, D, 3, left_exact, order=-1)
+    block = rand_series(rng, ds, 4, block_exact, order=2)
+    got = left @ block.embedded(slots, DIMS3)
+    assert got.slot_map is None
+    assert_series_equal(got, left @ dense_embedded(block, slots, DIMS3))
+    start = MatrixLaurentSeries.identity(D) @ block.embedded(slots, DIMS3)
+    assert_series_equal(start, dense_embedded(block, slots, DIMS3))
+
+
+def test_slotwise_product_window_exhausted():
+    rng = random.Random(5)
+    left = rand_series(rng, 24, 2, False, order=0)
+    block = rand_series(rng, 8, 3, True, order=0)
+    for right in (block.embedded((2, 0), DIMS3), dense_embedded(block, (2, 0), DIMS3)):
+        prod = left @ right
+        assert len(prod.coeffs) == 2
+        with pytest.raises(_WindowExhausted):
+            prod.coefficient(2)
+    zero = MatrixLaurentSeries(0, [ScaledIntMatrix.zeros((8, 8))] * 3, exact_tail=False)
+    for right in (zero.embedded((2, 0), DIMS3), dense_embedded(zero, (2, 0), DIMS3)):
+        with pytest.raises(_WindowExhausted):
+            (left @ right).trimmed()
+
+
+def test_embedded_series_shapes_checked():
+    rng = random.Random(6)
+    block = rand_series(rng, 8, 2, True, order=0)
+    with pytest.raises(DimensionMismatch):
+        block.embedded((1,), DIMS3)
+    emb = block.embedded((2, 0), DIMS3)
+    with pytest.raises(DimensionMismatch):
+        emb @ emb
+    with pytest.raises(DimensionMismatch):
+        MatrixLaurentSeries.identity(12) @ emb
