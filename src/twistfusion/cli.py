@@ -21,7 +21,7 @@ from .diagrams import parse_skew
 from .errors import TwistFusionError
 from .exactnum import parse_rational
 from .fusion import fusion_operator, verify_fusion_invariants
-from .irreducibility import check_truncation, verdict
+from .irreducibility import check_depth, check_truncation, verdict
 from .repmatrix import FusedModuleSpec, check_defining_relations, duality_check, yang_matrices
 from .tensor import GForm, embed_two_leg
 
@@ -260,6 +260,7 @@ def cmd_scan(args) -> int:
     dias = _parse_scan_modules(args.modules)
     if args.k is not None:
         check_truncation(args.k)
+    check_depth(args.depth)
     if args.grid.strip() == "":
         points = []
     else:

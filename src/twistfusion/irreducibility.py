@@ -25,7 +25,15 @@ import numpy as np
 
 from .errors import ExhaustedDepth, InternalInconsistency, MalformedInput
 from .exactnum import RatFunc
-from .linalg import fdot, feye, is_zero_matrix, nullspace_exact, rank_exact
+from .linalg import (
+    feye,
+    int_matmul,
+    is_zero_matrix,
+    nullspace_exact,
+    primitive_part,
+    rank_exact,
+    to_int_scaled,
+)
 from .repmatrix import (
     FusedModuleSpec,
     frame_product,
@@ -84,16 +92,19 @@ def phi_leading(Z: FusedModuleSpec, depth: int = 3) -> PhiOperator:
     """First nonzero trace-contraction coefficient of S_{W,Z}(zeta) at 0.
 
     The matrix-level leading coefficient is located exactly with truncated
-    Laurent arithmetic (the window widens and retries if cancellations eat
-    it); later coefficients up to `depth` are inspected should the
-    contraction annihilate earlier ones.
+    Laurent arithmetic.  Every block starts at its exact order, so the
+    product's order is at least the sum of the block orders, and at a
+    generic point equal to it: one coefficient per block is all the product
+    needs.  The window doubles and the product is redone when cancellations
+    eat the known coefficients, or when the contraction annihilates them
+    and a later coefficient, up to `depth` past the order, is needed.
     """
     dZ = Z.dimZ
     if Z.ell == 0:
         return PhiOperator(order=0, matrix=feye(1), dimZ=1)
     dims = Z.factor_dims + Z.factor_dims
     blocks = swz_frame_blocks(Z)
-    window = depth + 4
+    window = 1
     while window <= 256:
         try:
             prod = frame_product(blocks, dims, window)
@@ -126,47 +137,56 @@ def check_truncation(K: int) -> None:
         raise MalformedInput(f"K must be >= 2, got {K}")
 
 
+def check_depth(depth: int) -> None:
+    """MalformedInput unless depth is a usable Laurent fallback depth."""
+    if depth < 0:
+        raise MalformedInput(f"depth must be >= 0, got {depth}")
+
+
 def commutant_dim(Z: FusedModuleSpec, K: int) -> tuple[int, bool]:
     """Dimension of the joint commutant of the generator matrices up to
     truncation K, and whether it stabilized between K-1 and K.
 
     Exact nullspace computation over Q; the dimension over any extension
-    field is the same, so 1 here means scalars only.
+    field is the same, so 1 here means scalars only.  Everything runs on
+    integers: XG = GX is homogeneous in G, so each generator is cleared once
+    to a primitive integer matrix, and the columns of the candidate basis B
+    (vec(X), row-major) are kept primitive integer vectors.  The k-th system
+    stacks kron(1, G^T) - kron(G, 1) over the generators of order k; its
+    product with B restricts it to the current candidates.
     """
     check_truncation(K)
     d = Z.dimZ
     if d == 1:
         return 1, True
     gens = s_generators(Z, K)
-    B = feye(d * d)  # columns span the current candidate commutant
+    one = np.eye(d, dtype=np.int64).astype(object)
+    B = np.eye(d * d, dtype=np.int64).astype(object)  # columns span the candidates
     dims_after = []
     for k in range(1, K + 1):
-        b = B.shape[1]
-        if b > 1:
-            # the b candidates X_m = B[:, m] as d x d matrices, stacked
-            X = B.T.reshape(b, d, d)
-            X_rows = X.reshape(b * d, d)  # rows of X_0, X_1, ...
-            X_cols = X.transpose(1, 0, 2).reshape(d, b * d)  # [X_0 | X_1 | ...]
-            rows = []
-            for i in range(Z.N):
-                for j in range(Z.N):
-                    G = gens.rho[k][i][j]
-                    XG = fdot(X_rows, G).reshape(b, d, d)
-                    GX = fdot(G, X_cols).reshape(d, b, d).transpose(1, 0, 2)
-                    rows.append((XG - GX).reshape(b, d * d).T)
-            system = np.concatenate(rows, axis=0)
-            null = nullspace_exact(system)
-            if len(null) < b:
-                Y = (
-                    np.stack(null, axis=1)
-                    if null
-                    else np.empty((b, 0), dtype=object)
-                )
-                B = fdot(B, Y)
+        if B.shape[1] > 1:
+            blocks = []
+            for row in gens.rho[k]:
+                for G in row:
+                    G = primitive_part(to_int_scaled(G)[0])
+                    blocks.append(np.kron(one, G.T) - np.kron(G, one))
+            null = nullspace_exact(int_matmul(np.concatenate(blocks), B))
+            if len(null) < B.shape[1]:
+                Y = _primitive_columns(null, B.shape[1])
+                B = _primitive_columns(int_matmul(B, Y).T, d * d)
         dims_after.append(B.shape[1])
     dim = dims_after[-1]
     stabilized = len(dims_after) >= 2 and dims_after[-1] == dims_after[-2]
     return dim, stabilized
+
+
+def _primitive_columns(vectors, length: int) -> np.ndarray:
+    """The rational vectors as the columns of an integer matrix, each cleared
+    to a primitive integer vector (the same line)."""
+    cols = [primitive_part(to_int_scaled(np.asarray(v))[0]) for v in vectors]
+    if not cols:
+        return np.empty((length, 0), dtype=object)
+    return np.stack(cols, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +287,7 @@ def verdict(Z: FusedModuleSpec, K: int | None = None, depth: int = 3) -> Irreduc
     """Walls, leading-coefficient surjectivity, commutant dimension, and the
     combined verdict.  Surjectivity without commutant dimension 1 is a
     contradiction of the theory and aborts."""
+    check_depth(depth)
     if K is None:
         K = max(2, default_truncation(Z))
     check_truncation(K)

@@ -67,23 +67,27 @@ def is_zero_matrix(A: np.ndarray) -> bool:
 # integer clearing
 
 def to_int_scaled(A: np.ndarray) -> tuple[np.ndarray, Fraction]:
-    """Write A = scale * M with M an integer object matrix."""
+    """Write A = scale * M with M an integer object matrix.
+
+    A numpy integer array is already cleared.  Entries are tested with
+    ``type(v) is Fraction``: isinstance would go through Fraction's abstract
+    base classes once per entry."""
+    if A.dtype.kind in "iu":
+        return A.astype(object), Fraction(1)
+    vals = A.ravel().tolist()
     lcm = 1
-    for v in A.flat:
-        if isinstance(v, Fraction):
+    for v in vals:
+        if type(v) is Fraction:
             d = v.denominator
             if d != 1:
                 lcm = lcm * d // math.gcd(lcm, d)
+    out = np.empty(len(vals), dtype=object)
     if lcm == 1:
-        out = np.empty(A.shape, dtype=object)
-        for idx, v in np.ndenumerate(A):
-            out[idx] = int(v)
-        return out, Fraction(1)
-    out = np.empty(A.shape, dtype=object)
-    for idx, v in np.ndenumerate(A):
-        w = v * lcm
-        out[idx] = int(w)
-    return out, Fraction(1, lcm)
+        out[:] = [int(v) for v in vals]
+        return out.reshape(A.shape), Fraction(1)
+    out[:] = [v.numerator * (lcm // v.denominator) if type(v) is Fraction else int(v) * lcm
+              for v in vals]
+    return out.reshape(A.shape), Fraction(1, lcm)
 
 
 def primitive_part(A: np.ndarray) -> np.ndarray:

@@ -477,6 +477,14 @@ class _TData:
         self.frames = frames
         self.den = den
         self._int_frames = None
+        self._int_scale = None
+
+    def int_frames(self) -> tuple[list[np.ndarray], Fraction]:
+        """The frames cleared once to integers: frames[k] = scale * int[k]."""
+        if self._int_frames is None:
+            mats, self._int_scale = to_int_scaled(np.array(self.frames))
+            self._int_frames = list(mats)
+        return self._int_frames, self._int_scale
 
     def at_int(self, u0: Fraction) -> np.ndarray:
         """A primitive integer matrix equal to T(u0) up to a nonzero scalar.
@@ -485,9 +493,7 @@ class _TData:
         sum_k int_frames[k] * p^k * q^(deg - k), divided by its content."""
         if self.den.eval(u0) == 0:
             raise SingularParameter(f"u = {u0} is a pole of T")
-        if self._int_frames is None:
-            self._int_frames = list(to_int_scaled(np.array(self.frames))[0])
-        frames = self._int_frames
+        frames, _ = self.int_frames()
         p, q = u0.numerator, u0.denominator
         acc = frames[-1]
         qk = 1
@@ -495,6 +501,28 @@ class _TData:
             qk *= q
             acc = acc * p + fr * qk
         return primitive_part(acc)
+
+    def at_infinity(self, K: int) -> list[ScaledIntMatrix]:
+        """Coefficients of u^0, u^-1, ..., u^-K of T(u), straight from the
+        integer frames.
+
+        With n = deg den, 1/den(u) = u^-n sum_j h_j u^-j, the h_j given by
+        the linear recurrence on the coefficients of den; so the u^-m
+        coefficient is sum_k frames[k] h_(m+k-n).  The h_j are cleared to
+        integers H_j = L h_j by one common L."""
+        n = self.den.degree
+        h = RatFunc(Poly.const(1), self.den).series_at_infinity(K + n)[n:]
+        L = math.lcm(*(c.denominator for c in h))
+        H = [int(c * L) for c in h]
+        frames, scale = self.int_frames()
+        out = []
+        for m in range(K + 1):
+            acc = np.zeros(frames[0].shape, dtype=object)
+            for k, F in enumerate(frames):
+                if m + k >= n:
+                    acc = acc + F * H[m + k - n]
+            out.append(ScaledIntMatrix(acc, scale / L))
+        return out
 
     def ratfunc_matrix(self) -> np.ndarray:
         shape = self.frames[0].shape
@@ -564,20 +592,35 @@ def _entrywise_series(op: TensorOperator, K: int) -> list[np.ndarray]:
 
 
 def s_generators(Z: FusedModuleSpec, K: int) -> GeneratorMatrices:
-    """Expand S_Z(u) = T^t(-u) T(u) at infinity to order K."""
+    """Expand S_Z(u) = T^t(-u) T(u) at infinity to order K.
+
+    Both factors come straight from the integer T frames (_TData.at_infinity):
+    the u^-m coefficient of T^t(-u) is (-1)^m times the transposed u^-m
+    coefficient of T(u)."""
     if K < 1:
         raise MalformedInput(f"K must be >= 1, got {K}")
     N, dZ = Z.N, Z.dimZ
-    T = t_action(Z)
-    Tt = transpose_legs(T.map_entries(lambda f: RatFunc.coerce(f).subs_neg()), {1}, Z.form)
-    A = [ScaledIntMatrix.from_fractions(m) for m in _entrywise_series(Tt, K)]
-    B = [ScaledIntMatrix.from_fractions(m) for m in _entrywise_series(T, K)]
+    B = _t_data(Z).at_infinity(K)
+    int_form, c = _cleared_form(Z.form)
+    dims = (N,) + Z.factor_dims
+    A = []
+    for m, Tm in enumerate(B):
+        At = transpose_legs(TensorOperator(Tm.mat, dims), {1}, int_form).mat
+        A.append(ScaledIntMatrix(-At if m % 2 else At, c * Tm.scale))
     rho = []
     # both factors are known through u^-K only, so their product is too
     for coeff in (MatrixLaurentSeries(0, A) @ MatrixLaurentSeries(0, B)).coeffs:
         Sk = coeff.to_fractions().reshape(N, dZ, N, dZ)
         rho.append([[Sk[i, :, j, :] for j in range(N)] for i in range(N)])
     return GeneratorMatrices(K=K, N=N, dimZ=dZ, rho=rho)
+
+
+def _cleared_form(form: GForm) -> tuple[GForm, Fraction]:
+    """g and g^-1 cleared to integers, and the scale c with
+    (true transposition) = c * (transposition of the cleared form)."""
+    g, sg = to_int_scaled(form.g)
+    g_inv, sgi = to_int_scaled(form.g_inv)
+    return GForm(form.kind, form.N, g, g_inv), sg * sgi
 
 
 # ---------------------------------------------------------------------------
@@ -693,7 +736,7 @@ def check_defining_relations(Z: FusedModuleSpec, samples=None) -> RelationReport
     dims = (N,) + Z.factor_dims
     # g and g^-1 cleared to integers: the transposition they define is the
     # true one times a nonzero scalar
-    int_form = GForm(Z.form.kind, N, to_int_scaled(Z.form.g)[0], to_int_scaled(Z.form.g_inv)[0])
+    int_form, _ = _cleared_form(Z.form)
     minus_p, minus_q = (_aux_minus(X) for X in structural_ops(Z.form))
     poles = set()
     for p in Z.all_box_params():

@@ -499,16 +499,26 @@ class MatrixLaurentSeries:
     def from_frames(cls, frames, den, window: int) -> "MatrixLaurentSeries":
         """Series of (sum_k frames[k] t^k) / den(t); frames are exact Fraction
         matrices, den a scalar polynomial.  Each frame is cleared to integers
-        once."""
-        if all(is_zero_matrix(f) for f in frames):
+        once.
+
+        The order is exact: leading frames that are exactly zero are dropped,
+        so with k0 the first nonzero frame the series starts at
+        t^(k0 - val(den)) with a nonzero coefficient, and ``window``
+        coefficients are known from there."""
+        k0 = 0
+        while k0 < len(frames) and is_zero_matrix(frames[k0]):
+            k0 += 1
+        if k0 == len(frames):
             return cls(0, [ScaledIntMatrix.zeros(frames[0].shape)], exact_tail=True)
+        frames = frames[k0:]
         val = den.valuation()
         if den.degree == val:
             # pure monomial: exact finite Laurent expansion
             inv = 1 / den.coeffs[val]
             coeffs = [ScaledIntMatrix.from_fractions(inv * f) for f in frames]
-            return cls(-val, coeffs, exact_tail=True)
+            return cls(k0 - val, coeffs, exact_tail=True)
         order, cs = RatFunc(Poly.const(1), den).laurent_at(0, window)
+        order += k0
         cleared = [ScaledIntMatrix.from_fractions(f) for f in frames]
         out = []
         shape = frames[0].shape

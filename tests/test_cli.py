@@ -206,3 +206,19 @@ def test_malformed_input_fails_without_traceback(argv, bad):
     assert proc.returncode != 0
     assert "Traceback" not in proc.stderr
     assert "MalformedInput" in proc.stderr and bad in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["irreducible", "--form", "sp", "--modules", "1:1/3;1:7/5", "--depth", "-1"],
+    ["scan", "--form", "sp", "--modules", "1;1", "--grid", "1/3;7/5", "--depth", "-1"],
+])
+def test_negative_depth_rejected_before_any_work(argv, monkeypatch, capsys):
+    from twistfusion import irreducibility
+
+    def no_blocks(*args, **kwargs):
+        raise AssertionError("the family was expanded")
+
+    monkeypatch.setattr(irreducibility, "swz_frame_blocks", no_blocks)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "MalformedInput" in err and "depth" in err

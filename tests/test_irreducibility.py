@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from twistfusion.diagrams import SkewDiagram
+from twistfusion import irreducibility
 from twistfusion.exactnum import RatFunc, laurent_at_point
 from twistfusion.irreducibility import (
     IrreducibilityReport,
@@ -16,10 +17,11 @@ from twistfusion.irreducibility import (
     verdict,
     walls,
 )
-from twistfusion.linalg import mat_equal, feye
-from twistfusion.repmatrix import FusedModuleSpec
+from twistfusion.linalg import fdot, feye, is_zero_matrix, mat_equal, nullspace_exact
+from twistfusion.repmatrix import FusedModuleSpec, frame_product, s_generators, swz_frame_blocks
 from twistfusion.tensor import (
     GForm,
+    MatrixLaurentSeries,
     TensorOperator,
     contraction_map_matrix,
     structural_ops,
@@ -249,3 +251,110 @@ def test_report_json_roundtrip():
     back = IrreducibilityReport.from_json(data)
     assert back == rep
     assert data["spec"]["modules"] == "1:1/3"
+
+
+# ---------------------------------------------------------------------------
+# exact block orders: one coefficient per block at a generic point
+
+HDOM = SkewDiagram((2,))
+
+# the criterion-8 points, and two multi-box points whose diagonal breve-R
+# blocks have exactly-zero leading frames
+GENERIC_POINTS = [
+    (form, [(BOX, z) for z in zs])
+    for form in (SP2, SO3)
+    for zs in ([Fraction(1, 3)], [Fraction(1, 3), Fraction(7, 5)])
+] + [
+    (SP2, [(HDOM, Fraction(1, 3)), (HDOM, Fraction(-2, 5))]),
+    (SO3, [(VDOM, Fraction(1, 3)), (VDOM, Fraction(-2, 5))]),
+]
+
+
+def _counting_frame_product(monkeypatch):
+    calls = []
+
+    def counting(blocks, dims, window):
+        calls.append(window)
+        return frame_product(blocks, dims, window)
+
+    monkeypatch.setattr(irreducibility, "frame_product", counting)
+    return calls
+
+
+@pytest.mark.parametrize("form,factors", GENERIC_POINTS,
+                         ids=[f"{f.kind}{f.N} " + ";".join(f"{d}:{z}" for d, z in fs)
+                              for f, fs in GENERIC_POINTS])
+def test_phi_leading_one_product_at_generic_points(form, factors, monkeypatch):
+    Z = FusedModuleSpec(form, factors)
+    calls = _counting_frame_product(monkeypatch)
+    phi = phi_leading(Z)
+    assert calls == [1]
+    # the exact block orders add up to the order of the product
+    orders = [MatrixLaurentSeries.from_frames(fb.frames, fb.den, 1).order
+              for fb, _ in swz_frame_blocks(Z)]
+    assert sum(orders) == phi.order
+
+
+def _phi_from_window(Z, window, depth=3):
+    """The leading contracted coefficient read off one product of the given
+    window, as phi_leading did with its fixed starting window."""
+    dZ = Z.dimZ
+    prod = frame_product(swz_frame_blocks(Z), Z.factor_dims + Z.factor_dims, window)
+    for t in range(depth + 1):
+        phi = contraction_map_matrix(prod.coefficient(prod.order + t).to_fractions(), dZ, dZ)
+        if not is_zero_matrix(phi):
+            return prod.order + t, phi
+    raise AssertionError("no nonzero contracted coefficient")
+
+
+def test_phi_leading_retries_at_wall_point(monkeypatch):
+    Z = spec(SP2, (BOX, Fraction(1, 3)), (BOX, Fraction(4, 3)))
+    calls = _counting_frame_product(monkeypatch)
+    phi = phi_leading(Z)
+    assert calls == [1, 2]
+    order, matrix = _phi_from_window(Z, 7)
+    assert phi.order == order
+    assert mat_equal(phi.matrix, matrix)
+
+
+# ---------------------------------------------------------------------------
+# the integer commutant against the Fraction loop
+
+def _commutant_dim_fraction(Z, K):
+    """The Fraction commutant loop, kept as an oracle: the candidates X as
+    d x d matrices, XG - GX by fdot, and the basis update by fdot."""
+    d = Z.dimZ
+    gens = s_generators(Z, K)
+    B = feye(d * d)
+    dims_after = []
+    for k in range(1, K + 1):
+        b = B.shape[1]
+        if b > 1:
+            X = B.T.reshape(b, d, d)
+            X_rows = X.reshape(b * d, d)
+            X_cols = X.transpose(1, 0, 2).reshape(d, b * d)
+            rows = []
+            for i in range(Z.N):
+                for j in range(Z.N):
+                    G = gens.rho[k][i][j]
+                    XG = fdot(X_rows, G).reshape(b, d, d)
+                    GX = fdot(G, X_cols).reshape(d, b, d).transpose(1, 0, 2)
+                    rows.append((XG - GX).reshape(b, d * d).T)
+            null = nullspace_exact(np.concatenate(rows, axis=0))
+            if len(null) < b:
+                Y = np.stack(null, axis=1) if null else np.empty((b, 0), dtype=object)
+                B = fdot(B, Y)
+        dims_after.append(B.shape[1])
+    return dims_after[-1], len(dims_after) >= 2 and dims_after[-1] == dims_after[-2]
+
+
+@pytest.mark.parametrize("text,expected", [
+    ("1:1/2;1:-1/2", [(2, True)] * 5),
+    ("1:1/3;1:-1/3", [(2, True), (1, False), (1, True), (1, True), (1, True)]),
+    ("1:1/2;2:-1/2", [(2, True), (1, False), (1, True), (1, True), (1, True)]),
+])
+def test_commutant_against_fraction_loop(text, expected):
+    Z = FusedModuleSpec.from_string(SP2, text)
+    got = [commutant_dim(Z, K) for K in range(2, 7)]
+    assert got == [_commutant_dim_fraction(Z, K) for K in range(2, 7)]
+    assert got == expected

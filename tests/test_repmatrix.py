@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from twistfusion.diagrams import SkewDiagram, column_tableau
+from twistfusion.diagrams import SkewDiagram, column_tableau, enumerate_skew
 from twistfusion.errors import BoxCapExceeded, ShapeTooTall, SingularParameter
 from twistfusion.exactnum import RatFunc, laurent_at_point, series_at_infinity
 from twistfusion import linalg, repmatrix
@@ -444,6 +444,46 @@ def test_s_generators_zeroth_slice():
             for a in range(2):
                 for b in range(2):
                     assert blk[a, b] == (1 if (i == j and a == b) else 0)
+
+
+def _s_generators_ratfunc(Z, K):
+    """The RatFunc route, kept as an oracle: T(u) as a RatFunc matrix, the
+    transposed T(-u), each entry expanded at infinity, and the Fraction
+    Cauchy product of the two expansions."""
+    T = t_action(Z)
+    Tt = transpose_legs(T.map_entries(lambda f: RatFunc.coerce(f).subs_neg()), {1}, Z.form)
+    A = repmatrix._entrywise_series(Tt, K)
+    B = repmatrix._entrywise_series(T, K)
+    return [sum(linalg.fdot(A[a], B[k - a]) for a in range(k + 1)) for k in range(K + 1)]
+
+
+def _criterion_3_specs():
+    """(label, spec): the criterion-3 specs, and two over a custom rational g
+    whose cleared g and g^-1 carry nontrivial scales."""
+    for N, form in ((2, SO2), (2, SP2), (3, SO3)):
+        for dia in enumerate_skew(3, max_col_height=N):
+            yield f"{form.kind}{N} {dia}", FusedModuleSpec(form, [(dia, Fraction(1, 3))])
+        yield f"{form.kind}{N} 1;1", spec(form, (BOX, Fraction(1, 3)), (BOX, Fraction(7, 5)))
+    custom = GForm.from_matrix([[Fraction(1, 2), 0], [0, 3]])
+    yield "g=diag(1/2,3) 1;1", spec(custom, (BOX, Fraction(1, 3)), (BOX, Fraction(7, 5)))
+    yield "g=diag(1/2,3) 2", spec(custom, (SkewDiagram((2,)), Fraction(2, 5)))
+
+
+@pytest.mark.parametrize("label,Z", list(_criterion_3_specs()),
+                         ids=[label for label, _ in _criterion_3_specs()])
+def test_s_generators_match_ratfunc_route(label, Z):
+    K = 2 * Z.n_total + 2
+    g = s_generators(Z, K)
+    S = _s_generators_ratfunc(Z, K)
+    N, d = Z.N, Z.dimZ
+    assert (g.K, g.N, g.dimZ, len(g.rho)) == (K, N, d, K + 1)
+    for k in range(K + 1):
+        Sk = S[k].reshape(N, d, N, d)
+        for i in range(N):
+            for j in range(N):
+                rho = g.rho[k][i][j]
+                assert all(type(v) is Fraction for v in rho.flat)
+                assert mat_equal(rho, Sk[i, :, j, :])
 
 
 def test_s_generators_quadratic_relation_sample():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from twistfusion.errors import DimensionMismatch, IndexOutOfRange, NotInvariant
+from twistfusion.exactnum import Poly, RatFunc
 from twistfusion.linalg import ScaledIntMatrix, feye, fzeros, mat_equal
 from twistfusion.tensor import (
     Basis,
@@ -315,3 +316,59 @@ def test_embedded_series_shapes_checked():
         emb @ emb
     with pytest.raises(DimensionMismatch):
         MatrixLaurentSeries.identity(12) @ emb
+
+
+# ---------------------------------------------------------------------------
+# exact block orders in from_frames
+
+def _entrywise_laurent(frames, den, exponents):
+    """The untrimmed expansion, entry by entry through RatFunc.laurent_at:
+    {exponent: Fraction matrix} for the given exponents."""
+    shape = frames[0].shape
+    out = {e: fzeros(shape) for e in exponents}
+    for idx in np.ndindex(shape):
+        f = RatFunc(Poly([fr[idx] for fr in frames]), den)
+        if f.is_zero():
+            continue
+        order, cs = f.laurent_at(0, max(exponents) + 1 - min(exponents) + len(frames))
+        for e in exponents:
+            if 0 <= e - order < len(cs):
+                out[e][idx] = cs[e - order]
+    return out
+
+
+@pytest.mark.parametrize("den_coeffs,exact", [
+    ((0, 3, 1), False),      # t (3 + t): the windowed path
+    ((2, -1, 0, 1), False),  # no pole at 0, still windowed
+    ((0, 0, 5), True),       # 5 t^2: the monomial path
+    ((7,), True),            # a constant
+])
+def test_from_frames_drops_leading_zero_frames(den_coeffs, exact):
+    rng = random.Random(f"{den_coeffs}")
+    den = Poly([Fraction(c) for c in den_coeffs])
+    n, k0 = 3, 2
+    frames = [fzeros((n, n)) for _ in range(k0)]
+    for _ in range(3):
+        fr = fzeros((n, n))
+        for idx in np.ndindex(n, n):
+            fr[idx] = Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3]))
+        frames.append(fr)
+    window = 4
+    series = MatrixLaurentSeries.from_frames(frames, den, window)
+    assert series.order == k0 - den.valuation()
+    assert series.exact_tail == exact
+    assert not series.coeffs[0].is_zero()
+    known = len(series.coeffs) if exact else window
+    exponents = list(range(series.order - 2, series.order + known + 1))
+    oracle = _entrywise_laurent(frames, den, exponents)
+    for e in exponents:
+        if e < series.order + known or exact:
+            assert mat_equal(series.coefficient(e).to_fractions(), oracle[e])
+        else:
+            with pytest.raises(_WindowExhausted):
+                series.coefficient(e)
+
+
+def test_from_frames_all_zero_frames():
+    series = MatrixLaurentSeries.from_frames([fzeros((2, 2))] * 3, Poly([0, 1, 1]), 4)
+    assert series.exact_tail and series.coeffs[0].is_zero()
