@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import product
 
 from .diagrams import parse_skew
-from .errors import TwistFusionError
+from .errors import MalformedInput, TwistFusionError
 from .exactnum import parse_rational
 from .fusion import fusion_operator, verify_fusion_invariants
 from .irreducibility import check_depth, check_truncation, verdict
@@ -32,8 +32,14 @@ def _emit(args, payload: dict):
 
 def _form_from_args(args) -> GForm:
     if getattr(args, "g_file", None):
-        with open(args.g_file) as fh:
-            rows = json.load(fh)
+        try:
+            with open(args.g_file) as fh:
+                rows = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise MalformedInput(f"cannot read g matrix {args.g_file!r}: {exc}") from None
+        if not (isinstance(rows, list) and rows
+                and all(isinstance(r, list) and len(r) == len(rows[0]) for r in rows)):
+            raise MalformedInput(f"g matrix {args.g_file!r} is not a list of equal rows")
         form = GForm.from_matrix([[parse_rational(str(v)) for v in row] for row in rows])
         if form.N != args.n:
             raise TwistFusionError(f"g matrix is {form.N}x{form.N}, expected N={args.n}")
@@ -331,11 +337,20 @@ def _bind_negative_values(argv: list[str]) -> list[str]:
     return out
 
 
+def _check_counts(args):
+    """MalformedInput unless --n, --samples and --jobs, where given, are >= 1."""
+    for flag in ("n", "samples", "jobs"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 1:
+            raise MalformedInput(f"--{flag} must be >= 1, got {value}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(_bind_negative_values(argv))
     try:
+        _check_counts(args)
         return _COMMANDS[args.command](args)
     except TwistFusionError as exc:
         print(f"FAILED: {type(exc).__name__}: {exc}", file=sys.stderr)

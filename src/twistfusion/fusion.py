@@ -14,6 +14,7 @@ content (the poles), frames 0..m-1 must vanish (else LimitSingular) and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,10 +28,11 @@ from .errors import (
     SingularParameter,
     SlopeCollision,
 )
-from .exactnum import RatFunc
+from .exactnum import Poly
 from .linalg import feye, is_zero_matrix
 from .tensor import (
     Basis,
+    FrameBlock,
     GForm,
     TensorOperator,
     apply_factor_chain,
@@ -177,35 +179,25 @@ def verify_fusion_invariants(F: FusionOperator, form: GForm | None = None) -> Fu
     )
 
 
-def defining_action_product(u, params, N: int, ascending: bool = True) -> TensorOperator:
-    """Product of breve factors on legs (0, q) of an (n+1)-leg space:
-    prod_q (1 - P_{0,q}/(u - a_q)), leg 0 auxiliary.
+def defining_action_product(params, N: int) -> FrameBlock:
+    """The tautological action prod_q (1 - P_{0,q}/(u - a_q)) on legs (0, q)
+    of an (n+1)-leg space, leg 0 auxiliary, leg n's factor leftmost: the
+    product of the numerators (u - a_q) - P_{0,q} over prod_q (u - a_q).
 
-    ascending=True puts the leg-1 factor leftmost (the transported module
-    action, the one satisfying RTT); ascending=False is the tautological
-    action on the opposite-coproduct tensor product.  The two are conjugate:
-    sigma_hat . desc(reversed params) . sigma_hat = asc(params).
-
-    u may be a Fraction (SingularParameter at a pole) or RatFunc.
-    """
+    This is the action on the opposite-coproduct tensor product; the
+    transported module action (leg 1 leftmost, the one satisfying RTT) is
+    its conjugate sigma_hat . (reversed params) . sigma_hat."""
     n = len(params)
-    legs = range(1, n + 1) if ascending else range(n, 0, -1)
-    chain = []
-    for q in legs:
-        a_q = params[q - 1]
-        den = u - a_q
-        if isinstance(den, RatFunc):
-            if den.is_zero():
-                raise SingularParameter(f"factor {q} singular identically")
-            beta = -1 / den
-        else:
-            if den == 0:
-                raise SingularParameter(f"factor {q}: u = {a_q} is a pole")
-            beta = Fraction(-1, 1) / den
-        chain.append((0, q, 1, 0, [(a, b, b, a, beta) for a in range(N) for b in range(N)]))
+    # numerator and denominator both scaled by L, so the kernel runs on ints
+    L = math.lcm(*(a_q.denominator for a_q in params))
+    minus_p = [(a, b, b, a, -L) for a in range(N) for b in range(N)]
+    chain = [(0, q, int(-L * params[q - 1]), L, minus_p) for q in range(n, 0, -1)]
+    den = Poly.const(1)
+    for a_q in params:
+        den = den * Poly((-L * a_q, L))
     dims = (N,) * (n + 1)
-    M, = apply_factor_chain(feye(N ** (n + 1)), dims, chain)
-    return TensorOperator(M, dims)
+    identity = np.eye(N ** (n + 1), dtype=int).astype(object)
+    return FrameBlock(apply_factor_chain(identity, dims, chain), den, dims)
 
 
 @dataclass
@@ -242,6 +234,8 @@ def intertwining_check(omega: SkewDiagram, N: int, z, u_samples=None) -> Intertw
                 u_samples.append(Fraction(k))
             k += 1
     s_hat = reversal_op(n, N)
+    taut = defining_action_product(a, N)
+    rev = defining_action_product(a_rev, N)
     F_emb = TensorOperator(np.kron(feye(N), F.matrix.mat), (N,) * (n + 1))
     s_emb = TensorOperator(np.kron(feye(N), s_hat.mat), (N,) * (n + 1))
     failures = []
@@ -250,10 +244,8 @@ def intertwining_check(omega: SkewDiagram, N: int, z, u_samples=None) -> Intertw
         u0 = Fraction(u0)
         if u0 in poles:
             raise SingularParameter(f"u = {u0} is a pole of a factor (v_q = {u0})")
-        taut = defining_action_product(u0, a, N, ascending=False)
-        rev = defining_action_product(u0, a_rev, N, ascending=False)
-        lhs = F_emb @ taut
-        rhs = (s_emb @ rev @ s_emb) @ F_emb
+        lhs = F_emb @ taut.at(u0)
+        rhs = (s_emb @ rev.at(u0) @ s_emb) @ F_emb
         used.append(u0)
         if lhs != rhs:
             failures.append(u0)

@@ -24,7 +24,6 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ExhaustedDepth, InternalInconsistency, MalformedInput
-from .exactnum import RatFunc
 from .linalg import (
     feye,
     int_matmul,
@@ -37,8 +36,7 @@ from .linalg import (
 from .repmatrix import (
     FusedModuleSpec,
     frame_product,
-    r_factorized_blocks,
-    s_fused_blocks,
+    ratfunc_product,
     s_generators,
     swz_frame_blocks,
 )
@@ -46,7 +44,6 @@ from .tensor import (
     TensorOperator,
     _WindowExhausted,
     contraction_map_matrix,
-    embed_operator,
 )
 
 _PRIME_DENOMS = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
@@ -55,27 +52,10 @@ _PRIME_DENOMS = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 # ---------------------------------------------------------------------------
 # the zeta-family and its leading term
 
-def _swz_blocks(Z: FusedModuleSpec):
-    """Ordered blocks of S_{W,Z}(zeta) = breve-R'_{W,Z} . S_W . breve-R_{W,Z},
-    with every W parameter shifted by zeta."""
-    x = RatFunc.x()
-    blocks = list(r_factorized_blocks(Z, Z, "Rb'", w_shift=x))
-    blocks += s_fused_blocks(Z, shift=x)
-    blocks += r_factorized_blocks(Z, Z, "Rb", w_shift=x)
-    return blocks
-
-
 def s_WZ_family(Z: FusedModuleSpec) -> TensorOperator:
-    """Exact matrix of the family on W (x) Z over RatFunc(zeta)."""
-    if Z.ell == 0:
-        one = np.empty((1, 1), dtype=object)
-        one[0, 0] = RatFunc.const(1)
-        return TensorOperator(one, ())
-    dims = Z.factor_dims + Z.factor_dims
-    out = TensorOperator.identity(dims).map_entries(RatFunc.coerce)
-    for block, slots in _swz_blocks(Z):
-        out = out @ embed_operator(block.map_entries(RatFunc.coerce), slots, dims)
-    return out
+    """Exact matrix of the family on W (x) Z over RatFunc(zeta): the dense
+    product of the frame blocks that phi_leading expands."""
+    return ratfunc_product(swz_frame_blocks(Z), Z.factor_dims + Z.factor_dims)
 
 
 @dataclass

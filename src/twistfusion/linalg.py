@@ -415,44 +415,32 @@ class BasisSolver:
 
     Precomputes the inverse of a square block of pivot rows (the pivots of
     B^T); solve() returns the coordinates plus an exact consistency residual
-    check.  Rational systems are solved on integers: B = B_scale * B_int and
-    the inverse are cleared to integer matrices once, and the residual check
+    check.  Systems are solved on integers: B = B_scale * B_int and the
+    inverse are cleared to integer matrices once, and the residual check
     compares integers.
     """
 
     def __init__(self, B: np.ndarray):
-        self.B = B
         pivots, _ = echelon(B.T)
         if len(pivots) != B.shape[1]:
             raise DimensionMismatch("basis matrix does not have full column rank")
         self.rows = pivots  # k independent rows of B
-        self.inv = inverse(B[pivots, :])
         self.B_int, self.B_scale = to_int_scaled(B)
-        self._inv_int, self._inv_scale = to_int_scaled(self.inv)
+        self._inv_int, self._inv_scale = to_int_scaled(inverse(B[pivots, :]))
         self._ratio = self.B_scale * self._inv_scale
 
     def solve(self, rhs: np.ndarray) -> np.ndarray | None:
-        """Coordinates X with B @ X = rhs, or None if inconsistent."""
-        single = rhs.ndim == 1
-        R = rhs.reshape(-1, 1) if single else rhs
-        if _numeric(R):
-            X = self._solve_rational(R)
-        else:
-            X = self.inv @ R[self.rows, :]
-            if not mat_equal(self.B @ X, R):
-                X = None
-        if X is None:
-            return None
-        return X[:, 0] if single else X
+        """Coordinates X with B @ X = rhs, or None if inconsistent.
 
-    def _solve_rational(self, R: np.ndarray) -> np.ndarray | None:
-        # R = sr * Ri and X = inv_scale * sr * Y with Y = inv_int @ Ri[rows];
-        # B @ X = R  <=>  ratio * (B_int @ Y) = Ri
-        Ri, sr = to_int_scaled(R)
+        With rhs = sr * Ri and X = inv_scale * sr * Y, Y = inv_int @ Ri[rows]:
+        B @ X = rhs exactly when ratio * (B_int @ Y) = Ri."""
+        single = rhs.ndim == 1
+        Ri, sr = to_int_scaled(rhs.reshape(-1, 1) if single else rhs)
         Y = int_matmul(self._inv_int, Ri[self.rows, :]).astype(object)
         lhs = int_matmul(self.B_int, Y).astype(object)
         c = self._ratio
         if not np.array_equal(lhs * c.numerator, Ri * c.denominator):
             return None
         s = self._inv_scale * sr
-        return Y * s if s != 1 else Y
+        X = Y * s if s != 1 else Y
+        return X[:, 0] if single else X

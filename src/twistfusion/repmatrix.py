@@ -46,9 +46,11 @@ from .linalg import (
 )
 from .tensor import (
     Basis,
+    FrameBlock,
     GForm,
     MatrixLaurentSeries,
     TensorOperator,
+    embed_matrix,
     embed_operator,
     restricted_chain,
     structural_ops,
@@ -165,9 +167,8 @@ class FusedModuleSpec:
     def z(self, i: int):
         return self.factors[i][1]
 
-    def box_params(self, i: int, shift=None) -> list:
-        z = self.z(i) if shift is None else shift + self.z(i)
-        return [z + c for c in self.contents(i)]
+    def box_params(self, i: int) -> list:
+        return [self.z(i) + c for c in self.contents(i)]
 
     def all_box_params(self) -> list[Fraction]:
         return [p for i in range(self.ell) for p in self.box_params(i)]
@@ -193,72 +194,14 @@ def form_equal(a: GForm, b: GForm) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# box-level blocks
+# box-level blocks: polynomial coefficient frames in the deformation
+# variable over one scalar denominator (keeps everything numeric)
 
-def _pair_block(
-    form: GForm,
-    contA,
-    basisA: Basis,
-    paramA,
-    contB,
-    basisB: Basis,
-    paramB,
-    kind: str,
-) -> TensorOperator:
-    """Ordered box product between two module factors, restricted to
-    V_A (x) V_B; returned with leg dims (dim A, dim B)."""
-    if kind not in KINDS:
-        raise ValueError(f"kind must be one of {KINDS}")
-    nA, nB = len(contA), len(contB)
-    P, Q = structural_ops(form)
-    p_entries = two_leg_entries(P)
-    q_entries = two_leg_entries(Q)
-    if kind in ("R", "Rb"):
-        seq = [(p, q) for p in reversed(range(nA)) for q in range(nB)]
-    else:
-        seq = [(p, q) for p in reversed(range(nA)) for q in reversed(range(nB))]
-    chain = []
-    for (p, q) in seq:
-        u = _lift(paramA) + contA[p]
-        v = _lift(paramB) + contB[q]
-        if kind == "R":
-            alpha, entries, coef = u - v, p_entries, -_F1
-        elif kind == "R'":
-            alpha, entries, coef = -(u + v), q_entries, -_F1
-        elif kind == "Rb":
-            den = u - v
-            _check_denominator(den, f"boxes ({p+1},{q+1})")
-            alpha, entries, coef = _F1, p_entries, -1 / den
-        else:  # Rb'
-            den = u + v
-            _check_denominator(den, f"boxes ({p+1},{q+1})")
-            alpha, entries, coef = _F1, q_entries, 1 / den
-        scaled = [(a, b, c, d, coef * val) for (a, b, c, d, val) in entries]
-        chain.append((p, nA + q, alpha, 0, scaled))
-    kb = Basis.kron(basisA, basisB)
-    M, = restricted_chain(chain, kb, (form.N,) * (nA + nB))
-    return TensorOperator(M, (basisA.size, basisB.size))
-
-
-def _check_denominator(den, where: str):
-    if isinstance(den, RatFunc):
-        if den.is_zero():
-            raise SingularFamily(f"denominator vanishes identically at {where}")
-    elif den == 0:
-        raise SingularParameter(f"denominator vanishes at {where}")
-
-
-# ---------------------------------------------------------------------------
-# frame representation of blocks: polynomial coefficient matrices in the
-# deformation variable over one scalar denominator (keeps everything numeric)
-
-@dataclass
-class FrameBlock:
-    """sum_k frames[k] * zeta^k divided by the scalar polynomial den."""
-
-    frames: list
-    den: object  # Poly
-    dims: tuple[int, ...]
+def _pair_order(kind: str, nA: int, nB: int) -> list[tuple[int, int]]:
+    """Factor order of a block of the given kind, leftmost first: p
+    descending; q ascending for R and breve-R, descending for the primed."""
+    qs = range(nB) if kind in ("R", "Rb") else range(nB - 1, -1, -1)
+    return [(p, q) for p in reversed(range(nA)) for q in qs]
 
 
 def _negated(entries):
@@ -269,21 +212,18 @@ def _pair_block_frames(
     Z: FusedModuleSpec, i: int, shiftA: bool, j: int, shiftB: bool, kind: str
 ) -> FrameBlock:
     """Frame form of the block of the given kind between factors i and j of
-    Z, with box parameters affine in the deformation variable:
-    u_p = z_i + c_p (+ zeta if shiftA), likewise v_q = z_j + c_q."""
+    Z, restricted to V_i (x) V_j, with box parameters affine in the
+    deformation variable: u_p = z_i + c_p (+ zeta if shiftA), likewise
+    v_q = z_j + c_q."""
     contA, contB = Z.contents(i), Z.contents(j)
     nA, nB = len(contA), len(contB)
-    if kind in ("R", "Rb"):
-        seq = [(p, q) for p in reversed(range(nA)) for q in range(nB)]
-    else:
-        seq = [(p, q) for p in reversed(range(nA)) for q in reversed(range(nB))]
     P, Q = structural_ops(Z.form)
     q_entries = two_leg_entries(Q)
     minus_p, minus_q = _negated(two_leg_entries(P)), _negated(q_entries)
     bu, bv = int(shiftA), int(shiftB)
     chain = []
     den = Poly.const(1)
-    for (p, q) in seq:
+    for (p, q) in _pair_order(kind, nA, nB):
         au, av = Z.z(i) + contA[p], Z.z(j) + contB[q]
         # numerators: (u-v) - P for R and Rb, -(u+v) - Q for R', (u+v) + Q
         # for Rb'; Rb and Rb' divide by u-v and u+v
@@ -328,33 +268,35 @@ def _elementary_s_frames(
     return FrameBlock(restricted_chain(chain, basis, (form.N,) * n), one, (basis.size,))
 
 
+def _s_fused_frame_blocks(Z: FusedModuleSpec, shifted: bool) -> list:
+    """Ordered frame blocks of the fused S-matrix of Z, every parameter
+    shifted by zeta if asked: for i descending, S_i, then R'_{i,j} for j
+    descending."""
+    blocks = []
+    for i in reversed(range(Z.ell)):
+        s_block = _elementary_s_frames(Z.factors[i][0], Z.z(i), shifted, Z.form, Z.basis(i))
+        blocks.append((s_block, (i,)))
+        for j in reversed(range(i)):
+            blocks.append((_pair_block_frames(Z, i, shifted, j, shifted, "R'"), (i, j)))
+    return blocks
+
+
 def breve_r_frame_blocks(Z: FusedModuleSpec) -> list[tuple[FrameBlock, tuple[int, ...]]]:
     """Ordered frame blocks of breve-R_{W,Z}(zeta), W the zeta-shifted copy of Z."""
     ell = Z.ell
-    return [
-        (_pair_block_frames(Z, i, True, j, False, "Rb"), (i, ell + j))
-        for i in reversed(range(ell))
-        for j in range(ell)
-    ]
+    return [(_pair_block_frames(Z, i, True, j, False, "Rb"), (i, ell + j))
+            for i, j in _pair_order("Rb", ell, ell)]
 
 
 def swz_frame_blocks(Z: FusedModuleSpec) -> list[tuple[FrameBlock, tuple[int, ...]]]:
-    """Ordered frame blocks of S_{W,Z}(zeta), W the zeta-shifted copy of Z.
+    """Ordered frame blocks of S_{W,Z}(zeta) = breve-R'_{W,Z} . S_W . breve-R_{W,Z},
+    W the zeta-shifted copy of Z.
 
     Slots 0..l-1 are the W factors, l..2l-1 the Z factors."""
     ell = Z.ell
-    blocks = [
-        (_pair_block_frames(Z, i, True, j, False, "Rb'"), (i, ell + j))
-        for i in reversed(range(ell))
-        for j in reversed(range(ell))
-    ]
-    for i in reversed(range(ell)):
-        s_block = _elementary_s_frames(Z.factors[i][0], Z.z(i), True, Z.form, Z.basis(i))
-        blocks.append((s_block, (i,)))
-        for j in reversed(range(i)):
-            blocks.append((_pair_block_frames(Z, i, True, j, True, "R'"), (i, j)))
-    blocks.extend(breve_r_frame_blocks(Z))
-    return blocks
+    blocks = [(_pair_block_frames(Z, i, True, j, False, "Rb'"), (i, ell + j))
+              for i, j in _pair_order("Rb'", ell, ell)]
+    return blocks + _s_fused_frame_blocks(Z, True) + breve_r_frame_blocks(Z)
 
 
 def frame_product(blocks, dims, window: int) -> MatrixLaurentSeries:
@@ -372,6 +314,15 @@ def frame_product(blocks, dims, window: int) -> MatrixLaurentSeries:
     return prod.trimmed()
 
 
+def ratfunc_product(blocks, dims) -> TensorOperator:
+    """The ordered product of frame blocks as one dense matrix over
+    RatFunc(zeta): the exact symbolic reference for frame_product."""
+    out = TensorOperator.identity(dims)
+    for fb, slots in blocks:
+        out = out @ TensorOperator(embed_matrix(fb.ratfunc_matrix(), slots, dims), dims)
+    return out
+
+
 def breve_r_family_leading(Z: FusedModuleSpec, window: int = 6):
     """Laurent order and exact leading coefficient matrix of the breve-R
     family of the shifted pair (W, Z) at zeta = 0."""
@@ -380,44 +331,28 @@ def breve_r_family_leading(Z: FusedModuleSpec, window: int = 6):
 
 
 def r_factorized_blocks(
-    W: FusedModuleSpec, Z: FusedModuleSpec, kind: str, w_shift=None
+    W: FusedModuleSpec, Z: FusedModuleSpec, kind: str
 ) -> list[tuple[TensorOperator, tuple[int, ...]]]:
     """Ordered restricted blocks of R_{W,Z}-type operators on W (x) Z.
 
-    Slots 0..k-1 are the W factors, k..k+l-1 the Z factors.  w_shift, when
-    given, is added to every W parameter (symbolic families use RatFunc.x()).
-    """
+    Slots 0..k-1 are the W factors, k..k+l-1 the Z factors.  The block on
+    slots (i, k + j) is the frame block between those factors of the
+    concatenated spec W.factors + Z.factors, at zeta = 0."""
     if not form_equal(W.form, Z.form):
         raise DimensionMismatch("W and Z use different forms")
-    k, ell = W.ell, Z.ell
-    if kind in ("R", "Rb"):
-        order = [(i, j) for i in reversed(range(k)) for j in range(ell)]
-    elif kind in ("R'", "Rb'"):
-        order = [(i, j) for i in reversed(range(k)) for j in reversed(range(ell))]
-    else:
+    if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}")
-    blocks = []
-    for (i, j) in order:
-        wparam = W.z(i) if w_shift is None else w_shift + W.z(i)
-        block = _pair_block(
-            Z.form,
-            W.contents(i),
-            W.basis(i),
-            wparam,
-            Z.contents(j),
-            Z.basis(j),
-            Z.z(j),
-            kind,
-        )
-        blocks.append((block, (i, k + j)))
-    return blocks
+    k = W.ell
+    WZ = FusedModuleSpec(Z.form, W.factors + Z.factors, box_cap=W.n_total + Z.n_total)
+    return [(_pair_block_frames(WZ, i, False, k + j, False, kind).at(0), (i, k + j))
+            for i, j in _pair_order(kind, k, Z.ell)]
 
 
-def r_factorized(W: FusedModuleSpec, Z: FusedModuleSpec, kind: str, w_shift=None) -> TensorOperator:
+def r_factorized(W: FusedModuleSpec, Z: FusedModuleSpec, kind: str) -> TensorOperator:
     """The operator on W (x) Z assembled from its ordered restricted blocks."""
     dims = W.factor_dims + Z.factor_dims
     out = TensorOperator.identity(dims)
-    for block, slots in r_factorized_blocks(W, Z, kind, w_shift=w_shift):
+    for block, slots in r_factorized_blocks(W, Z, kind):
         out = out @ embed_operator(block, slots, dims)
     return out
 
@@ -425,36 +360,18 @@ def r_factorized(W: FusedModuleSpec, Z: FusedModuleSpec, kind: str, w_shift=None
 def s_elementary(omega: SkewDiagram, z, form: GForm, basis: Basis | None = None) -> TensorOperator:
     """Twisted S-matrix of one elementary module: ordered product of R'
     factors over box pairs, restricted to the module."""
-    fb = _elementary_s_frames(omega, z, False, form, basis)
-    return TensorOperator(fb.frames[0], fb.dims)
+    return _elementary_s_frames(omega, z, False, form, basis).at(0)
 
 
-def s_fused_blocks(Z: FusedModuleSpec, shift=None) -> list[tuple[TensorOperator, tuple[int, ...]]]:
-    """Ordered blocks of the fused S-matrix of Z (parameters shifted if asked)."""
-    blocks = []
-    for i in reversed(range(Z.ell)):
-        zi = Z.z(i) if shift is None else shift + Z.z(i)
-        blocks.append((s_elementary(Z.factors[i][0], zi, Z.form, Z.basis(i)), (i,)))
-        for j in reversed(range(i)):
-            zj = Z.z(j) if shift is None else shift + Z.z(j)
-            block = _pair_block(
-                Z.form,
-                Z.contents(i),
-                Z.basis(i),
-                zi,
-                Z.contents(j),
-                Z.basis(j),
-                zj,
-                "R'",
-            )
-            blocks.append((block, (i, j)))
-    return blocks
+def s_fused_blocks(Z: FusedModuleSpec) -> list[tuple[TensorOperator, tuple[int, ...]]]:
+    """Ordered blocks of the fused S-matrix of Z."""
+    return [(fb.at(0), slots) for fb, slots in _s_fused_frame_blocks(Z, False)]
 
 
-def s_fused(Z: FusedModuleSpec, shift=None) -> TensorOperator:
+def s_fused(Z: FusedModuleSpec) -> TensorOperator:
     dims = Z.factor_dims
     out = TensorOperator.identity(dims)
-    for block, slots in s_fused_blocks(Z, shift=shift):
+    for block, slots in s_fused_blocks(Z):
         out = out @ embed_operator(block, slots, dims)
     return out
 
@@ -462,78 +379,9 @@ def s_fused(Z: FusedModuleSpec, shift=None) -> TensorOperator:
 # ---------------------------------------------------------------------------
 # Yangian action and twisted-Yangian generator matrices
 
-class _TData:
+def _t_data(Z: FusedModuleSpec) -> FrameBlock:
     """T_Z(u) as polynomial coefficient frames over the scalar denominator
-    prod_q (u - v_q); keeps all products numeric.
-
-    The relation sampler evaluates T only up to a nonzero scalar: it clears
-    the denominators of the frames once (int_frames, held beside frames) and
-    drops both the denominator den(u0) and the content of the result.  Each
-    defining relation is homogeneous in every sampled T(u0) and S(u0), so the
-    same scalar product appears on both of its sides and equality is
-    unaffected."""
-
-    def __init__(self, frames: list[np.ndarray], den):
-        self.frames = frames
-        self.den = den
-        self._int_frames = None
-        self._int_scale = None
-
-    def int_frames(self) -> tuple[list[np.ndarray], Fraction]:
-        """The frames cleared once to integers: frames[k] = scale * int[k]."""
-        if self._int_frames is None:
-            mats, self._int_scale = to_int_scaled(np.array(self.frames))
-            self._int_frames = list(mats)
-        return self._int_frames, self._int_scale
-
-    def at_int(self, u0: Fraction) -> np.ndarray:
-        """A primitive integer matrix equal to T(u0) up to a nonzero scalar.
-
-        For u0 = p/q this is the homogenised Horner sum
-        sum_k int_frames[k] * p^k * q^(deg - k), divided by its content."""
-        if self.den.eval(u0) == 0:
-            raise SingularParameter(f"u = {u0} is a pole of T")
-        frames, _ = self.int_frames()
-        p, q = u0.numerator, u0.denominator
-        acc = frames[-1]
-        qk = 1
-        for fr in reversed(frames[:-1]):
-            qk *= q
-            acc = acc * p + fr * qk
-        return primitive_part(acc)
-
-    def at_infinity(self, K: int) -> list[ScaledIntMatrix]:
-        """Coefficients of u^0, u^-1, ..., u^-K of T(u), straight from the
-        integer frames.
-
-        With n = deg den, 1/den(u) = u^-n sum_j h_j u^-j, the h_j given by
-        the linear recurrence on the coefficients of den; so the u^-m
-        coefficient is sum_k frames[k] h_(m+k-n).  The h_j are cleared to
-        integers H_j = L h_j by one common L."""
-        n = self.den.degree
-        h = RatFunc(Poly.const(1), self.den).series_at_infinity(K + n)[n:]
-        L = math.lcm(*(c.denominator for c in h))
-        H = [int(c * L) for c in h]
-        frames, scale = self.int_frames()
-        out = []
-        for m in range(K + 1):
-            acc = np.zeros(frames[0].shape, dtype=object)
-            for k, F in enumerate(frames):
-                if m + k >= n:
-                    acc = acc + F * H[m + k - n]
-            out.append(ScaledIntMatrix(acc, scale / L))
-        return out
-
-    def ratfunc_matrix(self) -> np.ndarray:
-        shape = self.frames[0].shape
-        out = np.empty(shape, dtype=object)
-        for idx in np.ndindex(shape):
-            coeffs = [fr[idx] for fr in self.frames]
-            out[idx] = RatFunc(Poly(coeffs), self.den)
-        return out
-
-
-def _t_data(Z: FusedModuleSpec) -> _TData:
+    prod_q (u - v_q), on the legs (N,) + factor dims; cached on Z."""
     if Z._tdata is not None:
         return Z._tdata
     N = Z.N
@@ -553,15 +401,15 @@ def _t_data(Z: FusedModuleSpec) -> _TData:
         frames = restricted_chain(chain, kb, (N,) * (len(params) + 1))
         block = [ScaledIntMatrix.from_fractions(fr) for fr in frames]
         acc = acc @ MatrixLaurentSeries(0, block, exact_tail=True).embedded((0, 1 + j), dims)
-    data = _TData([m.to_fractions() for m in acc.coeffs], den)
-    Z._tdata = data
-    return data
+    Z._tdata = FrameBlock([m.to_fractions() for m in acc.coeffs], den, dims)
+    return Z._tdata
 
 
 def t_action(Z: FusedModuleSpec) -> TensorOperator:
     """T_Z(u): operator on (auxiliary C^N) (x) Z with RatFunc(u) entries,
     the ordered product of single-box breve factors restricted per factor."""
-    return TensorOperator(_t_data(Z).ratfunc_matrix(), (Z.N,) + Z.factor_dims)
+    td = _t_data(Z)
+    return TensorOperator(td.ratfunc_matrix(), td.dims)
 
 
 @dataclass
@@ -574,27 +422,10 @@ class GeneratorMatrices:
     rho: list  # rho[k][i][j] -> object ndarray (dimZ x dimZ)
 
 
-def _entrywise_series(op: TensorOperator, K: int) -> list[np.ndarray]:
-    """Coefficient matrices of u^0..u^-K for a RatFunc-entry operator."""
-    D = op.size
-    frames = [np.empty((D, D), dtype=object) for _ in range(K + 1)]
-    zero = Fraction(0)
-    for fr in frames:
-        fr[...] = zero
-    for (r, c), v in np.ndenumerate(op.mat):
-        f = v if isinstance(v, RatFunc) else RatFunc.const(v)
-        if f.is_zero():
-            continue
-        for k, coef in enumerate(f.series_at_infinity(K)):
-            if coef != 0:
-                frames[k][r, c] = coef
-    return frames
-
-
 def s_generators(Z: FusedModuleSpec, K: int) -> GeneratorMatrices:
     """Expand S_Z(u) = T^t(-u) T(u) at infinity to order K.
 
-    Both factors come straight from the integer T frames (_TData.at_infinity):
+    Both factors come straight from the integer T frames (FrameBlock.at_infinity):
     the u^-m coefficient of T^t(-u) is (-1)^m times the transposed u^-m
     coefficient of T(u)."""
     if K < 1:
@@ -839,13 +670,12 @@ def duality_check(omega: SkewDiagram, z, form: GForm, K: int | None = None) -> D
     z_sharp = -z - c_shift
     cont = column_tableau(omega).contents
     cont_s = column_tableau(sh_dia).contents
-    x = RatFunc.x()
 
     # tautological (descending) products at the two evaluation tuples
     t_sharp = [z_sharp + cont_s[n - p] for p in range(1, n + 1)]
     t_tau = [-(z + cont[n - p]) for p in range(1, n + 1)]
-    U_sharp = fusion_mod.defining_action_product(x, t_sharp, N, ascending=False)
-    U_tau = fusion_mod.defining_action_product(x, t_tau, N, ascending=False)
+    U_sharp = fusion_mod.defining_action_product(t_sharp, N)
+    U_tau = fusion_mod.defining_action_product(t_tau, N)
 
     dims = (N,) * (n + 1)
     Fe = TensorOperator(np.kron(feye(N), F.matrix.mat), dims)
@@ -859,8 +689,8 @@ def duality_check(omega: SkewDiagram, z, form: GForm, K: int | None = None) -> D
     def conj(X: TensorOperator) -> TensorOperator:
         return TensorOperator(X.mat[np.ix_(rev, rev)], dims)
 
-    Cs = _entrywise_series(U_sharp, K)
-    Ct = _entrywise_series(U_tau, K)
+    Cs = [c.to_fractions() for c in U_sharp.at_infinity(K)]
+    Ct = [c.to_fractions() for c in U_tau.at_infinity(K)]
     failures = []
     for k in range(K + 1):
         Lk = conj(TensorOperator(Cs[k], dims)) @ Fse

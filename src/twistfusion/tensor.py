@@ -19,9 +19,19 @@ from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
     NotInvariant,
+    SingularParameter,
 )
 from .exactnum import Poly, RatFunc
-from .linalg import ScaledIntMatrix, fzeros, feye, generic_dot, is_zero_matrix, mat_equal
+from .linalg import (
+    ScaledIntMatrix,
+    feye,
+    fzeros,
+    generic_dot,
+    is_zero_matrix,
+    mat_equal,
+    primitive_part,
+    to_int_scaled,
+)
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -403,8 +413,8 @@ def apply_factor_chain(V: np.ndarray, dims, chain) -> list[np.ndarray]:
     (a + b*zeta) * 1 + X_{p,q}, X the two-leg operator on the 0-indexed legs
     p, q given by its nonzero entries (r_p, r_q, c_p, c_q, value).  V has one
     row per basis vector of the legs ``dims``; the factors act right to left
-    as row operations.  a and the values may be scalars or RatFuncs, b is a
-    scalar, and a factor with b = 0 adds no frame.
+    as row operations.  a, b and the values are rational scalars, and a
+    factor with b = 0 adds no frame.
     """
     dims = tuple(dims)
     rows = np.arange(_prod(dims))
@@ -445,10 +455,10 @@ def restricted_chain(chain, basis: Basis, dims) -> list[np.ndarray]:
     cleared = []
     for (p, q, a, b, entries) in chain:
         vals = [a, b] + [e[4] for e in entries]
-        L = math.lcm(*(getattr(v, "denominator", 1) for v in vals))
+        L = math.lcm(*(v.denominator for v in vals))
         scale /= L
-        cleared.append((p, q, _times(a, L), _times(b, L),
-                        [(rp, rq, cp, cq, _times(v, L)) for (rp, rq, cp, cq, v) in entries]))
+        cleared.append((p, q, int(a * L), int(b * L),
+                        [(rp, rq, cp, cq, int(v * L)) for (rp, rq, cp, cq, v) in entries]))
     out = []
     for fr in apply_factor_chain(V, dims, cleared):
         X = solver.solve(fr)
@@ -456,12 +466,6 @@ def restricted_chain(chain, basis: Basis, dims) -> list[np.ndarray]:
             raise NotInvariant("factor chain does not preserve the basis span")
         out.append(X if scale == 1 else X * scale)
     return out
-
-
-def _times(v, L: int):
-    """v * L, as a Python int when that is an integral Fraction."""
-    w = v * L
-    return w.numerator if isinstance(w, Fraction) and w.denominator == 1 else w
 
 
 # ---------------------------------------------------------------------------
@@ -615,3 +619,93 @@ class MatrixLaurentSeries:
 
 class _WindowExhausted(Exception):
     """Internal: the known window of a Laurent series was used up; retry wider."""
+
+
+# ---------------------------------------------------------------------------
+# operators in one variable: polynomial frames over one scalar denominator
+
+@dataclass
+class FrameBlock:
+    """The operator (sum_k frames[k] x^k) / den(x) on the legs ``dims``, with
+    exact rational frames (lowest degree first) and a scalar Poly den.  Every
+    operator that depends on the deformation variable zeta or the spectral
+    parameter u takes this form.
+
+    The relation sampler evaluates T only up to a nonzero scalar: it clears
+    the frames to integers once (int_frames) and drops both den(u0) and the
+    content of the result (at_int).  Each defining relation is homogeneous in
+    every sampled T(u0) and S(u0), so the same scalar product appears on both
+    of its sides and equality is unaffected."""
+
+    frames: list
+    den: Poly
+    dims: tuple
+    _int: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def int_frames(self) -> tuple[list[np.ndarray], Fraction]:
+        """The frames cleared once to integers: frames[k] = scale * int[k]."""
+        if self._int is None:
+            mats, scale = to_int_scaled(np.array(self.frames))
+            self._int = (list(mats), scale)
+        return self._int
+
+    def _den_at(self, x0):
+        """den(x0); SingularParameter if x0 is a pole."""
+        d = self.den.eval(x0)
+        if d == 0:
+            raise SingularParameter(f"{x0} is a pole of the operator")
+        return d
+
+    def at(self, x0) -> TensorOperator:
+        """The exact value at x0 (Horner over the frames)."""
+        d = self._den_at(x0)
+        acc = self.frames[-1]
+        for fr in reversed(self.frames[:-1]):
+            acc = acc * x0 + fr
+        return TensorOperator(acc if d == 1 else acc / d, self.dims)
+
+    def at_int(self, u0: Fraction) -> np.ndarray:
+        """A primitive integer matrix equal to the value at u0 up to a
+        nonzero scalar.
+
+        For u0 = p/q this is the homogenised Horner sum
+        sum_k int_frames[k] * p^k * q^(deg - k), divided by its content."""
+        self._den_at(u0)
+        frames, _ = self.int_frames()
+        p, q = u0.numerator, u0.denominator
+        acc = frames[-1]
+        qk = 1
+        for fr in reversed(frames[:-1]):
+            qk *= q
+            acc = acc * p + fr * qk
+        return primitive_part(acc)
+
+    def at_infinity(self, K: int) -> list[ScaledIntMatrix]:
+        """Coefficients of u^0, u^-1, ..., u^-K, straight from the integer
+        frames.
+
+        With n = deg den, 1/den(u) = u^-n sum_j h_j u^-j, the h_j given by
+        the linear recurrence on the coefficients of den; so the u^-m
+        coefficient is sum_k frames[k] h_(m+k-n).  The h_j are cleared to
+        integers H_j = L h_j by one common L."""
+        n = self.den.degree
+        h = RatFunc(Poly.const(1), self.den).series_at_infinity(K + n)[n:]
+        L = math.lcm(*(c.denominator for c in h))
+        H = [int(c * L) for c in h]
+        frames, scale = self.int_frames()
+        out = []
+        for m in range(K + 1):
+            acc = np.zeros(frames[0].shape, dtype=object)
+            for k, F in enumerate(frames):
+                if m + k >= n:
+                    acc = acc + F * H[m + k - n]
+            out.append(ScaledIntMatrix(acc, scale / L))
+        return out
+
+    def ratfunc_matrix(self) -> np.ndarray:
+        """The entries as RatFuncs in x: the symbolic view, for references."""
+        shape = self.frames[0].shape
+        out = np.empty(shape, dtype=object)
+        for idx in np.ndindex(shape):
+            out[idx] = RatFunc(Poly([fr[idx] for fr in self.frames]), self.den)
+        return out

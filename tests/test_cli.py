@@ -196,6 +196,11 @@ def test_scan_g_file_matches_default_form(tmp_path):
     (["irreducible", "--modules", "1"], "'1'"),
     (["duality", "--diagram", "1", "--z", "1/0"], "'1/0'"),
     (["scan", "--modules", "1", "--grid", "1/3,abc"], "'abc'"),
+    (["check-ybe", "--n", "0"], "got 0"),
+    (["check-ybe", "--samples", "0"], "got 0"),
+    (["irreducible", "--n", "-2", "--modules", ""], "got -2"),
+    (["scan", "--modules", "1", "--grid", "1/3", "--jobs", "0"], "got 0"),
+    (["irreducible", "--modules", "1:1/3", "--g-file", "no-such-dir/g.json"], "no-such-dir"),
 ])
 def test_malformed_input_fails_without_traceback(argv, bad):
     # a fresh interpreter, so stderr shows exactly what a user would see
@@ -206,6 +211,15 @@ def test_malformed_input_fails_without_traceback(argv, bad):
     assert proc.returncode != 0
     assert "Traceback" not in proc.stderr
     assert "MalformedInput" in proc.stderr and bad in proc.stderr
+
+
+@pytest.mark.parametrize("content", ["[[1, 0], [0, 1]", "[1,2]", "[[1, 0], [0]]"])
+def test_bad_g_file_is_malformed_input(content, tmp_path, capsys):
+    gfile = tmp_path / "g.json"
+    gfile.write_text(content)
+    assert main(["irreducible", "--modules", "1:1/3", "--g-file", str(gfile)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("FAILED:") == 1 and "MalformedInput" in err and "g.json" in err
 
 
 @pytest.mark.parametrize("argv", [

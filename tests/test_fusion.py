@@ -6,8 +6,10 @@ import pytest
 from twistfusion.diagrams import SkewDiagram, column_tableau, parse_skew, ssyt_count
 from twistfusion.errors import BoxCapExceeded, ShapeTooTall, SingularParameter, SlopeCollision
 from twistfusion.exactnum import RatFunc
+from twistfusion import fusion
 from twistfusion.fusion import (
     default_slopes,
+    defining_action_product,
     fusion_operator,
     intertwining_check,
     verify_fusion_invariants,
@@ -138,6 +140,34 @@ def test_intertwining_passes():
     assert intertwining_check(BOX, 2, Fraction(1, 3)).passed
     assert intertwining_check(VDOM, 2, Fraction(1, 3)).passed
     assert intertwining_check(SkewDiagram((2, 2)), 2, Fraction(-3, 7)).passed
+
+
+def test_intertwining_detects_missing_reversal(monkeypatch):
+    # with sigma_hat replaced by the identity the two actions differ
+    monkeypatch.setattr(fusion, "reversal_op",
+                        lambda n, N: TensorOperator.identity((N,) * n))
+    rep = intertwining_check(SkewDiagram((2, 1)), 2, Fraction(1, 3))
+    assert len(rep.samples) == 5 and rep.failures == rep.samples
+
+
+@pytest.mark.parametrize("params,N,u0", [
+    ([Fraction(1, 3)], 2, Fraction(5, 7)),
+    ([Fraction(1, 3), Fraction(-2, 3)], 2, Fraction(2)),
+    ([Fraction(2, 5), Fraction(-3, 5), Fraction(7, 5)], 2, Fraction(-1, 4)),
+    ([Fraction(1, 3), Fraction(4, 3)], 3, Fraction(-5, 2)),
+])
+def test_defining_action_product_matches_dense_chain(params, N, u0):
+    # leg n's breve factor 1 - P_{0,q}/(u0 - a_q) leftmost, from the dense
+    # Yang matrices
+    n = len(params)
+    form = GForm.orthogonal(N)
+    dense = TensorOperator.identity((N,) * (n + 1))
+    for q in range(n, 0, -1):
+        Rb = yang_matrices(form, u0, params[q - 1])[2]
+        dense = dense @ embed_two_leg(Rb, 1, q + 1, n + 1)
+    assert defining_action_product(params, N).at(u0) == dense
+    with pytest.raises(SingularParameter):
+        defining_action_product(params, N).at(params[-1])
 
 
 def test_intertwining_pole_sample():

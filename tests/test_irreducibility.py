@@ -229,11 +229,11 @@ def test_breve_leading_restricted_flip_two_box_factors():
 
 
 def test_breve_leading_agrees_with_symbolic_route():
-    from twistfusion.repmatrix import breve_r_family_leading, r_factorized
+    from twistfusion.repmatrix import breve_r_family_leading, breve_r_frame_blocks, ratfunc_product
 
     Z = spec(SP2, (BOX, Fraction(1, 3)), (BOX, Fraction(7, 5)))
     order, coeff = breve_r_family_leading(Z)
-    fam = r_factorized(Z, Z, "Rb", w_shift=RatFunc.x())
+    fam = ratfunc_product(breve_r_frame_blocks(Z), Z.factor_dims * 2)
     expected = np.empty(fam.mat.shape, dtype=object)
     for idx, v in np.ndenumerate(fam.mat):
         f = v if isinstance(v, RatFunc) else RatFunc.const(v)

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from twistfusion.diagrams import SkewDiagram, column_tableau, enumerate_skew
+from twistfusion.diagrams import SkewDiagram, column_tableau, enumerate_skew, sharp
 from twistfusion.errors import BoxCapExceeded, ShapeTooTall, SingularParameter
 from twistfusion.exactnum import RatFunc, laurent_at_point, series_at_infinity
 from twistfusion import linalg, repmatrix
@@ -11,9 +11,11 @@ from twistfusion.fusion import fusion_operator
 from twistfusion.linalg import mat_equal, rank_exact
 from twistfusion.repmatrix import (
     FusedModuleSpec,
+    breve_r_frame_blocks,
     check_defining_relations,
     duality_check,
     r_factorized,
+    ratfunc_product,
     s_elementary,
     s_fused,
     s_generators,
@@ -22,6 +24,7 @@ from twistfusion.repmatrix import (
 )
 from twistfusion.tensor import (
     Basis,
+    FrameBlock,
     GForm,
     TensorOperator,
     embed_operator,
@@ -86,7 +89,7 @@ def test_r_factorized_single_boxes_matches_yang():
 def test_r_factorized_symbolic_single_pair():
     # W = Z = one box at z, W shifted: breve R = 1 - P/zeta
     Z = spec(SO2, (BOX, Fraction(1, 3)))
-    fam = r_factorized(Z, Z, "Rb", w_shift=RatFunc.x())
+    fam = ratfunc_product(breve_r_frame_blocks(Z), Z.factor_dims * 2)
     P, _ = structural_ops(SO2)
     orders = []
     for (i, j), v in np.ndenumerate(fam.mat):
@@ -104,7 +107,7 @@ def test_rb_leading_term_proportional_to_flip():
     # two single-box factors at (1/3, 7/5): leading coefficient is a scalar
     # multiple of the flip of the two copies
     Z = spec(SP2, (BOX, Fraction(1, 3)), (BOX, Fraction(7, 5)))
-    fam = r_factorized(Z, Z, "Rb", w_shift=RatFunc.x())
+    fam = ratfunc_product(breve_r_frame_blocks(Z), Z.factor_dims * 2)
     D = 4
     r_min = None
     for (_, v) in np.ndenumerate(fam.mat):
@@ -161,12 +164,12 @@ def test_pair_blocks_match_dense_product(kind, form, modules, shifts):
     value = sum(fr * zeta**k for k, fr in enumerate(fb.frames)) / fb.den.eval(zeta)
     assert fb.dims == oracle.dims
     assert mat_equal(value, oracle.mat)
-    # the scalar-parameter route of r_factorized at the same point
-    block = repmatrix._pair_block(
-        form, Z.contents(0), Z.basis(0), Z.z(0) + (zeta if shifts[0] else 0),
-        Z.contents(1), Z.basis(1), Z.z(1) + (zeta if shifts[1] else 0), kind,
-    )
-    assert block == oracle
+    assert fb.at(zeta) == oracle
+    if shifts == (False, False):
+        # the numeric route: r_factorized's one block between the two factors
+        W, Z1 = (FusedModuleSpec(form, [f]) for f in Z.factors)
+        (block, slots), = repmatrix.r_factorized_blocks(W, Z1, kind)
+        assert slots == (0, 1) and block == oracle
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +208,10 @@ def _s_elementary_oracle(omega, z, form):
 def test_s_elementary_matches_proof_form(omega, N, z):
     form = GForm.orthogonal(N)
     assert s_elementary(omega, z, form) == _s_elementary_oracle(omega, z, form)
+    # the zeta-shifted frames (every box parameter plus zeta) at zeta = 2/9
+    zeta = Fraction(2, 9)
+    shifted = repmatrix._elementary_s_frames(omega, z, True, form).at(zeta)
+    assert shifted == _s_elementary_oracle(omega, z + zeta, form)
 
 
 def test_s_elementary_vdom_value():
@@ -361,7 +368,7 @@ def test_relations_reject_perturbed_t_frame(path, monkeypatch):
     td = repmatrix._t_data(Z)
     frames = [fr.copy() for fr in td.frames]
     frames[0][0, 1] += 1
-    Z._tdata = repmatrix._TData(frames, td.den)
+    Z._tdata = FrameBlock(frames, td.den, td.dims)
     if path == "object":
         monkeypatch.setattr(linalg, "int64_certified", lambda bound: False)
         seen = []
@@ -446,14 +453,25 @@ def test_s_generators_zeroth_slice():
                     assert blk[a, b] == (1 if (i == j and a == b) else 0)
 
 
+def _entrywise_series(op, K):
+    """Coefficient matrices of u^0..u^-K of a RatFunc-entry operator."""
+    frames = [np.full((op.size, op.size), Fraction(0), dtype=object) for _ in range(K + 1)]
+    for (r, c), v in np.ndenumerate(op.mat):
+        f = v if isinstance(v, RatFunc) else RatFunc.const(v)
+        if not f.is_zero():
+            for k, coef in enumerate(f.series_at_infinity(K)):
+                frames[k][r, c] = coef
+    return frames
+
+
 def _s_generators_ratfunc(Z, K):
     """The RatFunc route, kept as an oracle: T(u) as a RatFunc matrix, the
     transposed T(-u), each entry expanded at infinity, and the Fraction
     Cauchy product of the two expansions."""
     T = t_action(Z)
     Tt = transpose_legs(T.map_entries(lambda f: RatFunc.coerce(f).subs_neg()), {1}, Z.form)
-    A = repmatrix._entrywise_series(Tt, K)
-    B = repmatrix._entrywise_series(T, K)
+    A = _entrywise_series(Tt, K)
+    B = _entrywise_series(T, K)
     return [sum(linalg.fdot(A[a], B[k - a]) for a in range(k + 1)) for k in range(K + 1)]
 
 
@@ -507,6 +525,22 @@ def test_duality_examples(omega, form):
 def test_duality_vdom_other_point():
     rep = duality_check(VDOM, Fraction(2, 5), SO2)
     assert rep.passed
+
+
+@pytest.mark.parametrize("omega,form,failures", [
+    (BOX, SO2, [2]),
+    (VDOM, SP2, [2, 3, 4]),
+    (SkewDiagram((2,)), SO3, [2, 3, 4]),
+], ids=["1-so2", "1,1-sp2", "2-so3"])
+def test_duality_detects_wrong_sharp_shift(omega, form, failures, monkeypatch):
+    # with the content shift of omega-sharp off by one, the two sides differ
+    # from the order where the shift first enters the coefficients
+    def shifted_sharp(dia):
+        sh, c = sharp(dia)
+        return sh, c + 1
+
+    monkeypatch.setattr(repmatrix, "sharp", shifted_sharp)
+    assert duality_check(omega, Fraction(1, 3), form).failures == failures
 
 
 # ---------------------------------------------------------------------------

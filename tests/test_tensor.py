@@ -4,11 +4,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from twistfusion.errors import DimensionMismatch, IndexOutOfRange, NotInvariant
+from twistfusion.errors import DimensionMismatch, IndexOutOfRange, NotInvariant, SingularParameter
 from twistfusion.exactnum import Poly, RatFunc
 from twistfusion.linalg import ScaledIntMatrix, feye, fzeros, mat_equal
 from twistfusion.tensor import (
     Basis,
+    FrameBlock,
     GForm,
     MatrixLaurentSeries,
     TensorOperator,
@@ -372,3 +373,28 @@ def test_from_frames_drops_leading_zero_frames(den_coeffs, exact):
 def test_from_frames_all_zero_frames():
     series = MatrixLaurentSeries.from_frames([fzeros((2, 2))] * 3, Poly([0, 1, 1]), 4)
     assert series.exact_tail and series.coeffs[0].is_zero()
+
+
+def test_frame_block_views_agree():
+    # (F0 + F1 x + F2 x^2) / ((x - 1/2)(x + 3)) on legs (2, 2)
+    rng = random.Random(8)
+    frames = [np.array([[Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(4)]
+                        for _ in range(4)], dtype=object) for _ in range(3)]
+    fb = FrameBlock(frames, Poly((Fraction(-3, 2), Fraction(5, 2), 1)), (2, 2))
+    sym = fb.ratfunc_matrix()
+    for x0 in (Fraction(0), Fraction(2, 7), Fraction(-5)):
+        value = fb.at(x0)
+        assert value.dims == (2, 2)
+        assert all(value.mat[idx] == sym[idx].eval(x0) for idx in np.ndindex(4, 4))
+        ints = fb.at_int(x0)
+        r, c = next(idx for idx, v in np.ndenumerate(ints) if v != 0)
+        assert mat_equal(ints * (value.mat[r, c] / ints[r, c]), value.mat)
+    K = 4
+    for k, coeff in enumerate(fb.at_infinity(K)):
+        expect = [[sym[r, c].series_at_infinity(K)[k] for c in range(4)] for r in range(4)]
+        assert mat_equal(coeff.to_fractions(), np.array(expect, dtype=object))
+    for pole in (Fraction(1, 2), Fraction(-3)):
+        with pytest.raises(SingularParameter):
+            fb.at(pole)
+        with pytest.raises(SingularParameter):
+            fb.at_int(pole)
