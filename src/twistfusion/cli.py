@@ -278,6 +278,9 @@ def cmd_scan(args) -> int:
         axes = [
             [parse_rational(v) for v in chunk.split(",") if v.strip()] for chunk in lists
         ]
+        for i, axis in enumerate(axes):
+            if not axis:
+                raise MalformedInput(f"grid list of factor {i + 1} (diagram {dias[i]}) is empty")
         points = list(product(*axes))
     grows = [[str(v) for v in row] for row in form.g] if args.g_file else None
     payloads = [

@@ -197,7 +197,7 @@ def defining_action_product(params, N: int) -> FrameBlock:
         den = den * Poly((-L * a_q, L))
     dims = (N,) * (n + 1)
     identity = np.eye(N ** (n + 1), dtype=int).astype(object)
-    return FrameBlock(apply_factor_chain(identity, dims, chain), den, dims)
+    return FrameBlock(apply_factor_chain(identity, dims, chain), Fraction(1), den, dims)
 
 
 @dataclass

@@ -175,11 +175,6 @@ class ScaledIntMatrix:
         self.scale = scale
 
     @classmethod
-    def from_fractions(cls, A: np.ndarray) -> "ScaledIntMatrix":
-        m, s = to_int_scaled(A)
-        return cls(m, s)
-
-    @classmethod
     def zeros(cls, shape) -> "ScaledIntMatrix":
         return cls(np.zeros(shape, dtype=object), Fraction(1))
 
@@ -411,7 +406,7 @@ def inverse(A: np.ndarray) -> np.ndarray:
 # solving in a basis
 
 class BasisSolver:
-    """Solves B x = rhs for a fixed full-column-rank Fraction matrix B.
+    """Solves B x = rhs for a fixed full-column-rank matrix B.
 
     Precomputes the inverse of a square block of pivot rows (the pivots of
     B^T); solve() returns the coordinates plus an exact consistency residual
@@ -427,20 +422,31 @@ class BasisSolver:
         self.rows = pivots  # k independent rows of B
         self.B_int, self.B_scale = to_int_scaled(B)
         self._inv_int, self._inv_scale = to_int_scaled(inverse(B[pivots, :]))
-        self._ratio = self.B_scale * self._inv_scale
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray | None:
+    @classmethod
+    def kron(cls, s1: "BasisSolver", s2: "BasisSolver") -> "BasisSolver":
+        """The solver of kron(B1, B2), with no elimination: the rows
+        r1 * n2 + r2 of kron(B1, B2) form the square block kron(B1[rows1],
+        B2[rows2]), whose inverse is the Kronecker product of the inverses."""
+        out, n2 = cls.__new__(cls), s2.B_int.shape[0]
+        out.rows = [r1 * n2 + r2 for r1 in s1.rows for r2 in s2.rows]
+        out.B_int, out.B_scale = np.kron(s1.B_int, s2.B_int), s1.B_scale * s2.B_scale
+        out._inv_int = np.kron(s1._inv_int, s2._inv_int)
+        out._inv_scale = s1._inv_scale * s2._inv_scale
+        return out
+
+    def solve(self, rhs: np.ndarray) -> ScaledIntMatrix | None:
         """Coordinates X with B @ X = rhs, or None if inconsistent.
 
-        With rhs = sr * Ri and X = inv_scale * sr * Y, Y = inv_int @ Ri[rows]:
-        B @ X = rhs exactly when ratio * (B_int @ Y) = Ri."""
+        With rhs = sr * Ri, X = inv_scale * sr * Y for the integer
+        Y = inv_int @ Ri[rows], and B @ X = rhs exactly when
+        B_scale * inv_scale * (B_int @ Y) = Ri.  An integer rhs gives the
+        scale inv_scale."""
         single = rhs.ndim == 1
         Ri, sr = to_int_scaled(rhs.reshape(-1, 1) if single else rhs)
         Y = int_matmul(self._inv_int, Ri[self.rows, :]).astype(object)
         lhs = int_matmul(self.B_int, Y).astype(object)
-        c = self._ratio
+        c = self.B_scale * self._inv_scale
         if not np.array_equal(lhs * c.numerator, Ri * c.denominator):
             return None
-        s = self._inv_scale * sr
-        X = Y * s if s != 1 else Y
-        return X[:, 0] if single else X
+        return ScaledIntMatrix(Y[:, 0] if single else Y, self._inv_scale * sr)

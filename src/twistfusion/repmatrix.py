@@ -35,8 +35,8 @@ from .errors import (
 )
 from .exactnum import Poly, RatFunc, parse_rational
 from .linalg import (
+    BasisSolver,
     ScaledIntMatrix,
-    feye,
     int_kernel,
     int_matmul,
     mat_equal,
@@ -116,7 +116,6 @@ class FusedModuleSpec:
             raise BoxCapExceeded(f"{self.n_total} boxes exceed cap {box_cap}")
         self._fusion = None
         self._tdata = None
-        self._kron_bases: dict = {}
 
     # -- construction helpers -------------------------------------------
     @classmethod
@@ -172,12 +171,6 @@ class FusedModuleSpec:
 
     def all_box_params(self) -> list[Fraction]:
         return [p for i in range(self.ell) for p in self.box_params(i)]
-
-    def kron_basis(self, i: int, j: int) -> Basis:
-        key = (i, j)
-        if key not in self._kron_bases:
-            self._kron_bases[key] = Basis.kron(self.basis(i), self.basis(j))
-        return self._kron_bases[key]
 
     def spec_string(self) -> str:
         return ";".join(f"{d}:{z}" for d, z in self.factors)
@@ -239,8 +232,9 @@ def _pair_block_frames(
                 raise SingularParameter(f"{name} singular at boxes ({p+1},{q+1})")
             den = den * Poly((a, Fraction(b)))
         chain.append((p, nA + q, a, b, entries))
-    frames = restricted_chain(chain, Z.kron_basis(i, j), (Z.N,) * (nA + nB))
-    return FrameBlock(frames, den, (Z.basis(i).size, Z.basis(j).size))
+    solver = BasisSolver.kron(Z.basis(i).solver(), Z.basis(j).solver())
+    frames, scale = restricted_chain(chain, solver, (Z.N,) * (nA + nB))
+    return FrameBlock(frames, scale, den, (Z.basis(i).size, Z.basis(j).size))
 
 
 def _elementary_s_frames(
@@ -255,7 +249,7 @@ def _elementary_s_frames(
         basis = fusion_mod.fusion_operator(omega, form.N, box_cap=max(6, n)).module_basis
     one = Poly.const(1)
     if n <= 1:
-        return FrameBlock([feye(basis.size)], one, (basis.size,))
+        return FrameBlock([np.eye(basis.size, dtype=int).astype(object)], _F1, one, (basis.size,))
     cont = column_tableau(omega).contents
     _, Q = structural_ops(form)
     entries = _negated(two_leg_entries(Q))
@@ -265,7 +259,8 @@ def _elementary_s_frames(
         for p in reversed(range(n))
         for q in reversed(range(p))
     ]
-    return FrameBlock(restricted_chain(chain, basis, (form.N,) * n), one, (basis.size,))
+    frames, scale = restricted_chain(chain, basis.solver(), (form.N,) * n)
+    return FrameBlock(frames, scale, one, (basis.size,))
 
 
 def _s_fused_frame_blocks(Z: FusedModuleSpec, shifted: bool) -> list:
@@ -309,7 +304,7 @@ def frame_product(blocks, dims, window: int) -> MatrixLaurentSeries:
     blocks act on one or two factors, and no D x D block matrix is formed."""
     prod = MatrixLaurentSeries.identity(math.prod(dims))
     for fb, slots in blocks:
-        block = MatrixLaurentSeries.from_frames(fb.frames, fb.den, window)
+        block = MatrixLaurentSeries.from_frames(fb.frames, fb.scale, fb.den, window)
         prod = prod @ block.embedded(slots, dims)
     return prod.trimmed()
 
@@ -363,16 +358,12 @@ def s_elementary(omega: SkewDiagram, z, form: GForm, basis: Basis | None = None)
     return _elementary_s_frames(omega, z, False, form, basis).at(0)
 
 
-def s_fused_blocks(Z: FusedModuleSpec) -> list[tuple[TensorOperator, tuple[int, ...]]]:
-    """Ordered blocks of the fused S-matrix of Z."""
-    return [(fb.at(0), slots) for fb, slots in _s_fused_frame_blocks(Z, False)]
-
-
 def s_fused(Z: FusedModuleSpec) -> TensorOperator:
+    """The fused S-matrix of Z, from its ordered blocks at zeta = 0."""
     dims = Z.factor_dims
     out = TensorOperator.identity(dims)
-    for block, slots in s_fused_blocks(Z):
-        out = out @ embed_operator(block, slots, dims)
+    for fb, slots in _s_fused_frame_blocks(Z, False):
+        out = out @ embed_operator(fb.at(0), slots, dims)
     return out
 
 
@@ -381,13 +372,18 @@ def s_fused(Z: FusedModuleSpec) -> TensorOperator:
 
 def _t_data(Z: FusedModuleSpec) -> FrameBlock:
     """T_Z(u) as polynomial coefficient frames over the scalar denominator
-    prod_q (u - v_q), on the legs (N,) + factor dims; cached on Z."""
+    prod_q (u - v_q), on the legs (N,) + factor dims; cached on Z.
+
+    The coefficients of the product series carry their own scales; the
+    frames are them over the largest common scale g of the nonzero ones (a
+    zero coefficient may carry any scale)."""
     if Z._tdata is not None:
         return Z._tdata
     N = Z.N
     dims = (N,) + Z.factor_dims
     P, _ = structural_ops(Z.form)
     entries = _negated(two_leg_entries(P))
+    aux = Basis.full(N).solver()
     # the accumulated product: a polynomial in u, as an exact-tail series
     acc = MatrixLaurentSeries.identity(N * Z.dimZ)
     den = Poly.const(1)
@@ -397,11 +393,14 @@ def _t_data(Z: FusedModuleSpec) -> FrameBlock:
         chain = [(0, q, -vq, 1, entries) for q, vq in enumerate(params, start=1)]
         for vq in params:
             den = den * Poly((-vq, _F1))
-        kb = Basis.kron(Basis.full(N), Z.basis(j))
-        frames = restricted_chain(chain, kb, (N,) * (len(params) + 1))
-        block = [ScaledIntMatrix.from_fractions(fr) for fr in frames]
+        solver = BasisSolver.kron(aux, Z.basis(j).solver())
+        frames, scale = restricted_chain(chain, solver, (N,) * (len(params) + 1))
+        block = [ScaledIntMatrix(fr, scale) for fr in frames]
         acc = acc @ MatrixLaurentSeries(0, block, exact_tail=True).embedded((0, 1 + j), dims)
-    Z._tdata = FrameBlock([m.to_fractions() for m in acc.coeffs], den, dims)
+    scales = [m.scale for m in acc.coeffs if not m.is_zero()] or [_F1]
+    g = Fraction(math.gcd(*(s.numerator for s in scales)),
+                 math.lcm(*(s.denominator for s in scales)))
+    Z._tdata = FrameBlock([m.mat * int(m.scale / g) for m in acc.coeffs], g, den, dims)
     return Z._tdata
 
 
@@ -569,17 +568,14 @@ def check_defining_relations(Z: FusedModuleSpec, samples=None) -> RelationReport
     # true one times a nonzero scalar
     int_form, _ = _cleared_form(Z.form)
     minus_p, minus_q = (_aux_minus(X) for X in structural_ops(Z.form))
-    poles = set()
-    for p in Z.all_box_params():
-        poles.add(p)
-        poles.add(-p)
+    poles = {s * p for p in Z.all_box_params() for s in (1, -1)}
 
     if samples is None:
         grid = []
         k = 1
         while len(grid) < bound + 1:
             q = Fraction(k)
-            if q not in poles and -q not in poles:
+            if q not in poles:
                 grid.append(q)
             k += 1
         pairs = [(u, v) for u in grid for v in grid]
@@ -607,7 +603,7 @@ def check_defining_relations(Z: FusedModuleSpec, samples=None) -> RelationReport
     rtt_fail, refl_fail, singular = [], [], []
     rtt_n = refl_n = 0
     for (u0, v0) in pairs:
-        if u0 in poles or -u0 in poles or v0 in poles or -v0 in poles:
+        if u0 in poles or v0 in poles:
             singular.append(
                 {"u": str(u0), "v": str(v0), "error": "SingularParameter: sample at a pole"}
             )
@@ -678,25 +674,32 @@ def duality_check(omega: SkewDiagram, z, form: GForm, K: int | None = None) -> D
     U_tau = fusion_mod.defining_action_product(t_tau, N)
 
     dims = (N,) * (n + 1)
-    Fe = TensorOperator(np.kron(feye(N), F.matrix.mat), dims)
-    Fse = TensorOperator(np.kron(feye(N), Fs.matrix.mat), dims)
+    # on integer matrices and their scales: F and F_sharp are cleared once,
+    # and the true transposition of legs 2..n+1 is c^n times the one by the
+    # cleared form
+    (F_int, sF), (Fs_int, sFs) = (to_int_scaled(op.matrix.mat) for op in (F, Fs))
+    one = np.eye(N, dtype=int).astype(object)
+    Fe, Fse = np.kron(one, F_int), np.kron(one, Fs_int)
+    int_form, c = _cleared_form(form)
     legs = set(range(2, n + 2))
     # sigma_hat on legs 2..n+1 is an involutive permutation matrix, so
     # conjugating by it reads X on the index with those legs reversed
     digits = np.unravel_index(np.arange(N ** (n + 1)), dims)
     rev = np.ravel_multi_index((digits[0],) + digits[:0:-1], dims)
 
-    def conj(X: TensorOperator) -> TensorOperator:
-        return TensorOperator(X.mat[np.ix_(rev, rev)], dims)
+    def conj(X: np.ndarray) -> np.ndarray:
+        return X[np.ix_(rev, rev)]
 
-    Cs = [c.to_fractions() for c in U_sharp.at_infinity(K)]
-    Ct = [c.to_fractions() for c in U_tau.at_infinity(K)]
+    def transposed(X: np.ndarray) -> np.ndarray:
+        return transpose_legs(TensorOperator(X, dims), legs, int_form).mat
+
     failures = []
-    for k in range(K + 1):
-        Lk = conj(TensorOperator(Cs[k], dims)) @ Fse
-        rho_tau = conj(transpose_legs(TensorOperator(Ct[k], dims), legs, form))
-        Xk = rho_tau @ Fe
-        Rk = conj(transpose_legs(Xk, legs, form))
-        if Lk != Rk:
+    for k, (Cs, Ct) in enumerate(zip(U_sharp.at_infinity(K), U_tau.at_infinity(K))):
+        # L_k = sL * L and R_k = sR * R, compared exactly across the scales
+        L, sL = int_matmul(conj(Cs.mat), Fse), Cs.scale * sFs
+        R = conj(transposed(int_matmul(conj(transposed(Ct.mat)), Fe)))
+        sR = Ct.scale * sF * c ** (2 * n)
+        if not np.array_equal(L * (sL.numerator * sR.denominator),
+                              R * (sR.numerator * sL.denominator)):
             failures.append(k)
     return DualityReport(omega, N, form.kind, z, K, failures)

@@ -30,7 +30,6 @@ from .linalg import (
     is_zero_matrix,
     mat_equal,
     primitive_part,
-    to_int_scaled,
 )
 
 _F0 = Fraction(0)
@@ -359,7 +358,7 @@ def restrict(A: TensorOperator, domain: Basis, codomain: Basis, dims=None) -> Te
         raise NotInvariant("operator does not map domain span into codomain span")
     if domain.size != codomain.size:
         raise DimensionMismatch("restriction of a square operator needs equal basis sizes")
-    return TensorOperator(X, dims if dims is not None else (domain.size,))
+    return TensorOperator(X.to_fractions(), dims if dims is not None else (domain.size,))
 
 
 def partial_trace_first(M: TensorOperator, dimW: int):
@@ -442,15 +441,16 @@ def apply_factor_chain(V: np.ndarray, dims, chain) -> list[np.ndarray]:
     return frames
 
 
-def restricted_chain(chain, basis: Basis, dims) -> list[np.ndarray]:
-    """Frames of the chain's operator in ``basis``, whose span it must map
-    into itself (NotInvariant otherwise); see apply_factor_chain.
+def restricted_chain(chain, solver: linalg.BasisSolver, dims) -> tuple[list, Fraction]:
+    """Integer frames and one Fraction scale: frame k of the chain's
+    operator in the basis of ``solver``, whose span it must map into itself
+    (NotInvariant otherwise), is scale * frames[k]; see apply_factor_chain.
 
     The kernel runs on integers: it starts from the cleared basis matrix
     B_int = B / s and multiplies each factor by the lcm L of its rational
-    denominators, which scales the solved frames by prod(L) / s; they are
-    multiplied by s / prod(L) at the end."""
-    solver = basis.solver()
+    denominators, which scales the frames by prod(L) / s.  Each integer
+    frame is solved to integer coordinates over the solver's one scale, so
+    the scale is that one times s / prod(L)."""
     V, scale = solver.B_int, solver.B_scale
     cleared = []
     for (p, q, a, b, entries) in chain:
@@ -459,13 +459,13 @@ def restricted_chain(chain, basis: Basis, dims) -> list[np.ndarray]:
         scale /= L
         cleared.append((p, q, int(a * L), int(b * L),
                         [(rp, rq, cp, cq, int(v * L)) for (rp, rq, cp, cq, v) in entries]))
-    out = []
+    frames = []
     for fr in apply_factor_chain(V, dims, cleared):
         X = solver.solve(fr)
         if X is None:
             raise NotInvariant("factor chain does not preserve the basis span")
-        out.append(X if scale == 1 else X * scale)
-    return out
+        frames.append(X.mat)
+    return frames, scale * X.scale
 
 
 # ---------------------------------------------------------------------------
@@ -500,10 +500,10 @@ class MatrixLaurentSeries:
                    exact_tail=True)
 
     @classmethod
-    def from_frames(cls, frames, den, window: int) -> "MatrixLaurentSeries":
-        """Series of (sum_k frames[k] t^k) / den(t); frames are exact Fraction
-        matrices, den a scalar polynomial.  Each frame is cleared to integers
-        once.
+    def from_frames(cls, frames, scale, den, window: int) -> "MatrixLaurentSeries":
+        """Series of scale * (sum_k frames[k] t^k) / den(t); frames are
+        integer matrices, scale a Fraction and den a scalar polynomial.  The
+        frames become the coefficients' integer matrices as they are.
 
         The order is exact: leading frames that are exactly zero are dropped,
         so with k0 the first nonzero frame the series starts at
@@ -518,12 +518,11 @@ class MatrixLaurentSeries:
         val = den.valuation()
         if den.degree == val:
             # pure monomial: exact finite Laurent expansion
-            inv = 1 / den.coeffs[val]
-            coeffs = [ScaledIntMatrix.from_fractions(inv * f) for f in frames]
-            return cls(k0 - val, coeffs, exact_tail=True)
+            inv = scale / den.coeffs[val]
+            return cls(k0 - val, [ScaledIntMatrix(f, inv) for f in frames], exact_tail=True)
         order, cs = RatFunc(Poly.const(1), den).laurent_at(0, window)
         order += k0
-        cleared = [ScaledIntMatrix.from_fractions(f) for f in frames]
+        cleared = [ScaledIntMatrix(f, scale) for f in frames]
         out = []
         shape = frames[0].shape
         for s in range(window):
@@ -626,59 +625,46 @@ class _WindowExhausted(Exception):
 
 @dataclass
 class FrameBlock:
-    """The operator (sum_k frames[k] x^k) / den(x) on the legs ``dims``, with
-    exact rational frames (lowest degree first) and a scalar Poly den.  Every
-    operator that depends on the deformation variable zeta or the spectral
-    parameter u takes this form.
+    """The operator scale * (sum_k frames[k] x^k) / den(x) on the legs
+    ``dims``, with integer frames (lowest degree first), one Fraction scale
+    and a scalar Poly den.  Every operator that depends on the deformation
+    variable zeta or the spectral parameter u takes this form.
 
-    The relation sampler evaluates T only up to a nonzero scalar: it clears
-    the frames to integers once (int_frames) and drops both den(u0) and the
-    content of the result (at_int).  Each defining relation is homogeneous in
-    every sampled T(u0) and S(u0), so the same scalar product appears on both
-    of its sides and equality is unaffected."""
+    The relation sampler evaluates T only up to a nonzero scalar: it drops
+    the scale, den(u0) and the content of the result (at_int).  Each
+    defining relation is homogeneous in every sampled T(u0) and S(u0), so
+    the same scalar product appears on both of its sides and equality is
+    unaffected."""
 
     frames: list
+    scale: Fraction
     den: Poly
     dims: tuple
-    _int: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
-    def int_frames(self) -> tuple[list[np.ndarray], Fraction]:
-        """The frames cleared once to integers: frames[k] = scale * int[k]."""
-        if self._int is None:
-            mats, scale = to_int_scaled(np.array(self.frames))
-            self._int = (list(mats), scale)
-        return self._int
-
-    def _den_at(self, x0):
-        """den(x0); SingularParameter if x0 is a pole."""
+    def _horner(self, x0: Fraction) -> tuple[Fraction, np.ndarray]:
+        """den(x0), SingularParameter if x0 is a pole, and for x0 = p/q the
+        integer matrix sum_k frames[k] p^k q^(deg - k), deg = len(frames) - 1:
+        the frame sum at x0 times q^deg."""
         d = self.den.eval(x0)
         if d == 0:
             raise SingularParameter(f"{x0} is a pole of the operator")
-        return d
+        acc, qk = self.frames[-1], 1
+        for fr in reversed(self.frames[:-1]):
+            qk *= x0.denominator
+            acc = acc * x0.numerator + fr * qk
+        return d, acc
 
     def at(self, x0) -> TensorOperator:
-        """The exact value at x0 (Horner over the frames)."""
-        d = self._den_at(x0)
-        acc = self.frames[-1]
-        for fr in reversed(self.frames[:-1]):
-            acc = acc * x0 + fr
-        return TensorOperator(acc if d == 1 else acc / d, self.dims)
+        """The exact value at x0, a Fraction matrix."""
+        x0 = Fraction(x0)
+        d, acc = self._horner(x0)
+        q_deg = x0.denominator ** (len(self.frames) - 1)
+        return TensorOperator(acc * (self.scale / (d * q_deg)), self.dims)
 
     def at_int(self, u0: Fraction) -> np.ndarray:
         """A primitive integer matrix equal to the value at u0 up to a
-        nonzero scalar.
-
-        For u0 = p/q this is the homogenised Horner sum
-        sum_k int_frames[k] * p^k * q^(deg - k), divided by its content."""
-        self._den_at(u0)
-        frames, _ = self.int_frames()
-        p, q = u0.numerator, u0.denominator
-        acc = frames[-1]
-        qk = 1
-        for fr in reversed(frames[:-1]):
-            qk *= q
-            acc = acc * p + fr * qk
-        return primitive_part(acc)
+        nonzero scalar: the homogenised Horner sum divided by its content."""
+        return primitive_part(self._horner(u0)[1])
 
     def at_infinity(self, K: int) -> list[ScaledIntMatrix]:
         """Coefficients of u^0, u^-1, ..., u^-K, straight from the integer
@@ -692,14 +678,13 @@ class FrameBlock:
         h = RatFunc(Poly.const(1), self.den).series_at_infinity(K + n)[n:]
         L = math.lcm(*(c.denominator for c in h))
         H = [int(c * L) for c in h]
-        frames, scale = self.int_frames()
         out = []
         for m in range(K + 1):
-            acc = np.zeros(frames[0].shape, dtype=object)
-            for k, F in enumerate(frames):
+            acc = np.zeros(self.frames[0].shape, dtype=object)
+            for k, F in enumerate(self.frames):
                 if m + k >= n:
                     acc = acc + F * H[m + k - n]
-            out.append(ScaledIntMatrix(acc, scale / L))
+            out.append(ScaledIntMatrix(acc, self.scale / L))
         return out
 
     def ratfunc_matrix(self) -> np.ndarray:
@@ -707,5 +692,5 @@ class FrameBlock:
         shape = self.frames[0].shape
         out = np.empty(shape, dtype=object)
         for idx in np.ndindex(shape):
-            out[idx] = RatFunc(Poly([fr[idx] for fr in self.frames]), self.den)
+            out[idx] = RatFunc(Poly([self.scale * fr[idx] for fr in self.frames]), self.den)
         return out

@@ -201,6 +201,8 @@ def test_scan_g_file_matches_default_form(tmp_path):
     (["irreducible", "--n", "-2", "--modules", ""], "got -2"),
     (["scan", "--modules", "1", "--grid", "1/3", "--jobs", "0"], "got 0"),
     (["irreducible", "--modules", "1:1/3", "--g-file", "no-such-dir/g.json"], "no-such-dir"),
+    (["scan", "--modules", "1;1", "--grid", "1/3;", "--form", "sp", "--n", "2"], "factor 2"),
+    (["scan", "--modules", "1;1", "--grid", ";", "--form", "sp", "--n", "2"], "factor 1"),
 ])
 def test_malformed_input_fails_without_traceback(argv, bad):
     # a fresh interpreter, so stderr shows exactly what a user would see

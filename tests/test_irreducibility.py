@@ -290,7 +290,7 @@ def test_phi_leading_one_product_at_generic_points(form, factors, monkeypatch):
     phi = phi_leading(Z)
     assert calls == [1]
     # the exact block orders add up to the order of the product
-    orders = [MatrixLaurentSeries.from_frames(fb.frames, fb.den, 1).order
+    orders = [MatrixLaurentSeries.from_frames(fb.frames, fb.scale, fb.den, 1).order
               for fb, _ in swz_frame_blocks(Z)]
     assert sum(orders) == phi.order
 

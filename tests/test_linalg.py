@@ -127,3 +127,39 @@ def test_inverse_and_singular_inputs():
     deficient = np.array([[1, 2], [2, 4], [3, 6]], dtype=object)
     with pytest.raises(DimensionMismatch):
         linalg.BasisSolver(deficient)
+
+
+# ---------------------------------------------------------------------------
+# Kronecker solvers
+
+def _fractions(rows) -> np.ndarray:
+    return np.array([[Fraction(v) for v in row] for row in rows], dtype=object)
+
+
+# pivot rows [1, 2] (row 0 is zero) and [0, 2] (row 1 is twice row 0)
+_B1 = _fractions([[0, 0], ["1/2", "1/3"], [2, "-1/5"]])
+_B2 = _fractions([["1/3", "2/3"], ["2/3", "4/3"], [0, "1/7"], [5, 1]])
+
+
+def test_kron_solver_solves_as_the_dense_kron_basis():
+    s1, s2 = linalg.BasisSolver(_B1), linalg.BasisSolver(_B2)
+    assert (s1.rows, s2.rows) == ([1, 2], [0, 2])
+    sk = linalg.BasisSolver.kron(s1, s2)
+    assert sk.rows == [4, 6, 8, 10]
+    B = np.kron(_B1, _B2)
+    dense = linalg.BasisSolver(B)
+    X = _fractions([[1, "-2/3", 0], ["5/7", 3, "1/2"], [0, 0, "-4/9"], [2, "1/11", 1]])
+    rhs = linalg.fdot(B, X)
+    for solver in (sk, dense):
+        got = solver.solve(rhs)
+        assert isinstance(got, linalg.ScaledIntMatrix)
+        assert linalg.mat_equal(got.to_fractions(), X)
+        col = solver.solve(rhs[:, 1])
+        assert linalg.mat_equal(col.to_fractions(), X[:, 1])
+    off = rhs.copy()
+    off[0, 2] += Fraction(1, 5)  # row 0 of kron(B1, B2) is zero
+    e = linalg.fzeros((12,))
+    e[11] = Fraction(1)
+    for rhs_bad in (off, e):
+        assert sk.solve(rhs_bad) is None and dense.solve(rhs_bad) is None
+

@@ -6,7 +6,7 @@ import pytest
 from twistfusion.diagrams import SkewDiagram, column_tableau, enumerate_skew, sharp
 from twistfusion.errors import BoxCapExceeded, ShapeTooTall, SingularParameter
 from twistfusion.exactnum import RatFunc, laurent_at_point, series_at_infinity
-from twistfusion import linalg, repmatrix
+from twistfusion import fusion, linalg, repmatrix
 from twistfusion.fusion import fusion_operator
 from twistfusion.linalg import mat_equal, rank_exact
 from twistfusion.repmatrix import (
@@ -161,7 +161,7 @@ def test_pair_blocks_match_dense_product(kind, form, modules, shifts):
     zeta = Fraction(2, 9)
     oracle = _pair_block_oracle(Z, 0, shifts[0], 1, shifts[1], kind, zeta)
     fb = repmatrix._pair_block_frames(Z, 0, shifts[0], 1, shifts[1], kind)
-    value = sum(fr * zeta**k for k, fr in enumerate(fb.frames)) / fb.den.eval(zeta)
+    value = fb.scale * sum(fr * zeta**k for k, fr in enumerate(fb.frames)) / fb.den.eval(zeta)
     assert fb.dims == oracle.dims
     assert mat_equal(value, oracle.mat)
     assert fb.at(zeta) == oracle
@@ -368,7 +368,7 @@ def test_relations_reject_perturbed_t_frame(path, monkeypatch):
     td = repmatrix._t_data(Z)
     frames = [fr.copy() for fr in td.frames]
     frames[0][0, 1] += 1
-    Z._tdata = FrameBlock(frames, td.den, td.dims)
+    Z._tdata = FrameBlock(frames, td.scale, td.den, td.dims)
     if path == "object":
         monkeypatch.setattr(linalg, "int64_certified", lambda bound: False)
         seen = []
@@ -440,6 +440,55 @@ def test_int64_certificate_boundary(relation, monkeypatch):
             forced = holds(blocks, repmatrix._blocked(b, N, d))
             monkeypatch.undo()
             assert auto == forced == truth
+
+
+def _is_integer_block(fb) -> bool:
+    return isinstance(fb.scale, Fraction) and all(
+        fr.ndim == 2 and all(type(v) is int for v in fr.flat) for fr in fb.frames)
+
+
+@pytest.mark.parametrize("form,modules", [(SO3, "1,1:1/5;2:-3/7"), (SP2, "2:2/7;1:1/5"),
+                                          (SO3, "1:1/2;1,1:1")], ids=["so3", "sp2", "so3-zero"])
+def test_frame_blocks_hold_integer_frames(form, modules):
+    Z = FusedModuleSpec.from_string(form, modules)
+    blocks = [fb for fb, _ in repmatrix.swz_frame_blocks(Z)]
+    blocks += [repmatrix._t_data(Z), fusion.defining_action_product(
+        [Fraction(1, 3), Fraction(-2, 5)], Z.N)]
+    assert all(_is_integer_block(fb) for fb in blocks)
+
+
+def _t_dense_oracle(Z, u0):
+    """T_Z(u0) from dense products: per factor j, the single-box breve
+    factors 1 - P_{0,q}/(u0 - v_q) over its boxes q ascending, restricted to
+    C^N (x) V_j, then embedded on legs (0, 1 + j) and multiplied in order."""
+    N = Z.N
+    dims = (N,) + Z.factor_dims
+    out = TensorOperator.identity(dims)
+    for j in range(Z.ell):
+        params = Z.box_params(j)
+        n = len(params)
+        op = TensorOperator.identity((N,) * (n + 1))
+        for q, vq in enumerate(params, start=1):
+            Rb = yang_matrices(Z.form, u0, vq)[2]
+            op = op @ embed_two_leg(Rb, 1, q + 1, n + 1)
+        basis = Basis.kron(Basis.full(N), Z.basis(j))
+        block = restrict(op, basis, basis, dims=(N, Z.basis(j).size))
+        out = out @ embed_operator(block, (0, 1 + j), dims)
+    return out
+
+
+def test_t_frames_with_a_zero_coefficient():
+    # the u^0 frame of this product is zero; the others share scale 1/2
+    Z = FusedModuleSpec.from_string(SO3, "1:1/2;1,1:1")
+    td = repmatrix._t_data(Z)
+    assert linalg.is_zero_matrix(td.frames[0])
+    assert not all(linalg.is_zero_matrix(fr) for fr in td.frames[1:])
+    T = t_action(Z)
+    for u0 in (Fraction(2, 7), Fraction(-3), Fraction(5, 4)):
+        oracle = _t_dense_oracle(Z, u0)
+        assert td.at(u0) == oracle
+        assert T.eval_ratfuncs(u0) == oracle
+        _assert_proportional(td.at_int(u0), oracle.mat)
 
 
 def test_s_generators_zeroth_slice():
@@ -525,6 +574,14 @@ def test_duality_examples(omega, form):
 def test_duality_vdom_other_point():
     rep = duality_check(VDOM, Fraction(2, 5), SO2)
     assert rep.passed
+
+
+@pytest.mark.parametrize("omega", [VDOM, SkewDiagram((2,))], ids=str)
+def test_duality_with_a_rational_form(omega):
+    # g and g^-1 are not integer, so each transposition by the cleared form
+    # is the true one over a scalar that the comparison must carry
+    form = GForm.from_matrix([[2, 0], [0, Fraction(1, 3)]])
+    assert duality_check(omega, Fraction(2, 5), form).passed
 
 
 @pytest.mark.parametrize("omega,form,failures", [
