@@ -287,8 +287,10 @@ def cmd_scan(args) -> int:
         (args.form, args.n, grows, [str(d) for d in dias], args.k, args.depth, args.box_cap, zs)
         for zs in points
     ]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # a pool starts all its workers at its first task: ask for no more than points
+    jobs = min(args.jobs, len(payloads))
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_scan_point, payloads))
     else:
         results = [_scan_point(pl) for pl in payloads]

@@ -20,14 +20,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 
 from .errors import ExhaustedDepth, InternalInconsistency, MalformedInput
 from .linalg import (
-    feye,
+    ScaledIntMatrix,
     int_matmul,
-    is_zero_matrix,
     nullspace_exact,
     primitive_part,
     rank_exact,
@@ -37,7 +37,7 @@ from .repmatrix import (
     FusedModuleSpec,
     frame_product,
     ratfunc_product,
-    s_generators,
+    s_coefficients,
     swz_frame_blocks,
 )
 from .tensor import (
@@ -61,11 +61,16 @@ def s_WZ_family(Z: FusedModuleSpec) -> TensorOperator:
 @dataclass
 class PhiOperator:
     """Leading Laurent coefficient of the contracted family, as a matrix of
-    the map End(W) -> End(Z) (row (z1,z2), column (w',w))."""
+    the map End(W) -> End(Z) (row (z1,z2), column (w',w)): ``coeff`` as the
+    Laurent product yields it, ``matrix`` its Fraction view."""
 
     order: int
-    matrix: np.ndarray
+    coeff: ScaledIntMatrix
     dimZ: int
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return self.coeff.to_fractions()
 
 
 def phi_leading(Z: FusedModuleSpec, depth: int = 3) -> PhiOperator:
@@ -80,8 +85,6 @@ def phi_leading(Z: FusedModuleSpec, depth: int = 3) -> PhiOperator:
     and a later coefficient, up to `depth` past the order, is needed.
     """
     dZ = Z.dimZ
-    if Z.ell == 0:
-        return PhiOperator(order=0, matrix=feye(1), dimZ=1)
     dims = Z.factor_dims + Z.factor_dims
     blocks = swz_frame_blocks(Z)
     window = 1
@@ -90,10 +93,10 @@ def phi_leading(Z: FusedModuleSpec, depth: int = 3) -> PhiOperator:
             prod = frame_product(blocks, dims, window)
             r = prod.order
             for t in range(depth + 1):
-                coeff = prod.coefficient(r + t).to_fractions()
-                phi = contraction_map_matrix(coeff, dZ, dZ)
-                if not is_zero_matrix(phi):
-                    return PhiOperator(order=r + t, matrix=phi, dimZ=dZ)
+                coeff = prod.coefficient(r + t)
+                phi = ScaledIntMatrix(contraction_map_matrix(coeff.mat, dZ, dZ), coeff.scale)
+                if not phi.is_zero():
+                    return PhiOperator(order=r + t, coeff=phi, dimZ=dZ)
             raise ExhaustedDepth(
                 f"no nonzero contracted coefficient within depth {depth} from order {r}"
             )
@@ -103,8 +106,9 @@ def phi_leading(Z: FusedModuleSpec, depth: int = 3) -> PhiOperator:
 
 
 def surjectivity(phi: PhiOperator) -> tuple[int, bool]:
-    """Exact rank of the contracted map; surjective iff rank = (dim Z)^2."""
-    r = rank_exact(phi.matrix)
+    """Exact rank of the contracted map; surjective iff rank = (dim Z)^2.
+    The integer matrix has the rank of the map: its scale is nonzero."""
+    r = rank_exact(phi.coeff.mat)
     return r, r == phi.dimZ**2
 
 
@@ -129,27 +133,26 @@ def commutant_dim(Z: FusedModuleSpec, K: int) -> tuple[int, bool]:
 
     Exact nullspace computation over Q; the dimension over any extension
     field is the same, so 1 here means scalars only.  Everything runs on
-    integers: XG = GX is homogeneous in G, so each generator is cleared once
-    to a primitive integer matrix, and the columns of the candidate basis B
-    (vec(X), row-major) are kept primitive integer vectors.  The k-th system
-    stacks kron(1, G^T) - kron(G, 1) over the generators of order k; its
-    product with B restricts it to the current candidates.
+    integers: XG = GX is homogeneous in G, so each generator is the primitive
+    part of its block of the integer S_k, and the columns of the candidate
+    basis B (vec(X), row-major) are kept primitive integer vectors.  The k-th
+    system stacks kron(1, G^T) - kron(G, 1) over the N^2 generators of order
+    k; its product with B restricts it to the current candidates.  S_k is
+    built only while more than one candidate remains.
     """
     check_truncation(K)
-    d = Z.dimZ
-    if d == 1:
-        return 1, True
-    gens = s_generators(Z, K)
+    N, d = Z.N, Z.dimZ
+    coeffs = islice(s_coefficients(Z, K), 1, None)
     one = np.eye(d, dtype=np.int64).astype(object)
     B = np.eye(d * d, dtype=np.int64).astype(object)  # columns span the candidates
     dims_after = []
-    for k in range(1, K + 1):
+    for _ in range(K):
         if B.shape[1] > 1:
+            S4 = next(coeffs).mat.reshape(N, d, N, d)
             blocks = []
-            for row in gens.rho[k]:
-                for G in row:
-                    G = primitive_part(to_int_scaled(G)[0])
-                    blocks.append(np.kron(one, G.T) - np.kron(G, one))
+            for i, j in np.ndindex(N, N):
+                G = primitive_part(S4[i, :, j, :])
+                blocks.append(np.kron(one, G.T) - np.kron(G, one))
             null = nullspace_exact(int_matmul(np.concatenate(blocks), B))
             if len(null) < B.shape[1]:
                 Y = _primitive_columns(null, B.shape[1])
@@ -273,18 +276,6 @@ def verdict(Z: FusedModuleSpec, K: int | None = None, depth: int = 3) -> Irreduc
     check_truncation(K)
     params = [z for _, z in Z.factors]
     on_wall = [c.describe() for c in walls(Z).violated(params)]
-    if Z.ell == 0:
-        return IrreducibilityReport(
-            spec=Z.to_json(),
-            on_wall=[],
-            laurent_order=0,
-            phi_rank=1,
-            phi_surjective=True,
-            commutant_dim=1,
-            K=K,
-            stabilized=True,
-            verdict="irreducible",
-        )
     phi = phi_leading(Z, depth=depth)
     rank, surj = surjectivity(phi)
     cdim, stab = commutant_dim(Z, K)

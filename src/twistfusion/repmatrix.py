@@ -375,8 +375,8 @@ def _t_data(Z: FusedModuleSpec) -> FrameBlock:
     prod_q (u - v_q), on the legs (N,) + factor dims; cached on Z.
 
     The coefficients of the product series carry their own scales; the
-    frames are them over the largest common scale g of the nonzero ones (a
-    zero coefficient may carry any scale)."""
+    frames are them over the largest scale dividing those of the nonzero ones
+    (a zero coefficient may carry any scale), times the frames' content."""
     if Z._tdata is not None:
         return Z._tdata
     N = Z.N
@@ -400,7 +400,9 @@ def _t_data(Z: FusedModuleSpec) -> FrameBlock:
     scales = [m.scale for m in acc.coeffs if not m.is_zero()] or [_F1]
     g = Fraction(math.gcd(*(s.numerator for s in scales)),
                  math.lcm(*(s.denominator for s in scales)))
-    Z._tdata = FrameBlock([m.mat * int(m.scale / g) for m in acc.coeffs], g, den, dims)
+    frames = [m.mat * int(m.scale / g) for m in acc.coeffs]
+    content = math.gcd(*(int(np.gcd.reduce(fr.ravel())) for fr in frames))
+    Z._tdata = FrameBlock([fr // content for fr in frames], g * content, den, dims)
     return Z._tdata
 
 
@@ -421,27 +423,30 @@ class GeneratorMatrices:
     rho: list  # rho[k][i][j] -> object ndarray (dimZ x dimZ)
 
 
-def s_generators(Z: FusedModuleSpec, K: int) -> GeneratorMatrices:
-    """Expand S_Z(u) = T^t(-u) T(u) at infinity to order K.
+def s_coefficients(Z: FusedModuleSpec, K: int):
+    """Yield the u^0, u^-1, ..., u^-K coefficients of S_Z(u) = T^t(-u) T(u)
+    as ScaledIntMatrix, each built only when drawn.  From the integer T
+    frames (FrameBlock.at_infinity): the u^-m coefficient A_m of T^t(-u) is
+    (-1)^m times the transposed u^-m coefficient B_m of T(u), and
+    S_k = sum_m A_m B_(k-m)."""
+    B = _t_data(Z).at_infinity(K)
+    int_form, c = _cleared_form(Z.form)
+    dims = (Z.N,) + Z.factor_dims
+    A = []
+    for k in range(K + 1):
+        At = transpose_legs(TensorOperator(B[k].mat, dims), {1}, int_form).mat
+        A.append(ScaledIntMatrix(-At if k % 2 else At, c * B[k].scale))
+        yield sum((A[m] @ B[k - m] for m in range(1, k + 1)), A[0] @ B[k])
 
-    Both factors come straight from the integer T frames (FrameBlock.at_infinity):
-    the u^-m coefficient of T^t(-u) is (-1)^m times the transposed u^-m
-    coefficient of T(u)."""
+
+def s_generators(Z: FusedModuleSpec, K: int) -> GeneratorMatrices:
+    """S_Z(u) expanded at infinity to order K: the coefficients of
+    s_coefficients as Fraction blocks rho[k][i][j]."""
     if K < 1:
         raise MalformedInput(f"K must be >= 1, got {K}")
     N, dZ = Z.N, Z.dimZ
-    B = _t_data(Z).at_infinity(K)
-    int_form, c = _cleared_form(Z.form)
-    dims = (N,) + Z.factor_dims
-    A = []
-    for m, Tm in enumerate(B):
-        At = transpose_legs(TensorOperator(Tm.mat, dims), {1}, int_form).mat
-        A.append(ScaledIntMatrix(-At if m % 2 else At, c * Tm.scale))
-    rho = []
-    # both factors are known through u^-K only, so their product is too
-    for coeff in (MatrixLaurentSeries(0, A) @ MatrixLaurentSeries(0, B)).coeffs:
-        Sk = coeff.to_fractions().reshape(N, dZ, N, dZ)
-        rho.append([[Sk[i, :, j, :] for j in range(N)] for i in range(N)])
+    S4s = (Sk.to_fractions().reshape(N, dZ, N, dZ) for Sk in s_coefficients(Z, K))
+    rho = [[[S4[i, :, j, :] for j in range(N)] for i in range(N)] for S4 in S4s]
     return GeneratorMatrices(K=K, N=N, dimZ=dZ, rho=rho)
 
 

@@ -149,6 +149,42 @@ def test_scan_parallel_matches_sequential():
     assert seq == par
 
 
+def test_scan_pool_capped_at_point_count(monkeypatch):
+    from twistfusion import cli
+
+    seen = []
+
+    class InProcessPool:
+        """Records max_workers and maps in this process: starts no process."""
+
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    args = ["scan", "--n", "2", "--form", "sp", "--modules", "1",
+            "--grid", "1/3,2/5", "--json"]
+    _, seq = run_cli(args + ["--jobs", "1"])
+    assert seen == []
+    _, par = run_cli(args + ["--jobs", "8"])
+    assert seen == [2]
+    assert par == seq
+    # one point, or none, runs in this process whatever --jobs asks
+    run_cli(["scan", "--n", "2", "--form", "sp", "--modules", "1", "--grid", "1/3",
+             "--jobs", "500", "--json"])
+    run_cli(["scan", "--n", "2", "--form", "sp", "--modules", "1", "--grid", "",
+             "--jobs", "2", "--json"])
+    assert seen == [2]
+
+
 def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["irreducible"])  # missing --modules

@@ -18,7 +18,13 @@ from twistfusion.irreducibility import (
     walls,
 )
 from twistfusion.linalg import fdot, feye, is_zero_matrix, mat_equal, nullspace_exact
-from twistfusion.repmatrix import FusedModuleSpec, frame_product, s_generators, swz_frame_blocks
+from twistfusion.repmatrix import (
+    FusedModuleSpec,
+    frame_product,
+    s_coefficients,
+    s_generators,
+    swz_frame_blocks,
+)
 from twistfusion.tensor import (
     GForm,
     MatrixLaurentSeries,
@@ -348,13 +354,40 @@ def _commutant_dim_fraction(Z, K):
     return dims_after[-1], len(dims_after) >= 2 and dims_after[-1] == dims_after[-2]
 
 
+def _assert_commutant_against_fraction_loop(Z, expected):
+    got = [commutant_dim(Z, K) for K in range(2, 7)]
+    assert got == [_commutant_dim_fraction(Z, K) for K in range(2, 7)]
+    assert got == expected
+
+
 @pytest.mark.parametrize("text,expected", [
     ("1:1/2;1:-1/2", [(2, True)] * 5),
     ("1:1/3;1:-1/3", [(2, True), (1, False), (1, True), (1, True), (1, True)]),
     ("1:1/2;2:-1/2", [(2, True), (1, False), (1, True), (1, True), (1, True)]),
 ])
 def test_commutant_against_fraction_loop(text, expected):
-    Z = FusedModuleSpec.from_string(SP2, text)
-    got = [commutant_dim(Z, K) for K in range(2, 7)]
-    assert got == [_commutant_dim_fraction(Z, K) for K in range(2, 7)]
-    assert got == expected
+    _assert_commutant_against_fraction_loop(FusedModuleSpec.from_string(SP2, text), expected)
+
+
+def test_commutant_against_fraction_loop_at_n3():
+    # N = 3: the generator blocks are read from the (N, d, N, d) reshape
+    Z = FusedModuleSpec.from_string(SO3, "1:1/3;1:2/3")
+    _assert_commutant_against_fraction_loop(Z, [(1, False)] + [(1, True)] * 4)
+
+
+def test_commutant_builds_only_what_it_reads(monkeypatch):
+    drawn = []
+
+    def counted(Z, K):
+        for Sk in s_coefficients(Z, K):
+            drawn.append(Sk)
+            yield Sk
+
+    monkeypatch.setattr(irreducibility, "s_coefficients", counted)
+    # commutant 1 once S_1 or S_2 is read: nothing past S_2 is built
+    commutant_dim(FusedModuleSpec.from_string(SO3, "1,1:-1/3;1,1:1/5"), 10)
+    assert len(drawn) <= 3
+    # commutant 2 to the end: S_0 .. S_10 are all read
+    drawn.clear()
+    assert commutant_dim(FusedModuleSpec.from_string(SP2, "1:1/2;1:-1/2"), 10) == (2, True)
+    assert len(drawn) == 11

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -452,9 +453,11 @@ def _is_integer_block(fb) -> bool:
 def test_frame_blocks_hold_integer_frames(form, modules):
     Z = FusedModuleSpec.from_string(form, modules)
     blocks = [fb for fb, _ in repmatrix.swz_frame_blocks(Z)]
-    blocks += [repmatrix._t_data(Z), fusion.defining_action_product(
-        [Fraction(1, 3), Fraction(-2, 5)], Z.N)]
+    td = repmatrix._t_data(Z)
+    blocks += [td, fusion.defining_action_product([Fraction(1, 3), Fraction(-2, 5)], Z.N)]
     assert all(_is_integer_block(fb) for fb in blocks)
+    # the T frames' common content sits in their scale
+    assert math.gcd(*(int(np.gcd.reduce(fr.ravel())) for fr in td.frames)) == 1
 
 
 def _t_dense_oracle(Z, u0):
