@@ -21,7 +21,7 @@ from .diagrams import parse_skew
 from .errors import MalformedInput, TwistFusionError
 from .exactnum import parse_rational
 from .fusion import fusion_operator, verify_fusion_invariants
-from .irreducibility import check_depth, check_truncation, verdict
+from .irreducibility import verdict
 from .repmatrix import FusedModuleSpec, check_defining_relations, duality_check, yang_matrices
 from .tensor import GForm, embed_two_leg
 
@@ -86,8 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
     irr = sub.add_parser("irreducible", help="single-point irreducibility verdict")
     _add_form_flags(irr)
     irr.add_argument("--modules", required=True)
-    irr.add_argument("--k", type=int, default=None, help="generator truncation order")
-    irr.add_argument("--depth", type=int, default=3, help="Laurent fallback depth")
     irr.add_argument("--box-cap", type=int, default=6)
     irr.add_argument("--json", action="store_true")
 
@@ -95,8 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_form_flags(scn)
     scn.add_argument("--modules", required=True, help="factor diagrams 'lam/mu;...' (':z' optional)")
     scn.add_argument("--grid", required=True, help="per-factor z lists 'a,b,c;d,e' (one list is broadcast)")
-    scn.add_argument("--k", type=int, default=None)
-    scn.add_argument("--depth", type=int, default=3)
     scn.add_argument("--box-cap", type=int, default=6)
     scn.add_argument("--jobs", type=int, default=1)
     scn.add_argument("--json", action="store_true")
@@ -221,7 +217,7 @@ def cmd_duality(args) -> int:
 def cmd_irreducible(args) -> int:
     form = _form_from_args(args)
     spec = FusedModuleSpec.from_string(form, args.modules, box_cap=args.box_cap)
-    rep = verdict(spec, K=args.k, depth=args.depth)
+    rep = verdict(spec)
     if args.json:
         _emit(args, rep.to_json())
     else:
@@ -245,7 +241,7 @@ def _parse_scan_modules(text: str):
 
 
 def _scan_point(payload):
-    (kind, N, grows, modules, k, depth, box_cap, zs) = payload
+    (kind, N, grows, modules, box_cap, zs) = payload
     try:
         if grows is not None:
             form = GForm.from_matrix([[parse_rational(v) for v in row] for row in grows])
@@ -253,7 +249,7 @@ def _scan_point(payload):
             form = GForm.default(kind, N)
         spec_text = ";".join(f"{d}:{z}" for d, z in zip(modules, zs))
         spec = FusedModuleSpec.from_string(form, spec_text, box_cap=box_cap)
-        rep = verdict(spec, K=k, depth=depth)
+        rep = verdict(spec)
         return {"z": [str(q) for q in zs], "report": rep.to_json()}
     except Exception as exc:  # one bad point must not sink the scan
         if not isinstance(exc, TwistFusionError):
@@ -264,9 +260,6 @@ def _scan_point(payload):
 def cmd_scan(args) -> int:
     form = _form_from_args(args)
     dias = _parse_scan_modules(args.modules)
-    if args.k is not None:
-        check_truncation(args.k)
-    check_depth(args.depth)
     if args.grid.strip() == "":
         points = []
     else:
@@ -283,10 +276,8 @@ def cmd_scan(args) -> int:
                 raise MalformedInput(f"grid list of factor {i + 1} (diagram {dias[i]}) is empty")
         points = list(product(*axes))
     grows = [[str(v) for v in row] for row in form.g] if args.g_file else None
-    payloads = [
-        (args.form, args.n, grows, [str(d) for d in dias], args.k, args.depth, args.box_cap, zs)
-        for zs in points
-    ]
+    modules = [str(d) for d in dias]
+    payloads = [(args.form, args.n, grows, modules, args.box_cap, zs) for zs in points]
     # a pool starts all its workers at its first task: ask for no more than points
     jobs = min(args.jobs, len(payloads))
     if jobs > 1:
@@ -294,6 +285,7 @@ def cmd_scan(args) -> int:
             results = list(pool.map(_scan_point, payloads))
     else:
         results = [_scan_point(pl) for pl in payloads]
+    # every verdict is conclusive; the key stays so the summary keeps its format
     summary = {"irreducible": 0, "inconclusive": 0, "reducible": 0, "errors": 0}
     for r in results:
         if "error" in r:

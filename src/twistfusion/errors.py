@@ -66,9 +66,5 @@ class SingularFamily(TwistFusionError, ArithmeticError):
     """A factor denominator vanishes identically in the deformation variable."""
 
 
-class ExhaustedDepth(TwistFusionError, RuntimeError):
-    """All inspected Laurent coefficients induced the zero map."""
-
-
 class InternalInconsistency(TwistFusionError, RuntimeError):
     """Two results that must agree by theory disagree (always a bug)."""

@@ -6,13 +6,17 @@ Two independent engines:
   (W the zeta-shifted copy of Z), contracted to a map End(W) -> End(Z);
   surjectivity of that map certifies irreducibility;
 * a commutant oracle: the dimension of the joint commutant of the generator
-  coefficient matrices.  An irreducible module has dimension 1 (Schur's
-  lemma), so a larger dimension proves reducibility; dimension 1 does not
-  prove irreducibility (sp2 ``1:1/3;1:4/3`` has commutant 1 but a generated
-  algebra of dimension 13 of 16, so it is reducible).
+  coefficient matrices, the u^-1 .. u^-K coefficients of S_Z(u).  K is
+  derived from the module (default_truncation): those coefficients span
+  all of them, so the commutant is proven stable at K.  An irreducible
+  module has dimension 1 (Schur's lemma), so a larger dimension proves
+  reducibility; dimension 1 does not prove irreducibility (sp2
+  ``1:1/3;1:4/3`` has commutant 1 but a generated algebra of dimension 13
+  of 16, so it is reducible).
 
 Surjectivity implies commutant dimension 1; the converse combination is the
-cross-check wired into every verdict.
+cross-check wired into every verdict.  A verdict takes only the module: it
+has no setting that the module does not fix.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import ExhaustedDepth, InternalInconsistency, MalformedInput
+from .errors import InternalInconsistency, MalformedInput
 from .linalg import (
     ScaledIntMatrix,
     int_matmul,
@@ -73,16 +77,16 @@ class PhiOperator:
         return self.coeff.to_fractions()
 
 
-def phi_leading(Z: FusedModuleSpec, depth: int = 3) -> PhiOperator:
-    """First nonzero trace-contraction coefficient of S_{W,Z}(zeta) at 0.
+def phi_leading(Z: FusedModuleSpec) -> PhiOperator:
+    """Leading trace-contraction coefficient of S_{W,Z}(zeta) at 0.
 
     The matrix-level leading coefficient is located exactly with truncated
     Laurent arithmetic.  Every block starts at its exact order, so the
     product's order is at least the sum of the block orders, and at a
     generic point equal to it: one coefficient per block is all the product
     needs.  The window doubles and the product is redone when cancellations
-    eat the known coefficients, or when the contraction annihilates them
-    and a later coefficient, up to `depth` past the order, is needed.
+    eat the known coefficients.  The contraction only reindexes the leading
+    coefficient, which is nonzero, so phi is nonzero; a zero phi is a bug.
     """
     dZ = Z.dimZ
     dims = Z.factor_dims + Z.factor_dims
@@ -91,17 +95,14 @@ def phi_leading(Z: FusedModuleSpec, depth: int = 3) -> PhiOperator:
     while window <= 256:
         try:
             prod = frame_product(blocks, dims, window)
-            r = prod.order
-            for t in range(depth + 1):
-                coeff = prod.coefficient(r + t)
-                phi = ScaledIntMatrix(contraction_map_matrix(coeff.mat, dZ, dZ), coeff.scale)
-                if not phi.is_zero():
-                    return PhiOperator(order=r + t, coeff=phi, dimZ=dZ)
-            raise ExhaustedDepth(
-                f"no nonzero contracted coefficient within depth {depth} from order {r}"
-            )
         except _WindowExhausted:
             window *= 2
+            continue
+        coeff = prod.coefficient(prod.order)
+        phi = ScaledIntMatrix(contraction_map_matrix(coeff.mat, dZ, dZ), coeff.scale)
+        if phi.is_zero():
+            raise InternalInconsistency(f"zero contracted coefficient at order {prod.order}")
+        return PhiOperator(order=prod.order, coeff=phi, dimZ=dZ)
     raise InternalInconsistency("Laurent window exhausted; family appears to vanish")
 
 
@@ -121,12 +122,6 @@ def check_truncation(K: int) -> None:
         raise MalformedInput(f"K must be >= 2, got {K}")
 
 
-def check_depth(depth: int) -> None:
-    """MalformedInput unless depth is a usable Laurent fallback depth."""
-    if depth < 0:
-        raise MalformedInput(f"depth must be >= 0, got {depth}")
-
-
 def commutant_dim(Z: FusedModuleSpec, K: int) -> tuple[int, bool]:
     """Dimension of the joint commutant of the generator matrices up to
     truncation K, and whether it stabilized between K-1 and K.
@@ -136,26 +131,31 @@ def commutant_dim(Z: FusedModuleSpec, K: int) -> tuple[int, bool]:
     integers: XG = GX is homogeneous in G, so each generator is the primitive
     part of its block of the integer S_k, and the columns of the candidate
     basis B (vec(X), row-major) are kept primitive integer vectors.  The k-th
-    system stacks kron(1, G^T) - kron(G, 1) over the N^2 generators of order
-    k; its product with B restricts it to the current candidates.  S_k is
-    built only while more than one candidate remains.
+    system stacks vec(XG - GX) over the N^2 generators of order k, formed by
+    two products of the stacked generators with the stacked candidates X;
+    its nullspace gives the candidates that commute with them.  S_k is built
+    only while more than one candidate remains.
     """
     check_truncation(K)
     N, d = Z.N, Z.dimZ
     coeffs = islice(s_coefficients(Z, K), 1, None)
-    one = np.eye(d, dtype=np.int64).astype(object)
     B = np.eye(d * d, dtype=np.int64).astype(object)  # columns span the candidates
     dims_after = []
     for _ in range(K):
-        if B.shape[1] > 1:
+        b = B.shape[1]
+        if b > 1:
             S4 = next(coeffs).mat.reshape(N, d, N, d)
-            blocks = []
-            for i, j in np.ndindex(N, N):
-                G = primitive_part(S4[i, :, j, :])
-                blocks.append(np.kron(one, G.T) - np.kron(G, one))
-            null = nullspace_exact(int_matmul(np.concatenate(blocks), B))
-            if len(null) < B.shape[1]:
-                Y = _primitive_columns(null, B.shape[1])
+            G = np.stack([primitive_part(S4[i, :, j, :]) for i, j in np.ndindex(N, N)])
+            X = B.T.reshape(b, d, d)
+            # XG and GX for every generator and candidate, as rows (G, a, c)
+            # and columns X: row block G is vec(XG - GX) for each X
+            XG = int_matmul(X.reshape(b * d, d), G.transpose(1, 0, 2).reshape(d, N * N * d))
+            GX = int_matmul(G.reshape(N * N * d, d), X.transpose(1, 0, 2).reshape(d, b * d))
+            XG = XG.reshape(b, d, N * N, d).transpose(2, 1, 3, 0)
+            GX = GX.reshape(N * N, d, b, d).transpose(0, 1, 3, 2)
+            null = nullspace_exact((XG - GX).reshape(N * N * d * d, b))
+            if len(null) < b:
+                Y = _primitive_columns(null, b)
                 B = _primitive_columns(int_matmul(B, Y).T, d * d)
         dims_after.append(B.shape[1])
     dim = dims_after[-1]
@@ -263,32 +263,34 @@ class IrreducibilityReport:
 
 
 def default_truncation(Z: FusedModuleSpec) -> int:
+    """The generator truncation order K = 2n + 2 of a module with n boxes.
+
+    S_Z(u) = F^t(-u) F(u) / (den(-u) den(u)) with a denominator q of degree
+    2n, so q(u) S_Z(u) is a polynomial and its u^-m coefficient vanishes for
+    m >= 1: sum_i q_i S_(m+i) = 0.  Each S_k with k > 2n is therefore a fixed
+    combination of the 2n coefficients before it, and S_1 .. S_2n span all of
+    them.  The commutant at K is the commutant of every coefficient, and it
+    is already reached at K - 1."""
     return 2 * Z.n_total + 2
 
 
-def verdict(Z: FusedModuleSpec, K: int | None = None, depth: int = 3) -> IrreducibilityReport:
-    """Walls, leading-coefficient surjectivity, commutant dimension, and the
-    combined verdict.  Surjectivity without commutant dimension 1 is a
-    contradiction of the theory and aborts."""
-    check_depth(depth)
-    if K is None:
-        K = max(2, default_truncation(Z))
-    check_truncation(K)
+def verdict(Z: FusedModuleSpec) -> IrreducibilityReport:
+    """Walls, leading-coefficient surjectivity, commutant dimension at
+    K = default_truncation(Z), and the combined verdict.  Surjectivity
+    without commutant dimension 1, or a commutant still shrinking at K,
+    contradicts the theory and aborts."""
+    K = default_truncation(Z)
     params = [z for _, z in Z.factors]
     on_wall = [c.describe() for c in walls(Z).violated(params)]
-    phi = phi_leading(Z, depth=depth)
+    phi = phi_leading(Z)
     rank, surj = surjectivity(phi)
     cdim, stab = commutant_dim(Z, K)
+    if not stab:
+        raise InternalInconsistency(f"commutant dimension {cdim} not stabilized at K = {K}")
     if surj and cdim != 1:
         raise InternalInconsistency(
             f"surjective leading coefficient but commutant dimension {cdim}"
         )
-    if surj or cdim == 1:
-        word = "irreducible"
-    elif cdim > 1 and stab:
-        word = "reducible"
-    else:
-        word = "inconclusive"
     return IrreducibilityReport(
         spec=Z.to_json(),
         on_wall=on_wall,
@@ -298,7 +300,7 @@ def verdict(Z: FusedModuleSpec, K: int | None = None, depth: int = 3) -> Irreduc
         commutant_dim=cdim,
         K=K,
         stabilized=stab,
-        verdict=word,
+        verdict="irreducible" if surj or cdim == 1 else "reducible",
     )
 
 

@@ -55,7 +55,7 @@ def test_duality_command():
 def test_irreducible_json():
     code, out = run_cli([
         "irreducible", "--n", "2", "--form", "sp",
-        "--modules", "1:1/3;1:7/5", "--k", "6", "--json",
+        "--modules", "1:1/3;1:7/5", "--json",
     ])
     assert code == 0
     data = json.loads(out)
@@ -226,8 +226,8 @@ def test_scan_g_file_matches_default_form(tmp_path):
 
 
 @pytest.mark.parametrize("argv,bad", [
-    (["irreducible", "--modules", "1:1/3", "--k", "1"], "got 1"),
-    (["scan", "--modules", "1", "--grid", "1/3", "--k", "1"], "got 1"),
+    (["check-relations", "--modules", "1:x"], "'x'"),
+    (["scan", "--modules", "1", "--grid", "1/3", "--n", "0"], "got 0"),
     (["irreducible", "--modules", "1:abc"], "'abc'"),
     (["irreducible", "--modules", "1"], "'1'"),
     (["duality", "--diagram", "1", "--z", "1/0"], "'1/0'"),
@@ -258,19 +258,3 @@ def test_bad_g_file_is_malformed_input(content, tmp_path, capsys):
     assert main(["irreducible", "--modules", "1:1/3", "--g-file", str(gfile)]) == 1
     err = capsys.readouterr().err
     assert err.count("FAILED:") == 1 and "MalformedInput" in err and "g.json" in err
-
-
-@pytest.mark.parametrize("argv", [
-    ["irreducible", "--form", "sp", "--modules", "1:1/3;1:7/5", "--depth", "-1"],
-    ["scan", "--form", "sp", "--modules", "1;1", "--grid", "1/3;7/5", "--depth", "-1"],
-])
-def test_negative_depth_rejected_before_any_work(argv, monkeypatch, capsys):
-    from twistfusion import irreducibility
-
-    def no_blocks(*args, **kwargs):
-        raise AssertionError("the family was expanded")
-
-    monkeypatch.setattr(irreducibility, "swz_frame_blocks", no_blocks)
-    assert main(argv) == 1
-    err = capsys.readouterr().err
-    assert "MalformedInput" in err and "depth" in err

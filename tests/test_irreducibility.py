@@ -6,10 +6,12 @@ import pytest
 
 from twistfusion.diagrams import SkewDiagram
 from twistfusion import irreducibility
+from twistfusion.errors import InternalInconsistency
 from twistfusion.exactnum import RatFunc, laurent_at_point
 from twistfusion.irreducibility import (
     IrreducibilityReport,
     commutant_dim,
+    default_truncation,
     phi_leading,
     random_offwall,
     s_WZ_family,
@@ -17,7 +19,7 @@ from twistfusion.irreducibility import (
     verdict,
     walls,
 )
-from twistfusion.linalg import fdot, feye, is_zero_matrix, mat_equal, nullspace_exact
+from twistfusion.linalg import fdot, feye, is_zero_matrix, mat_equal, nullspace_exact, rank_exact
 from twistfusion.repmatrix import (
     FusedModuleSpec,
     frame_product,
@@ -164,7 +166,7 @@ def test_verdict_example_point():
 def test_verdict_wall_point_reports_evidence():
     rep = verdict(spec(SP2, (BOX, Fraction(1, 2))))
     assert rep.on_wall == ["z1 in (1/2)Z"]
-    assert rep.verdict in ("irreducible", "inconclusive", "reducible")
+    assert rep.verdict in ("irreducible", "reducible")
     if rep.phi_surjective:
         assert rep.commutant_dim == 1
 
@@ -391,3 +393,35 @@ def test_commutant_builds_only_what_it_reads(monkeypatch):
     drawn.clear()
     assert commutant_dim(FusedModuleSpec.from_string(SP2, "1:1/2;1:-1/2"), 10) == (2, True)
     assert len(drawn) == 11
+
+
+# ---------------------------------------------------------------------------
+# the truncation order is derived: S_1 .. S_2n span every coefficient
+
+@pytest.mark.parametrize("form,text", [
+    (SP2, "1:1/3;1:4/3"), (SP2, "1:1/2;1:-1/2"), (SO3, "1:2/3;1:5/3"), (SO3, "2,1/1:1/7"),
+])
+def test_coefficients_past_2n_in_span(form, text):
+    # S(u) has a denominator of degree 2n, so S_(2n+1) and S_(2n+2) are
+    # combinations of the coefficients before them
+    Z = FusedModuleSpec.from_string(form, text)
+    n = Z.n_total
+    rows = [Sk.mat.ravel() for Sk in s_coefficients(Z, 2 * n + 2)]
+    ranks = [rank_exact(np.stack(rows[1:k + 1])) for k in (2 * n, 2 * n + 1, 2 * n + 2)]
+    assert ranks[0] == ranks[1] == ranks[2]
+    assert default_truncation(Z) == 2 * n + 2
+
+
+def test_verdict_unstabilized_commutant_is_inconsistent(monkeypatch):
+    # a commutant still shrinking at the derived K contradicts the span theorem
+    monkeypatch.setattr(irreducibility, "commutant_dim", lambda Z, K: (2, False))
+    with pytest.raises(InternalInconsistency, match="not stabilized"):
+        verdict(FusedModuleSpec.from_string(SP2, "1:1/2;1:-1/2"))
+
+
+def test_zero_contracted_coefficient_is_inconsistent(monkeypatch):
+    # the contraction only reindexes a nonzero coefficient
+    monkeypatch.setattr(irreducibility, "contraction_map_matrix",
+                        lambda M, dW, dZ: np.zeros((dZ * dZ, dW * dW), dtype=object))
+    with pytest.raises(InternalInconsistency, match="zero contracted"):
+        phi_leading(spec(SP2, (BOX, Fraction(1, 3))))

@@ -16,7 +16,9 @@ Sections, each headed by a line starting with ``##``:
   * ``check-relations --json`` on the relations-sweep specs of seed 1;
   * ``duality --json`` on the criterion-7 cases;
   * the verdicts, phi and rho (K = 2) of sp2 and so3 with no factors, and
-    of the one-dimensional so2 ``1,1:1/3``.
+    of the one-dimensional so2 ``1,1:1/3``;
+  * the text output (no ``--json``) of ``irreducible`` at those three specs
+    and of ``scan`` on the first scan-walls grid of seed 1.
 
 Needs the standard library and numpy only; takes a few minutes.
 """
@@ -64,9 +66,17 @@ def spec_text(shape, zs) -> str:
     return ";".join(f"{d}:{z}" for d, z in zip(shape, zs))
 
 
-def irreducible(tf, kind, N, modules) -> str:
-    return cli(tf, ["irreducible", "--n", str(N), "--form", kind,
-                    f"--modules={modules}", "--json"])
+def grid_text(lists) -> str:
+    return ";".join(",".join(str(Fraction(v)) for v in vals) for vals in lists)
+
+
+def irreducible_argv(kind, N, modules) -> list[str]:
+    return ["irreducible", "--n", str(N), "--form", kind, f"--modules={modules}"]
+
+
+def scan_argv(kind, N, mods, grid) -> list[str]:
+    return ["scan", "--n", str(N), "--form", kind, "--modules", mods, f"--grid={grid}",
+            "--jobs", "1"]
 
 
 def phi_and_rho(tf, kind, N, modules, K=None) -> str:
@@ -100,16 +110,16 @@ def main(argv) -> int:
             modules = spec_text(shape, zs)
             if t == 0:
                 firsts.append((kind, N, modules))
-            section(f"irreducible {kind}{N} {modules}", irreducible(tf, kind, N, modules))
+            section(f"irreducible {kind}{N} {modules}",
+                    cli(tf, irreducible_argv(kind, N, modules) + ["--json"]))
     for kind, N, modules in firsts:
         section(f"phi and rho {kind}{N} {modules}", phi_and_rho(tf, kind, N, modules, K=6))
 
     for seed in (1, 2, 3):
         for kind, N, mods, lists in bench_workloads.ScanWalls(seed).grids:
-            grid = ";".join(",".join(str(Fraction(v)) for v in vals) for vals in lists)
+            grid = grid_text(lists)
             section(f"scan seed {seed} {kind}{N} {mods} {grid}",
-                    cli(tf, ["scan", "--n", str(N), "--form", kind, "--modules", mods,
-                             f"--grid={grid}", "--jobs", "1", "--json"]))
+                    cli(tf, scan_argv(kind, N, mods, grid) + ["--json"]))
 
     for kind, N, shape, zs in bench_workloads.RelationsSweep(1).specs:
         modules = spec_text(shape, zs)
@@ -126,7 +136,15 @@ def main(argv) -> int:
 
     for kind, N, modules in EDGE_SPECS:
         section(f"edge {kind}{N} {modules!r}",
-                irreducible(tf, kind, N, modules) + phi_and_rho(tf, kind, N, modules, K=2))
+                cli(tf, irreducible_argv(kind, N, modules) + ["--json"])
+                + phi_and_rho(tf, kind, N, modules, K=2))
+
+    for kind, N, modules in EDGE_SPECS:
+        section(f"irreducible text {kind}{N} {modules!r}",
+                cli(tf, irreducible_argv(kind, N, modules)))
+    kind, N, mods, lists = bench_workloads.ScanWalls(1).grids[0]
+    section(f"scan text seed 1 {kind}{N} {mods}",
+            cli(tf, scan_argv(kind, N, mods, grid_text(lists))))
     return 0
 
 
