@@ -5,12 +5,15 @@ Three layers, all exact:
 * Integer clearing: A = scale * M with M an integer matrix, so products and
   eliminations run on Python ints, roughly two orders of magnitude faster
   than Fraction arithmetic (no gcd per operation).
-* One certified integer product, int_matmul, behind fdot, ScaledIntMatrix
-  and the checks below.  A computation runs in numpy int64 only when a
-  runtime certificate bounds every intermediate below 2^62 in absolute value
-  (for a product, max|A| * max|B| * inner dimension; a further sum of terms
-  c * (A B) multiplies that by sum |c|).  Otherwise it runs on Python ints.
-  Both paths give the same exact integers.
+* Certified integer kernels.  One exact product, int_matmul, sits behind
+  fdot, ScaledIntMatrix and the checks below: it runs in numpy int64 only
+  when a runtime certificate bounds every intermediate below 2^62 in
+  absolute value (max|A| * max|B| * inner dimension), otherwise on Python
+  ints.  Identities between integer expressions take their kernels from
+  int_kernels: under the same certificate (a further sum of terms c * (A B)
+  multiplies the product bound by sum |c|) one int64 kernel, otherwise
+  int64 residues modulo word-size primes whose product exceeds twice the
+  bound, so sides that agree modulo every prime are equal over Z.
 * One certified echelon, echelon(A): the leftmost pivot columns of A over Q
   and the exact coefficients of the other columns in them.  Modular RREF
   proposes both, rational reconstruction (Wang, Guy & Davenport) over CRT
@@ -119,11 +122,59 @@ def int64_certified(bound: int) -> bool:
     return bound < _INT64_LIMIT
 
 
-def int_kernel(arrays, bound: int) -> list[np.ndarray]:
-    """Integer arrays cast for a computation whose intermediates are bounded
-    by ``bound``: to int64 under the certificate, else to Python ints."""
-    dtype = np.int64 if int64_certified(bound) else object
-    return [np.asarray(A).astype(dtype) for A in arrays]
+def _is_prime(n: int) -> bool:
+    return n > 1 and all(n % f for f in range(2, math.isqrt(n) + 1))
+
+
+# the primes found so far below 2^width, descending, keyed by width
+_RESIDUE_PRIMES: dict[int, list[int]] = {}
+
+
+def _residue_primes(width: int):
+    """The primes below 2^width in descending order, found on demand by
+    trial division and kept, so every caller sees the same sequence."""
+    found = _RESIDUE_PRIMES.setdefault(width, [])
+    i = 0
+    while True:
+        if i == len(found):
+            n = found[-1] - 1 if found else (1 << width) - 1
+            while n > 1 and not _is_prime(n):
+                n -= 1
+            if n < 2:
+                return
+            found.append(n)
+        yield found[i]
+        i += 1
+
+
+def int_kernels(arrays, bound: int, terms: int):
+    """Kernels (arrays, modulus) for an identity between two integer
+    expressions in ``arrays``, each side at most ``bound`` in absolute value.
+
+    Under the int64 certificate (``bound`` below 2^62) there is one kernel:
+    the arrays in int64 and modulus None.  Otherwise there is one kernel per
+    prime p: the arrays as int64 residues in [0, p) and modulus p, until the
+    product of the primes exceeds 2 * bound.  Then |lhs - rhs| <= 2 * bound
+    is below that product, so sides that agree modulo every prime are equal
+    over Z.
+
+    Each prime is certified by ``terms``: the caller reduces mod p between
+    stages, and every stage sums at most ``terms`` products of two residues,
+    so every residue intermediate is at most terms * (p - 1)^2.  The primes
+    lie below 2^width with width = (62 - bitlength(terms)) // 2, which keeps
+    that bound below 2^62."""
+    if int64_certified(bound):
+        yield [A.astype(np.int64) for A in arrays], None
+        return
+    width = (62 - terms.bit_length()) // 2
+    modulus = 1
+    for p in _residue_primes(width):
+        yield [(A % p).astype(np.int64) for A in arrays], p
+        modulus *= p
+        if modulus > 2 * bound:
+            return
+    raise DimensionMismatch(
+        f"the primes below 2^{width} do not reach a {bound.bit_length()}-bit bound")
 
 
 def int_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -132,8 +183,8 @@ def int_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     The certificate also bounds every entry of A and B, so a zero factor
     does not let the other one be cast to int64 unchecked."""
     bound = max(max_abs(A), 1) * max(max_abs(B), 1) * A.shape[1]
-    A, B = int_kernel((A, B), bound)
-    return A @ B
+    dtype = np.int64 if int64_certified(bound) else object
+    return A.astype(dtype) @ B.astype(dtype)
 
 
 def fdot(A: np.ndarray, B: np.ndarray) -> np.ndarray:

@@ -37,7 +37,7 @@ from .exactnum import Poly, RatFunc, parse_rational
 from .linalg import (
     BasisSolver,
     ScaledIntMatrix,
-    int_kernel,
+    int_kernels,
     int_matmul,
     mat_equal,
     max_abs,
@@ -507,7 +507,8 @@ def _blocked(mat: np.ndarray, N: int, d: int) -> list:
     to a nonzero scalar: denominators are cleared and contents divided out.
     Every defining relation is homogeneous of degree one in each sampled
     matrix, so both of its sides carry the same scalar product and integer
-    equality of the scaled sides is exact."""
+    equality of the scaled sides is exact, and so is equality modulo the
+    primes of a residue kernel (see _rtt_holds)."""
     T4 = mat.reshape(N, d, N, d)
     return [[np.ascontiguousarray(T4[i, :, j, :]) for j in range(N)] for i in range(N)]
 
@@ -516,47 +517,71 @@ def _weight(R: dict) -> int:
     return sum(abs(v) for v in R.values())
 
 
+def _reduced(X, p):
+    """X mod p in a residue kernel; X itself in the int64 kernel (p None)."""
+    return X if p is None else X % p
+
+
+def _residues(R: dict, p) -> dict:
+    return R if p is None else {k: v % p for k, v in R.items()}
+
+
 def _rtt_holds(Tu, Tv, R: dict, N: int, d: int) -> bool:
     """R(u-v) T_1(u) T_2(v) = T_2(v) T_1(u) R(u-v) on (N, N) lists of d x d
     integer blocks, with R an integer sparse dict ((i,j),(a,b)) -> value.
 
-    Runs in int64 when max|Tu| * max|Tv| * d * sum|R| < 2^62, which bounds
-    every product entry and partial sum; otherwise on Python ints."""
+    Both sides are at most bound = max|Tu| * max|Tv| * d * sum|R| in absolute
+    value, and so is every partial sum.  Below 2^62 one int64 kernel decides.
+    Otherwise both sides are computed modulo word-size primes (reducing after
+    the d-term block products and after the R sum) until the primes' product
+    exceeds 2 * bound >= |lhs - rhs|: agreement modulo every prime is then
+    equality over Z, and the first prime where the sides differ refutes it."""
     A, B = np.array(Tu), np.array(Tv)
-    A, B = int_kernel((A, B), max_abs(A) * max_abs(B) * d * _weight(R))
-    M1 = A[:, :, None, None] @ B[None, None]  # [a,k,b,l] = Tu[a,k] Tv[b,l]
-    M2 = B[:, :, None, None] @ A[None, None]  # [j,b,i,a] = Tv[j,b] Tu[i,a]
-    M2 = M2.transpose(2, 0, 3, 1, 4, 5)  # reindexed [i,j,a,b]
-    lhs = np.zeros_like(M1)  # both sides indexed [i,j,k,l]
-    rhs = np.zeros_like(M1)
-    for ((i, j), (a, b)), val in R.items():
-        lhs[i, j] += val * M1[a, :, b, :]
-        rhs[:, :, a, b] += val * M2[:, :, i, j]
-    return np.array_equal(lhs, rhs)
+    bound = max_abs(A) * max_abs(B) * d * _weight(R)
+    for (A, B), p in int_kernels((A, B), bound, max(d, len(R))):
+        M1 = _reduced(A[:, :, None, None] @ B[None, None], p)  # [a,k,b,l] = Tu[a,k] Tv[b,l]
+        M2 = _reduced(B[:, :, None, None] @ A[None, None], p)  # [j,b,i,a] = Tv[j,b] Tu[i,a]
+        M2 = M2.transpose(2, 0, 3, 1, 4, 5)  # reindexed [i,j,a,b]
+        lhs = np.zeros_like(M1)  # both sides indexed [i,j,k,l]
+        rhs = np.zeros_like(M1)
+        for ((i, j), (a, b)), val in _residues(R, p).items():
+            lhs[i, j] += val * M1[a, :, b, :]
+            rhs[:, :, a, b] += val * M2[:, :, i, j]
+        if not np.array_equal(_reduced(lhs, p), _reduced(rhs, p)):
+            return False
+    return True
 
 
 def _reflection_holds(Su, Sv, R: dict, Rp: dict, N: int, d: int) -> bool:
     """R S_1(u) R' S_2(v) = S_2(v) R' S_1(u) R on (N, N) lists of d x d
     integer blocks, with R(u-v) and R'(u+v) integer sparse dicts.
 
-    Runs in int64 when max|Su| * max|Sv| * d * sum|R| * sum|R'| < 2^62;
-    otherwise on Python ints."""
+    Both sides are at most bound = max|Su| * max|Sv| * d * sum|R| * sum|R'|
+    in absolute value, and so is every partial sum.  Below 2^62 one int64
+    kernel decides.  Otherwise both sides are computed modulo word-size
+    primes (reducing after the d-term block products, the R' sum and the R
+    sum) until the primes' product exceeds 2 * bound >= |lhs - rhs|:
+    agreement modulo every prime is then equality over Z, and the first
+    prime where the sides differ refutes it."""
     A, B = np.array(Su), np.array(Sv)
     bound = max_abs(A) * max_abs(B) * d * _weight(R) * _weight(Rp)
-    A, B = int_kernel((A, B), bound)
-    P2 = A[:, :, None, None] @ B[None, None]  # [i,a,dd,l] = Su[i,a] Sv[dd,l]
-    P2p = B[:, :, None, None] @ A[None, None]  # [j,b,c,k] = Sv[j,b] Su[c,k]
-    X = np.zeros_like(P2)  # X = S_1(u) R' S_2(v), indexed [i,b,c,l]
-    Y = np.zeros_like(P2)  # Y = S_2(v) R' S_1(u), indexed [a,j,k,dd]
-    for ((a, b), (c, dd)), val in Rp.items():
-        X[:, b, c, :] += val * P2[:, a, dd, :]
-        Y[a, :, :, dd] += val * P2p[:, b, c, :]
-    lhs = np.zeros_like(P2)  # both sides indexed [i,j,k,l]
-    rhs = np.zeros_like(P2)
-    for ((i, j), (a, b)), val in R.items():
-        lhs[i, j] += val * X[a, b]
-        rhs[:, :, a, b] += val * Y[:, :, i, j]
-    return np.array_equal(lhs, rhs)
+    for (A, B), p in int_kernels((A, B), bound, max(d, len(R), len(Rp))):
+        P2 = _reduced(A[:, :, None, None] @ B[None, None], p)  # [i,a,dd,l] = Su[i,a] Sv[dd,l]
+        P2p = _reduced(B[:, :, None, None] @ A[None, None], p)  # [j,b,c,k] = Sv[j,b] Su[c,k]
+        X = np.zeros_like(P2)  # X = S_1(u) R' S_2(v), indexed [i,b,c,l]
+        Y = np.zeros_like(P2)  # Y = S_2(v) R' S_1(u), indexed [a,j,k,dd]
+        for ((a, b), (c, dd)), val in _residues(Rp, p).items():
+            X[:, b, c, :] += val * P2[:, a, dd, :]
+            Y[a, :, :, dd] += val * P2p[:, b, c, :]
+        X, Y = _reduced(X, p), _reduced(Y, p)
+        lhs = np.zeros_like(P2)  # both sides indexed [i,j,k,l]
+        rhs = np.zeros_like(P2)
+        for ((i, j), (a, b)), val in _residues(R, p).items():
+            lhs[i, j] += val * X[a, b]
+            rhs[:, :, a, b] += val * Y[:, :, i, j]
+        if not np.array_equal(_reduced(lhs, p), _reduced(rhs, p)):
+            return False
+    return True
 
 
 def check_defining_relations(Z: FusedModuleSpec, samples=None) -> RelationReport:

@@ -371,6 +371,8 @@ def test_relations_reject_perturbed_t_frame(path, monkeypatch):
     frames[0][0, 1] += 1
     Z._tdata = FrameBlock(frames, td.scale, td.den, td.dims)
     if path == "object":
+        # with the certificate forced off, every sample runs on the residue
+        # kernels; the id names the Python-int path that those replaced
         monkeypatch.setattr(linalg, "int64_certified", lambda bound: False)
         seen = []
     else:
@@ -406,25 +408,90 @@ def _weight(R):
     return sum(abs(v) for v in R.values())
 
 
+def _relation_case(relation):
+    """The so2 sample of the relation tests: the matrices a, b that the
+    relation pairs, the factor d * sum|R| (times sum|R'|) that its bound
+    puts on max|a| * max|b|, holds(x, y) deciding it on (N d) x (N d)
+    integer matrices x, y, and the dense Python-int oracle(x, y)."""
+    Z = spec(SO2, (BOX, Fraction(1, 3)), (BOX, Fraction(7, 5)))
+    N, d = Z.N, Z.dimZ
+    (tu, tv), (su, sv), R, Rp = _sample_blocks(Z, Fraction(2), Fraction(5))
+
+    def blocks(x):
+        return repmatrix._blocked(x, N, d)
+
+    if relation == "rtt":
+        def holds(x, y):
+            return repmatrix._rtt_holds(blocks(x), blocks(y), R, N, d)
+
+        def oracle(x, y):
+            return _dense_rtt_holds(x, y, R, N, d)
+
+        return tu, tv, _weight(R) * d, holds, oracle
+
+    def holds(x, y):
+        return repmatrix._reflection_holds(blocks(x), blocks(y), R, Rp, N, d)
+
+    def oracle(x, y):
+        return _dense_reflection_holds(x, y, R, Rp, N, d)
+
+    return su, sv, _weight(R) * _weight(Rp) * d, holds, oracle
+
+
+def _dense(x, N, d, leg):
+    """x in End(C^N (x) V) as a Python-int matrix on C^N (x) C^N (x) V,
+    acting on auxiliary leg 1 or 2."""
+    x4 = np.asarray(x, dtype=object).reshape(N, d, N, d)
+    out = np.zeros((N, N, d, N, N, d), dtype=object)
+    for i in range(N):
+        if leg == 1:
+            out[:, i, :, :, i, :] = x4
+        else:
+            out[i, :, :, i, :, :] = x4
+    return out.reshape(N * N * d, N * N * d)
+
+
+def _dense_aux(R, N, d):
+    out = np.zeros((N, N, d, N, N, d), dtype=object)
+    for ((i, j), (a, b)), val in R.items():
+        for x in range(d):
+            out[i, j, x, a, b, x] = val
+    return out.reshape(N * N * d, N * N * d)
+
+
+def _dense_rtt_holds(x, y, R, N, d):
+    """R T_1(u) T_2(v) = T_2(v) T_1(u) R by dense Python-int products."""
+    Rd, T1, T2 = _dense_aux(R, N, d), _dense(x, N, d, 1), _dense(y, N, d, 2)
+    return np.array_equal(Rd @ T1 @ T2, T2 @ T1 @ Rd)
+
+
+def _dense_reflection_holds(x, y, R, Rp, N, d):
+    """R S_1(u) R' S_2(v) = S_2(v) R' S_1(u) R by dense Python-int products."""
+    Rd, Rpd = _dense_aux(R, N, d), _dense_aux(Rp, N, d)
+    S1, S2 = _dense(x, N, d, 1), _dense(y, N, d, 2)
+    return np.array_equal(Rd @ S1 @ Rpd @ S2, S2 @ Rpd @ S1 @ Rd)
+
+
+def _record_moduli(monkeypatch):
+    """The modulus of every kernel that the relation checks draw."""
+    seen = []
+    kernels = repmatrix.int_kernels
+
+    def recording(arrays, bound, terms):
+        for arrays, p in kernels(arrays, bound, terms):
+            seen.append(p)
+            yield arrays, p
+
+    monkeypatch.setattr(repmatrix, "int_kernels", recording)
+    return seen
+
+
 @pytest.mark.parametrize("relation", ["rtt", "reflection"])
 def test_int64_certificate_boundary(relation, monkeypatch):
     # scale the first sample so the certificate lands just below and just
     # above 2^62; both sides of a relation scale alike, so the truth is kept
-    Z = spec(SO2, (BOX, Fraction(1, 3)), (BOX, Fraction(7, 5)))
-    N, d = Z.N, Z.dimZ
-    (tu, tv), (su, sv), R, Rp = _sample_blocks(Z, Fraction(2), Fraction(5))
-    if relation == "rtt":
-        a, b, weight = tu, tv, _weight(R)
-
-        def holds(x, y):
-            return repmatrix._rtt_holds(x, y, R, N, d)
-    else:
-        a, b, weight = su, sv, _weight(R) * _weight(Rp)
-
-        def holds(x, y):
-            return repmatrix._reflection_holds(x, y, R, Rp, N, d)
-
-    unit = linalg.max_abs(a) * linalg.max_abs(b) * d * weight
+    a, b, weight, holds, _ = _relation_case(relation)
+    unit = linalg.max_abs(a) * linalg.max_abs(b) * weight
     limit = 1 << 62
     scale = (limit - 1) // unit
     for k, certified in ((scale, True), (scale + 1, False)):
@@ -433,14 +500,44 @@ def test_int64_certificate_boundary(relation, monkeypatch):
         broken = big.copy()
         broken[0, 1] += 1
         for x, truth in ((big, True), (broken, False)):
-            blocks = repmatrix._blocked(x, N, d)
             seen = _record_certificates(monkeypatch)
-            auto = holds(blocks, repmatrix._blocked(b, N, d))
+            auto = holds(x, b)
             assert seen == [certified]
             monkeypatch.setattr(linalg, "int64_certified", lambda bound: False)
-            forced = holds(blocks, repmatrix._blocked(b, N, d))
+            forced = holds(x, b)
             monkeypatch.undo()
             assert auto == forced == truth
+
+
+@pytest.mark.parametrize("relation", ["rtt", "reflection"])
+def test_residue_kernels_reject_perturbation_hidden_from_all_but_last_prime(
+        relation, monkeypatch):
+    # a sample whose bound needs at least three primes; the perturbation is
+    # divisible by every prime but the last, so only the last kernel sees it
+    a, b, weight, holds, oracle = _relation_case(relation)
+    big = (a * ((1 << 80) // (linalg.max_abs(a) * linalg.max_abs(b) * weight))).astype(object)
+    moduli = _record_moduli(monkeypatch)
+    assert holds(big, b) and oracle(big, b)
+    primes = list(moduli)
+    assert len(primes) >= 3 and None not in primes
+    broken = big.copy()
+    broken[0, 1] += math.prod(primes[:-1])
+    del moduli[:]
+    assert not oracle(broken, b)
+    assert not holds(broken, b)
+    assert moduli == primes
+
+
+@pytest.mark.parametrize("relation", ["rtt", "reflection"])
+def test_residue_kernels_decide_300_bit_samples(relation, monkeypatch):
+    a, b, _, holds, oracle = _relation_case(relation)
+    big = (a * ((1 << 300) // linalg.max_abs(a))).astype(object)
+    broken = big.copy()
+    broken[0, 1] += 1
+    moduli = _record_moduli(monkeypatch)
+    assert holds(big, b) and oracle(big, b)
+    assert len(moduli) >= 11
+    assert not holds(broken, b) and not oracle(broken, b)
 
 
 def _is_integer_block(fb) -> bool:

@@ -1,0 +1,106 @@
+"""Print stage times of twistfusion at the dimension-18 and -27 so3 modules.
+
+    python3 tools/scale_probe.py [--stages LIST]
+
+The package is imported from ``src/`` next to this script.  The modules are
+so3 ``1,1:1/5;2:-3/7`` (dim 18) and ``3,2,1/2,1:1/7`` (dim 27).  LIST is a
+comma list of stages, run in this order, default all of them:
+
+  * ``phi``: ``irreducibility.phi_leading``, pair blocks and Laurent product;
+  * ``rank``: ``irreducibility.surjectivity`` of that phi (needs ``phi``);
+  * ``commutant``: ``irreducibility.commutant_dim`` at the default K;
+  * ``relations``: ``repmatrix.check_defining_relations``, with the number
+    of RTT and reflection samples decided by one int64 kernel and by
+    residue kernels, and how many residue kernels (primes) those took.
+
+At dim 27, ``phi`` takes minutes; ``--stages relations`` runs in seconds.
+Times are wall times of one run in this process.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import sys
+import time
+from collections import Counter
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+STAGES = ("phi", "rank", "commutant", "relations")
+MODULES = ("1,1:1/5;2:-3/7", "3,2,1/2,1:1/7")
+
+
+def _record_kernels(repmatrix) -> Counter:
+    """Count, per relation, the samples on each kernel path: rebinds
+    ``int_kernels`` and the two relation checks of ``repmatrix``."""
+    counts: Counter = Counter()
+    kernels = repmatrix.int_kernels
+    relation = [None]
+
+    def recording(arrays, bound, terms):
+        primes = 0
+        for arrays, p in kernels(arrays, bound, terms):
+            primes += p is not None
+            yield arrays, p
+        counts[relation[0], "residue" if primes else "int64"] += 1
+        counts[relation[0], "primes"] += primes
+
+    def labelled(name, check):
+        def run(*args):
+            relation[0] = name
+            return check(*args)
+        return run
+
+    repmatrix.int_kernels = recording
+    repmatrix._rtt_holds = labelled("rtt", repmatrix._rtt_holds)
+    repmatrix._reflection_holds = labelled("reflection", repmatrix._reflection_holds)
+    return counts
+
+
+def _timed(label: str, fn, note):
+    t0 = time.perf_counter()
+    out = fn()
+    print(f"  {label:<26}{time.perf_counter() - t0:9.3f} s   {note(out)}", flush=True)
+    return out
+
+
+def probe(tf, modules: str, stages, counts: Counter) -> None:
+    irr, repmatrix = tf.irreducibility, tf.repmatrix
+    Z = repmatrix.FusedModuleSpec.from_string(tf.tensor.GForm.default("so", 3), modules)
+    print(f"so3 {modules}  dim {Z.dimZ}", flush=True)
+    if "phi" in stages:
+        phi = _timed("phi_leading", lambda: irr.phi_leading(Z), lambda p: f"order {p.order}")
+        if "rank" in stages:
+            _timed("surjectivity", lambda: irr.surjectivity(phi),
+                   lambda r: f"rank {r[0]} of {Z.dimZ ** 2}")
+    if "commutant" in stages:
+        K = irr.default_truncation(Z)
+        _timed("commutant_dim", lambda: irr.commutant_dim(Z, K), lambda c: f"dim {c[0]} (K = {K})")
+    if "relations" in stages:
+        counts.clear()
+        _timed("check_defining_relations", lambda: repmatrix.check_defining_relations(Z),
+               lambda rep: "proven" if rep.proven else "NOT proven")
+        for rel in ("rtt", "reflection"):
+            print(f"    {rel + ':':<12}{counts[rel, 'int64']:4d} int64, "
+                  f"{counts[rel, 'residue']:4d} residue samples ({counts[rel, 'primes']} primes)")
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.strip().splitlines()[0])
+    ap.add_argument("--stages", default=",".join(STAGES))
+    args = ap.parse_args(argv)
+    stages = args.stages.split(",")
+    unknown = set(stages) - set(STAGES)
+    if unknown or ("rank" in stages and "phi" not in stages):
+        ap.error(f"stages are a subset of {','.join(STAGES)}, with phi for rank")
+    sys.path.insert(0, os.path.join(ROOT, "src"))
+    import twistfusion as tf
+
+    counts = _record_kernels(tf.repmatrix)
+    for modules in MODULES:
+        probe(tf, modules, stages, counts)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
