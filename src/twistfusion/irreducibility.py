@@ -44,11 +44,7 @@ from .repmatrix import (
     s_coefficients,
     swz_frame_blocks,
 )
-from .tensor import (
-    TensorOperator,
-    _WindowExhausted,
-    contraction_map_matrix,
-)
+from .tensor import TensorOperator, contraction_map_matrix
 
 _PRIME_DENOMS = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
@@ -65,8 +61,8 @@ def s_WZ_family(Z: FusedModuleSpec) -> TensorOperator:
 @dataclass
 class PhiOperator:
     """Leading Laurent coefficient of the contracted family, as a matrix of
-    the map End(W) -> End(Z) (row (z1,z2), column (w',w)): ``coeff`` as the
-    Laurent product yields it, ``matrix`` its Fraction view."""
+    the map End(W) -> End(Z) (row (z1,z2), column (w',w)): ``coeff`` as
+    frame_product yields it, ``matrix`` its Fraction view."""
 
     order: int
     coeff: ScaledIntMatrix
@@ -80,30 +76,18 @@ class PhiOperator:
 def phi_leading(Z: FusedModuleSpec) -> PhiOperator:
     """Leading trace-contraction coefficient of S_{W,Z}(zeta) at 0.
 
-    The matrix-level leading coefficient is located exactly with truncated
-    Laurent arithmetic.  Every block starts at its exact order, so the
-    product's order is at least the sum of the block orders, and at a
-    generic point equal to it: one coefficient per block is all the product
-    needs.  The window doubles and the product is redone when cancellations
-    eat the known coefficients.  The contraction only reindexes the leading
-    coefficient, which is nonzero, so phi is nonzero; a zero phi is a bug.
+    frame_product locates the matrix-level leading term exactly: the
+    numerators of the frame blocks multiply as integer matrices and their
+    scalar denominators are kept aside, so no denominator is expanded.  The
+    contraction only reindexes the leading coefficient, which is nonzero, so
+    phi is nonzero; a zero phi is a bug.
     """
     dZ = Z.dimZ
-    dims = Z.factor_dims + Z.factor_dims
-    blocks = swz_frame_blocks(Z)
-    window = 1
-    while window <= 256:
-        try:
-            prod = frame_product(blocks, dims, window)
-        except _WindowExhausted:
-            window *= 2
-            continue
-        coeff = prod.coefficient(prod.order)
-        phi = ScaledIntMatrix(contraction_map_matrix(coeff.mat, dZ, dZ), coeff.scale)
-        if phi.is_zero():
-            raise InternalInconsistency(f"zero contracted coefficient at order {prod.order}")
-        return PhiOperator(order=prod.order, coeff=phi, dimZ=dZ)
-    raise InternalInconsistency("Laurent window exhausted; family appears to vanish")
+    order, coeff = frame_product(swz_frame_blocks(Z), Z.factor_dims + Z.factor_dims)
+    phi = ScaledIntMatrix(contraction_map_matrix(coeff.mat, dZ, dZ), coeff.scale)
+    if phi.is_zero():
+        raise InternalInconsistency(f"zero contracted coefficient at order {order}")
+    return PhiOperator(order=order, coeff=phi, dimZ=dZ)
 
 
 def surjectivity(phi: PhiOperator) -> tuple[int, bool]:

@@ -6,14 +6,15 @@ Three layers, all exact:
   eliminations run on Python ints, roughly two orders of magnitude faster
   than Fraction arithmetic (no gcd per operation).
 * Certified integer kernels.  One exact product, int_matmul, sits behind
-  fdot, ScaledIntMatrix and the checks below: it runs in numpy int64 only
-  when a runtime certificate bounds every intermediate below 2^62 in
-  absolute value (max|A| * max|B| * inner dimension), otherwise on Python
-  ints.  Identities between integer expressions take their kernels from
-  int_kernels: under the same certificate (a further sum of terms c * (A B)
-  multiplies the product bound by sum |c|) one int64 kernel, otherwise
-  int64 residues modulo word-size primes whose product exceeds twice the
-  bound, so sides that agree modulo every prime are equal over Z.
+  fdot, ScaledIntMatrix, the Laurent product and the checks below: it runs
+  in numpy int64 only when a runtime certificate bounds every intermediate
+  below 2^62 in absolute value (max|A| * max|B| * inner dimension),
+  otherwise on Python ints.  Identities between integer expressions take
+  their kernels from int_kernels: under the same certificate (a further sum
+  of terms c * (A B) multiplies the product bound by sum |c|) one int64
+  kernel, otherwise int64 residues modulo word-size primes whose product
+  exceeds twice the bound, so sides that agree modulo every prime are equal
+  over Z.
 * One certified echelon, echelon(A): the leftmost pivot columns of A over Q
   and the exact coefficients of the other columns in them.  Modular RREF
   proposes both, rational reconstruction (Wang, Guy & Davenport) over CRT
@@ -215,8 +216,9 @@ def generic_dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 class ScaledIntMatrix:
     """An exact rational matrix stored as scale * (integer matrix).
 
-    Used for coefficient matrices of matrix-valued Laurent series, where long
-    chains of products and sums must stay fast.
+    Used for basis-solve coordinates, the leading coefficient of a frame
+    product and the S(u) coefficients, which stay integers over one scale
+    until a public output reads them as Fractions.
     """
 
     __slots__ = ("mat", "scale")
@@ -224,10 +226,6 @@ class ScaledIntMatrix:
     def __init__(self, mat: np.ndarray, scale: Fraction = Fraction(1)):
         self.mat = mat
         self.scale = scale
-
-    @classmethod
-    def zeros(cls, shape) -> "ScaledIntMatrix":
-        return cls(np.zeros(shape, dtype=object), Fraction(1))
 
     def to_fractions(self) -> np.ndarray:
         if self.scale == 1:
@@ -245,30 +243,10 @@ class ScaledIntMatrix:
                                self.scale * other.scale)
 
     def __add__(self, other: "ScaledIntMatrix") -> "ScaledIntMatrix":
-        s1, s2 = self.scale, other.scale
-        if s1 == s2:
-            return ScaledIntMatrix(self.mat + other.mat, s1)
-        g = Fraction(
-            math.gcd(s1.numerator * s2.denominator, s2.numerator * s1.denominator),
-            s1.denominator * s2.denominator,
-        )
-        f1 = int(s1 / g)
-        f2 = int(s2 / g)
-        return ScaledIntMatrix(self.mat * f1 + other.mat * f2, g)
-
-    def __mul__(self, c) -> "ScaledIntMatrix":
-        if isinstance(c, int):
-            # integer path keeps the scale, so sums stay on the fast branch
-            return ScaledIntMatrix(self.mat * c, self.scale)
-        c = Fraction(c)
-        if c == 0:
-            return ScaledIntMatrix.zeros(self.mat.shape)
-        return ScaledIntMatrix(self.mat, self.scale * c)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return ScaledIntMatrix(self.mat, -self.scale)
+        """The sum of two matrices over the same scale."""
+        if self.scale != other.scale:
+            raise ValueError("summands carry different scales")
+        return ScaledIntMatrix(self.mat + other.mat, self.scale)
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,7 @@ from .tensor import (
     GForm,
     MatrixLaurentSeries,
     TensorOperator,
+    _WindowExhausted,
     embed_matrix,
     embed_operator,
     restricted_chain,
@@ -294,19 +295,43 @@ def swz_frame_blocks(Z: FusedModuleSpec) -> list[tuple[FrameBlock, tuple[int, ..
     return blocks + _s_fused_frame_blocks(Z, True) + breve_r_frame_blocks(Z)
 
 
-def frame_product(blocks, dims, window: int) -> MatrixLaurentSeries:
-    """Laurent series at zeta = 0 of the ordered product of frame blocks,
-    past its exactly-zero leading coefficients; _WindowExhausted if
-    ``window`` is used up.
+def frame_product(blocks, dims) -> tuple[int, ScaledIntMatrix]:
+    """Laurent order and exact leading coefficient at zeta = 0 of the
+    ordered product of frame blocks.
 
-    The product starts at the identity on the legs ``dims`` and multiplies
-    each block in on its own slots (MatrixLaurentSeries.embedded): the
-    blocks act on one or two factors, and no D x D block matrix is formed."""
-    prod = MatrixLaurentSeries.identity(math.prod(dims))
-    for fb, slots in blocks:
-        block = MatrixLaurentSeries.from_frames(fb.frames, fb.scale, fb.den, window)
-        prod = prod @ block.embedded(slots, dims)
-    return prod.trimmed()
+    The denominators are scalars, so they are kept aside: the product is
+    the product of the numerators, a polynomial matrix, over the product
+    den of the denominators.  Its order is the numerators' order minus
+    val(den), and its leading coefficient the numerators' lowest nonzero
+    coefficient over the lowest nonzero coefficient of den.
+
+    The numerator product starts at the identity on the legs ``dims`` and
+    multiplies each block in on its own slots (MatrixLaurentSeries.embedded),
+    so no D x D block matrix is formed.  Blocks and product are known
+    through ``window`` coefficients past their orders; the identity is
+    padded with zero frames to the length of the numerator product, so a
+    window that covers that length makes the product exact.  The window
+    starts at 1 and doubles while cancellations eat the known ones."""
+    den = Poly.const(1)
+    for fb, _ in blocks:
+        den = den * fb.den
+    val = den.valuation()
+    D = math.prod(dims)
+    length = 1 + sum(len(fb.frames) - 1 for fb, _ in blocks)
+    one = MatrixLaurentSeries.identity(D).coeffs + [np.zeros((D, D), dtype=object)] * (length - 1)
+    window = 1
+    while True:
+        prod = MatrixLaurentSeries.from_frames(one, _F1, window)
+        for fb, slots in blocks:
+            block = MatrixLaurentSeries.from_frames(fb.frames, fb.scale, window)
+            prod = prod @ block.embedded(slots, dims)
+        try:
+            prod = prod.trimmed()
+        except _WindowExhausted:
+            window *= 2
+            continue
+        coeff = prod.coefficient(prod.order)
+        return prod.order - val, ScaledIntMatrix(coeff, prod.scale / den.coeffs[val])
 
 
 def ratfunc_product(blocks, dims) -> TensorOperator:
@@ -318,11 +343,11 @@ def ratfunc_product(blocks, dims) -> TensorOperator:
     return out
 
 
-def breve_r_family_leading(Z: FusedModuleSpec, window: int = 6):
+def breve_r_family_leading(Z: FusedModuleSpec):
     """Laurent order and exact leading coefficient matrix of the breve-R
     family of the shifted pair (W, Z) at zeta = 0."""
-    prod = frame_product(breve_r_frame_blocks(Z), Z.factor_dims + Z.factor_dims, window)
-    return prod.order, prod.coefficient(prod.order).to_fractions()
+    order, coeff = frame_product(breve_r_frame_blocks(Z), Z.factor_dims + Z.factor_dims)
+    return order, coeff.to_fractions()
 
 
 def r_factorized_blocks(
@@ -374,9 +399,8 @@ def _t_data(Z: FusedModuleSpec) -> FrameBlock:
     """T_Z(u) as polynomial coefficient frames over the scalar denominator
     prod_q (u - v_q), on the legs (N,) + factor dims; cached on Z.
 
-    The coefficients of the product series carry their own scales; the
-    frames are them over the largest scale dividing those of the nonzero ones
-    (a zero coefficient may carry any scale), times the frames' content."""
+    The frames are the integer coefficients of the exact product series
+    divided by their content, over its scale times that content."""
     if Z._tdata is not None:
         return Z._tdata
     N = Z.N
@@ -395,14 +419,10 @@ def _t_data(Z: FusedModuleSpec) -> FrameBlock:
             den = den * Poly((-vq, _F1))
         solver = BasisSolver.kron(aux, Z.basis(j).solver())
         frames, scale = restricted_chain(chain, solver, (N,) * (len(params) + 1))
-        block = [ScaledIntMatrix(fr, scale) for fr in frames]
-        acc = acc @ MatrixLaurentSeries(0, block, exact_tail=True).embedded((0, 1 + j), dims)
-    scales = [m.scale for m in acc.coeffs if not m.is_zero()] or [_F1]
-    g = Fraction(math.gcd(*(s.numerator for s in scales)),
-                 math.lcm(*(s.denominator for s in scales)))
-    frames = [m.mat * int(m.scale / g) for m in acc.coeffs]
-    content = math.gcd(*(int(np.gcd.reduce(fr.ravel())) for fr in frames))
-    Z._tdata = FrameBlock([fr // content for fr in frames], g * content, den, dims)
+        block = MatrixLaurentSeries(0, frames, scale, exact_tail=True)
+        acc = acc @ block.embedded((0, 1 + j), dims)
+    content = math.gcd(*(int(np.gcd.reduce(fr.ravel())) for fr in acc.coeffs))
+    Z._tdata = FrameBlock([fr // content for fr in acc.coeffs], acc.scale * content, den, dims)
     return Z._tdata
 
 

@@ -27,6 +27,7 @@ from .linalg import (
     feye,
     fzeros,
     generic_dot,
+    int_matmul,
     is_zero_matrix,
     mat_equal,
     primitive_part,
@@ -472,10 +473,11 @@ def restricted_chain(chain, solver: linalg.BasisSolver, dims) -> tuple[list, Fra
 # matrix-valued Laurent series around 0 in one deformation variable
 
 class MatrixLaurentSeries:
-    """coeffs[k] is the exact coefficient of t^(order+k).
+    """scale * sum_k coeffs[k] t^(order+k): integer coefficient matrices
+    over one Fraction scale.
 
     ``exact_tail`` means every higher coefficient is exactly zero; otherwise
-    the expansion is only known through the stored window.
+    the series is only known through the stored window.
 
     A series made by ``embedded`` stands for block (x) identity on some slots
     of a tensor product: its coeffs are the block's own small coefficients
@@ -484,57 +486,33 @@ class MatrixLaurentSeries:
     it is ever formed.
     """
 
-    __slots__ = ("order", "coeffs", "exact_tail", "slot_map")
+    __slots__ = ("order", "coeffs", "scale", "exact_tail", "slot_map")
 
-    def __init__(self, order: int, coeffs: list[ScaledIntMatrix], exact_tail: bool = False,
-                 slot_map: np.ndarray | None = None):
+    def __init__(self, order: int, coeffs: list[np.ndarray], scale: Fraction,
+                 exact_tail: bool = False, slot_map: np.ndarray | None = None):
         self.order = order
         self.coeffs = coeffs
+        self.scale = scale
         self.exact_tail = exact_tail
         self.slot_map = slot_map
 
     @classmethod
     def identity(cls, n: int) -> "MatrixLaurentSeries":
         """The constant series 1 on n x n matrices."""
-        return cls(0, [ScaledIntMatrix(np.eye(n, dtype=np.int64).astype(object))],
-                   exact_tail=True)
+        return cls(0, [np.eye(n, dtype=np.int64).astype(object)], _F1, exact_tail=True)
 
     @classmethod
-    def from_frames(cls, frames, scale, den, window: int) -> "MatrixLaurentSeries":
-        """Series of scale * (sum_k frames[k] t^k) / den(t); frames are
-        integer matrices, scale a Fraction and den a scalar polynomial.  The
-        frames become the coefficients' integer matrices as they are.
-
-        The order is exact: leading frames that are exactly zero are dropped,
-        so with k0 the first nonzero frame the series starts at
-        t^(k0 - val(den)) with a nonzero coefficient, and ``window``
-        coefficients are known from there."""
+    def from_frames(cls, frames, scale, window: int) -> "MatrixLaurentSeries":
+        """The polynomial scale * sum_k frames[k] t^k, frames integer
+        matrices and scale a Fraction, past its exactly-zero leading frames
+        (which give the order), known through ``window`` coefficients from
+        there; exact when every frame fits."""
         k0 = 0
         while k0 < len(frames) and is_zero_matrix(frames[k0]):
             k0 += 1
         if k0 == len(frames):
-            return cls(0, [ScaledIntMatrix.zeros(frames[0].shape)], exact_tail=True)
-        frames = frames[k0:]
-        val = den.valuation()
-        if den.degree == val:
-            # pure monomial: exact finite Laurent expansion
-            inv = scale / den.coeffs[val]
-            return cls(k0 - val, [ScaledIntMatrix(f, inv) for f in frames], exact_tail=True)
-        order, cs = RatFunc(Poly.const(1), den).laurent_at(0, window)
-        order += k0
-        cleared = [ScaledIntMatrix(f, scale) for f in frames]
-        out = []
-        shape = frames[0].shape
-        for s in range(window):
-            acc = None
-            for k in range(min(s, len(frames) - 1) + 1):
-                c = cs[s - k]
-                if c == 0:
-                    continue
-                term = cleared[k] * c
-                acc = term if acc is None else acc + term
-            out.append(acc if acc is not None else ScaledIntMatrix.zeros(shape))
-        return cls(order, out, exact_tail=False)
+            return cls(0, [frames[0]], scale, exact_tail=True)
+        return cls(k0, frames[k0:k0 + window], scale, exact_tail=len(frames) - k0 <= window)
 
     def embedded(self, slots, dims) -> "MatrixLaurentSeries":
         """This series of block matrices as block (x) identity on the given
@@ -542,19 +520,20 @@ class MatrixLaurentSeries:
         ``dims``, to be applied by ``@`` from the right."""
         slot_map = _slot_rest_index(slots, dims)
         ds = slot_map.shape[0]
-        if self.coeffs[0].mat.shape != (ds, ds):
+        if self.coeffs[0].shape != (ds, ds):
             raise DimensionMismatch("block size does not match slot dimensions")
-        return MatrixLaurentSeries(self.order, self.coeffs, self.exact_tail, slot_map)
+        return MatrixLaurentSeries(self.order, self.coeffs, self.scale, self.exact_tail, slot_map)
 
     def __matmul__(self, other: "MatrixLaurentSeries") -> "MatrixLaurentSeries":
-        """Cauchy product, known as far as both windows reach.
+        """Cauchy product, known as far as both windows reach: integer
+        products summed under the product of the two scales.
 
         An embedded right operand is applied on its slots by the (A (x) I) X
         reshape identity: the columns of a left coefficient P, gathered by
         slot map into a (rows * d_rest) x d_slots matrix G, give
         P (B (x) 1) as G @ B scattered back, D^2 d_slots multiplications
-        instead of D^3.  Every product runs through ScaledIntMatrix, so
-        under the int64 certificate of int_matmul."""
+        instead of D^3.  Every product runs under the int64 certificate of
+        int_matmul."""
         if self.slot_map is not None:
             raise DimensionMismatch("an embedded series multiplies only from the right")
         la, lb = len(self.coeffs), len(other.coeffs)
@@ -562,18 +541,17 @@ class MatrixLaurentSeries:
         wb = math.inf if other.exact_tail else lb
         w = min(wa, wb)
         length = la + lb - 1 if w is math.inf else int(w)
-        za = [c.is_zero() for c in self.coeffs]
-        zb = [c.is_zero() for c in other.coeffs]
-        rows, inner = self.coeffs[0].mat.shape
+        za = [is_zero_matrix(c) for c in self.coeffs]
+        zb = [is_zero_matrix(c) for c in other.coeffs]
+        rows, inner = self.coeffs[0].shape
         cols = None if other.slot_map is None else other.slot_map.T  # [rest, slot]
         if cols is None:
             left = self.coeffs
-            shape = (rows, other.coeffs[0].mat.shape[1])
+            shape = (rows, other.coeffs[0].shape[1])
         else:
             if cols.size != inner:
                 raise DimensionMismatch("embedded operand lives on another space")
-            left = [None if z else ScaledIntMatrix(c.mat[:, cols].reshape(-1, cols.shape[1]),
-                                                   c.scale)
+            left = [None if z else c[:, cols].reshape(-1, cols.shape[1])
                     for c, z in zip(self.coeffs, za)]
             shape = (rows, inner)
         out = []
@@ -582,35 +560,35 @@ class MatrixLaurentSeries:
             for a in range(max(0, t - lb + 1), min(la, t + 1)):
                 if za[a] or zb[t - a]:
                     continue
-                term = left[a] @ other.coeffs[t - a]
+                term = int_matmul(left[a], other.coeffs[t - a]).astype(object)
                 acc = term if acc is None else acc + term
             if acc is None:
-                acc = ScaledIntMatrix.zeros(shape)
+                acc = np.zeros(shape, dtype=object)
             elif cols is not None:
                 mat = np.empty(shape, dtype=object)
-                mat[:, cols] = acc.mat.reshape((rows,) + cols.shape)
-                acc = ScaledIntMatrix(mat, acc.scale)
+                mat[:, cols] = acc.reshape((rows,) + cols.shape)
+                acc = mat
             out.append(acc)
-        return MatrixLaurentSeries(
-            self.order + other.order, out, self.exact_tail and other.exact_tail
-        )
+        return MatrixLaurentSeries(self.order + other.order, out, self.scale * other.scale,
+                                   self.exact_tail and other.exact_tail)
 
     def trimmed(self) -> "MatrixLaurentSeries":
         """Advance past exactly-zero leading coefficients."""
         k = 0
-        while k < len(self.coeffs) and self.coeffs[k].is_zero():
+        while k < len(self.coeffs) and is_zero_matrix(self.coeffs[k]):
             k += 1
         if k == len(self.coeffs):
             if self.exact_tail:
-                return MatrixLaurentSeries(0, [self.coeffs[0]], True, self.slot_map)
+                return MatrixLaurentSeries(0, [self.coeffs[0]], self.scale, True, self.slot_map)
             raise _WindowExhausted
-        return MatrixLaurentSeries(self.order + k, self.coeffs[k:], self.exact_tail,
+        return MatrixLaurentSeries(self.order + k, self.coeffs[k:], self.scale, self.exact_tail,
                                    self.slot_map)
 
-    def coefficient(self, exponent: int) -> ScaledIntMatrix:
+    def coefficient(self, exponent: int) -> np.ndarray:
+        """The integer matrix of t^exponent, to be read over ``scale``."""
         k = exponent - self.order
         if k < 0 or (k >= len(self.coeffs) and self.exact_tail):
-            return ScaledIntMatrix.zeros(self.coeffs[0].mat.shape)
+            return np.zeros(self.coeffs[0].shape, dtype=object)
         if k >= len(self.coeffs):
             raise _WindowExhausted
         return self.coeffs[k]

@@ -19,10 +19,13 @@ from twistfusion.irreducibility import (
     verdict,
     walls,
 )
-from twistfusion.linalg import fdot, feye, is_zero_matrix, mat_equal, nullspace_exact, rank_exact
+from twistfusion.linalg import fdot, feye, fzeros, mat_equal, nullspace_exact, rank_exact
 from twistfusion.repmatrix import (
     FusedModuleSpec,
+    breve_r_frame_blocks,
+    check_defining_relations,
     frame_product,
+    ratfunc_product,
     s_coefficients,
     s_generators,
     swz_frame_blocks,
@@ -262,7 +265,7 @@ def test_report_json_roundtrip():
 
 
 # ---------------------------------------------------------------------------
-# exact block orders: one coefficient per block at a generic point
+# frame_product: the symbolic product as oracle, and the windows it takes
 
 HDOM = SkewDiagram((2,))
 
@@ -278,15 +281,55 @@ GENERIC_POINTS = [
 ]
 
 
-def _counting_frame_product(monkeypatch):
-    calls = []
+def _leading_by_laurent(blocks, dims):
+    """Order and leading coefficient of the symbolic product of the blocks,
+    every entry expanded at 0 through RatFunc.laurent_at."""
+    fam = ratfunc_product(blocks, dims).mat
+    expansions = {idx: RatFunc.coerce(f).laurent_at(0, 1)
+                  for idx, f in np.ndenumerate(fam) if not RatFunc.coerce(f).is_zero()}
+    order = min(o for o, _ in expansions.values())
+    coeff = fzeros(fam.shape)
+    for idx, (o, cs) in expansions.items():
+        if o == order:
+            coeff[idx] = cs[0]
+    return order, coeff
 
-    def counting(blocks, dims, window):
-        calls.append(window)
-        return frame_product(blocks, dims, window)
 
-    monkeypatch.setattr(irreducibility, "frame_product", counting)
-    return calls
+FRAME_PRODUCT_CASES = {
+    "swz sp2 1:1/3": (swz_frame_blocks, "1:1/3"),  # generic: one window
+    "swz sp2 1:1/3;1:4/3": (swz_frame_blocks, "1:1/3;1:4/3"),  # wall: a second window
+    "breve sp2 2:1/3": (breve_r_frame_blocks, "2:1/3"),
+}
+
+
+@pytest.mark.parametrize("case", FRAME_PRODUCT_CASES)
+def test_frame_product_against_symbolic_product(case):
+    make_blocks, modules = FRAME_PRODUCT_CASES[case]
+    Z = FusedModuleSpec.from_string(SP2, modules)
+    blocks = make_blocks(Z)
+    dims = Z.factor_dims * 2
+    order, coeff = frame_product(blocks, dims)
+    expected_order, expected = _leading_by_laurent(blocks, dims)
+    assert order == expected_order
+    assert mat_equal(coeff.to_fractions(), expected)
+    if make_blocks is breve_r_frame_blocks:
+        # the diagonal blocks' denominators vanish at zeta = 0
+        assert any(fb.den.valuation() > 0 for fb, _ in blocks)
+
+
+def _recording_windows(monkeypatch):
+    """The windows at which frame_product multiplies its blocks, in order,
+    read off the calls of MatrixLaurentSeries.from_frames."""
+    windows = []
+    from_frames = MatrixLaurentSeries.from_frames.__func__
+
+    def recording(cls, frames, scale, window):
+        if windows[-1:] != [window]:
+            windows.append(window)
+        return from_frames(cls, frames, scale, window)
+
+    monkeypatch.setattr(MatrixLaurentSeries, "from_frames", classmethod(recording))
+    return windows
 
 
 @pytest.mark.parametrize("form,factors", GENERIC_POINTS,
@@ -294,35 +337,36 @@ def _counting_frame_product(monkeypatch):
                               for f, fs in GENERIC_POINTS])
 def test_phi_leading_one_product_at_generic_points(form, factors, monkeypatch):
     Z = FusedModuleSpec(form, factors)
-    calls = _counting_frame_product(monkeypatch)
+    windows = _recording_windows(monkeypatch)
     phi = phi_leading(Z)
-    assert calls == [1]
+    assert windows == [1]
     # the exact block orders add up to the order of the product
-    orders = [MatrixLaurentSeries.from_frames(fb.frames, fb.scale, fb.den, 1).order
+    orders = [MatrixLaurentSeries.from_frames(fb.frames, fb.scale, 1).order - fb.den.valuation()
               for fb, _ in swz_frame_blocks(Z)]
     assert sum(orders) == phi.order
 
 
-def _phi_from_window(Z, window, depth=3):
-    """The leading contracted coefficient read off one product of the given
-    window, as phi_leading did with its fixed starting window."""
-    dZ = Z.dimZ
-    prod = frame_product(swz_frame_blocks(Z), Z.factor_dims + Z.factor_dims, window)
-    for t in range(depth + 1):
-        phi = contraction_map_matrix(prod.coefficient(prod.order + t).to_fractions(), dZ, dZ)
-        if not is_zero_matrix(phi):
-            return prod.order + t, phi
-    raise AssertionError("no nonzero contracted coefficient")
-
-
 def test_phi_leading_retries_at_wall_point(monkeypatch):
-    Z = spec(SP2, (BOX, Fraction(1, 3)), (BOX, Fraction(4, 3)))
-    calls = _counting_frame_product(monkeypatch)
-    phi = phi_leading(Z)
-    assert calls == [1, 2]
-    order, matrix = _phi_from_window(Z, 7)
-    assert phi.order == order
-    assert mat_equal(phi.matrix, matrix)
+    windows = _recording_windows(monkeypatch)
+    for form, modules in ((SP2, "1:1/3;1:4/3"), (SO3, "1:2/3;1:5/3")):
+        windows.clear()
+        Z = FusedModuleSpec.from_string(form, modules)
+        phi_leading(Z)
+        assert windows == [1, 2]
+
+
+def test_no_denominator_is_expanded(monkeypatch):
+    """Verdicts and relation checks keep every scalar denominator aside:
+    none is expanded as a Laurent series."""
+    def refuse(self, a, count):
+        raise AssertionError("a denominator was expanded as a Laurent series")
+
+    monkeypatch.setattr(RatFunc, "laurent_at", refuse)
+    generic = verdict(spec(SP2, (BOX, Fraction(1, 3)), (BOX, Fraction(7, 5))))
+    assert (generic.laurent_order, generic.phi_rank) == (-2, 16)
+    wall = verdict(spec(SP2, (BOX, Fraction(1, 3)), (BOX, Fraction(4, 3))))
+    assert (wall.laurent_order, wall.phi_rank) == (-1, 13)
+    assert check_defining_relations(spec(SO3, (VDOM, Fraction(1, 3)), (BOX, Fraction(2, 5)))).proven
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from twistfusion.errors import DimensionMismatch, IndexOutOfRange, NotInvariant, SingularParameter
-from twistfusion.exactnum import Poly, RatFunc
-from twistfusion.linalg import ScaledIntMatrix, feye, fzeros, mat_equal, to_int_scaled
+from twistfusion.exactnum import Poly
+from twistfusion.linalg import feye, fzeros, mat_equal, to_int_scaled
 from twistfusion.tensor import (
     Basis,
     FrameBlock,
@@ -253,29 +253,30 @@ DIMS3 = (2, 3, 4)
 
 
 def rand_series(rng, n, length, exact_tail, order):
-    """Random rational n x n coefficients; the second one is zero."""
+    """Random integer n x n coefficients over one random Fraction scale;
+    the second coefficient is zero."""
     coeffs = []
     for k in range(length):
-        mat = fzeros((n, n))
+        mat = np.zeros((n, n), dtype=object)
         if k != 1:
             for idx in np.ndindex(n, n):
                 if rng.random() < 0.6:
-                    mat[idx] = Fraction(rng.randint(-9, 9), rng.choice([1, 2, 5, 7]))
-        coeffs.append(ScaledIntMatrix(*to_int_scaled(mat)))
-    return MatrixLaurentSeries(order, coeffs, exact_tail)
+                    mat[idx] = rng.randint(-9, 9)
+        coeffs.append(mat)
+    scale = Fraction(rng.randint(1, 9), rng.choice([1, 2, 5, 7]))
+    return MatrixLaurentSeries(order, coeffs, scale, exact_tail)
 
 
 def dense_embedded(series, slots, dims):
     """The oracle: every block coefficient embedded as a dense D x D matrix."""
-    coeffs = [ScaledIntMatrix(embed_matrix(c.mat, slots, dims, zero=0), c.scale)
-              for c in series.coeffs]
-    return MatrixLaurentSeries(series.order, coeffs, series.exact_tail)
+    coeffs = [embed_matrix(c, slots, dims, zero=0) for c in series.coeffs]
+    return MatrixLaurentSeries(series.order, coeffs, series.scale, series.exact_tail)
 
 
 def assert_series_equal(a, b):
     assert (a.order, a.exact_tail, len(a.coeffs)) == (b.order, b.exact_tail, len(b.coeffs))
     for x, y in zip(a.coeffs, b.coeffs):
-        assert mat_equal(x.to_fractions(), y.to_fractions())
+        assert mat_equal(x * a.scale, y * b.scale)
 
 
 @pytest.mark.parametrize("slots", [(2, 0), (1,), (0, 1, 2)])
@@ -289,6 +290,7 @@ def test_slotwise_product_matches_dense_embedding(slots, left_exact, block_exact
     block = rand_series(rng, ds, 4, block_exact, order=2)
     got = left @ block.embedded(slots, DIMS3)
     assert got.slot_map is None
+    assert got.scale == left.scale * block.scale
     assert_series_equal(got, left @ dense_embedded(block, slots, DIMS3))
     start = MatrixLaurentSeries.identity(D) @ block.embedded(slots, DIMS3)
     assert_series_equal(start, dense_embedded(block, slots, DIMS3))
@@ -303,7 +305,7 @@ def test_slotwise_product_window_exhausted():
         assert len(prod.coeffs) == 2
         with pytest.raises(_WindowExhausted):
             prod.coefficient(2)
-    zero = MatrixLaurentSeries(0, [ScaledIntMatrix.zeros((8, 8))] * 3, exact_tail=False)
+    zero = MatrixLaurentSeries(0, [np.zeros((8, 8), dtype=object)] * 3, Fraction(3, 5))
     for right in (zero.embedded((2, 0), DIMS3), dense_embedded(zero, (2, 0), DIMS3)):
         with pytest.raises(_WindowExhausted):
             (left @ right).trimmed()
@@ -324,59 +326,38 @@ def test_embedded_series_shapes_checked():
 # ---------------------------------------------------------------------------
 # exact block orders in from_frames
 
-def _entrywise_laurent(frames, den, exponents):
-    """The untrimmed expansion, entry by entry through RatFunc.laurent_at:
-    {exponent: Fraction matrix} for the given exponents."""
-    shape = frames[0].shape
-    out = {e: fzeros(shape) for e in exponents}
-    for idx in np.ndindex(shape):
-        f = RatFunc(Poly([fr[idx] for fr in frames]), den)
-        if f.is_zero():
-            continue
-        order, cs = f.laurent_at(0, max(exponents) + 1 - min(exponents) + len(frames))
-        for e in exponents:
-            if 0 <= e - order < len(cs):
-                out[e][idx] = cs[e - order]
-    return out
-
-
-@pytest.mark.parametrize("den_coeffs,exact", [
-    ((0, 3, 1), False),      # t (3 + t): the windowed path
-    ((2, -1, 0, 1), False),  # no pole at 0, still windowed
-    ((0, 0, 5), True),       # 5 t^2: the monomial path
-    ((7,), True),            # a constant
-])
-def test_from_frames_drops_leading_zero_frames(den_coeffs, exact):
-    rng = random.Random(f"{den_coeffs}")
-    den = Poly([Fraction(c) for c in den_coeffs])
+@pytest.mark.parametrize("window,exact", [(1, False), (2, False), (3, True), (5, True)])
+def test_from_frames_drops_leading_zero_frames(window, exact):
+    """Two zero frames, then three nonzero ones: the order is 2, and the
+    series keeps ``window`` frames from there, exact when all three fit."""
+    rng = random.Random(window)
     n, k0 = 3, 2
-    frames = [fzeros((n, n)) for _ in range(k0)]
+    frames = [np.zeros((n, n), dtype=object) for _ in range(k0)]
     for _ in range(3):
-        fr = fzeros((n, n))
+        fr = np.zeros((n, n), dtype=object)
         for idx in np.ndindex(n, n):
-            fr[idx] = Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3]))
+            fr[idx] = rng.randint(-9, 9)
         frames.append(fr)
-    window = 4
-    mats, scale = to_int_scaled(np.array(frames))
-    series = MatrixLaurentSeries.from_frames(list(mats), scale, den, window)
-    assert series.order == k0 - den.valuation()
-    assert series.exact_tail == exact
-    assert not series.coeffs[0].is_zero()
-    known = len(series.coeffs) if exact else window
-    exponents = list(range(series.order - 2, series.order + known + 1))
-    oracle = _entrywise_laurent(frames, den, exponents)
-    for e in exponents:
-        if e < series.order + known or exact:
-            assert mat_equal(series.coefficient(e).to_fractions(), oracle[e])
+    scale = Fraction(4, 7)
+    series = MatrixLaurentSeries.from_frames(frames, scale, window)
+    assert (series.order, series.scale, series.exact_tail) == (k0, scale, exact)
+    known = min(window, 3)
+    assert len(series.coeffs) == known
+    for e in range(-1, k0 + 5):
+        if e < k0 or e >= k0 + 3 and exact:
+            assert mat_equal(series.coefficient(e), np.zeros((n, n), dtype=object))
+        elif e < k0 + known:
+            assert mat_equal(series.coefficient(e), frames[e])
         else:
             with pytest.raises(_WindowExhausted):
                 series.coefficient(e)
 
 
 def test_from_frames_all_zero_frames():
-    mats, scale = to_int_scaled(np.array([fzeros((2, 2))] * 3))
-    series = MatrixLaurentSeries.from_frames(list(mats), scale, Poly([0, 1, 1]), 4)
-    assert series.exact_tail and series.coeffs[0].is_zero()
+    frames = [np.zeros((2, 2), dtype=object)] * 3
+    series = MatrixLaurentSeries.from_frames(frames, Fraction(2, 3), 2)
+    assert series.exact_tail and series.order == 0
+    assert mat_equal(series.trimmed().coefficient(0), frames[0])
 
 
 def test_frame_block_views_agree():

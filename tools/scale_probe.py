@@ -1,12 +1,16 @@
-"""Print stage times of twistfusion at the dimension-18 and -27 so3 modules.
+"""Print stage times of twistfusion at so3 modules of dimension 9, 18 and 27.
 
     python3 tools/scale_probe.py [--stages LIST]
 
 The package is imported from ``src/`` next to this script.  The modules are
-so3 ``1,1:1/5;2:-3/7`` (dim 18) and ``3,2,1/2,1:1/7`` (dim 27).  LIST is a
-comma list of stages, run in this order, default all of them:
+so3 ``1,1:-1/3;1,1:1/5`` (dim 9), ``1,1:1/5;2:-3/7`` (dim 18) and
+``3,2,1/2,1:1/7`` (dim 27).  LIST is a comma list of stages, run in this
+order, default all of them:
 
-  * ``phi``: ``irreducibility.phi_leading``, pair blocks and Laurent product;
+  * ``phi``: ``irreducibility.phi_leading``, pair blocks and frame product,
+    with how many ``int_matmul`` calls it made, how many of them failed the
+    int64 certificate and ran on Python ints, and the largest entry and
+    the content of the integer phi matrix in bits;
   * ``rank``: ``irreducibility.surjectivity`` of that phi (needs ``phi``);
   * ``commutant``: ``irreducibility.commutant_dim`` at the default K;
   * ``relations``: ``repmatrix.check_defining_relations``, with the number
@@ -20,6 +24,7 @@ Times are wall times of one run in this process.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -27,7 +32,7 @@ from collections import Counter
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 STAGES = ("phi", "rank", "commutant", "relations")
-MODULES = ("1,1:1/5;2:-3/7", "3,2,1/2,1:1/7")
+MODULES = ("1,1:-1/3;1,1:1/5", "1,1:1/5;2:-3/7", "3,2,1/2,1:1/7")
 
 
 def _record_kernels(repmatrix) -> Counter:
@@ -57,6 +62,31 @@ def _record_kernels(repmatrix) -> Counter:
     return counts
 
 
+def _record_matmuls(linalg, modules) -> Counter:
+    """Count ``int_matmul`` calls and those that fail the int64 certificate:
+    rebinds ``int_matmul`` in ``linalg`` and in every module that imports it."""
+    counts: Counter = Counter()
+    int_matmul = linalg.int_matmul
+
+    def recording(A, B):
+        bound = max(linalg.max_abs(A), 1) * max(linalg.max_abs(B), 1) * A.shape[1]
+        counts["calls"] += 1
+        counts["python"] += not linalg.int64_certified(bound)
+        return int_matmul(A, B)
+
+    for mod in (linalg,) + modules:
+        mod.int_matmul = recording
+    return counts
+
+
+def _phi_note(linalg, phi, matmuls: Counter) -> str:
+    mat = phi.coeff.mat
+    content = math.gcd(*mat.ravel().tolist())
+    return (f"order {phi.order}; {matmuls['calls']} int_matmul, {matmuls['python']} "
+            f"past int64; entries {linalg.max_abs(mat).bit_length()} bits, "
+            f"content {content.bit_length()} bits")
+
+
 def _timed(label: str, fn, note):
     t0 = time.perf_counter()
     out = fn()
@@ -64,12 +94,14 @@ def _timed(label: str, fn, note):
     return out
 
 
-def probe(tf, modules: str, stages, counts: Counter) -> None:
+def probe(tf, modules: str, stages, counts: Counter, matmuls: Counter) -> None:
     irr, repmatrix = tf.irreducibility, tf.repmatrix
     Z = repmatrix.FusedModuleSpec.from_string(tf.tensor.GForm.default("so", 3), modules)
     print(f"so3 {modules}  dim {Z.dimZ}", flush=True)
     if "phi" in stages:
-        phi = _timed("phi_leading", lambda: irr.phi_leading(Z), lambda p: f"order {p.order}")
+        matmuls.clear()
+        phi = _timed("phi_leading", lambda: irr.phi_leading(Z),
+                     lambda p: _phi_note(tf.linalg, p, matmuls))
         if "rank" in stages:
             _timed("surjectivity", lambda: irr.surjectivity(phi),
                    lambda r: f"rank {r[0]} of {Z.dimZ ** 2}")
@@ -97,8 +129,9 @@ def main(argv=None) -> int:
     import twistfusion as tf
 
     counts = _record_kernels(tf.repmatrix)
+    matmuls = _record_matmuls(tf.linalg, (tf.tensor, tf.repmatrix, tf.irreducibility))
     for modules in MODULES:
-        probe(tf, modules, stages, counts)
+        probe(tf, modules, stages, counts, matmuls)
     return 0
 
 
