@@ -335,7 +335,8 @@ class RatFunc:
         return f"RatFunc({self.num!r}, {self.den!r})"
 
 
-# Module-level operation names used throughout the package.
+# Module-level names for the RatFunc operations, exported by the package;
+# nothing in the package calls them.
 
 def ratfunc_eval(f: RatFunc, a) -> Fraction:
     """Evaluate f at the rational point a; PoleAtPoint if the denominator vanishes."""

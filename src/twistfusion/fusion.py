@@ -14,7 +14,6 @@ content (the poles), frames 0..m-1 must vanish (else LimitSingular) and
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -116,13 +115,13 @@ def fusion_operator(
     identity = np.eye(N**n, dtype=int).astype(object)
     # without factors (at most one box) the kernel is skipped: it cannot
     # index the legs of the empty diagram
-    frames = apply_factor_chain(identity, dims, chain) if chain else [identity]
+    frames, scale = apply_factor_chain(identity, dims, chain) if chain else ([identity], 1)
     for t in range(n_poles):
         if not is_zero_matrix(frames[t]):
             raise LimitSingular(
                 f"pole of order {n_poles - t} in the fusion limit of {omega}"
             )
-    F = TensorOperator(frames[n_poles] * Fraction(1, c0), dims)
+    F = TensorOperator(frames[n_poles] * Fraction(scale, c0), dims)
     result = FusionOperator(omega, N, F, image_basis(F), slopes)
     _cache[key] = result
     return result
@@ -188,16 +187,14 @@ def defining_action_product(params, N: int) -> FrameBlock:
     transported module action (leg 1 leftmost, the one satisfying RTT) is
     its conjugate sigma_hat . (reversed params) . sigma_hat."""
     n = len(params)
-    # numerator and denominator both scaled by L, so the kernel runs on ints
-    L = math.lcm(*(a_q.denominator for a_q in params))
-    minus_p = [(a, b, b, a, -L) for a in range(N) for b in range(N)]
-    chain = [(0, q, int(-L * params[q - 1]), L, minus_p) for q in range(n, 0, -1)]
+    minus_p = [(a, b, b, a, -1) for a in range(N) for b in range(N)]
+    chain = [(0, q, -params[q - 1], 1, minus_p) for q in range(n, 0, -1)]
     den = Poly.const(1)
     for a_q in params:
-        den = den * Poly((-L * a_q, L))
+        den = den * Poly((-a_q, 1))
     dims = (N,) * (n + 1)
     identity = np.eye(N ** (n + 1), dtype=int).astype(object)
-    return FrameBlock(apply_factor_chain(identity, dims, chain), Fraction(1), den, dims)
+    return FrameBlock(*apply_factor_chain(identity, dims, chain), den, dims)
 
 
 @dataclass

@@ -228,11 +228,6 @@ class ScaledIntMatrix:
         self.scale = scale
 
     def to_fractions(self) -> np.ndarray:
-        if self.scale == 1:
-            out = np.empty(self.mat.shape, dtype=object)
-            for idx, v in np.ndenumerate(self.mat):
-                out[idx] = Fraction(v)
-            return out
         return self.mat * self.scale
 
     def is_zero(self) -> bool:
@@ -440,8 +435,8 @@ class BasisSolver:
     Precomputes the inverse of a square block of pivot rows (the pivots of
     B^T); solve() returns the coordinates plus an exact consistency residual
     check.  Systems are solved on integers: B = B_scale * B_int and the
-    inverse are cleared to integer matrices once, and the residual check
-    compares integers.
+    inverse are cleared to integer matrices once, the right-hand side is an
+    integer matrix, and the residual check compares integers.
     """
 
     def __init__(self, B: np.ndarray):
@@ -465,17 +460,14 @@ class BasisSolver:
         return out
 
     def solve(self, rhs: np.ndarray) -> ScaledIntMatrix | None:
-        """Coordinates X with B @ X = rhs, or None if inconsistent.
+        """Coordinates X with B @ X = rhs for an integer matrix rhs, or None
+        if inconsistent.
 
-        With rhs = sr * Ri, X = inv_scale * sr * Y for the integer
-        Y = inv_int @ Ri[rows], and B @ X = rhs exactly when
-        B_scale * inv_scale * (B_int @ Y) = Ri.  An integer rhs gives the
-        scale inv_scale."""
-        single = rhs.ndim == 1
-        Ri, sr = to_int_scaled(rhs.reshape(-1, 1) if single else rhs)
-        Y = int_matmul(self._inv_int, Ri[self.rows, :]).astype(object)
+        X = inv_scale * Y for the integer Y = inv_int @ rhs[rows], and
+        B @ X = rhs exactly when B_scale * inv_scale * (B_int @ Y) = rhs."""
+        Y = int_matmul(self._inv_int, rhs[self.rows, :]).astype(object)
         lhs = int_matmul(self.B_int, Y).astype(object)
         c = self.B_scale * self._inv_scale
-        if not np.array_equal(lhs * c.numerator, Ri * c.denominator):
+        if not np.array_equal(lhs * c.numerator, rhs * c.denominator):
             return None
-        return ScaledIntMatrix(Y[:, 0] if single else Y, self._inv_scale * sr)
+        return ScaledIntMatrix(Y, self._inv_scale)

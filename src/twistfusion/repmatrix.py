@@ -45,14 +45,12 @@ from .linalg import (
     to_int_scaled,
 )
 from .tensor import (
-    Basis,
     FrameBlock,
     GForm,
     MatrixLaurentSeries,
     TensorOperator,
     _WindowExhausted,
     embed_matrix,
-    embed_operator,
     restricted_chain,
     structural_ops,
     transpose_legs,
@@ -203,22 +201,22 @@ def _negated(entries):
 
 
 def _pair_block_frames(
-    Z: FusedModuleSpec, i: int, shiftA: bool, j: int, shiftB: bool, kind: str
+    A: FusedModuleSpec, i: int, shiftA: bool, B: FusedModuleSpec, j: int, shiftB: bool, kind: str
 ) -> FrameBlock:
-    """Frame form of the block of the given kind between factors i and j of
-    Z, restricted to V_i (x) V_j, with box parameters affine in the
-    deformation variable: u_p = z_i + c_p (+ zeta if shiftA), likewise
-    v_q = z_j + c_q."""
-    contA, contB = Z.contents(i), Z.contents(j)
+    """Frame form of the block of the given kind between factor i of A and
+    factor j of B (A = B for a block inside one module), restricted to
+    V_i (x) V_j, with box parameters affine in the deformation variable:
+    u_p = z_i + c_p (+ zeta if shiftA), likewise v_q = z_j + c_q."""
+    contA, contB = A.contents(i), B.contents(j)
     nA, nB = len(contA), len(contB)
-    P, Q = structural_ops(Z.form)
+    P, Q = structural_ops(B.form)
     q_entries = two_leg_entries(Q)
     minus_p, minus_q = _negated(two_leg_entries(P)), _negated(q_entries)
     bu, bv = int(shiftA), int(shiftB)
     chain = []
     den = Poly.const(1)
     for (p, q) in _pair_order(kind, nA, nB):
-        au, av = Z.z(i) + contA[p], Z.z(j) + contB[q]
+        au, av = A.z(i) + contA[p], B.z(j) + contB[q]
         # numerators: (u-v) - P for R and Rb, -(u+v) - Q for R', (u+v) + Q
         # for Rb'; Rb and Rb' divide by u-v and u+v
         if kind in ("R", "Rb"):
@@ -233,21 +231,18 @@ def _pair_block_frames(
                 raise SingularParameter(f"{name} singular at boxes ({p+1},{q+1})")
             den = den * Poly((a, Fraction(b)))
         chain.append((p, nA + q, a, b, entries))
-    solver = BasisSolver.kron(Z.basis(i).solver(), Z.basis(j).solver())
-    frames, scale = restricted_chain(chain, solver, (Z.N,) * (nA + nB))
-    return FrameBlock(frames, scale, den, (Z.basis(i).size, Z.basis(j).size))
+    solver = BasisSolver.kron(A.basis(i).solver(), B.basis(j).solver())
+    frames, scale = restricted_chain(chain, solver, (B.N,) * (nA + nB))
+    return FrameBlock(frames, scale, den, (A.basis(i).size, B.basis(j).size))
 
 
-def _elementary_s_frames(
-    omega: SkewDiagram, z, shifted: bool, form: GForm, basis: Basis | None = None
-) -> FrameBlock:
+def _elementary_s_frames(omega: SkewDiagram, z, shifted: bool, form: GForm) -> FrameBlock:
     """S of one elementary module: the ordered product of the R' factors
     -(v_p + v_q) - Q_{pq} over box pairs (p descending, q descending below
     p) with v_p = z + c_p (+ zeta if shifted), restricted to the module.
     Polynomial: the denominator is 1."""
     n = omega.size
-    if basis is None:
-        basis = fusion_mod.fusion_operator(omega, form.N, box_cap=max(6, n)).module_basis
+    basis = fusion_mod.fusion_operator(omega, form.N, box_cap=max(6, n)).module_basis
     one = Poly.const(1)
     if n <= 1:
         return FrameBlock([np.eye(basis.size, dtype=int).astype(object)], _F1, one, (basis.size,))
@@ -270,17 +265,16 @@ def _s_fused_frame_blocks(Z: FusedModuleSpec, shifted: bool) -> list:
     descending."""
     blocks = []
     for i in reversed(range(Z.ell)):
-        s_block = _elementary_s_frames(Z.factors[i][0], Z.z(i), shifted, Z.form, Z.basis(i))
-        blocks.append((s_block, (i,)))
+        blocks.append((_elementary_s_frames(Z.factors[i][0], Z.z(i), shifted, Z.form), (i,)))
         for j in reversed(range(i)):
-            blocks.append((_pair_block_frames(Z, i, shifted, j, shifted, "R'"), (i, j)))
+            blocks.append((_pair_block_frames(Z, i, shifted, Z, j, shifted, "R'"), (i, j)))
     return blocks
 
 
 def breve_r_frame_blocks(Z: FusedModuleSpec) -> list[tuple[FrameBlock, tuple[int, ...]]]:
     """Ordered frame blocks of breve-R_{W,Z}(zeta), W the zeta-shifted copy of Z."""
     ell = Z.ell
-    return [(_pair_block_frames(Z, i, True, j, False, "Rb"), (i, ell + j))
+    return [(_pair_block_frames(Z, i, True, Z, j, False, "Rb"), (i, ell + j))
             for i, j in _pair_order("Rb", ell, ell)]
 
 
@@ -290,9 +284,26 @@ def swz_frame_blocks(Z: FusedModuleSpec) -> list[tuple[FrameBlock, tuple[int, ..
 
     Slots 0..l-1 are the W factors, l..2l-1 the Z factors."""
     ell = Z.ell
-    blocks = [(_pair_block_frames(Z, i, True, j, False, "Rb'"), (i, ell + j))
+    blocks = [(_pair_block_frames(Z, i, True, Z, j, False, "Rb'"), (i, ell + j))
               for i, j in _pair_order("Rb'", ell, ell)]
     return blocks + _s_fused_frame_blocks(Z, True) + breve_r_frame_blocks(Z)
+
+
+def block_product(blocks, dims) -> FrameBlock:
+    """The ordered product of frame blocks, exactly, as one frame block on
+    the legs ``dims``.
+
+    The numerators multiply as exact-tail series, each block on its own
+    slots (MatrixLaurentSeries.embedded), the scalar denominators as one
+    Poly, and the content of the product frames moves into the scale."""
+    acc = MatrixLaurentSeries.identity(math.prod(dims))
+    den = Poly.const(1)
+    for fb, slots in blocks:
+        block = MatrixLaurentSeries(0, fb.frames, fb.scale, exact_tail=True)
+        acc = acc @ block.embedded(slots, dims)
+        den = den * fb.den
+    content = math.gcd(*(int(np.gcd.reduce(fr.ravel())) for fr in acc.coeffs)) or 1
+    return FrameBlock([fr // content for fr in acc.coeffs], acc.scale * content, den, tuple(dims))
 
 
 def frame_product(blocks, dims) -> tuple[int, ScaledIntMatrix]:
@@ -301,9 +312,10 @@ def frame_product(blocks, dims) -> tuple[int, ScaledIntMatrix]:
 
     The denominators are scalars, so they are kept aside: the product is
     the product of the numerators, a polynomial matrix, over the product
-    den of the denominators.  Its order is the numerators' order minus
-    val(den), and its leading coefficient the numerators' lowest nonzero
-    coefficient over the lowest nonzero coefficient of den.
+    of the denominators.  Its order is the numerators' order minus the sum
+    of the denominators' valuations, and its leading coefficient the
+    numerators' lowest nonzero coefficient over the product of the
+    denominators' lowest nonzero coefficients.
 
     The numerator product starts at the identity on the legs ``dims`` and
     multiplies each block in on its own slots (MatrixLaurentSeries.embedded),
@@ -312,10 +324,8 @@ def frame_product(blocks, dims) -> tuple[int, ScaledIntMatrix]:
     padded with zero frames to the length of the numerator product, so a
     window that covers that length makes the product exact.  The window
     starts at 1 and doubles while cancellations eat the known ones."""
-    den = Poly.const(1)
-    for fb, _ in blocks:
-        den = den * fb.den
-    val = den.valuation()
+    vals = [fb.den.valuation() for fb, _ in blocks]
+    low = math.prod(fb.den.coeffs[v] for (fb, _), v in zip(blocks, vals))
     D = math.prod(dims)
     length = 1 + sum(len(fb.frames) - 1 for fb, _ in blocks)
     one = MatrixLaurentSeries.identity(D).coeffs + [np.zeros((D, D), dtype=object)] * (length - 1)
@@ -331,7 +341,7 @@ def frame_product(blocks, dims) -> tuple[int, ScaledIntMatrix]:
             window *= 2
             continue
         coeff = prod.coefficient(prod.order)
-        return prod.order - val, ScaledIntMatrix(coeff, prod.scale / den.coeffs[val])
+        return prod.order - sum(vals), ScaledIntMatrix(coeff, prod.scale / low)
 
 
 def ratfunc_product(blocks, dims) -> TensorOperator:
@@ -350,46 +360,29 @@ def breve_r_family_leading(Z: FusedModuleSpec):
     return order, coeff.to_fractions()
 
 
-def r_factorized_blocks(
-    W: FusedModuleSpec, Z: FusedModuleSpec, kind: str
-) -> list[tuple[TensorOperator, tuple[int, ...]]]:
-    """Ordered restricted blocks of R_{W,Z}-type operators on W (x) Z.
-
-    Slots 0..k-1 are the W factors, k..k+l-1 the Z factors.  The block on
-    slots (i, k + j) is the frame block between those factors of the
-    concatenated spec W.factors + Z.factors, at zeta = 0."""
+def r_factorized(W: FusedModuleSpec, Z: FusedModuleSpec, kind: str) -> TensorOperator:
+    """The R_{W,Z}-type operator of the given kind on W (x) Z: the ordered
+    product of the pair blocks between factor i of W and factor j of Z, on
+    slots (i, k + j) with k = W.ell, at zeta = 0."""
     if not form_equal(W.form, Z.form):
         raise DimensionMismatch("W and Z use different forms")
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}")
     k = W.ell
-    WZ = FusedModuleSpec(Z.form, W.factors + Z.factors, box_cap=W.n_total + Z.n_total)
-    return [(_pair_block_frames(WZ, i, False, k + j, False, kind).at(0), (i, k + j))
-            for i, j in _pair_order(kind, k, Z.ell)]
+    blocks = [(_pair_block_frames(W, i, False, Z, j, False, kind), (i, k + j))
+              for i, j in _pair_order(kind, k, Z.ell)]
+    return block_product(blocks, W.factor_dims + Z.factor_dims).at(0)
 
 
-def r_factorized(W: FusedModuleSpec, Z: FusedModuleSpec, kind: str) -> TensorOperator:
-    """The operator on W (x) Z assembled from its ordered restricted blocks."""
-    dims = W.factor_dims + Z.factor_dims
-    out = TensorOperator.identity(dims)
-    for block, slots in r_factorized_blocks(W, Z, kind):
-        out = out @ embed_operator(block, slots, dims)
-    return out
-
-
-def s_elementary(omega: SkewDiagram, z, form: GForm, basis: Basis | None = None) -> TensorOperator:
+def s_elementary(omega: SkewDiagram, z, form: GForm) -> TensorOperator:
     """Twisted S-matrix of one elementary module: ordered product of R'
     factors over box pairs, restricted to the module."""
-    return _elementary_s_frames(omega, z, False, form, basis).at(0)
+    return _elementary_s_frames(omega, z, False, form).at(0)
 
 
 def s_fused(Z: FusedModuleSpec) -> TensorOperator:
     """The fused S-matrix of Z, from its ordered blocks at zeta = 0."""
-    dims = Z.factor_dims
-    out = TensorOperator.identity(dims)
-    for fb, slots in _s_fused_frame_blocks(Z, False):
-        out = out @ embed_operator(fb.at(0), slots, dims)
-    return out
+    return block_product(_s_fused_frame_blocks(Z, False), Z.factor_dims).at(0)
 
 
 # ---------------------------------------------------------------------------
@@ -399,30 +392,14 @@ def _t_data(Z: FusedModuleSpec) -> FrameBlock:
     """T_Z(u) as polynomial coefficient frames over the scalar denominator
     prod_q (u - v_q), on the legs (N,) + factor dims; cached on Z.
 
-    The frames are the integer coefficients of the exact product series
-    divided by their content, over its scale times that content."""
-    if Z._tdata is not None:
-        return Z._tdata
-    N = Z.N
-    dims = (N,) + Z.factor_dims
-    P, _ = structural_ops(Z.form)
-    entries = _negated(two_leg_entries(P))
-    aux = Basis.full(N).solver()
-    # the accumulated product: a polynomial in u, as an exact-tail series
-    acc = MatrixLaurentSeries.identity(N * Z.dimZ)
-    den = Poly.const(1)
-    for j in range(Z.ell):
-        # (u - v_q) - P_{0,q} over the boxes q of factor j, ascending
-        params = Z.box_params(j)
-        chain = [(0, q, -vq, 1, entries) for q, vq in enumerate(params, start=1)]
-        for vq in params:
-            den = den * Poly((-vq, _F1))
-        solver = BasisSolver.kron(aux, Z.basis(j).solver())
-        frames, scale = restricted_chain(chain, solver, (N,) * (len(params) + 1))
-        block = MatrixLaurentSeries(0, frames, scale, exact_tail=True)
-        acc = acc @ block.embedded((0, 1 + j), dims)
-    content = math.gcd(*(int(np.gcd.reduce(fr.ravel())) for fr in acc.coeffs))
-    Z._tdata = FrameBlock([fr // content for fr in acc.coeffs], acc.scale * content, den, dims)
+    T_Z(u) is the product of the breve-R blocks between the auxiliary
+    one-box module C^N(u) (one box at 0, shifted by u) and each factor j
+    ascending, on slots (0, 1 + j)."""
+    if Z._tdata is None:
+        aux = FusedModuleSpec(Z.form, [(SkewDiagram((1,)), 0)])
+        blocks = [(_pair_block_frames(aux, 0, True, Z, j, False, "Rb"), (0, 1 + j))
+                  for j in range(Z.ell)]
+        Z._tdata = block_product(blocks, (Z.N,) + Z.factor_dims)
     return Z._tdata
 
 
@@ -699,15 +676,15 @@ class DualityReport:
         return not self.failures
 
 
-def duality_check(omega: SkewDiagram, z, form: GForm, K: int | None = None) -> DualityReport:
+def duality_check(omega: SkewDiagram, z, form: GForm) -> DualityReport:
     """The contragredient-module identity: for generator instances h,
     rho_sharp(h) F_sharp = sigma_hat (rho(tau(h)) F)^t sigma_hat,
-    with h the u^-k coefficients of the tautological single-box action."""
+    with h the u^0..u^-K coefficients of the tautological single-box
+    action, K = max(1, 2n)."""
     N = form.N
     z = Fraction(z)
     n = omega.size
-    if K is None:
-        K = max(1, 2 * n)
+    K = max(1, 2 * n)
     if n == 0:
         return DualityReport(omega, N, form.kind, z, K, [])
     F = fusion_mod.fusion_operator(omega, N)

@@ -353,13 +353,13 @@ def image_basis(A: TensorOperator) -> Basis:
 
 def restrict(A: TensorOperator, domain: Basis, codomain: Basis, dims=None) -> TensorOperator:
     """Matrix of A in the given bases; NotInvariant if A leaves the codomain span."""
-    rhs = generic_dot(A.mat, domain.matrix())
+    rhs, scale = linalg.to_int_scaled(generic_dot(A.mat, domain.matrix()))
     X = codomain.solver().solve(rhs)
     if X is None:
         raise NotInvariant("operator does not map domain span into codomain span")
     if domain.size != codomain.size:
         raise DimensionMismatch("restriction of a square operator needs equal basis sizes")
-    return TensorOperator(X.to_fractions(), dims if dims is not None else (domain.size,))
+    return TensorOperator(X.mat * (X.scale * scale), dims if dims is not None else (domain.size,))
 
 
 def partial_trace_first(M: TensorOperator, dimW: int):
@@ -406,26 +406,32 @@ def two_leg_entries(op2: TensorOperator) -> list[tuple[int, int, int, int, objec
     return out
 
 
-def apply_factor_chain(V: np.ndarray, dims, chain) -> list[np.ndarray]:
-    """Coefficient frames of F_1 F_2 ... F_m V in zeta, lowest degree first.
+def apply_factor_chain(V: np.ndarray, dims, chain) -> tuple[list[np.ndarray], Fraction]:
+    """Integer coefficient frames of F_1 F_2 ... F_m V in zeta, lowest
+    degree first, and one Fraction scale: frame k is scale * frames[k].
 
     Each factor (p, q, a, b, entries) of ``chain`` (leftmost first) is
     (a + b*zeta) * 1 + X_{p,q}, X the two-leg operator on the 0-indexed legs
-    p, q given by its nonzero entries (r_p, r_q, c_p, c_q, value).  V has one
-    row per basis vector of the legs ``dims``; the factors act right to left
-    as row operations.  a, b and the values are rational scalars, and a
-    factor with b = 0 adds no frame.
-    """
+    p, q given by its nonzero entries (r_p, r_q, c_p, c_q, value).  V is an
+    integer matrix with one row per basis vector of the legs ``dims``; the
+    factors act right to left as row operations.  a, b and the values are
+    rational scalars, and a factor with b = 0 adds no frame.  The kernel
+    runs on integers: each factor is multiplied by the lcm L of its
+    denominators, so the scale is 1 / prod(L)."""
     dims = tuple(dims)
     rows = np.arange(_prod(dims))
     digits = np.unravel_index(rows, dims)
     frames = [V]
+    scale = _F1
     for (p, q, a, b, entries) in reversed(chain):
+        L = math.lcm(a.denominator, b.denominator, *(e[4].denominator for e in entries))
+        scale /= L
+        a, b = int(a * L), int(b * L)
         sp, sq = _prod(dims[p + 1:]), _prod(dims[q + 1:])
         moves = []
         for (rp, rq, cp, cq, val) in entries:
             tgt = rows[(digits[p] == rp) & (digits[q] == rq)]
-            moves.append((tgt, tgt + (cp - rp) * sp + (cq - rq) * sq, val))
+            moves.append((tgt, tgt + (cp - rp) * sp + (cq - rq) * sq, int(val * L)))
         out = []
         for k in range(len(frames) + (b != 0)):
             if k < len(frames):
@@ -439,34 +445,25 @@ def apply_factor_chain(V: np.ndarray, dims, chain) -> list[np.ndarray]:
                 term = b * frames[k - 1]
             out.append(term)
         frames = out
-    return frames
+    return frames, scale
 
 
 def restricted_chain(chain, solver: linalg.BasisSolver, dims) -> tuple[list, Fraction]:
     """Integer frames and one Fraction scale: frame k of the chain's
     operator in the basis of ``solver``, whose span it must map into itself
-    (NotInvariant otherwise), is scale * frames[k]; see apply_factor_chain.
+    (NotInvariant otherwise), is scale * frames[k].
 
-    The kernel runs on integers: it starts from the cleared basis matrix
-    B_int = B / s and multiplies each factor by the lcm L of its rational
-    denominators, which scales the frames by prod(L) / s.  Each integer
-    frame is solved to integer coordinates over the solver's one scale, so
-    the scale is that one times s / prod(L)."""
-    V, scale = solver.B_int, solver.B_scale
-    cleared = []
-    for (p, q, a, b, entries) in chain:
-        vals = [a, b] + [e[4] for e in entries]
-        L = math.lcm(*(v.denominator for v in vals))
-        scale /= L
-        cleared.append((p, q, int(a * L), int(b * L),
-                        [(rp, rq, cp, cq, int(v * L)) for (rp, rq, cp, cq, v) in entries]))
-    frames = []
-    for fr in apply_factor_chain(V, dims, cleared):
+    The chain is applied to the cleared basis matrix B_int = B / B_scale
+    (apply_factor_chain), and each integer frame is solved to integer
+    coordinates over the solver's one scale."""
+    frames, scale = apply_factor_chain(solver.B_int, dims, chain)
+    coords = []
+    for fr in frames:
         X = solver.solve(fr)
         if X is None:
             raise NotInvariant("factor chain does not preserve the basis span")
-        frames.append(X.mat)
-    return frames, scale * X.scale
+        coords.append(X.mat)
+    return coords, solver.B_scale * scale * X.scale
 
 
 # ---------------------------------------------------------------------------

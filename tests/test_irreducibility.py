@@ -7,7 +7,7 @@ import pytest
 from twistfusion.diagrams import SkewDiagram
 from twistfusion import irreducibility
 from twistfusion.errors import InternalInconsistency
-from twistfusion.exactnum import RatFunc, laurent_at_point
+from twistfusion.exactnum import Poly, RatFunc, laurent_at_point
 from twistfusion.irreducibility import (
     IrreducibilityReport,
     commutant_dim,
@@ -367,6 +367,25 @@ def test_no_denominator_is_expanded(monkeypatch):
     wall = verdict(spec(SP2, (BOX, Fraction(1, 3)), (BOX, Fraction(4, 3))))
     assert (wall.laurent_order, wall.phi_rank) == (-1, 13)
     assert check_defining_relations(spec(SO3, (VDOM, Fraction(1, 3)), (BOX, Fraction(2, 5)))).proven
+
+
+@pytest.mark.parametrize("modules", ["1:1/3;1:7/5", "1:1/3;1:4/3"], ids=["generic", "wall"])
+def test_frame_product_multiplies_no_polynomial(modules, monkeypatch):
+    """frame_product reads each denominator only through its valuation and
+    its lowest coefficient: with Poly products refused it returns the same
+    leading term."""
+    Z = FusedModuleSpec.from_string(SP2, modules)
+    blocks = swz_frame_blocks(Z)
+    dims = Z.factor_dims * 2
+    order, coeff = frame_product(blocks, dims)
+
+    def refuse(self, other):
+        raise AssertionError("frame_product multiplied two polynomials")
+
+    monkeypatch.setattr(Poly, "__mul__", refuse)
+    order_kept, coeff_kept = frame_product(blocks, dims)
+    assert order_kept == order
+    assert mat_equal(coeff_kept.to_fractions(), coeff.to_fractions())
 
 
 # ---------------------------------------------------------------------------

@@ -149,17 +149,18 @@ def test_kron_solver_solves_as_the_dense_kron_basis():
     B = np.kron(_B1, _B2)
     dense = linalg.BasisSolver(B)
     X = _fractions([[1, "-2/3", 0], ["5/7", 3, "1/2"], [0, 0, "-4/9"], [2, "1/11", 1]])
-    rhs = linalg.fdot(B, X)
+    # solve takes an integer right-hand side: B X = s * rhs
+    rhs, s = linalg.to_int_scaled(linalg.fdot(B, X))
     for solver in (sk, dense):
         got = solver.solve(rhs)
         assert isinstance(got, linalg.ScaledIntMatrix)
-        assert linalg.mat_equal(got.to_fractions(), X)
-        col = solver.solve(rhs[:, 1])
-        assert linalg.mat_equal(col.to_fractions(), X[:, 1])
+        assert linalg.mat_equal(got.to_fractions() * s, X)
+        col = solver.solve(rhs[:, 1:2])
+        assert linalg.mat_equal(col.to_fractions() * s, X[:, 1:2])
     off = rhs.copy()
-    off[0, 2] += Fraction(1, 5)  # row 0 of kron(B1, B2) is zero
-    e = linalg.fzeros((12,))
-    e[11] = Fraction(1)
+    off[0, 2] += 1  # row 0 of kron(B1, B2) is zero
+    e = np.zeros((12, 1), dtype=int).astype(object)
+    e[11, 0] = 1
     for rhs_bad in (off, e):
         assert sk.solve(rhs_bad) is None and dense.solve(rhs_bad) is None
 

@@ -134,23 +134,23 @@ def test_rb_leading_term_proportional_to_flip():
     assert mat_equal(coeff, scale * FL)
 
 
-def _pair_block_oracle(Z, i, shiftA, j, shiftB, kind, zeta):
+def _pair_block_oracle(A, i, shiftA, B, j, shiftB, kind, zeta):
     """Dense product of embedded two-leg Yang matrices at the box parameters
-    u_p = z_i + c_p (+ zeta), v_q = z_j + c_q (+ zeta), in the block order
-    (p descending; q ascending for R, Rb and descending for R', Rb'),
-    restricted to V_i (x) V_j."""
-    contA, contB = Z.contents(i), Z.contents(j)
+    u_p = z_i + c_p (+ zeta) of factor i of A and v_q = z_j + c_q (+ zeta)
+    of factor j of B, in the block order (p descending; q ascending for R,
+    Rb and descending for R', Rb'), restricted to V_i (x) V_j."""
+    contA, contB = A.contents(i), B.contents(j)
     nA, nB = len(contA), len(contB)
-    u = [Z.z(i) + c + (zeta if shiftA else 0) for c in contA]
-    v = [Z.z(j) + c + (zeta if shiftB else 0) for c in contB]
+    u = [A.z(i) + c + (zeta if shiftA else 0) for c in contA]
+    v = [B.z(j) + c + (zeta if shiftB else 0) for c in contB]
     pick = repmatrix.KINDS.index(kind)
-    out = TensorOperator.identity((Z.N,) * (nA + nB))
+    out = TensorOperator.identity((B.N,) * (nA + nB))
     for p in reversed(range(nA)):
         for q in (range(nB) if kind in ("R", "Rb") else reversed(range(nB))):
-            factor = yang_matrices(Z.form, u[p], v[q])[pick]
+            factor = yang_matrices(B.form, u[p], v[q])[pick]
             out = out @ embed_two_leg(factor, p + 1, nA + q + 1, nA + nB)
-    basis = Basis.kron(Z.basis(i), Z.basis(j))
-    return restrict(out, basis, basis, dims=(Z.basis(i).size, Z.basis(j).size))
+    basis = Basis.kron(A.basis(i), B.basis(j))
+    return restrict(out, basis, basis, dims=(A.basis(i).size, B.basis(j).size))
 
 
 @pytest.mark.parametrize("shifts", [(True, False), (True, True), (False, False)])
@@ -160,17 +160,37 @@ def _pair_block_oracle(Z, i, shiftA, j, shiftB, kind, zeta):
 def test_pair_blocks_match_dense_product(kind, form, modules, shifts):
     Z = FusedModuleSpec.from_string(form, modules)
     zeta = Fraction(2, 9)
-    oracle = _pair_block_oracle(Z, 0, shifts[0], 1, shifts[1], kind, zeta)
-    fb = repmatrix._pair_block_frames(Z, 0, shifts[0], 1, shifts[1], kind)
+    oracle = _pair_block_oracle(Z, 0, shifts[0], Z, 1, shifts[1], kind, zeta)
+    fb = repmatrix._pair_block_frames(Z, 0, shifts[0], Z, 1, shifts[1], kind)
     value = fb.scale * sum(fr * zeta**k for k, fr in enumerate(fb.frames)) / fb.den.eval(zeta)
     assert fb.dims == oracle.dims
     assert mat_equal(value, oracle.mat)
     assert fb.at(zeta) == oracle
     if shifts == (False, False):
-        # the numeric route: r_factorized's one block between the two factors
+        # the numeric route: r_factorized of the two factors as modules of
+        # their own is the one block between them
         W, Z1 = (FusedModuleSpec(form, [f]) for f in Z.factors)
-        (block, slots), = repmatrix.r_factorized_blocks(W, Z1, kind)
-        assert slots == (0, 1) and block == oracle
+        assert r_factorized(W, Z1, kind) == oracle
+
+
+@pytest.mark.parametrize("form,w_modules,z_modules",
+                         [(SO3, "1,1:1/5;1:2/3", "2:-3/7"), (SP2, "2:2/7;1:1/5", "1:-1/3;1,1:3/4")],
+                         ids=["so3", "sp2"])
+@pytest.mark.parametrize("kind", repmatrix.KINDS)
+def test_r_factorized_two_factor_w_matches_dense_blocks(kind, form, w_modules, z_modules):
+    # the dense blocks between factor i of W and factor j of Z, embedded on
+    # slots (i, k + j) and multiplied with i descending, j ascending for R
+    # and breve-R, descending for the primed kinds
+    W, Z = (FusedModuleSpec.from_string(form, m) for m in (w_modules, z_modules))
+    k = W.ell
+    dims = W.factor_dims + Z.factor_dims
+    js = list(range(Z.ell)) if kind in ("R", "Rb") else list(reversed(range(Z.ell)))
+    expected = TensorOperator.identity(dims)
+    for i in reversed(range(k)):
+        for j in js:
+            block = _pair_block_oracle(W, i, False, Z, j, False, kind, 0)
+            expected = expected @ embed_operator(block, (i, k + j), dims)
+    assert r_factorized(W, Z, kind) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -555,6 +575,31 @@ def test_frame_blocks_hold_integer_frames(form, modules):
     assert all(_is_integer_block(fb) for fb in blocks)
     # the T frames' common content sits in their scale
     assert math.gcd(*(int(np.gcd.reduce(fr.ravel())) for fr in td.frames)) == 1
+
+
+@pytest.mark.parametrize("form,modules", [(SO3, "1,1:1/5;2:-3/7"), (SP2, "2:2/7;1:1/5")],
+                         ids=["so3", "sp2"])
+def test_blocks_clear_no_rationals_after_warm_up(form, modules, monkeypatch):
+    # once the fusion cache holds the module bases and their solvers, the
+    # frame blocks and T(u) of a fresh spec clear no rational matrix: the
+    # factor chains clear their scalars and the solves take integer frames
+    warm = FusedModuleSpec.from_string(form, modules)
+    repmatrix.swz_frame_blocks(warm)
+    repmatrix._t_data(warm)
+    calls = []
+    real = linalg.to_int_scaled
+
+    def counting(A):
+        calls.append(A.shape)
+        return real(A)
+
+    for mod in (linalg, repmatrix, fusion):
+        if getattr(mod, "to_int_scaled", None) is real:
+            monkeypatch.setattr(mod, "to_int_scaled", counting)
+    Z = FusedModuleSpec.from_string(form, modules)
+    repmatrix.swz_frame_blocks(Z)
+    repmatrix._t_data(Z)
+    assert calls == []
 
 
 def _t_dense_oracle(Z, u0):

@@ -18,7 +18,11 @@ Sections, each headed by a line starting with ``##``:
   * the verdicts, phi and rho (K = 2) of sp2 and so3 with no factors, and
     of the one-dimensional so2 ``1,1:1/3``;
   * the text output (no ``--json``) of ``irreducible`` at those three specs
-    and of ``scan`` on the first scan-walls grid of seed 1.
+    and of ``scan`` on the first scan-walls grid of seed 1;
+  * the numeric operators assembled from pair and S blocks: ``r_factorized``
+    of the four kinds on the pairs (W, Z) of OPERATOR_PAIRS (one with no W
+    factor), ``s_fused`` and ``s_elementary``, and the defining action
+    ``defining_action_product(params, N).at(u0)`` at two points u0.
 
 Needs the standard library and numpy only; takes a few minutes.
 """
@@ -42,6 +46,12 @@ CRITERION_9 = [
     ("so", 3, ["1", "1"]), ("so", 3, ["1", "1,1"]), ("so", 3, ["1,1", "1,1"]),
 ]
 EDGE_SPECS = [("sp", 2, ""), ("so", 3, ""), ("so", 2, "1,1:1/3")]
+OPERATOR_PAIRS = [
+    ("so", 3, "1,1:1/5;1:2/3", "2:-3/7"),
+    ("sp", 2, "2:2/7;1:1/5", "1,1:-1/3"),
+    ("so", 3, "", "1:1/4;1,1:2/9"),
+]
+ACTION_PARAMS = [(2, ["1/3", "-2/5", "7/4"]), (3, ["2/7", "4/3"])]
 
 
 def cli(tf, argv) -> str:
@@ -89,6 +99,18 @@ def phi_and_rho(tf, kind, N, modules, K=None) -> str:
             for i, row in enumerate(blocks):
                 for j, G in enumerate(row):
                     out += f"rho[{k}][{i}][{j}]\n" + fractions(G)
+    return out
+
+
+def operators(tf, kind, N, w_modules, z_modules) -> str:
+    form = tf.tensor.GForm.default(kind, N)
+    W, Z = (tf.repmatrix.FusedModuleSpec.from_string(form, m) for m in (w_modules, z_modules))
+    out = ""
+    for op_kind in tf.repmatrix.KINDS:
+        out += f"r_factorized {op_kind}\n" + fractions(tf.repmatrix.r_factorized(W, Z, op_kind).mat)
+    out += "s_fused W\n" + fractions(tf.repmatrix.s_fused(W).mat)
+    for d, z in Z.factors:
+        out += f"s_elementary {d} {z}\n" + fractions(tf.repmatrix.s_elementary(d, z, form).mat)
     return out
 
 
@@ -145,6 +167,15 @@ def main(argv) -> int:
     kind, N, mods, lists = bench_workloads.ScanWalls(1).grids[0]
     section(f"scan text seed 1 {kind}{N} {mods}",
             cli(tf, scan_argv(kind, N, mods, grid_text(lists))))
+
+    for kind, N, w_modules, z_modules in OPERATOR_PAIRS:
+        section(f"operators {kind}{N} W={w_modules!r} Z={z_modules!r}",
+                operators(tf, kind, N, w_modules, z_modules))
+    for N, params in ACTION_PARAMS:
+        taut = tf.fusion.defining_action_product([Fraction(a) for a in params], N)
+        for u0 in ("5/6", "-3"):
+            section(f"defining action N={N} {','.join(params)} at {u0}",
+                    fractions(taut.at(Fraction(u0)).mat))
     return 0
 
 
