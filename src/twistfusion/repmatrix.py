@@ -18,6 +18,7 @@ Ordering conventions (leftmost factor first):
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -200,63 +201,110 @@ def _negated(entries):
     return [(a, b, c, d, -v) for (a, b, c, d, v) in entries]
 
 
+# The numerator blocks in their own argument, keyed by form, diagrams and
+# kind, least recently used first; they hold at most _BLOCK_ENTRIES frame
+# entries in all, and a larger block is built but not kept.
+_BLOCK_ENTRIES = 2**20
+_blocks: OrderedDict = OrderedDict()
+
+
+def _entries(fb: FrameBlock) -> int:
+    return sum(fr.size for fr in fb.frames)
+
+
+def _argument_block(key, build) -> FrameBlock:
+    """The cached numerator block of ``key``, made by ``build`` on a miss."""
+    fb = _blocks.get(key)
+    if fb is not None:
+        _blocks.move_to_end(key)
+        return fb
+    fb = build()
+    if _entries(fb) <= _BLOCK_ENTRIES:
+        _blocks[key] = fb
+        held = sum(_entries(b) for b in _blocks.values())
+        while held > _BLOCK_ENTRIES:
+            held -= _entries(_blocks.popitem(last=False)[1])
+    return fb
+
+
+def _form_key(form: GForm) -> tuple:
+    """The form as a key: two forms of one kind and N may differ in g."""
+    return (form.kind, form.N, tuple(form.g.ravel()))
+
+
 def _pair_block_frames(
     A: FusedModuleSpec, i: int, shiftA: bool, B: FusedModuleSpec, j: int, shiftB: bool, kind: str
 ) -> FrameBlock:
     """Frame form of the block of the given kind between factor i of A and
     factor j of B (A = B for a block inside one module), restricted to
     V_i (x) V_j, with box parameters affine in the deformation variable:
-    u_p = z_i + c_p (+ zeta if shiftA), likewise v_q = z_j + c_q."""
+    u_p = z_i + c_p (+ zeta if shiftA), likewise v_q = z_j + c_q.
+
+    The parameters enter through one affine argument x = t + s*zeta: t =
+    z_i - z_j, s = bu - bv and e_pq = c_p - c_q for R and breve R, t = z_i
+    + z_j, s = bu + bv and e_pq = c_p + c_q for the primed kinds (bu, bv
+    the shifts as 0 or 1).  The numerator factors are (x + e_pq) - P for R
+    and breve R, -(x + e_pq) - Q for R' and (x + e_pq) + Q for breve R',
+    and the breve kinds divide by x + e_pq.  So the numerator is G(t +
+    s*zeta) for a block G(x) that depends only on the form, the diagrams
+    and the kind: it is built once, kept in _blocks and substituted
+    (FrameBlock.substituted).  Per spec only the scalar denominator and the
+    singular check remain."""
     contA, contB = A.contents(i), B.contents(j)
     nA, nB = len(contA), len(contB)
-    P, Q = structural_ops(B.form)
-    q_entries = two_leg_entries(Q)
-    minus_p, minus_q = _negated(two_leg_entries(P)), _negated(q_entries)
+    order = _pair_order(kind, nA, nB)
     bu, bv = int(shiftA), int(shiftB)
-    chain = []
+    if kind in ("R", "Rb"):
+        t, s, e = A.z(i) - B.z(j), bu - bv, [contA[p] - contB[q] for p, q in order]
+    else:
+        t, s, e = A.z(i) + B.z(j), bu + bv, [contA[p] + contB[q] for p, q in order]
     den = Poly.const(1)
-    for (p, q) in _pair_order(kind, nA, nB):
-        au, av = A.z(i) + contA[p], B.z(j) + contB[q]
-        # numerators: (u-v) - P for R and Rb, -(u+v) - Q for R', (u+v) + Q
-        # for Rb'; Rb and Rb' divide by u-v and u+v
-        if kind in ("R", "Rb"):
-            a, b, entries = au - av, bu - bv, minus_p
-        elif kind == "R'":
-            a, b, entries = -(au + av), -(bu + bv), minus_q
-        else:
-            a, b, entries = au + av, bu + bv, q_entries
-        if kind in ("Rb", "Rb'"):
-            if a == 0 and b == 0:
+    if kind in ("Rb", "Rb'"):
+        for (p, q), epq in zip(order, e):
+            if t + epq == 0 and s == 0:
                 name = "breve R" if kind == "Rb" else "breve R'"
                 raise SingularParameter(f"{name} singular at boxes ({p+1},{q+1})")
-            den = den * Poly((a, Fraction(b)))
-        chain.append((p, nA + q, a, b, entries))
-    solver = BasisSolver.kron(A.basis(i).solver(), B.basis(j).solver())
-    frames, scale = restricted_chain(chain, solver, (B.N,) * (nA + nB))
-    return FrameBlock(frames, scale, den, (A.basis(i).size, B.basis(j).size))
+            den = den * Poly((t + epq, Fraction(s)))
+
+    def build() -> FrameBlock:
+        # factors (a + b*x) * 1 + X with a = sigma * e_pq, b = sigma
+        P, Q = structural_ops(B.form)
+        X = two_leg_entries(P if kind in ("R", "Rb") else Q)
+        entries = X if kind == "Rb'" else _negated(X)
+        sigma = -1 if kind == "R'" else 1
+        chain = [(p, nA + q, sigma * epq, sigma, entries) for (p, q), epq in zip(order, e)]
+        solver = BasisSolver.kron(A.basis(i).solver(), B.basis(j).solver())
+        frames, scale = restricted_chain(chain, solver, (B.N,) * (nA + nB))
+        return FrameBlock(frames, scale, Poly.const(1), (A.basis(i).size, B.basis(j).size))
+
+    key = (_form_key(B.form), A.factors[i][0], B.factors[j][0], kind)
+    return _argument_block(key, build).substituted(t, s, den)
 
 
 def _elementary_s_frames(omega: SkewDiagram, z, shifted: bool, form: GForm) -> FrameBlock:
     """S of one elementary module: the ordered product of the R' factors
     -(v_p + v_q) - Q_{pq} over box pairs (p descending, q descending below
     p) with v_p = z + c_p (+ zeta if shifted), restricted to the module.
-    Polynomial: the denominator is 1."""
+
+    Each factor is -(x + c_p + c_q) - Q_{pq} at x = 2z (+ 2 zeta), so the
+    block is built once per form and diagram in x and substituted, like the
+    pair blocks.  Polynomial: the denominator is 1."""
     n = omega.size
     basis = fusion_mod.fusion_operator(omega, form.N, box_cap=max(6, n)).module_basis
     one = Poly.const(1)
     if n <= 1:
         return FrameBlock([np.eye(basis.size, dtype=int).astype(object)], _F1, one, (basis.size,))
-    cont = column_tableau(omega).contents
-    _, Q = structural_ops(form)
-    entries = _negated(two_leg_entries(Q))
-    b = -2 if shifted else 0
-    chain = [
-        (p, q, -((z + cont[p]) + (z + cont[q])), b, entries)
-        for p in reversed(range(n))
-        for q in reversed(range(p))
-    ]
-    frames, scale = restricted_chain(chain, basis.solver(), (form.N,) * n)
-    return FrameBlock(frames, scale, one, (basis.size,))
+
+    def build() -> FrameBlock:
+        cont = column_tableau(omega).contents
+        entries = _negated(two_leg_entries(structural_ops(form)[1]))
+        chain = [(p, q, -(cont[p] + cont[q]), -1, entries)
+                 for p in reversed(range(n)) for q in reversed(range(p))]
+        frames, scale = restricted_chain(chain, basis.solver(), (form.N,) * n)
+        return FrameBlock(frames, scale, one, (basis.size,))
+
+    block = _argument_block((_form_key(form), omega, "S"), build)
+    return block.substituted(2 * Fraction(z), 2 if shifted else 0, one)
 
 
 def _s_fused_frame_blocks(Z: FusedModuleSpec, shifted: bool) -> list:

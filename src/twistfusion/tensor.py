@@ -629,6 +629,32 @@ class FrameBlock:
             acc = acc * x0.numerator + fr * qk
         return d, acc
 
+    def substituted(self, t: Fraction, s: int, den: Poly) -> "FrameBlock":
+        """The numerator scale * sum_m frames[m] x^m at x = t + s*y, as
+        frames in y, over the scalar denominator den(y).  This block is a
+        numerator: its own den is 1.
+
+        For t = p/q and D = len(frames) - 1, frame k of q^D N(t + s y) is
+        s^k sum_m C(m, k) p^(m-k) q^(D-m+k) frames[m], over the scale
+        scale / q^D.  At s = 0 that is the homogenised Horner sum
+        (_horner).  Otherwise the homogenised frames q^(D-m) frames[m] are
+        Taylor-shifted by p through synthetic division, D(D+1)/2 matrix
+        axpys with no binomials, and frame k is multiplied by (q s)^k."""
+        t = Fraction(t)
+        p, q = t.numerator, t.denominator
+        D = len(self.frames) - 1
+        scale = self.scale / q**D
+        if s == 0:
+            return FrameBlock([self._horner(t)[1]], scale, den, self.dims)
+        c = [fr * q ** (D - m) for m, fr in enumerate(self.frames)]
+        if p:
+            for i in range(D):
+                for m in range(D - 1, i - 1, -1):
+                    c[m] += p * c[m + 1]
+        qs = q * s
+        return FrameBlock([fr * qs**k if k else fr for k, fr in enumerate(c)], scale, den,
+                          self.dims)
+
     def at(self, x0) -> TensorOperator:
         """The exact value at x0, a Fraction matrix."""
         x0 = Fraction(x0)

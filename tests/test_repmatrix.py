@@ -1,13 +1,18 @@
 import math
+import os
+import subprocess
+import sys
+from collections import OrderedDict
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from twistfusion.diagrams import SkewDiagram, column_tableau, enumerate_skew, sharp
+from twistfusion.diagrams import SkewDiagram, column_tableau, enumerate_skew, parse_skew, sharp
 from twistfusion.errors import BoxCapExceeded, ShapeTooTall, SingularParameter
-from twistfusion.exactnum import RatFunc, laurent_at_point, series_at_infinity
-from twistfusion import fusion, linalg, repmatrix
+from twistfusion.exactnum import Poly, RatFunc, laurent_at_point, series_at_infinity
+from twistfusion import cli, fusion, linalg, repmatrix, tensor
 from twistfusion.fusion import fusion_operator
 from twistfusion.linalg import mat_equal, rank_exact
 from twistfusion.repmatrix import (
@@ -600,6 +605,216 @@ def test_blocks_clear_no_rationals_after_warm_up(form, modules, monkeypatch):
     repmatrix.swz_frame_blocks(Z)
     repmatrix._t_data(Z)
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# pair and S blocks: built once per form, diagrams and kind, then substituted
+
+def _per_spec_pair_block(A, i, shiftA, B, j, shiftB, kind):
+    """The pair block built for one spec: every factor (a + b*zeta) * 1 + X
+    of its chain carries the spec's own box parameters, a = u_p -+ v_q and
+    b = bu -+ bv (negated for R'), and breve R and breve R' divide by
+    a + b*zeta.  The reference for the substituted blocks."""
+    contA, contB = A.contents(i), B.contents(j)
+    nA, nB = len(contA), len(contB)
+    P, Q = structural_ops(B.form)
+    q_entries = tensor.two_leg_entries(Q)
+    minus_p = [(a, b, c, d, -v) for (a, b, c, d, v) in tensor.two_leg_entries(P)]
+    minus_q = [(a, b, c, d, -v) for (a, b, c, d, v) in q_entries]
+    bu, bv = int(shiftA), int(shiftB)
+    chain = []
+    den = Poly.const(1)
+    for (p, q) in repmatrix._pair_order(kind, nA, nB):
+        au, av = A.z(i) + contA[p], B.z(j) + contB[q]
+        if kind in ("R", "Rb"):
+            a, b, entries = au - av, bu - bv, minus_p
+        elif kind == "R'":
+            a, b, entries = -(au + av), -(bu + bv), minus_q
+        else:
+            a, b, entries = au + av, bu + bv, q_entries
+        if kind in ("Rb", "Rb'"):
+            if a == 0 and b == 0:
+                name = "breve R" if kind == "Rb" else "breve R'"
+                raise SingularParameter(f"{name} singular at boxes ({p+1},{q+1})")
+            den = den * Poly((a, Fraction(b)))
+        chain.append((p, nA + q, a, b, entries))
+    solver = linalg.BasisSolver.kron(A.basis(i).solver(), B.basis(j).solver())
+    frames, scale = tensor.restricted_chain(chain, solver, (B.N,) * (nA + nB))
+    return FrameBlock(frames, scale, den, (A.basis(i).size, B.basis(j).size))
+
+
+def _per_spec_elementary_s(omega, z, shifted, form):
+    """S of one elementary module built for one z: the chain of
+    -(v_p + v_q) - Q_pq with v_p = z + c_p (+ zeta if shifted)."""
+    n = omega.size
+    basis = fusion_operator(omega, form.N, box_cap=max(6, n)).module_basis
+    cont = column_tableau(omega).contents
+    _, Q = structural_ops(form)
+    entries = [(a, b, c, d, -v) for (a, b, c, d, v) in tensor.two_leg_entries(Q)]
+    b = -2 if shifted else 0
+    chain = [(p, q, -((z + cont[p]) + (z + cont[q])), b, entries)
+             for p in reversed(range(n)) for q in reversed(range(p))]
+    frames, scale = tensor.restricted_chain(chain, basis.solver(), (form.N,) * n)
+    return FrameBlock(frames, scale, Poly.const(1), (basis.size,))
+
+
+def _assert_same_operator(fb, ref):
+    assert fb.dims == ref.dims and fb.den == ref.den
+    for zeta in (Fraction(2, 9), Fraction(-5, 3), Fraction(7)):
+        assert fb.at(zeta) == ref.at(zeta)
+
+
+_T_VALUES = [Fraction(-7, 5), Fraction(0), Fraction(10**12 + 39, 10**18 + 9)]
+_T_IDS = ["negative", "zero", "large-denominator"]
+
+
+@pytest.fixture
+def fresh_blocks(monkeypatch):
+    """An empty block cache for one test, with restricted_chain counted."""
+    monkeypatch.setattr(repmatrix, "_blocks", OrderedDict(), raising=False)
+    calls = []
+    real = repmatrix.restricted_chain
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(repmatrix, "restricted_chain", counting)
+    return calls
+
+
+@pytest.mark.parametrize("t", _T_VALUES, ids=_T_IDS)
+@pytest.mark.parametrize("shifts", [(True, False), (True, True), (False, False)],
+                         ids=["TF", "TT", "FF"])
+@pytest.mark.parametrize("form,diagrams", [(SO3, ("1,1", "2")), (SP2, ("2", "1"))],
+                         ids=["so3", "sp2"])
+@pytest.mark.parametrize("kind", repmatrix.KINDS)
+def test_substituted_pair_blocks_match_the_per_spec_chain(kind, form, diagrams, shifts, t):
+    # t is the block's argument: z_i - z_j for R and breve R, z_i + z_j for
+    # the primed kinds; the shifts give the slopes 1, 0 or 2, and 0
+    zj = Fraction(1, 3)
+    zi = t + zj if kind in ("R", "Rb") else t - zj
+    Z = FusedModuleSpec(form, [(parse_skew(diagrams[0]), zi), (parse_skew(diagrams[1]), zj)])
+    args = (Z, 0, shifts[0], Z, 1, shifts[1], kind)
+    try:
+        ref = _per_spec_pair_block(*args)
+    except SingularParameter as exc:
+        # a breve pair with x + e_pq = 0 and slope 0: the same message
+        with pytest.raises(SingularParameter) as got:
+            repmatrix._pair_block_frames(*args)
+        assert str(got.value) == str(exc)
+        return
+    _assert_same_operator(repmatrix._pair_block_frames(*args), ref)
+
+
+@pytest.mark.parametrize("z", _T_VALUES, ids=_T_IDS)
+@pytest.mark.parametrize("shifted", [True, False], ids=["shifted", "unshifted"])
+@pytest.mark.parametrize("form,diagram", [(SO3, "1,1"), (SO3, "2,1"), (SP2, "2")],
+                         ids=["so3-1,1", "so3-2,1", "sp2-2"])
+def test_substituted_elementary_s_matches_the_per_spec_chain(form, diagram, shifted, z):
+    omega = parse_skew(diagram)
+    _assert_same_operator(repmatrix._elementary_s_frames(omega, z, shifted, form),
+                          _per_spec_elementary_s(omega, z, shifted, form))
+
+
+@pytest.mark.parametrize("form,modules", [
+    (SO3, "1,1:-7/5;2:0;1:1000000000039/1000000000000000009"),
+    (SP2, "2:-7/5;1:0;1,1:1000000000039/1000000000000000009"),
+], ids=["so3", "sp2"])
+def test_substituted_t_blocks_match_the_per_spec_chain(form, modules):
+    # the breve R blocks of T(u) between the one-box module shifted by u
+    # and each factor j: argument -z_j, slope 1
+    Z = FusedModuleSpec.from_string(form, modules)
+    aux = FusedModuleSpec(form, [(BOX, 0)])
+    for j in range(Z.ell):
+        args = (aux, 0, True, Z, j, False, "Rb")
+        _assert_same_operator(repmatrix._pair_block_frames(*args), _per_spec_pair_block(*args))
+
+
+@pytest.mark.parametrize("kind,w_singular,message", [
+    ("Rb", "1,1:4/3", "breve R singular at boxes (2,1)"),
+    ("Rb'", "1,1:-1/3", "breve R' singular at boxes (2,2)"),
+])
+def test_breve_singular_pair_raises_with_a_warm_cache(kind, w_singular, message, fresh_blocks):
+    Z = FusedModuleSpec.from_string(SO3, "2:1/3")
+    r_factorized(FusedModuleSpec.from_string(SO3, "1,1:2/7"), Z, kind)
+    assert len(fresh_blocks) == 1
+    with pytest.raises(SingularParameter) as got:
+        r_factorized(FusedModuleSpec.from_string(SO3, w_singular), Z, kind)
+    assert str(got.value) == message
+    assert len(fresh_blocks) == 1
+
+
+@pytest.mark.parametrize("first", ["default", "scaled"])
+def test_blocks_are_kept_per_form(first, fresh_blocks):
+    # so2 forms of one kind and N that differ in g compare equal as GForm
+    # values, so the cache key must carry g itself
+    forms = {"default": SO2, "scaled": GForm.from_matrix([[Fraction(1, 2), 0], [0, 3]])}
+    assert forms["default"] == forms["scaled"]
+    order = [first] + [name for name in forms if name != first]
+    for kind in repmatrix.KINDS:
+        refs = {}
+        for name in order:
+            Z = FusedModuleSpec.from_string(forms[name], "2:1/3;1:-2/5")
+            args = (Z, 0, True, Z, 1, False, kind)
+            refs[name] = _per_spec_pair_block(*args)
+            _assert_same_operator(repmatrix._pair_block_frames(*args), refs[name])
+        if kind in ("R'", "Rb'"):
+            zeta = Fraction(2, 9)
+            assert refs["default"].at(zeta) != refs["scaled"].at(zeta)
+    for name in order:
+        omega = parse_skew("2")
+        _assert_same_operator(repmatrix._elementary_s_frames(omega, Fraction(1, 3), True,
+                                                             forms[name]),
+                              _per_spec_elementary_s(omega, Fraction(1, 3), True, forms[name]))
+    assert len(fresh_blocks) == 2 * len(repmatrix.KINDS) + 2
+
+
+def test_block_cache_evicts_least_recent_and_keeps_no_large_block(fresh_blocks, monkeypatch):
+    # single boxes of so3: every block has 2 frames of 9 x 9
+    small = 2 * 81
+    monkeypatch.setattr(repmatrix, "_BLOCK_ENTRIES", 2 * small)
+    Z = FusedModuleSpec.from_string(SO3, "1:1/3;1:-2/5")
+
+    def block(kind):
+        return repmatrix._pair_block_frames(Z, 0, True, Z, 1, False, kind)
+
+    block("R")
+    block("R'")
+    block("R")  # a hit: R becomes the most recent
+    assert len(fresh_blocks) == 2
+    block("Rb")  # a miss that evicts R', the least recent
+    assert [key[-1] for key in repmatrix._blocks] == ["R", "Rb"]
+    assert sum(repmatrix._entries(fb) for fb in repmatrix._blocks.values()) == 2 * small
+    assert len(fresh_blocks) == 3
+    # 18 x 18 frames, 5 of them: built and right, but not kept, and the
+    # kept blocks stay
+    big = FusedModuleSpec.from_string(SO3, "1,1:1/3;2:-2/5")
+    args = (big, 0, True, big, 1, False, "R")
+    for calls in (4, 5):
+        _assert_same_operator(repmatrix._pair_block_frames(*args), _per_spec_pair_block(*args))
+        assert len(fresh_blocks) == calls
+        assert [key[-1] for key in repmatrix._blocks] == ["R", "Rb"]
+
+
+def test_second_point_of_a_shape_builds_no_block(fresh_blocks, capsys):
+    # after one verdict, a verdict at another point of the same shape takes
+    # every pair and S block from the cache, and reports what a fresh
+    # process reports
+    argv = ["irreducible", "--form", "so", "--n", "3", "--json", "--modules"]
+    assert cli.main(argv + ["1,1:-1/3;1,1:1/5"]) == 0
+    built = len(fresh_blocks)
+    assert built > 0
+    capsys.readouterr()
+    assert cli.main(argv + ["1,1:2/7;1,1:-3/11"]) == 0
+    warm = capsys.readouterr().out
+    assert len(fresh_blocks) == built
+    src = str(Path(repmatrix.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    cold = subprocess.run([sys.executable, "-m", "twistfusion.cli", *argv, "1,1:2/7;1,1:-3/11"],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert cold.returncode == 0
+    assert cold.stdout == warm
 
 
 def _t_dense_oracle(Z, u0):

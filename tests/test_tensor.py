@@ -385,3 +385,23 @@ def test_frame_block_views_agree():
             fb.at(pole)
         with pytest.raises(SingularParameter):
             fb.at_int(pole)
+
+
+@pytest.mark.parametrize("s", [0, 1, 2, -1])
+@pytest.mark.parametrize("t", [Fraction(-7, 5), Fraction(0), Fraction(3),
+                               Fraction(10**12 + 39, 10**18 + 9)], ids=str)
+def test_substituted_is_the_numerator_at_the_affine_argument(t, s):
+    # N(x) = scale * (F0 + F1 x + F2 x^2 + F3 x^3) at x = t + s*y, over den(y)
+    rng = random.Random(11)
+    frames = [np.array([[rng.randint(-9, 9) for _ in range(4)] for _ in range(4)], dtype=object)
+              for _ in range(4)]
+    scale = Fraction(3, 14)
+    den = Poly((Fraction(-1, 2), 1))
+    fb = FrameBlock(frames, scale, Poly.const(1), (2, 2)).substituted(t, s, den)
+    assert fb.den == den and fb.dims == (2, 2)
+    assert len(fb.frames) == (1 if s == 0 else 4)
+    assert all(type(v) is int for fr in fb.frames for v in fr.flat)
+    for y in (Fraction(0), Fraction(2, 9), Fraction(-5, 3)):
+        x = t + s * y
+        expect = sum(fr * x**m for m, fr in enumerate(frames)) * (scale / den.eval(y))
+        assert mat_equal(fb.at(y).mat, expect)

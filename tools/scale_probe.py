@@ -10,7 +10,10 @@ order, default all of them:
   * ``phi``: ``irreducibility.phi_leading``, pair blocks and frame product,
     with how many ``int_matmul`` calls it made, how many of them failed the
     int64 certificate and ran on Python ints, and the largest entry and
-    the content of the integer phi matrix in bits;
+    the content of the integer phi matrix in bits; for the dim-9 and dim-18
+    modules, a second ``warm`` line times it again at another point of the
+    same shape (``1,1:2/7;1,1:-3/11`` and ``1,1:-2/9;2:4/11``), whose pair
+    and S blocks come from the block cache the first point filled;
   * ``rank``: ``irreducibility.surjectivity`` of that phi (needs ``phi``);
   * ``commutant``: ``irreducibility.commutant_dim`` at the default K;
   * ``relations``: ``repmatrix.check_defining_relations``, with the number
@@ -32,7 +35,10 @@ from collections import Counter
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 STAGES = ("phi", "rank", "commutant", "relations")
-MODULES = ("1,1:-1/3;1,1:1/5", "1,1:1/5;2:-3/7", "3,2,1/2,1:1/7")
+# each module with a second point of its shape for the warm phi line
+MODULES = (("1,1:-1/3;1,1:1/5", "1,1:2/7;1,1:-3/11"),
+           ("1,1:1/5;2:-3/7", "1,1:-2/9;2:4/11"),
+           ("3,2,1/2,1:1/7", None))
 
 
 def _record_kernels(repmatrix) -> Counter:
@@ -94,9 +100,10 @@ def _timed(label: str, fn, note):
     return out
 
 
-def probe(tf, modules: str, stages, counts: Counter, matmuls: Counter) -> None:
+def probe(tf, modules: str, warm, stages, counts: Counter, matmuls: Counter) -> None:
     irr, repmatrix = tf.irreducibility, tf.repmatrix
-    Z = repmatrix.FusedModuleSpec.from_string(tf.tensor.GForm.default("so", 3), modules)
+    so3 = tf.tensor.GForm.default("so", 3)
+    Z = repmatrix.FusedModuleSpec.from_string(so3, modules)
     print(f"so3 {modules}  dim {Z.dimZ}", flush=True)
     if "phi" in stages:
         matmuls.clear()
@@ -105,6 +112,11 @@ def probe(tf, modules: str, stages, counts: Counter, matmuls: Counter) -> None:
         if "rank" in stages:
             _timed("surjectivity", lambda: irr.surjectivity(phi),
                    lambda r: f"rank {r[0]} of {Z.dimZ ** 2}")
+        if warm is not None:
+            matmuls.clear()
+            W = repmatrix.FusedModuleSpec.from_string(so3, warm)
+            _timed("phi_leading (warm)", lambda: irr.phi_leading(W),
+                   lambda p: f"at {warm}; " + _phi_note(tf.linalg, p, matmuls))
     if "commutant" in stages:
         K = irr.default_truncation(Z)
         _timed("commutant_dim", lambda: irr.commutant_dim(Z, K), lambda c: f"dim {c[0]} (K = {K})")
@@ -130,8 +142,8 @@ def main(argv=None) -> int:
 
     counts = _record_kernels(tf.repmatrix)
     matmuls = _record_matmuls(tf.linalg, (tf.tensor, tf.repmatrix, tf.irreducibility))
-    for modules in MODULES:
-        probe(tf, modules, stages, counts, matmuls)
+    for modules, warm in MODULES:
+        probe(tf, modules, warm, stages, counts, matmuls)
     return 0
 
 
