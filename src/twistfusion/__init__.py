@@ -2,17 +2,20 @@
 
 Builds the modules attached to skew Young diagrams, the factorized R- and
 S-matrices acting on them, and tests irreducibility at rational parameter
-points by the leading-Laurent-coefficient criterion cross-checked against a
-commutant computation.  All arithmetic is exact.
+points: the leading-Laurent-coefficient witness where it is surjective,
+Burnside growth of the generated algebra everywhere else.  All arithmetic is
+exact.
 """
 
 from .diagrams import SkewDiagram, column_tableau, parse_skew, sharp, ssyt_count
 from .exactnum import Poly, RatFunc, laurent_at_point, ratfunc_eval, series_at_infinity
 from .fusion import FusionOperator, fusion_operator, intertwining_check, verify_fusion_invariants
 from .irreducibility import (
+    AlgebraSpan,
     IrreducibilityReport,
     PhiOperator,
     WallSet,
+    burnside,
     commutant_dim,
     phi_leading,
     random_offwall,
@@ -47,6 +50,7 @@ from .tensor import (
 )
 
 __all__ = [
+    "AlgebraSpan",
     "Basis",
     "FusedModuleSpec",
     "FusionOperator",
@@ -59,6 +63,7 @@ __all__ = [
     "SkewDiagram",
     "TensorOperator",
     "WallSet",
+    "burnside",
     "check_defining_relations",
     "column_tableau",
     "commutant_dim",

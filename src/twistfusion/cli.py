@@ -225,7 +225,7 @@ def cmd_irreducible(args) -> int:
         print(f"on wall: {rep.on_wall or 'no'}")
         print(f"Laurent order {rep.laurent_order}, rank {rep.phi_rank}, "
               f"surjective: {rep.phi_surjective}")
-        print(f"commutant dim {rep.commutant_dim} (K={rep.K}, stabilized: {rep.stabilized})")
+        print(f"algebra dim {rep.algebra_dim}/{spec.dimZ ** 2} (K={rep.K})")
         print(f"verdict: {rep.verdict}")
     return 0
 
@@ -285,8 +285,7 @@ def cmd_scan(args) -> int:
             results = list(pool.map(_scan_point, payloads))
     else:
         results = [_scan_point(pl) for pl in payloads]
-    # every verdict is conclusive; the key stays so the summary keeps its format
-    summary = {"irreducible": 0, "inconclusive": 0, "reducible": 0, "errors": 0}
+    summary = {"irreducible": 0, "reducible": 0, "errors": 0}
     for r in results:
         if "error" in r:
             summary["errors"] += 1

@@ -1,22 +1,31 @@
 """Irreducibility testing for fused modules.
 
-Two independent engines:
+A verdict is a two-step decision about A_Z, the algebra generated by the
+S_Z(u) coefficient blocks in End(Z), with Z of dimension d.  By Burnside's
+theorem Z is irreducible over C exactly when A_Z = End(Z), that is when
+dim A_Z = d^2; dim A_Z is the rank of a system of rational vectors, so it
+is the same over Q and over C.
 
-* the leading Laurent coefficient of the deformation family S_{W,Z}(zeta)
-  (W the zeta-shifted copy of Z), contracted to a map End(W) -> End(Z);
-  surjectivity of that map certifies irreducibility;
-* a commutant oracle: the dimension of the joint commutant of the generator
-  coefficient matrices, the u^-1 .. u^-K coefficients of S_Z(u).  K is
-  derived from the module (default_truncation): those coefficients span
-  all of them, so the commutant is proven stable at K.  An irreducible
-  module has dimension 1 (Schur's lemma), so a larger dimension proves
-  reducibility; dimension 1 does not prove irreducibility (sp2
-  ``1:1/3;1:4/3`` has commutant 1 but a generated algebra of dimension 13
-  of 16, so it is reducible).
+1. The leading Laurent coefficient of the deformation family S_{W,Z}(zeta)
+   (W the zeta-shifted copy of Z), contracted to a map phi: End(W) ->
+   End(Z), has its image in A_Z.  If phi is surjective, A_Z = End(Z): the
+   module is irreducible, algebra_dim is d^2 and nothing else runs.  This is
+   the witness of the main theorem, and every off-wall point has it.
+2. Otherwise Burnside growth decides: words in the integer blocks of
+   S_1 .. S_2n (n boxes; default_truncation shows that they span every
+   coefficient) are grown from the identity modulo a word-size prime.  d^2
+   words independent mod p are independent over Q, so A_Z = End(Z).  Fewer
+   words span A_Z exactly when their span is closed under right
+   multiplication by every generator, which one exact echelon proves; a
+   prime whose span fails that proof is skipped.  Then dim A_Z < d^2 and the
+   module is reducible.
 
-Surjectivity implies commutant dimension 1; the converse combination is the
-cross-check wired into every verdict.  A verdict takes only the module: it
-has no setting that the module does not fix.
+The image of phi lies in A_Z, so rank(phi) > dim A_Z contradicts the theory
+and aborts.  commutant_dim (the joint commutant of the generators) stays as
+an independent quantity; no verdict reads it: commutant dimension 1 does not
+prove irreducibility (sp2 ``1:1/3;1:4/3`` has commutant 1 but dim A_Z = 13
+of 16).  A verdict takes only the module: it has no setting that the module
+does not fix.
 """
 
 from __future__ import annotations
@@ -28,13 +37,15 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import InternalInconsistency, MalformedInput
+from .errors import DimensionMismatch, InternalInconsistency, MalformedInput
 from .linalg import (
     ScaledIntMatrix,
+    echelon,
     int_matmul,
     nullspace_exact,
     primitive_part,
     rank_exact,
+    relation_holds,
     to_int_scaled,
 )
 from .repmatrix import (
@@ -47,6 +58,9 @@ from .repmatrix import (
 from .tensor import TensorOperator, contraction_map_matrix
 
 _PRIME_DENOMS = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+# Burnside growth runs modulo these primes, below 2^24: a residue dot
+# product sums at most d^2 terms below 2^48, inside int64 for d up to 128.
+_BURNSIDE_PRIMES = (16777213, 16777199, 16777183)
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +171,174 @@ def _primitive_columns(vectors, length: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# Burnside: the algebra generated by the S(u) coefficients
+
+@dataclass
+class AlgebraSpan:
+    """A basis of A_Z: the words, as index sequences into the generators,
+    whose products span it.  ``prime`` grew them, ``rejected`` lists the
+    primes before it whose span failed the closure proof, and
+    ``closure_proved`` says whether the exact proof ran (only when the words
+    are fewer than d^2)."""
+
+    dim: int
+    words: list[tuple[int, ...]]
+    prime: int
+    rejected: list[int]
+    closure_proved: bool
+
+
+def algebra_generators(Z: FusedModuleSpec) -> np.ndarray:
+    """Generators of A_Z: a basis of the span of the N^2 blocks of
+    S_1 .. S_2n, the leftmost blocks independent over Q (one echelon), each
+    the primitive part of its integer block, stacked as a (g, d, d) object
+    array.  Generators with the same span generate the same algebra."""
+    N, d = Z.N, Z.dimZ
+    blocks = [primitive_part(Sk.mat.reshape(N, d, N, d)[i, :, j, :])
+              for Sk in islice(s_coefficients(Z, 2 * Z.n_total), 1, None)
+              for i, j in np.ndindex(N, N)]
+    if not blocks:
+        return np.empty((0, d, d), dtype=object)
+    G = np.stack(blocks)
+    return G[echelon(G.reshape(len(G), d * d).T)[0]]
+
+
+# Burnside growth multiplies a slice of words by all generators at once;
+# the slice is cut so that its products hold at most this many residues.
+_GROWTH_BATCH = 2**12
+
+
+def _grow_mod_p(G: np.ndarray, p: int) -> list[tuple[int, int]]:
+    """Burnside growth modulo p, breadth first from the identity: the words
+    as (parent word, generator) pairs, the identity as (-1, -1).
+
+    A slice of words is multiplied by all g generators in one
+    ``W @ [G_1 ... G_g] % p``, and the products are reduced against the
+    reduced echelon rows E of the span in one pass, X - X[:, pivots] @ E.
+    The first product left nonzero is a new word: its normalized row is
+    eliminated from the later products and from the slice's earlier new
+    rows N, and the search goes on after it.  At the end of the slice one
+    product eliminates the new pivots from E, E - E[:, new pivots] @ N.
+    Candidates are taken in the order (word, generator), so the words are
+    those of growing one word at a time."""
+    g, d, _ = G.shape
+    D = d * d
+    if D * (p - 1) ** 2 >= 1 << 62:  # a residue dot product sums at most D terms
+        raise DimensionMismatch(f"residue products of dimension {d} overflow int64 mod {p}")
+    Gcat = (G % p).astype(np.int64).transpose(1, 0, 2).reshape(d, g * d)
+    W = np.zeros((D, d, d), dtype=np.int64)  # the words mod p
+    W[0] = np.eye(d, dtype=np.int64)
+    E = np.zeros((D, D), dtype=np.int64)
+    E[0] = W[0].ravel()
+    pivots = [0]
+    words = [(-1, -1)]
+    step = max(1, _GROWTH_BATCH // max(g * D, 1))
+    lo = 0
+    while lo < len(words) < D:
+        hi = min(len(words), lo + step)
+        X = W[lo:hi] @ Gcat % p
+        X = X.reshape(hi - lo, d, g, d).transpose(0, 2, 1, 3).reshape((hi - lo) * g, D)
+        r0 = r = len(words)
+        R = (X - X[:, pivots] @ E[:r0] % p) % p
+        t = -1
+        while r < D:
+            live = np.flatnonzero(R[t + 1:].any(axis=1))
+            if not live.size:
+                break
+            t += 1 + int(live[0])
+            c = int(np.flatnonzero(R[t])[0])
+            row = R[t] * pow(int(R[t, c]), p - 2, p) % p
+            R[t + 1:] = (R[t + 1:] - R[t + 1:, c:c + 1] * row) % p
+            E[r0:r] = (E[r0:r] - E[r0:r, c:c + 1] * row) % p
+            E[r], W[r] = row, X[t].reshape(d, d)
+            pivots.append(c)
+            words.append((lo + t // g, t % g))
+            r += 1
+        if r > r0:
+            E[:r0] = (E[:r0] - E[:r0, pivots[r0:]] @ E[r0:r] % p) % p
+        lo = hi
+    return words
+
+
+def _lift_words(G: np.ndarray, words: list[tuple[int, int]]) -> np.ndarray:
+    """The integer words along their (parent, generator) pairs, each the
+    primitive part of its product (the same line as the word mod p, since
+    that word is nonzero), as an (r, d, d) object array.  Children of one
+    parent are consecutive, so each parent takes one product with
+    [G_1 ... G_g]."""
+    g, d, _ = G.shape
+    Gcat = G.transpose(1, 0, 2).reshape(d, g * d)
+    out = np.empty((len(words), d, d), dtype=object)
+    out[0] = np.eye(d, dtype=np.int64).astype(object)
+    parent, prods = None, None
+    for k, (i, j) in enumerate(words[1:], start=1):
+        if i != parent:
+            parent, prods = i, int_matmul(out[i], Gcat).reshape(d, g, d)
+        out[k] = primitive_part(prods[:, j, :].astype(object))
+    return out
+
+
+# The closure proof forms the word x generator products of as many
+# generators at once as keep them within this many entries: all of them
+# unless the module is large.
+_PROOF_BATCH = 2**20
+
+
+def _span_closed(G: np.ndarray, Wint: np.ndarray) -> bool:
+    """Whether the span of the integer words is closed under right
+    multiplication by every generator, exactly: one echelon of the r x d^2
+    word matrix (the words have full row rank, or the growth was wrong), and
+    for the r * g word x generator products x, formed in one product, the
+    check x[free] = x[pivots] @ C of membership in that span."""
+    r, d, _ = Wint.shape
+    pivots, C = echelon(Wint.reshape(r, d * d))
+    if len(pivots) != r:
+        raise InternalInconsistency(f"{r} words independent mod p have rank {len(pivots)}")
+    taken = set(pivots)
+    free = [c for c in range(d * d) if c not in taken]
+    step = max(1, _PROOF_BATCH // (r * d * d))
+    for lo in range(0, G.shape[0], step):
+        Gs = G[lo:lo + step]
+        g = Gs.shape[0]
+        P = int_matmul(Wint.reshape(r * d, d), Gs.transpose(1, 0, 2).reshape(d, g * d))
+        P = P.reshape(r, d, g, d).transpose(0, 2, 1, 3).reshape(r * g, d * d)
+        if not relation_holds(P, pivots, free, C):
+            return False
+    return True
+
+
+def _index_sequences(grown: list[tuple[int, int]]) -> list[tuple[int, ...]]:
+    """The (parent, generator) pairs of the growth as index sequences."""
+    seqs: list[tuple[int, ...]] = []
+    for i, j in grown:
+        seqs.append(() if i < 0 else seqs[i] + (j,))
+    return seqs
+
+
+def burnside(Z: FusedModuleSpec) -> AlgebraSpan:
+    """dim A_Z, the algebra generated by the S(u) coefficients, by Burnside
+    growth modulo a prime and an exact closure proof.
+
+    The words are independent mod p, hence over Q.  d^2 of them span
+    End(Z).  Fewer span A_Z exactly when their span, which holds the
+    identity, is closed under right multiplication by the generators: it
+    then holds every word.  A prime that gave too small a span fails that
+    proof and the next one is tried."""
+    d = Z.dimZ
+    G = algebra_generators(Z)
+    rejected = []
+    for p in _BURNSIDE_PRIMES:
+        grown = _grow_mod_p(G, p)
+        words = _index_sequences(grown)
+        if len(grown) == d * d:
+            return AlgebraSpan(d * d, words, p, rejected, False)
+        if _span_closed(G, _lift_words(G, grown)):
+            return AlgebraSpan(len(grown), words, p, rejected, True)
+        rejected.append(p)
+    raise InternalInconsistency(f"no prime of {_BURNSIDE_PRIMES} gave a closed span")
+
+
+# ---------------------------------------------------------------------------
 # walls
 
 @dataclass(frozen=True)
@@ -213,9 +395,8 @@ class IrreducibilityReport:
     laurent_order: int
     phi_rank: int
     phi_surjective: bool
-    commutant_dim: int
+    algebra_dim: int
     K: int
-    stabilized: bool
     verdict: str
 
     def to_json(self) -> dict:
@@ -225,9 +406,8 @@ class IrreducibilityReport:
             "laurent_order": self.laurent_order,
             "phi_rank": self.phi_rank,
             "phi_surjective": self.phi_surjective,
-            "commutant_dim": self.commutant_dim,
+            "algebra_dim": self.algebra_dim,
             "K": self.K,
-            "stabilized": self.stabilized,
             "verdict": self.verdict,
         }
 
@@ -239,9 +419,8 @@ class IrreducibilityReport:
             laurent_order=int(data["laurent_order"]),
             phi_rank=int(data["phi_rank"]),
             phi_surjective=bool(data["phi_surjective"]),
-            commutant_dim=int(data["commutant_dim"]),
+            algebra_dim=int(data["algebra_dim"]),
             K=int(data["K"]),
-            stabilized=bool(data["stabilized"]),
             verdict=str(data["verdict"]),
         )
 
@@ -253,38 +432,35 @@ def default_truncation(Z: FusedModuleSpec) -> int:
     2n, so q(u) S_Z(u) is a polynomial and its u^-m coefficient vanishes for
     m >= 1: sum_i q_i S_(m+i) = 0.  Each S_k with k > 2n is therefore a fixed
     combination of the 2n coefficients before it, and S_1 .. S_2n span all of
-    them.  The commutant at K is the commutant of every coefficient, and it
-    is already reached at K - 1."""
+    them: the blocks of S_1 .. S_2n generate A_Z (algebra_generators).  A
+    report names K, two orders past them, and commutant_dim at K is the
+    commutant of every coefficient, already reached at K - 1."""
     return 2 * Z.n_total + 2
 
 
 def verdict(Z: FusedModuleSpec) -> IrreducibilityReport:
-    """Walls, leading-coefficient surjectivity, commutant dimension at
-    K = default_truncation(Z), and the combined verdict.  Surjectivity
-    without commutant dimension 1, or a commutant still shrinking at K,
-    contradicts the theory and aborts."""
+    """Walls, leading-coefficient surjectivity and, only where phi is not
+    surjective, Burnside growth of A_Z; irreducible exactly when
+    dim A_Z = d^2.  A phi of rank above dim A_Z contradicts the theory (its
+    image lies in A_Z) and aborts."""
     K = default_truncation(Z)
     params = [z for _, z in Z.factors]
     on_wall = [c.describe() for c in walls(Z).violated(params)]
     phi = phi_leading(Z)
     rank, surj = surjectivity(phi)
-    cdim, stab = commutant_dim(Z, K)
-    if not stab:
-        raise InternalInconsistency(f"commutant dimension {cdim} not stabilized at K = {K}")
-    if surj and cdim != 1:
-        raise InternalInconsistency(
-            f"surjective leading coefficient but commutant dimension {cdim}"
-        )
+    full = Z.dimZ**2
+    dim = full if surj else burnside(Z).dim
+    if rank > dim:
+        raise InternalInconsistency(f"phi of rank {rank} into an algebra of dimension {dim}")
     return IrreducibilityReport(
         spec=Z.to_json(),
         on_wall=on_wall,
         laurent_order=phi.order,
         phi_rank=rank,
         phi_surjective=surj,
-        commutant_dim=cdim,
+        algebra_dim=dim,
         K=K,
-        stabilized=stab,
-        verdict="irreducible" if surj or cdim == 1 else "reducible",
+        verdict="irreducible" if dim == full else "reducible",
     )
 
 

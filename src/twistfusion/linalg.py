@@ -341,9 +341,14 @@ def _lift(residues: np.ndarray, modulus: int, pivots, free) -> np.ndarray | None
     return C
 
 
-def _lift_holds(M: np.ndarray, pivots, free, C: np.ndarray) -> bool:
-    """The integer check M[:, free] * den == M[:, pivots] @ (C * den), one
-    denominator per free column."""
+def relation_holds(M: np.ndarray, pivots, free, C: np.ndarray) -> bool:
+    """M[:, free] == M[:, pivots] @ C exactly, for an integer M and the
+    Fraction C of an echelon: the integer check M[:, free] * den ==
+    M[:, pivots] @ (C * den), one denominator per free column.
+
+    With (pivots, C) = echelon(A) for an A of full row rank, a row x lies in
+    the row span of A exactly when x[free] = x[pivots] @ C, so this checks
+    every row of M for membership in that span with one product."""
     dens = [math.lcm(*(q.denominator for q in C[:, j])) for j in range(len(free))]
     C_int = np.empty(C.shape, dtype=object)
     for (r, j), q in np.ndenumerate(C):
@@ -389,7 +394,7 @@ def echelon(A: np.ndarray) -> tuple[list[int], np.ndarray]:
             residues = residues + modulus * ((vals - residues) * pow(modulus, -1, p) % p)
         modulus *= p
         C = _lift(residues, modulus, pivots, free)
-        if C is not None and _lift_holds(M, pivots, free, C):
+        if C is not None and relation_holds(M, pivots, free, C):
             return pivots, C
     R, pivots = fraction_rref(M)
     return pivots, R[: len(pivots)][:, _free_columns(pivots, cols)]

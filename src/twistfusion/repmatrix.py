@@ -203,9 +203,11 @@ def _negated(entries):
 
 # The numerator blocks in their own argument, keyed by form, diagrams and
 # kind, least recently used first; they hold at most _BLOCK_ENTRIES frame
-# entries in all, and a larger block is built but not kept.
+# entries in all (_held of them now), and a larger block is built but not
+# kept.
 _BLOCK_ENTRIES = 2**20
 _blocks: OrderedDict = OrderedDict()
+_held = 0
 
 
 def _entries(fb: FrameBlock) -> int:
@@ -214,6 +216,7 @@ def _entries(fb: FrameBlock) -> int:
 
 def _argument_block(key, build) -> FrameBlock:
     """The cached numerator block of ``key``, made by ``build`` on a miss."""
+    global _held
     fb = _blocks.get(key)
     if fb is not None:
         _blocks.move_to_end(key)
@@ -221,9 +224,9 @@ def _argument_block(key, build) -> FrameBlock:
     fb = build()
     if _entries(fb) <= _BLOCK_ENTRIES:
         _blocks[key] = fb
-        held = sum(_entries(b) for b in _blocks.values())
-        while held > _BLOCK_ENTRIES:
-            held -= _entries(_blocks.popitem(last=False)[1])
+        _held += _entries(fb)
+        while _held > _BLOCK_ENTRIES:
+            _held -= _entries(_blocks.popitem(last=False)[1])
     return fb
 
 

@@ -5,15 +5,19 @@ lines and timings.  All checks are exact; the only tolerances are the stated
 runtime bounds.
 """
 
+import importlib.util
 import io
 import json
 import random
 import time
 from contextlib import redirect_stdout
 from fractions import Fraction
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
+from twistfusion import irreducibility, linalg, repmatrix
 from twistfusion.cli import main as cli_main
 from twistfusion.diagrams import SkewDiagram, column_tableau, enumerate_skew, parse_skew, sharp
 from twistfusion.fusion import fusion_operator, verify_fusion_invariants
@@ -197,7 +201,34 @@ _SHAPES = {
     ],
 }
 
-_collected_reports = []
+_collected_reports = []  # (module, report, Burnside dimension) of criterion 9
+
+
+def _load_bench_oracle():
+    """The benchmark's Burnside oracle, an implementation independent of the
+    package's verdict, loaded from its file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "bench_oracle.py"
+    spec = importlib.util.spec_from_file_location("bench_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_ORACLE = _load_bench_oracle()
+_API = SimpleNamespace(irreducibility=irreducibility, repmatrix=repmatrix, linalg=linalg)
+
+
+def _algebra_dim(Z) -> int:
+    return _ORACLE.algebra_dim(_API, Z)
+
+
+def _agrees(Z, rep, dim) -> bool:
+    """The report agrees with the oracle's algebra dimension, and a
+    surjective phi comes with the whole of End(Z)."""
+    full = Z.dimZ**2
+    return (rep.algebra_dim == dim
+            and rep.verdict == ("irreducible" if dim == full else "reducible")
+            and (not rep.phi_surjective or dim == full))
 
 
 def test_criterion_09_main_theorem_generic_points():
@@ -207,24 +238,29 @@ def test_criterion_09_main_theorem_generic_points():
     for key, shapes in _SHAPES.items():
         form = GForm.symplectic(2) if key == "sp2" else GForm.orthogonal(3)
         for shape in shapes:
-            t0 = time.perf_counter()
+            dt = 0.0
             shape_ok = True
             for _ in range(10):
                 zs = random_offwall(len(shape), rng)
                 Z = FusedModuleSpec(form, list(zip(shape, zs)))
+                t0 = time.perf_counter()
                 rep = verdict(Z)
-                _collected_reports.append(rep)
-                point_ok = rep.phi_surjective and rep.commutant_dim == 1 and rep.verdict == "irreducible"
+                dt += time.perf_counter() - t0
+                dim = _algebra_dim(Z)
+                _collected_reports.append((Z, rep, dim))
+                point_ok = (rep.phi_surjective and rep.verdict == "irreducible"
+                            and _agrees(Z, rep, dim))
                 if not point_ok:
-                    lines.append((key, [str(d) for d in shape], [str(z) for z in zs], rep.to_json()))
+                    lines.append((key, [str(d) for d in shape], [str(z) for z in zs],
+                                  rep.to_json(), dim))
                 shape_ok &= point_ok
-            dt = time.perf_counter() - t0
             shape_ok &= dt < 300.0
             all_ok &= shape_ok
             name = "+".join(str(d) for d in shape)
-            print(f"    shape {key} [{name}]: 10 points, {dt:.1f}s "
+            print(f"    shape {key} [{name}]: 10 points, verdicts {dt:.1f}s "
                   f"{'ok' if shape_ok else 'FAILED'}", flush=True)
-    _report(9, "surjective leading coefficient and commutant 1 at 10 off-wall points/shape", all_ok)
+    _report(9, "surjective leading coefficient and Burnside algebra End(Z) "
+               "at 10 off-wall points/shape", all_ok)
     assert all_ok, lines
 
 
@@ -244,10 +280,11 @@ def test_criterion_10_soundness_everywhere():
         FusedModuleSpec(so3, [(BOX, Fraction(2, 3)), (BOX, Fraction(5, 3))]),
     ]
     for Z in wall_specs:
-        reports.append(verdict(Z))  # InternalInconsistency would raise here
-    violations = [r.to_json() for r in reports if r.phi_surjective and r.commutant_dim != 1]
-    _report(10, f"surjectivity implies commutant 1 across {len(reports)} points incl. walls",
-            not violations)
+        # InternalInconsistency would raise here
+        reports.append((Z, verdict(Z), _algebra_dim(Z)))
+    violations = [(rep.to_json(), dim) for Z, rep, dim in reports if not _agrees(Z, rep, dim)]
+    _report(10, "surjectivity implies algebra End(Z), and verdicts agree with Burnside, "
+                f"across {len(reports)} points incl. walls", not violations)
     assert not violations, violations
 
 

@@ -61,10 +61,10 @@ def test_irreducible_json():
     data = json.loads(out)
     assert data["verdict"] == "irreducible"
     assert data["phi_surjective"] is True
-    assert data["commutant_dim"] == 1
+    assert data["algebra_dim"] == 16
     assert set(data) == {
         "spec", "on_wall", "laurent_order", "phi_rank", "phi_surjective",
-        "commutant_dim", "K", "stabilized", "verdict",
+        "algebra_dim", "K", "verdict",
     }
 
 
@@ -81,6 +81,7 @@ def test_scan_wall_flags():
     assert walls["1/2"] == ["z1 in (1/2)Z"]
     assert walls["1"] == ["z1 in (1/2)Z"]
     assert data["summary"]["errors"] == 0
+    assert set(data["summary"]) == {"irreducible", "reducible", "errors"}
 
 
 def test_scan_empty_grid():

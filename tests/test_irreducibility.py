@@ -6,10 +6,12 @@ import pytest
 
 from twistfusion.diagrams import SkewDiagram
 from twistfusion import irreducibility
-from twistfusion.errors import InternalInconsistency
+from twistfusion.errors import DimensionMismatch, InternalInconsistency
 from twistfusion.exactnum import Poly, RatFunc, laurent_at_point
 from twistfusion.irreducibility import (
+    AlgebraSpan,
     IrreducibilityReport,
+    burnside,
     commutant_dim,
     default_truncation,
     phi_leading,
@@ -163,15 +165,14 @@ def test_verdict_example_point():
     rep = verdict(Z)
     assert rep.verdict == "irreducible"
     assert rep.on_wall == []
-    assert rep.phi_surjective and rep.commutant_dim == 1
+    assert rep.phi_surjective and rep.algebra_dim == 16
 
 
 def test_verdict_wall_point_reports_evidence():
     rep = verdict(spec(SP2, (BOX, Fraction(1, 2))))
     assert rep.on_wall == ["z1 in (1/2)Z"]
-    assert rep.verdict in ("irreducible", "reducible")
-    if rep.phi_surjective:
-        assert rep.commutant_dim == 1
+    assert rep.verdict == ("irreducible" if rep.algebra_dim == 4 else "reducible")
+    assert rep.phi_rank <= rep.algebra_dim
 
 
 def test_verdict_empty_spec():
@@ -180,17 +181,18 @@ def test_verdict_empty_spec():
 
 
 def test_soundness_across_mixed_points():
-    """Surjective leading coefficient forces commutant dimension 1, including
-    on wall points."""
+    """A surjective leading coefficient forces A_Z = End(Z), including on
+    wall points: Burnside, run at every point, agrees with each verdict."""
     points = [Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(-2, 3)]
-    for z in points:
-        rep = verdict(spec(SP2, (BOX, z)))
+    specs = [spec(SP2, (BOX, z)) for z in points] + [
+        spec(SP2, (BOX, z1), (BOX, z2))
+        for z1, z2 in [(Fraction(1, 3), Fraction(4, 3)), (Fraction(1, 4), Fraction(3, 4))]
+    ]
+    for Z in specs:
+        rep, dim = verdict(Z), burnside(Z).dim
+        assert rep.algebra_dim == dim and rep.phi_rank <= dim
         if rep.phi_surjective:
-            assert rep.commutant_dim == 1
-    for z1, z2 in [(Fraction(1, 3), Fraction(4, 3)), (Fraction(1, 4), Fraction(3, 4))]:
-        rep = verdict(spec(SP2, (BOX, z1), (BOX, z2)))
-        if rep.phi_surjective:
-            assert rep.commutant_dim == 1
+            assert dim == Z.dimZ**2
 
 
 def test_translation_keeps_surjectivity_verdict():
@@ -475,11 +477,11 @@ def test_coefficients_past_2n_in_span(form, text):
     assert default_truncation(Z) == 2 * n + 2
 
 
-def test_verdict_unstabilized_commutant_is_inconsistent(monkeypatch):
-    # a commutant still shrinking at the derived K contradicts the span theorem
-    monkeypatch.setattr(irreducibility, "commutant_dim", lambda Z, K: (2, False))
-    with pytest.raises(InternalInconsistency, match="not stabilized"):
-        verdict(FusedModuleSpec.from_string(SP2, "1:1/2;1:-1/2"))
+def test_verdict_burnside_below_phi_rank_is_inconsistent(monkeypatch):
+    # the image of phi lies in A_Z; phi has rank 9 at this point
+    monkeypatch.setattr(irreducibility, "burnside", lambda Z: AlgebraSpan(8, [], 0, [], True))
+    with pytest.raises(InternalInconsistency, match="rank 9 into an algebra of dimension 8"):
+        verdict(FusedModuleSpec.from_string(SP2, "1:1/4;1:3/4"))
 
 
 def test_zero_contracted_coefficient_is_inconsistent(monkeypatch):
@@ -488,3 +490,103 @@ def test_zero_contracted_coefficient_is_inconsistent(monkeypatch):
                         lambda M, dW, dZ: np.zeros((dZ * dZ, dW * dW), dtype=object))
     with pytest.raises(InternalInconsistency, match="zero contracted"):
         phi_leading(spec(SP2, (BOX, Fraction(1, 3))))
+
+
+# ---------------------------------------------------------------------------
+# the two-step verdict: the phi witness, then Burnside
+
+@pytest.mark.parametrize("form,text,answer,dim", [
+    (SP2, "1:1/3;1:4/3", "reducible", 13),
+    (SO3, "1:2/3;1:5/3", "reducible", 63),
+    (SP2, "1:1/4;1:3/4", "irreducible", 16),
+    (SP2, "1:1/3;1:-4/3", "irreducible", 16),
+    (SP2, "2:1/2", "irreducible", 9),
+], ids=["sp2 1:1/3;1:4/3", "so3 1:2/3;1:5/3", "sp2 1:1/4;1:3/4", "sp2 1:1/3;1:-4/3",
+        "sp2 2:1/2"])
+def test_verdict_where_phi_is_not_surjective(form, text, answer, dim):
+    rep = verdict(FusedModuleSpec.from_string(form, text))
+    assert not rep.phi_surjective
+    assert (rep.verdict, rep.algebra_dim) == (answer, dim)
+
+
+@pytest.mark.parametrize("text,dim", [
+    ("1:1/3;1:4/3", 13), ("1:1/3;1:-1/3", 13), ("1:1;1:2", 13), ("1:2/5;1:7/5", 13),
+    ("1:2/5;1:-2/5", 13), ("1:-1/3;1:1/3", 13), ("1:2/5;2:7/5", 28), ("1:2/5;2:-2/5", 28),
+])
+def test_scan_walls_points_are_reducible(text, dim):
+    # the wall points of the benchmark's scan grids (seed 1) that Burnside
+    # finds reducible
+    rep = verdict(FusedModuleSpec.from_string(SP2, text))
+    assert (rep.verdict, rep.algebra_dim) == ("reducible", dim)
+
+
+def test_surjective_verdict_runs_nothing_more(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a surjective phi already decides the verdict")
+
+    monkeypatch.setattr(irreducibility, "burnside", refuse)
+    monkeypatch.setattr(irreducibility, "commutant_dim", refuse)
+    rep = verdict(spec(SP2, (BOX, Fraction(1, 3)), (BOX, Fraction(7, 5))))
+    assert rep.phi_surjective
+    assert (rep.verdict, rep.algebra_dim) == ("irreducible", 16)
+
+
+def test_verdict_never_reads_the_commutant(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the commutant does not decide a verdict")
+
+    monkeypatch.setattr(irreducibility, "commutant_dim", refuse)
+    assert verdict(FusedModuleSpec.from_string(SP2, "1:1/3;1:4/3")).verdict == "reducible"
+
+
+@pytest.mark.parametrize("text,dim", [("1:1/3;1:4/3", 13), ("1:1/4;1:3/4", 16)])
+def test_burnside_skips_a_prime_whose_span_is_too_small(monkeypatch, text, dim):
+    # modulo 3 the growth stops short at these points; the closure proof
+    # rejects that span and the next prime gives the algebra
+    Z = FusedModuleSpec.from_string(SP2, text)
+    assert len(irreducibility._grow_mod_p(irreducibility.algebra_generators(Z), 3)) < dim
+    primes = irreducibility._BURNSIDE_PRIMES
+    monkeypatch.setattr(irreducibility, "_BURNSIDE_PRIMES", (3,) + primes)
+    span = burnside(Z)
+    assert (span.dim, span.prime, span.rejected) == (dim, primes[0], [3])
+    assert span.closure_proved == (dim < 16)
+
+
+def test_burnside_words_multiply_out_to_the_algebra():
+    # the words are index sequences into the generators whose products are
+    # exactly independent, starting from the identity
+    Z = FusedModuleSpec.from_string(SP2, "1:1/3;1:4/3")
+    G, span = irreducibility.algebra_generators(Z), burnside(Z)
+    assert span.words[0] == () and len(span.words) == span.dim == 13
+    mats = []
+    for word in span.words:
+        M = feye(4)
+        for j in word:
+            M = fdot(M, G[j])
+        mats.append(M.ravel())
+    assert rank_exact(np.stack(mats)) == 13
+
+
+def test_growth_by_slices_takes_the_words_of_one_at_a_time(monkeypatch):
+    Z = FusedModuleSpec.from_string(SO3, "1:2/3;1:5/3")
+    G = irreducibility.algebra_generators(Z)
+    p = irreducibility._BURNSIDE_PRIMES[0]
+    sliced = irreducibility._grow_mod_p(G, p)
+    monkeypatch.setattr(irreducibility, "_GROWTH_BATCH", 1)
+    assert irreducibility._grow_mod_p(G, p) == sliced
+    assert len(sliced) == 63
+
+
+def test_growth_refuses_residues_past_int64():
+    G = irreducibility.algebra_generators(FusedModuleSpec.from_string(SP2, "1:1/3;1:4/3"))
+    with pytest.raises(DimensionMismatch, match="overflow int64"):
+        irreducibility._grow_mod_p(G, 2**31 - 1)
+
+
+def test_closure_proof_by_generator_slices(monkeypatch):
+    # one generator per product: the same proof, and the same rejection of
+    # a prime whose span is too small
+    monkeypatch.setattr(irreducibility, "_PROOF_BATCH", 1)
+    monkeypatch.setattr(irreducibility, "_BURNSIDE_PRIMES", (3,) + irreducibility._BURNSIDE_PRIMES)
+    span = burnside(FusedModuleSpec.from_string(SP2, "1:1/3;1:4/3"))
+    assert (span.dim, span.rejected, span.closure_proved) == (13, [3], True)

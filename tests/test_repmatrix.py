@@ -672,6 +672,7 @@ _T_IDS = ["negative", "zero", "large-denominator"]
 def fresh_blocks(monkeypatch):
     """An empty block cache for one test, with restricted_chain counted."""
     monkeypatch.setattr(repmatrix, "_blocks", OrderedDict(), raising=False)
+    monkeypatch.setattr(repmatrix, "_held", 0)
     calls = []
     real = repmatrix.restricted_chain
 
@@ -786,6 +787,7 @@ def test_block_cache_evicts_least_recent_and_keeps_no_large_block(fresh_blocks, 
     block("Rb")  # a miss that evicts R', the least recent
     assert [key[-1] for key in repmatrix._blocks] == ["R", "Rb"]
     assert sum(repmatrix._entries(fb) for fb in repmatrix._blocks.values()) == 2 * small
+    assert repmatrix._held == 2 * small
     assert len(fresh_blocks) == 3
     # 18 x 18 frames, 5 of them: built and right, but not kept, and the
     # kept blocks stay
@@ -795,6 +797,7 @@ def test_block_cache_evicts_least_recent_and_keeps_no_large_block(fresh_blocks, 
         _assert_same_operator(repmatrix._pair_block_frames(*args), _per_spec_pair_block(*args))
         assert len(fresh_blocks) == calls
         assert [key[-1] for key in repmatrix._blocks] == ["R", "Rb"]
+        assert repmatrix._held == 2 * small
 
 
 def test_second_point_of_a_shape_builds_no_block(fresh_blocks, capsys):

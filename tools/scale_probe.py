@@ -15,7 +15,12 @@ order, default all of them:
     same shape (``1,1:2/7;1,1:-3/11`` and ``1,1:-2/9;2:4/11``), whose pair
     and S blocks come from the block cache the first point filled;
   * ``rank``: ``irreducibility.surjectivity`` of that phi (needs ``phi``);
-  * ``commutant``: ``irreducibility.commutant_dim`` at the default K;
+  * ``burnside``: ``irreducibility.burnside``, the Burnside growth of the
+    algebra the S(u) coefficients generate, with its dimension, the number
+    of words and whether the exact closure proof ran (only when the words
+    are fewer than (dim Z)^2);
+  * ``commutant``: ``irreducibility.commutant_dim`` at the default K, which
+    no verdict reads;
   * ``relations``: ``repmatrix.check_defining_relations``, with the number
     of RTT and reflection samples decided by one int64 kernel and by
     residue kernels, and how many residue kernels (primes) those took.
@@ -34,7 +39,7 @@ import time
 from collections import Counter
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-STAGES = ("phi", "rank", "commutant", "relations")
+STAGES = ("phi", "rank", "burnside", "commutant", "relations")
 # each module with a second point of its shape for the warm phi line
 MODULES = (("1,1:-1/3;1,1:1/5", "1,1:2/7;1,1:-3/11"),
            ("1,1:1/5;2:-3/7", "1,1:-2/9;2:4/11"),
@@ -117,6 +122,10 @@ def probe(tf, modules: str, warm, stages, counts: Counter, matmuls: Counter) -> 
             W = repmatrix.FusedModuleSpec.from_string(so3, warm)
             _timed("phi_leading (warm)", lambda: irr.phi_leading(W),
                    lambda p: f"at {warm}; " + _phi_note(tf.linalg, p, matmuls))
+    if "burnside" in stages:
+        _timed("burnside", lambda: irr.burnside(Z),
+               lambda b: f"dim {b.dim} of {Z.dimZ ** 2}; {len(b.words)} words, closure proof "
+                         f"{'ran' if b.closure_proved else 'not needed'}")
     if "commutant" in stages:
         K = irr.default_truncation(Z)
         _timed("commutant_dim", lambda: irr.commutant_dim(Z, K), lambda c: f"dim {c[0]} (K = {K})")
