@@ -11,6 +11,13 @@ is the same over Q and over C.
    End(Z), has its image in A_Z.  If phi is surjective, A_Z = End(Z): the
    module is irreducible, algebra_dim is d^2 and nothing else runs.  This is
    the witness of the main theorem, and every off-wall point has it.
+   Off the walls it is read from one residue (phi_witness): the product of
+   each block's lowest nonzero frame modulo one prime p, whose coefficient
+   is the family's at order o = sum of the frame orders minus the
+   denominators' valuations.  A residue nonzero mod p proves the order o,
+   and since rank cannot rise under reduction mod p, rank d^2 mod p proves
+   phi surjective; the exact frame product and rank do not run.  Any other
+   residue, and every point on a wall, takes the exact path.
 2. Otherwise Burnside growth decides: words in the integer blocks of
    S_1 .. S_2n (n boxes; default_truncation shows that they span every
    coefficient) are grown from the identity modulo a word-size prime.  d^2
@@ -45,12 +52,14 @@ from .linalg import (
     nullspace_exact,
     primitive_part,
     rank_exact,
+    rank_mod_p,
     relation_holds,
     to_int_scaled,
 )
 from .repmatrix import (
     FusedModuleSpec,
     frame_product,
+    frame_residue,
     ratfunc_product,
     s_coefficients,
     swz_frame_blocks,
@@ -61,6 +70,9 @@ _PRIME_DENOMS = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 # Burnside growth runs modulo these primes, below 2^24: a residue dot
 # product sums at most d^2 terms below 2^48, inside int64 for d up to 128.
 _BURNSIDE_PRIMES = (16777213, 16777199, 16777183)
+# The residue witness of phi runs modulo this prime, below 2^21: a float64
+# product on slots of dimension below 2^11 is then exact (frame_residue).
+_WITNESS_PRIME = 2097143
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +121,23 @@ def surjectivity(phi: PhiOperator) -> tuple[int, bool]:
     The integer matrix has the rank of the map: its scale is nonzero."""
     r = rank_exact(phi.coeff.mat)
     return r, r == phi.dimZ**2
+
+
+def phi_witness(Z: FusedModuleSpec) -> tuple[int, int] | None:
+    """(o, r) from one residue modulo _WITNESS_PRIME p: o the Laurent order
+    of the family if its coefficient there is nonzero (frame_residue), r the
+    rank mod p of that coefficient's contraction; None when p is too large
+    for the float64 products.
+
+    r > 0 proves that the order is o.  Rank cannot rise under reduction mod
+    p, so r = (dim Z)^2 proves that phi is surjective: then (o, r) is
+    exactly what phi_leading and surjectivity give."""
+    dZ, p = Z.dimZ, _WITNESS_PRIME
+    residue = frame_residue(swz_frame_blocks(Z), Z.factor_dims + Z.factor_dims, p)
+    if residue is None:
+        return None
+    order, coeff = residue
+    return order, rank_mod_p(contraction_map_matrix(coeff, dZ, dZ), p)
 
 
 # ---------------------------------------------------------------------------
@@ -441,21 +470,28 @@ def default_truncation(Z: FusedModuleSpec) -> int:
 def verdict(Z: FusedModuleSpec) -> IrreducibilityReport:
     """Walls, leading-coefficient surjectivity and, only where phi is not
     surjective, Burnside growth of A_Z; irreducible exactly when
-    dim A_Z = d^2.  A phi of rank above dim A_Z contradicts the theory (its
-    image lies in A_Z) and aborts."""
+    dim A_Z = d^2.  Off the walls surjectivity is first tried on the
+    residue witness, which gives the exact report when it proves it.  A phi
+    of rank above dim A_Z contradicts the theory (its image lies in A_Z)
+    and aborts."""
     K = default_truncation(Z)
     params = [z for _, z in Z.factors]
     on_wall = [c.describe() for c in walls(Z).violated(params)]
-    phi = phi_leading(Z)
-    rank, surj = surjectivity(phi)
     full = Z.dimZ**2
-    dim = full if surj else burnside(Z).dim
-    if rank > dim:
-        raise InternalInconsistency(f"phi of rank {rank} into an algebra of dimension {dim}")
+    witness = None if on_wall else phi_witness(Z)
+    if witness is not None and witness[1] == full:
+        order, rank, surj, dim = witness[0], full, True, full
+    else:
+        phi = phi_leading(Z)
+        rank, surj = surjectivity(phi)
+        order = phi.order
+        dim = full if surj else burnside(Z).dim
+        if rank > dim:
+            raise InternalInconsistency(f"phi of rank {rank} into an algebra of dimension {dim}")
     return IrreducibilityReport(
         spec=Z.to_json(),
         on_wall=on_wall,
-        laurent_order=phi.order,
+        laurent_order=order,
         phi_rank=rank,
         phi_surjective=surj,
         algebra_dim=dim,

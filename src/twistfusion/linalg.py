@@ -279,7 +279,10 @@ def fraction_rref(A: np.ndarray) -> tuple[np.ndarray, list[int]]:
 # certified echelon
 
 def _modp_rref(M: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
-    """In-place RREF of an int64 matrix mod p; returns pivot columns."""
+    """In-place RREF of an int64 matrix mod p; returns pivot columns.
+
+    The rows from the pivot row down are zero left of the current column,
+    so each step reduces only the columns from there on."""
     rows, cols = M.shape
     piv_row = 0
     pivots: list[int] = []
@@ -292,17 +295,25 @@ def _modp_rref(M: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
         if sel != piv_row:
             M[[sel, piv_row]] = M[[piv_row, sel]]
         inv = pow(int(M[piv_row, c]), p - 2, p)
-        M[piv_row] = M[piv_row] * inv % p
+        row = M[piv_row, c:] * inv % p
+        M[piv_row, c:] = row
         factors = M[:, c].copy()
         factors[piv_row] = 0
         nzr = np.nonzero(factors)[0]
         if nzr.size:
-            M[nzr] = (M[nzr] - factors[nzr, None] * M[piv_row][None, :]) % p
+            M[nzr, c:] = (M[nzr, c:] - factors[nzr, None] * row) % p
         pivots.append(c)
         piv_row += 1
         if piv_row == rows:
             break
     return pivots, M
+
+
+def rank_mod_p(A: np.ndarray, p: int) -> int:
+    """Rank modulo a prime p < 2^31 of an integer matrix (any integer or
+    integral float dtype): at most its rank over Q, since a minor that
+    vanishes over Z vanishes mod p."""
+    return len(_modp_rref((A % p).astype(np.int64), p)[0])
 
 
 def _rat_reconstruct(a: int, m: int) -> Fraction | None:
@@ -349,12 +360,12 @@ def relation_holds(M: np.ndarray, pivots, free, C: np.ndarray) -> bool:
     With (pivots, C) = echelon(A) for an A of full row rank, a row x lies in
     the row span of A exactly when x[free] = x[pivots] @ C, so this checks
     every row of M for membership in that span with one product."""
-    dens = [math.lcm(*(q.denominator for q in C[:, j])) for j in range(len(free))]
-    C_int = np.empty(C.shape, dtype=object)
-    for (r, j), q in np.ndenumerate(C):
-        C_int[r, j] = q.numerator * (dens[j] // q.denominator)
-    lhs = M[:, free] * np.array(dens, dtype=object)
-    return bool(np.array_equal(lhs, int_matmul(M[:, pivots], C_int)))
+    qs = C.ravel().tolist()
+    nums = np.array([q.numerator for q in qs], dtype=object).reshape(C.shape)
+    qdens = np.array([q.denominator for q in qs], dtype=object).reshape(C.shape)
+    dens = np.lcm.reduce(qdens, axis=0) if C.shape[0] else np.ones(C.shape[1], dtype=object)
+    C_int = nums * (dens // qdens)
+    return bool(np.array_equal(M[:, free] * dens, int_matmul(M[:, pivots], C_int)))
 
 
 def echelon(A: np.ndarray) -> tuple[list[int], np.ndarray]:

@@ -40,6 +40,7 @@ from .linalg import (
     ScaledIntMatrix,
     int_kernels,
     int_matmul,
+    is_zero_matrix,
     mat_equal,
     max_abs,
     primitive_part,
@@ -50,6 +51,7 @@ from .tensor import (
     GForm,
     MatrixLaurentSeries,
     TensorOperator,
+    _slot_rest_index,
     _WindowExhausted,
     embed_matrix,
     restricted_chain,
@@ -393,6 +395,49 @@ def frame_product(blocks, dims) -> tuple[int, ScaledIntMatrix]:
             continue
         coeff = prod.coefficient(prod.order)
         return prod.order - sum(vals), ScaledIntMatrix(coeff, prod.scale / low)
+
+
+# float64 holds every integer below 2^53 exactly
+_FLOAT_EXACT = 1 << 53
+
+
+def frame_residue(blocks, dims, p: int) -> tuple[int, np.ndarray] | None:
+    """(o, R): R the numerator of the coefficient of zeta^o in the ordered
+    product of frame blocks, modulo p, as an int64 matrix with entries in
+    [0, p), and o the Laurent order that frame_product returns whenever R
+    is nonzero; None when p is too large for an exact float64 product on
+    some block's slots.
+
+    Each numerator starts at its lowest nonzero frame k0, so the numerator
+    product starts at or past sum k0, and its coefficient there is the
+    product of the lowest frames: o is sum k0 minus the denominators'
+    valuations.  A residue that is nonzero mod p proves the coefficient
+    nonzero and the order o.  The scales and the denominators' lowest
+    coefficients are nonzero scalars and are left out.
+
+    The product starts at the identity and multiplies each lowest frame mod
+    p in on its slots, with the gather and scatter of
+    MatrixLaurentSeries.__matmul__, in float64 on BLAS.  An entry sums
+    d_slots products of two residues, so it is an integer that float64
+    holds exactly in any summation order while d_slots (p - 1)^2 < 2^53; it
+    is reduced mod p in int64 after each product."""
+    D = math.prod(dims)
+    maps = [_slot_rest_index(slots, dims) for _, slots in blocks]
+    if any(m.shape[0] * (p - 1) ** 2 >= _FLOAT_EXACT for m in maps):
+        return None
+    acc = np.eye(D, dtype=np.int64)
+    order = -sum(fb.den.valuation() for fb, _ in blocks)
+    for (fb, _), slot_map in zip(blocks, maps):
+        k0 = next((k for k, fr in enumerate(fb.frames) if not is_zero_matrix(fr)), None)
+        if k0 is None:
+            return order, np.zeros((D, D), dtype=np.int64)
+        order += k0
+        cols = slot_map.T  # [rest, slot]
+        gathered = acc[:, cols].reshape(-1, cols.shape[1]).astype(np.float64)
+        prod = (gathered @ (fb.frames[k0] % p).astype(np.float64)).astype(np.int64) % p
+        acc = np.empty((D, D), dtype=np.int64)
+        acc[:, cols] = prod.reshape((D,) + cols.shape)
+    return order, acc
 
 
 def ratfunc_product(blocks, dims) -> TensorOperator:

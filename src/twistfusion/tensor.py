@@ -8,6 +8,7 @@ Python ints, or RatFunc values, uniformly per matrix.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -233,10 +234,14 @@ def embed_operator(block: TensorOperator, slots, dims) -> TensorOperator:
 
 
 def _slot_rest_index(slots, dims) -> np.ndarray:
-    """global_of[slot_code, rest_code] -> flat index in prod(dims)."""
-    dims = tuple(dims)
+    """global_of[slot_code, rest_code] -> flat index in prod(dims), a
+    read-only array shared by every call with the same slots and dims."""
+    return _slot_rest_index_of(tuple(int(s) for s in slots), tuple(int(d) for d in dims))
+
+
+@functools.lru_cache(maxsize=512)
+def _slot_rest_index_of(slots: tuple, dims: tuple) -> np.ndarray:
     n = len(dims)
-    slots = tuple(slots)
     rest = tuple(i for i in range(n) if i not in slots)
     D = _prod(dims)
     digits = np.unravel_index(np.arange(D), dims) if n else ()
@@ -254,6 +259,7 @@ def _slot_rest_index(slots, dims) -> np.ndarray:
     )
     out = np.empty((_prod(sdims), _prod(rdims)), dtype=np.int64)
     out[scode, rcode] = np.arange(D)
+    out.flags.writeable = False
     return out
 
 

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from twistfusion.irreducibility import (
     commutant_dim,
     default_truncation,
     phi_leading,
+    phi_witness,
     random_offwall,
     s_WZ_family,
     surjectivity,
@@ -27,6 +29,7 @@ from twistfusion.repmatrix import (
     breve_r_frame_blocks,
     check_defining_relations,
     frame_product,
+    frame_residue,
     ratfunc_product,
     s_coefficients,
     s_generators,
@@ -590,3 +593,101 @@ def test_closure_proof_by_generator_slices(monkeypatch):
     monkeypatch.setattr(irreducibility, "_BURNSIDE_PRIMES", (3,) + irreducibility._BURNSIDE_PRIMES)
     span = burnside(FusedModuleSpec.from_string(SP2, "1:1/3;1:4/3"))
     assert (span.dim, span.rejected, span.closure_proved) == (13, [3], True)
+
+
+# ---------------------------------------------------------------------------
+# the residue witness of phi at off-wall points
+
+SKEW2 = SkewDiagram((2, 1), (1,))
+# the shapes of criterion 9, sampled as it samples them (rng seed 97)
+CRITERION_9_SHAPES = [
+    (SP2, [BOX]), (SP2, [VDOM]), (SP2, [HDOM]),
+    (SP2, [BOX, BOX]), (SP2, [BOX, HDOM]), (SP2, [HDOM, HDOM]),
+    (SO3, [BOX]), (SO3, [VDOM]), (SO3, [HDOM]), (SO3, [SKEW2]),
+    (SO3, [BOX, BOX]), (SO3, [BOX, VDOM]), (SO3, [VDOM, VDOM]),
+]
+
+
+def _criterion_9_points(per_shape=10):
+    rng = random.Random(97)
+    return [FusedModuleSpec(form, list(zip(shape, random_offwall(len(shape), rng))))
+            for form, shape in CRITERION_9_SHAPES for _ in range(per_shape)]
+
+
+def test_witness_matches_exact_phi_at_criterion_9_points():
+    for Z in _criterion_9_points():
+        phi = phi_leading(Z)
+        assert phi_witness(Z) == (phi.order, surjectivity(phi)[0]), Z
+
+
+def _exact_report(Z, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(irreducibility, "phi_witness", lambda Z: None)
+        return verdict(Z).to_json()
+
+
+def _spy_frame_product(monkeypatch):
+    calls = []
+
+    def spy(blocks, dims):
+        calls.append(dims)
+        return frame_product(blocks, dims)
+
+    monkeypatch.setattr(irreducibility, "frame_product", spy)
+    return calls
+
+
+def test_small_witness_primes_fall_back_to_the_same_report(monkeypatch):
+    # modulo 2, 3 and 5 residues vanish and ranks drop at many points; every
+    # such point takes the exact path and the report does not change
+    points = _criterion_9_points(per_shape=1)
+    exact = [_exact_report(Z, monkeypatch) for Z in points]
+    calls = _spy_frame_product(monkeypatch)
+    for p in (2, 3, 5):
+        monkeypatch.setattr(irreducibility, "_WITNESS_PRIME", p)
+        assert [verdict(Z).to_json() for Z in points] == exact
+    assert 0 < len(calls) < 3 * len(points)
+
+
+def test_witness_prime_past_the_float_guard_falls_back(monkeypatch):
+    Z = spec(SO3, (BOX, Fraction(1, 3)), (VDOM, Fraction(-2, 5)))
+    exact = _exact_report(Z, monkeypatch)
+    calls = _spy_frame_product(monkeypatch)
+    monkeypatch.setattr(irreducibility, "_WITNESS_PRIME", 2**31 - 1)
+    assert phi_witness(Z) is None
+    assert verdict(Z).to_json() == exact
+    assert len(calls) == 1
+
+
+def test_frame_residue_guard_is_exact():
+    # the largest block acts on slots of dimension 3 * 3: products of that
+    # inner dimension stay below 2^53 exactly while 9 (p - 1)^2 < 2^53
+    Z = spec(SO3, (BOX, Fraction(1, 3)), (VDOM, Fraction(-2, 5)))
+    blocks, dims = swz_frame_blocks(Z), Z.factor_dims * 2
+    top = 1 + math.isqrt((2**53 - 1) // 9)
+    assert frame_residue(blocks, dims, top) is not None
+    assert frame_residue(blocks, dims, top + 1) is None
+
+
+def test_warm_offwall_verdict_takes_no_exact_step(monkeypatch):
+    Z = spec(SO3, (VDOM, Fraction(1, 3)), (VDOM, Fraction(-2, 5)))
+    verdict(Z)  # fills the block cache
+
+    def refuse(*args):
+        raise AssertionError("an off-wall verdict ran an exact step")
+
+    for name in ("frame_product", "rank_exact", "burnside"):
+        monkeypatch.setattr(irreducibility, name, refuse)
+    rep = verdict(spec(SO3, (VDOM, Fraction(-4, 3)), (VDOM, Fraction(7, 5))))
+    assert (rep.laurent_order, rep.phi_rank, rep.algebra_dim) == (-2, 81, 81)
+    assert rep.verdict == "irreducible"
+
+
+def test_wall_verdict_never_calls_the_witness(monkeypatch):
+    def refuse(Z):
+        raise AssertionError("a wall point takes the exact path")
+
+    monkeypatch.setattr(irreducibility, "phi_witness", refuse)
+    for form, text in ((SP2, "1:1/3;1:4/3"), (SP2, "1:1/2"), (SO3, "1:1/3;1:-1/3")):
+        rep = verdict(FusedModuleSpec.from_string(form, text))
+        assert rep.on_wall

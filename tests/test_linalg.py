@@ -87,6 +87,23 @@ def test_echelon_matches_fraction_rref(A):
         assert linalg.is_zero_matrix(A @ v)
 
 
+@settings(max_examples=40, deadline=None)
+@given(_rational_matrices())
+def test_rank_mod_p_is_at_most_the_rank(A):
+    M, _ = linalg.to_int_scaled(A)
+    rank = linalg.rank_exact(A)
+    for p in (2, 3, 2097143):
+        r = linalg.rank_mod_p(M, p)
+        assert r <= rank
+        assert linalg.rank_mod_p((M % p).astype(np.float64), p) == r
+
+
+def test_rank_mod_p_drops_where_a_minor_vanishes():
+    A = np.array([[1, 1, 4], [1, 3, 10]], dtype=object)  # minors 2, 6, -2
+    assert [linalg.rank_mod_p(A, p) for p in (2, 3, 5)] == [1, 2, 2]
+    assert linalg.rank_exact(A) == 2
+
+
 _P0 = linalg._PRIMES[0]
 
 

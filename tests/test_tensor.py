@@ -14,6 +14,7 @@ from twistfusion.tensor import (
     MatrixLaurentSeries,
     TensorOperator,
     _WindowExhausted,
+    _slot_rest_index,
     embed_matrix,
     embed_two_leg,
     flip,
@@ -310,6 +311,15 @@ def test_slotwise_product_window_exhausted():
     for right in (zero.embedded((2, 0), DIMS3), dense_embedded(zero, (2, 0), DIMS3)):
         with pytest.raises(_WindowExhausted):
             (left @ right).trimmed()
+
+
+def test_slot_map_is_shared_and_read_only():
+    a = _slot_rest_index((2, 0), DIMS3)
+    assert _slot_rest_index([2, 0], list(DIMS3)) is a
+    assert not a.flags.writeable
+    with pytest.raises(ValueError):
+        a[0, 0] = 1
+    assert _slot_rest_index((0, 2), DIMS3) is not a
 
 
 def test_embedded_series_shapes_checked():

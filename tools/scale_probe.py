@@ -15,6 +15,11 @@ order, default all of them:
     same shape (``1,1:2/7;1,1:-3/11`` and ``1,1:-2/9;2:4/11``), whose pair
     and S blocks come from the block cache the first point filled;
   * ``rank``: ``irreducibility.surjectivity`` of that phi (needs ``phi``);
+  * ``witness``: ``irreducibility.phi_witness``, the residue witness an
+    off-wall verdict runs instead of ``phi`` and ``rank``, with the
+    witnessed Laurent order and rank, or why a verdict would fall back to
+    the exact path; a ``warm`` line as for ``phi`` (after ``phi`` the first
+    line is warm too, since its blocks are cached);
   * ``burnside``: ``irreducibility.burnside``, the Burnside growth of the
     algebra the S(u) coefficients generate, with its dimension, the number
     of words and whether the exact closure proof ran (only when the words
@@ -25,7 +30,8 @@ order, default all of them:
     of RTT and reflection samples decided by one int64 kernel and by
     residue kernels, and how many residue kernels (primes) those took.
 
-At dim 27, ``phi`` takes minutes; ``--stages relations`` runs in seconds.
+At dim 27, ``phi`` and ``witness`` take minutes (both build the pair
+blocks); ``--stages relations`` runs in seconds.
 Times are wall times of one run in this process.
 """
 
@@ -39,7 +45,7 @@ import time
 from collections import Counter
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-STAGES = ("phi", "rank", "burnside", "commutant", "relations")
+STAGES = ("phi", "rank", "witness", "burnside", "commutant", "relations")
 # each module with a second point of its shape for the warm phi line
 MODULES = (("1,1:-1/3;1,1:1/5", "1,1:2/7;1,1:-3/11"),
            ("1,1:1/5;2:-3/7", "1,1:-2/9;2:4/11"),
@@ -98,6 +104,18 @@ def _phi_note(linalg, phi, matmuls: Counter) -> str:
             f"content {content.bit_length()} bits")
 
 
+def _witness_note(irr, Z, witness) -> str:
+    p, full = irr._WITNESS_PRIME, Z.dimZ ** 2
+    if witness is None:
+        return f"falls back: p = {p} overflows a float64 slot product"
+    order, rank = witness
+    if rank == 0:
+        return f"falls back: residue zero mod {p} at order {order}"
+    if rank < full:
+        return f"falls back: rank {rank} of {full} mod {p}"
+    return f"order {order}, rank {rank} of {full} mod {p}"
+
+
 def _timed(label: str, fn, note):
     t0 = time.perf_counter()
     out = fn()
@@ -122,6 +140,12 @@ def probe(tf, modules: str, warm, stages, counts: Counter, matmuls: Counter) -> 
             W = repmatrix.FusedModuleSpec.from_string(so3, warm)
             _timed("phi_leading (warm)", lambda: irr.phi_leading(W),
                    lambda p: f"at {warm}; " + _phi_note(tf.linalg, p, matmuls))
+    if "witness" in stages:
+        _timed("phi_witness", lambda: irr.phi_witness(Z), lambda w: _witness_note(irr, Z, w))
+        if warm is not None:
+            W = repmatrix.FusedModuleSpec.from_string(so3, warm)
+            _timed("phi_witness (warm)", lambda: irr.phi_witness(W),
+                   lambda w: f"at {warm}; " + _witness_note(irr, W, w))
     if "burnside" in stages:
         _timed("burnside", lambda: irr.burnside(Z),
                lambda b: f"dim {b.dim} of {Z.dimZ ** 2}; {len(b.words)} words, closure proof "
