@@ -10,11 +10,13 @@ Three layers, all exact:
   in numpy int64 only when a runtime certificate bounds every intermediate
   below 2^62 in absolute value (max|A| * max|B| * inner dimension),
   otherwise on Python ints.  Identities between integer expressions take
-  their kernels from int_kernels: under the same certificate (a further sum
-  of terms c * (A B) multiplies the product bound by sum |c|) one int64
-  kernel, otherwise int64 residues modulo word-size primes whose product
-  exceeds twice the bound, so sides that agree modulo every prime are equal
-  over Z.
+  their kernels from float_kernels, on float64 so that BLAS multiplies
+  them: when the bound is below 2^53 (a further sum of terms c * (A B)
+  multiplies the product bound by sum |c|), every intermediate is an exact
+  float64 integer and one kernel decides; otherwise float64 residues modulo
+  primes small enough that the products stay below 2^53, reduced exactly by
+  reduce_mod, until the primes' product exceeds twice the bound, so sides
+  that agree modulo every prime are equal over Z.
 * One certified echelon, echelon(A): the leftmost pivot columns of A over Q
   and the exact coefficients of the other columns in them.  Modular RREF
   proposes both, rational reconstruction (Wang, Guy & Davenport) over CRT
@@ -148,34 +150,61 @@ def _residue_primes(width: int):
         i += 1
 
 
-def int_kernels(arrays, bound: int, terms: int):
-    """Kernels (arrays, modulus) for an identity between two integer
-    expressions in ``arrays``, each side at most ``bound`` in absolute value.
+# float64 holds every integer below 2^53 exactly
+_FLOAT_EXACT = 1 << 53
 
-    Under the int64 certificate (``bound`` below 2^62) there is one kernel:
-    the arrays in int64 and modulus None.  Otherwise there is one kernel per
-    prime p: the arrays as int64 residues in [0, p) and modulus p, until the
-    product of the primes exceeds 2 * bound.  Then |lhs - rhs| <= 2 * bound
-    is below that product, so sides that agree modulo every prime are equal
-    over Z.
 
-    Each prime is certified by ``terms``: the caller reduces mod p between
-    stages, and every stage sums at most ``terms`` products of two residues,
-    so every residue intermediate is at most terms * (p - 1)^2.  The primes
-    lie below 2^width with width = (62 - bitlength(terms)) // 2, which keeps
-    that bound below 2^62."""
-    if int64_certified(bound):
-        yield [A.astype(np.int64) for A in arrays], None
+def float_kernels(arrays, bound: int, inner: int, weight: int):
+    """Float64 kernels (arrays, modulus) for an identity between two integer
+    expressions in ``arrays``, each side at most ``bound`` in absolute value,
+    and so every partial sum of either side.
+
+    The expressions are products of two arrays with inner dimension
+    ``inner``, then combinations of those products with small integer
+    coefficients whose absolute values sum to at most ``weight`` per entry.
+    Integers below 2^53 are exact in float64, and so is every sum of them
+    that stays below 2^53, in any summation order, so BLAS may compute them.
+
+    When ``bound`` is below 2^53 there is one kernel: the arrays in float64
+    and modulus None.  Otherwise there is one kernel per prime p: the arrays
+    as float64 residues in [0, p) and modulus p, until the product of the
+    primes exceeds 2 * bound.  Then |lhs - rhs| <= 2 * bound is below that
+    product, so sides that agree modulo every prime are equal over Z.
+
+    The caller reduces (reduce_mod) each product of two residues and then
+    lhs - rhs, and nothing else.  A product is at most inner * (p - 1)^2,
+    each later value at most weight * p, and lhs - rhs at most
+    2 * weight * p.  The primes lie below 2^width, with width the smaller of
+    (53 - bitlength(inner)) // 2 and 51 - bitlength(weight), so both values
+    that are reduced are at most 2^53 - p, as reduce_mod needs."""
+    if bound < _FLOAT_EXACT:
+        yield [A.astype(np.float64) for A in arrays], None
         return
-    width = (62 - terms.bit_length()) // 2
+    width = max(0, min((53 - inner.bit_length()) // 2, 51 - weight.bit_length()))
     modulus = 1
     for p in _residue_primes(width):
-        yield [(A % p).astype(np.int64) for A in arrays], p
+        if p < 7:  # reduce_mod needs p >= 7
+            break
+        yield [(A % p).astype(np.float64) for A in arrays], p
         modulus *= p
         if modulus > 2 * bound:
             return
     raise DimensionMismatch(
         f"the primes below 2^{width} do not reach a {bound.bit_length()}-bit bound")
+
+
+def reduce_mod(X: np.ndarray, p: int) -> np.ndarray:
+    """X - m p, m the nearest integer to X * fl(1/p): a representative of
+    X mod p of absolute value below p, for an integer-valued float64 array X
+    with |X| <= 2^53 - p and a prime p >= 7.
+
+    X * fl(1/p) is within |X| / p * 2^-52 (1 + 2^-53) < 2 / p of X / p, so
+    m is within 1/2 + 2/p < 1 of it, |X - m p| < p and |m p| <= 2^53: every
+    step is exact, and cheaper than the division of numpy's float remainder."""
+    m = np.multiply(X, 1.0 / p)
+    np.rint(m, out=m)
+    m *= p
+    return np.subtract(X, m, out=m)
 
 
 def int_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -337,19 +366,30 @@ def _free_columns(pivots: list[int], cols: int) -> list[int]:
     return [c for c in range(cols) if c not in taken]
 
 
-def _lift(residues: np.ndarray, modulus: int, pivots, free) -> np.ndarray | None:
-    """Rational reconstruction of the RREF coefficients, or None.  Entries
-    left of their row's pivot are zero in any RREF and are set so here."""
-    C = np.empty(residues.shape, dtype=object)
+def _lift(residues: np.ndarray, modulus: int, pivots, free, prev) -> tuple[np.ndarray, bool]:
+    """Rational reconstruction of the RREF coefficients: (C, True) with C
+    the Fractions, or (C, False) when an entry has none, C then partial.
+    Entries left of their row's pivot are zero in any RREF and are set so
+    here.
+
+    ``prev`` is the C of the previous modulus of the same CRT (which divides
+    this one), or None.  An entry whose lift q there satisfies
+    q.num = r * q.den mod the new modulus is kept: q meets the bounds of the
+    larger modulus too, and a reconstruction within those bounds is unique,
+    so no other value could come back.  Only the other entries are
+    reconstructed."""
+    C = np.empty(residues.shape, dtype=object) if prev is None else prev.copy()
     for (r, j), v in np.ndenumerate(residues):
         if free[j] < pivots[r]:
             C[r, j] = Fraction(0)
             continue
-        q = _rat_reconstruct(int(v), modulus)
+        q = C[r, j]
+        if q is not None and (q.numerator - int(v) * q.denominator) % modulus == 0:
+            continue
+        C[r, j] = q = _rat_reconstruct(int(v), modulus)
         if q is None:
-            return None
-        C[r, j] = q
-    return C
+            return C, False
+    return C, True
 
 
 def relation_holds(M: np.ndarray, pivots, free, C: np.ndarray) -> bool:
@@ -388,11 +428,11 @@ def echelon(A: np.ndarray) -> tuple[list[int], np.ndarray]:
     cols = A.shape[1]
     M, _ = to_int_scaled(A)
     best: list[int] | None = None
-    residues, modulus = None, 1
+    residues, modulus, C = None, 1, None
     for p in _PRIMES:
         pivots, R = _modp_rref((M % p).astype(np.int64), p)
         if best is None or (-len(pivots), pivots) < (-len(best), best):
-            best, residues, modulus = pivots, None, 1
+            best, residues, modulus, C = pivots, None, 1, None
         if pivots != best:
             continue
         free = _free_columns(pivots, cols)
@@ -404,8 +444,8 @@ def echelon(A: np.ndarray) -> tuple[list[int], np.ndarray]:
         else:
             residues = residues + modulus * ((vals - residues) * pow(modulus, -1, p) % p)
         modulus *= p
-        C = _lift(residues, modulus, pivots, free)
-        if C is not None and relation_holds(M, pivots, free, C):
+        C, lifted = _lift(residues, modulus, pivots, free, C)
+        if lifted and relation_holds(M, pivots, free, C):
             return pivots, C
     R, pivots = fraction_rref(M)
     return pivots, R[: len(pivots)][:, _free_columns(pivots, cols)]

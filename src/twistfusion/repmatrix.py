@@ -17,6 +17,7 @@ Ordering conventions (leftmost factor first):
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -38,12 +39,15 @@ from .exactnum import Poly, RatFunc, parse_rational
 from .linalg import (
     BasisSolver,
     ScaledIntMatrix,
-    int_kernels,
+    _FLOAT_EXACT,
+    float_kernels,
+    int64_certified,
     int_matmul,
     is_zero_matrix,
     mat_equal,
     max_abs,
     primitive_part,
+    reduce_mod,
     to_int_scaled,
 )
 from .tensor import (
@@ -397,10 +401,6 @@ def frame_product(blocks, dims) -> tuple[int, ScaledIntMatrix]:
         return prod.order - sum(vals), ScaledIntMatrix(coeff, prod.scale / low)
 
 
-# float64 holds every integer below 2^53 exactly
-_FLOAT_EXACT = 1 << 53
-
-
 def frame_residue(blocks, dims, p: int) -> tuple[int, np.ndarray] | None:
     """(o, R): R the numerator of the coefficient of zeta^o in the ordered
     product of frame blocks, modulo p, as an int64 matrix with entries in
@@ -575,26 +575,20 @@ class RelationReport:
         )
 
 
-def _aux_minus(op2: TensorOperator) -> dict:
-    """-X for a two-leg operator X, as sparse entries ((i,j),(a,b)) -> value."""
-    return {((a, b), (c, d)): -val for (a, b, c, d, val) in two_leg_entries(op2)}
+def _aux(diag: Fraction, X: np.ndarray, scale: Fraction) -> np.ndarray:
+    """diag * 1 + scale * X on the two auxiliary legs, for an integer
+    N^2 x N^2 matrix X, times the lcm of the denominators of diag and scale:
+    an integer object matrix.  R(u-v) = (u-v) - P and R'(u+v) = -(u+v) - Q
+    are such matrices.  Both sides of a relation are linear in each of them,
+    so the factor does not change equality."""
+    L = math.lcm(diag.denominator, scale.denominator)
+    one = np.eye(len(X), dtype=np.int64).astype(object)
+    return one * int(diag * L) + X * int(scale * L)
 
 
-def _aux_sparse(diag, minus_x: dict, N: int) -> dict:
-    """diag * 1 - X on the two aux legs (R(u-v) = (u-v) - P, R'(u+v) =
-    -(u+v) - Q) as sparse entries ((i,j),(a,b)) -> value, scaled to integers
-    by the lcm of their denominators (the same factor on both relation
-    sides, so equality is unaffected)."""
-    out = {((i, j), (i, j)): diag for i in range(N) for j in range(N)}
-    for key, val in minus_x.items():
-        out[key] = out.get(key, 0) + val
-    out = {k: v for k, v in out.items() if v != 0}
-    lcm = math.lcm(*(v.denominator for v in out.values()))
-    return {k: int(v * lcm) for k, v in out.items()}
-
-
-def _blocked(mat: np.ndarray, N: int, d: int) -> list:
-    """Split an integer (N d) x (N d) matrix into (N, N) blocks of d x d.
+def _blocked(mat: np.ndarray, N: int, d: int) -> np.ndarray:
+    """An integer (N d) x (N d) matrix as its (N, N, d, d) array of d x d
+    blocks, in int64 when its entries fit.
 
     The sampler hands in integer matrices that equal T(u0) or S(u0) only up
     to a nonzero scalar: denominators are cleared and contents divided out.
@@ -602,86 +596,105 @@ def _blocked(mat: np.ndarray, N: int, d: int) -> list:
     matrix, so both of its sides carry the same scalar product and integer
     equality of the scaled sides is exact, and so is equality modulo the
     primes of a residue kernel (see _rtt_holds)."""
-    T4 = mat.reshape(N, d, N, d)
-    return [[np.ascontiguousarray(T4[i, :, j, :]) for j in range(N)] for i in range(N)]
+    blocks = np.ascontiguousarray(mat.reshape(N, d, N, d).transpose(0, 2, 1, 3))
+    return blocks.astype(np.int64) if int64_certified(max_abs(blocks)) else blocks
 
 
-def _weight(R: dict) -> int:
-    return sum(abs(v) for v in R.values())
+def _weight(R: np.ndarray) -> int:
+    return int(np.abs(R).sum())
 
 
 def _reduced(X, p):
-    """X mod p in a residue kernel; X itself in the int64 kernel (p None)."""
-    return X if p is None else X % p
+    """X mod p in a residue kernel; X itself in the exact kernel (p None)."""
+    return X if p is None else reduce_mod(X, p)
 
 
-def _residues(R: dict, p) -> dict:
-    return R if p is None else {k: v % p for k, v in R.items()}
+def _sides_agree(lhs, rhs, p) -> bool:
+    return np.array_equal(lhs, rhs) if p is None else not reduce_mod(lhs - rhs, p).any()
 
 
-def _rtt_holds(Tu, Tv, R: dict, N: int, d: int) -> bool:
-    """R(u-v) T_1(u) T_2(v) = T_2(v) T_1(u) R(u-v) on (N, N) lists of d x d
-    integer blocks, with R an integer sparse dict ((i,j),(a,b)) -> value.
+def _block_products(A, B):
+    """The (N, N, N, N, d, d) stack of d x d block products A[a, k] B[b, l]
+    at [a, b, k, l], for (N, N, d, d) block arrays A and B."""
+    return A[:, None, :, None] @ B[None, :, None, :]
 
-    Both sides are at most bound = max|Tu| * max|Tv| * d * sum|R| in absolute
-    value, and so is every partial sum.  Below 2^62 one int64 kernel decides.
-    Otherwise both sides are computed modulo word-size primes (reducing after
-    the d-term block products and after the R sum) until the primes' product
-    exceeds 2 * bound >= |lhs - rhs|: agreement modulo every prime is then
-    equality over Z, and the first prime where the sides differ refutes it."""
-    A, B = np.array(Tu), np.array(Tv)
-    bound = max_abs(A) * max_abs(B) * d * _weight(R)
-    for (A, B), p in int_kernels((A, B), bound, max(d, len(R))):
-        M1 = _reduced(A[:, :, None, None] @ B[None, None], p)  # [a,k,b,l] = Tu[a,k] Tv[b,l]
-        M2 = _reduced(B[:, :, None, None] @ A[None, None], p)  # [j,b,i,a] = Tv[j,b] Tu[i,a]
-        M2 = M2.transpose(2, 0, 3, 1, 4, 5)  # reindexed [i,j,a,b]
-        lhs = np.zeros_like(M1)  # both sides indexed [i,j,k,l]
-        rhs = np.zeros_like(M1)
-        for ((i, j), (a, b)), val in _residues(R, p).items():
-            lhs[i, j] += val * M1[a, :, b, :]
-            rhs[:, :, a, b] += val * M2[:, :, i, j]
-        if not np.array_equal(_reduced(lhs, p), _reduced(rhs, p)):
+
+def _rtt_holds(Tu, Tv, R: np.ndarray) -> bool:
+    """R(u-v) T_1(u) T_2(v) = T_2(v) T_1(u) R(u-v) on the (N, N, d, d)
+    integer blocks of T(u) and T(v), with R the integer N^2 x N^2 matrix of
+    R(u-v).
+
+    T_1(u) T_2(v) is the stack Tu[a, k] Tv[b, l] at [a, b, k, l], so lhs is
+    R applied to its first two axes; T_2(v) T_1(u) is the stack
+    Tv[y, j] Tu[x, i] at [x, y, i, j], so rhs is R^T applied to its middle
+    two axes.  Both sides, and every partial sum, are at most
+    bound = max|Tu| * max|Tv| * d * sum|R| in absolute value, and the
+    kernels of float_kernels decide: below 2^53 exactly, otherwise modulo
+    primes whose product exceeds 2 * bound, the block products reduced mod p
+    and lhs - rhs once.  The first prime at which the sides differ refutes
+    the relation."""
+    N, d = Tu.shape[0], Tu.shape[2]
+    w = _weight(R)
+    bound = max_abs(Tu) * max_abs(Tv) * d * w
+    for (A, B), p in float_kernels((Tu, Tv), bound, d, w):
+        Rm = R.astype(np.float64)
+        M1 = _reduced(_block_products(A, B), p)
+        M2 = _reduced(_block_products(B, A), p).transpose(1, 0, 3, 2, 4, 5)  # [x, y, i, j]
+        lhs = Rm @ M1.reshape(N * N, -1)
+        rhs = Rm.T @ M2.reshape(N * N, N * N, d * d)
+        if not _sides_agree(lhs, rhs.reshape(N * N, -1), p):
             return False
     return True
 
 
-def _reflection_holds(Su, Sv, R: dict, Rp: dict, N: int, d: int) -> bool:
-    """R S_1(u) R' S_2(v) = S_2(v) R' S_1(u) R on (N, N) lists of d x d
-    integer blocks, with R(u-v) and R'(u+v) integer sparse dicts.
+def _reflection_holds(Su, Sv, R: np.ndarray, Rp: np.ndarray) -> bool:
+    """R S_1(u) R' S_2(v) = S_2(v) R' S_1(u) R on the (N, N, d, d) integer
+    blocks of S(u) and S(v), with R(u-v) and R'(u+v) integer N^2 x N^2
+    matrices.
 
-    Both sides are at most bound = max|Su| * max|Sv| * d * sum|R| * sum|R'|
-    in absolute value, and so is every partial sum.  Below 2^62 one int64
-    kernel decides.  Otherwise both sides are computed modulo word-size
-    primes (reducing after the d-term block products, the R' sum and the R
-    sum) until the primes' product exceeds 2 * bound >= |lhs - rhs|:
-    agreement modulo every prime is then equality over Z, and the first
-    prime where the sides differ refutes it."""
-    A, B = np.array(Su), np.array(Sv)
-    bound = max_abs(A) * max_abs(B) * d * _weight(R) * _weight(Rp)
-    for (A, B), p in int_kernels((A, B), bound, max(d, len(R), len(Rp))):
-        P2 = _reduced(A[:, :, None, None] @ B[None, None], p)  # [i,a,dd,l] = Su[i,a] Sv[dd,l]
-        P2p = _reduced(B[:, :, None, None] @ A[None, None], p)  # [j,b,c,k] = Sv[j,b] Su[c,k]
-        X = np.zeros_like(P2)  # X = S_1(u) R' S_2(v), indexed [i,b,c,l]
-        Y = np.zeros_like(P2)  # Y = S_2(v) R' S_1(u), indexed [a,j,k,dd]
-        for ((a, b), (c, dd)), val in _residues(Rp, p).items():
-            X[:, b, c, :] += val * P2[:, a, dd, :]
-            Y[a, :, :, dd] += val * P2p[:, b, c, :]
-        X, Y = _reduced(X, p), _reduced(Y, p)
-        lhs = np.zeros_like(P2)  # both sides indexed [i,j,k,l]
-        rhs = np.zeros_like(P2)
-        for ((i, j), (a, b)), val in _residues(R, p).items():
-            lhs[i, j] += val * X[a, b]
-            rhs[:, :, a, b] += val * Y[:, :, i, j]
-        if not np.array_equal(_reduced(lhs, p), _reduced(rhs, p)):
+    R' is read as the matrix Rq[(b, c), (a, dd)] = R'[(a, b), (c, dd)].
+    X = S_1(u) R' S_2(v) is Rq applied to the stack Su[i, a] Sv[dd, l] at
+    [a, dd, i, l], then one axis transpose; lhs is R applied to X as in
+    _rtt_holds.  Y = S_2(v) R' S_1(u) is Rq^T applied to the middle axes of
+    the stack Sv[j, b] Su[c, k] at [j, k, b, c], then one axis transpose;
+    rhs is R^T applied to the middle axes of Y.  Both sides are at most
+    bound = max|Su| * max|Sv| * d * sum|R| * sum|R'| in absolute value, and
+    so is every partial sum; the kernels decide as in _rtt_holds, with the
+    weight sum|R| * sum|R'| of the two coefficient stages."""
+    N, d = Su.shape[0], Su.shape[2]
+    n2 = N * N
+    w = _weight(R) * _weight(Rp)
+    bound = max_abs(Su) * max_abs(Sv) * d * w
+    for (A, B), p in float_kernels((Su, Sv), bound, d, w):
+        Rm = R.astype(np.float64)
+        Rq = Rp.astype(np.float64).reshape(N, N, N, N).transpose(1, 2, 0, 3).reshape(n2, n2)
+        At = A.transpose(1, 0, 2, 3)  # At[a, i] = Su[i, a]
+        X = Rq @ _reduced(_block_products(At, B), p).reshape(n2, -1)  # [b, c, i, l]
+        X = X.reshape(N, N, N, N, d, d).transpose(2, 0, 1, 3, 4, 5)  # [i, b, c, l]
+        lhs = Rm @ X.reshape(n2, -1)
+        Y = Rq.T @ _reduced(_block_products(B, At), p).reshape(n2, n2, d * d)  # [j, k, a, dd]
+        Y = Y.reshape(N, N, N, N, d, d).transpose(2, 0, 1, 3, 4, 5)  # [a, j, k, dd]
+        rhs = Rm.T @ Y.reshape(n2, n2, d * d)
+        if not _sides_agree(lhs, rhs.reshape(n2, -1), p):
             return False
     return True
+
+
+def _sample_grid(size: int, poles) -> list[Fraction]:
+    """The ``size`` integers nearest 0 that are not in ``poles``, in the
+    order 0, 1, -1, 2, -2, ...: small points keep the sampled values short."""
+    near_zero = (Fraction(s * k) for k in itertools.count() for s in ((1, -1) if k else (1,)))
+    return list(itertools.islice((q for q in near_zero if q not in poles), size))
 
 
 def check_defining_relations(Z: FusedModuleSpec, samples=None) -> RelationReport:
     """RTT and the reflection relation on Z, exactly, at a grid of rational
     points whose size beats the degree bound 2n+2 per variable (so agreement
     is an identity of rational functions); user-supplied samples are checked
-    individually with per-sample pole reporting."""
+    individually with per-sample pole reporting.
+
+    The grid is _sample_grid(2n+3, poles).  The pole set is symmetric, so
+    -u0 is no pole either and S(u0) is defined."""
     N, d = Z.N, Z.dimZ
     n = Z.n_total
     bound = 2 * n + 2
@@ -690,17 +703,11 @@ def check_defining_relations(Z: FusedModuleSpec, samples=None) -> RelationReport
     # g and g^-1 cleared to integers: the transposition they define is the
     # true one times a nonzero scalar
     int_form, _ = _cleared_form(Z.form)
-    minus_p, minus_q = (_aux_minus(X) for X in structural_ops(Z.form))
+    (P, sp), (Q, sq) = (to_int_scaled(X.mat) for X in structural_ops(Z.form))
     poles = {s * p for p in Z.all_box_params() for s in (1, -1)}
 
     if samples is None:
-        grid = []
-        k = 1
-        while len(grid) < bound + 1:
-            q = Fraction(k)
-            if q not in poles:
-                grid.append(q)
-            k += 1
+        grid = _sample_grid(bound + 1, poles)
         pairs = [(u, v) for u in grid for v in grid]
         proven_grid = True
     else:
@@ -731,17 +738,13 @@ def check_defining_relations(Z: FusedModuleSpec, samples=None) -> RelationReport
                 {"u": str(u0), "v": str(v0), "error": "SingularParameter: sample at a pole"}
             )
             continue
-        R = _aux_sparse(u0 - v0, minus_p, N)
-        Rp = _aux_sparse(-(u0 + v0), minus_q, N)
-        _, Tu = t_for(u0)
-        _, Tv = t_for(v0)
+        R = _aux(u0 - v0, P, -sp)  # R(u-v) = (u-v) - P
+        Rp = _aux(-(u0 + v0), Q, -sq)  # R'(u+v) = -(u+v) - Q
         rtt_n += 1
-        if not _rtt_holds(Tu, Tv, R, N, d):
+        if not _rtt_holds(t_for(u0)[1], t_for(v0)[1], R):
             rtt_fail.append((str(u0), str(v0)))
-        Su = s_blocks_for(u0)
-        Sv = s_blocks_for(v0)
         refl_n += 1
-        if not _reflection_holds(Su, Sv, R, Rp, N, d):
+        if not _reflection_holds(s_blocks_for(u0), s_blocks_for(v0), R, Rp):
             refl_fail.append((str(u0), str(v0)))
     return RelationReport(
         spec=Z.spec_string(),

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -133,6 +134,53 @@ def test_perturbed_lift_is_rejected(monkeypatch):
     pivots, _ = _assert_matches_reference(A)
     assert pivots == [0, 3]
     assert calls == [A.shape]  # the integer check refused every lift
+
+
+def test_lift_keeps_entries_confirmed_by_a_later_prime(monkeypatch):
+    # every coefficient of A = [1 | C] lifts at the first prime but the last,
+    # which needs four: the first lifts are kept (each congruent to the
+    # later residues), so only the last entry is reconstructed again
+    C = np.array([[Fraction(k - 7, k % 5 + 1) for k in range(4)] for _ in range(6)], dtype=object)
+    C[-1, -1] = Fraction(2**60 + 1, 3)
+    A = np.concatenate([linalg.feye(6), C], axis=1)
+    calls, primes = [], []
+    original, rref = linalg._rat_reconstruct, linalg._modp_rref
+
+    def counting(a, m):
+        calls.append(m)
+        return original(a, m)
+
+    def counting_rref(M, p):
+        primes.append(p)
+        return rref(M, p)
+
+    monkeypatch.setattr(linalg, "_rat_reconstruct", counting)
+    monkeypatch.setattr(linalg, "_modp_rref", counting_rref)
+    pivots, lifted = linalg.echelon(A)
+    assert pivots == list(range(6)) and linalg.mat_equal(lifted, C)
+    assert len(primes) == 4
+    assert len(calls) == C.size - 1 + len(primes)
+
+
+@pytest.mark.parametrize("inner,weight", [(1, 1), (27, 2000), (300, 3)])
+def test_float_kernels_cover_twice_the_bound(inner, weight):
+    A = np.array([[5, -3], [2, 7 * 2**70]], dtype=object)
+    exact = list(linalg.float_kernels([A[:, :1]], (1 << 53) - 1, inner, weight))
+    assert [p for _, p in exact] == [None] and exact[0][0][0].dtype == np.float64
+    first = [p for _, p in linalg.float_kernels([A], 1 << 300, inner, weight)][:3]
+    # the last bound is just below the product of three primes, so those
+    # three cover it but not twice it
+    for bound in (1 << 53, 1 << 80, 1 << 300, math.prod(first) - 1):
+        kernels = list(linalg.float_kernels([A], bound, inner, weight))
+        primes = [p for _, p in kernels]
+        assert len(set(primes)) == len(primes)
+        assert math.prod(primes) > 2 * bound >= math.prod(primes[:-1])
+        for (R,), p in kernels:
+            # the products and lhs - rhs stay within what reduce_mod takes
+            assert inner * p * p <= 1 << 53 and 4 * weight * p <= 1 << 53
+            assert R.dtype == np.float64 and np.array_equal(R, (A % p).astype(np.float64))
+    with pytest.raises(DimensionMismatch):
+        list(linalg.float_kernels([A], 1 << 60, 1, 1 << 60))
 
 
 def test_inverse_and_singular_inputs():

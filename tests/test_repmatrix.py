@@ -376,44 +376,100 @@ def test_integer_t_at_rational_sample():
     assert not rep.rtt_failures and not rep.reflection_failures
 
 
-def _record_certificates(monkeypatch):
+def _record_moduli(monkeypatch, force_residues=False):
+    """The modulus of every kernel that the relation checks draw: None for
+    the exact float64 kernel, p for a residue kernel.  With
+    ``force_residues`` every bound is raised to 2^53, which keeps it an
+    upper bound and sends every sample to the residue kernels."""
     seen = []
-    certified = linalg.int64_certified
+    kernels = repmatrix.float_kernels
 
-    def recording(bound):
-        seen.append(certified(bound))
-        return seen[-1]
+    def recording(arrays, bound, inner, weight):
+        if force_residues:
+            bound = max(bound, 1 << 53)
+        for arrays, p in kernels(arrays, bound, inner, weight):
+            seen.append(p)
+            yield arrays, p
 
-    monkeypatch.setattr(linalg, "int64_certified", recording)
+    monkeypatch.setattr(repmatrix, "float_kernels", recording)
     return seen
 
 
-@pytest.mark.parametrize("path", ["int64", "object"])
+@pytest.mark.parametrize("path", ["exact", "residue"])
 def test_relations_reject_perturbed_t_frame(path, monkeypatch):
     Z = spec(SO3, (VDOM, Fraction(1, 3)))
     td = repmatrix._t_data(Z)
     frames = [fr.copy() for fr in td.frames]
     frames[0][0, 1] += 1
     Z._tdata = FrameBlock(frames, td.scale, td.den, td.dims)
-    if path == "object":
-        # with the certificate forced off, every sample runs on the residue
-        # kernels; the id names the Python-int path that those replaced
-        monkeypatch.setattr(linalg, "int64_certified", lambda bound: False)
-        seen = []
-    else:
-        seen = _record_certificates(monkeypatch)
+    seen = _record_moduli(monkeypatch, force_residues=path == "residue")
     rep = check_defining_relations(Z)
     assert rep.rtt_failures or rep.reflection_failures
     assert not rep.proven and not rep.passed
-    if path == "int64":
-        assert seen and all(seen)
+    assert seen and all((p is None) == (path == "exact") for p in seen)
     # the unperturbed module passes on the same path
     assert check_defining_relations(spec(SO3, (VDOM, Fraction(1, 3)))).proven
 
 
+@pytest.mark.parametrize("form,modules", [(SP2, "2:1;1:0"), (SO3, "1,1:1/3"), (SO2, "1:-2")],
+                         ids=["sp2-poles", "so3", "so2"])
+def test_relation_grid_is_the_non_poles_nearest_zero(form, modules, monkeypatch):
+    # the relation grid holds 2n+3 distinct non-pole integers, and every
+    # integer nearer 0 than one of them is a pole
+    Z = FusedModuleSpec.from_string(form, modules)
+    poles = {s * p for p in Z.all_box_params() for s in (1, -1)}
+    grids = []
+    real = repmatrix._sample_grid
+
+    def recording(size, poles):
+        grids.append(real(size, poles))
+        return grids[-1]
+
+    monkeypatch.setattr(repmatrix, "_sample_grid", recording)
+    rep = check_defining_relations(Z)
+    (grid,) = grids
+    assert len(grid) == len(set(grid)) == 2 * Z.n_total + 3 == rep.degree_bound + 1
+    assert rep.rtt_checked == rep.reflection_checked == len(grid) ** 2 and rep.proven
+    assert all(q.denominator == 1 and q not in poles for q in grid)
+    reach = int(max(abs(q) for q in grid))
+    assert {Fraction(k) for k in range(-reach + 1, reach)} - poles <= set(grid)
+
+
+def test_relations_grid_catches_a_perturbed_top_frame():
+    # T(0) reads only the lowest frame, so the other grid points must see a
+    # change in the top one
+    Z = spec(SO3, (VDOM, Fraction(1, 3)))
+    td = repmatrix._t_data(Z)
+    assert Fraction(0) not in Z.all_box_params()  # so 0 is on the grid
+    frames = [fr.copy() for fr in td.frames]
+    frames[-1][1, 0] += 1
+    Z._tdata = FrameBlock(frames, td.scale, td.den, td.dims)
+    rep = check_defining_relations(Z)
+    assert not rep.proven and not rep.passed
+
+
+def test_user_samples_are_checked_as_given(monkeypatch):
+    # user samples are neither moved nor replaced by the grid: T is
+    # evaluated exactly at u, v and, for S(u) = T^t(-u) T(u), at -u and -v
+    Z = spec(SP2, (BOX, Fraction(1, 3)), (BOX, Fraction(7, 5)))
+    samples = [(Fraction(7), Fraction(-3, 4)), (Fraction(2, 3), Fraction(7))]
+    points = []
+    real = FrameBlock.at_int
+
+    def recording(self, u0):
+        points.append(u0)
+        return real(self, u0)
+
+    monkeypatch.setattr(FrameBlock, "at_int", recording)
+    rep = check_defining_relations(Z, samples=samples)
+    assert rep.rtt_checked == rep.reflection_checked == 2 and not rep.proven
+    assert not rep.rtt_failures and not rep.reflection_failures
+    assert set(points) == {s * u for pair in samples for u in pair for s in (1, -1)}
+
+
 def _sample_blocks(Z, u0, v0):
     """Integer T(u0), T(v0), S(u0), S(v0) (each up to a scalar) from the
-    RatFunc oracle, and the integer R(u0-v0), R'(u0+v0)."""
+    RatFunc oracle, and the integer matrices R(u0-v0), R'(u0+v0)."""
     T = t_action(Z)
 
     def t_mat(u):
@@ -423,14 +479,14 @@ def _sample_blocks(Z, u0, v0):
         S = transpose_legs(T.eval_ratfuncs(-u), {1}, Z.form) @ T.eval_ratfuncs(u)
         return linalg.to_int_scaled(S.mat)[0]
 
-    minus_p, minus_q = (repmatrix._aux_minus(X) for X in structural_ops(Z.form))
-    R = repmatrix._aux_sparse(u0 - v0, minus_p, Z.N)
-    Rp = repmatrix._aux_sparse(-(u0 + v0), minus_q, Z.N)
+    (P, sp), (Q, sq) = (linalg.to_int_scaled(X.mat) for X in structural_ops(Z.form))
+    R = repmatrix._aux(u0 - v0, P, -sp)
+    Rp = repmatrix._aux(-(u0 + v0), Q, -sq)
     return (t_mat(u0), t_mat(v0)), (s_mat(u0), s_mat(v0)), R, Rp
 
 
 def _weight(R):
-    return sum(abs(v) for v in R.values())
+    return int(sum(abs(v) for v in R.flat))
 
 
 def _relation_case(relation):
@@ -447,7 +503,7 @@ def _relation_case(relation):
 
     if relation == "rtt":
         def holds(x, y):
-            return repmatrix._rtt_holds(blocks(x), blocks(y), R, N, d)
+            return repmatrix._rtt_holds(blocks(x), blocks(y), R)
 
         def oracle(x, y):
             return _dense_rtt_holds(x, y, R, N, d)
@@ -455,7 +511,7 @@ def _relation_case(relation):
         return tu, tv, _weight(R) * d, holds, oracle
 
     def holds(x, y):
-        return repmatrix._reflection_holds(blocks(x), blocks(y), R, Rp, N, d)
+        return repmatrix._reflection_holds(blocks(x), blocks(y), R, Rp)
 
     def oracle(x, y):
         return _dense_reflection_holds(x, y, R, Rp, N, d)
@@ -477,10 +533,11 @@ def _dense(x, N, d, leg):
 
 
 def _dense_aux(R, N, d):
+    """The N^2 x N^2 matrix R on the auxiliary legs, times 1 on V."""
     out = np.zeros((N, N, d, N, N, d), dtype=object)
-    for ((i, j), (a, b)), val in R.items():
+    for (r, c), val in np.ndenumerate(R):
         for x in range(d):
-            out[i, j, x, a, b, x] = val
+            out[r // N, r % N, x, c // N, c % N, x] = val
     return out.reshape(N * N * d, N * N * d)
 
 
@@ -497,41 +554,29 @@ def _dense_reflection_holds(x, y, R, Rp, N, d):
     return np.array_equal(Rd @ S1 @ Rpd @ S2, S2 @ Rpd @ S1 @ Rd)
 
 
-def _record_moduli(monkeypatch):
-    """The modulus of every kernel that the relation checks draw."""
-    seen = []
-    kernels = repmatrix.int_kernels
-
-    def recording(arrays, bound, terms):
-        for arrays, p in kernels(arrays, bound, terms):
-            seen.append(p)
-            yield arrays, p
-
-    monkeypatch.setattr(repmatrix, "int_kernels", recording)
-    return seen
-
-
 @pytest.mark.parametrize("relation", ["rtt", "reflection"])
-def test_int64_certificate_boundary(relation, monkeypatch):
-    # scale the first sample so the certificate lands just below and just
-    # above 2^62; both sides of a relation scale alike, so the truth is kept
-    a, b, weight, holds, _ = _relation_case(relation)
+def test_float_exact_boundary(relation, monkeypatch):
+    # scale the first sample so the bound lands just below and just above
+    # 2^53: one exact float64 kernel below, residue kernels above.  Both
+    # sides of a relation scale alike, so the truth is kept
+    a, b, weight, holds, oracle = _relation_case(relation)
     unit = linalg.max_abs(a) * linalg.max_abs(b) * weight
-    limit = 1 << 62
+    limit = 1 << 53
     scale = (limit - 1) // unit
-    for k, certified in ((scale, True), (scale + 1, False)):
-        assert (k * unit < limit) == certified
+    for k, exact in ((scale, True), (scale + 1, False)):
+        assert (k * unit < limit) == exact
         big = (a * k).astype(object)
         broken = big.copy()
         broken[0, 1] += 1
         for x, truth in ((big, True), (broken, False)):
-            seen = _record_certificates(monkeypatch)
+            seen = _record_moduli(monkeypatch)
             auto = holds(x, b)
-            assert seen == [certified]
-            monkeypatch.setattr(linalg, "int64_certified", lambda bound: False)
+            assert (seen == [None]) == exact and None not in seen[int(exact):]
+            monkeypatch.undo()
+            _record_moduli(monkeypatch, force_residues=True)
             forced = holds(x, b)
             monkeypatch.undo()
-            assert auto == forced == truth
+            assert auto == forced == truth == oracle(x, b)
 
 
 @pytest.mark.parametrize("relation", ["rtt", "reflection"])
@@ -563,6 +608,79 @@ def test_residue_kernels_decide_300_bit_samples(relation, monkeypatch):
     assert holds(big, b) and oracle(big, b)
     assert len(moduli) >= 11
     assert not holds(broken, b) and not oracle(broken, b)
+
+
+def _commuting_case(t, s, M, relation):
+    """A true instance of a relation with R and R' not symmetric, unlike
+    those of a module: T(u) or S(u) = t (x) M and T(v) or S(v) = s (x) M on
+    C^N (x) V, R = t (x) s + 2 and R' = t (x) s + 3 on the two auxiliary
+    legs.  R and R' are polynomials in t (x) s, which commutes with t (x) 1
+    and 1 (x) s, and both sides of either relation are R R' (t (x) s) (x)
+    M^2 (R' dropped for RTT).  Returns x, y and holds(x, y, R, R')."""
+    N, d = len(t), len(M)
+    x = np.kron(np.array(t, dtype=object), np.array(M, dtype=object))
+    y = np.kron(np.array(s, dtype=object), np.array(M, dtype=object))
+    ts = np.kron(np.array(t, dtype=object), np.array(s, dtype=object))
+    R = ts + 2 * np.eye(N * N, dtype=np.int64).astype(object)
+    Rp = ts + 3 * np.eye(N * N, dtype=np.int64).astype(object)
+
+    def holds(x, y, R, Rp):
+        bx, by = repmatrix._blocked(x, N, d), repmatrix._blocked(y, N, d)
+        if relation == "rtt":
+            return repmatrix._rtt_holds(bx, by, R), _dense_rtt_holds(x, y, R, N, d)
+        return repmatrix._reflection_holds(bx, by, R, Rp), _dense_reflection_holds(
+            x, y, R, Rp, N, d)
+
+    return x, y, R, Rp, holds
+
+
+_T, _S, _M = [[1, 2], [0, 1]], [[1, 0], [3, -1]], [[2, -1, 0], [1, 3, 1], [0, 1, -2]]
+
+
+@pytest.mark.parametrize("relation", ["rtt", "reflection"])
+def test_relation_checks_on_non_symmetric_aux_matrices(relation):
+    # the aux matrices of a module are symmetric, so they cannot tell R from
+    # its transpose; these can
+    x, y, R, Rp, holds = _commuting_case(_T, _S, _M, relation)
+    assert not np.array_equal(R, R.T) and not np.array_equal(Rp, Rp.T)
+    assert holds(x, y, R, Rp) == (True, True)
+    for k in (1, 2):
+        wrong = [R.copy(), Rp.copy()]
+        wrong[k - 1][0, 1] += 1
+        if relation == "rtt" and k == 2:
+            continue  # RTT has no R'
+        assert holds(x, y, *wrong) == (False, False)
+
+
+@pytest.mark.parametrize("relation", ["rtt", "reflection"])
+def test_residue_kernels_exact_at_the_largest_residues(relation, monkeypatch):
+    # every entry of the samples is -1 or -2 mod the first prime, so the
+    # block products reach nearly inner * (p - 1)^2 and the later stages
+    # nearly weight * p: the certificate's worst case holds exactly
+    moduli = _record_moduli(monkeypatch)
+    x, y, R, Rp, holds = _commuting_case(_T, _S, [[2**60] * 3] * 3, relation)
+    holds(x, y, R, Rp)
+    p = moduli[0]
+    assert p is not None
+    big = [[p * (2**40 + 7 * i + j) - 1 - (i + j) % 2 for j in range(3)] for i in range(3)]
+    x, y, R, Rp, holds = _commuting_case([[1, 1], [0, 1]], [[1, 0], [1, 1]], big, relation)
+    del moduli[:]
+    assert holds(x, y, R, Rp) == (True, True)
+    assert moduli[0] == p
+
+
+def test_reduce_mod_is_exact_up_to_the_bound():
+    # every value reduce_mod may see, 0 to 2^53 - p, including multiples of
+    # p and their neighbours, against the Python-int remainder
+    for p in (7, 16777213, 33554393):
+        top = (1 << 53) - p
+        vals = [0, 1, p - 1, p, p + 1, top, top - 1, top - top % p, top - top % p - 1]
+        vals += [k * p + e for k in (1, 2**20, top // p) for e in (-1, 0, 1)]
+        vals += [v * 977 % top for v in range(1, 2000)]
+        x = np.array([s * v for v in vals for s in (1, -1)], dtype=np.float64)
+        r = linalg.reduce_mod(x, p)
+        assert np.all(np.abs(r) < p)
+        assert all(int(ri) % p == int(xi) % p for ri, xi in zip(r, x))
 
 
 def _is_integer_block(fb) -> bool:

@@ -27,8 +27,9 @@ order, default all of them:
   * ``commutant``: ``irreducibility.commutant_dim`` at the default K, which
     no verdict reads;
   * ``relations``: ``repmatrix.check_defining_relations``, with the number
-    of RTT and reflection samples decided by one int64 kernel and by
-    residue kernels, and how many residue kernels (primes) those took.
+    of RTT and reflection samples decided by the one exact float64 kernel
+    and by residue kernels, and how many residue kernels (primes) those
+    took.
 
 At dim 27, ``phi`` and ``witness`` take minutes (both build the pair
 blocks); ``--stages relations`` runs in seconds.
@@ -54,17 +55,17 @@ MODULES = (("1,1:-1/3;1,1:1/5", "1,1:2/7;1,1:-3/11"),
 
 def _record_kernels(repmatrix) -> Counter:
     """Count, per relation, the samples on each kernel path: rebinds
-    ``int_kernels`` and the two relation checks of ``repmatrix``."""
+    ``float_kernels`` and the two relation checks of ``repmatrix``."""
     counts: Counter = Counter()
-    kernels = repmatrix.int_kernels
+    kernels = repmatrix.float_kernels
     relation = [None]
 
-    def recording(arrays, bound, terms):
+    def recording(arrays, bound, inner, weight):
         primes = 0
-        for arrays, p in kernels(arrays, bound, terms):
+        for arrays, p in kernels(arrays, bound, inner, weight):
             primes += p is not None
             yield arrays, p
-        counts[relation[0], "residue" if primes else "int64"] += 1
+        counts[relation[0], "residue" if primes else "exact"] += 1
         counts[relation[0], "primes"] += primes
 
     def labelled(name, check):
@@ -73,7 +74,7 @@ def _record_kernels(repmatrix) -> Counter:
             return check(*args)
         return run
 
-    repmatrix.int_kernels = recording
+    repmatrix.float_kernels = recording
     repmatrix._rtt_holds = labelled("rtt", repmatrix._rtt_holds)
     repmatrix._reflection_holds = labelled("reflection", repmatrix._reflection_holds)
     return counts
@@ -158,7 +159,7 @@ def probe(tf, modules: str, warm, stages, counts: Counter, matmuls: Counter) -> 
         _timed("check_defining_relations", lambda: repmatrix.check_defining_relations(Z),
                lambda rep: "proven" if rep.proven else "NOT proven")
         for rel in ("rtt", "reflection"):
-            print(f"    {rel + ':':<12}{counts[rel, 'int64']:4d} int64, "
+            print(f"    {rel + ':':<12}{counts[rel, 'exact']:4d} exact float64, "
                   f"{counts[rel, 'residue']:4d} residue samples ({counts[rel, 'primes']} primes)")
 
 
