@@ -12,13 +12,16 @@ import json
 import random
 import re
 import sys
+import threading
 import traceback
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
+from functools import cache
 from itertools import product
 
 from .diagrams import parse_skew
-from .errors import MalformedInput, TwistFusionError
+from .errors import MalformedInput, TwistFusionError, WorkerLost
 from .exactnum import parse_rational
 from .fusion import fusion_operator, verify_fusion_invariants
 from .irreducibility import verdict
@@ -97,6 +100,12 @@ def build_parser() -> argparse.ArgumentParser:
     scn.add_argument("--jobs", type=int, default=1)
     scn.add_argument("--json", action="store_true")
     return p
+
+
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process: parse_args leaves a parser unchanged."""
+    return build_parser()
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +266,37 @@ def _scan_point(payload):
         return {"z": [str(q) for q in zs], "error": f"{type(exc).__name__}: {exc}"}
 
 
+# The scan workers of this process: made by the first scan that needs them,
+# reused by later scans with the same worker count, replaced when the count
+# changes.  Workers keep the code and caches of the moment they were forked,
+# and concurrent.futures joins them when the interpreter exits.
+_pool: ProcessPoolExecutor | None = None
+_pool_workers = 0
+_pool_lock = threading.Lock()
+
+
+def _shutdown_pool():
+    global _pool
+    if _pool is not None:
+        _pool.shutdown(wait=True)
+        _pool = None
+
+
+def _scan_in_pool(payloads, workers: int) -> list:
+    """``_scan_point`` of each payload, in order, on ``workers`` processes."""
+    global _pool, _pool_workers
+    with _pool_lock:
+        if _pool_workers != workers:
+            _shutdown_pool()
+        if _pool is None:
+            _pool, _pool_workers = ProcessPoolExecutor(max_workers=workers), workers
+        try:
+            return list(_pool.map(_scan_point, payloads))
+        except BrokenProcessPool:
+            _shutdown_pool()
+            raise WorkerLost("a scan worker exited before returning its points") from None
+
+
 def cmd_scan(args) -> int:
     form = _form_from_args(args)
     dias = _parse_scan_modules(args.modules)
@@ -281,8 +321,7 @@ def cmd_scan(args) -> int:
     # a pool starts all its workers at its first task: ask for no more than points
     jobs = min(args.jobs, len(payloads))
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_scan_point, payloads))
+        results = _scan_in_pool(payloads, jobs)
     else:
         results = [_scan_point(pl) for pl in payloads]
     summary = {"irreducible": 0, "reducible": 0, "errors": 0}
@@ -342,9 +381,8 @@ def _check_counts(args):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = parser.parse_args(_bind_negative_values(argv))
+    args = _parser().parse_args(_bind_negative_values(argv))
     try:
         _check_counts(args)
         return _COMMANDS[args.command](args)

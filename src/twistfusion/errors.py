@@ -68,3 +68,7 @@ class SingularFamily(TwistFusionError, ArithmeticError):
 
 class InternalInconsistency(TwistFusionError, RuntimeError):
     """Two results that must agree by theory disagree (always a bug)."""
+
+
+class WorkerLost(TwistFusionError, RuntimeError):
+    """A scan worker process exited before it returned its points."""

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -11,6 +12,12 @@ import pytest
 
 import twistfusion
 from twistfusion.cli import main
+
+
+def _src_env():
+    """The environment of a fresh interpreter that imports this package."""
+    src = str(Path(twistfusion.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
 
 
 def run_cli(argv):
@@ -141,19 +148,38 @@ def test_determinism_byte_identical():
     assert o1 == o2
 
 
-def test_scan_parallel_matches_sequential():
-    args = ["scan", "--n", "2", "--form", "sp", "--modules", "1;1",
-            "--grid", "1/3,2/3;7/5", "--json"]
-    _, seq = run_cli(args)
-    _, par = run_cli(args + ["--jobs", "2"])
-    # jobs flag is not part of the report; outputs must be identical
-    assert seq == par
-
-
-def test_scan_pool_capped_at_point_count(monkeypatch):
+@pytest.fixture
+def fresh_pool():
+    """No scan workers before or after the test, so workers forked during it
+    carry its monkeypatches and none outlives it."""
     from twistfusion import cli
 
-    seen = []
+    cli._shutdown_pool()
+    yield
+    cli._shutdown_pool()
+
+
+def test_scan_parallel_matches_sequential():
+    from twistfusion import cli
+
+    # the second grid runs through the reducible wall point 1/3;4/3, where
+    # Burnside decides inside a worker
+    for grid in ("1/3,2/3;7/5", "1/3;4/3,-1/3"):
+        args = ["scan", "--n", "2", "--form", "sp", "--modules", "1;1",
+                "--grid", grid, "--json"]
+        _, seq = run_cli(args)
+        _, par = run_cli(args + ["--jobs", "2"])
+        pool = cli._pool
+        _, again = run_cli(args + ["--jobs", "2"])
+        # jobs flag is not part of the report; outputs must be identical
+        assert seq == par == again
+        assert cli._pool is pool is not None
+
+
+def test_scan_pool_capped_at_point_count(monkeypatch, fresh_pool):
+    from twistfusion import cli
+
+    seen, shut = [], []
 
     class InProcessPool:
         """Records max_workers and maps in this process: starts no process."""
@@ -161,14 +187,11 @@ def test_scan_pool_capped_at_point_count(monkeypatch):
         def __init__(self, max_workers):
             seen.append(max_workers)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
         def map(self, fn, items):
             return map(fn, items)
+
+        def shutdown(self, wait):
+            shut.append(wait)
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
     args = ["scan", "--n", "2", "--form", "sp", "--modules", "1",
@@ -178,12 +201,65 @@ def test_scan_pool_capped_at_point_count(monkeypatch):
     _, par = run_cli(args + ["--jobs", "8"])
     assert seen == [2]
     assert par == seq
+    # a second scan with the same worker count reuses the pool
+    assert run_cli(args + ["--jobs", "2"]) == (0, seq)
+    assert seen == [2] and shut == []
     # one point, or none, runs in this process whatever --jobs asks
     run_cli(["scan", "--n", "2", "--form", "sp", "--modules", "1", "--grid", "1/3",
              "--jobs", "500", "--json"])
     run_cli(["scan", "--n", "2", "--form", "sp", "--modules", "1", "--grid", "",
              "--jobs", "2", "--json"])
     assert seen == [2]
+    # three workers: the two-worker pool is shut down before a new one starts
+    args = ["scan", "--n", "2", "--form", "sp", "--modules", "1",
+            "--grid", "1/3,2/5,2/7", "--json"]
+    _, seq = run_cli(args + ["--jobs", "1"])
+    assert run_cli(args + ["--jobs", "3"]) == (0, seq)
+    assert seen == [2, 3] and shut == [True]
+
+
+def test_scan_lost_worker_is_a_typed_failure(monkeypatch, fresh_pool, capsys):
+    from twistfusion import cli
+
+    real_verdict = cli.verdict
+
+    def dying(spec, **kwargs):
+        if spec.z(0) == Fraction(2, 3):
+            os._exit(3)
+        return real_verdict(spec, **kwargs)
+
+    # patched before the pool is made, so the forked workers call it
+    monkeypatch.setattr(cli, "verdict", dying)
+    args = ["scan", "--n", "2", "--form", "sp", "--modules", "1",
+            "--grid", "1/3,2/3,2/5", "--json"]
+    assert run_cli(args + ["--jobs", "2"]) == (1, "")
+    err = capsys.readouterr().err
+    assert err.startswith("FAILED: WorkerLost:") and "Traceback" not in err
+    assert cli._pool is None
+    monkeypatch.undo()
+    _, seq = run_cli(args + ["--jobs", "1"])
+    assert run_cli(args + ["--jobs", "2"]) == (0, seq)
+
+
+def test_scan_workers_exit_with_the_interpreter():
+    code = textwrap.dedent("""
+        import io, multiprocessing
+        from contextlib import redirect_stdout
+        from twistfusion.cli import main
+        args = ["scan", "--n", "2", "--form", "sp", "--modules", "1",
+                "--grid", "1/3,2/5", "--jobs", "2"]
+        with redirect_stdout(io.StringIO()):
+            assert main(args) == 0 and main(args) == 0
+        print(*(p.pid for p in multiprocessing.active_children()))
+    """)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_src_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    pids = [int(pid) for pid in proc.stdout.split()]
+    assert len(pids) == 2
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
 
 def test_usage_error_exit_2():
@@ -243,10 +319,8 @@ def test_scan_g_file_matches_default_form(tmp_path):
 ])
 def test_malformed_input_fails_without_traceback(argv, bad):
     # a fresh interpreter, so stderr shows exactly what a user would see
-    src = str(Path(twistfusion.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-m", "twistfusion.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=_src_env(), timeout=120)
     assert proc.returncode != 0
     assert "Traceback" not in proc.stderr
     assert "MalformedInput" in proc.stderr and bad in proc.stderr

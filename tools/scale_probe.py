@@ -29,7 +29,15 @@ order, default all of them:
   * ``relations``: ``repmatrix.check_defining_relations``, with the number
     of RTT and reflection samples decided by the one exact float64 kernel
     and by residue kernels, and how many residue kernels (primes) those
-    took.
+    took;
+  * ``scan``: once, after the modules, ``cli.main`` running ``scan --jobs 2``
+    and then ``scan --jobs 1`` over the 4 points of SCAN_GRID on the dim-9
+    shape so3 ``1,1;1,1``, each twice in this process.  The first ``--jobs
+    2`` run pays for starting the worker pool, the second reuses it; the
+    ``--jobs 1`` runs show the same points without workers.  Run alone
+    (``--stages scan``), the first run of each computes cold points, the
+    second warm ones; after the other stages the shape's blocks are already
+    cached here, and the workers inherit them when they fork.
 
 At dim 27, ``phi`` and ``witness`` take minutes (both build the pair
 blocks); ``--stages relations`` runs in seconds.
@@ -39,18 +47,21 @@ Times are wall times of one run in this process.
 from __future__ import annotations
 
 import argparse
+import io
 import math
 import os
 import sys
 import time
 from collections import Counter
+from contextlib import redirect_stdout
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-STAGES = ("phi", "rank", "witness", "burnside", "commutant", "relations")
+STAGES = ("phi", "rank", "witness", "burnside", "commutant", "relations", "scan")
 # each module with a second point of its shape for the warm phi line
 MODULES = (("1,1:-1/3;1,1:1/5", "1,1:2/7;1,1:-3/11"),
            ("1,1:1/5;2:-3/7", "1,1:-2/9;2:4/11"),
            ("3,2,1/2,1:1/7", None))
+SCAN_GRID = "-1/3,2/7;1/5,-3/11"
 
 
 def _record_kernels(repmatrix) -> Counter:
@@ -163,6 +174,19 @@ def probe(tf, modules: str, warm, stages, counts: Counter, matmuls: Counter) -> 
                   f"{counts[rel, 'residue']:4d} residue samples ({counts[rel, 'primes']} primes)")
 
 
+def scan_probe(cli) -> None:
+    argv = ["scan", "--n", "3", "--form", "so", "--modules", "1,1;1,1", f"--grid={SCAN_GRID}",
+            "--json"]
+    print(f"scan so3 1,1;1,1 --grid={SCAN_GRID}  (4 points, dim 9)", flush=True)
+    for jobs in (2, 1):
+        for run in ("first", "again"):
+            def quiet_scan():
+                with redirect_stdout(io.StringIO()):
+                    return cli.main(argv + ["--jobs", str(jobs)])
+
+            _timed(f"scan --jobs {jobs} ({run})", quiet_scan, lambda code: f"exit {code}")
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.strip().splitlines()[0])
     ap.add_argument("--stages", default=",".join(STAGES))
@@ -173,11 +197,15 @@ def main(argv=None) -> int:
         ap.error(f"stages are a subset of {','.join(STAGES)}, with phi for rank")
     sys.path.insert(0, os.path.join(ROOT, "src"))
     import twistfusion as tf
+    from twistfusion import cli
 
     counts = _record_kernels(tf.repmatrix)
     matmuls = _record_matmuls(tf.linalg, (tf.tensor, tf.repmatrix, tf.irreducibility))
-    for modules, warm in MODULES:
-        probe(tf, modules, warm, stages, counts, matmuls)
+    if set(stages) - {"scan"}:
+        for modules, warm in MODULES:
+            probe(tf, modules, warm, stages, counts, matmuls)
+    if "scan" in stages:
+        scan_probe(cli)
     return 0
 
 
