@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
 import random
 import re
 import sys
@@ -268,8 +269,9 @@ def _scan_point(payload):
 
 # The scan workers of this process: made by the first scan that needs them,
 # reused by later scans with the same worker count, replaced when the count
-# changes.  Workers keep the code and caches of the moment they were forked,
-# and concurrent.futures joins them when the interpreter exits.
+# changes.  They are always forked, whatever the platform's default start
+# method, so they keep the code and caches of the moment they were forked;
+# concurrent.futures joins them when the interpreter exits.
 _pool: ProcessPoolExecutor | None = None
 _pool_workers = 0
 _pool_lock = threading.Lock()
@@ -289,7 +291,9 @@ def _scan_in_pool(payloads, workers: int) -> list:
         if _pool_workers != workers:
             _shutdown_pool()
         if _pool is None:
-            _pool, _pool_workers = ProcessPoolExecutor(max_workers=workers), workers
+            fork = multiprocessing.get_context("fork")
+            _pool = ProcessPoolExecutor(max_workers=workers, mp_context=fork)
+            _pool_workers = workers
         try:
             return list(_pool.map(_scan_point, payloads))
         except BrokenProcessPool:

@@ -159,7 +159,7 @@ def fresh_pool():
     cli._shutdown_pool()
 
 
-def test_scan_parallel_matches_sequential():
+def test_scan_parallel_matches_sequential(fresh_pool):
     from twistfusion import cli
 
     # the second grid runs through the reducible wall point 1/3;4/3, where
@@ -182,9 +182,11 @@ def test_scan_pool_capped_at_point_count(monkeypatch, fresh_pool):
     seen, shut = [], []
 
     class InProcessPool:
-        """Records max_workers and maps in this process: starts no process."""
+        """Records max_workers, checks that workers would be forked and maps in
+        this process: starts no process."""
 
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, mp_context):
+            assert mp_context.get_start_method() == "fork"
             seen.append(max_workers)
 
         def map(self, fn, items):
