@@ -397,9 +397,9 @@ def relation_holds(M: np.ndarray, pivots, free, C: np.ndarray) -> bool:
     Fraction C of an echelon: the integer check M[:, free] * den ==
     M[:, pivots] @ (C * den), one denominator per free column.
 
-    With (pivots, C) = echelon(A) for an A of full row rank, a row x lies in
-    the row span of A exactly when x[free] = x[pivots] @ C, so this checks
-    every row of M for membership in that span with one product."""
+    For (pivots, C) = echelon(A), A of any rank, the x with x[free] =
+    x[pivots] @ C form a space of dimension len(pivots) = rank A that holds
+    every row of A, so the row span of A: this checks each row of M in it."""
     qs = C.ravel().tolist()
     nums = np.array([q.numerator for q in qs], dtype=object).reshape(C.shape)
     qdens = np.array([q.denominator for q in qs], dtype=object).reshape(C.shape)
@@ -486,44 +486,37 @@ def inverse(A: np.ndarray) -> np.ndarray:
 # solving in a basis
 
 class BasisSolver:
-    """Solves B x = rhs for a fixed full-column-rank matrix B.
-
-    Precomputes the inverse of a square block of pivot rows (the pivots of
-    B^T); solve() returns the coordinates plus an exact consistency residual
-    check.  Systems are solved on integers: B = B_scale * B_int and the
-    inverse are cleared to integer matrices once, the right-hand side is an
-    integer matrix, and the residual check compares integers.
-    """
+    """Solves B x = rhs for B in reduced echelon form, B[rows] = I and
+    B[free] = C^T with (rows, C) = echelon(B^T): x lies in the span exactly
+    when x[free] = C^T x[rows], and x[rows] are then its coordinates.  B_int
+    = B / B_scale is kept for the callers that apply operators to B."""
 
     def __init__(self, B: np.ndarray):
-        pivots, _ = echelon(B.T)
-        if len(pivots) != B.shape[1]:
-            raise DimensionMismatch("basis matrix does not have full column rank")
-        self.rows = pivots  # k independent rows of B
+        rows, C = echelon(B.T)
+        if not np.array_equal(B[rows, :], np.eye(B.shape[1], dtype=int)):
+            raise DimensionMismatch("basis matrix is not a full-rank reduced echelon basis")
+        self.rows = rows
         self.B_int, self.B_scale = to_int_scaled(B)
-        self._inv_int, self._inv_scale = to_int_scaled(inverse(B[pivots, :]))
+        self._factors = [(B.shape[0], rows, _free_columns(rows, B.shape[0]), C)]
 
     @classmethod
     def kron(cls, s1: "BasisSolver", s2: "BasisSolver") -> "BasisSolver":
-        """The solver of kron(B1, B2), with no elimination: the rows
-        r1 * n2 + r2 of kron(B1, B2) form the square block kron(B1[rows1],
-        B2[rows2]), whose inverse is the Kronecker product of the inverses."""
+        """The solver of kron(B1, B2), with no elimination: its rows are
+        r1 * n2 + r2, in order, so it is in reduced echelon form too."""
         out, n2 = cls.__new__(cls), s2.B_int.shape[0]
         out.rows = [r1 * n2 + r2 for r1 in s1.rows for r2 in s2.rows]
         out.B_int, out.B_scale = np.kron(s1.B_int, s2.B_int), s1.B_scale * s2.B_scale
-        out._inv_int = np.kron(s1._inv_int, s2._inv_int)
-        out._inv_scale = s1._inv_scale * s2._inv_scale
+        out._factors = s1._factors + s2._factors
         return out
 
     def solve(self, rhs: np.ndarray) -> ScaledIntMatrix | None:
-        """Coordinates X with B @ X = rhs for an integer matrix rhs, or None
-        if inconsistent.
-
-        X = inv_scale * Y for the integer Y = inv_int @ rhs[rows], and
-        B @ X = rhs exactly when B_scale * inv_scale * (B_int @ Y) = rhs."""
-        Y = int_matmul(self._inv_int, rhs[self.rows, :]).astype(object)
-        lhs = int_matmul(self.B_int, Y).astype(object)
-        c = self.B_scale * self._inv_scale
-        if not np.array_equal(lhs * c.numerator, rhs * c.denominator):
-            return None
-        return ScaledIntMatrix(Y, self._inv_scale)
+        """Coordinates X = rhs[rows] over scale 1 with B @ X = rhs, for an
+        integer matrix rhs, or None if inconsistent: each Kronecker factor's
+        relations are checked on the fibres along its axis (Van Loan 2000)."""
+        X = rhs.reshape([n for n, _, _, _ in self._factors] + [rhs.shape[1]])
+        for axis, (n, rows, free, C) in enumerate(self._factors):
+            fibres = np.moveaxis(X, axis, -1).reshape(-1, n)
+            if free and not relation_holds(fibres, rows, free, C):
+                return None
+            X = X.take(rows, axis=axis)
+        return ScaledIntMatrix(X.reshape(len(self.rows), rhs.shape[1]))

@@ -352,9 +352,14 @@ class Basis:
 
 
 def image_basis(A: TensorOperator) -> Basis:
-    """Basis of the column space: the leftmost pivot columns of A."""
-    pivots, _ = linalg.echelon(A.mat)
-    return Basis(A.size, [A.mat[:, c].copy() for c in pivots])
+    """The reduced echelon basis of the column space, which depends on the
+    space alone: B[rows] = I and B[free] = C^T for (rows, C) = echelon(A^T)."""
+    rows, C = linalg.echelon(A.mat.T)
+    B = fzeros((A.size, len(rows)))
+    B[rows] = feye(len(rows))
+    taken = set(rows)
+    B[[r for r in range(A.size) if r not in taken]] = C.T
+    return Basis(A.size, B.T)
 
 
 def restrict(A: TensorOperator, domain: Basis, codomain: Basis, dims=None) -> TensorOperator:
@@ -365,7 +370,7 @@ def restrict(A: TensorOperator, domain: Basis, codomain: Basis, dims=None) -> Te
         raise NotInvariant("operator does not map domain span into codomain span")
     if domain.size != codomain.size:
         raise DimensionMismatch("restriction of a square operator needs equal basis sizes")
-    return TensorOperator(X.mat * (X.scale * scale), dims if dims is not None else (domain.size,))
+    return TensorOperator(X.mat * scale, dims if dims is not None else (domain.size,))
 
 
 def partial_trace_first(M: TensorOperator, dimW: int):
@@ -460,8 +465,8 @@ def restricted_chain(chain, solver: linalg.BasisSolver, dims) -> tuple[list, Fra
     (NotInvariant otherwise), is scale * frames[k].
 
     The chain is applied to the cleared basis matrix B_int = B / B_scale
-    (apply_factor_chain), and each integer frame is solved to integer
-    coordinates over the solver's one scale."""
+    (apply_factor_chain), and the coordinates of each integer frame are its
+    rows at the solver's rows, integers over scale 1."""
     frames, scale = apply_factor_chain(solver.B_int, dims, chain)
     coords = []
     for fr in frames:
@@ -469,7 +474,7 @@ def restricted_chain(chain, solver: linalg.BasisSolver, dims) -> tuple[list, Fra
         if X is None:
             raise NotInvariant("factor chain does not preserve the basis span")
         coords.append(X.mat)
-    return coords, solver.B_scale * scale * X.scale
+    return coords, solver.B_scale * scale
 
 
 # ---------------------------------------------------------------------------

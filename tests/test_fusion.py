@@ -6,7 +6,7 @@ import pytest
 from twistfusion.diagrams import SkewDiagram, column_tableau, parse_skew, ssyt_count
 from twistfusion.errors import BoxCapExceeded, ShapeTooTall, SingularParameter, SlopeCollision
 from twistfusion.exactnum import RatFunc
-from twistfusion import fusion
+from twistfusion import fusion, linalg
 from twistfusion.fusion import (
     default_slopes,
     defining_action_product,
@@ -15,7 +15,8 @@ from twistfusion.fusion import (
     verify_fusion_invariants,
 )
 from twistfusion.repmatrix import yang_matrices
-from twistfusion.tensor import GForm, TensorOperator, embed_two_leg, structural_ops
+from twistfusion.linalg import fdot, feye, mat_equal
+from twistfusion.tensor import GForm, TensorOperator, embed_two_leg, image_basis, structural_ops
 
 BOX = SkewDiagram((1,))
 VDOM = SkewDiagram((1, 1))
@@ -75,6 +76,41 @@ def test_invariants(dia, N):
 def test_invariants_symplectic_t():
     rep = verify_fusion_invariants(fusion_operator(SkewDiagram((2, 1)), 2), form=GForm.symplectic(2))
     assert rep.t_invariant
+
+
+def _basis_vectors_equal(b1, b2) -> bool:
+    return b1.size == b2.size and all(mat_equal(u, v) for u, v in zip(b1.vectors, b2.vectors))
+
+
+def test_module_basis_depends_only_on_the_image(monkeypatch):
+    omega = SkewDiagram((2, 2), (1,))  # two columns, so the reversed slopes differ
+    F = fusion_operator(omega, 3)
+    A = F.matrix
+    # an invertible G = L U with Fraction pivots mixes the columns of A
+    rng = np.random.default_rng(5)
+    n = A.size
+    L = np.tril(rng.integers(-2, 3, (n, n)), -1).astype(object) + feye(n)
+    U = np.triu(rng.integers(-3, 4, (n, n)), 1).astype(object)
+    U[range(n), range(n)] = [Fraction(j % 4 + 1, 3) for j in range(n)]
+    bases = [image_basis(A), image_basis(3 * A),
+             image_basis(TensorOperator(fdot(A.mat, fdot(L, U)), A.dims))]
+    assert bases[0].size == F.dim
+    assert all(_basis_vectors_equal(bases[0], b) for b in bases[1:])
+    rows = bases[0].solver().rows
+    assert mat_equal(bases[0].matrix()[rows], feye(F.dim))
+    alt = tuple(reversed(range(2, omega.n_cols + 2)))
+    assert alt != default_slopes(omega)
+    assert _basis_vectors_equal(fusion_operator(omega, 3, slopes=alt).module_basis,
+                                F.module_basis)
+    # so3 3,2,1/2,1 is the whole space (C^3)^(x)3: its basis is I, and a
+    # solve in it, or in its Kronecker square, reads rows and multiplies nothing
+    full = fusion_operator(parse_skew("3,2,1/2,1"), 3).module_basis
+    assert mat_equal(full.matrix(), feye(27))
+    products, int_matmul = [], linalg.int_matmul
+    monkeypatch.setattr(linalg, "int_matmul", lambda *a: products.append(a) or int_matmul(*a))
+    solver = linalg.BasisSolver.kron(full.solver(), full.solver())
+    rhs = np.arange(729 * 2, dtype=np.int64).reshape(729, 2).astype(object)
+    assert mat_equal(solver.solve(rhs).mat, rhs) and products == []
 
 
 def test_shape_too_tall():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twistfusion import linalg
@@ -79,9 +79,19 @@ def _rational_matrices(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(_rational_matrices())
+# rank 2 with 3 rows: the row span test needs no full row rank
+@example(np.array([[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 0, Fraction(1, 2)]], dtype=object))
 def test_echelon_matches_fraction_rref(A):
-    pivots, _ = _assert_matches_reference(A)
+    pivots, C = _assert_matches_reference(A)
     assert linalg.rank_exact(A) == len(pivots)
+    M, _ = linalg.to_int_scaled(A)
+    free = [c for c in range(A.shape[1]) if c not in pivots]
+    combo = sum((k + 1) * M[k] for k in range(M.shape[0]))
+    assert linalg.relation_holds(np.vstack([M, combo]), pivots, free, C)
+    if free:
+        off = np.zeros((1, A.shape[1]), dtype=int).astype(object)
+        off[0, free[0]] = 1  # zero on the pivots, so outside the row span
+        assert not linalg.relation_holds(off, pivots, free, C)
     null = linalg.nullspace_exact(A)
     assert len(null) == A.shape[1] - len(pivots)
     for v in null:
@@ -201,9 +211,10 @@ def _fractions(rows) -> np.ndarray:
     return np.array([[Fraction(v) for v in row] for row in rows], dtype=object)
 
 
-# pivot rows [1, 2] (row 0 is zero) and [0, 2] (row 1 is twice row 0)
-_B1 = _fractions([[0, 0], ["1/2", "1/3"], [2, "-1/5"]])
-_B2 = _fractions([["1/3", "2/3"], ["2/3", "4/3"], [0, "1/7"], [5, 1]])
+# canonical bases, B[rows] = I: pivot rows [1, 2] (row 0 is zero, left of
+# every pivot) and [0, 2] (row 1 lies between the pivots)
+_B1 = _fractions([[0, 0], [1, 0], [0, 1], ["1/2", "-2/3"]])
+_B2 = _fractions([[1, 0], ["3/7", 0], [0, 1], [-1, "5/4"]])
 
 
 def test_kron_solver_solves_as_the_dense_kron_basis():
@@ -213,6 +224,7 @@ def test_kron_solver_solves_as_the_dense_kron_basis():
     assert sk.rows == [4, 6, 8, 10]
     B = np.kron(_B1, _B2)
     dense = linalg.BasisSolver(B)
+    assert dense.rows == sk.rows
     X = _fractions([[1, "-2/3", 0], ["5/7", 3, "1/2"], [0, 0, "-4/9"], [2, "1/11", 1]])
     # solve takes an integer right-hand side: B X = s * rhs
     rhs, s = linalg.to_int_scaled(linalg.fdot(B, X))
@@ -224,8 +236,23 @@ def test_kron_solver_solves_as_the_dense_kron_basis():
         assert linalg.mat_equal(col.to_fractions() * s, X[:, 1:2])
     off = rhs.copy()
     off[0, 2] += 1  # row 0 of kron(B1, B2) is zero
-    e = np.zeros((12, 1), dtype=int).astype(object)
-    e[11, 0] = 1
-    for rhs_bad in (off, e):
+    e = np.zeros((16, 1), dtype=int).astype(object)
+    e[15, 0] = 1
+    # kron(v, w) with v = 2 B1[:, 0] in the span of B1 and w = e_1 outside
+    # the span of B2: only the second factor's relations fail
+    v, w = np.array([0, 2, 0, 1], dtype=object), np.array([0, 1, 0, 0], dtype=object)
+    second = np.kron(v, w).reshape(16, 1)
+    assert s1.solve(np.outer(v, w)) is not None and s2.solve(np.outer(w, v)) is None
+    for rhs_bad in (off, e, second):
         assert sk.solve(rhs_bad) is None and dense.solve(rhs_bad) is None
+
+
+@pytest.mark.parametrize("B", [
+    _fractions([[0, 0], ["1/2", "1/3"], [2, "-1/5"]]),  # full rank, B[rows] != I
+    _B1[:, ::-1],  # the canonical span, columns swapped
+    2 * _B2,
+])
+def test_non_canonical_basis_is_refused(B):
+    with pytest.raises(DimensionMismatch):
+        linalg.BasisSolver(B)
 
