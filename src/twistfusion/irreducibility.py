@@ -12,12 +12,12 @@ is the same over Q and over C.
    module is irreducible, algebra_dim is d^2 and nothing else runs.  This is
    the witness of the main theorem, and every off-wall point has it.
    Off the walls it is read from one residue (phi_witness): the product of
-   each block's lowest nonzero frame modulo one prime p, whose coefficient
-   is the family's at order o = sum of the frame orders minus the
-   denominators' valuations.  A residue nonzero mod p proves the order o,
-   and since rank cannot rise under reduction mod p, rank d^2 mod p proves
-   phi surjective; the exact frame product and rank do not run.  Any other
-   residue, and every point on a wall, takes the exact path.
+   each block's lowest nonzero frame mod one prime p, from residues of the
+   cached argument blocks (term_residue), is the family's coefficient at
+   order o = sum of frame orders minus the denominators' valuations.  A
+   nonzero residue proves the order o; rank cannot rise mod p, so rank d^2
+   mod p proves phi surjective, and the exact frame product and rank do not
+   run.  Any other residue, and every point on a wall, takes the exact path.
 2. Otherwise Burnside growth decides: words in the integer blocks of
    S_1 .. S_2n (n boxes; default_truncation shows that they span every
    coefficient) are grown from the identity modulo a word-size prime.  d^2
@@ -59,10 +59,11 @@ from .linalg import (
 from .repmatrix import (
     FusedModuleSpec,
     frame_product,
-    frame_residue,
     ratfunc_product,
     s_coefficients,
     swz_frame_blocks,
+    swz_terms,
+    term_residue,
 )
 from .tensor import TensorOperator, contraction_map_matrix
 
@@ -71,7 +72,7 @@ _PRIME_DENOMS = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 # product sums at most d^2 terms below 2^48, inside int64 for d up to 128.
 _BURNSIDE_PRIMES = (16777213, 16777199, 16777183)
 # The residue witness of phi runs modulo this prime, below 2^21: a float64
-# product on slots of dimension below 2^11 is then exact (frame_residue).
+# product on slots of dimension below 2^11 is then exact (term_residue).
 _WITNESS_PRIME = 2097143
 
 
@@ -125,7 +126,7 @@ def surjectivity(phi: PhiOperator) -> tuple[int, bool]:
 
 def phi_witness(Z: FusedModuleSpec) -> tuple[int, int] | None:
     """(o, r) from one residue modulo _WITNESS_PRIME p: o the Laurent order
-    of the family if its coefficient there is nonzero (frame_residue), r the
+    of the family if its coefficient there is nonzero (term_residue), r the
     rank mod p of that coefficient's contraction; None when p is too large
     for the float64 products.
 
@@ -133,7 +134,7 @@ def phi_witness(Z: FusedModuleSpec) -> tuple[int, int] | None:
     p, so r = (dim Z)^2 proves that phi is surjective: then (o, r) is
     exactly what phi_leading and surjectivity give."""
     dZ, p = Z.dimZ, _WITNESS_PRIME
-    residue = frame_residue(swz_frame_blocks(Z), Z.factor_dims + Z.factor_dims, p)
+    residue = term_residue(swz_terms(Z), Z.factor_dims + Z.factor_dims, p)
     if residue is None:
         return None
     order, coeff = residue

@@ -22,6 +22,7 @@ import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,7 +44,6 @@ from .linalg import (
     float_kernels,
     int64_certified,
     int_matmul,
-    is_zero_matrix,
     mat_equal,
     max_abs,
     primitive_part,
@@ -122,6 +122,7 @@ class FusedModuleSpec:
             raise BoxCapExceeded(f"{self.n_total} boxes exceed cap {box_cap}")
         self._fusion = None
         self._tdata = None
+        self._contents = [column_tableau(d).contents for d, _ in self.factors]
 
     # -- construction helpers -------------------------------------------
     @classmethod
@@ -167,7 +168,7 @@ class FusedModuleSpec:
         return out
 
     def contents(self, i: int) -> tuple[int, ...]:
-        return column_tableau(self.factors[i][0]).contents
+        return self._contents[i]
 
     def z(self, i: int):
         return self.factors[i][1]
@@ -210,7 +211,7 @@ def _negated(entries):
 # The numerator blocks in their own argument, keyed by form, diagrams and
 # kind, least recently used first; they hold at most _BLOCK_ENTRIES frame
 # entries in all (_held of them now), and a larger block is built but not
-# kept.
+# kept.  A block's int64 residues (FrameBlock.residue) go with it.
 _BLOCK_ENTRIES = 2**20
 _blocks: OrderedDict = OrderedDict()
 _held = 0
@@ -236,18 +237,30 @@ def _argument_block(key, build) -> FrameBlock:
     return fb
 
 
-def _form_key(form: GForm) -> tuple:
-    """The form as a key: two forms of one kind and N may differ in g."""
-    return (form.kind, form.N, tuple(form.g.ravel()))
+class BlockTerm(NamedTuple):
+    """A block in y: the cached argument block G(x) at x = t + s*y over
+    prod_e ((t + e) + s*y), e in ``den``; exact blocks and witness share it."""
+
+    block: FrameBlock
+    t: Fraction
+    s: int
+    den: tuple = ()
+
+    def exact(self) -> FrameBlock:
+        """The block substituted exactly (FrameBlock.substituted)."""
+        den = Poly.const(1)
+        for e in self.den:
+            den = den * Poly((self.t + e, Fraction(self.s)))
+        return self.block.substituted(self.t, self.s, den)
 
 
-def _pair_block_frames(
+def _pair_term(
     A: FusedModuleSpec, i: int, shiftA: bool, B: FusedModuleSpec, j: int, shiftB: bool, kind: str
-) -> FrameBlock:
-    """Frame form of the block of the given kind between factor i of A and
-    factor j of B (A = B for a block inside one module), restricted to
-    V_i (x) V_j, with box parameters affine in the deformation variable:
-    u_p = z_i + c_p (+ zeta if shiftA), likewise v_q = z_j + c_q.
+) -> BlockTerm:
+    """The block of the given kind between factor i of A and factor j of B
+    (A = B for a block inside one module), restricted to V_i (x) V_j, with
+    box parameters affine in the deformation variable: u_p = z_i + c_p (+
+    zeta if shiftA), likewise v_q = z_j + c_q.
 
     The parameters enter through one affine argument x = t + s*zeta: t =
     z_i - z_j, s = bu - bv and e_pq = c_p - c_q for R and breve R, t = z_i
@@ -256,9 +269,8 @@ def _pair_block_frames(
     and breve R, -(x + e_pq) - Q for R' and (x + e_pq) + Q for breve R',
     and the breve kinds divide by x + e_pq.  So the numerator is G(t +
     s*zeta) for a block G(x) that depends only on the form, the diagrams
-    and the kind: it is built once, kept in _blocks and substituted
-    (FrameBlock.substituted).  Per spec only the scalar denominator and the
-    singular check remain."""
+    and the kind: it is built once and kept in _blocks.  Per spec only the
+    term and the singular check remain."""
     contA, contB = A.contents(i), B.contents(j)
     nA, nB = len(contA), len(contB)
     order = _pair_order(kind, nA, nB)
@@ -267,13 +279,11 @@ def _pair_block_frames(
         t, s, e = A.z(i) - B.z(j), bu - bv, [contA[p] - contB[q] for p, q in order]
     else:
         t, s, e = A.z(i) + B.z(j), bu + bv, [contA[p] + contB[q] for p, q in order]
-    den = Poly.const(1)
-    if kind in ("Rb", "Rb'"):
-        for (p, q), epq in zip(order, e):
-            if t + epq == 0 and s == 0:
-                name = "breve R" if kind == "Rb" else "breve R'"
-                raise SingularParameter(f"{name} singular at boxes ({p+1},{q+1})")
-            den = den * Poly((t + epq, Fraction(s)))
+    breve = kind in ("Rb", "Rb'")
+    if breve and s == 0 and -t in e:
+        p, q = order[e.index(-t)]
+        name = "breve R" if kind == "Rb" else "breve R'"
+        raise SingularParameter(f"{name} singular at boxes ({p+1},{q+1})")
 
     def build() -> FrameBlock:
         # factors (a + b*x) * 1 + X with a = sigma * e_pq, b = sigma
@@ -286,23 +296,23 @@ def _pair_block_frames(
         frames, scale = restricted_chain(chain, solver, (B.N,) * (nA + nB))
         return FrameBlock(frames, scale, Poly.const(1), (A.basis(i).size, B.basis(j).size))
 
-    key = (_form_key(B.form), A.factors[i][0], B.factors[j][0], kind)
-    return _argument_block(key, build).substituted(t, s, den)
+    key = (B.form.key, A.factors[i][0], B.factors[j][0], kind)
+    return BlockTerm(_argument_block(key, build), t, s, tuple(e) if breve else ())
 
 
-def _elementary_s_frames(omega: SkewDiagram, z, shifted: bool, form: GForm) -> FrameBlock:
+def _elementary_s_term(omega: SkewDiagram, z, shifted: bool, form: GForm) -> BlockTerm:
     """S of one elementary module: the ordered product of the R' factors
     -(v_p + v_q) - Q_{pq} over box pairs (p descending, q descending below
     p) with v_p = z + c_p (+ zeta if shifted), restricted to the module.
 
     Each factor is -(x + c_p + c_q) - Q_{pq} at x = 2z (+ 2 zeta), so the
-    block is built once per form and diagram in x and substituted, like the
-    pair blocks.  Polynomial: the denominator is 1."""
+    block is built once per form and diagram in x, like the pair blocks.
+    Polynomial: the denominator is 1."""
     n = omega.size
     basis = fusion_mod.fusion_operator(omega, form.N, box_cap=max(6, n)).module_basis
-    one = Poly.const(1)
+    one, size = Poly.const(1), basis.size
     if n <= 1:
-        return FrameBlock([np.eye(basis.size, dtype=int).astype(object)], _F1, one, (basis.size,))
+        return BlockTerm(FrameBlock([np.eye(size, dtype=object)], _F1, one, (size,)), 0, 1)
 
     def build() -> FrameBlock:
         cont = column_tableau(omega).contents
@@ -310,40 +320,49 @@ def _elementary_s_frames(omega: SkewDiagram, z, shifted: bool, form: GForm) -> F
         chain = [(p, q, -(cont[p] + cont[q]), -1, entries)
                  for p in reversed(range(n)) for q in reversed(range(p))]
         frames, scale = restricted_chain(chain, basis.solver(), (form.N,) * n)
-        return FrameBlock(frames, scale, one, (basis.size,))
+        return FrameBlock(frames, scale, one, (size,))
 
-    block = _argument_block((_form_key(form), omega, "S"), build)
-    return block.substituted(2 * Fraction(z), 2 if shifted else 0, one)
+    return BlockTerm(_argument_block((form.key, omega, "S"), build), 2 * Fraction(z),
+                     2 if shifted else 0)
 
 
-def _s_fused_frame_blocks(Z: FusedModuleSpec, shifted: bool) -> list:
-    """Ordered frame blocks of the fused S-matrix of Z, every parameter
+def _s_fused_terms(Z: FusedModuleSpec, shifted: bool) -> list:
+    """Ordered block terms of the fused S-matrix of Z, every parameter
     shifted by zeta if asked: for i descending, S_i, then R'_{i,j} for j
     descending."""
-    blocks = []
+    terms = []
     for i in reversed(range(Z.ell)):
-        blocks.append((_elementary_s_frames(Z.factors[i][0], Z.z(i), shifted, Z.form), (i,)))
+        terms.append((_elementary_s_term(Z.factors[i][0], Z.z(i), shifted, Z.form), (i,)))
         for j in reversed(range(i)):
-            blocks.append((_pair_block_frames(Z, i, shifted, Z, j, shifted, "R'"), (i, j)))
-    return blocks
+            terms.append((_pair_term(Z, i, shifted, Z, j, shifted, "R'"), (i, j)))
+    return terms
 
 
-def breve_r_frame_blocks(Z: FusedModuleSpec) -> list[tuple[FrameBlock, tuple[int, ...]]]:
-    """Ordered frame blocks of breve-R_{W,Z}(zeta), W the zeta-shifted copy of Z."""
+def _breve_r_terms(Z: FusedModuleSpec) -> list:
     ell = Z.ell
-    return [(_pair_block_frames(Z, i, True, Z, j, False, "Rb"), (i, ell + j))
+    return [(_pair_term(Z, i, True, Z, j, False, "Rb"), (i, ell + j))
             for i, j in _pair_order("Rb", ell, ell)]
 
 
-def swz_frame_blocks(Z: FusedModuleSpec) -> list[tuple[FrameBlock, tuple[int, ...]]]:
-    """Ordered frame blocks of S_{W,Z}(zeta) = breve-R'_{W,Z} . S_W . breve-R_{W,Z},
+def swz_terms(Z: FusedModuleSpec) -> list[tuple[BlockTerm, tuple[int, ...]]]:
+    """Ordered block terms of S_{W,Z}(zeta) = breve-R'_{W,Z} . S_W . breve-R_{W,Z},
     W the zeta-shifted copy of Z.
 
     Slots 0..l-1 are the W factors, l..2l-1 the Z factors."""
     ell = Z.ell
-    blocks = [(_pair_block_frames(Z, i, True, Z, j, False, "Rb'"), (i, ell + j))
-              for i, j in _pair_order("Rb'", ell, ell)]
-    return blocks + _s_fused_frame_blocks(Z, True) + breve_r_frame_blocks(Z)
+    terms = [(_pair_term(Z, i, True, Z, j, False, "Rb'"), (i, ell + j))
+             for i, j in _pair_order("Rb'", ell, ell)]
+    return terms + _s_fused_terms(Z, True) + _breve_r_terms(Z)
+
+
+def breve_r_frame_blocks(Z: FusedModuleSpec) -> list[tuple[FrameBlock, tuple[int, ...]]]:
+    """Ordered frame blocks of breve-R_{W,Z}(zeta), W the zeta-shifted copy of Z."""
+    return [(term.exact(), slots) for term, slots in _breve_r_terms(Z)]
+
+
+def swz_frame_blocks(Z: FusedModuleSpec) -> list[tuple[FrameBlock, tuple[int, ...]]]:
+    """The exact frame blocks of swz_terms."""
+    return [(term.exact(), slots) for term, slots in swz_terms(Z)]
 
 
 def block_product(blocks, dims) -> FrameBlock:
@@ -401,43 +420,49 @@ def frame_product(blocks, dims) -> tuple[int, ScaledIntMatrix]:
         return prod.order - sum(vals), ScaledIntMatrix(coeff, prod.scale / low)
 
 
-def frame_residue(blocks, dims, p: int) -> tuple[int, np.ndarray] | None:
+def term_residue(terms, dims, p: int) -> tuple[int, np.ndarray] | None:
     """(o, R): R the numerator of the coefficient of zeta^o in the ordered
-    product of frame blocks, modulo p, as an int64 matrix with entries in
-    [0, p), and o the Laurent order that frame_product returns whenever R
-    is nonzero; None when p is too large for an exact float64 product on
-    some block's slots.
+    product of block terms, modulo p, as an int64 matrix with entries in
+    [0, p), and o the Laurent order that frame_product returns on their
+    exact blocks whenever R is nonzero; None when p is too large for an
+    exact float64 product on some block's slots.
 
-    Each numerator starts at its lowest nonzero frame k0, so the numerator
-    product starts at or past sum k0, and its coefficient there is the
-    product of the lowest frames: o is sum k0 minus the denominators'
-    valuations.  A residue that is nonzero mod p proves the coefficient
-    nonzero and the order o.  The scales and the denominators' lowest
-    coefficients are nonzero scalars and are left out.
+    Each numerator starts at its lowest nonzero frame k0, so the product's
+    coefficient at sum k0 is the product of the lowest frames, and o is sum
+    k0 minus the denominators' valuations; a residue nonzero mod p proves
+    that coefficient nonzero.  Scales and the denominators' lowest
+    coefficients are nonzero scalars, left out.  k0 and the lowest frame
+    mod p come from the argument block (FrameBlock.residue), from the exact
+    block only when that residue cannot tell k0.
 
-    The product starts at the identity and multiplies each lowest frame mod
-    p in on its slots, with the gather and scatter of
-    MatrixLaurentSeries.__matmul__, in float64 on BLAS.  An entry sums
-    d_slots products of two residues, so it is an integer that float64
-    holds exactly in any summation order while d_slots (p - 1)^2 < 2^53; it
-    is reduced mod p in int64 after each product."""
+    The product starts at the identity and multiplies each lowest frame in
+    on its slots, with the gather and scatter of
+    MatrixLaurentSeries.__matmul__, in float64 on BLAS: an entry sums
+    d_slots products of two residues, exact in float64 while d_slots (p -
+    1)^2 < 2^53, and is reduced mod p in int64 after each product."""
     D = math.prod(dims)
-    maps = [_slot_rest_index(slots, dims) for _, slots in blocks]
+    maps = [_slot_rest_index(slots, dims) for _, slots in terms]
     if any(m.shape[0] * (p - 1) ** 2 >= _FLOAT_EXACT for m in maps):
         return None
     acc = np.eye(D, dtype=np.int64)
-    order = -sum(fb.den.valuation() for fb, _ in blocks)
-    for (fb, _), slot_map in zip(blocks, maps):
-        k0 = next((k for k, fr in enumerate(fb.frames) if not is_zero_matrix(fr)), None)
+    order = -sum(term.den.count(-term.t) for term, _ in terms)  # factors zero at y = 0
+    for (term, _), slot_map in zip(terms, maps):
+        k0, low = term.block.residue(term.t, term.s, p) or term.exact().residue(0, 1, p)
         if k0 is None:
             return order, np.zeros((D, D), dtype=np.int64)
         order += k0
         cols = slot_map.T  # [rest, slot]
         gathered = acc[:, cols].reshape(-1, cols.shape[1]).astype(np.float64)
-        prod = (gathered @ (fb.frames[k0] % p).astype(np.float64)).astype(np.int64) % p
+        prod = (gathered @ low.astype(np.float64)).astype(np.int64) % p
         acc = np.empty((D, D), dtype=np.int64)
         acc[:, cols] = prod.reshape((D,) + cols.shape)
     return order, acc
+
+
+def frame_residue(blocks, dims, p: int) -> tuple[int, np.ndarray] | None:
+    """term_residue of frame blocks, each the term (fb, 0, 1) over fb.den."""
+    out = term_residue([(BlockTerm(fb, 0, 1), slots) for fb, slots in blocks], dims, p)
+    return out and (out[0] - sum(fb.den.valuation() for fb, _ in blocks), out[1])
 
 
 def ratfunc_product(blocks, dims) -> TensorOperator:
@@ -465,7 +490,7 @@ def r_factorized(W: FusedModuleSpec, Z: FusedModuleSpec, kind: str) -> TensorOpe
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}")
     k = W.ell
-    blocks = [(_pair_block_frames(W, i, False, Z, j, False, kind), (i, k + j))
+    blocks = [(_pair_term(W, i, False, Z, j, False, kind).exact(), (i, k + j))
               for i, j in _pair_order(kind, k, Z.ell)]
     return block_product(blocks, W.factor_dims + Z.factor_dims).at(0)
 
@@ -473,12 +498,13 @@ def r_factorized(W: FusedModuleSpec, Z: FusedModuleSpec, kind: str) -> TensorOpe
 def s_elementary(omega: SkewDiagram, z, form: GForm) -> TensorOperator:
     """Twisted S-matrix of one elementary module: ordered product of R'
     factors over box pairs, restricted to the module."""
-    return _elementary_s_frames(omega, z, False, form).at(0)
+    return _elementary_s_term(omega, z, False, form).exact().at(0)
 
 
 def s_fused(Z: FusedModuleSpec) -> TensorOperator:
     """The fused S-matrix of Z, from its ordered blocks at zeta = 0."""
-    return block_product(_s_fused_frame_blocks(Z, False), Z.factor_dims).at(0)
+    blocks = [(term.exact(), slots) for term, slots in _s_fused_terms(Z, False)]
+    return block_product(blocks, Z.factor_dims).at(0)
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +519,7 @@ def _t_data(Z: FusedModuleSpec) -> FrameBlock:
     ascending, on slots (0, 1 + j)."""
     if Z._tdata is None:
         aux = FusedModuleSpec(Z.form, [(SkewDiagram((1,)), 0)])
-        blocks = [(_pair_block_frames(aux, 0, True, Z, j, False, "Rb"), (0, 1 + j))
+        blocks = [(_pair_term(aux, 0, True, Z, j, False, "Rb").exact(), (0, 1 + j))
                   for j in range(Z.ell)]
         Z._tdata = block_product(blocks, (Z.N,) + Z.factor_dims)
     return Z._tdata

@@ -94,6 +94,11 @@ class GForm:
     def default(kind: str, N: int) -> "GForm":
         return GForm.orthogonal(N) if kind == "so" else GForm.symplectic(N)
 
+    @functools.cached_property
+    def key(self) -> tuple:
+        """kind, N and g as a key made once; g is a string, whose hash is kept."""
+        return self.kind, self.N, " ".join(map(str, self.g.ravel()))
+
 
 # ---------------------------------------------------------------------------
 # operators
@@ -626,6 +631,32 @@ class FrameBlock:
     scale: Fraction
     den: Poly
     dims: tuple
+    _mod: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @functools.cached_property
+    def low(self) -> int | None:
+        """The index of the lowest nonzero frame; None for a zero block."""
+        return next((k for k, fr in enumerate(self.frames) if not is_zero_matrix(fr)), None)
+
+    def residue(self, t: Fraction, s: int, p: int) -> tuple[int | None, np.ndarray] | None:
+        """(k, R): the index k of the lowest nonzero frame of substituted(t,
+        s, ...) (None for a zero block) and that frame mod p in int64, p^2 <
+        2^62; None when frame 0 is zero mod p at t != 0 or s = 0.  The frames
+        mod p are kept on the block per prime.  At t = 0 and s != 0 frame k
+        is s^k frames[k]; otherwise frame 0 is the homogenised Horner sum at
+        t (_horner), here mod p."""
+        frames = self._mod.get(p)
+        if frames is None:
+            frames = self._mod[p] = [(fr % p).astype(np.int64) for fr in self.frames]
+        if t == 0 and s:
+            k = self.low
+            return (None, frames[0]) if k is None else (k, frames[k] * pow(s, k, p) % p)
+        num, den = t.numerator % p, t.denominator % p
+        acc, qk = frames[-1], 1
+        for fr in reversed(frames[:-1]):
+            qk = qk * den % p
+            acc = (acc * num + fr * qk) % p
+        return (0, acc) if acc.any() else None
 
     def _horner(self, x0: Fraction) -> tuple[Fraction, np.ndarray]:
         """den(x0), SingularParameter if x0 is a pole, and for x0 = p/q the

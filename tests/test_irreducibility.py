@@ -1,6 +1,9 @@
+import itertools
 import math
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +37,8 @@ from twistfusion.repmatrix import (
     s_coefficients,
     s_generators,
     swz_frame_blocks,
+    swz_terms,
+    term_residue,
 )
 from twistfusion.tensor import (
     GForm,
@@ -618,6 +623,85 @@ def test_witness_matches_exact_phi_at_criterion_9_points():
     for Z in _criterion_9_points():
         phi = phi_leading(Z)
         assert phi_witness(Z) == (phi.order, surjectivity(phi)[0]), Z
+
+
+# wall points checked against Burnside: two reducible (the first two) and three
+# irreducible ones where phi is not surjective
+BURNSIDE_WALL_POINTS = [(SP2, "1:1/3;1:4/3"), (SO3, "1:2/3;1:5/3"), (SP2, "1:1/4;1:3/4"),
+                        (SP2, "1:1/3;1:-4/3"), (SP2, "2:1/2")]
+
+
+def _scan_walls_points():
+    """Every point of the benchmark's scan-walls grids at seeds 1-3."""
+    bench = str(Path(__file__).resolve().parents[1] / "perfbench")
+    sys.path.insert(0, bench)
+    try:
+        import bench_workloads
+    finally:
+        sys.path.remove(bench)
+    texts = set()
+    for seed in (1, 2, 3):
+        for kind, N, mods, lists in bench_workloads.ScanWalls(seed).grids:
+            for zs in itertools.product(*lists):
+                text = ";".join(f"{d}:{Fraction(z)}" for d, z in zip(mods.split(";"), zs))
+                texts.add((kind, N, text))
+    return [FusedModuleSpec.from_string(GForm.default(kind, N), text)
+            for kind, N, text in sorted(texts)]
+
+
+def _block_residue_points():
+    return (_criterion_9_points() + _scan_walls_points()
+            + [FusedModuleSpec.from_string(form, text) for form, text in BURNSIDE_WALL_POINTS])
+
+
+def _exact_lowest(fb, p):
+    """(k0, frame k0 mod p) of an exact block, read off its frames."""
+    k0 = next(k for k, fr in enumerate(fb.frames) if fr.any())
+    return k0, (fb.frames[k0] % p).astype(np.int64)
+
+
+def test_block_residues_match_the_exact_blocks():
+    # every term of S_{W,Z}: the residue of its argument block gives the
+    # exact block's lowest frame mod p, and the offsets its valuation; it
+    # defers to the exact block only where frame 0 is zero mod p (at so3
+    # 1,1:1/2 and sp2 2:-1/2, on walls, frame 0 of two blocks is zero)
+    p = irreducibility._WITNESS_PRIME
+    deferred = 0
+    for Z in _block_residue_points():
+        terms, dims = swz_terms(Z), Z.factor_dims * 2
+        for term, _ in terms:
+            exact = term.exact()
+            got = term.block.residue(term.t, term.s, p)
+            if got is None:
+                deferred += 1
+                assert not (exact.frames[0] % p).any()
+                got = exact.residue(0, 1, p)
+            want = _exact_lowest(exact, p)
+            assert got[0] == want[0] and np.array_equal(got[1], want[1]), Z
+            assert term.den.count(-term.t) == exact.den.valuation(), Z
+        got, want = term_residue(terms, dims, p), frame_residue(swz_frame_blocks(Z), dims, p)
+        assert got[0] == want[0] and np.array_equal(got[1], want[1]), Z
+    assert deferred == 4
+
+
+def test_block_residues_fall_back_to_the_exact_block_modulo_tiny_primes():
+    # modulo 2 and 3 some frame 0 vanishes at t != 0, and only the exact
+    # block tells its lowest frame; the product still matches frame_residue
+    # on the exact blocks
+    fallbacks = 0
+    for p in (2, 3):
+        for Z in _criterion_9_points(per_shape=2):
+            terms, dims = swz_terms(Z), Z.factor_dims * 2
+            for term, _ in terms:
+                if term.block.residue(term.t, term.s, p) is None:
+                    fallbacks += 1
+                    assert term.t != 0 or term.s == 0
+                    got = term.exact().residue(0, 1, p)
+                    want = _exact_lowest(term.exact(), p)
+                    assert got[0] == want[0] and np.array_equal(got[1], want[1])
+            got, want = term_residue(terms, dims, p), frame_residue(swz_frame_blocks(Z), dims, p)
+            assert got[0] == want[0] and np.array_equal(got[1], want[1]), (p, Z)
+    assert fallbacks > 0
 
 
 def _exact_report(Z, monkeypatch):

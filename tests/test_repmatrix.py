@@ -1,7 +1,9 @@
+import gc
 import math
 import os
 import subprocess
 import sys
+import weakref
 from collections import OrderedDict
 from fractions import Fraction
 from pathlib import Path
@@ -166,7 +168,7 @@ def test_pair_blocks_match_dense_product(kind, form, modules, shifts):
     Z = FusedModuleSpec.from_string(form, modules)
     zeta = Fraction(2, 9)
     oracle = _pair_block_oracle(Z, 0, shifts[0], Z, 1, shifts[1], kind, zeta)
-    fb = repmatrix._pair_block_frames(Z, 0, shifts[0], Z, 1, shifts[1], kind)
+    fb = repmatrix._pair_term(Z, 0, shifts[0], Z, 1, shifts[1], kind).exact()
     value = fb.scale * sum(fr * zeta**k for k, fr in enumerate(fb.frames)) / fb.den.eval(zeta)
     assert fb.dims == oracle.dims
     assert mat_equal(value, oracle.mat)
@@ -236,7 +238,7 @@ def test_s_elementary_matches_proof_form(omega, N, z):
     assert s_elementary(omega, z, form) == _s_elementary_oracle(omega, z, form)
     # the zeta-shifted frames (every box parameter plus zeta) at zeta = 2/9
     zeta = Fraction(2, 9)
-    shifted = repmatrix._elementary_s_frames(omega, z, True, form).at(zeta)
+    shifted = repmatrix._elementary_s_term(omega, z, True, form).exact().at(zeta)
     assert shifted == _s_elementary_oracle(omega, z + zeta, form)
 
 
@@ -820,10 +822,10 @@ def test_substituted_pair_blocks_match_the_per_spec_chain(kind, form, diagrams, 
     except SingularParameter as exc:
         # a breve pair with x + e_pq = 0 and slope 0: the same message
         with pytest.raises(SingularParameter) as got:
-            repmatrix._pair_block_frames(*args)
+            repmatrix._pair_term(*args).exact()
         assert str(got.value) == str(exc)
         return
-    _assert_same_operator(repmatrix._pair_block_frames(*args), ref)
+    _assert_same_operator(repmatrix._pair_term(*args).exact(), ref)
 
 
 @pytest.mark.parametrize("z", _T_VALUES, ids=_T_IDS)
@@ -832,7 +834,7 @@ def test_substituted_pair_blocks_match_the_per_spec_chain(kind, form, diagrams, 
                          ids=["so3-1,1", "so3-2,1", "sp2-2"])
 def test_substituted_elementary_s_matches_the_per_spec_chain(form, diagram, shifted, z):
     omega = parse_skew(diagram)
-    _assert_same_operator(repmatrix._elementary_s_frames(omega, z, shifted, form),
+    _assert_same_operator(repmatrix._elementary_s_term(omega, z, shifted, form).exact(),
                           _per_spec_elementary_s(omega, z, shifted, form))
 
 
@@ -847,7 +849,7 @@ def test_substituted_t_blocks_match_the_per_spec_chain(form, modules):
     aux = FusedModuleSpec(form, [(BOX, 0)])
     for j in range(Z.ell):
         args = (aux, 0, True, Z, j, False, "Rb")
-        _assert_same_operator(repmatrix._pair_block_frames(*args), _per_spec_pair_block(*args))
+        _assert_same_operator(repmatrix._pair_term(*args).exact(), _per_spec_pair_block(*args))
 
 
 @pytest.mark.parametrize("kind,w_singular,message", [
@@ -877,14 +879,14 @@ def test_blocks_are_kept_per_form(first, fresh_blocks):
             Z = FusedModuleSpec.from_string(forms[name], "2:1/3;1:-2/5")
             args = (Z, 0, True, Z, 1, False, kind)
             refs[name] = _per_spec_pair_block(*args)
-            _assert_same_operator(repmatrix._pair_block_frames(*args), refs[name])
+            _assert_same_operator(repmatrix._pair_term(*args).exact(), refs[name])
         if kind in ("R'", "Rb'"):
             zeta = Fraction(2, 9)
             assert refs["default"].at(zeta) != refs["scaled"].at(zeta)
     for name in order:
         omega = parse_skew("2")
-        _assert_same_operator(repmatrix._elementary_s_frames(omega, Fraction(1, 3), True,
-                                                             forms[name]),
+        _assert_same_operator(repmatrix._elementary_s_term(omega, Fraction(1, 3), True,
+                                                           forms[name]).exact(),
                               _per_spec_elementary_s(omega, Fraction(1, 3), True, forms[name]))
     assert len(fresh_blocks) == 2 * len(repmatrix.KINDS) + 2
 
@@ -896,7 +898,7 @@ def test_block_cache_evicts_least_recent_and_keeps_no_large_block(fresh_blocks, 
     Z = FusedModuleSpec.from_string(SO3, "1:1/3;1:-2/5")
 
     def block(kind):
-        return repmatrix._pair_block_frames(Z, 0, True, Z, 1, False, kind)
+        return repmatrix._pair_term(Z, 0, True, Z, 1, False, kind).exact()
 
     block("R")
     block("R'")
@@ -912,10 +914,51 @@ def test_block_cache_evicts_least_recent_and_keeps_no_large_block(fresh_blocks, 
     big = FusedModuleSpec.from_string(SO3, "1,1:1/3;2:-2/5")
     args = (big, 0, True, big, 1, False, "R")
     for calls in (4, 5):
-        _assert_same_operator(repmatrix._pair_block_frames(*args), _per_spec_pair_block(*args))
+        _assert_same_operator(repmatrix._pair_term(*args).exact(), _per_spec_pair_block(*args))
         assert len(fresh_blocks) == calls
         assert [key[-1] for key in repmatrix._blocks] == ["R", "Rb"]
         assert repmatrix._held == 2 * small
+
+
+def test_evicting_an_argument_block_drops_its_residues(fresh_blocks, monkeypatch):
+    # the residues of an argument block live on the block: once the cache
+    # evicts it, nothing holds them, and a rebuilt block starts with none
+    small = 2 * 81
+    monkeypatch.setattr(repmatrix, "_BLOCK_ENTRIES", 2 * small)
+    Z = FusedModuleSpec.from_string(SO3, "1:1/3;1:-2/5")
+    p = 2097143
+
+    def term(kind):
+        return repmatrix._pair_term(Z, 0, True, Z, 1, False, kind)
+
+    first = term("R'")
+    assert first.block.residue(first.t, first.s, p) is not None
+    assert list(first.block._mod) == [p]
+    held = weakref.ref(first.block)
+    residues = weakref.ref(first.block._mod[p][0])
+    del first
+    term("R")
+    term("Rb")  # evicts R', the least recent
+    assert [key[-1] for key in repmatrix._blocks] == ["R", "Rb"]
+    gc.collect()
+    assert held() is None and residues() is None
+    rebuilt = term("R'")
+    assert rebuilt.block._mod == {} and len(fresh_blocks) == 4
+
+
+def test_block_lookup_hashes_no_fraction(monkeypatch):
+    # the form's key is made once per form and the box contents once per
+    # spec, so a warm lookup hashes no Fraction and builds no tableau
+    form = GForm.from_matrix([[Fraction(1, 2), 0, 0], [0, 3, 0], [0, 0, Fraction(-2, 7)]])
+    repmatrix.swz_terms(FusedModuleSpec.from_string(form, "1,1:1/5;2:-3/7"))
+    Z = FusedModuleSpec.from_string(form, "1,1:2/7;2:-4/11")
+    hashed = []
+    real = Fraction.__hash__
+    monkeypatch.setattr(Fraction, "__hash__", lambda q: hashed.append(q) or real(q))
+    monkeypatch.setattr(repmatrix, "column_tableau", None)
+    for _ in range(2):
+        repmatrix.swz_terms(Z)
+    assert hashed == []
 
 
 def test_second_point_of_a_shape_builds_no_block(fresh_blocks, capsys):

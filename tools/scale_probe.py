@@ -1,11 +1,12 @@
-"""Print stage times of twistfusion at so3 modules of dimension 9, 18 and 27.
+"""Print stage times of twistfusion at modules of dimension 9, 18, 27 and 36.
 
     python3 tools/scale_probe.py [--stages LIST]
 
 The package is imported from ``src/`` next to this script.  The modules are
 so3 ``1,1:-1/3;1,1:1/5`` (dim 9), ``1,1:1/5;2:-3/7`` (dim 18) and
-``3,2,1/2,1:1/7`` (dim 27).  LIST is a comma list of stages, run in this
-order, default all of them:
+``3,2,1/2,1:1/7`` (dim 27), and so4 ``1,1:1/5;1,1:-2/7`` (dim 36), which
+runs only the ``witness`` stage.  LIST is a comma list of stages, run in
+this order, default all of them:
 
   * ``phi``: ``irreducibility.phi_leading``, pair blocks and frame product,
     with how many ``int_matmul`` calls it made, how many of them failed the
@@ -16,7 +17,9 @@ order, default all of them:
     and S blocks come from the block cache the first point filled;
   * ``rank``: ``irreducibility.surjectivity`` of that phi (needs ``phi``);
   * ``witness``: ``irreducibility.phi_witness``, the residue witness an
-    off-wall verdict runs instead of ``phi`` and ``rank``, with the
+    off-wall verdict runs instead of ``phi`` and ``rank``: it reads each
+    block's lowest frame mod p from the residues of the cached argument
+    block, without substituting the blocks exactly.  It prints the
     witnessed Laurent order and rank, or why a verdict would fall back to
     the exact path; a ``warm`` line as for ``phi`` (after ``phi`` the first
     line is warm too, since its blocks are cached);
@@ -41,7 +44,7 @@ order, default all of them:
 
 At dim 27, on a 2-vCPU Xeon VM, ``phi`` takes 7-10 s and ``witness``
 4.5-6.5 s, most of it building the two breve pair blocks; ``--stages
-relations`` takes about a second.
+relations`` takes about a second.  The dim-36 witness takes 1.2-1.4 s.
 Times are wall times of one run in this process.
 """
 
@@ -58,10 +61,12 @@ from contextlib import redirect_stdout
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 STAGES = ("phi", "rank", "witness", "burnside", "commutant", "relations", "scan")
-# each module with a second point of its shape for the warm phi line
-MODULES = (("1,1:-1/3;1,1:1/5", "1,1:2/7;1,1:-3/11"),
-           ("1,1:1/5;2:-3/7", "1,1:-2/9;2:4/11"),
-           ("3,2,1/2,1:1/7", None))
+# (form, N, modules, a second point of the shape for the warm lines, the
+# stages the module runs: None for all)
+MODULES = (("so", 3, "1,1:-1/3;1,1:1/5", "1,1:2/7;1,1:-3/11", None),
+           ("so", 3, "1,1:1/5;2:-3/7", "1,1:-2/9;2:4/11", None),
+           ("so", 3, "3,2,1/2,1:1/7", None, None),
+           ("so", 4, "1,1:1/5;1,1:-2/7", None, ("witness",)))
 SCAN_GRID = "-1/3,2/7;1/5,-3/11"
 
 
@@ -136,11 +141,12 @@ def _timed(label: str, fn, note):
     return out
 
 
-def probe(tf, modules: str, warm, stages, counts: Counter, matmuls: Counter) -> None:
+def probe(tf, kind: str, N: int, modules: str, warm, stages, counts: Counter,
+          matmuls: Counter) -> None:
     irr, repmatrix = tf.irreducibility, tf.repmatrix
-    so3 = tf.tensor.GForm.default("so", 3)
-    Z = repmatrix.FusedModuleSpec.from_string(so3, modules)
-    print(f"so3 {modules}  dim {Z.dimZ}", flush=True)
+    form = tf.tensor.GForm.default(kind, N)
+    Z = repmatrix.FusedModuleSpec.from_string(form, modules)
+    print(f"{kind}{N} {modules}  dim {Z.dimZ}", flush=True)
     if "phi" in stages:
         matmuls.clear()
         phi = _timed("phi_leading", lambda: irr.phi_leading(Z),
@@ -150,13 +156,13 @@ def probe(tf, modules: str, warm, stages, counts: Counter, matmuls: Counter) -> 
                    lambda r: f"rank {r[0]} of {Z.dimZ ** 2}")
         if warm is not None:
             matmuls.clear()
-            W = repmatrix.FusedModuleSpec.from_string(so3, warm)
+            W = repmatrix.FusedModuleSpec.from_string(form, warm)
             _timed("phi_leading (warm)", lambda: irr.phi_leading(W),
                    lambda p: f"at {warm}; " + _phi_note(tf.linalg, p, matmuls))
     if "witness" in stages:
         _timed("phi_witness", lambda: irr.phi_witness(Z), lambda w: _witness_note(irr, Z, w))
         if warm is not None:
-            W = repmatrix.FusedModuleSpec.from_string(so3, warm)
+            W = repmatrix.FusedModuleSpec.from_string(form, warm)
             _timed("phi_witness (warm)", lambda: irr.phi_witness(W),
                    lambda w: f"at {warm}; " + _witness_note(irr, W, w))
     if "burnside" in stages:
@@ -203,8 +209,10 @@ def main(argv=None) -> int:
     counts = _record_kernels(tf.repmatrix)
     matmuls = _record_matmuls(tf.linalg, (tf.tensor, tf.repmatrix, tf.irreducibility))
     if set(stages) - {"scan"}:
-        for modules, warm in MODULES:
-            probe(tf, modules, warm, stages, counts, matmuls)
+        for kind, N, modules, warm, only in MODULES:
+            run = [s for s in stages if only is None or s in only]
+            if run:
+                probe(tf, kind, N, modules, warm, run, counts, matmuls)
     if "scan" in stages:
         scan_probe(cli)
     return 0
