@@ -55,7 +55,6 @@ from .tensor import (
     GForm,
     MatrixLaurentSeries,
     TensorOperator,
-    _slot_rest_index,
     _WindowExhausted,
     embed_matrix,
     restricted_chain,
@@ -162,10 +161,7 @@ class FusedModuleSpec:
 
     @property
     def dimZ(self) -> int:
-        out = 1
-        for d in self.factor_dims:
-            out *= d
-        return out
+        return math.prod(self.factor_dims)
 
     def contents(self, i: int) -> tuple[int, ...]:
         return self._contents[i]
@@ -435,28 +431,30 @@ def term_residue(terms, dims, p: int) -> tuple[int, np.ndarray] | None:
     mod p come from the argument block (FrameBlock.residue), from the exact
     block only when that residue cannot tell k0.
 
-    The product starts at the identity and multiplies each lowest frame in
-    on its slots, with the gather and scatter of
-    MatrixLaurentSeries.__matmul__, in float64 on BLAS: an entry sums
-    d_slots products of two residues, exact in float64 while d_slots (p -
-    1)^2 < 2^53, and is reduced mod p in int64 after each product."""
-    D = math.prod(dims)
-    maps = [_slot_rest_index(slots, dims) for _, slots in terms]
-    if any(m.shape[0] * (p - 1) ** 2 >= _FLOAT_EXACT for m in maps):
+    The product starts at the identity, float64 residues on a row axis and
+    one axis per leg; each lowest frame contracts its slots' axes, moved
+    last, on BLAS (Van Loan 2000).  An entry is an integer X < d_slots (p -
+    1)^2 < 2^53, reduced to X - floor(X / p) p: exact, as X / p lies at
+    least 1/p, more than its rounding error, below the next integer."""
+    D, legs = math.prod(dims), list(range(len(dims)))
+    if any(math.prod(dims[s] for s in slots) * (p - 1) ** 2 >= _FLOAT_EXACT
+           for _, slots in terms):
         return None
-    acc = np.eye(D, dtype=np.int64)
+    acc = np.eye(D).reshape(D, *dims)
     order = -sum(term.den.count(-term.t) for term, _ in terms)  # factors zero at y = 0
-    for (term, _), slot_map in zip(terms, maps):
+    for term, slots in terms:
         k0, low = term.block.residue(term.t, term.s, p) or term.exact().residue(0, 1, p)
         if k0 is None:
             return order, np.zeros((D, D), dtype=np.int64)
         order += k0
-        cols = slot_map.T  # [rest, slot]
-        gathered = acc[:, cols].reshape(-1, cols.shape[1]).astype(np.float64)
-        prod = (gathered @ low.astype(np.float64)).astype(np.int64) % p
-        acc = np.empty((D, D), dtype=np.int64)
-        acc[:, cols] = prod.reshape((D,) + cols.shape)
-    return order, acc
+        moved = [leg for leg in legs if leg not in slots] + list(slots)
+        acc = acc.transpose([0] + [1 + legs.index(leg) for leg in moved])
+        prod = acc.reshape(-1, low.shape[0]) @ low.astype(np.float64)
+        quot = prod / p
+        prod -= np.multiply(np.floor(quot, out=quot), p, out=quot)
+        acc, legs = prod.reshape(acc.shape), moved
+    acc = acc.transpose([0] + [1 + legs.index(leg) for leg in range(len(dims))])
+    return order, acc.reshape(D, D).astype(np.int64)
 
 
 def frame_residue(blocks, dims, p: int) -> tuple[int, np.ndarray] | None:

@@ -38,10 +38,6 @@ _F0 = Fraction(0)
 _F1 = Fraction(1)
 
 
-def _prod(xs) -> int:
-    return math.prod(xs) if xs else 1
-
-
 # ---------------------------------------------------------------------------
 # bilinear form
 
@@ -110,7 +106,7 @@ class TensorOperator:
 
     def __init__(self, mat: np.ndarray, dims):
         dims = tuple(int(d) for d in dims)
-        D = _prod(dims)
+        D = math.prod(dims)
         if mat.shape != (D, D):
             raise DimensionMismatch(f"matrix {mat.shape} incompatible with legs {dims}")
         self.mat = mat
@@ -118,7 +114,7 @@ class TensorOperator:
 
     @classmethod
     def identity(cls, dims) -> "TensorOperator":
-        return cls(feye(_prod(tuple(dims))), dims)
+        return cls(feye(math.prod(tuple(dims))), dims)
 
     @property
     def size(self) -> int:
@@ -205,7 +201,7 @@ def permutation_op(perm, N: int) -> TensorOperator:
     if sorted(perm) != list(range(1, n + 1)):
         raise IndexOutOfRange(f"not a permutation of 1..{n}: {perm}")
     dims = (N,) * n
-    D = _prod(dims)
+    D = math.prod(dims)
     digits = np.unravel_index(np.arange(D), dims)
     new_digits = [None] * n
     for k in range(n):
@@ -248,7 +244,7 @@ def _slot_rest_index(slots, dims) -> np.ndarray:
 def _slot_rest_index_of(slots: tuple, dims: tuple) -> np.ndarray:
     n = len(dims)
     rest = tuple(i for i in range(n) if i not in slots)
-    D = _prod(dims)
+    D = math.prod(dims)
     digits = np.unravel_index(np.arange(D), dims) if n else ()
     sdims = tuple(dims[s] for s in slots)
     rdims = tuple(dims[r] for r in rest)
@@ -262,7 +258,7 @@ def _slot_rest_index_of(slots: tuple, dims: tuple) -> np.ndarray:
         if rest
         else np.zeros(D, dtype=np.int64)
     )
-    out = np.empty((_prod(sdims), _prod(rdims)), dtype=np.int64)
+    out = np.empty((math.prod(sdims), math.prod(rdims)), dtype=np.int64)
     out[scode, rcode] = np.arange(D)
     out.flags.writeable = False
     return out
@@ -435,7 +431,7 @@ def apply_factor_chain(V: np.ndarray, dims, chain) -> tuple[list[np.ndarray], Fr
     runs on integers: each factor is multiplied by the lcm L of its
     denominators, so the scale is 1 / prod(L)."""
     dims = tuple(dims)
-    rows = np.arange(_prod(dims))
+    rows = np.arange(math.prod(dims))
     digits = np.unravel_index(rows, dims)
     frames = [V]
     scale = _F1
@@ -443,7 +439,7 @@ def apply_factor_chain(V: np.ndarray, dims, chain) -> tuple[list[np.ndarray], Fr
         L = math.lcm(a.denominator, b.denominator, *(e[4].denominator for e in entries))
         scale /= L
         a, b = int(a * L), int(b * L)
-        sp, sq = _prod(dims[p + 1:]), _prod(dims[q + 1:])
+        sp, sq = math.prod(dims[p + 1:]), math.prod(dims[q + 1:])
         moves = []
         for (rp, rq, cp, cq, val) in entries:
             tgt = rows[(digits[p] == rp) & (digits[q] == rq)]

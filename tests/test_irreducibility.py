@@ -44,6 +44,7 @@ from twistfusion.tensor import (
     GForm,
     MatrixLaurentSeries,
     TensorOperator,
+    _slot_rest_index,
     contraction_map_matrix,
     structural_ops,
 )
@@ -682,6 +683,35 @@ def test_block_residues_match_the_exact_blocks():
         got, want = term_residue(terms, dims, p), frame_residue(swz_frame_blocks(Z), dims, p)
         assert got[0] == want[0] and np.array_equal(got[1], want[1]), Z
     assert deferred == 4
+
+
+def _gather_scatter_residue(terms, dims, p):
+    """The reference for term_residue: the accumulator's columns gathered by
+    slot map (_slot_rest_index) into (rest, slot) rows, multiplied by each
+    lowest frame and scattered back, in int64 (a sum of d_slots products of
+    residues stays below 2^53 at these primes)."""
+    D = math.prod(dims)
+    acc = np.eye(D, dtype=np.int64)
+    order = -sum(term.den.count(-term.t) for term, _ in terms)
+    for term, slots in terms:
+        k0, low = term.block.residue(term.t, term.s, p) or term.exact().residue(0, 1, p)
+        if k0 is None:
+            return order, np.zeros((D, D), dtype=np.int64)
+        order += k0
+        cols = _slot_rest_index(slots, dims).T
+        prod = acc[:, cols].reshape(-1, cols.shape[1]) @ low % p
+        acc = np.empty_like(acc)
+        acc[:, cols] = prod.reshape((D,) + cols.shape)
+    return order, acc
+
+
+def test_term_residue_matches_a_gather_scatter_product():
+    for p in (3, irreducibility._WITNESS_PRIME):
+        for Z in _criterion_9_points() + _scan_walls_points():
+            terms, dims = swz_terms(Z), Z.factor_dims * 2
+            got, want = term_residue(terms, dims, p), _gather_scatter_residue(terms, dims, p)
+            assert got[0] == want[0] and np.array_equal(got[1], want[1]), (p, Z)
+            assert got[1].dtype == np.int64 and 0 <= got[1].min() and got[1].max() < p
 
 
 def test_block_residues_fall_back_to_the_exact_block_modulo_tiny_primes():

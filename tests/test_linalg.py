@@ -115,6 +115,52 @@ def test_rank_mod_p_drops_where_a_minor_vanishes():
     assert linalg.rank_exact(A) == 2
 
 
+_block_entries = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-2**40, 2**40))
+
+
+@st.composite
+def _permuted_blocks(draw):
+    """(A, p): blocks of any shape down the diagonal, an empty one giving
+    zero rows or columns, rows and columns permuted, as object, int64 or
+    float64 (whose integers below 2^53 are exact)."""
+    p = draw(st.sampled_from([2, 3, 5, 2097143, 2**31 - 1]))
+    shapes = draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=4))
+    A = np.zeros((sum(r for r, _ in shapes), sum(c for _, c in shapes)), dtype=object)
+    r0 = c0 = 0
+    for r, c in shapes:
+        A[r0:r0 + r, c0:c0 + c] = np.array(
+            draw(st.lists(_block_entries, min_size=r * c, max_size=r * c)), dtype=object
+        ).reshape(r, c)
+        r0, c0 = r0 + r, c0 + c
+    rows = np.array(draw(st.permutations(range(A.shape[0]))), dtype=int)
+    cols = np.array(draw(st.permutations(range(A.shape[1]))), dtype=int)
+    dtype = draw(st.sampled_from([object, np.int64, np.float64]))
+    return A[rows][:, cols].astype(dtype), p
+
+
+@settings(max_examples=300, deadline=None)
+@given(_permuted_blocks())
+@example((np.zeros((3, 4), dtype=np.int64), 5))
+@example((np.array([[0, 4, 0, 6]], dtype=object), 2))
+@example((np.array([[0], [3], [0]], dtype=np.float64), 3))
+@example((np.array([[0], [3], [0]], dtype=np.float64), 5))
+def test_rank_mod_p_matches_rref_on_permuted_blocks(case):
+    A, p = case
+    assert linalg.rank_mod_p(A, p) == len(linalg._modp_rref((A % p).astype(np.int64), p)[0])
+
+
+def test_rank_mod_p_counts_a_block_that_loses_rank_only_mod_p():
+    # blocks [[1, 1], [1, 3]] (determinant 2) and [[2, 1, 0], [1, 1, 1]] on
+    # permuted rows and columns: modulo 2 only the first loses rank
+    A = np.array([[0, 2, 0, 1, 0],
+                  [1, 0, 1, 0, 0],
+                  [0, 1, 0, 1, 1],
+                  [1, 0, 3, 0, 0]], dtype=np.int64)
+    assert linalg.stacked_blocks(A, 2).shape[0] == 2
+    assert [linalg.rank_mod_p(A, p) for p in (2, 3)] == [3, 4]
+    assert linalg.rank_exact(A.astype(object)) == 4
+
+
 _P0 = linalg._PRIMES[0]
 
 

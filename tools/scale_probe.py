@@ -22,7 +22,10 @@ this order, default all of them:
     block, without substituting the blocks exactly.  It prints the
     witnessed Laurent order and rank, or why a verdict would fall back to
     the exact path; a ``warm`` line as for ``phi`` (after ``phi`` the first
-    line is warm too, since its blocks are cached);
+    line is warm too, since its blocks are cached).  Below each line, the
+    witness time split between its residue product (``term_residue``) and
+    its rank mod p (``rank_mod_p``), and the number of independent blocks
+    (connected components) of the contraction matrix with the largest;
   * ``burnside``: ``irreducibility.burnside``, the Burnside growth of the
     algebra the S(u) coefficients generate, with its dimension, the number
     of words and whether the exact closure proof ran (only when the words
@@ -43,8 +46,8 @@ this order, default all of them:
     cached here, and the workers inherit them when they fork.
 
 At dim 27, on a 2-vCPU Xeon VM, ``phi`` takes 7-10 s and ``witness``
-4.5-6.5 s, most of it building the two breve pair blocks; ``--stages
-relations`` takes about a second.  The dim-36 witness takes 1.2-1.4 s.
+4.4-6 s, most of it building the two breve pair blocks; ``--stages
+relations`` takes about a second.  The dim-36 witness takes 0.5-0.6 s.
 Times are wall times of one run in this process.
 """
 
@@ -114,6 +117,38 @@ def _record_matmuls(linalg, modules) -> Counter:
     return counts
 
 
+def _record_witness(irr) -> dict:
+    """Time the residue product and the rank of each witness, and keep the
+    rank's matrix and prime: rebinds ``term_residue`` and ``rank_mod_p`` in
+    ``irreducibility``."""
+    seen: dict = {}
+
+    def timed(name, fn):
+        def run(*args):
+            t0 = time.perf_counter()
+            out = fn(*args)
+            seen[name] = time.perf_counter() - t0
+            if name == "rank_mod_p":
+                seen["matrix"], seen["p"] = args
+            return out
+        return run
+
+    irr.term_residue = timed("term_residue", irr.term_residue)
+    irr.rank_mod_p = timed("rank_mod_p", irr.rank_mod_p)
+    return seen
+
+
+def _witness_split(linalg, seen: dict) -> str:
+    if "rank_mod_p" not in seen:
+        return "    (no rank: no residue at this prime)"
+    S = linalg.stacked_blocks(seen["matrix"], seen["p"])
+    rows, cols = S.any(axis=2).sum(axis=1), S.any(axis=1).sum(axis=1)
+    k = int((rows * cols).argmax())
+    return (f"    term_residue {seen['term_residue']:.3f} s, rank_mod_p {seen['rank_mod_p']:.3f} s; "
+            f"{seen['matrix'].shape[0]} x {seen['matrix'].shape[1]} contraction, "
+            f"{S.shape[0]} blocks, largest {rows[k]} x {cols[k]}")
+
+
 def _phi_note(linalg, phi, matmuls: Counter) -> str:
     mat = phi.coeff.mat
     content = math.gcd(*mat.ravel().tolist())
@@ -142,7 +177,7 @@ def _timed(label: str, fn, note):
 
 
 def probe(tf, kind: str, N: int, modules: str, warm, stages, counts: Counter,
-          matmuls: Counter) -> None:
+          matmuls: Counter, seen: dict) -> None:
     irr, repmatrix = tf.irreducibility, tf.repmatrix
     form = tf.tensor.GForm.default(kind, N)
     Z = repmatrix.FusedModuleSpec.from_string(form, modules)
@@ -160,11 +195,15 @@ def probe(tf, kind: str, N: int, modules: str, warm, stages, counts: Counter,
             _timed("phi_leading (warm)", lambda: irr.phi_leading(W),
                    lambda p: f"at {warm}; " + _phi_note(tf.linalg, p, matmuls))
     if "witness" in stages:
+        seen.clear()
         _timed("phi_witness", lambda: irr.phi_witness(Z), lambda w: _witness_note(irr, Z, w))
+        print(_witness_split(tf.linalg, seen), flush=True)
         if warm is not None:
+            seen.clear()
             W = repmatrix.FusedModuleSpec.from_string(form, warm)
             _timed("phi_witness (warm)", lambda: irr.phi_witness(W),
                    lambda w: f"at {warm}; " + _witness_note(irr, W, w))
+            print(_witness_split(tf.linalg, seen), flush=True)
     if "burnside" in stages:
         _timed("burnside", lambda: irr.burnside(Z),
                lambda b: f"dim {b.dim} of {Z.dimZ ** 2}; {len(b.words)} words, closure proof "
@@ -208,11 +247,12 @@ def main(argv=None) -> int:
 
     counts = _record_kernels(tf.repmatrix)
     matmuls = _record_matmuls(tf.linalg, (tf.tensor, tf.repmatrix, tf.irreducibility))
+    seen = _record_witness(tf.irreducibility)
     if set(stages) - {"scan"}:
         for kind, N, modules, warm, only in MODULES:
             run = [s for s in stages if only is None or s in only]
             if run:
-                probe(tf, kind, N, modules, warm, run, counts, matmuls)
+                probe(tf, kind, N, modules, warm, run, counts, matmuls, seen)
     if "scan" in stages:
         scan_probe(cli)
     return 0
