@@ -235,7 +235,7 @@ def cmd_irreducible(args) -> int:
         print(f"on wall: {rep.on_wall or 'no'}")
         print(f"Laurent order {rep.laurent_order}, rank {rep.phi_rank}, "
               f"surjective: {rep.phi_surjective}")
-        print(f"algebra dim {rep.algebra_dim}/{spec.dimZ ** 2} (K={rep.K})")
+        print(f"algebra dim {rep.algebra_dim}/{spec.dimZ ** 2}")
         print(f"verdict: {rep.verdict}")
     return 0
 

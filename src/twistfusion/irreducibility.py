@@ -426,7 +426,6 @@ class IrreducibilityReport:
     phi_rank: int
     phi_surjective: bool
     algebra_dim: int
-    K: int
     verdict: str
 
     def to_json(self) -> dict:
@@ -437,7 +436,6 @@ class IrreducibilityReport:
             "phi_rank": self.phi_rank,
             "phi_surjective": self.phi_surjective,
             "algebra_dim": self.algebra_dim,
-            "K": self.K,
             "verdict": self.verdict,
         }
 
@@ -450,7 +448,6 @@ class IrreducibilityReport:
             phi_rank=int(data["phi_rank"]),
             phi_surjective=bool(data["phi_surjective"]),
             algebra_dim=int(data["algebra_dim"]),
-            K=int(data["K"]),
             verdict=str(data["verdict"]),
         )
 
@@ -462,9 +459,9 @@ def default_truncation(Z: FusedModuleSpec) -> int:
     2n, so q(u) S_Z(u) is a polynomial and its u^-m coefficient vanishes for
     m >= 1: sum_i q_i S_(m+i) = 0.  Each S_k with k > 2n is therefore a fixed
     combination of the 2n coefficients before it, and S_1 .. S_2n span all of
-    them: the blocks of S_1 .. S_2n generate A_Z (algebra_generators).  A
-    report names K, two orders past them, and commutant_dim at K is the
-    commutant of every coefficient, already reached at K - 1."""
+    them: the blocks of S_1 .. S_2n generate A_Z (algebra_generators).  K
+    is two orders past them, so commutant_dim at K is the commutant of every
+    coefficient, already reached at K - 1.  No verdict reads K."""
     return 2 * Z.n_total + 2
 
 
@@ -475,7 +472,6 @@ def verdict(Z: FusedModuleSpec) -> IrreducibilityReport:
     residue witness, which gives the exact report when it proves it.  A phi
     of rank above dim A_Z contradicts the theory (its image lies in A_Z)
     and aborts."""
-    K = default_truncation(Z)
     params = [z for _, z in Z.factors]
     on_wall = [c.describe() for c in walls(Z).violated(params)]
     full = Z.dimZ**2
@@ -496,7 +492,6 @@ def verdict(Z: FusedModuleSpec) -> IrreducibilityReport:
         phi_rank=rank,
         phi_surjective=surj,
         algebra_dim=dim,
-        K=K,
         verdict="irreducible" if dim == full else "reducible",
     )
 

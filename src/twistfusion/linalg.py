@@ -193,18 +193,20 @@ def float_kernels(arrays, bound: int, inner: int, weight: int):
         f"the primes below 2^{width} do not reach a {bound.bit_length()}-bit bound")
 
 
-def reduce_mod(X: np.ndarray, p: int) -> np.ndarray:
+def reduce_mod(X: np.ndarray, p: int, scratch=None) -> np.ndarray:
     """X - m p, m the nearest integer to X * fl(1/p): a representative of
     X mod p of absolute value below p, for an integer-valued float64 array X
-    with |X| <= 2^53 - p and a prime p >= 7.
+    with |X| <= 2^53 - p and a prime p >= 7.  With ``scratch``, a float64
+    array of X's shape, m p is formed there and the result overwrites X, so
+    nothing is allocated.
 
     X * fl(1/p) is within |X| / p * 2^-52 (1 + 2^-53) < 2 / p of X / p, so
     m is within 1/2 + 2/p < 1 of it, |X - m p| < p and |m p| <= 2^53: every
     step is exact, and cheaper than the division of numpy's float remainder."""
-    m = np.multiply(X, 1.0 / p)
+    m = np.multiply(X, 1.0 / p, out=scratch)
     np.rint(m, out=m)
     m *= p
-    return np.subtract(X, m, out=m)
+    return np.subtract(X, m, out=m if scratch is None else X)
 
 
 def int_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:

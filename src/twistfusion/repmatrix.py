@@ -599,15 +599,21 @@ class RelationReport:
         )
 
 
-def _aux(diag: Fraction, X: np.ndarray, scale: Fraction) -> np.ndarray:
+def _aux(diag, X: np.ndarray, scale: Fraction) -> np.ndarray:
     """diag * 1 + scale * X on the two auxiliary legs, for an integer
     N^2 x N^2 matrix X, times the lcm of the denominators of diag and scale:
-    an integer object matrix.  R(u-v) = (u-v) - P and R'(u+v) = -(u+v) - Q
-    are such matrices.  Both sides of a relation are linear in each of them,
-    so the factor does not change equality."""
-    L = math.lcm(diag.denominator, scale.denominator)
-    one = np.eye(len(X), dtype=np.int64).astype(object)
-    return one * int(diag * L) + X * int(scale * L)
+    an integer matrix (int64 when it and its sums fit), or a stack of them
+    for an array of diag, each with its own lcm.  R(u-v) = (u-v) - P and
+    R'(u+v) = -(u+v) - Q are such matrices.  Both sides of a relation are
+    linear in each of them, so the factor does not change equality."""
+    diag = np.asarray(diag, dtype=object)
+    lcms = [math.lcm(q.denominator, scale.denominator) for q in diag.flat]
+    a = [q.numerator * (L // q.denominator) for q, L in zip(diag.flat, lcms)]
+    b = [scale.numerator * (L // scale.denominator) for L in lcms]
+    top = (max(map(abs, a)) + max(map(abs, b)) * max_abs(X)) * X.size
+    dtype = np.int64 if int64_certified(top) else object
+    a, b = (np.array(c, dtype=dtype).reshape(diag.shape + (1, 1)) for c in (a, b))
+    return np.eye(len(X), dtype=dtype) * a + X.astype(dtype) * b
 
 
 def _blocked(mat: np.ndarray, N: int, d: int) -> np.ndarray:
@@ -624,84 +630,123 @@ def _blocked(mat: np.ndarray, N: int, d: int) -> np.ndarray:
     return blocks.astype(np.int64) if int64_certified(max_abs(blocks)) else blocks
 
 
-def _weight(R: np.ndarray) -> int:
-    return int(np.abs(R).sum())
+# Float64 entries of each of the three reused work buffers of a relation
+# check, N^4 d^2 per sample pair of a batch.  49152 is the largest multiple
+# of 2^14 below two dim-18 pairs: dims 18 and 27 go one pair at a time, as
+# larger batches ran no faster, and the small modules, whose pairs cost
+# more in per-call overhead than in arithmetic, 7 pairs (dim 9) or more.
+_RELATION_ELEMENTS = 49152
 
 
-def _reduced(X, p):
-    """X mod p in a residue kernel; X itself in the exact kernel (p None)."""
-    return X if p is None else reduce_mod(X, p)
+def _reduced(X, p, scratch):
+    """X mod p, in place with the buffer scratch; X itself when p is None."""
+    return X if p is None else reduce_mod(X, p, scratch)
 
 
-def _sides_agree(lhs, rhs, p) -> bool:
-    return np.array_equal(lhs, rhs) if p is None else not reduce_mod(lhs - rhs, p).any()
+def _agree(lhs, rhs, p, diff) -> np.ndarray:
+    """Per pair of the leading axis: lhs as [rows, columns] == rhs as
+    [columns, rows], over Z (p None) or mod p; lhs and diff are overwritten."""
+    c, n2 = lhs.shape[:2]
+    rhs = rhs.reshape(c, n2, n2, -1).swapaxes(1, 2)
+    diff = np.subtract(lhs.reshape(rhs.shape), rhs, out=diff.reshape(rhs.shape))
+    return ~_reduced(diff, p, lhs.reshape(rhs.shape)).reshape(c, -1).any(axis=1)
 
 
-def _block_products(A, B):
-    """The (N, N, N, N, d, d) stack of d x d block products A[a, k] B[b, l]
-    at [a, b, k, l], for (N, N, d, d) block arrays A and B."""
-    return A[:, None, :, None] @ B[None, :, None, :]
+def _rtt_sides(A, B, Rm, p, work):
+    c, n2 = len(A), A.shape[1] ** 2
+    W0, W1, W2 = (w[:A.size * n2].reshape(A.shape[:3] + A.shape[1:]) for w in work)
+    np.matmul(A[:, :, None, :, None], B[:, None, :, None, :], out=W0)  # Tu[a, k] Tv[b, l]
+    lhs = np.matmul(Rm, _reduced(W0, p, W1).reshape(c, n2, -1), out=W1.reshape(c, n2, -1))
+    # Tv[y, j] Tu[x, i] at [i, j, x, y]
+    np.matmul(B.swapaxes(1, 2)[:, None, :, None, :], A.swapaxes(1, 2)[:, :, None, :, None], out=W0)
+    rhs = np.matmul(Rm.swapaxes(1, 2), _reduced(W0, p, W2).reshape(c, n2, -1),
+                    out=W2.reshape(c, n2, -1))
+    return _agree(lhs, rhs, p, W0)
 
 
-def _rtt_holds(Tu, Tv, R: np.ndarray) -> bool:
-    """R(u-v) T_1(u) T_2(v) = T_2(v) T_1(u) R(u-v) on the (N, N, d, d)
-    integer blocks of T(u) and T(v), with R the integer N^2 x N^2 matrix of
-    R(u-v).
+def _reflection_sides(A, B, Rm, Rq, p, work):
+    c, n2 = len(A), A.shape[1] ** 2
+    W0, W1, W2 = (w[:A.size * n2].reshape(A.shape[:3] + A.shape[1:]) for w in work)
+    At, Bt = A.swapaxes(1, 2), B.swapaxes(1, 2)
+    np.matmul(At[:, :, None, :, None], B[:, None, :, None, :], out=W0)  # Su[i, a] Sv[dd, l]
+    X = np.matmul(Rq, _reduced(W0, p, W1).reshape(c, n2, -1), out=W1.reshape(c, n2, -1))
+    W0[...] = X.reshape(W0.shape).transpose(0, 3, 1, 2, 4, 5, 6)  # X at [i, b, c, l]
+    lhs = np.matmul(Rm, W0.reshape(c, n2, -1), out=W2.reshape(c, n2, -1))
+    np.matmul(Bt[:, :, None, :, None], A[:, None, :, None, :], out=W0)  # Sv[j, b] Su[c, k]
+    Y = np.matmul(Rq.swapaxes(1, 2), _reduced(W0, p, W1).reshape(c, n2, -1),
+                  out=W1.reshape(c, n2, -1))
+    W0[...] = Y.reshape(W0.shape).transpose(0, 4, 2, 1, 3, 5, 6)  # Y at [k, dd, a, j]
+    rhs = np.matmul(Rm.swapaxes(1, 2), W0.reshape(c, n2, -1), out=W1.reshape(c, n2, -1))
+    return _agree(lhs, rhs, p, W0)
+
+
+def _decide(samples, auxes, sides):
+    """One bool per pair of the batch, the broadcast leading axes of two
+    (..., N, N, d, d) sample stacks and of integer (..., N^2, N^2) auxes, or
+    one bool without them.  With weight the product of the sums |aux|, the
+    pairs of bound max|a| * max|b| * d * weight below 2^53 share the exact
+    kernel, the others the residue kernels of the largest of their bounds,
+    an upper bound for each; each kernel converts the sample stacks once.
+    A pair fails when any kernel sees its sides differ, and later kernels
+    skip it.  ``sides`` takes _RELATION_ELEMENTS // (N^4 d^2) pairs, at
+    least one, at a time, in row-major order."""
+    samples, auxes = [A[None] for A in samples], [R[None] for R in auxes]
+    N, d = samples[0].shape[-4], samples[0].shape[-1]
+    weights = math.prod(np.abs(R).sum(axis=(-2, -1)).astype(object) for R in auxes)
+    shape = np.broadcast_shapes(*(A.shape[:-4] for A in samples), *(R.shape[:-2] for R in auxes))
+    a, b = (np.abs(A).reshape(A.shape[:-4] + (-1,)).max(axis=-1).astype(object) for A in samples)
+    bounds = np.broadcast_to(a * b * weights * d, shape).ravel()
+    exact = bounds < _FLOAT_EXACT
+    auxes = [np.broadcast_to(R.astype(np.float64), shape + R.shape[-2:]) for R in auxes]
+    step = max(1, _RELATION_ELEMENTS // (N**4 * d * d))
+    work = np.empty((3, step * N**4 * d * d))
+    ok = np.ones(len(bounds), dtype=bool)
+    for group in (g for g in (exact, ~exact) if g.any()):
+        for arrays, p in float_kernels(samples, int(bounds[group].max()), d, int(weights.max())):
+            arrays = [np.broadcast_to(A, shape + A.shape[-4:]) for A in arrays]
+            live = np.flatnonzero(ok & group)
+            for k in range(0, len(live), step):
+                at = np.unravel_index(live[k:k + step], shape)
+                ok[live[k:k + step]] = sides(*(X[at] for X in arrays + auxes), p, work)
+            if not (ok & group).any():
+                break
+    return ok.reshape(shape)[0] if len(shape) > 1 else bool(ok[0])
+
+
+def _rtt_holds(Tu, Tv, R: np.ndarray):
+    """R(u-v) T_1(u) T_2(v) = T_2(v) T_1(u) R(u-v) on the (..., N, N, d, d)
+    integer blocks of T(u) and T(v), with R the integer (..., N^2, N^2)
+    matrices of R(u-v): one bool per sample pair of the broadcast leading
+    axes (see _decide), or one bool when there are none.
 
     T_1(u) T_2(v) is the stack Tu[a, k] Tv[b, l] at [a, b, k, l], so lhs is
     R applied to its first two axes; T_2(v) T_1(u) is the stack
-    Tv[y, j] Tu[x, i] at [x, y, i, j], so rhs is R^T applied to its middle
-    two axes.  Both sides, and every partial sum, are at most
+    Tv[y, j] Tu[x, i] at [i, j, x, y], so rhs, with its column pair first,
+    is R^T (a swap of the last two axes only) applied to its first two axes.
+    Both sides, and every partial sum, are at most
     bound = max|Tu| * max|Tv| * d * sum|R| in absolute value, and the
     kernels of float_kernels decide: below 2^53 exactly, otherwise modulo
     primes whose product exceeds 2 * bound, the block products reduced mod p
-    and lhs - rhs once.  The first prime at which the sides differ refutes
-    the relation."""
-    N, d = Tu.shape[0], Tu.shape[2]
-    w = _weight(R)
-    bound = max_abs(Tu) * max_abs(Tv) * d * w
-    for (A, B), p in float_kernels((Tu, Tv), bound, d, w):
-        Rm = R.astype(np.float64)
-        M1 = _reduced(_block_products(A, B), p)
-        M2 = _reduced(_block_products(B, A), p).transpose(1, 0, 3, 2, 4, 5)  # [x, y, i, j]
-        lhs = Rm @ M1.reshape(N * N, -1)
-        rhs = Rm.T @ M2.reshape(N * N, N * N, d * d)
-        if not _sides_agree(lhs, rhs.reshape(N * N, -1), p):
-            return False
-    return True
+    and lhs - rhs once."""
+    return _decide((Tu, Tv), (R,), _rtt_sides)
 
 
-def _reflection_holds(Su, Sv, R: np.ndarray, Rp: np.ndarray) -> bool:
-    """R S_1(u) R' S_2(v) = S_2(v) R' S_1(u) R on the (N, N, d, d) integer
-    blocks of S(u) and S(v), with R(u-v) and R'(u+v) integer N^2 x N^2
-    matrices.
+def _reflection_holds(Su, Sv, R: np.ndarray, Rp: np.ndarray):
+    """R S_1(u) R' S_2(v) = S_2(v) R' S_1(u) R on the (..., N, N, d, d)
+    integer blocks of S(u) and S(v), with R(u-v) and R'(u+v) integer
+    (..., N^2, N^2) matrices: one bool per sample pair, as in _rtt_holds.
 
     R' is read as the matrix Rq[(b, c), (a, dd)] = R'[(a, b), (c, dd)].
     X = S_1(u) R' S_2(v) is Rq applied to the stack Su[i, a] Sv[dd, l] at
     [a, dd, i, l], then one axis transpose; lhs is R applied to X as in
-    _rtt_holds.  Y = S_2(v) R' S_1(u) is Rq^T applied to the middle axes of
-    the stack Sv[j, b] Su[c, k] at [j, k, b, c], then one axis transpose;
-    rhs is R^T applied to the middle axes of Y.  Both sides are at most
+    _rtt_holds.  Y = S_2(v) R' S_1(u) is Rq^T applied to the stack
+    Sv[j, b] Su[c, k] at [b, c, j, k], then one axis transpose; rhs is R^T
+    applied to Y, with its column pair first.  Both sides are at most
     bound = max|Su| * max|Sv| * d * sum|R| * sum|R'| in absolute value, and
     so is every partial sum; the kernels decide as in _rtt_holds, with the
     weight sum|R| * sum|R'| of the two coefficient stages."""
-    N, d = Su.shape[0], Su.shape[2]
-    n2 = N * N
-    w = _weight(R) * _weight(Rp)
-    bound = max_abs(Su) * max_abs(Sv) * d * w
-    for (A, B), p in float_kernels((Su, Sv), bound, d, w):
-        Rm = R.astype(np.float64)
-        Rq = Rp.astype(np.float64).reshape(N, N, N, N).transpose(1, 2, 0, 3).reshape(n2, n2)
-        At = A.transpose(1, 0, 2, 3)  # At[a, i] = Su[i, a]
-        X = Rq @ _reduced(_block_products(At, B), p).reshape(n2, -1)  # [b, c, i, l]
-        X = X.reshape(N, N, N, N, d, d).transpose(2, 0, 1, 3, 4, 5)  # [i, b, c, l]
-        lhs = Rm @ X.reshape(n2, -1)
-        Y = Rq.T @ _reduced(_block_products(B, At), p).reshape(n2, n2, d * d)  # [j, k, a, dd]
-        Y = Y.reshape(N, N, N, N, d, d).transpose(2, 0, 1, 3, 4, 5)  # [a, j, k, dd]
-        rhs = Rm.T @ Y.reshape(n2, n2, d * d)
-        if not _sides_agree(lhs, rhs.reshape(n2, -1), p):
-            return False
-    return True
+    Rq = np.moveaxis(Rp.reshape(Rp.shape[:-2] + (Su.shape[-4],) * 4), -4, -2).reshape(Rp.shape)
+    return _decide((Su, Sv), (R, Rq), _reflection_sides)
 
 
 def _sample_grid(size: int, poles) -> list[Fraction]:
@@ -715,70 +760,57 @@ def check_defining_relations(Z: FusedModuleSpec, samples=None) -> RelationReport
     """RTT and the reflection relation on Z, exactly, at a grid of rational
     points whose size beats the degree bound 2n+2 per variable (so agreement
     is an identity of rational functions); user-supplied samples are checked
-    individually with per-sample pole reporting.
+    as given, with per-sample pole reporting.
 
     The grid is _sample_grid(2n+3, poles).  The pole set is symmetric, so
-    -u0 is no pole either and S(u0) is defined."""
+    -u0 is no pole either and S(u0) is defined.  T(u0) and S(u0) go into one
+    block stack each, and one call of _rtt_holds or _reflection_holds
+    decides all pairs of a relation, for the grid as an outer product."""
     N, d = Z.N, Z.dimZ
-    n = Z.n_total
-    bound = 2 * n + 2
-    td = _t_data(Z)
-    dims = (N,) + Z.factor_dims
-    # g and g^-1 cleared to integers: the transposition they define is the
-    # true one times a nonzero scalar
-    int_form, _ = _cleared_form(Z.form)
-    (P, sp), (Q, sq) = (to_int_scaled(X.mat) for X in structural_ops(Z.form))
+    bound = 2 * Z.n_total + 2
     poles = {s * p for p in Z.all_box_params() for s in (1, -1)}
-
+    singular = []
     if samples is None:
-        grid = _sample_grid(bound + 1, poles)
-        pairs = [(u, v) for u in grid for v in grid]
-        proven_grid = True
+        points = _sample_grid(bound + 1, poles)
+        iu, iv = (slice(None), None), (None, slice(None))  # every pair, as views
     else:
         pairs = [(Fraction(u), Fraction(v)) for (u, v) in samples]
-        proven_grid = False
-
-    # T(u0) and S(u0) = T^t(-u0) T(u0), each up to its own nonzero scalar
-    cacheT: dict = {}
-    cacheS: dict = {}
-
-    def t_for(u0):
-        if u0 not in cacheT:
-            mat = td.at_int(u0)
-            cacheT[u0] = (mat, _blocked(mat, N, d))
-        return cacheT[u0]
-
-    def s_blocks_for(u0):
-        if u0 not in cacheS:
-            Tt = transpose_legs(TensorOperator(t_for(-u0)[0], dims), {1}, int_form).mat
-            cacheS[u0] = _blocked(primitive_part(int_matmul(Tt, t_for(u0)[0])), N, d)
-        return cacheS[u0]
-
-    rtt_fail, refl_fail, singular = [], [], []
-    rtt_n = refl_n = 0
-    for (u0, v0) in pairs:
-        if u0 in poles or v0 in poles:
-            singular.append(
-                {"u": str(u0), "v": str(v0), "error": "SingularParameter: sample at a pole"}
-            )
-            continue
-        R = _aux(u0 - v0, P, -sp)  # R(u-v) = (u-v) - P
-        Rp = _aux(-(u0 + v0), Q, -sq)  # R'(u+v) = -(u+v) - Q
-        rtt_n += 1
-        if not _rtt_holds(t_for(u0)[1], t_for(v0)[1], R):
-            rtt_fail.append((str(u0), str(v0)))
-        refl_n += 1
-        if not _reflection_holds(s_blocks_for(u0), s_blocks_for(v0), R, Rp):
-            refl_fail.append((str(u0), str(v0)))
+        singular = [{"u": str(u0), "v": str(v0), "error": "SingularParameter: sample at a pole"}
+                    for (u0, v0) in pairs if u0 in poles or v0 in poles]
+        pairs = [pair for pair in pairs if not poles.intersection(pair)]
+        points = list(dict.fromkeys(q for pair in pairs for q in pair))
+        iu, iv = (np.array([points.index(pair[k]) for pair in pairs], dtype=int) for k in (0, 1))
+    us, vs = np.broadcast_arrays(*(np.array(points, dtype=object)[i] for i in (iu, iv)))
+    rtt_ok = refl_ok = np.ones(us.shape, dtype=bool)
+    if points:
+        (P, sp), (Q, sq) = (to_int_scaled(X.mat) for X in structural_ops(Z.form))
+        # g and g^-1 cleared to integers: the transposition they define is
+        # the true one times a nonzero scalar
+        int_form, _ = _cleared_form(Z.form)
+        # T(u0) and S(u0) = T^t(-u0) T(u0), each up to its own nonzero scalar
+        t = {q: _t_data(Z).at_int(q) for q in points + [-q for q in points]}
+        dims = (N,) + Z.factor_dims
+        Ts = np.stack([_blocked(t[q], N, d) for q in points])
+        Ss = np.stack([_blocked(primitive_part(int_matmul(
+            transpose_legs(TensorOperator(t[-q], dims), {1}, int_form).mat, t[q])), N, d)
+            for q in points])
+        del t  # the stacks hold what the kernels need
+        R = _aux(us - vs, P, -sp)  # R(u-v) = (u-v) - P
+        Rp = _aux(-(us + vs), Q, -sq)  # R'(u+v) = -(u+v) - Q
+        rtt_ok = _rtt_holds(Ts[iu], Ts[iv], R)
+        refl_ok = _reflection_holds(Ss[iu], Ss[iv], R, Rp)
+    rtt_fail, refl_fail = (
+        [(str(u0), str(v0)) for u0, v0, good in zip(us.flat, vs.flat, ok.flat) if not good]
+        for ok in (rtt_ok, refl_ok))
     return RelationReport(
         spec=Z.spec_string(),
         degree_bound=bound,
-        rtt_checked=rtt_n,
+        rtt_checked=us.size,
         rtt_failures=rtt_fail,
-        reflection_checked=refl_n,
+        reflection_checked=us.size,
         reflection_failures=refl_fail,
         singular_samples=singular,
-        proven=proven_grid and not rtt_fail and not refl_fail,
+        proven=samples is None and not rtt_fail and not refl_fail,
     )
 
 

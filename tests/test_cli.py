@@ -71,7 +71,7 @@ def test_irreducible_json():
     assert data["algebra_dim"] == 16
     assert set(data) == {
         "spec", "on_wall", "laurent_order", "phi_rank", "phi_surjective",
-        "algebra_dim", "K", "verdict",
+        "algebra_dim", "verdict",
     }
 
 

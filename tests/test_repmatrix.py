@@ -450,6 +450,55 @@ def test_relations_grid_catches_a_perturbed_top_frame():
     assert not rep.proven and not rep.passed
 
 
+def _per_pair_failures(Z):
+    """The grid failures of each relation from one _rtt_holds and one
+    _reflection_holds call per sample pair, in (u, v) order."""
+    N, d = Z.N, Z.dimZ
+    poles = {s * p for p in Z.all_box_params() for s in (1, -1)}
+    grid = repmatrix._sample_grid(2 * Z.n_total + 3, poles)
+    td = repmatrix._t_data(Z)
+    int_form, _ = repmatrix._cleared_form(Z.form)
+    (P, sp), (Q, sq) = (linalg.to_int_scaled(X.mat) for X in structural_ops(Z.form))
+
+    def s_mat(u):
+        Tt = transpose_legs(TensorOperator(td.at_int(-u), td.dims), {1}, int_form).mat
+        return linalg.primitive_part(linalg.int_matmul(Tt, td.at_int(u)))
+
+    T = {u: repmatrix._blocked(td.at_int(u), N, d) for u in grid}
+    S = {u: repmatrix._blocked(s_mat(u), N, d) for u in grid}
+    rtt, refl = [], []
+    for u in grid:
+        for v in grid:
+            R = repmatrix._aux(u - v, P, -sp)
+            Rp = repmatrix._aux(-(u + v), Q, -sq)
+            if not repmatrix._rtt_holds(T[u], T[v], R):
+                rtt.append((str(u), str(v)))
+            if not repmatrix._reflection_holds(S[u], S[v], R, Rp):
+                refl.append((str(u), str(v)))
+    return rtt, refl
+
+
+@pytest.mark.parametrize("path", ["exact", "residue"])
+def test_batched_relations_list_the_per_pair_failures(path, monkeypatch):
+    # a perturbed top frame breaks some pairs and not others; one pair per
+    # batch and the whole grid in one batch fail exactly the pairs that one
+    # call per pair fails, in the same order
+    Z = spec(SO3, (VDOM, Fraction(1, 3)))
+    td = repmatrix._t_data(Z)
+    frames = [fr.copy() for fr in td.frames]
+    frames[-1][1, 0] += 1
+    Z._tdata = FrameBlock(frames, td.scale, td.den, td.dims)
+    seen = _record_moduli(monkeypatch, force_residues=path == "residue")
+    rtt, refl = _per_pair_failures(Z)
+    grid_pairs = (2 * Z.n_total + 3) ** 2
+    assert 0 < len(rtt) < grid_pairs and 0 < len(refl) < grid_pairs
+    for elements in (1, grid_pairs * Z.N ** 4 * Z.dimZ ** 2):
+        monkeypatch.setattr(repmatrix, "_RELATION_ELEMENTS", elements)
+        rep = check_defining_relations(Z)
+        assert (rep.rtt_failures, rep.reflection_failures) == (rtt, refl)
+    assert seen and all((p is None) == (path == "exact") for p in seen)
+
+
 def test_user_samples_are_checked_as_given(monkeypatch):
     # user samples are neither moved nor replaced by the grid: T is
     # evaluated exactly at u, v and, for S(u) = T^t(-u) T(u), at -u and -v
@@ -501,6 +550,10 @@ def _relation_case(relation):
     (tu, tv), (su, sv), R, Rp = _sample_blocks(Z, Fraction(2), Fraction(5))
 
     def blocks(x):
+        # a list of matrices is a batch of pairs that share y and the aux
+        # matrices, which broadcast against it
+        if isinstance(x, list):
+            return np.stack([blocks(m) for m in x])
         return repmatrix._blocked(x, N, d)
 
     if relation == "rtt":
@@ -539,7 +592,7 @@ def _dense_aux(R, N, d):
     out = np.zeros((N, N, d, N, N, d), dtype=object)
     for (r, c), val in np.ndenumerate(R):
         for x in range(d):
-            out[r // N, r % N, x, c // N, c % N, x] = val
+            out[r // N, r % N, x, c // N, c % N, x] = int(val)
     return out.reshape(N * N * d, N * N * d)
 
 
@@ -598,6 +651,16 @@ def test_residue_kernels_reject_perturbation_hidden_from_all_but_last_prime(
     assert not oracle(broken, b)
     assert not holds(broken, b)
     assert moduli == primes
+    # one batch of three pairs, the middle one broken: the batch draws the
+    # primes of its largest bound, the broken pair's, and decides every pair
+    # at each of them
+    del moduli[:]
+    assert holds([big, broken, big], b).tolist() == [True, False, True]
+    assert moduli[:len(primes)] == primes
+    # a pair that fails at the first prime does not end the batch there
+    visible = big.copy()
+    visible[0, 1] += 1
+    assert holds([visible, broken, big], b).tolist() == [False, False, True]
 
 
 @pytest.mark.parametrize("relation", ["rtt", "reflection"])
@@ -628,6 +691,10 @@ def _commuting_case(t, s, M, relation):
 
     def holds(x, y, R, Rp):
         bx, by = repmatrix._blocked(x, N, d), repmatrix._blocked(y, N, d)
+        if R.ndim == 3:  # a batch of aux matrices, one per pair, same samples
+            if relation == "rtt":
+                return repmatrix._rtt_holds(bx, by, R).tolist()
+            return repmatrix._reflection_holds(bx, by, R, Rp).tolist()
         if relation == "rtt":
             return repmatrix._rtt_holds(bx, by, R), _dense_rtt_holds(x, y, R, N, d)
         return repmatrix._reflection_holds(bx, by, R, Rp), _dense_reflection_holds(
@@ -652,6 +719,10 @@ def test_relation_checks_on_non_symmetric_aux_matrices(relation):
         if relation == "rtt" and k == 2:
             continue  # RTT has no R'
         assert holds(x, y, *wrong) == (False, False)
+        # one batch of three pairs, the middle one broken: an R^T that also
+        # swapped the batch axis would mix the pairs up
+        batch = [np.stack([good, bad, good]) for good, bad in zip((R, Rp), wrong)]
+        assert holds(x, y, *batch) == [True, False, True]
 
 
 @pytest.mark.parametrize("relation", ["rtt", "reflection"])

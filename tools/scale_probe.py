@@ -33,9 +33,9 @@ this order, default all of them:
   * ``commutant``: ``irreducibility.commutant_dim`` at the default K, which
     no verdict reads;
   * ``relations``: ``repmatrix.check_defining_relations``, with the number
-    of RTT and reflection samples decided by the one exact float64 kernel
+    of RTT and reflection sample pairs decided by the exact float64 kernel
     and by residue kernels, and how many residue kernels (primes) those
-    took;
+    pairs took in all, counted per pair although one call decides them all;
   * ``scan``: once, after the modules, ``cli.main`` running ``scan --jobs 2``
     and then ``scan --jobs 1`` over the 4 points of SCAN_GRID on the dim-9
     shape so3 ``1,1;1,1``, each twice in this process.  The first ``--jobs
@@ -47,7 +47,7 @@ this order, default all of them:
 
 At dim 27, on a 2-vCPU Xeon VM, ``phi`` takes 7-10 s and ``witness``
 4.4-6 s, most of it building the two breve pair blocks; ``--stages
-relations`` takes about a second.  The dim-36 witness takes 0.5-0.6 s.
+relations`` takes about half a second.  The dim-36 witness takes 0.5-0.6 s.
 Times are wall times of one run in this process.
 """
 
@@ -74,29 +74,32 @@ SCAN_GRID = "-1/3,2/7;1/5,-3/11"
 
 
 def _record_kernels(repmatrix) -> Counter:
-    """Count, per relation, the samples on each kernel path: rebinds
-    ``float_kernels`` and the two relation checks of ``repmatrix``."""
+    """Count, per relation, the sample pairs on each kernel path and the
+    primes they took: rebinds ``float_kernels`` and the two relation sides
+    of ``repmatrix``.  One relation check decides a batch of pairs, and each
+    kernel hands them to the sides a chunk at a time; a pair counts once as
+    exact or residue (at the first prime of its kernel set), and once per
+    prime it takes."""
     counts: Counter = Counter()
     kernels = repmatrix.float_kernels
-    relation = [None]
+    first = [False]
 
     def recording(arrays, bound, inner, weight):
-        primes = 0
-        for arrays, p in kernels(arrays, bound, inner, weight):
-            primes += p is not None
+        for k, (arrays, p) in enumerate(kernels(arrays, bound, inner, weight)):
+            first[0] = k == 0
             yield arrays, p
-        counts[relation[0], "residue" if primes else "exact"] += 1
-        counts[relation[0], "primes"] += primes
 
-    def labelled(name, check):
-        def run(*args):
-            relation[0] = name
-            return check(*args)
+    def counted(name, sides):
+        def run(A, *args):
+            p = args[-2]
+            counts[name, "exact" if p is None else "primes"] += len(A)
+            counts[name, "residue"] += len(A) * (p is not None and first[0])
+            return sides(A, *args)
         return run
 
     repmatrix.float_kernels = recording
-    repmatrix._rtt_holds = labelled("rtt", repmatrix._rtt_holds)
-    repmatrix._reflection_holds = labelled("reflection", repmatrix._reflection_holds)
+    repmatrix._rtt_sides = counted("rtt", repmatrix._rtt_sides)
+    repmatrix._reflection_sides = counted("reflection", repmatrix._reflection_sides)
     return counts
 
 
