@@ -20,12 +20,12 @@ is the same over Q and over C.
    run.  Any other residue, and every point on a wall, takes the exact path.
 2. Otherwise Burnside growth decides: words in the integer blocks of
    S_1 .. S_2n (n boxes; default_truncation shows that they span every
-   coefficient) are grown from the identity modulo a word-size prime.  d^2
-   words independent mod p are independent over Q, so A_Z = End(Z).  Fewer
-   words span A_Z exactly when their span is closed under right
-   multiplication by every generator, which one exact echelon proves; a
-   prime whose span fails that proof is skipped.  Then dim A_Z < d^2 and the
-   module is reducible.
+   coefficient) are grown from the identity modulo a prime below 2^21 in
+   the witness's product, mod_matmul.  d^2 words independent mod p are
+   independent over Q, so A_Z = End(Z).  Fewer words span A_Z exactly when
+   their span is closed under right multiplication by every generator,
+   which one exact echelon proves; a prime whose span fails that proof is
+   skipped.  Then dim A_Z < d^2 and the module is reducible.
 
 The image of phi lies in A_Z, so rank(phi) > dim A_Z contradicts the theory
 and aborts.  commutant_dim (the joint commutant of the generators) stays as
@@ -44,15 +44,17 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import DimensionMismatch, InternalInconsistency, MalformedInput
+from .errors import InternalInconsistency, MalformedInput
 from .linalg import (
     ScaledIntMatrix,
     echelon,
     int_matmul,
+    mod_matmul,
     nullspace_exact,
     primitive_part,
     rank_exact,
     rank_mod_p,
+    reduce_mod,
     relation_holds,
     to_int_scaled,
 )
@@ -68,12 +70,11 @@ from .repmatrix import (
 from .tensor import TensorOperator, contraction_map_matrix
 
 _PRIME_DENOMS = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
-# Burnside growth runs modulo these primes, below 2^24: a residue dot
-# product sums at most d^2 terms below 2^48, inside int64 for d up to 128.
-_BURNSIDE_PRIMES = (16777213, 16777199, 16777183)
-# The residue witness of phi runs modulo this prime, below 2^21: a float64
-# product on slots of dimension below 2^11 is then exact (term_residue).
+# The residue witness of phi and Burnside growth run modulo the largest
+# primes below 2^21, where one mod_matmul chunk spans an inner dimension of
+# 2048: a whole slot product, and a whole Burnside product for d^2 <= 2048.
 _WITNESS_PRIME = 2097143
+_BURNSIDE_PRIMES = (2097143, 2097133, 2097131)
 
 
 # ---------------------------------------------------------------------------
@@ -124,20 +125,16 @@ def surjectivity(phi: PhiOperator) -> tuple[int, bool]:
     return r, r == phi.dimZ**2
 
 
-def phi_witness(Z: FusedModuleSpec) -> tuple[int, int] | None:
+def phi_witness(Z: FusedModuleSpec) -> tuple[int, int]:
     """(o, r) from one residue modulo _WITNESS_PRIME p: o the Laurent order
     of the family if its coefficient there is nonzero (term_residue), r the
-    rank mod p of that coefficient's contraction; None when p is too large
-    for the float64 products.
+    rank mod p of that coefficient's contraction.
 
     r > 0 proves that the order is o.  Rank cannot rise under reduction mod
     p, so r = (dim Z)^2 proves that phi is surjective: then (o, r) is
     exactly what phi_leading and surjectivity give."""
     dZ, p = Z.dimZ, _WITNESS_PRIME
-    residue = term_residue(swz_terms(Z), Z.factor_dims + Z.factor_dims, p)
-    if residue is None:
-        return None
-    order, coeff = residue
+    order, coeff = term_residue(swz_terms(Z), Z.factor_dims + Z.factor_dims, p)
     return order, rank_mod_p(contraction_map_matrix(coeff, dZ, dZ), p)
 
 
@@ -242,34 +239,31 @@ def _grow_mod_p(G: np.ndarray, p: int) -> list[tuple[int, int]]:
     """Burnside growth modulo p, breadth first from the identity: the words
     as (parent word, generator) pairs, the identity as (-1, -1).
 
-    A slice of words is multiplied by all g generators in one
-    ``W @ [G_1 ... G_g] % p``, and the products are reduced against the
-    reduced echelon rows E of the span in one pass, X - X[:, pivots] @ E.
-    The first product left nonzero is a new word: its normalized row is
-    eliminated from the later products and from the slice's earlier new
-    rows N, and the search goes on after it.  At the end of the slice one
-    product eliminates the new pivots from E, E - E[:, new pivots] @ N.
-    Candidates are taken in the order (word, generator), so the words are
-    those of growing one word at a time."""
+    Residues are float64 in (-p, p) (reduce_mod).  A slice of words is
+    multiplied by all g generators in one mod_matmul with [G_1 ... G_g], and
+    the products are reduced against the reduced echelon rows E of the span
+    in one pass, X - X[:, pivots] @ E.  The first product left nonzero is a
+    new word: its normalized row is eliminated from the later products and
+    from the slice's earlier new rows N, and the search goes on after it.
+    At the end of the slice one product eliminates the new pivots from E,
+    E - E[:, new pivots] @ N.  Candidates are taken in the order (word,
+    generator), so the words are those of growing one word at a time."""
     g, d, _ = G.shape
     D = d * d
-    if D * (p - 1) ** 2 >= 1 << 62:  # a residue dot product sums at most D terms
-        raise DimensionMismatch(f"residue products of dimension {d} overflow int64 mod {p}")
-    Gcat = (G % p).astype(np.int64).transpose(1, 0, 2).reshape(d, g * d)
-    W = np.zeros((D, d, d), dtype=np.int64)  # the words mod p
-    W[0] = np.eye(d, dtype=np.int64)
-    E = np.zeros((D, D), dtype=np.int64)
+    Gcat = (G % p).astype(np.float64).transpose(1, 0, 2).reshape(d, g * d)
+    W = np.zeros((D, d, d))  # the words mod p
+    W[0] = np.eye(d)
+    E = np.zeros((D, D))
     E[0] = W[0].ravel()
-    pivots = [0]
-    words = [(-1, -1)]
+    pivots, words = [0], [(-1, -1)]
     step = max(1, _GROWTH_BATCH // max(g * D, 1))
     lo = 0
     while lo < len(words) < D:
         hi = min(len(words), lo + step)
-        X = W[lo:hi] @ Gcat % p
+        X = mod_matmul(W[lo:hi].reshape(-1, d), Gcat, p)
         X = X.reshape(hi - lo, d, g, d).transpose(0, 2, 1, 3).reshape((hi - lo) * g, D)
         r0 = r = len(words)
-        R = (X - X[:, pivots] @ E[:r0] % p) % p
+        R = reduce_mod(X - mod_matmul(X[:, pivots], E[:r0], p), p)
         t = -1
         while r < D:
             live = np.flatnonzero(R[t + 1:].any(axis=1))
@@ -277,15 +271,15 @@ def _grow_mod_p(G: np.ndarray, p: int) -> list[tuple[int, int]]:
                 break
             t += 1 + int(live[0])
             c = int(np.flatnonzero(R[t])[0])
-            row = R[t] * pow(int(R[t, c]), p - 2, p) % p
-            R[t + 1:] = (R[t + 1:] - R[t + 1:, c:c + 1] * row) % p
-            E[r0:r] = (E[r0:r] - E[r0:r, c:c + 1] * row) % p
+            row = reduce_mod(R[t] * pow(int(R[t, c]), -1, p), p)
+            R[t + 1:] = reduce_mod(R[t + 1:] - R[t + 1:, c:c + 1] * row, p)
+            E[r0:r] = reduce_mod(E[r0:r] - E[r0:r, c:c + 1] * row, p)
             E[r], W[r] = row, X[t].reshape(d, d)
             pivots.append(c)
             words.append((lo + t // g, t % g))
             r += 1
         if r > r0:
-            E[:r0] = (E[:r0] - E[:r0, pivots[r0:]] @ E[r0:r] % p) % p
+            E[:r0] = reduce_mod(E[:r0] - mod_matmul(E[:r0, pivots[r0:]], E[r0:r], p), p)
         lo = hi
     return words
 
@@ -475,9 +469,9 @@ def verdict(Z: FusedModuleSpec) -> IrreducibilityReport:
     params = [z for _, z in Z.factors]
     on_wall = [c.describe() for c in walls(Z).violated(params)]
     full = Z.dimZ**2
-    witness = None if on_wall else phi_witness(Z)
-    if witness is not None and witness[1] == full:
-        order, rank, surj, dim = witness[0], full, True, full
+    order, rank = (0, 0) if on_wall else phi_witness(Z)
+    if rank == full:
+        surj, dim = True, full
     else:
         phi = phi_leading(Z)
         rank, surj = surjectivity(phi)

@@ -16,7 +16,8 @@ Three layers, all exact:
   float64 integer and one kernel decides; otherwise float64 residues modulo
   primes small enough that the products stay below 2^53, reduced exactly by
   reduce_mod, until the primes' product exceeds twice the bound, so sides
-  that agree modulo every prime are equal over Z.
+  that agree modulo every prime are equal over Z.  The verdict's residue
+  products (witness, Burnside) are all one mod_matmul, float64 on BLAS.
 * One certified echelon, echelon(A): the leftmost pivot columns of A over Q
   and the exact coefficients of the other columns in them.  Modular RREF
   proposes both, rational reconstruction (Wang, Guy & Davenport) over CRT
@@ -196,17 +197,35 @@ def float_kernels(arrays, bound: int, inner: int, weight: int):
 def reduce_mod(X: np.ndarray, p: int, scratch=None) -> np.ndarray:
     """X - m p, m the nearest integer to X * fl(1/p): a representative of
     X mod p of absolute value below p, for an integer-valued float64 array X
-    with |X| <= 2^53 - p and a prime p >= 7.  With ``scratch``, a float64
-    array of X's shape, m p is formed there and the result overwrites X, so
-    nothing is allocated.
+    with |X| <= min(2^53 - p, (2^51 - 1) p) (2^53 - p for p >= 5).  With
+    ``scratch``, a float64 array of X's shape, m p is formed there and the
+    result overwrites X, so nothing is allocated.
 
-    X * fl(1/p) is within |X| / p * 2^-52 (1 + 2^-53) < 2 / p of X / p, so
-    m is within 1/2 + 2/p < 1 of it, |X - m p| < p and |m p| <= 2^53: every
-    step is exact, and cheaper than the division of numpy's float remainder."""
+    X * fl(1/p) is within |X| / p * 2^-52 (1 + 2^-53) < 1/2 of X / p, so m
+    is within 1 of it, |X - m p| < p and |m p| <= 2^53: every step is exact,
+    and cheaper than the division of numpy's float remainder."""
     m = np.multiply(X, 1.0 / p, out=scratch)
     np.rint(m, out=m)
     m *= p
     return np.subtract(X, m, out=m if scratch is None else X)
+
+
+def mod_matmul(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
+    """A @ B mod p in (-p, p), as float64 on BLAS, for 2-d integer matrices
+    with entries below p in absolute value.  Delayed reduction (Dumas,
+    Giorgi & Pernet 2008): each chunk of k inner terms is added to the
+    reduced sum before it and reduced (reduce_mod), k the largest with
+    k (p - 1)^2 + p - 1 <= min(2^53 - p, (2^51 - 1) p): every partial sum is
+    an exact float64 integer within reduce_mod's bound, in any order.
+    DimensionMismatch for p^2 > 2^53 (k = 0): one product may be inexact."""
+    k = (min(_FLOAT_EXACT - p, ((1 << 51) - 1) * p) - p + 1) // (p - 1) ** 2
+    if k < 1:
+        raise DimensionMismatch(f"products of residues mod {p} are not exact in float64")
+    A, B = np.asarray(A, dtype=np.float64), np.asarray(B, dtype=np.float64)
+    out = reduce_mod(A[:, :k] @ B[:k], p)
+    for lo in range(k, A.shape[1], k):
+        out = reduce_mod(out + A[:, lo:lo + k] @ B[lo:lo + k], p)
+    return out
 
 
 def int_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:

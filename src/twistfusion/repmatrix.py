@@ -46,6 +46,7 @@ from .linalg import (
     int_matmul,
     mat_equal,
     max_abs,
+    mod_matmul,
     primitive_part,
     reduce_mod,
     to_int_scaled,
@@ -416,12 +417,11 @@ def frame_product(blocks, dims) -> tuple[int, ScaledIntMatrix]:
         return prod.order - sum(vals), ScaledIntMatrix(coeff, prod.scale / low)
 
 
-def term_residue(terms, dims, p: int) -> tuple[int, np.ndarray] | None:
+def term_residue(terms, dims, p: int) -> tuple[int, np.ndarray]:
     """(o, R): R the numerator of the coefficient of zeta^o in the ordered
     product of block terms, modulo p, as an int64 matrix with entries in
     [0, p), and o the Laurent order that frame_product returns on their
-    exact blocks whenever R is nonzero; None when p is too large for an
-    exact float64 product on some block's slots.
+    exact blocks whenever R is nonzero.
 
     Each numerator starts at its lowest nonzero frame k0, so the product's
     coefficient at sum k0 is the product of the lowest frames, and o is sum
@@ -433,13 +433,8 @@ def term_residue(terms, dims, p: int) -> tuple[int, np.ndarray] | None:
 
     The product starts at the identity, float64 residues on a row axis and
     one axis per leg; each lowest frame contracts its slots' axes, moved
-    last, on BLAS (Van Loan 2000).  An entry is an integer X < d_slots (p -
-    1)^2 < 2^53, reduced to X - floor(X / p) p: exact, as X / p lies at
-    least 1/p, more than its rounding error, below the next integer."""
+    last (Van Loan 2000), in one mod_matmul."""
     D, legs = math.prod(dims), list(range(len(dims)))
-    if any(math.prod(dims[s] for s in slots) * (p - 1) ** 2 >= _FLOAT_EXACT
-           for _, slots in terms):
-        return None
     acc = np.eye(D).reshape(D, *dims)
     order = -sum(term.den.count(-term.t) for term, _ in terms)  # factors zero at y = 0
     for term, slots in terms:
@@ -449,18 +444,10 @@ def term_residue(terms, dims, p: int) -> tuple[int, np.ndarray] | None:
         order += k0
         moved = [leg for leg in legs if leg not in slots] + list(slots)
         acc = acc.transpose([0] + [1 + legs.index(leg) for leg in moved])
-        prod = acc.reshape(-1, low.shape[0]) @ low.astype(np.float64)
-        quot = prod / p
-        prod -= np.multiply(np.floor(quot, out=quot), p, out=quot)
-        acc, legs = prod.reshape(acc.shape), moved
+        acc, legs = mod_matmul(acc.reshape(-1, low.shape[0]), low, p).reshape(acc.shape), moved
     acc = acc.transpose([0] + [1 + legs.index(leg) for leg in range(len(dims))])
-    return order, acc.reshape(D, D).astype(np.int64)
-
-
-def frame_residue(blocks, dims, p: int) -> tuple[int, np.ndarray] | None:
-    """term_residue of frame blocks, each the term (fb, 0, 1) over fb.den."""
-    out = term_residue([(BlockTerm(fb, 0, 1), slots) for fb, slots in blocks], dims, p)
-    return out and (out[0] - sum(fb.den.valuation() for fb, _ in blocks), out[1])
+    R = acc.reshape(D, D).astype(np.int64)
+    return order, R + p * (R < 0)
 
 
 def ratfunc_product(blocks, dims) -> TensorOperator:

@@ -239,6 +239,39 @@ def test_float_kernels_cover_twice_the_bound(inner, weight):
         list(linalg.float_kernels([A], 1 << 60, 1, 1 << 60))
 
 
+# 94906249 and 94906297 are the primes on either side of 2^26.5, the
+# largest that mod_matmul takes (p^2 <= 2^53) and the first it refuses
+_TOP, _PAST = 94906249, 94906297
+
+
+@pytest.mark.parametrize("p", [2097143, 2, _TOP])
+def test_mod_matmul_matches_the_int64_product(p):
+    # at the chunk length k and one past it, with the extreme residues
+    # +-(p - 1) in rows 0 and 1 of A and column 0 of B, and in row 2 and
+    # column 1 products alternately odd and even, whose sums are odd and
+    # round past 2^53; k is the largest with k (p - 1)^2 + p - 1 <=
+    # min(2^53 - p, (2^51 - 1) p): 2048 and 1, and 2^52 - 3 modulo 2, where
+    # 2048 and 2049 run in one chunk
+    rng = np.random.default_rng(p)
+    k = {2097143: 2048, 2: 2048, _TOP: 1}[p]
+    for inner in (k, k + 1):
+        A = rng.integers(1 - p, p, size=(4, inner))
+        B = rng.integers(1 - p, p, size=(inner, 3))
+        A[0], A[1], A[2], B[:, 0] = p - 1, 1 - p, p - 2, p - 1
+        B[:, 1] = p - 2 - np.arange(inner) % 2
+        got = linalg.mod_matmul(A, B, p)
+        assert got.dtype == np.float64 and np.all(np.abs(got) < p)
+        assert np.array_equal(got.astype(np.int64) % p, A @ B % p)
+
+
+def test_mod_matmul_refuses_the_first_prime_past_its_bound():
+    assert linalg._is_prime(_TOP) and linalg._is_prime(_PAST)
+    assert not any(linalg._is_prime(n) for n in range(_TOP + 1, _PAST))
+    assert _TOP**2 <= 2**53 < _PAST**2
+    with pytest.raises(DimensionMismatch):
+        linalg.mod_matmul(np.ones((1, 1)), np.ones((1, 1)), _PAST)
+
+
 def test_inverse_and_singular_inputs():
     A = np.array([[2, Fraction(1, 3), 0], [1, 1, 5], [0, Fraction(-2, 7), 1]], dtype=object)
     assert linalg.mat_equal(linalg.fdot(linalg.inverse(A), A), linalg.feye(3))

@@ -20,8 +20,9 @@ this order, default all of them:
     off-wall verdict runs instead of ``phi`` and ``rank``: it reads each
     block's lowest frame mod p from the residues of the cached argument
     block, without substituting the blocks exactly.  It prints the
-    witnessed Laurent order and rank, or why a verdict would fall back to
-    the exact path; a ``warm`` line as for ``phi`` (after ``phi`` the first
+    witnessed Laurent order and rank, or why they do not decide (a zero
+    residue, or a rank below (dim Z)^2), so that a verdict takes the exact
+    path; a ``warm`` line as for ``phi`` (after ``phi`` the first
     line is warm too, since its blocks are cached).  Below each line, the
     witness time split between its residue product (``term_residue``) and
     its rank mod p (``rank_mod_p``), and the number of independent blocks
@@ -162,8 +163,6 @@ def _phi_note(linalg, phi, matmuls: Counter) -> str:
 
 def _witness_note(irr, Z, witness) -> str:
     p, full = irr._WITNESS_PRIME, Z.dimZ ** 2
-    if witness is None:
-        return f"falls back: p = {p} overflows a float64 slot product"
     order, rank = witness
     if rank == 0:
         return f"falls back: residue zero mod {p} at order {order}"
