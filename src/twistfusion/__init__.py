@@ -8,7 +8,7 @@ exact.
 """
 
 from .diagrams import SkewDiagram, column_tableau, parse_skew, sharp, ssyt_count
-from .exactnum import Poly, RatFunc, laurent_at_point, ratfunc_eval, series_at_infinity
+from .exactnum import Poly, RatFunc
 from .fusion import FusionOperator, fusion_operator, intertwining_check, verify_fusion_invariants
 from .irreducibility import (
     AlgebraSpan,
@@ -72,20 +72,17 @@ __all__ = [
     "fusion_operator",
     "image_basis",
     "intertwining_check",
-    "laurent_at_point",
     "parse_skew",
     "partial_trace_first",
     "permutation_op",
     "phi_leading",
     "r_factorized",
     "random_offwall",
-    "ratfunc_eval",
     "restrict",
     "s_WZ_family",
     "s_elementary",
     "s_fused",
     "s_generators",
-    "series_at_infinity",
     "sharp",
     "ssyt_count",
     "structural_ops",

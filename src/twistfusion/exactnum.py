@@ -334,20 +334,3 @@ class RatFunc:
     def __repr__(self):
         return f"RatFunc({self.num!r}, {self.den!r})"
 
-
-# Module-level names for the RatFunc operations, exported by the package;
-# nothing in the package calls them.
-
-def ratfunc_eval(f: RatFunc, a) -> Fraction:
-    """Evaluate f at the rational point a; PoleAtPoint if the denominator vanishes."""
-    return f.eval(a)
-
-
-def laurent_at_point(f: RatFunc, a, count: int) -> tuple[int, list[Fraction]]:
-    """Laurent order and first `count` coefficients of f around x = a."""
-    return f.laurent_at(a, count)
-
-
-def series_at_infinity(f: RatFunc, K: int) -> list[Fraction]:
-    """Expansion of f in powers of 1/x, coefficients of x^0 .. x^-K."""
-    return f.series_at_infinity(K)

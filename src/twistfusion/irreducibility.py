@@ -17,7 +17,8 @@ is the same over Q and over C.
    order o = sum of frame orders minus the denominators' valuations.  A
    nonzero residue proves the order o; rank cannot rise mod p, so rank d^2
    mod p proves phi surjective, and the exact frame product and rank do not
-   run.  Any other residue, and every point on a wall, takes the exact path.
+   run.  Any other residue (zero where a block residue cannot tell its
+   lowest frame), and every point on a wall, takes the exact path.
 2. Otherwise Burnside growth decides: words in the integer blocks of
    S_1 .. S_2n (n boxes; default_truncation shows that they span every
    coefficient) are grown from the identity modulo a prime below 2^21 in
@@ -46,6 +47,7 @@ import numpy as np
 
 from .errors import InternalInconsistency, MalformedInput
 from .linalg import (
+    _PRIMES,
     ScaledIntMatrix,
     echelon,
     int_matmul,
@@ -70,11 +72,11 @@ from .repmatrix import (
 from .tensor import TensorOperator, contraction_map_matrix
 
 _PRIME_DENOMS = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
-# The residue witness of phi and Burnside growth run modulo the largest
-# primes below 2^21, where one mod_matmul chunk spans an inner dimension of
-# 2048: a whole slot product, and a whole Burnside product for d^2 <= 2048.
-_WITNESS_PRIME = 2097143
-_BURNSIDE_PRIMES = (2097143, 2097133, 2097131)
+# The phi witness and Burnside growth run modulo the first of linalg's
+# primes, the largest below 2^21: one mod_matmul chunk there spans 2048
+# inner terms, a whole slot product and Burnside product for d^2 <= 2048.
+_WITNESS_PRIME = _PRIMES[0]
+_BURNSIDE_PRIMES = _PRIMES[:3]
 
 
 # ---------------------------------------------------------------------------

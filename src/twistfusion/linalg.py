@@ -1,6 +1,6 @@
 """Exact dense linear algebra on numpy object arrays.
 
-Three layers, all exact:
+Four layers, all exact:
 
 * Integer clearing: A = scale * M with M an integer matrix, so products and
   eliminations run on Python ints, roughly two orders of magnitude faster
@@ -16,8 +16,11 @@ Three layers, all exact:
   float64 integer and one kernel decides; otherwise float64 residues modulo
   primes small enough that the products stay below 2^53, reduced exactly by
   reduce_mod, until the primes' product exceeds twice the bound, so sides
-  that agree modulo every prime are equal over Z.  The verdict's residue
-  products (witness, Burnside) are all one mod_matmul, float64 on BLAS.
+  that agree modulo every prime are equal over Z.
+* One residue form: float64 integers in (-p, p).  An integer enters by one
+  % p cast; then residues are reduced only by reduce_mod and multiplied only
+  elementwise or in mod_matmul (float64 on BLAS).  Every prime comes from
+  _residue_primes, and all but the relation kernels' from _PRIMES.
 * One certified echelon, echelon(A): the leftmost pivot columns of A over Q
   and the exact coefficients of the other columns in them.  Modular RREF
   proposes both, rational reconstruction (Wang, Guy & Davenport) over CRT
@@ -30,21 +33,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 
 from .errors import DimensionMismatch
-
-_PRIMES = (
-    2147483629,
-    2147483587,
-    2147483579,
-    2147483563,
-    2147483549,
-    2147483543,
-    2147483497,
-    2147483489,
-)
 
 
 def fzeros(shape) -> np.ndarray:
@@ -151,8 +144,17 @@ def _residue_primes(width: int):
         i += 1
 
 
+# The echelon's CRT primes, the twelve largest below 2^21 (product about
+# 2^252); the phi witness and Burnside growth take the first ones.
+_PRIMES = tuple(islice(_residue_primes(21), 12))
+
 # float64 holds every integer below 2^53 exactly
 _FLOAT_EXACT = 1 << 53
+
+
+def _reduce_bound(p: int) -> int:
+    """reduce_mod's bound on |X|: min(2^53 - p, (2^51 - 1) p)."""
+    return min(_FLOAT_EXACT - p, ((1 << 51) - 1) * p)
 
 
 def float_kernels(arrays, bound: int, inner: int, weight: int):
@@ -176,16 +178,16 @@ def float_kernels(arrays, bound: int, inner: int, weight: int):
     lhs - rhs, and nothing else.  A product is at most inner * (p - 1)^2,
     each later value at most weight * p, and lhs - rhs at most
     2 * weight * p.  The primes lie below 2^width, with width the smaller of
-    (53 - bitlength(inner)) // 2 and 51 - bitlength(weight), so both values
-    that are reduced are at most 2^53 - p, as reduce_mod needs."""
+    (53 - bitlength(inner)) // 2 and 51 - bitlength(weight), so for every
+    such prime both values that are reduced are within reduce_mod's bound
+    (_reduce_bound): below 2^53 - p, and below (2^51 - 1) p because
+    inner * (p - 1) and 2 * weight are below 2^51."""
     if bound < _FLOAT_EXACT:
         yield [A.astype(np.float64) for A in arrays], None
         return
     width = max(0, min((53 - inner.bit_length()) // 2, 51 - weight.bit_length()))
     modulus = 1
     for p in _residue_primes(width):
-        if p < 7:  # reduce_mod needs p >= 7
-            break
         yield [(A % p).astype(np.float64) for A in arrays], p
         modulus *= p
         if modulus > 2 * bound:
@@ -197,7 +199,7 @@ def float_kernels(arrays, bound: int, inner: int, weight: int):
 def reduce_mod(X: np.ndarray, p: int, scratch=None) -> np.ndarray:
     """X - m p, m the nearest integer to X * fl(1/p): a representative of
     X mod p of absolute value below p, for an integer-valued float64 array X
-    with |X| <= min(2^53 - p, (2^51 - 1) p) (2^53 - p for p >= 5).  With
+    with |X| <= min(2^53 - p, (2^51 - 1) p) (_reduce_bound).  With
     ``scratch``, a float64 array of X's shape, m p is formed there and the
     result overwrites X, so nothing is allocated.
 
@@ -215,10 +217,10 @@ def mod_matmul(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     with entries below p in absolute value.  Delayed reduction (Dumas,
     Giorgi & Pernet 2008): each chunk of k inner terms is added to the
     reduced sum before it and reduced (reduce_mod), k the largest with
-    k (p - 1)^2 + p - 1 <= min(2^53 - p, (2^51 - 1) p): every partial sum is
-    an exact float64 integer within reduce_mod's bound, in any order.
+    k (p - 1)^2 + p - 1 within reduce_mod's bound (_reduce_bound): every
+    partial sum is an exact float64 integer it reduces, in any order.
     DimensionMismatch for p^2 > 2^53 (k = 0): one product may be inexact."""
-    k = (min(_FLOAT_EXACT - p, ((1 << 51) - 1) * p) - p + 1) // (p - 1) ** 2
+    k = (_reduce_bound(p) - p + 1) // (p - 1) ** 2
     if k < 1:
         raise DimensionMismatch(f"products of residues mod {p} are not exact in float64")
     A, B = np.asarray(A, dtype=np.float64), np.asarray(B, dtype=np.float64)
@@ -329,7 +331,9 @@ def fraction_rref(A: np.ndarray) -> tuple[np.ndarray, list[int]]:
 # certified echelon
 
 def _modp_rref(M: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
-    """In-place RREF of an int64 matrix mod p; returns pivot columns.
+    """In-place RREF mod p of a float64 matrix of residues in (-p, p), for
+    a prime that mod_matmul takes ((p - 1)^2 + p - 1 within reduce_mod's
+    bound); returns pivot columns and M, its residues still in (-p, p).
 
     The rows from the pivot row down are zero left of the current column,
     so each step reduces only the columns from there on."""
@@ -337,21 +341,19 @@ def _modp_rref(M: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
     piv_row = 0
     pivots: list[int] = []
     for c in range(cols):
-        col = M[piv_row:, c]
-        nz = np.nonzero(col)[0]
+        nz = np.flatnonzero(M[piv_row:, c])
         if nz.size == 0:
             continue
         sel = piv_row + int(nz[0])
         if sel != piv_row:
             M[[sel, piv_row]] = M[[piv_row, sel]]
-        inv = pow(int(M[piv_row, c]), p - 2, p)
-        row = M[piv_row, c:] * inv % p
+        row = reduce_mod(M[piv_row, c:] * pow(int(M[piv_row, c]), -1, p), p)
         M[piv_row, c:] = row
         factors = M[:, c].copy()
         factors[piv_row] = 0
-        nzr = np.nonzero(factors)[0]
+        nzr = np.flatnonzero(factors)
         if nzr.size:
-            M[nzr, c:] = (M[nzr, c:] - factors[nzr, None] * row) % p
+            M[nzr, c:] = reduce_mod(M[nzr, c:] - factors[nzr, None] * row, p)
         pivots.append(c)
         piv_row += 1
         if piv_row == rows:
@@ -359,11 +361,12 @@ def _modp_rref(M: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
     return pivots, M
 
 
-def stacked_blocks(A: np.ndarray, p: int) -> np.ndarray:
-    """The blocks of A mod p, one per connected component of its bipartite
-    nonzero pattern, rows and columns in order, zero-padded into a (G, m, n)
-    int64 array; label propagation with pointer jumping finds the components."""
-    M = (A if A.size and A.min() >= 0 and A.max() < p else A % p).astype(np.int64, copy=False)
+def stacked_blocks(A: np.ndarray) -> np.ndarray:
+    """The blocks of a residue matrix A (nonzero exactly where nonzero mod
+    p), one per connected component of its bipartite nonzero pattern, rows
+    and columns in order, zero-padded into a (G, m, n) float64 array; label
+    propagation with pointer jumping finds the components."""
+    M = np.asarray(A, dtype=np.float64)
     M = M[M.any(axis=1)][:, M.any(axis=0)]
     rows, cols = M.shape
     i, j = np.divmod(np.flatnonzero(M), cols)
@@ -383,32 +386,37 @@ def stacked_blocks(A: np.ndarray, p: int) -> np.ndarray:
     pos = np.empty_like(key)
     pos[np.argsort(key, kind="stable")] = np.arange(key.size) - np.repeat(
         np.cumsum(counts) - counts, counts)
-    S = np.zeros((G, counts[:G].max(), counts[G:].max()), dtype=np.int64)
+    S = np.zeros((G, counts[:G].max(), counts[G:].max()))
     S[key[i], pos[i], pos[rows + j]] = M[i, j]
     return S
 
 
 def rank_mod_p(A: np.ndarray, p: int) -> int:
-    """Rank modulo a prime p < 2^31 of an integer matrix (any integer or
-    integral float dtype): at most its rank over Q, since a minor that
-    vanishes over Z vanishes mod p.
+    """Rank modulo a prime p of a matrix of residues in (-p, p) (any
+    integer or integral float dtype): at most the rank over Q of any integer
+    matrix it reduces, since a minor that vanishes over Z vanishes mod p.
 
-    The blocks of A (stacked_blocks) are eliminated together, one column of
-    each per step (Dumas, Giorgi & Pernet 2008), pivoting on the column's
-    largest entry: row * pivot - factor * pivot row needs no inverse, is
-    below p^2 < 2^62 before % p, and clears the column and the pivot row."""
-    S = stacked_blocks(A, p)
+    The blocks of A (stacked_blocks) are eliminated together in float64,
+    one column of each per step (Dumas, Giorgi & Pernet 2008), pivoting on
+    the column's entry of largest absolute value: row * pivot - factor *
+    pivot row needs no inverse, clears the column and the pivot row, and is
+    at most 2 (p - 1)^2 before reduce_mod.  DimensionMismatch for a prime
+    where that passes reduce_mod's bound (_reduce_bound)."""
+    if 2 * (p - 1) ** 2 > _reduce_bound(p):
+        raise DimensionMismatch(f"eliminating residues mod {p} is not exact in float64")
+    S = stacked_blocks(A)
     if S.shape[2] > S.shape[1]:
         S = S.transpose(0, 2, 1)
     g, rank = np.arange(S.shape[0]), 0
     for _ in range(S.shape[2]):
         col = S[:, :, 0]
-        pivot = col.max(axis=1)
+        at = np.abs(col).argmax(axis=1)
+        pivot = col[g, at]
         rank += int(np.count_nonzero(pivot))
-        prow = S[g, col.argmax(axis=1), 1:]
-        S = S[:, :, 1:] * np.maximum(pivot, 1)[:, None, None]
+        prow = S[g, at, 1:]
+        S = S[:, :, 1:] * np.where(pivot == 0, 1, pivot)[:, None, None]
         S -= col[:, :, None] * prow[:, None, :]
-        S %= p
+        S = reduce_mod(S, p)
     return rank
 
 
@@ -497,7 +505,7 @@ def echelon(A: np.ndarray) -> tuple[list[int], np.ndarray]:
     best: list[int] | None = None
     residues, modulus, C = None, 1, None
     for p in _PRIMES:
-        pivots, R = _modp_rref((M % p).astype(np.int64), p)
+        pivots, R = _modp_rref((M % p).astype(np.float64), p)
         if best is None or (-len(pivots), pivots) < (-len(best), best):
             best, residues, modulus, C = pivots, None, 1, None
         if pivots != best:
@@ -505,7 +513,7 @@ def echelon(A: np.ndarray) -> tuple[list[int], np.ndarray]:
         free = _free_columns(pivots, cols)
         if not free:
             return pivots, np.empty((len(pivots), 0), dtype=object)
-        vals = R[: len(pivots)][:, free].astype(object)
+        vals = R[: len(pivots)][:, free].astype(np.int64).astype(object)  # ints for the CRT
         if residues is None:
             residues = vals
         else:

@@ -208,7 +208,7 @@ def _negated(entries):
 # The numerator blocks in their own argument, keyed by form, diagrams and
 # kind, least recently used first; they hold at most _BLOCK_ENTRIES frame
 # entries in all (_held of them now), and a larger block is built but not
-# kept.  A block's int64 residues (FrameBlock.residue) go with it.
+# kept.  A block's residues (FrameBlock.residue) go with it.
 _BLOCK_ENTRIES = 2**20
 _blocks: OrderedDict = OrderedDict()
 _held = 0
@@ -419,17 +419,17 @@ def frame_product(blocks, dims) -> tuple[int, ScaledIntMatrix]:
 
 def term_residue(terms, dims, p: int) -> tuple[int, np.ndarray]:
     """(o, R): R the numerator of the coefficient of zeta^o in the ordered
-    product of block terms, modulo p, as an int64 matrix with entries in
-    [0, p), and o the Laurent order that frame_product returns on their
-    exact blocks whenever R is nonzero.
+    product of block terms, modulo p, as float64 residues in (-p, p), and o
+    the Laurent order that frame_product returns on their exact blocks
+    whenever R is nonzero.
 
     Each numerator starts at its lowest nonzero frame k0, so the product's
     coefficient at sum k0 is the product of the lowest frames, and o is sum
     k0 minus the denominators' valuations; a residue nonzero mod p proves
     that coefficient nonzero.  Scales and the denominators' lowest
     coefficients are nonzero scalars, left out.  k0 and the lowest frame
-    mod p come from the argument block (FrameBlock.residue), from the exact
-    block only when that residue cannot tell k0.
+    mod p come from the argument block (FrameBlock.residue); where it
+    cannot tell them, R is zero, which proves nothing.
 
     The product starts at the identity, float64 residues on a row axis and
     one axis per leg; each lowest frame contracts its slots' axes, moved
@@ -438,16 +438,16 @@ def term_residue(terms, dims, p: int) -> tuple[int, np.ndarray]:
     acc = np.eye(D).reshape(D, *dims)
     order = -sum(term.den.count(-term.t) for term, _ in terms)  # factors zero at y = 0
     for term, slots in terms:
-        k0, low = term.block.residue(term.t, term.s, p) or term.exact().residue(0, 1, p)
-        if k0 is None:
-            return order, np.zeros((D, D), dtype=np.int64)
+        lowest = term.block.residue(term.t, term.s, p)
+        if lowest is None:
+            return order, np.zeros((D, D))
+        k0, low = lowest
         order += k0
         moved = [leg for leg in legs if leg not in slots] + list(slots)
         acc = acc.transpose([0] + [1 + legs.index(leg) for leg in moved])
         acc, legs = mod_matmul(acc.reshape(-1, low.shape[0]), low, p).reshape(acc.shape), moved
     acc = acc.transpose([0] + [1 + legs.index(leg) for leg in range(len(dims))])
-    R = acc.reshape(D, D).astype(np.int64)
-    return order, R + p * (R < 0)
+    return order, acc.reshape(D, D)
 
 
 def ratfunc_product(blocks, dims) -> TensorOperator:

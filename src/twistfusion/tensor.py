@@ -32,6 +32,7 @@ from .linalg import (
     is_zero_matrix,
     mat_equal,
     primitive_part,
+    reduce_mod,
 )
 
 _F0 = Fraction(0)
@@ -634,25 +635,32 @@ class FrameBlock:
         """The index of the lowest nonzero frame; None for a zero block."""
         return next((k for k, fr in enumerate(self.frames) if not is_zero_matrix(fr)), None)
 
-    def residue(self, t: Fraction, s: int, p: int) -> tuple[int | None, np.ndarray] | None:
+    def residue(self, t: Fraction, s: int, p: int) -> tuple[int, np.ndarray] | None:
         """(k, R): the index k of the lowest nonzero frame of substituted(t,
-        s, ...) (None for a zero block) and that frame mod p in int64, p^2 <
-        2^62; None when frame 0 is zero mod p at t != 0 or s = 0.  The frames
-        mod p are kept on the block per prime.  At t = 0 and s != 0 frame k
-        is s^k frames[k]; otherwise frame 0 is the homogenised Horner sum at
-        t (_horner), here mod p."""
-        frames = self._mod.get(p)
-        if frames is None:
-            frames = self._mod[p] = [(fr % p).astype(np.int64) for fr in self.frames]
+        s, ...) and that frame mod p as float64 residues in (-p, p); None
+        for a zero block and where frame 0 is zero mod p at t != 0 or s = 0.
+        At t = 0 and s != 0 frame k is s^k frames[k]; otherwise frame 0 is
+        the homogenised Horner sum at t (_horner), here mod p, its scalars
+        taken in [-p/2, p/2]: each value reduced is at most (p - 1)^2 for p
+        odd, within reduce_mod's bound (_reduce_bound) for every prime that
+        mod_matmul takes."""
         if t == 0 and s:
             k = self.low
-            return (None, frames[0]) if k is None else (k, frames[k] * pow(s, k, p) % p)
-        num, den = t.numerator % p, t.denominator % p
-        acc, qk = frames[-1], 1
-        for fr in reversed(frames[:-1]):
-            qk = qk * den % p
-            acc = (acc * num + fr * qk) % p
+            return None if k is None else (k, reduce_mod(self._frame_mod(k, p) * pow(s, k, p), p))
+        half = p // 2
+        num, qk = (t.numerator + half) % p - half, 1
+        acc = self._frame_mod(-1, p)
+        for k in range(len(self.frames) - 2, -1, -1):
+            qk = (qk * t.denominator + half) % p - half
+            acc = reduce_mod(acc * num + self._frame_mod(k, p) * qk, p)
         return (0, acc) if acc.any() else None
+
+    def _frame_mod(self, k: int, p: int) -> np.ndarray:
+        """frames[k] mod p in float64, made when first read, kept per prime."""
+        frames = self._mod.setdefault(p, [None] * len(self.frames))
+        if frames[k] is None:
+            frames[k] = (self.frames[k] % p).astype(np.float64)
+        return frames[k]
 
     def _horner(self, x0: Fraction) -> tuple[Fraction, np.ndarray]:
         """den(x0), SingularParameter if x0 is a pole, and for x0 = p/q the

@@ -8,10 +8,7 @@ from twistfusion.exactnum import (
     Poly,
     RatFunc,
     format_rational,
-    laurent_at_point,
     parse_rational,
-    ratfunc_eval,
-    series_at_infinity,
 )
 
 X = RatFunc.x()
@@ -30,18 +27,18 @@ def test_parse_rational():
 
 def test_eval_simple():
     f = 1 / (X - 1)
-    assert ratfunc_eval(f, 3) == Fraction(1, 2)
+    assert f.eval(3) == Fraction(1, 2)
 
 
 def test_eval_after_cancellation():
     f = (X * X - 1) / (X - 1)
     assert f.den.degree == 0  # the common factor cancels on construction
-    assert ratfunc_eval(f, 1) == 2
+    assert f.eval(1) == 2
 
 
 def test_eval_at_pole():
     with pytest.raises(PoleAtPoint):
-        ratfunc_eval(1 / X, 0)
+        (1 / X).eval(0)
 
 
 @pytest.mark.parametrize(
@@ -53,14 +50,14 @@ def test_eval_at_pole():
     ],
 )
 def test_laurent_examples(f, a, count, expect):
-    order, coeffs = laurent_at_point(f, a, count)
+    order, coeffs = f.laurent_at(a, count)
     assert order == expect[0]
     assert coeffs == [Fraction(c) for c in expect[1]]
 
 
 def test_laurent_zero_function():
     with pytest.raises(ZeroFunction):
-        laurent_at_point(RatFunc.const(0), 0, 1)
+        RatFunc.const(0).laurent_at(0, 1)
 
 
 @pytest.mark.parametrize(
@@ -72,12 +69,12 @@ def test_laurent_zero_function():
     ],
 )
 def test_series_at_infinity_examples(f, K, expect):
-    assert series_at_infinity(f, K) == [Fraction(c) for c in expect]
+    assert f.series_at_infinity(K) == [Fraction(c) for c in expect]
 
 
 def test_series_pole_at_infinity():
     with pytest.raises(PoleAtInfinity):
-        series_at_infinity(X * X / (X - 1), 3)
+        (X * X / (X - 1)).series_at_infinity(3)
 
 
 small_fracs = st.fractions(

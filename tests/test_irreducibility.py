@@ -11,7 +11,7 @@ import pytest
 from twistfusion.diagrams import SkewDiagram
 from twistfusion import irreducibility
 from twistfusion.errors import InternalInconsistency
-from twistfusion.exactnum import Poly, RatFunc, laurent_at_point
+from twistfusion.exactnum import Poly, RatFunc
 from twistfusion.irreducibility import (
     AlgebraSpan,
     IrreducibilityReport,
@@ -91,7 +91,7 @@ def test_phi_leading_single_box_against_family():
         if f.is_zero():
             coeff[idx] = Fraction(0)
         else:
-            o, cs = laurent_at_point(f, 0, 1)
+            o, cs = f.laurent_at(0, 1)
             coeff[idx] = cs[0] if o == -1 else Fraction(0)
     assert mat_equal(phi.matrix, contraction_map_matrix(coeff, 2, 2))
 
@@ -106,7 +106,7 @@ def test_phi_leading_two_factors_against_family():
         if f.is_zero():
             coeff[idx] = Fraction(0)
         else:
-            o, cs = laurent_at_point(f, 0, 1)
+            o, cs = f.laurent_at(0, 1)
             coeff[idx] = cs[0] if o == phi.order else Fraction(0)
     assert mat_equal(phi.matrix, contraction_map_matrix(coeff, 4, 4))
 
@@ -262,7 +262,7 @@ def test_breve_leading_agrees_with_symbolic_route():
         if f.is_zero():
             expected[idx] = Fraction(0)
         else:
-            o, cs = laurent_at_point(f, 0, 1)
+            o, cs = f.laurent_at(0, 1)
             expected[idx] = cs[0] if o == order else Fraction(0)
     assert mat_equal(coeff, expected)
 
@@ -670,30 +670,38 @@ def _frame_residue(blocks, dims, p):
 def _exact_lowest(fb, p):
     """(k0, frame k0 mod p) of an exact block, read off its frames."""
     k0 = next(k for k, fr in enumerate(fb.frames) if fr.any())
-    return k0, (fb.frames[k0] % p).astype(np.int64)
+    return k0, fb.frames[k0] % p
 
 
 def test_block_residues_match_the_exact_blocks():
     # every term of S_{W,Z}: the residue of its argument block gives the
-    # exact block's lowest frame mod p, and the offsets its valuation; it
-    # defers to the exact block only where frame 0 is zero mod p (at so3
-    # 1,1:1/2 and sp2 2:-1/2, on walls, frame 0 of two blocks is zero)
+    # exact block's lowest frame mod p, and the offsets its valuation; it is
+    # None only where frame 0 is zero mod p (at so3 1,1:1/2 and sp2 2:-1/2,
+    # on walls, frame 0 of two blocks is zero), and the product is zero
+    # there; elsewhere it is the product of the exact lowest frames, which
+    # is zero only at wall points where they cancel
     p = irreducibility._WITNESS_PRIME
     deferred = 0
     for Z in _block_residue_points():
         terms, dims = swz_terms(Z), Z.factor_dims * 2
+        vanished = False
         for term, _ in terms:
             exact = term.exact()
             got = term.block.residue(term.t, term.s, p)
             if got is None:
                 deferred += 1
+                vanished = True
                 assert not (exact.frames[0] % p).any()
-                got = exact.residue(0, 1, p)
-            want = _exact_lowest(exact, p)
-            assert got[0] == want[0] and np.array_equal(got[1], want[1]), Z
+            else:
+                want = _exact_lowest(exact, p)
+                assert got[0] == want[0] and np.array_equal(got[1] % p, want[1]), Z
             assert term.den.count(-term.t) == exact.den.valuation(), Z
-        got, want = term_residue(terms, dims, p), _frame_residue(swz_frame_blocks(Z), dims, p)
-        assert got[0] == want[0] and np.array_equal(got[1], want[1]), Z
+        order, R = term_residue(terms, dims, p)
+        if vanished:
+            assert not R.any(), Z
+        else:
+            want = _frame_residue(swz_frame_blocks(Z), dims, p)
+            assert order == want[0] and np.array_equal(R % p, want[1] % p), Z
     assert deferred == 4
 
 
@@ -701,17 +709,19 @@ def _gather_scatter_residue(terms, dims, p):
     """The reference for term_residue: the accumulator's columns gathered by
     slot map (_slot_rest_index) into (rest, slot) rows, multiplied by each
     lowest frame and scattered back, in int64 (a sum of d_slots products of
-    residues stays below 2^63 at these primes)."""
+    residues stays below 2^63 at these primes); zero where a block residue
+    is None."""
     D = math.prod(dims)
     acc = np.eye(D, dtype=np.int64)
     order = -sum(term.den.count(-term.t) for term, _ in terms)
     for term, slots in terms:
-        k0, low = term.block.residue(term.t, term.s, p) or term.exact().residue(0, 1, p)
-        if k0 is None:
+        lowest = term.block.residue(term.t, term.s, p)
+        if lowest is None:
             return order, np.zeros((D, D), dtype=np.int64)
+        k0, low = lowest
         order += k0
         cols = _slot_rest_index(slots, dims).T
-        prod = acc[:, cols].reshape(-1, cols.shape[1]) @ low % p
+        prod = acc[:, cols].reshape(-1, cols.shape[1]) @ (low % p).astype(np.int64) % p
         acc = np.empty_like(acc)
         acc[:, cols] = prod.reshape((D,) + cols.shape)
     return order, acc
@@ -724,28 +734,27 @@ def test_term_residue_matches_a_gather_scatter_product():
         for Z in _criterion_9_points() + _scan_walls_points():
             terms, dims = swz_terms(Z), Z.factor_dims * 2
             got, want = term_residue(terms, dims, p), _gather_scatter_residue(terms, dims, p)
-            assert got[0] == want[0] and np.array_equal(got[1], want[1]), (p, Z)
-            assert got[1].dtype == np.int64 and 0 <= got[1].min() and got[1].max() < p
+            assert got[0] == want[0] and np.array_equal(got[1] % p, want[1]), (p, Z)
+            assert got[1].dtype == np.float64 and np.abs(got[1]).max() < p
 
 
-def test_block_residues_fall_back_to_the_exact_block_modulo_tiny_primes():
-    # modulo 2 and 3 some frame 0 vanishes at t != 0, and only the exact
-    # block tells its lowest frame; the product still matches _frame_residue
-    # on the exact blocks
-    fallbacks = 0
+def test_vanishing_block_residues_send_the_verdict_to_the_exact_path(monkeypatch):
+    # modulo 2 and 3 some frame 0 vanishes at t != 0, so the block residue
+    # cannot tell the lowest frame: term_residue is then the zero residue,
+    # and the verdict gives exactly the report of the exact path
+    vanished = 0
     for p in (2, 3):
+        monkeypatch.setattr(irreducibility, "_WITNESS_PRIME", p)
         for Z in _criterion_9_points(per_shape=2):
             terms, dims = swz_terms(Z), Z.factor_dims * 2
-            for term, _ in terms:
-                if term.block.residue(term.t, term.s, p) is None:
-                    fallbacks += 1
-                    assert term.t != 0 or term.s == 0
-                    got = term.exact().residue(0, 1, p)
-                    want = _exact_lowest(term.exact(), p)
-                    assert got[0] == want[0] and np.array_equal(got[1], want[1])
-            got, want = term_residue(terms, dims, p), _frame_residue(swz_frame_blocks(Z), dims, p)
-            assert got[0] == want[0] and np.array_equal(got[1], want[1]), (p, Z)
-    assert fallbacks > 0
+            missing = [term for term, _ in terms if term.block.residue(term.t, term.s, p) is None]
+            if not missing:
+                continue
+            vanished += 1
+            assert all(term.t != 0 or term.s == 0 for term in missing)
+            assert not term_residue(terms, dims, p)[1].any()
+            assert verdict(Z).to_json() == _exact_report(Z, monkeypatch), (p, Z)
+    assert vanished > 0
 
 
 def _exact_report(Z, monkeypatch):

@@ -104,32 +104,37 @@ def test_rank_mod_p_is_at_most_the_rank(A):
     M, _ = linalg.to_int_scaled(A)
     rank = linalg.rank_exact(A)
     for p in (2, 3, 2097143):
-        r = linalg.rank_mod_p(M, p)
+        R = (M % p).astype(np.float64)
+        r = linalg.rank_mod_p(R, p)
         assert r <= rank
-        assert linalg.rank_mod_p((M % p).astype(np.float64), p) == r
+        # the same residues with representatives in (-p, p) of either sign
+        assert linalg.rank_mod_p(R - p * (R > p // 2), p) == r
 
 
 def test_rank_mod_p_drops_where_a_minor_vanishes():
     A = np.array([[1, 1, 4], [1, 3, 10]], dtype=object)  # minors 2, 6, -2
-    assert [linalg.rank_mod_p(A, p) for p in (2, 3, 5)] == [1, 2, 2]
+    assert [linalg.rank_mod_p(A % p, p) for p in (2, 3, 5)] == [1, 2, 2]
     assert linalg.rank_exact(A) == 2
 
 
-_block_entries = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-2**40, 2**40))
+# the largest prime p that rank_mod_p takes (2 (p - 1)^2 within
+# reduce_mod's bound), and the next prime, which it refuses
+_RANK_PRIME, _RANK_REFUSED = 67108859, 67108879
 
 
 @st.composite
 def _permuted_blocks(draw):
-    """(A, p): blocks of any shape down the diagonal, an empty one giving
-    zero rows or columns, rows and columns permuted, as object, int64 or
-    float64 (whose integers below 2^53 are exact)."""
-    p = draw(st.sampled_from([2, 3, 5, 2097143, 2**31 - 1]))
+    """(A, p): blocks of residues in (-p, p) of any shape down the diagonal,
+    an empty one giving zero rows or columns, rows and columns permuted, as
+    object, int64 or float64 (whose integers below 2^53 are exact)."""
+    p = draw(st.sampled_from([2, 3, 5, 2097143, _RANK_PRIME, _RANK_REFUSED]))
+    entries = st.one_of(st.just(0), st.integers(-1, 1), st.integers(1 - p, p - 1))
     shapes = draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=4))
     A = np.zeros((sum(r for r, _ in shapes), sum(c for _, c in shapes)), dtype=object)
     r0 = c0 = 0
     for r, c in shapes:
         A[r0:r0 + r, c0:c0 + c] = np.array(
-            draw(st.lists(_block_entries, min_size=r * c, max_size=r * c)), dtype=object
+            draw(st.lists(entries, min_size=r * c, max_size=r * c)), dtype=object
         ).reshape(r, c)
         r0, c0 = r0 + r, c0 + c
     rows = np.array(draw(st.permutations(range(A.shape[0]))), dtype=int)
@@ -141,12 +146,17 @@ def _permuted_blocks(draw):
 @settings(max_examples=300, deadline=None)
 @given(_permuted_blocks())
 @example((np.zeros((3, 4), dtype=np.int64), 5))
-@example((np.array([[0, 4, 0, 6]], dtype=object), 2))
-@example((np.array([[0], [3], [0]], dtype=np.float64), 3))
+@example((np.array([[0, 1, 0, -1]], dtype=object), 2))
+@example((np.array([[0], [-2], [0]], dtype=np.float64), 3))
 @example((np.array([[0], [3], [0]], dtype=np.float64), 5))
+@example((np.array([[1 - _RANK_PRIME, _RANK_PRIME - 1], [_RANK_PRIME - 1, 1]]), _RANK_PRIME))
 def test_rank_mod_p_matches_rref_on_permuted_blocks(case):
     A, p = case
-    assert linalg.rank_mod_p(A, p) == len(linalg._modp_rref((A % p).astype(np.int64), p)[0])
+    if p == _RANK_REFUSED:
+        with pytest.raises(DimensionMismatch):
+            linalg.rank_mod_p(A, p)
+        return
+    assert linalg.rank_mod_p(A, p) == len(linalg._modp_rref((A % p).astype(np.float64), p)[0])
 
 
 def test_rank_mod_p_counts_a_block_that_loses_rank_only_mod_p():
@@ -156,8 +166,8 @@ def test_rank_mod_p_counts_a_block_that_loses_rank_only_mod_p():
                   [1, 0, 1, 0, 0],
                   [0, 1, 0, 1, 1],
                   [1, 0, 3, 0, 0]], dtype=np.int64)
-    assert linalg.stacked_blocks(A, 2).shape[0] == 2
-    assert [linalg.rank_mod_p(A, p) for p in (2, 3)] == [3, 4]
+    assert linalg.stacked_blocks(A % 2).shape[0] == 2
+    assert [linalg.rank_mod_p(A % p, p) for p in (2, 3)] == [3, 4]
     assert linalg.rank_exact(A.astype(object)) == 4
 
 
@@ -194,8 +204,9 @@ def test_perturbed_lift_is_rejected(monkeypatch):
 
 def test_lift_keeps_entries_confirmed_by_a_later_prime(monkeypatch):
     # every coefficient of A = [1 | C] lifts at the first prime but the last,
-    # which needs four: the first lifts are kept (each congruent to the
-    # later residues), so only the last entry is reconstructed again
+    # (2^60 + 1) / 3, which needs six primes of 21 bits: the first lifts are
+    # kept (each congruent to the later residues), so only the last entry is
+    # reconstructed again
     C = np.array([[Fraction(k - 7, k % 5 + 1) for k in range(4)] for _ in range(6)], dtype=object)
     C[-1, -1] = Fraction(2**60 + 1, 3)
     A = np.concatenate([linalg.feye(6), C], axis=1)
@@ -214,7 +225,7 @@ def test_lift_keeps_entries_confirmed_by_a_later_prime(monkeypatch):
     monkeypatch.setattr(linalg, "_modp_rref", counting_rref)
     pivots, lifted = linalg.echelon(A)
     assert pivots == list(range(6)) and linalg.mat_equal(lifted, C)
-    assert len(primes) == 4
+    assert len(primes) == 6
     assert len(calls) == C.size - 1 + len(primes)
 
 

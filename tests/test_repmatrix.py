@@ -13,7 +13,7 @@ import pytest
 
 from twistfusion.diagrams import SkewDiagram, column_tableau, enumerate_skew, parse_skew, sharp
 from twistfusion.errors import BoxCapExceeded, ShapeTooTall, SingularParameter
-from twistfusion.exactnum import Poly, RatFunc, laurent_at_point, series_at_infinity
+from twistfusion.exactnum import Poly, RatFunc
 from twistfusion import cli, fusion, linalg, repmatrix, tensor
 from twistfusion.fusion import fusion_operator
 from twistfusion.linalg import mat_equal, rank_exact
@@ -104,7 +104,7 @@ def test_r_factorized_symbolic_single_pair():
         f = v if isinstance(v, RatFunc) else RatFunc.const(v)
         if f.is_zero():
             continue
-        o, cs = laurent_at_point(f, 0, 1)
+        o, cs = f.laurent_at(0, 1)
         orders.append(o)
         if o == -1:
             assert cs[0] == -P.mat[i, j]
@@ -121,7 +121,7 @@ def test_rb_leading_term_proportional_to_flip():
     for (_, v) in np.ndenumerate(fam.mat):
         f = v if isinstance(v, RatFunc) else RatFunc.const(v)
         if not f.is_zero():
-            o, _ = laurent_at_point(f, 0, 1)
+            o, _ = f.laurent_at(0, 1)
             r_min = o if r_min is None else min(r_min, o)
     coeff = np.empty(fam.mat.shape, dtype=object)
     for idx, v in np.ndenumerate(fam.mat):
@@ -129,7 +129,7 @@ def test_rb_leading_term_proportional_to_flip():
         if f.is_zero():
             coeff[idx] = Fraction(0)
         else:
-            o, cs = laurent_at_point(f, 0, 1)
+            o, cs = f.laurent_at(0, 1)
             coeff[idx] = cs[0] if o == r_min else Fraction(0)
     FL = flip(D).mat
     scale = None
@@ -324,7 +324,7 @@ def test_t_action_regular_at_infinity():
     order0 = np.empty((D, D), dtype=object)
     for idx, v in np.ndenumerate(T.mat):
         f = v if isinstance(v, RatFunc) else RatFunc.const(v)
-        order0[idx] = series_at_infinity(f, 0)[0]
+        order0[idx] = f.series_at_infinity(0)[0]
     ident = TensorOperator.identity(T.dims)
     assert mat_equal(order0, ident.mat)
 

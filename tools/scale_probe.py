@@ -21,9 +21,10 @@ this order, default all of them:
     block's lowest frame mod p from the residues of the cached argument
     block, without substituting the blocks exactly.  It prints the
     witnessed Laurent order and rank, or why they do not decide (a zero
-    residue, or a rank below (dim Z)^2), so that a verdict takes the exact
-    path; a ``warm`` line as for ``phi`` (after ``phi`` the first
-    line is warm too, since its blocks are cached).  Below each line, the
+    residue, also where a block's residue cannot tell its lowest frame, or
+    a rank below (dim Z)^2): a verdict then takes the exact path instead.
+    It adds a ``warm`` line as for ``phi`` (after ``phi`` the first line is
+    warm too, since its blocks are cached).  Below each line, the
     witness time split between its residue product (``term_residue``) and
     its rank mod p (``rank_mod_p``), and the number of independent blocks
     (connected components) of the contraction matrix with the largest;
@@ -143,9 +144,7 @@ def _record_witness(irr) -> dict:
 
 
 def _witness_split(linalg, seen: dict) -> str:
-    if "rank_mod_p" not in seen:
-        return "    (no rank: no residue at this prime)"
-    S = linalg.stacked_blocks(seen["matrix"], seen["p"])
+    S = linalg.stacked_blocks(seen["matrix"])
     rows, cols = S.any(axis=2).sum(axis=1), S.any(axis=1).sum(axis=1)
     k = int((rows * cols).argmax())
     return (f"    term_residue {seen['term_residue']:.3f} s, rank_mod_p {seen['rank_mod_p']:.3f} s; "
@@ -165,9 +164,9 @@ def _witness_note(irr, Z, witness) -> str:
     p, full = irr._WITNESS_PRIME, Z.dimZ ** 2
     order, rank = witness
     if rank == 0:
-        return f"falls back: residue zero mod {p} at order {order}"
+        return f"not decided, exact path: residue zero mod {p}"
     if rank < full:
-        return f"falls back: rank {rank} of {full} mod {p}"
+        return f"not decided, exact path: rank {rank} of {full} mod {p}"
     return f"order {order}, rank {rank} of {full} mod {p}"
 
 
