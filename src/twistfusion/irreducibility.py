@@ -39,7 +39,7 @@ does not fix.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
 
@@ -49,6 +49,7 @@ from .errors import InternalInconsistency, MalformedInput
 from .linalg import (
     _PRIMES,
     ScaledIntMatrix,
+    _modp_rref,
     echelon,
     int_matmul,
     mod_matmul,
@@ -65,6 +66,8 @@ from .repmatrix import (
     frame_product,
     ratfunc_product,
     s_coefficients,
+    s_factors,
+    s_sums,
     swz_frame_blocks,
     swz_terms,
     term_residue,
@@ -204,32 +207,31 @@ def _primitive_columns(vectors, length: int) -> np.ndarray:
 
 @dataclass
 class AlgebraSpan:
-    """A basis of A_Z: the words, as index sequences into the generators,
-    whose products span it.  ``prime`` grew them, ``rejected`` lists the
-    primes before it whose span failed the closure proof, and
-    ``closure_proved`` says whether the exact proof ran (only when the words
-    are fewer than d^2)."""
+    """A basis of A_Z: the words, as index sequences into G[generators], G
+    from algebra_generators, whose products span it.  ``prime`` grew them,
+    ``rejected`` lists the primes before it whose span failed the closure
+    proof, and ``closure_proved`` says whether the exact proof ran."""
 
     dim: int
     words: list[tuple[int, ...]]
     prime: int
     rejected: list[int]
     closure_proved: bool
+    generators: list[int] = field(default_factory=list)
 
 
-def algebra_generators(Z: FusedModuleSpec) -> np.ndarray:
-    """Generators of A_Z: a basis of the span of the N^2 blocks of
-    S_1 .. S_2n, the leftmost blocks independent over Q (one echelon), each
-    the primitive part of its integer block, stacked as a (g, d, d) object
-    array.  Generators with the same span generate the same algebra."""
+def algebra_generators(Z: FusedModuleSpec, p: int | None = None, factors=None) -> np.ndarray:
+    """The N^2 blocks of S_1 .. S_2n, which generate A_Z (default_truncation),
+    as a (2n N^2, d, d) array, block (i, j) of S_k at (k - 1) N^2 + i N + j:
+    with a prime p float64 residues mod p of the integer blocks (integer
+    multiples of the blocks), else the primitive part of each exact integer
+    block.  ``factors`` are s_factors(Z, 2n), made here when not given."""
     N, d = Z.N, Z.dimZ
-    blocks = [primitive_part(Sk.mat.reshape(N, d, N, d)[i, :, j, :])
-              for Sk in islice(s_coefficients(Z, 2 * Z.n_total), 1, None)
-              for i, j in np.ndindex(N, N)]
-    if not blocks:
-        return np.empty((0, d, d), dtype=object)
-    G = np.stack(blocks)
-    return G[echelon(G.reshape(len(G), d * d).T)[0]]
+    S = islice(s_sums(factors or s_factors(Z, 2 * Z.n_total), p), 1, None)
+    G = [(Sk if p else Sk.mat).reshape(N, d, N, d).transpose(0, 2, 1, 3).reshape(N * N, d, d)
+         for Sk in S]
+    G = np.concatenate(G) if G else np.empty((0, d, d))
+    return G if p else np.array([primitive_part(g) for g in G]).reshape(-1, d, d)
 
 
 # Burnside growth multiplies a slice of words by all generators at once;
@@ -238,8 +240,9 @@ _GROWTH_BATCH = 2**12
 
 
 def _grow_mod_p(G: np.ndarray, p: int) -> list[tuple[int, int]]:
-    """Burnside growth modulo p, breadth first from the identity: the words
-    as (parent word, generator) pairs, the identity as (-1, -1).
+    """Burnside growth modulo p by the residues G, breadth first from the
+    identity: the words as (parent word, generator) pairs, the identity as
+    (-1, -1).
 
     Residues are float64 in (-p, p) (reduce_mod).  A slice of words is
     multiplied by all g generators in one mod_matmul with [G_1 ... G_g], and
@@ -252,7 +255,7 @@ def _grow_mod_p(G: np.ndarray, p: int) -> list[tuple[int, int]]:
     generator), so the words are those of growing one word at a time."""
     g, d, _ = G.shape
     D = d * d
-    Gcat = (G % p).astype(np.float64).transpose(1, 0, 2).reshape(d, g * d)
+    Gcat = G.transpose(1, 0, 2).reshape(d, g * d)
     W = np.zeros((D, d, d))  # the words mod p
     W[0] = np.eye(d)
     E = np.zeros((D, D))
@@ -289,19 +292,18 @@ def _grow_mod_p(G: np.ndarray, p: int) -> list[tuple[int, int]]:
 def _lift_words(G: np.ndarray, words: list[tuple[int, int]]) -> np.ndarray:
     """The integer words along their (parent, generator) pairs, each the
     primitive part of its product (the same line as the word mod p, since
-    that word is nonzero), as an (r, d, d) object array.  Children of one
-    parent are consecutive, so each parent takes one product with
+    that word is nonzero), int64 where int_matmul certifies them.  Children
+    of one parent are consecutive, so each parent takes one product with
     [G_1 ... G_g]."""
     g, d, _ = G.shape
     Gcat = G.transpose(1, 0, 2).reshape(d, g * d)
-    out = np.empty((len(words), d, d), dtype=object)
-    out[0] = np.eye(d, dtype=np.int64).astype(object)
+    out = [np.eye(d, dtype=np.int64)]
     parent, prods = None, None
-    for k, (i, j) in enumerate(words[1:], start=1):
+    for i, j in words[1:]:
         if i != parent:
             parent, prods = i, int_matmul(out[i], Gcat).reshape(d, g, d)
-        out[k] = primitive_part(prods[:, j, :].astype(object))
-    return out
+        out.append(primitive_part(prods[:, j, :]))
+    return np.array(out)
 
 
 # The closure proof forms the word x generator products of as many
@@ -310,26 +312,30 @@ def _lift_words(G: np.ndarray, words: list[tuple[int, int]]) -> np.ndarray:
 _PROOF_BATCH = 2**20
 
 
-def _span_closed(G: np.ndarray, Wint: np.ndarray) -> bool:
-    """Whether the span of the integer words is closed under right
-    multiplication by every generator, exactly: one echelon of the r x d^2
-    word matrix (the words have full row rank, or the growth was wrong), and
-    for the r * g word x generator products x, formed in one product, the
-    check x[free] = x[pivots] @ C of membership in that span."""
+def _span_closed(G: np.ndarray, chosen: list[int], grown: list[tuple[int, int]]) -> bool:
+    """Whether the words grown from G[chosen] span A_Z, the algebra G
+    generates, exactly: one echelon of the r x d^2 word matrix (of full row
+    rank, or the growth was wrong) checks x[free] = x[pivots] @ C for the
+    generators not chosen and the r * g word x chosen generator products.
+    The span holds 1 and is closed under G[chosen], so it is the algebra
+    they generate, and it holds every other generator, so it is A_Z."""
+    Wint = _lift_words(G[chosen], grown)
     r, d, _ = Wint.shape
     pivots, C = echelon(Wint.reshape(r, d * d))
     if len(pivots) != r:
         raise InternalInconsistency(f"{r} words independent mod p have rank {len(pivots)}")
     taken = set(pivots)
     free = [c for c in range(d * d) if c not in taken]
+    X = np.delete(G, chosen, axis=0).reshape(-1, d * d)  # checked with the first batch
     step = max(1, _PROOF_BATCH // (r * d * d))
-    for lo in range(0, G.shape[0], step):
-        Gs = G[lo:lo + step]
+    for lo in range(0, max(len(chosen), 1), step):
+        Gs = G[chosen[lo:lo + step]]
         g = Gs.shape[0]
         P = int_matmul(Wint.reshape(r * d, d), Gs.transpose(1, 0, 2).reshape(d, g * d))
         P = P.reshape(r, d, g, d).transpose(0, 2, 1, 3).reshape(r * g, d * d)
-        if not relation_holds(P, pivots, free, C):
+        if not relation_holds(np.concatenate([X, P]), pivots, free, C):
             return False
+        X = X[:0]
     return True
 
 
@@ -345,21 +351,24 @@ def burnside(Z: FusedModuleSpec) -> AlgebraSpan:
     """dim A_Z, the algebra generated by the S(u) coefficients, by Burnside
     growth modulo a prime and an exact closure proof.
 
-    The words are independent mod p, hence over Q.  d^2 of them span
-    End(Z).  Fewer span A_Z exactly when their span, which holds the
-    identity, is closed under right multiplication by the generators: it
-    then holds every word.  A prime that gave too small a span fails that
-    proof and the next one is tried."""
+    s_factors runs once.  Growth mod p starts from the leftmost blocks
+    independent mod p; its words are independent over Q, and d^2 of them
+    span End(Z) with no exact S_k formed.  Fewer span A_Z exactly when
+    _span_closed proves it on the exact blocks, formed once; a prime that
+    gave too small a span fails that proof and the next one is tried."""
     d = Z.dimZ
-    G = algebra_generators(Z)
-    rejected = []
+    factors = s_factors(Z, 2 * Z.n_total)
+    G, rejected = None, []
     for p in _BURNSIDE_PRIMES:
-        grown = _grow_mod_p(G, p)
+        R = algebra_generators(Z, p, factors)
+        chosen = _modp_rref(R.reshape(len(R), d * d).T.copy(), p)[0]
+        grown = _grow_mod_p(R[chosen], p)
         words = _index_sequences(grown)
         if len(grown) == d * d:
-            return AlgebraSpan(d * d, words, p, rejected, False)
-        if _span_closed(G, _lift_words(G, grown)):
-            return AlgebraSpan(len(grown), words, p, rejected, True)
+            return AlgebraSpan(d * d, words, p, rejected, False, chosen)
+        G = algebra_generators(Z, factors=factors) if G is None else G
+        if _span_closed(G, chosen, grown):
+            return AlgebraSpan(len(grown), words, p, rejected, True, chosen)
         rejected.append(p)
     raise InternalInconsistency(f"no prime of {_BURNSIDE_PRIMES} gave a closed span")
 

@@ -5,11 +5,13 @@ Four layers, all exact:
 * Integer clearing: A = scale * M with M an integer matrix, so products and
   eliminations run on Python ints, roughly two orders of magnitude faster
   than Fraction arithmetic (no gcd per operation).
-* Certified integer kernels.  One exact product, int_matmul, sits behind
-  fdot, ScaledIntMatrix, the Laurent product and the checks below: it runs
-  in numpy int64 only when a runtime certificate bounds every intermediate
-  below 2^62 in absolute value (max|A| * max|B| * inner dimension),
-  otherwise on Python ints.  Identities between integer expressions take
+* The int64 rule.  An exact integer matrix may be int64 only when a bound
+  on its entries and every intermediate is below 2^62 (int64_certified),
+  else it holds Python ints.  An operation that makes entries larger bounds
+  its result first (int_matmul: max|A| * max|B| * inner dimension) and
+  casts to object before any arithmetic when the bound fails, so nothing
+  wraps.  Public outputs (to_int_scaled, to_fractions) hold Python ints and
+  Fractions.  Identities between integer expressions take
   their kernels from float_kernels, on float64 so that BLAS multiplies
   them: when the bound is below 2^53 (a further sum of terms c * (A B)
   multiplies the product bound by sum |c|), every intermediate is an exact
@@ -119,6 +121,11 @@ def int64_certified(bound: int) -> bool:
     return bound < _INT64_LIMIT
 
 
+def certified(A: np.ndarray, bound: int) -> np.ndarray:
+    """The integer matrix A in int64 under ``bound`` (the int64 rule), else in Python ints."""
+    return A.astype(np.int64 if int64_certified(bound) else object, copy=False)
+
+
 def _is_prime(n: int) -> bool:
     return n > 1 and all(n % f for f in range(2, math.isqrt(n) + 1))
 
@@ -182,16 +189,21 @@ def float_kernels(arrays, bound: int, inner: int, weight: int):
     such prime both values that are reduced are within reduce_mod's bound
     (_reduce_bound): below 2^53 - p, and below (2^51 - 1) p because
     inner * (p - 1) and 2 * weight are below 2^51."""
+    for p in kernel_moduli(bound, inner, weight):
+        yield [(A if p is None else A % p).astype(np.float64) for A in arrays], p
+
+
+def kernel_moduli(bound: int, inner: int, weight: int) -> list:
+    """The moduli of float_kernels: [None], or its primes."""
     if bound < _FLOAT_EXACT:
-        yield [A.astype(np.float64) for A in arrays], None
-        return
+        return [None]
     width = max(0, min((53 - inner.bit_length()) // 2, 51 - weight.bit_length()))
-    modulus = 1
+    primes, modulus = [], 1
     for p in _residue_primes(width):
-        yield [(A % p).astype(np.float64) for A in arrays], p
+        primes.append(p)
         modulus *= p
         if modulus > 2 * bound:
-            return
+            return primes
     raise DimensionMismatch(
         f"the primes below 2^{width} do not reach a {bound.bit_length()}-bit bound")
 
@@ -236,8 +248,7 @@ def int_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     The certificate also bounds every entry of A and B, so a zero factor
     does not let the other one be cast to int64 unchecked."""
     bound = max(max_abs(A), 1) * max(max_abs(B), 1) * A.shape[1]
-    dtype = np.int64 if int64_certified(bound) else object
-    return A.astype(dtype) @ B.astype(dtype)
+    return certified(A, bound) @ certified(B, bound)
 
 
 def fdot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -280,20 +291,13 @@ class ScaledIntMatrix:
         self.scale = scale
 
     def to_fractions(self) -> np.ndarray:
-        return self.mat * self.scale
+        return self.mat.astype(object) * self.scale
 
     def is_zero(self) -> bool:
         return is_zero_matrix(self.mat)
 
     def __matmul__(self, other: "ScaledIntMatrix") -> "ScaledIntMatrix":
-        return ScaledIntMatrix(int_matmul(self.mat, other.mat).astype(object),
-                               self.scale * other.scale)
-
-    def __add__(self, other: "ScaledIntMatrix") -> "ScaledIntMatrix":
-        """The sum of two matrices over the same scale."""
-        if self.scale != other.scale:
-            raise ValueError("summands carry different scales")
-        return ScaledIntMatrix(self.mat + other.mat, self.scale)
+        return ScaledIntMatrix(int_matmul(self.mat, other.mat), self.scale * other.scale)
 
 
 # ---------------------------------------------------------------------------
@@ -443,9 +447,9 @@ def _free_columns(pivots: list[int], cols: int) -> list[int]:
 
 def _lift(residues: np.ndarray, modulus: int, pivots, free, prev) -> tuple[np.ndarray, bool]:
     """Rational reconstruction of the RREF coefficients: (C, True) with C
-    the Fractions, or (C, False) when an entry has none, C then partial.
-    Entries left of their row's pivot are zero in any RREF and are set so
-    here.
+    the Fractions, or (C, False) when some entry has none (None in C, to
+    be reconstructed at the next modulus).  Entries left of their row's
+    pivot are zero in any RREF and are set so here.
 
     ``prev`` is the C of the previous modulus of the same CRT (which divides
     this one), or None.  An entry whose lift q there satisfies
@@ -454,6 +458,7 @@ def _lift(residues: np.ndarray, modulus: int, pivots, free, prev) -> tuple[np.nd
     so no other value could come back.  Only the other entries are
     reconstructed."""
     C = np.empty(residues.shape, dtype=object) if prev is None else prev.copy()
+    lifted = True
     for (r, j), v in np.ndenumerate(residues):
         if free[j] < pivots[r]:
             C[r, j] = Fraction(0)
@@ -462,9 +467,8 @@ def _lift(residues: np.ndarray, modulus: int, pivots, free, prev) -> tuple[np.nd
         if q is not None and (q.numerator - int(v) * q.denominator) % modulus == 0:
             continue
         C[r, j] = q = _rat_reconstruct(int(v), modulus)
-        if q is None:
-            return C, False
-    return C, True
+        lifted = lifted and q is not None
+    return C, lifted
 
 
 def relation_holds(M: np.ndarray, pivots, free, C: np.ndarray) -> bool:
@@ -488,8 +492,10 @@ def echelon(A: np.ndarray) -> tuple[list[int], np.ndarray]:
     with A[:, free] = A[:, pivots] @ C, free the other columns in order.
 
     A is cleared once to an integer matrix M, so no prime divides a
-    denominator.  Modular RREF of M proposes the pivots and C; CRT and
-    rational reconstruction lift C, and one integer product proves it.  The
+    denominator, and is int64 when certified (the int64 rule) for its
+    residues and the integer check.  Modular RREF of M proposes the pivots
+    and C; CRT and rational reconstruction lift C, and one integer product
+    proves it.  The
     proof: pivot columns independent mod p are independent over Q, and C is
     zero left of each pivot, so every free column lies in the span of the
     pivot columns to its left; the verified pivots are therefore the
@@ -501,7 +507,8 @@ def echelon(A: np.ndarray) -> tuple[list[int], np.ndarray]:
     no prime gives a verified lift, Fraction RREF decides.
     """
     cols = A.shape[1]
-    M, _ = to_int_scaled(A)
+    M = A if A.dtype.kind in "iu" else to_int_scaled(A)[0]
+    M = certified(M, max_abs(M))
     best: list[int] | None = None
     residues, modulus, C = None, 1, None
     for p in _PRIMES:
@@ -522,7 +529,7 @@ def echelon(A: np.ndarray) -> tuple[list[int], np.ndarray]:
         C, lifted = _lift(residues, modulus, pivots, free, C)
         if lifted and relation_holds(M, pivots, free, C):
             return pivots, C
-    R, pivots = fraction_rref(M)
+    R, pivots = fraction_rref(M.astype(object))
     return pivots, R[: len(pivots)][:, _free_columns(pivots, cols)]
 
 

@@ -40,10 +40,11 @@ from .exactnum import Poly, RatFunc, parse_rational
 from .linalg import (
     BasisSolver,
     ScaledIntMatrix,
-    _FLOAT_EXACT,
+    certified,
     float_kernels,
     int64_certified,
     int_matmul,
+    kernel_moduli,
     mat_equal,
     max_abs,
     mod_matmul,
@@ -244,11 +245,8 @@ class BlockTerm(NamedTuple):
     den: tuple = ()
 
     def exact(self) -> FrameBlock:
-        """The block substituted exactly (FrameBlock.substituted)."""
-        den = Poly.const(1)
-        for e in self.den:
-            den = den * Poly((self.t + e, Fraction(self.s)))
-        return self.block.substituted(self.t, self.s, den)
+        """The block substituted exactly (FrameBlock.substituted), its den as factors."""
+        return self.block.substituted(self.t, self.s, tuple((self.t + e, self.s) for e in self.den))
 
 
 def _pair_term(
@@ -388,7 +386,8 @@ def frame_product(blocks, dims) -> tuple[int, ScaledIntMatrix]:
     of the denominators.  Its order is the numerators' order minus the sum
     of the denominators' valuations, and its leading coefficient the
     numerators' lowest nonzero coefficient over the product of the
-    denominators' lowest nonzero coefficients.
+    denominators' lowest nonzero coefficients (FrameBlock.den_low, read off
+    the linear factors of an exact block).
 
     The numerator product starts at the identity on the legs ``dims`` and
     multiplies each block in on its own slots (MatrixLaurentSeries.embedded),
@@ -397,11 +396,11 @@ def frame_product(blocks, dims) -> tuple[int, ScaledIntMatrix]:
     padded with zero frames to the length of the numerator product, so a
     window that covers that length makes the product exact.  The window
     starts at 1 and doubles while cancellations eat the known ones."""
-    vals = [fb.den.valuation() for fb, _ in blocks]
-    low = math.prod(fb.den.coeffs[v] for (fb, _), v in zip(blocks, vals))
+    lows = [fb.den_low() for fb, _ in blocks]
+    low = math.prod(c for _, c in lows)
     D = math.prod(dims)
     length = 1 + sum(len(fb.frames) - 1 for fb, _ in blocks)
-    one = MatrixLaurentSeries.identity(D).coeffs + [np.zeros((D, D), dtype=object)] * (length - 1)
+    one = MatrixLaurentSeries.identity(D).coeffs + [np.zeros((D, D), dtype=np.int64)] * (length - 1)
     window = 1
     while True:
         prod = MatrixLaurentSeries.from_frames(one, _F1, window)
@@ -414,7 +413,7 @@ def frame_product(blocks, dims) -> tuple[int, ScaledIntMatrix]:
             window *= 2
             continue
         coeff = prod.coefficient(prod.order)
-        return prod.order - sum(vals), ScaledIntMatrix(coeff, prod.scale / low)
+        return prod.order - sum(v for v, _ in lows), ScaledIntMatrix(coeff, prod.scale / low)
 
 
 def term_residue(terms, dims, p: int) -> tuple[int, np.ndarray]:
@@ -527,20 +526,38 @@ class GeneratorMatrices:
     rho: list  # rho[k][i][j] -> object ndarray (dimZ x dimZ)
 
 
-def s_coefficients(Z: FusedModuleSpec, K: int):
-    """Yield the u^0, u^-1, ..., u^-K coefficients of S_Z(u) = T^t(-u) T(u)
-    as ScaledIntMatrix, each built only when drawn.  From the integer T
-    frames (FrameBlock.at_infinity): the u^-m coefficient A_m of T^t(-u) is
-    (-1)^m times the transposed u^-m coefficient B_m of T(u), and
-    S_k = sum_m A_m B_(k-m)."""
+def s_factors(Z: FusedModuleSpec, K: int) -> tuple[list, list, Fraction]:
+    """(A, B, scale): the u^0, ..., u^-K coefficients of T(u) over one
+    scale, from the integer T frames (FrameBlock.at_infinity), as integer
+    matrices B_m, and A_m = (-1)^m B_m^t those of T^t(-u), int64 where
+    certified: S_k = scale * sum_m A_m B_(k-m)."""
     B = _t_data(Z).at_infinity(K)
     int_form, c = _cleared_form(Z.form)
     dims = (Z.N,) + Z.factor_dims
-    A = []
-    for k in range(K + 1):
-        At = transpose_legs(TensorOperator(B[k].mat, dims), {1}, int_form).mat
-        A.append(ScaledIntMatrix(-At if k % 2 else At, c * B[k].scale))
-        yield sum((A[m] @ B[k - m] for m in range(1, k + 1)), A[0] @ B[k])
+    A = [transpose_legs(TensorOperator(Bm.mat, dims), {1}, int_form).mat * (-1) ** m
+         for m, Bm in enumerate(B)]
+    return A, [Bm.mat for Bm in B], c * B[0].scale ** 2
+
+
+def s_sums(factors, p: int | None = None):
+    """Yield S_0, ..., S_K from s_factors, each formed when drawn by one
+    product [A_0 ... A_k] [B_k; ...; B_0]: exactly as ScaledIntMatrix, or
+    with a prime p its integer matrix mod p as float64 residues in (-p, p)
+    (mod_matmul), since all its products share the scale."""
+    A, B, scale = factors
+    if p is not None:
+        A, B = ([(X % p).astype(np.float64) for X in Y] for Y in (A, B))
+    Acat, D = np.hstack(A), len(B[0])
+    for k in range(len(B)):
+        left, right = Acat[:, :(k + 1) * D], np.vstack(B[k::-1])
+        yield ScaledIntMatrix(left, scale) @ ScaledIntMatrix(right) if p is None else mod_matmul(
+            left, right, p)
+
+
+def s_coefficients(Z: FusedModuleSpec, K: int):
+    """Yield the u^0, u^-1, ..., u^-K coefficients of S_Z(u) = T^t(-u) T(u)
+    as ScaledIntMatrix, each built only when drawn (s_sums)."""
+    return s_sums(s_factors(Z, K))
 
 
 def s_generators(Z: FusedModuleSpec, K: int) -> GeneratorMatrices:
@@ -555,10 +572,11 @@ def s_generators(Z: FusedModuleSpec, K: int) -> GeneratorMatrices:
 
 
 def _cleared_form(form: GForm) -> tuple[GForm, Fraction]:
-    """g and g^-1 cleared to integers, and the scale c with
+    """g and g^-1 cleared to integers, int64 where certified, and the scale c with
     (true transposition) = c * (transposition of the cleared form)."""
     g, sg = to_int_scaled(form.g)
     g_inv, sgi = to_int_scaled(form.g_inv)
+    g, g_inv = (certified(X, max_abs(X)) for X in (g, g_inv))
     return GForm(form.kind, form.N, g, g_inv), sg * sgi
 
 
@@ -671,25 +689,26 @@ def _decide(samples, auxes, sides):
     """One bool per pair of the batch, the broadcast leading axes of two
     (..., N, N, d, d) sample stacks and of integer (..., N^2, N^2) auxes, or
     one bool without them.  With weight the product of the sums |aux|, the
-    pairs of bound max|a| * max|b| * d * weight below 2^53 share the exact
-    kernel, the others the residue kernels of the largest of their bounds,
-    an upper bound for each; each kernel converts the sample stacks once.
-    A pair fails when any kernel sees its sides differ, and later kernels
-    skip it.  ``sides`` takes _RELATION_ELEMENTS // (N^4 d^2) pairs, at
-    least one, at a time, in row-major order."""
+    pairs whose bounds max|a| * max|b| * d * weight need the same kernels
+    (kernel_moduli) share those of the largest of their bounds; each kernel
+    converts the sample stacks once.  A pair fails when any kernel sees its
+    sides differ, and later kernels skip it.  ``sides`` takes
+    _RELATION_ELEMENTS // (N^4 d^2) pairs, at least one, at a time."""
     samples, auxes = [A[None] for A in samples], [R[None] for R in auxes]
     N, d = samples[0].shape[-4], samples[0].shape[-1]
     weights = math.prod(np.abs(R).sum(axis=(-2, -1)).astype(object) for R in auxes)
     shape = np.broadcast_shapes(*(A.shape[:-4] for A in samples), *(R.shape[:-2] for R in auxes))
     a, b = (np.abs(A).reshape(A.shape[:-4] + (-1,)).max(axis=-1).astype(object) for A in samples)
     bounds = np.broadcast_to(a * b * weights * d, shape).ravel()
-    exact = bounds < _FLOAT_EXACT
+    weight = int(weights.max())
+    kernels = {b: len(kernel_moduli(b, d, weight)) for b in set(bounds)}
+    keys = np.array([kernels[b] for b in bounds])
     auxes = [np.broadcast_to(R.astype(np.float64), shape + R.shape[-2:]) for R in auxes]
     step = max(1, _RELATION_ELEMENTS // (N**4 * d * d))
     work = np.empty((3, step * N**4 * d * d))
     ok = np.ones(len(bounds), dtype=bool)
-    for group in (g for g in (exact, ~exact) if g.any()):
-        for arrays, p in float_kernels(samples, int(bounds[group].max()), d, int(weights.max())):
+    for group in (keys == key for key in np.unique(keys)):
+        for arrays, p in float_kernels(samples, int(bounds[group].max()), d, weight):
             arrays = [np.broadcast_to(A, shape + A.shape[-4:]) for A in arrays]
             live = np.flatnonzero(ok & group)
             for k in range(0, len(live), step):
@@ -868,7 +887,7 @@ def duality_check(omega: SkewDiagram, z, form: GForm) -> DualityReport:
         L, sL = int_matmul(conj(Cs.mat), Fse), Cs.scale * sFs
         R = conj(transposed(int_matmul(conj(transposed(Ct.mat)), Fe)))
         sR = Ct.scale * sF * c ** (2 * n)
-        if not np.array_equal(L * (sL.numerator * sR.denominator),
-                              R * (sR.numerator * sL.denominator)):
+        if not np.array_equal(L.astype(object) * (sL.numerator * sR.denominator),
+                              R.astype(object) * (sR.numerator * sL.denominator)):
             failures.append(k)
     return DualityReport(omega, N, form.kind, z, K, failures)

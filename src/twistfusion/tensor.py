@@ -25,12 +25,14 @@ from .errors import (
 from .exactnum import Poly, RatFunc
 from .linalg import (
     ScaledIntMatrix,
+    certified,
     feye,
     fzeros,
     generic_dot,
-    int_matmul,
+    int64_certified,
     is_zero_matrix,
     mat_equal,
+    max_abs,
     primitive_part,
     reduce_mod,
 )
@@ -284,7 +286,9 @@ def embed_matrix(block: np.ndarray, slots, dims, zero=_F0) -> np.ndarray:
 
 
 def transpose_legs(A: TensorOperator, legs, form: GForm) -> TensorOperator:
-    """Apply x -> g x^T g^-1 on the selected legs (1-indexed set)."""
+    """Apply x -> g x^T g^-1 on the selected legs (1-indexed set); int64 A,
+    g and g^-1 stay int64 under max|A| (N^2 max|g| max|g^-1|)^legs (the
+    int64 rule)."""
     legs = sorted(set(int(l) for l in legs))
     n = A.n_legs
     for l in legs:
@@ -295,17 +299,15 @@ def transpose_legs(A: TensorOperator, legs, form: GForm) -> TensorOperator:
     if not legs:
         return TensorOperator(A.mat.copy(), A.dims)
     T = A.as_tensor()
-    axes = list(range(2 * n))
+    g, g_inv = form.g, form.g_inv
+    g_id = np.array_equal(g, np.eye(form.N, dtype=np.int64))
+    if not g_id and T.dtype == np.int64 and g.dtype == np.int64:
+        bound = max_abs(T) * (form.N**2 * max_abs(g) * max_abs(g_inv)) ** len(legs)
+        T, g, g_inv = (certified(X, bound) for X in (T, g, g_inv))
     for l in legs:
         k = l - 1
-        axes[k], axes[n + k] = axes[n + k], axes[k]
-    T = np.transpose(T, axes)
-    g_id = mat_equal(form.g, feye(form.N))
-    if not g_id:
-        for l in legs:
-            k = l - 1
-            T = np.moveaxis(np.tensordot(form.g, T, axes=([1], [k])), 0, k)
-            T = np.moveaxis(np.tensordot(T, form.g_inv, axes=([n + k], [0])), -1, n + k)
+        Y = np.moveaxis(T, (n + k, k), (-2, -1))  # leg l's two indices last, swapped
+        T = np.moveaxis(Y if g_id else g @ Y @ g_inv, (-2, -1), (k, n + k))
     return TensorOperator(T.reshape(A.size, A.size), A.dims)
 
 
@@ -509,7 +511,7 @@ class MatrixLaurentSeries:
     @classmethod
     def identity(cls, n: int) -> "MatrixLaurentSeries":
         """The constant series 1 on n x n matrices."""
-        return cls(0, [np.eye(n, dtype=np.int64).astype(object)], _F1, exact_tail=True)
+        return cls(0, [np.eye(n, dtype=np.int64)], _F1, exact_tail=True)
 
     @classmethod
     def from_frames(cls, frames, scale, window: int) -> "MatrixLaurentSeries":
@@ -542,8 +544,8 @@ class MatrixLaurentSeries:
         reshape identity: the columns of a left coefficient P, gathered by
         slot map into a (rows * d_rest) x d_slots matrix G, give
         P (B (x) 1) as G @ B scattered back, D^2 d_slots multiplications
-        instead of D^3.  Every product runs under the int64 certificate of
-        int_matmul."""
+        instead of D^3.  A coefficient is summed in int64 under the sum of its
+        terms' bounds max|a| max|b| inner (the int64 rule)."""
         if self.slot_map is not None:
             raise DimensionMismatch("an embedded series multiplies only from the right")
         la, lb = len(self.coeffs), len(other.coeffs)
@@ -551,8 +553,8 @@ class MatrixLaurentSeries:
         wb = math.inf if other.exact_tail else lb
         w = min(wa, wb)
         length = la + lb - 1 if w is math.inf else int(w)
-        za = [is_zero_matrix(c) for c in self.coeffs]
-        zb = [is_zero_matrix(c) for c in other.coeffs]
+        ma = [max_abs(c) for c in self.coeffs]
+        mb = [max_abs(c) for c in other.coeffs]
         rows, inner = self.coeffs[0].shape
         cols = None if other.slot_map is None else other.slot_map.T  # [rest, slot]
         if cols is None:
@@ -561,21 +563,20 @@ class MatrixLaurentSeries:
         else:
             if cols.size != inner:
                 raise DimensionMismatch("embedded operand lives on another space")
-            left = [None if z else c[:, cols].reshape(-1, cols.shape[1])
-                    for c, z in zip(self.coeffs, za)]
+            left = [c[:, cols].reshape(-1, cols.shape[1]) if m else None
+                    for c, m in zip(self.coeffs, ma)]
             shape = (rows, inner)
         out = []
         for t in range(length):
-            acc = None
-            for a in range(max(0, t - lb + 1), min(la, t + 1)):
-                if za[a] or zb[t - a]:
-                    continue
-                term = int_matmul(left[a], other.coeffs[t - a]).astype(object)
-                acc = term if acc is None else acc + term
-            if acc is None:
-                acc = np.zeros(shape, dtype=object)
-            elif cols is not None:
-                mat = np.empty(shape, dtype=object)
+            terms = [(a, t - a) for a in range(max(0, t - lb + 1), min(la, t + 1))
+                     if ma[a] and mb[t - a]]
+            bound = sum(ma[a] * mb[b] * other.coeffs[b].shape[0] for a, b in terms)
+            acc = np.zeros(shape if cols is None else (rows * cols.shape[0], cols.shape[1]),
+                           dtype=np.int64 if int64_certified(bound) else object)
+            for a, b in terms:
+                acc += certified(left[a], bound) @ certified(other.coeffs[b], bound)
+            if cols is not None:
+                mat = np.empty(shape, dtype=acc.dtype)
                 mat[:, cols] = acc.reshape((rows,) + cols.shape)
                 acc = mat
             out.append(acc)
@@ -598,7 +599,7 @@ class MatrixLaurentSeries:
         """The integer matrix of t^exponent, to be read over ``scale``."""
         k = exponent - self.order
         if k < 0 or (k >= len(self.coeffs) and self.exact_tail):
-            return np.zeros(self.coeffs[0].shape, dtype=object)
+            return np.zeros(self.coeffs[0].shape, dtype=self.coeffs[0].dtype)
         if k >= len(self.coeffs):
             raise _WindowExhausted
         return self.coeffs[k]
@@ -611,12 +612,13 @@ class _WindowExhausted(Exception):
 # ---------------------------------------------------------------------------
 # operators in one variable: polynomial frames over one scalar denominator
 
-@dataclass
 class FrameBlock:
     """The operator scale * (sum_k frames[k] x^k) / den(x) on the legs
     ``dims``, with integer frames (lowest degree first), one Fraction scale
     and a scalar Poly den.  Every operator that depends on the deformation
-    variable zeta or the spectral parameter u takes this form.
+    variable zeta or the spectral parameter u takes this form.  The frames
+    are int64 under their largest entry ``top`` (the int64 rule).  den may
+    be the pairs (a, b) of its factors a + b x, made a Poly when read.
 
     The relation sampler evaluates T only up to a nonzero scalar: it drops
     the scale, den(u0) and the content of the result (at_int).  Each
@@ -624,11 +626,22 @@ class FrameBlock:
     the same scalar product appears on both of its sides and equality is
     unaffected."""
 
-    frames: list
-    scale: Fraction
-    den: Poly
-    dims: tuple
-    _mod: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    def __init__(self, frames, scale: Fraction, den, dims):
+        self.top = max(max_abs(fr) for fr in frames)
+        self.frames = [certified(fr, self.top) for fr in frames]
+        self.scale, self._den, self.dims, self._mod = scale, den, tuple(dims), {}
+
+    @property
+    def den(self) -> Poly:
+        if not isinstance(self._den, Poly):
+            self._den = math.prod((Poly((a, Fraction(b))) for a, b in self._den), start=Poly.const(1))
+        return self._den
+
+    def den_low(self) -> tuple[int, Fraction]:
+        """The valuation of den and its lowest nonzero coefficient."""
+        if isinstance(self._den, Poly):
+            return self._den.valuation(), self._den.coeffs[self._den.valuation()]
+        return sum(a == 0 for a, _ in self._den), math.prod(a or b for a, b in self._den)
 
     @functools.cached_property
     def low(self) -> int | None:
@@ -665,15 +678,21 @@ class FrameBlock:
     def _horner(self, x0: Fraction) -> tuple[Fraction, np.ndarray]:
         """den(x0), SingularParameter if x0 is a pole, and for x0 = p/q the
         integer matrix sum_k frames[k] p^k q^(deg - k), deg = len(frames) - 1:
-        the frame sum at x0 times q^deg."""
+        the frame sum at x0 times q^deg, under top (|p| + q)^deg (the int64 rule)."""
         d = self.den.eval(x0)
         if d == 0:
             raise SingularParameter(f"{x0} is a pole of the operator")
-        acc, qk = self.frames[-1], 1
-        for fr in reversed(self.frames[:-1]):
-            qk *= x0.denominator
-            acc = acc * x0.numerator + fr * qk
+        p, q = x0.numerator, x0.denominator
+        frames = self._frames_within((abs(p) + q) ** (len(self.frames) - 1))
+        acc, qk = frames[-1], 1
+        for fr in reversed(frames[:-1]):
+            qk *= q
+            acc = acc * p + fr * qk
         return d, acc
+
+    def _frames_within(self, growth: int) -> list[np.ndarray]:
+        """The frames under the bound max(top, 1) * growth, growth >= every scalar factor."""
+        return [certified(fr, max(self.top, 1) * growth) for fr in self.frames]
 
     def substituted(self, t: Fraction, s: int, den: Poly) -> "FrameBlock":
         """The numerator scale * sum_m frames[m] x^m at x = t + s*y, as
@@ -685,14 +704,16 @@ class FrameBlock:
         scale / q^D.  At s = 0 that is the homogenised Horner sum
         (_horner).  Otherwise the homogenised frames q^(D-m) frames[m] are
         Taylor-shifted by p through synthetic division, D(D+1)/2 matrix
-        axpys with no binomials, and frame k is multiplied by (q s)^k."""
+        axpys with no binomials, and frame k is multiplied by (q s)^k, all
+        under top (|p| + q (1 + |s|))^D (the int64 rule)."""
         t = Fraction(t)
         p, q = t.numerator, t.denominator
         D = len(self.frames) - 1
         scale = self.scale / q**D
         if s == 0:
             return FrameBlock([self._horner(t)[1]], scale, den, self.dims)
-        c = [fr * q ** (D - m) for m, fr in enumerate(self.frames)]
+        frames = self._frames_within((abs(p) + q * (1 + abs(s))) ** D)
+        c = [fr * q ** (D - m) for m, fr in enumerate(frames)]
         if p:
             for i in range(D):
                 for m in range(D - 1, i - 1, -1):
@@ -706,7 +727,7 @@ class FrameBlock:
         x0 = Fraction(x0)
         d, acc = self._horner(x0)
         q_deg = x0.denominator ** (len(self.frames) - 1)
-        return TensorOperator(acc * (self.scale / (d * q_deg)), self.dims)
+        return TensorOperator(acc.astype(object) * (self.scale / (d * q_deg)), self.dims)
 
     def at_int(self, u0: Fraction) -> np.ndarray:
         """A primitive integer matrix equal to the value at u0 up to a
@@ -720,15 +741,17 @@ class FrameBlock:
         With n = deg den, 1/den(u) = u^-n sum_j h_j u^-j, the h_j given by
         the linear recurrence on the coefficients of den; so the u^-m
         coefficient is sum_k frames[k] h_(m+k-n).  The h_j are cleared to
-        integers H_j = L h_j by one common L."""
+        integers H_j = L h_j by one common L; sums run under top * sum |H_j|
+        (the int64 rule)."""
         n = self.den.degree
-        h = RatFunc(Poly.const(1), self.den).series_at_infinity(K + n)[n:]
+        h = RatFunc(Poly.const(1), self.den, _normalized=True).series_at_infinity(K + n)[n:]
         L = math.lcm(*(c.denominator for c in h))
         H = [int(c * L) for c in h]
+        frames = self._frames_within(sum(map(abs, H)))
         out = []
         for m in range(K + 1):
-            acc = np.zeros(self.frames[0].shape, dtype=object)
-            for k, F in enumerate(self.frames):
+            acc = np.zeros(frames[0].shape, dtype=frames[0].dtype)
+            for k, F in enumerate(frames):
                 if m + k >= n:
                     acc = acc + F * H[m + k - n]
             out.append(ScaledIntMatrix(acc, self.scale / L))
@@ -739,5 +762,5 @@ class FrameBlock:
         shape = self.frames[0].shape
         out = np.empty(shape, dtype=object)
         for idx in np.ndindex(shape):
-            out[idx] = RatFunc(Poly([self.scale * fr[idx] for fr in self.frames]), self.den)
+            out[idx] = RatFunc(Poly([self.scale * int(fr[idx]) for fr in self.frames]), self.den)
         return out

@@ -553,7 +553,7 @@ def test_burnside_skips_a_prime_whose_span_is_too_small(monkeypatch, text, dim):
     # modulo 3 the growth stops short at these points; the closure proof
     # rejects that span and the next prime gives the algebra
     Z = FusedModuleSpec.from_string(SP2, text)
-    assert len(irreducibility._grow_mod_p(irreducibility.algebra_generators(Z), 3)) < dim
+    assert len(irreducibility._grow_mod_p(irreducibility.algebra_generators(Z, 3), 3)) < dim
     primes = irreducibility._BURNSIDE_PRIMES
     monkeypatch.setattr(irreducibility, "_BURNSIDE_PRIMES", (3,) + primes)
     span = burnside(Z)
@@ -562,10 +562,11 @@ def test_burnside_skips_a_prime_whose_span_is_too_small(monkeypatch, text, dim):
 
 
 def test_burnside_words_multiply_out_to_the_algebra():
-    # the words are index sequences into the generators whose products are
-    # exactly independent, starting from the identity
+    # the words are index sequences into the chosen generators whose
+    # products are exactly independent, starting from the identity
     Z = FusedModuleSpec.from_string(SP2, "1:1/3;1:4/3")
-    G, span = irreducibility.algebra_generators(Z), burnside(Z)
+    span = burnside(Z)
+    G = irreducibility.algebra_generators(Z)[span.generators]
     assert span.words[0] == () and len(span.words) == span.dim == 13
     mats = []
     for word in span.words:
@@ -578,8 +579,8 @@ def test_burnside_words_multiply_out_to_the_algebra():
 
 def test_growth_by_slices_takes_the_words_of_one_at_a_time(monkeypatch):
     Z = FusedModuleSpec.from_string(SO3, "1:2/3;1:5/3")
-    G = irreducibility.algebra_generators(Z)
     p = irreducibility._BURNSIDE_PRIMES[0]
+    G = irreducibility.algebra_generators(Z, p)
     sliced = irreducibility._grow_mod_p(G, p)
     monkeypatch.setattr(irreducibility, "_GROWTH_BATCH", 1)
     assert irreducibility._grow_mod_p(G, p) == sliced
@@ -808,3 +809,75 @@ def test_wall_verdict_never_calls_the_witness(monkeypatch):
     for form, text in ((SP2, "1:1/3;1:4/3"), (SP2, "1:1/2"), (SO3, "1:1/3;1:-1/3")):
         rep = verdict(FusedModuleSpec.from_string(form, text))
         assert rep.on_wall
+
+
+# ---------------------------------------------------------------------------
+# Burnside from residues of the S(u) coefficients
+
+def _s_block_residues_match(Z, primes):
+    """Every residue block of algebra_generators(Z, p) is the integer block
+    of S_1 .. S_2n mod p, in the order (k, i, j)."""
+    N, d = Z.N, Z.dimZ
+    exact = [Sk.mat.astype(object).reshape(N, d, N, d)[i, :, j, :]
+             for Sk in itertools.islice(s_coefficients(Z, 2 * Z.n_total), 1, None)
+             for i, j in np.ndindex(N, N)]
+    for p in primes:
+        R = irreducibility.algebra_generators(Z, p)
+        assert R.dtype == np.float64 and len(R) == len(exact) and np.all(np.abs(R) < p)
+        for r, block in zip(R, exact):
+            assert np.all((r.astype(np.int64).astype(object) - block) % p == 0), (Z, p)
+
+
+@pytest.mark.parametrize("form,shape", CRITERION_9_SHAPES,
+                         ids=[f"{f.kind}{f.N}-{i}" for i, (f, _) in enumerate(CRITERION_9_SHAPES)])
+def test_residue_s_blocks_are_the_exact_blocks_mod_p(form, shape):
+    rng = random.Random(12)
+    Z = FusedModuleSpec(form, list(zip(shape, random_offwall(len(shape), rng))))
+    _s_block_residues_match(Z, (2, 3, 2097143))
+
+
+@pytest.mark.parametrize("form,text", [(SO3, "3,2,1/2,1:1/7"),
+                                       (GForm.orthogonal(4), "1,1:1/5;1,1:-2/7")],
+                         ids=["dim27", "dim36"])
+def test_residue_s_blocks_at_large_dims(form, text):
+    _s_block_residues_match(FusedModuleSpec.from_string(form, text), (2, 3, 2097143))
+
+
+def test_closure_proof_rejects_a_generator_outside_the_span():
+    # the words of the reducible point span the algebra of the chosen
+    # generators, which holds every other generator; a generator not
+    # chosen but moved outside that span fails the proof
+    Z = FusedModuleSpec.from_string(SP2, "1:1/3;1:4/3")
+    p = irreducibility._BURNSIDE_PRIMES[0]
+    R = irreducibility.algebra_generators(Z, p)
+    chosen = irreducibility._modp_rref(R.reshape(len(R), 16).T.copy(), p)[0]
+    grown = irreducibility._grow_mod_p(R[chosen], p)
+    G = irreducibility.algebra_generators(Z)
+    assert len(grown) == 13 and irreducibility._span_closed(G, chosen, grown)
+    other = next(k for k in range(len(G)) if k not in chosen and G[k].any())
+    words = irreducibility._lift_words(G[chosen], grown).reshape(13, 16)
+    units = np.eye(16, dtype=np.int64)
+    outside = next(u for u in units if rank_exact(np.vstack([words, u])) == 14)
+    moved = G.astype(object)
+    moved[other] += outside.reshape(4, 4)
+    assert not irreducibility._span_closed(moved, chosen, grown)
+
+
+def test_irreducible_burnside_forms_no_exact_s(monkeypatch):
+    # a wall point of rank 27 < 36 where Burnside growth finds all 36 words:
+    # only residues of the S(u) coefficients are formed
+    drawn = []
+    sums = irreducibility.s_sums
+
+    def recording(factors, p=None):
+        drawn.append(p)
+        return sums(factors, p)
+
+    monkeypatch.setattr(irreducibility, "s_sums", recording)
+    rep = verdict(FusedModuleSpec.from_string(SP2, "1:1/2;2:-2/5"))
+    assert (rep.phi_rank, rep.algebra_dim, rep.verdict) == (27, 36, "irreducible")
+    assert drawn == [irreducibility._BURNSIDE_PRIMES[0]]
+    # at a reducible point the exact coefficients are formed once
+    drawn.clear()
+    assert verdict(FusedModuleSpec.from_string(SP2, "1:2/5;2:7/5")).algebra_dim == 28
+    assert drawn == [irreducibility._BURNSIDE_PRIMES[0], None]

@@ -346,3 +346,68 @@ def test_non_canonical_basis_is_refused(B):
     with pytest.raises(DimensionMismatch):
         linalg.BasisSolver(B)
 
+
+
+# ---------------------------------------------------------------------------
+# the int64 rule: each site works in int64 at its bound, below 2^62, and on
+# Python ints one step past it, with the same exact result
+
+_LIMIT = 1 << 62
+
+
+@pytest.mark.parametrize("top,path", [(_LIMIT - 1, np.int64), (_LIMIT, object)])
+def test_int_matmul_int64_boundary(top, path):
+    # max|A| * max|B| * inner: the bound is top, and ScaledIntMatrix keeps
+    # the dtype of the product while its Fraction view holds Python values
+    A = np.array([[top], [-3]], dtype=object)
+    B = np.array([[1, 0]], dtype=object)
+    got = linalg.ScaledIntMatrix(A, Fraction(1, 3)) @ linalg.ScaledIntMatrix(B)
+    assert got.mat.dtype == path and int(got.mat[0, 0]) == top
+    assert type(got.to_fractions()[0, 0]) is Fraction and got.to_fractions()[0, 0] == Fraction(top, 3)
+    cleared, scale = linalg.to_int_scaled(got.mat)
+    assert scale == 1 and all(type(v) is int for v in cleared.flat)
+
+
+@pytest.mark.parametrize("top,path", [(_LIMIT - 1, np.int64), (_LIMIT, object)])
+def test_echelon_residues_int64_boundary(top, path, monkeypatch):
+    # the cleared matrix is reduced mod p, and checked, from an int64 copy
+    # exactly when its largest entry is certified
+    A = np.array([[top, 0, top], [1, 1, 1], [2, 0, 2]], dtype=object)
+    seen = []
+    holds = linalg.relation_holds
+
+    def recording(M, *args):
+        seen.append(M.dtype)
+        return holds(M, *args)
+
+    monkeypatch.setattr(linalg, "relation_holds", recording)
+    pivots, C = _assert_matches_reference(A)
+    assert pivots == [0, 1] and seen == [path]
+
+
+def test_lift_reconstructs_only_the_open_entries(monkeypatch):
+    # A = [1 | C] with coefficients that need one to four primes: each
+    # prime reconstructs exactly the entries no earlier prime lifted, and
+    # keeps the others
+    primes = linalg._PRIMES
+    need = [1, 2, 3, 4, 1, 2, 1, 1]
+    heights = [math.isqrt(math.prod(primes[:k]) // 2) for k in range(5)]
+    C = np.array([[Fraction(heights[k - 1] + 1 + j) for k in need] for j in range(3)], dtype=object)
+    A = np.concatenate([linalg.feye(3), C], axis=1)
+    calls, moduli = [], []
+    original, rref = linalg._rat_reconstruct, linalg._modp_rref
+
+    def counting(a, m):
+        calls.append(m)
+        return original(a, m)
+
+    def counting_rref(M, p):
+        moduli.append(math.prod(moduli[-1:]) * p)
+        return rref(M, p)
+
+    monkeypatch.setattr(linalg, "_rat_reconstruct", counting)
+    monkeypatch.setattr(linalg, "_modp_rref", counting_rref)
+    pivots, lifted = linalg.echelon(A)
+    assert pivots == [0, 1, 2] and linalg.mat_equal(lifted, C)
+    assert len(moduli) == 4
+    assert [calls.count(m) for m in moduli] == [3 * sum(k > i for k in need) for i in range(4)]

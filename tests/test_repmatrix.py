@@ -651,12 +651,27 @@ def test_residue_kernels_reject_perturbation_hidden_from_all_but_last_prime(
     assert not oracle(broken, b)
     assert not holds(broken, b)
     assert moduli == primes
-    # one batch of three pairs, the middle one broken: the batch draws the
-    # primes of its largest bound, the broken pair's, and decides every pair
-    # at each of them
-    del moduli[:]
+    # one batch of three pairs, the middle one broken: the pairs are grouped
+    # by the kernels their own bounds need, 4 primes for the unperturbed
+    # pairs and, for the reflection relation, 5 for the broken pair, whose
+    # perturbation makes its bound larger; its last prime but one rejects it
+    sets = []
+    kernels = repmatrix.float_kernels
+
+    def kernel_sets(arrays, bound, inner, weight):
+        sets.append(len(linalg.kernel_moduli(bound, inner, weight)))
+        return kernels(arrays, bound, inner, weight)
+
+    monkeypatch.setattr(repmatrix, "float_kernels", kernel_sets)
+    need = []
+    for x in (big, broken):
+        del sets[:]
+        holds(x, b)
+        need.append(sets[0])
+    assert need == [4, 4 if relation == "rtt" else 5]
+    del sets[:], moduli[:]
     assert holds([big, broken, big], b).tolist() == [True, False, True]
-    assert moduli[:len(primes)] == primes
+    assert sets == sorted(set(need)) and moduli == primes * len(sets)
     # a pair that fails at the first prime does not end the batch there
     visible = big.copy()
     visible[0, 1] += 1
@@ -757,8 +772,10 @@ def test_reduce_mod_is_exact_up_to_the_bound():
 
 
 def _is_integer_block(fb) -> bool:
+    # integer-valued frames, int64 or Python ints (the int64 rule)
     return isinstance(fb.scale, Fraction) and all(
-        fr.ndim == 2 and all(type(v) is int for v in fr.flat) for fr in fb.frames)
+        fr.ndim == 2 and (fr.dtype == np.int64 or all(type(v) is int for v in fr.flat))
+        for fr in fb.frames)
 
 
 @pytest.mark.parametrize("form,modules", [(SO3, "1,1:1/5;2:-3/7"), (SP2, "2:2/7;1:1/5"),

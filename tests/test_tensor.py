@@ -7,6 +7,7 @@ import pytest
 from twistfusion.errors import DimensionMismatch, IndexOutOfRange, NotInvariant, SingularParameter
 from twistfusion.exactnum import Poly
 from twistfusion.linalg import feye, fzeros, mat_equal, to_int_scaled
+from twistfusion import tensor as tensor_mod
 from twistfusion.tensor import (
     Basis,
     FrameBlock,
@@ -410,7 +411,8 @@ def test_substituted_is_the_numerator_at_the_affine_argument(t, s):
     fb = FrameBlock(frames, scale, Poly.const(1), (2, 2)).substituted(t, s, den)
     assert fb.den == den and fb.dims == (2, 2)
     assert len(fb.frames) == (1 if s == 0 else 4)
-    assert all(type(v) is int for fr in fb.frames for v in fr.flat)
+    # integer-valued frames, int64 or Python ints (the int64 rule)
+    assert all(fr.dtype == np.int64 or all(type(v) is int for v in fr.flat) for fr in fb.frames)
     for y in (Fraction(0), Fraction(2, 9), Fraction(-5, 3)):
         x = t + s * y
         expect = sum(fr * x**m for m, fr in enumerate(frames)) * (scale / den.eval(y))
@@ -435,3 +437,81 @@ def test_residue_is_the_lowest_substituted_frame_mod_p(t, s, p):
     else:
         assert got[0] == k0 and got[1].dtype == np.float64 and np.abs(got[1]).max() < p
         assert np.array_equal(got[1] % p, exact.frames[k0] % p)
+
+
+# ---------------------------------------------------------------------------
+# the int64 rule: each site works in int64 at its bound, below 2^62, and on
+# Python ints one step past it, with the same exact result
+
+_LIMIT = 1 << 62
+
+
+def _ints(rows) -> np.ndarray:
+    return np.array(rows, dtype=object)
+
+
+def _is_exact(got, expect) -> bool:
+    return got.shape == expect.shape and all(int(a) == b for a, b in zip(got.flat, expect.flat))
+
+
+@pytest.mark.parametrize("y,path", [((1 << 61) - 1, np.int64), (1 << 61, object)])
+def test_laurent_sum_int64_boundary(y, path):
+    # coefficient 1 of (1 + t)(y + y t) sums two products of bound y each
+    one = MatrixLaurentSeries(0, [_ints([[1]]), _ints([[1]])], Fraction(1), exact_tail=True)
+    ys = MatrixLaurentSeries(0, [_ints([[y]]), _ints([[y]])], Fraction(1), exact_tail=True)
+    coeff = (one @ ys).coeffs[1]
+    assert 2 * y < _LIMIT if path is np.int64 else 2 * y >= _LIMIT
+    assert coeff.dtype == path and _is_exact(coeff, _ints([[2 * y]]))
+
+
+@pytest.mark.parametrize("top,path", [((_LIMIT - 1) // 3, True), ((_LIMIT - 1) // 3 + 1, False)])
+def test_substituted_int64_boundary(top, path, monkeypatch):
+    # D = 1 at t = 1, s = 1: the bound top * (|p| + q (1 + |s|))^D is 3 top
+    fb = FrameBlock([_ints([[top], [1]]), _ints([[top], [-1]])], Fraction(1), Poly.const(1), (2,))
+    seen = []
+    certified = tensor_mod.certified
+
+    def recording(A, bound):
+        seen.append(bound < _LIMIT)
+        return certified(A, bound)
+
+    monkeypatch.setattr(tensor_mod, "certified", recording)
+    out = fb.substituted(Fraction(1), 1, Poly.const(1))
+    assert all(seen) == path
+    assert _is_exact(out.frames[0], _ints([[2 * top], [0]]))
+    assert _is_exact(out.frames[1], _ints([[top], [-1]]))
+
+
+@pytest.mark.parametrize("top,path", [((_LIMIT - 1) // 3, np.int64), ((_LIMIT - 1) // 3 + 1, object)])
+def test_horner_int64_boundary(top, path):
+    # at x0 = 2 the Horner bound top * (|p| + q)^deg is 3 top
+    fb = FrameBlock([_ints([[top, 1], [0, 0]]), _ints([[top, 0], [0, 0]])], Fraction(1),
+                    Poly.const(1), (2,))
+    got = fb.at_int(Fraction(2))
+    assert got.dtype == path and _is_exact(got, _ints([[3 * top, 1], [0, 0]]))
+    value = fb.at(Fraction(2)).mat
+    assert mat_equal(value, _ints([[3 * top, 1], [0, 0]])) and type(value[0, 0]) is Fraction
+
+
+@pytest.mark.parametrize("top,path", [((_LIMIT - 1) // 3, np.int64), ((_LIMIT - 1) // 3 + 1, object)])
+def test_at_infinity_int64_boundary(top, path):
+    # 1 / (u + 2) = u^-1 (1 - 2 u^-1 + ...): to order 1 the bound is
+    # top * (1 + 2); the u^-1 coefficient is F0 - 2 F1
+    fb = FrameBlock([_ints([[top], [1]]), _ints([[top], [0]])], Fraction(1),
+                    Poly((Fraction(2), Fraction(1))), (2,))
+    c0, c1 = fb.at_infinity(1)
+    assert c0.mat.dtype == c1.mat.dtype == path
+    assert _is_exact(c0.mat, _ints([[top], [0]])) and _is_exact(c1.mat, _ints([[-top], [1]]))
+
+
+@pytest.mark.parametrize("top,path", [((1 << 60) - 1, np.int64), (1 << 60, object)])
+def test_transpose_legs_int64_boundary(top, path):
+    # the cleared symplectic form on one leg of dimension 2: the bound is
+    # max|A| * N^2 max|g| max|g^-1| = 4 top
+    form = GForm("sp", 2, np.array([[0, 1], [-1, 0]]), np.array([[0, -1], [1, 0]]))
+    A = np.arange(16).reshape(4, 4) - 8
+    A[0, 3] = top
+    got = transpose_legs(TensorOperator(A.astype(np.int64), (2, 2)), {1}, form).mat
+    expect = transpose_legs(TensorOperator(A.astype(object), (2, 2)), {1}, form).mat
+    assert got.dtype == path and _is_exact(got, expect)
+    assert any(abs(v) == top for v in expect.flat)

@@ -1,12 +1,14 @@
-"""Print stage times of twistfusion at modules of dimension 9, 18, 27 and 36.
+"""Print stage times of twistfusion at modules of dimension 6 to 36.
 
     python3 tools/scale_probe.py [--stages LIST]
 
 The package is imported from ``src/`` next to this script.  The modules are
 so3 ``1,1:-1/3;1,1:1/5`` (dim 9), ``1,1:1/5;2:-3/7`` (dim 18) and
-``3,2,1/2,1:1/7`` (dim 27), and so4 ``1,1:1/5;1,1:-2/7`` (dim 36), which
-runs only the ``witness`` stage.  LIST is a comma list of stages, run in
-this order, default all of them:
+``3,2,1/2,1:1/7`` (dim 27), so4 ``1,1:1/5;1,1:-2/7`` (dim 36), which runs
+only the ``witness`` and ``burnside`` stages, and the sp2 wall points
+``1:1/2;2:-2/5`` and ``1:2/5;2:7/5`` (dim 6), which run only the ``wall``
+stage.  LIST is a comma list of stages, run in this order, default all of
+them:
 
   * ``phi``: ``irreducibility.phi_leading``, pair blocks and frame product,
     with how many ``int_matmul`` calls it made, how many of them failed the
@@ -32,6 +34,13 @@ this order, default all of them:
     algebra the S(u) coefficients generate, with its dimension, the number
     of words and whether the exact closure proof ran (only when the words
     are fewer than (dim Z)^2);
+  * ``wall``: the steps of a verdict at a wall point where phi is not
+    surjective, each the best of WALL_RUNS runs on a fresh spec with warm
+    block caches: the exact phi (``phi_leading``), its exact rank
+    (``surjectivity``) and ``burnside``, split into the residue generators
+    (``algebra_generators`` with a prime), growth (``_grow_mod_p``) and the
+    closure proof (the rest of ``burnside``, which includes the exact
+    generators, ``algebra_generators`` without a prime, shown apart);
   * ``commutant``: ``irreducibility.commutant_dim`` at the default K, which
     no verdict reads;
   * ``relations``: ``repmatrix.check_defining_relations``, with the number
@@ -50,7 +59,8 @@ this order, default all of them:
 At dim 27, on a 2-vCPU Xeon VM, ``phi`` takes 7-10 s and ``witness``
 4.4-6 s, most of it building the two breve pair blocks; ``--stages
 relations`` takes about half a second.  The dim-36 witness takes 0.5-0.6 s.
-Times are wall times of one run in this process.
+Times are wall times of one run in this process, except the ``wall``
+stage's best-of-runs.
 """
 
 from __future__ import annotations
@@ -65,13 +75,16 @@ from collections import Counter
 from contextlib import redirect_stdout
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-STAGES = ("phi", "rank", "witness", "burnside", "commutant", "relations", "scan")
+STAGES = ("phi", "rank", "witness", "burnside", "wall", "commutant", "relations", "scan")
 # (form, N, modules, a second point of the shape for the warm lines, the
 # stages the module runs: None for all)
 MODULES = (("so", 3, "1,1:-1/3;1,1:1/5", "1,1:2/7;1,1:-3/11", None),
            ("so", 3, "1,1:1/5;2:-3/7", "1,1:-2/9;2:4/11", None),
            ("so", 3, "3,2,1/2,1:1/7", None, None),
-           ("so", 4, "1,1:1/5;1,1:-2/7", None, ("witness",)))
+           ("so", 4, "1,1:1/5;1,1:-2/7", None, ("witness", "burnside")),
+           ("sp", 2, "1:1/2;2:-2/5", None, ("wall",)),
+           ("sp", 2, "1:2/5;2:7/5", None, ("wall",)))
+WALL_RUNS = 20
 SCAN_GRID = "-1/3,2/7;1/5,-3/11"
 
 
@@ -143,6 +156,68 @@ def _record_witness(irr) -> dict:
     return seen
 
 
+def _record_burnside(irr) -> dict:
+    """Accumulate the time of the Burnside steps: rebinds
+    ``algebra_generators`` (residue or exact, by whether a prime is given)
+    and ``_grow_mod_p`` in ``irreducibility``, and counts ``s_factors``
+    and ``_modp_rref`` (which picks the generators to grow from), where
+    ``irreducibility`` has them, with the residue generators."""
+    spent: dict = {}
+
+    def timed(name, fn):
+        def run(*args, **kwargs):
+            t0 = time.perf_counter()
+            out = fn(*args, **kwargs)
+            key = name(args, kwargs) if callable(name) else name
+            spent[key] = spent.get(key, 0.0) + time.perf_counter() - t0
+            return out
+        return run
+
+    irr.algebra_generators = timed(
+        lambda a, k: "exact" if len(a) < 2 and k.get("p") is None else "residue",
+        irr.algebra_generators)
+    irr._grow_mod_p = timed("growth", irr._grow_mod_p)
+    for name in ("s_factors", "_modp_rref"):
+        if hasattr(irr, name):
+            setattr(irr, name, timed("residue", getattr(irr, name)))
+    return spent
+
+
+def wall_probe(tf, form, modules: str, spent: dict) -> None:
+    """Best-of-WALL_RUNS times of the steps of a non-surjective wall verdict."""
+    irr, repmatrix = tf.irreducibility, tf.repmatrix
+    best: dict = {}
+
+    def keep(key, value):
+        best[key] = min(best.get(key, value), value)
+
+    for _ in range(WALL_RUNS + 1):  # the first run fills the caches
+        Z = repmatrix.FusedModuleSpec.from_string(form, modules)
+        t0 = time.perf_counter()
+        phi = irr.phi_leading(Z)
+        t1 = time.perf_counter()
+        rank, surj = irr.surjectivity(phi)
+        t2 = time.perf_counter()
+        spent.clear()
+        span = irr.burnside(Z)
+        t3 = time.perf_counter()
+        if _ == 0:
+            continue
+        keep("exact phi", t1 - t0)
+        keep("exact rank", t2 - t1)
+        keep("burnside", t3 - t2)
+        for key in ("residue", "exact", "growth"):
+            keep(key, spent.get(key, 0.0))
+        keep("closure", t3 - t2 - spent.get("residue", 0.0) - spent.get("growth", 0.0))
+    print(f"  wall verdict steps, best of {WALL_RUNS}: phi rank {rank} of {Z.dimZ ** 2}, "
+          f"dim A_Z {span.dim}", flush=True)
+    print(f"    exact phi {best['exact phi'] * 1e3:.2f} ms, exact rank {best['exact rank'] * 1e3:.2f} "
+          f"ms, burnside {best['burnside'] * 1e3:.2f} ms: residue generators "
+          f"{best['residue'] * 1e3:.2f} ms, growth {best['growth'] * 1e3:.2f} ms, closure proof "
+          f"{best['closure'] * 1e3:.2f} ms (exact generators {best['exact'] * 1e3:.2f} ms)",
+          flush=True)
+
+
 def _witness_split(linalg, seen: dict) -> str:
     S = linalg.stacked_blocks(seen["matrix"])
     rows, cols = S.any(axis=2).sum(axis=1), S.any(axis=1).sum(axis=1)
@@ -178,7 +253,7 @@ def _timed(label: str, fn, note):
 
 
 def probe(tf, kind: str, N: int, modules: str, warm, stages, counts: Counter,
-          matmuls: Counter, seen: dict) -> None:
+          matmuls: Counter, seen: dict, spent: dict) -> None:
     irr, repmatrix = tf.irreducibility, tf.repmatrix
     form = tf.tensor.GForm.default(kind, N)
     Z = repmatrix.FusedModuleSpec.from_string(form, modules)
@@ -209,6 +284,8 @@ def probe(tf, kind: str, N: int, modules: str, warm, stages, counts: Counter,
         _timed("burnside", lambda: irr.burnside(Z),
                lambda b: f"dim {b.dim} of {Z.dimZ ** 2}; {len(b.words)} words, closure proof "
                          f"{'ran' if b.closure_proved else 'not needed'}")
+    if "wall" in stages:
+        wall_probe(tf, form, modules, spent)
     if "commutant" in stages:
         K = irr.default_truncation(Z)
         _timed("commutant_dim", lambda: irr.commutant_dim(Z, K), lambda c: f"dim {c[0]} (K = {K})")
@@ -249,11 +326,12 @@ def main(argv=None) -> int:
     counts = _record_kernels(tf.repmatrix)
     matmuls = _record_matmuls(tf.linalg, (tf.tensor, tf.repmatrix, tf.irreducibility))
     seen = _record_witness(tf.irreducibility)
+    spent = _record_burnside(tf.irreducibility)
     if set(stages) - {"scan"}:
         for kind, N, modules, warm, only in MODULES:
-            run = [s for s in stages if only is None or s in only]
+            run = [s for s in stages if s in (only or set(STAGES) - {"wall"})]
             if run:
-                probe(tf, kind, N, modules, warm, run, counts, matmuls, seen)
+                probe(tf, kind, N, modules, warm, run, counts, matmuls, seen, spent)
     if "scan" in stages:
         scan_probe(cli)
     return 0
