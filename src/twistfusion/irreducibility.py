@@ -19,14 +19,14 @@ is the same over Q and over C.
    mod p proves phi surjective, and the exact frame product and rank do not
    run.  Any other residue (zero where a block residue cannot tell its
    lowest frame), and every point on a wall, takes the exact path.
-2. Otherwise Burnside growth decides: words in the integer blocks of
-   S_1 .. S_2n (n boxes; default_truncation shows that they span every
-   coefficient) are grown from the identity modulo a prime below 2^21 in
-   the witness's product, mod_matmul.  d^2 words independent mod p are
-   independent over Q, so A_Z = End(Z).  Fewer words span A_Z exactly when
-   their span is closed under right multiplication by every generator,
-   which one exact echelon proves; a prime whose span fails that proof is
-   skipped.  Then dim A_Z < d^2 and the module is reducible.
+2. Otherwise Burnside growth decides: words in the residues of the integer
+   blocks of S_1 .. S_2n (n boxes; default_truncation shows that they span
+   every coefficient) modulo a prime below 2^21, the leftmost independent
+   ones, are grown from the identity in mod_matmul.  d^2 words independent
+   mod p are independent over Q, so A_Z = End(Z).  Fewer words span A_Z
+   exactly when, on the exact blocks, their span is closed under the blocks
+   grown from and holds every other block, which one exact echelon proves;
+   a prime whose span fails that proof is skipped.  Then dim A_Z < d^2.
 
 The image of phi lies in A_Z, so rank(phi) > dim A_Z contradicts the theory
 and aborts.  commutant_dim (the joint commutant of the generators) stays as

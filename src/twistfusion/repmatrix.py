@@ -550,8 +550,7 @@ def s_sums(factors, p: int | None = None):
     Acat, D = np.hstack(A), len(B[0])
     for k in range(len(B)):
         left, right = Acat[:, :(k + 1) * D], np.vstack(B[k::-1])
-        yield ScaledIntMatrix(left, scale) @ ScaledIntMatrix(right) if p is None else mod_matmul(
-            left, right, p)
+        yield mod_matmul(left, right, p) if p else ScaledIntMatrix(left, scale) @ ScaledIntMatrix(right)
 
 
 def s_coefficients(Z: FusedModuleSpec, K: int):
