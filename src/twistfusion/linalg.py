@@ -455,20 +455,16 @@ def _lift(residues: np.ndarray, modulus: int, pivots, free, prev) -> tuple[np.nd
     this one), or None.  An entry whose lift q there satisfies
     q.num = r * q.den mod the new modulus is kept: q meets the bounds of the
     larger modulus too, and a reconstruction within those bounds is unique,
-    so no other value could come back.  Only the other entries are
-    reconstructed."""
-    C = np.empty(residues.shape, dtype=object) if prev is None else prev.copy()
-    lifted = True
-    for (r, j), v in np.ndenumerate(residues):
-        if free[j] < pivots[r]:
-            C[r, j] = Fraction(0)
-            continue
-        q = C[r, j]
-        if q is not None and (q.numerator - int(v) * q.denominator) % modulus == 0:
-            continue
-        C[r, j] = q = _rat_reconstruct(int(v), modulus)
-        lifted = lifted and q is not None
-    return C, lifted
+    so no other value could come back.  Only the other entries, the open
+    ones, are reconstructed."""
+    C = np.full(residues.shape, None, dtype=object) if prev is None else prev.copy()
+    C[np.array(free)[None, :] < np.array(pivots)[:, None]] = Fraction(0)
+    vals = residues.ravel().tolist()
+    open_ = [i for i, (q, v) in enumerate(zip(C.ravel().tolist(), vals))
+             if q is None or (q.numerator - v * q.denominator) % modulus]
+    for i in open_:
+        C.flat[i] = _rat_reconstruct(vals[i], modulus)
+    return C, all(C.flat[i] is not None for i in open_)
 
 
 def relation_holds(M: np.ndarray, pivots, free, C: np.ndarray) -> bool:
