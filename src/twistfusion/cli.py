@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import multiprocessing
+import os
 import random
 import re
 import sys
@@ -322,8 +323,9 @@ def cmd_scan(args) -> int:
     grows = [[str(v) for v in row] for row in form.g] if args.g_file else None
     modules = [str(d) for d in dias]
     payloads = [(args.form, args.n, grows, modules, args.box_cap, zs) for zs in points]
-    # a pool starts all its workers at its first task: ask for no more than points
-    jobs = min(args.jobs, len(payloads))
+    # a pool starts all its workers at its first task: ask for no more than
+    # points, nor than the CPUs this process may run on
+    jobs = min(args.jobs, len(payloads), len(os.sched_getaffinity(0)))
     if jobs > 1:
         results = _scan_in_pool(payloads, jobs)
     else:

@@ -195,18 +195,9 @@ def ssyt_count(omega: SkewDiagram, N: int) -> int:
     return place(0)
 
 
-def enumerate_skew(
-    max_boxes: int,
-    max_rows: int | None = None,
-    max_cols: int | None = None,
-    max_col_height: int | None = None,
-    anchored: bool = True,
-    include_empty: bool = False,
-):
-    """Yield skew diagrams with at most max_boxes boxes inside the given
-    bounding box (defaults: max_boxes x max_boxes)."""
-    max_rows = max_rows or max_boxes
-    max_cols = max_cols or max_boxes
+def enumerate_skew(max_boxes: int, max_col_height: int | None = None):
+    """Yield the anchored skew diagrams with 1 to max_boxes boxes (and
+    columns at most max_col_height tall, if given)."""
 
     def partitions(bound_len, bound_val):
         yield ()
@@ -217,10 +208,8 @@ def enumerate_skew(
             if len(p) < bound_len:
                 stack.extend(p + (v,) for v in range(min(p[-1], bound_val), 0, -1))
 
-    if include_empty:
-        yield SkewDiagram(())
-    for lam in partitions(max_rows, max_cols):
-        if not lam or sum(lam) == 0:
+    for lam in partitions(max_boxes, max_boxes):
+        if not lam:
             continue
         for mu in partitions(len(lam), lam[0]):
             try:
@@ -229,9 +218,7 @@ def enumerate_skew(
                 continue
             if d.lam != lam:
                 continue  # skip non-canonical duplicates
-            if not 0 < d.size <= max_boxes:
-                continue
-            if anchored and not d.is_anchored():
+            if not 0 < d.size <= max_boxes or not d.is_anchored():
                 continue
             if max_col_height is not None and d.max_column_height() > max_col_height:
                 continue

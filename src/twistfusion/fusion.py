@@ -35,9 +35,11 @@ from .tensor import (
     GForm,
     TensorOperator,
     apply_factor_chain,
+    flip,
     image_basis,
-    reversal_op,
+    reversal_index,
     transpose_legs,
+    two_leg_entries,
 )
 
 
@@ -93,7 +95,7 @@ def fusion_operator(
     cols = [j for (_, j) in ct.boxes]
     cont = ct.contents
     dims = (N,) * n
-    minus_p = [(a, b, b, a, -1) for a in range(N) for b in range(N)]
+    minus_p = two_leg_entries(-flip(N))
 
     # numerators (d + s*eps) - P_pq of the factors, in lexicographic order
     chain = []
@@ -157,9 +159,8 @@ def verify_fusion_invariants(F: FusionOperator, form: GForm | None = None) -> Fu
         t_ok = transpose_legs(F.matrix, range(1, n + 1), form) == F.matrix
         sh, _ = sharp(omega)
         # s_hat F s_hat for the leg reversal s_hat: F on reversed tensor indices
-        dims = F.matrix.dims
-        rev = np.ravel_multi_index(np.unravel_index(np.arange(F.matrix.size), dims)[::-1], dims)
-        conj = TensorOperator(F.matrix.mat[np.ix_(rev, rev)], dims)
+        rev = reversal_index(N, 0, n)
+        conj = TensorOperator(F.matrix.mat[np.ix_(rev, rev)], F.matrix.dims)
         sharp_ok = conj == fusion_operator(sh, N).matrix
         alt = tuple(reversed(range(2, omega.n_cols + 2)))
         alt_ok = fusion_operator(omega, N, slopes=alt).matrix == F.matrix
@@ -187,7 +188,7 @@ def defining_action_product(params, N: int) -> FrameBlock:
     transported module action (leg 1 leftmost, the one satisfying RTT) is
     its conjugate sigma_hat . (reversed params) . sigma_hat."""
     n = len(params)
-    minus_p = [(a, b, b, a, -1) for a in range(N) for b in range(N)]
+    minus_p = two_leg_entries(-flip(N))
     chain = [(0, q, -params[q - 1], 1, minus_p) for q in range(n, 0, -1)]
     den = Poly.const(1)
     for a_q in params:
@@ -230,11 +231,12 @@ def intertwining_check(omega: SkewDiagram, N: int, z, u_samples=None) -> Intertw
             if Fraction(k) not in poles:
                 u_samples.append(Fraction(k))
             k += 1
-    s_hat = reversal_op(n, N)
     taut = defining_action_product(a, N)
     rev = defining_action_product(a_rev, N)
-    F_emb = TensorOperator(np.kron(feye(N), F.matrix.mat), (N,) * (n + 1))
-    s_emb = TensorOperator(np.kron(feye(N), s_hat.mat), (N,) * (n + 1))
+    dims = (N,) * (n + 1)
+    F_emb = TensorOperator(np.kron(feye(N), F.matrix.mat), dims)
+    # sigma_hat on the module legs: rev's action read on the reversed index
+    s_idx = reversal_index(N, 1, n)
     failures = []
     used = []
     for u0 in u_samples:
@@ -242,7 +244,7 @@ def intertwining_check(omega: SkewDiagram, N: int, z, u_samples=None) -> Intertw
         if u0 in poles:
             raise SingularParameter(f"u = {u0} is a pole of a factor (v_q = {u0})")
         lhs = F_emb @ taut.at(u0)
-        rhs = (s_emb @ rev.at(u0) @ s_emb) @ F_emb
+        rhs = TensorOperator(rev.at(u0).mat[np.ix_(s_idx, s_idx)], dims) @ F_emb
         used.append(u0)
         if lhs != rhs:
             failures.append(u0)

@@ -49,6 +49,7 @@ from .errors import InternalInconsistency, MalformedInput
 from .linalg import (
     _PRIMES,
     ScaledIntMatrix,
+    _free_columns,
     _modp_rref,
     echelon,
     int_matmul,
@@ -324,8 +325,7 @@ def _span_closed(G: np.ndarray, chosen: list[int], grown: list[tuple[int, int]])
     pivots, C = echelon(Wint.reshape(r, d * d))
     if len(pivots) != r:
         raise InternalInconsistency(f"{r} words independent mod p have rank {len(pivots)}")
-    taken = set(pivots)
-    free = [c for c in range(d * d) if c not in taken]
+    free = _free_columns(pivots, d * d)
     X = np.delete(G, chosen, axis=0).reshape(-1, d * d)  # checked with the first batch
     step = max(1, _PROOF_BATCH // (r * d * d))
     for lo in range(0, max(len(chosen), 1), step):

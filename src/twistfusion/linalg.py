@@ -279,9 +279,9 @@ def generic_dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 class ScaledIntMatrix:
     """An exact rational matrix stored as scale * (integer matrix).
 
-    Used for basis-solve coordinates, the leading coefficient of a frame
-    product and the S(u) coefficients, which stay integers over one scale
-    until a public output reads them as Fractions.
+    Used for the leading coefficient of a frame product and the S(u)
+    coefficients, which stay integers over one scale until a public output
+    reads them as Fractions.
     """
 
     __slots__ = ("mat", "scale")
@@ -558,43 +558,3 @@ def inverse(A: np.ndarray) -> np.ndarray:
     if pivots != list(range(n)):
         raise DimensionMismatch("matrix is singular")
     return C
-
-
-# ---------------------------------------------------------------------------
-# solving in a basis
-
-class BasisSolver:
-    """Solves B x = rhs for B in reduced echelon form, B[rows] = I and
-    B[free] = C^T with (rows, C) = echelon(B^T): x lies in the span exactly
-    when x[free] = C^T x[rows], and x[rows] are then its coordinates.  B_int
-    = B / B_scale is kept for the callers that apply operators to B."""
-
-    def __init__(self, B: np.ndarray):
-        rows, C = echelon(B.T)
-        if not np.array_equal(B[rows, :], np.eye(B.shape[1], dtype=int)):
-            raise DimensionMismatch("basis matrix is not a full-rank reduced echelon basis")
-        self.rows = rows
-        self.B_int, self.B_scale = to_int_scaled(B)
-        self._factors = [(B.shape[0], rows, _free_columns(rows, B.shape[0]), C)]
-
-    @classmethod
-    def kron(cls, s1: "BasisSolver", s2: "BasisSolver") -> "BasisSolver":
-        """The solver of kron(B1, B2), with no elimination: its rows are
-        r1 * n2 + r2, in order, so it is in reduced echelon form too."""
-        out, n2 = cls.__new__(cls), s2.B_int.shape[0]
-        out.rows = [r1 * n2 + r2 for r1 in s1.rows for r2 in s2.rows]
-        out.B_int, out.B_scale = np.kron(s1.B_int, s2.B_int), s1.B_scale * s2.B_scale
-        out._factors = s1._factors + s2._factors
-        return out
-
-    def solve(self, rhs: np.ndarray) -> ScaledIntMatrix | None:
-        """Coordinates X = rhs[rows] over scale 1 with B @ X = rhs, for an
-        integer matrix rhs, or None if inconsistent: each Kronecker factor's
-        relations are checked on the fibres along its axis (Van Loan 2000)."""
-        X = rhs.reshape([n for n, _, _, _ in self._factors] + [rhs.shape[1]])
-        for axis, (n, rows, free, C) in enumerate(self._factors):
-            fibres = np.moveaxis(X, axis, -1).reshape(-1, n)
-            if free and not relation_holds(fibres, rows, free, C):
-                return None
-            X = X.take(rows, axis=axis)
-        return ScaledIntMatrix(X.reshape(len(self.rows), rhs.shape[1]))

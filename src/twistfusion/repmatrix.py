@@ -38,7 +38,6 @@ from .errors import (
 )
 from .exactnum import Poly, RatFunc, parse_rational
 from .linalg import (
-    BasisSolver,
     ScaledIntMatrix,
     certified,
     float_kernels,
@@ -53,6 +52,7 @@ from .linalg import (
     to_int_scaled,
 )
 from .tensor import (
+    Basis,
     FrameBlock,
     GForm,
     MatrixLaurentSeries,
@@ -60,6 +60,7 @@ from .tensor import (
     _WindowExhausted,
     embed_matrix,
     restricted_chain,
+    reversal_index,
     structural_ops,
     transpose_legs,
     two_leg_entries,
@@ -202,10 +203,6 @@ def _pair_order(kind: str, nA: int, nB: int) -> list[tuple[int, int]]:
     return [(p, q) for p in reversed(range(nA)) for q in qs]
 
 
-def _negated(entries):
-    return [(a, b, c, d, -v) for (a, b, c, d, v) in entries]
-
-
 # The numerator blocks in their own argument, keyed by form, diagrams and
 # kind, least recently used first; they hold at most _BLOCK_ENTRIES frame
 # entries in all (_held of them now), and a larger block is built but not
@@ -283,12 +280,12 @@ def _pair_term(
     def build() -> FrameBlock:
         # factors (a + b*x) * 1 + X with a = sigma * e_pq, b = sigma
         P, Q = structural_ops(B.form)
-        X = two_leg_entries(P if kind in ("R", "Rb") else Q)
-        entries = X if kind == "Rb'" else _negated(X)
+        X = P if kind in ("R", "Rb") else Q
+        entries = two_leg_entries(X if kind == "Rb'" else -X)
         sigma = -1 if kind == "R'" else 1
         chain = [(p, nA + q, sigma * epq, sigma, entries) for (p, q), epq in zip(order, e)]
-        solver = BasisSolver.kron(A.basis(i).solver(), B.basis(j).solver())
-        frames, scale = restricted_chain(chain, solver, (B.N,) * (nA + nB))
+        basis = Basis.kron(A.basis(i), B.basis(j))
+        frames, scale = restricted_chain(chain, basis, (B.N,) * (nA + nB))
         return FrameBlock(frames, scale, Poly.const(1), (A.basis(i).size, B.basis(j).size))
 
     key = (B.form.key, A.factors[i][0], B.factors[j][0], kind)
@@ -311,10 +308,10 @@ def _elementary_s_term(omega: SkewDiagram, z, shifted: bool, form: GForm) -> Blo
 
     def build() -> FrameBlock:
         cont = column_tableau(omega).contents
-        entries = _negated(two_leg_entries(structural_ops(form)[1]))
+        entries = two_leg_entries(-structural_ops(form)[1])
         chain = [(p, q, -(cont[p] + cont[q]), -1, entries)
                  for p in reversed(range(n)) for q in reversed(range(p))]
-        frames, scale = restricted_chain(chain, basis.solver(), (form.N,) * n)
+        frames, scale = restricted_chain(chain, basis, (form.N,) * n)
         return FrameBlock(frames, scale, one, (size,))
 
     return BlockTerm(_argument_block((form.key, omega, "S"), build), 2 * Fraction(z),
@@ -869,10 +866,7 @@ def duality_check(omega: SkewDiagram, z, form: GForm) -> DualityReport:
     Fe, Fse = np.kron(one, F_int), np.kron(one, Fs_int)
     int_form, c = _cleared_form(form)
     legs = set(range(2, n + 2))
-    # sigma_hat on legs 2..n+1 is an involutive permutation matrix, so
-    # conjugating by it reads X on the index with those legs reversed
-    digits = np.unravel_index(np.arange(N ** (n + 1)), dims)
-    rev = np.ravel_multi_index((digits[0],) + digits[:0:-1], dims)
+    rev = reversal_index(N, 1, n)  # sigma_hat on legs 2..n+1
 
     def conj(X: np.ndarray) -> np.ndarray:
         return X[np.ix_(rev, rev)]

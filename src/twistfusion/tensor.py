@@ -215,9 +215,18 @@ def permutation_op(perm, N: int) -> TensorOperator:
     return TensorOperator(mat, dims)
 
 
+def reversal_index(N: int, kept: int, n: int) -> np.ndarray:
+    """The index of (C^N)^(kept + n) with the first ``kept`` legs kept and
+    the last n reversed.  sigma_hat on those n legs is an involutive
+    permutation matrix, so conjugating X by it is X[np.ix_(idx, idx)]."""
+    dims = (N,) * (kept + n)
+    digits = np.unravel_index(np.arange(N ** (kept + n)), dims)
+    return np.ravel_multi_index(digits[:kept] + digits[kept:][::-1], dims)
+
+
 def reversal_op(n: int, N: int) -> TensorOperator:
     """sigma_hat_n for the order-reversing permutation i -> n+1-i."""
-    return permutation_op([n + 1 - i for i in range(1, n + 1)], N)
+    return TensorOperator(feye(N**n)[reversal_index(N, 0, n)], (N,) * n)
 
 
 def embed_two_leg(op: TensorOperator, a: int, b: int, n: int) -> TensorOperator:
@@ -315,66 +324,99 @@ def transpose_legs(A: TensorOperator, legs, form: GForm) -> TensorOperator:
 # bases, images, restriction
 
 class Basis:
-    """List of linearly independent coordinate vectors in an ambient space."""
+    """A basis of a subspace of Q^ambient in reduced echelon form, which
+    depends on the subspace alone.  As the columns of a matrix B: B[rows]
+    = I and B[free] = C^T for (rows, C) = echelon(B^T), so x lies in the
+    span exactly when x[free] = C^T x[rows], and x[rows] are then its
+    coordinates.  B_int = B / B_scale is kept for the callers that apply
+    operators to B.  A Kronecker product keeps the relations (n, rows, free,
+    C) of each factor."""
 
-    __slots__ = ("ambient", "vectors", "_matrix", "_solver")
+    __slots__ = ("ambient", "rows", "B_int", "B_scale", "_factors")
 
     def __init__(self, ambient: int, vectors):
-        self.ambient = ambient
-        self.vectors = [np.asarray(v, dtype=object).reshape(-1) for v in vectors]
-        for v in self.vectors:
-            if v.shape[0] != ambient:
-                raise DimensionMismatch("basis vector has wrong length")
-        self._matrix = None
-        self._solver = None
+        """The basis of the given vectors; DimensionMismatch unless they are
+        already the reduced echelon basis of their span."""
+        vectors = [np.asarray(v, dtype=object).reshape(-1) for v in vectors]
+        if any(v.shape[0] != ambient for v in vectors):
+            raise DimensionMismatch("basis vector has wrong length")
+        B = np.stack(vectors, axis=1) if vectors else np.empty((ambient, 0), dtype=object)
+        rows, C = linalg.echelon(B.T)
+        if not np.array_equal(B[rows, :], np.eye(B.shape[1], dtype=int)):
+            raise DimensionMismatch("basis matrix is not a full-rank reduced echelon basis")
+        self._set_echelon(ambient, rows, C)
+
+    def _set_echelon(self, ambient: int, rows, C: np.ndarray) -> None:
+        free = linalg._free_columns(rows, ambient)
+        B = fzeros((ambient, len(rows)))
+        B[rows] = feye(len(rows))
+        B[free] = C.T
+        self.ambient, self.rows = ambient, rows
+        self.B_int, self.B_scale = linalg.to_int_scaled(B)
+        self._factors = [(ambient, rows, free, C)]
+
+    @classmethod
+    def from_echelon(cls, ambient: int, rows, C: np.ndarray) -> "Basis":
+        """The basis with B[rows] = I and B[free] = C^T, taken as given."""
+        out = cls.__new__(cls)
+        out._set_echelon(ambient, rows, C)
+        return out
 
     @property
     def size(self) -> int:
-        return len(self.vectors)
+        return len(self.rows)
 
     def matrix(self) -> np.ndarray:
-        if self._matrix is None:
-            if self.vectors:
-                self._matrix = np.stack(self.vectors, axis=1)
-            else:
-                self._matrix = np.empty((self.ambient, 0), dtype=object)
-        return self._matrix
+        """B, as Fractions."""
+        return self.B_int * self.B_scale
 
-    def solver(self) -> linalg.BasisSolver:
-        if self._solver is None:
-            self._solver = linalg.BasisSolver(self.matrix())
-        return self._solver
+    @property
+    def vectors(self) -> list[np.ndarray]:
+        return list(self.matrix().T)
 
     @staticmethod
     def full(ambient: int) -> "Basis":
-        return Basis(ambient, [feye(ambient)[:, j] for j in range(ambient)])
+        return Basis.from_echelon(ambient, list(range(ambient)), fzeros((ambient, 0)))
 
     @staticmethod
     def kron(b1: "Basis", b2: "Basis") -> "Basis":
-        vecs = [np.kron(v1, v2) for v1 in b1.vectors for v2 in b2.vectors]
-        return Basis(b1.ambient * b2.ambient, vecs)
+        """The basis of kron(B1, B2), with no elimination: its rows are
+        r1 * n2 + r2, in order, so it is in reduced echelon form too."""
+        out, n2 = Basis.__new__(Basis), b2.ambient
+        out.ambient = b1.ambient * n2
+        out.rows = [r1 * n2 + r2 for r1 in b1.rows for r2 in b2.rows]
+        out.B_int, out.B_scale = np.kron(b1.B_int, b2.B_int), b1.B_scale * b2.B_scale
+        out._factors = b1._factors + b2._factors
+        return out
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray | None:
+        """The integer coordinates X = rhs[rows] with B @ X = rhs, for an
+        integer matrix rhs, or None if some column lies outside the span:
+        each Kronecker factor's relations are checked on the fibres along
+        its axis (Van Loan 2000)."""
+        X = rhs.reshape([n for n, _, _, _ in self._factors] + [rhs.shape[1]])
+        for axis, (n, rows, free, C) in enumerate(self._factors):
+            fibres = np.moveaxis(X, axis, -1).reshape(-1, n)
+            if free and not linalg.relation_holds(fibres, rows, free, C):
+                return None
+            X = X.take(rows, axis=axis)
+        return X.reshape(self.size, rhs.shape[1])
 
 
 def image_basis(A: TensorOperator) -> Basis:
-    """The reduced echelon basis of the column space, which depends on the
-    space alone: B[rows] = I and B[free] = C^T for (rows, C) = echelon(A^T)."""
-    rows, C = linalg.echelon(A.mat.T)
-    B = fzeros((A.size, len(rows)))
-    B[rows] = feye(len(rows))
-    taken = set(rows)
-    B[[r for r in range(A.size) if r not in taken]] = C.T
-    return Basis(A.size, B.T)
+    """The reduced echelon basis of the column space, read off echelon(A^T)."""
+    return Basis.from_echelon(A.size, *linalg.echelon(A.mat.T))
 
 
 def restrict(A: TensorOperator, domain: Basis, codomain: Basis, dims=None) -> TensorOperator:
     """Matrix of A in the given bases; NotInvariant if A leaves the codomain span."""
     rhs, scale = linalg.to_int_scaled(generic_dot(A.mat, domain.matrix()))
-    X = codomain.solver().solve(rhs)
+    X = codomain.solve(rhs)
     if X is None:
         raise NotInvariant("operator does not map domain span into codomain span")
     if domain.size != codomain.size:
         raise DimensionMismatch("restriction of a square operator needs equal basis sizes")
-    return TensorOperator(X.mat * scale, dims if dims is not None else (domain.size,))
+    return TensorOperator(X * scale, dims if dims is not None else (domain.size,))
 
 
 def partial_trace_first(M: TensorOperator, dimW: int):
@@ -463,22 +505,22 @@ def apply_factor_chain(V: np.ndarray, dims, chain) -> tuple[list[np.ndarray], Fr
     return frames, scale
 
 
-def restricted_chain(chain, solver: linalg.BasisSolver, dims) -> tuple[list, Fraction]:
+def restricted_chain(chain, basis: Basis, dims) -> tuple[list, Fraction]:
     """Integer frames and one Fraction scale: frame k of the chain's
-    operator in the basis of ``solver``, whose span it must map into itself
-    (NotInvariant otherwise), is scale * frames[k].
+    operator in ``basis``, whose span it must map into itself (NotInvariant
+    otherwise), is scale * frames[k].
 
     The chain is applied to the cleared basis matrix B_int = B / B_scale
     (apply_factor_chain), and the coordinates of each integer frame are its
-    rows at the solver's rows, integers over scale 1."""
-    frames, scale = apply_factor_chain(solver.B_int, dims, chain)
+    rows at the basis rows, integers over scale 1."""
+    frames, scale = apply_factor_chain(basis.B_int, dims, chain)
     coords = []
     for fr in frames:
-        X = solver.solve(fr)
+        X = basis.solve(fr)
         if X is None:
             raise NotInvariant("factor chain does not preserve the basis span")
-        coords.append(X.mat)
-    return coords, solver.B_scale * scale
+        coords.append(X)
+    return coords, basis.B_scale * scale
 
 
 # ---------------------------------------------------------------------------

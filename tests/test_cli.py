@@ -149,11 +149,13 @@ def test_determinism_byte_identical():
 
 
 @pytest.fixture
-def fresh_pool():
+def fresh_pool(monkeypatch):
     """No scan workers before or after the test, so workers forked during it
-    carry its monkeypatches and none outlives it."""
+    carry its monkeypatches and none outlives it, and two CPUs available,
+    so that --jobs 2 makes a pool on any host."""
     from twistfusion import cli
 
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1})
     cli._shutdown_pool()
     yield
     cli._shutdown_pool()
@@ -176,15 +178,16 @@ def test_scan_parallel_matches_sequential(fresh_pool):
         assert cli._pool is pool is not None
 
 
-def test_scan_pool_capped_at_point_count(monkeypatch, fresh_pool):
+@pytest.fixture
+def in_process_pool(monkeypatch, fresh_pool):
+    """Scan pools that record max_workers, check that workers would be
+    forked and map in this process: they start no process.  Returns the
+    worker counts asked for and the shutdown calls."""
     from twistfusion import cli
 
     seen, shut = [], []
 
     class InProcessPool:
-        """Records max_workers, checks that workers would be forked and maps in
-        this process: starts no process."""
-
         def __init__(self, max_workers, mp_context):
             assert mp_context.get_start_method() == "fork"
             seen.append(max_workers)
@@ -196,6 +199,15 @@ def test_scan_pool_capped_at_point_count(monkeypatch, fresh_pool):
             shut.append(wait)
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    return seen, shut
+
+
+def test_scan_pool_capped_at_point_count(monkeypatch, in_process_pool):
+    from twistfusion import cli
+
+    seen, shut = in_process_pool
+    # three CPUs, so that the three-worker pool below can replace the first
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1, 2})
     args = ["scan", "--n", "2", "--form", "sp", "--modules", "1",
             "--grid", "1/3,2/5", "--json"]
     _, seq = run_cli(args + ["--jobs", "1"])
@@ -220,6 +232,18 @@ def test_scan_pool_capped_at_point_count(monkeypatch, fresh_pool):
     assert seen == [2, 3] and shut == [True]
 
 
+def test_scan_pool_capped_at_available_cpus(in_process_pool):
+    # a fork pool starts all its workers at once: --jobs 1000 on six points
+    # asks for no more workers than the two CPUs; the output does not
+    # depend on it
+    seen, _ = in_process_pool
+    args = ["scan", "--n", "2", "--form", "sp", "--modules", "1",
+            "--grid", "1/3,2/5,2/7,3/7,4/9,5/11", "--json"]
+    _, seq = run_cli(args + ["--jobs", "1"])
+    assert run_cli(args + ["--jobs", "1000"]) == (0, seq)
+    assert seen == [2]
+
+
 def test_scan_lost_worker_is_a_typed_failure(monkeypatch, fresh_pool, capsys):
     from twistfusion import cli
 
@@ -238,16 +262,17 @@ def test_scan_lost_worker_is_a_typed_failure(monkeypatch, fresh_pool, capsys):
     err = capsys.readouterr().err
     assert err.startswith("FAILED: WorkerLost:") and "Traceback" not in err
     assert cli._pool is None
-    monkeypatch.undo()
+    monkeypatch.setattr(cli, "verdict", real_verdict)
     _, seq = run_cli(args + ["--jobs", "1"])
     assert run_cli(args + ["--jobs", "2"]) == (0, seq)
 
 
 def test_scan_workers_exit_with_the_interpreter():
     code = textwrap.dedent("""
-        import io, multiprocessing
+        import io, multiprocessing, os
         from contextlib import redirect_stdout
         from twistfusion.cli import main
+        os.sched_getaffinity = lambda pid: {0, 1}  # two workers on any host
         args = ["scan", "--n", "2", "--form", "sp", "--modules", "1",
                 "--grid", "1/3,2/5", "--jobs", "2"]
         with redirect_stdout(io.StringIO()):

@@ -16,7 +16,14 @@ from twistfusion.fusion import (
 )
 from twistfusion.repmatrix import yang_matrices
 from twistfusion.linalg import fdot, feye, mat_equal
-from twistfusion.tensor import GForm, TensorOperator, embed_two_leg, image_basis, structural_ops
+from twistfusion.tensor import (
+    Basis,
+    GForm,
+    TensorOperator,
+    embed_two_leg,
+    image_basis,
+    structural_ops,
+)
 
 BOX = SkewDiagram((1,))
 VDOM = SkewDiagram((1, 1))
@@ -96,7 +103,7 @@ def test_module_basis_depends_only_on_the_image(monkeypatch):
              image_basis(TensorOperator(fdot(A.mat, fdot(L, U)), A.dims))]
     assert bases[0].size == F.dim
     assert all(_basis_vectors_equal(bases[0], b) for b in bases[1:])
-    rows = bases[0].solver().rows
+    rows = bases[0].rows
     assert mat_equal(bases[0].matrix()[rows], feye(F.dim))
     alt = tuple(reversed(range(2, omega.n_cols + 2)))
     assert alt != default_slopes(omega)
@@ -108,9 +115,24 @@ def test_module_basis_depends_only_on_the_image(monkeypatch):
     assert mat_equal(full.matrix(), feye(27))
     products, int_matmul = [], linalg.int_matmul
     monkeypatch.setattr(linalg, "int_matmul", lambda *a: products.append(a) or int_matmul(*a))
-    solver = linalg.BasisSolver.kron(full.solver(), full.solver())
     rhs = np.arange(729 * 2, dtype=np.int64).reshape(729, 2).astype(object)
-    assert mat_equal(solver.solve(rhs).mat, rhs) and products == []
+    assert mat_equal(Basis.kron(full, full).solve(rhs), rhs) and products == []
+
+
+def test_module_basis_is_built_and_solved_with_one_echelon(monkeypatch):
+    # the echelon that finds the image is the basis's own: solving in the
+    # module basis, or in its Kronecker square, runs no second elimination
+    monkeypatch.setattr(fusion, "_cache", {})
+    shapes, echelon = [], linalg.echelon
+    monkeypatch.setattr(linalg, "echelon", lambda A: shapes.append(A.shape) or echelon(A))
+    F = fusion_operator(SkewDiagram((2, 1)), 3)
+    basis = F.module_basis
+    rhs, _ = linalg.to_int_scaled(F.matrix.mat)  # columns in the image
+    X = basis.solve(rhs)
+    assert X.shape == (F.dim, 27) and mat_equal(fdot(basis.matrix(), X), rhs)
+    square, pair = Basis.kron(basis, basis), np.kron(rhs[:, :2], rhs[:, 2:3])
+    assert mat_equal(fdot(square.matrix(), square.solve(pair)), pair)
+    assert shapes == [(27, 27)]
 
 
 def test_shape_too_tall():
@@ -180,8 +202,8 @@ def test_intertwining_passes():
 
 def test_intertwining_detects_missing_reversal(monkeypatch):
     # with sigma_hat replaced by the identity the two actions differ
-    monkeypatch.setattr(fusion, "reversal_op",
-                        lambda n, N: TensorOperator.identity((N,) * n))
+    monkeypatch.setattr(fusion, "reversal_index",
+                        lambda N, kept, n: np.arange(N ** (kept + n)))
     rep = intertwining_check(SkewDiagram((2, 1)), 2, Fraction(1, 3))
     assert len(rep.samples) == 5 and rep.failures == rep.samples
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from twistfusion import linalg
 from twistfusion.errors import DimensionMismatch
+from twistfusion.tensor import Basis
 
 
 def _thirds_of_rank_60() -> np.ndarray:
@@ -291,11 +292,11 @@ def test_inverse_and_singular_inputs():
         linalg.inverse(singular)
     deficient = np.array([[1, 2], [2, 4], [3, 6]], dtype=object)
     with pytest.raises(DimensionMismatch):
-        linalg.BasisSolver(deficient)
+        Basis(3, deficient.T)
 
 
 # ---------------------------------------------------------------------------
-# Kronecker solvers
+# solves in a basis and in a Kronecker basis (tensor.Basis, read off echelon)
 
 def _fractions(rows) -> np.ndarray:
     return np.array([[Fraction(v) for v in row] for row in rows], dtype=object)
@@ -308,22 +309,24 @@ _B2 = _fractions([[1, 0], ["3/7", 0], [0, 1], [-1, "5/4"]])
 
 
 def test_kron_solver_solves_as_the_dense_kron_basis():
-    s1, s2 = linalg.BasisSolver(_B1), linalg.BasisSolver(_B2)
-    assert (s1.rows, s2.rows) == ([1, 2], [0, 2])
-    sk = linalg.BasisSolver.kron(s1, s2)
-    assert sk.rows == [4, 6, 8, 10]
+    b1, b2 = Basis(4, _B1.T), Basis(4, _B2.T)
+    assert (b1.rows, b2.rows) == ([1, 2], [0, 2])
+    bk = Basis.kron(b1, b2)
+    assert bk.rows == [4, 6, 8, 10]
     B = np.kron(_B1, _B2)
-    dense = linalg.BasisSolver(B)
-    assert dense.rows == sk.rows
+    dense = Basis(16, B.T)
+    assert dense.rows == bk.rows
+    assert linalg.mat_equal(bk.matrix(), B) and linalg.mat_equal(dense.matrix(), B)
     X = _fractions([[1, "-2/3", 0], ["5/7", 3, "1/2"], [0, 0, "-4/9"], [2, "1/11", 1]])
-    # solve takes an integer right-hand side: B X = s * rhs
+    # solve takes an integer right-hand side, B X = s * rhs, and returns
+    # integer coordinates
     rhs, s = linalg.to_int_scaled(linalg.fdot(B, X))
-    for solver in (sk, dense):
-        got = solver.solve(rhs)
-        assert isinstance(got, linalg.ScaledIntMatrix)
-        assert linalg.mat_equal(got.to_fractions() * s, X)
-        col = solver.solve(rhs[:, 1:2])
-        assert linalg.mat_equal(col.to_fractions() * s, X[:, 1:2])
+    for basis in (bk, dense):
+        got = basis.solve(rhs)
+        assert all(type(v) is int for v in got.flat)
+        assert linalg.mat_equal(got * s, X)
+        col = basis.solve(rhs[:, 1:2])
+        assert linalg.mat_equal(col * s, X[:, 1:2])
     off = rhs.copy()
     off[0, 2] += 1  # row 0 of kron(B1, B2) is zero
     e = np.zeros((16, 1), dtype=int).astype(object)
@@ -332,9 +335,9 @@ def test_kron_solver_solves_as_the_dense_kron_basis():
     # the span of B2: only the second factor's relations fail
     v, w = np.array([0, 2, 0, 1], dtype=object), np.array([0, 1, 0, 0], dtype=object)
     second = np.kron(v, w).reshape(16, 1)
-    assert s1.solve(np.outer(v, w)) is not None and s2.solve(np.outer(w, v)) is None
+    assert b1.solve(np.outer(v, w)) is not None and b2.solve(np.outer(w, v)) is None
     for rhs_bad in (off, e, second):
-        assert sk.solve(rhs_bad) is None and dense.solve(rhs_bad) is None
+        assert bk.solve(rhs_bad) is None and dense.solve(rhs_bad) is None
 
 
 @pytest.mark.parametrize("B", [
@@ -344,7 +347,7 @@ def test_kron_solver_solves_as_the_dense_kron_basis():
 ])
 def test_non_canonical_basis_is_refused(B):
     with pytest.raises(DimensionMismatch):
-        linalg.BasisSolver(B)
+        Basis(B.shape[0], B.T)
 
 
 

@@ -793,9 +793,9 @@ def test_frame_blocks_hold_integer_frames(form, modules):
 @pytest.mark.parametrize("form,modules", [(SO3, "1,1:1/5;2:-3/7"), (SP2, "2:2/7;1:1/5")],
                          ids=["so3", "sp2"])
 def test_blocks_clear_no_rationals_after_warm_up(form, modules, monkeypatch):
-    # once the fusion cache holds the module bases and their solvers, the
-    # frame blocks and T(u) of a fresh spec clear no rational matrix: the
-    # factor chains clear their scalars and the solves take integer frames
+    # once the fusion cache holds the module bases, the frame blocks and
+    # T(u) of a fresh spec clear no rational matrix: the factor chains clear
+    # their scalars and the solves take integer frames
     warm = FusedModuleSpec.from_string(form, modules)
     repmatrix.swz_frame_blocks(warm)
     repmatrix._t_data(warm)
@@ -846,8 +846,8 @@ def _per_spec_pair_block(A, i, shiftA, B, j, shiftB, kind):
                 raise SingularParameter(f"{name} singular at boxes ({p+1},{q+1})")
             den = den * Poly((a, Fraction(b)))
         chain.append((p, nA + q, a, b, entries))
-    solver = linalg.BasisSolver.kron(A.basis(i).solver(), B.basis(j).solver())
-    frames, scale = tensor.restricted_chain(chain, solver, (B.N,) * (nA + nB))
+    basis = Basis.kron(A.basis(i), B.basis(j))
+    frames, scale = tensor.restricted_chain(chain, basis, (B.N,) * (nA + nB))
     return FrameBlock(frames, scale, den, (A.basis(i).size, B.basis(j).size))
 
 
@@ -862,7 +862,7 @@ def _per_spec_elementary_s(omega, z, shifted, form):
     b = -2 if shifted else 0
     chain = [(p, q, -((z + cont[p]) + (z + cont[q])), b, entries)
              for p in reversed(range(n)) for q in reversed(range(p))]
-    frames, scale = tensor.restricted_chain(chain, basis.solver(), (form.N,) * n)
+    frames, scale = tensor.restricted_chain(chain, basis, (form.N,) * n)
     return FrameBlock(frames, scale, Poly.const(1), (basis.size,))
 
 

@@ -243,10 +243,8 @@ def test_basis_kron_and_solver():
     assert bk.size == 2 and bk.ambient == 4
     v = np.array([[1], [0], [1], [0]], dtype=object)  # bk.vectors[0] as an integer column
     assert mat_equal(bk.vectors[0], v[:, 0])
-    sol = bk.solver().solve(v)
-    assert sol is not None
-    sol = sol.to_fractions()
-    assert sol[0, 0] == 1 and sol[1, 0] == 0
+    sol = bk.solve(v)
+    assert sol is not None and sol[0, 0] == 1 and sol[1, 0] == 0
 
 
 # ---------------------------------------------------------------------------
