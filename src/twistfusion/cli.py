@@ -325,7 +325,10 @@ def cmd_scan(args) -> int:
     payloads = [(args.form, args.n, grows, modules, args.box_cap, zs) for zs in points]
     # a pool starts all its workers at its first task: ask for no more than
     # points, nor than the CPUs this process may run on
-    jobs = min(args.jobs, len(payloads), len(os.sched_getaffinity(0)))
+    jobs = min(args.jobs, len(payloads))
+    if jobs > 1:
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        jobs = min(jobs, cpus or 1)
     if jobs > 1:
         results = _scan_in_pool(payloads, jobs)
     else:

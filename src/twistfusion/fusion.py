@@ -35,11 +35,10 @@ from .tensor import (
     GForm,
     TensorOperator,
     apply_factor_chain,
-    flip,
     image_basis,
+    minus_flip_entries,
     reversal_index,
     transpose_legs,
-    two_leg_entries,
 )
 
 
@@ -95,7 +94,7 @@ def fusion_operator(
     cols = [j for (_, j) in ct.boxes]
     cont = ct.contents
     dims = (N,) * n
-    minus_p = two_leg_entries(-flip(N))
+    minus_p = minus_flip_entries(N)
 
     # numerators (d + s*eps) - P_pq of the factors, in lexicographic order
     chain = []
@@ -188,7 +187,7 @@ def defining_action_product(params, N: int) -> FrameBlock:
     transported module action (leg 1 leftmost, the one satisfying RTT) is
     its conjugate sigma_hat . (reversed params) . sigma_hat."""
     n = len(params)
-    minus_p = two_leg_entries(-flip(N))
+    minus_p = minus_flip_entries(N)
     chain = [(0, q, -params[q - 1], 1, minus_p) for q in range(n, 0, -1)]
     den = Poly.const(1)
     for a_q in params:

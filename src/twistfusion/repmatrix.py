@@ -59,6 +59,7 @@ from .tensor import (
     TensorOperator,
     _WindowExhausted,
     embed_matrix,
+    minus_flip_entries,
     restricted_chain,
     reversal_index,
     structural_ops,
@@ -279,9 +280,9 @@ def _pair_term(
 
     def build() -> FrameBlock:
         # factors (a + b*x) * 1 + X with a = sigma * e_pq, b = sigma
-        P, Q = structural_ops(B.form)
-        X = P if kind in ("R", "Rb") else Q
-        entries = two_leg_entries(X if kind == "Rb'" else -X)
+        Q = structural_ops(B.form)[1]
+        entries = (minus_flip_entries(B.N) if kind in ("R", "Rb")
+                   else two_leg_entries(Q if kind == "Rb'" else -Q))
         sigma = -1 if kind == "R'" else 1
         chain = [(p, nA + q, sigma * epq, sigma, entries) for (p, q), epq in zip(order, e)]
         basis = Basis.kron(A.basis(i), B.basis(j))

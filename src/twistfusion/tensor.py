@@ -328,11 +328,11 @@ class Basis:
     depends on the subspace alone.  As the columns of a matrix B: B[rows]
     = I and B[free] = C^T for (rows, C) = echelon(B^T), so x lies in the
     span exactly when x[free] = C^T x[rows], and x[rows] are then its
-    coordinates.  B_int = B / B_scale is kept for the callers that apply
-    operators to B.  A Kronecker product keeps the relations (n, rows, free,
-    C) of each factor."""
+    coordinates.  cleared() gives B_int = B / B_scale, built at first use,
+    for the callers that apply operators to B.  A Kronecker product keeps
+    the relations (n, rows, free, C) of each factor."""
 
-    __slots__ = ("ambient", "rows", "B_int", "B_scale", "_factors")
+    __slots__ = ("ambient", "rows", "_factors", "_cleared")
 
     def __init__(self, ambient: int, vectors):
         """The basis of the given vectors; DimensionMismatch unless they are
@@ -346,29 +346,32 @@ class Basis:
             raise DimensionMismatch("basis matrix is not a full-rank reduced echelon basis")
         self._set_echelon(ambient, rows, C)
 
-    def _set_echelon(self, ambient: int, rows, C: np.ndarray) -> None:
-        free = linalg._free_columns(rows, ambient)
-        B = fzeros((ambient, len(rows)))
-        B[rows] = feye(len(rows))
-        B[free] = C.T
-        self.ambient, self.rows = ambient, rows
-        self.B_int, self.B_scale = linalg.to_int_scaled(B)
-        self._factors = [(ambient, rows, free, C)]
+    def _set_echelon(self, ambient: int, rows, C: np.ndarray) -> "Basis":
+        self.ambient, self.rows, self._cleared = ambient, rows, None
+        self._factors = [(ambient, rows, linalg._free_columns(rows, ambient), C)]
+        return self
 
     @classmethod
     def from_echelon(cls, ambient: int, rows, C: np.ndarray) -> "Basis":
         """The basis with B[rows] = I and B[free] = C^T, taken as given."""
-        out = cls.__new__(cls)
-        out._set_echelon(ambient, rows, C)
-        return out
+        return cls.__new__(cls)._set_echelon(ambient, rows, C)
+
+    def cleared(self) -> tuple[np.ndarray, Fraction]:
+        """(B_int, B_scale) with B = B_scale * B_int and B_int integer."""
+        if self._cleared is None:
+            ((n, rows, free, C),) = self._factors
+            B = fzeros((n, len(rows)))
+            B[rows], B[free] = feye(len(rows)), C.T
+            self._cleared = linalg.to_int_scaled(B)
+        return self._cleared
 
     @property
     def size(self) -> int:
         return len(self.rows)
 
     def matrix(self) -> np.ndarray:
-        """B, as Fractions."""
-        return self.B_int * self.B_scale
+        """B = B_int * B_scale, as Fractions."""
+        return np.multiply(*self.cleared())
 
     @property
     def vectors(self) -> list[np.ndarray]:
@@ -383,10 +386,10 @@ class Basis:
         """The basis of kron(B1, B2), with no elimination: its rows are
         r1 * n2 + r2, in order, so it is in reduced echelon form too."""
         out, n2 = Basis.__new__(Basis), b2.ambient
-        out.ambient = b1.ambient * n2
+        out.ambient, out._factors = b1.ambient * n2, b1._factors + b2._factors
         out.rows = [r1 * n2 + r2 for r1 in b1.rows for r2 in b2.rows]
-        out.B_int, out.B_scale = np.kron(b1.B_int, b2.B_int), b1.B_scale * b2.B_scale
-        out._factors = b1._factors + b2._factors
+        (I1, s1), (I2, s2) = b1.cleared(), b2.cleared()
+        out._cleared = np.kron(I1, I2), s1 * s2
         return out
 
     def solve(self, rhs: np.ndarray) -> np.ndarray | None:
@@ -451,6 +454,11 @@ def contraction_map_matrix(M: np.ndarray, dimW: int, dimZ: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # factor chains: ordered products of (a + b*zeta) * 1 + two-leg operators
 
+def minus_flip_entries(N: int) -> list[tuple[int, int, int, int, int]]:
+    """two_leg_entries(-flip(N)), without building the operator."""
+    return [(a, b, b, a, -1) for a in range(N) for b in range(N)]
+
+
 def two_leg_entries(op2: TensorOperator) -> list[tuple[int, int, int, int, object]]:
     """Nonzero entries ((a,b),(c,d),value) of a 2-leg operator."""
     N = op2.dims[0]
@@ -513,14 +521,15 @@ def restricted_chain(chain, basis: Basis, dims) -> tuple[list, Fraction]:
     The chain is applied to the cleared basis matrix B_int = B / B_scale
     (apply_factor_chain), and the coordinates of each integer frame are its
     rows at the basis rows, integers over scale 1."""
-    frames, scale = apply_factor_chain(basis.B_int, dims, chain)
+    B_int, B_scale = basis.cleared()
+    frames, scale = apply_factor_chain(B_int, dims, chain)
     coords = []
     for fr in frames:
         X = basis.solve(fr)
         if X is None:
             raise NotInvariant("factor chain does not preserve the basis span")
         coords.append(X)
-    return coords, basis.B_scale * scale
+    return coords, B_scale * scale
 
 
 # ---------------------------------------------------------------------------

@@ -155,7 +155,7 @@ def fresh_pool(monkeypatch):
     so that --jobs 2 makes a pool on any host."""
     from twistfusion import cli
 
-    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     cli._shutdown_pool()
     yield
     cli._shutdown_pool()
@@ -207,7 +207,7 @@ def test_scan_pool_capped_at_point_count(monkeypatch, in_process_pool):
 
     seen, shut = in_process_pool
     # three CPUs, so that the three-worker pool below can replace the first
-    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     args = ["scan", "--n", "2", "--form", "sp", "--modules", "1",
             "--grid", "1/3,2/5", "--json"]
     _, seq = run_cli(args + ["--jobs", "1"])
@@ -240,6 +240,24 @@ def test_scan_pool_capped_at_available_cpus(in_process_pool):
     args = ["scan", "--n", "2", "--form", "sp", "--modules", "1",
             "--grid", "1/3,2/5,2/7,3/7,4/9,5/11", "--json"]
     _, seq = run_cli(args + ["--jobs", "1"])
+    assert run_cli(args + ["--jobs", "1000"]) == (0, seq)
+    assert seen == [2]
+
+
+def test_scan_pool_capped_at_cpu_count_without_affinity(monkeypatch, in_process_pool):
+    # where os has no sched_getaffinity (macOS, Windows) the cap is
+    # os.cpu_count(), and a count it cannot tell runs the scan in-process
+    from twistfusion import cli
+
+    seen, _ = in_process_pool
+    monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    args = ["scan", "--n", "2", "--form", "sp", "--modules", "1",
+            "--grid", "1/3,2/5,2/7", "--json"]
+    _, seq = run_cli(args + ["--jobs", "1"])
+    assert run_cli(args + ["--jobs", "1000"]) == (0, seq)
+    assert seen == [2]
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
     assert run_cli(args + ["--jobs", "1000"]) == (0, seq)
     assert seen == [2]
 
