@@ -27,10 +27,6 @@ def parse_rational(text: str) -> Fraction:
         raise MalformedInput(f"not a rational: {text!r}") from exc
 
 
-def format_rational(q: Fraction) -> str:
-    return str(q)
-
-
 class Poly:
     """Dense univariate polynomial over Fraction. Immutable."""
 

@@ -10,15 +10,16 @@ Four layers, all exact:
   else it holds Python ints.  An operation that makes entries larger bounds
   its result first (int_matmul: max|A| * max|B| * inner dimension) and
   casts to object before any arithmetic when the bound fails, so nothing
-  wraps.  Public outputs (to_int_scaled, to_fractions) hold Python ints and
-  Fractions.  Identities between integer expressions take
-  their kernels from float_kernels, on float64 so that BLAS multiplies
-  them: when the bound is below 2^53 (a further sum of terms c * (A B)
-  multiplies the product bound by sum |c|), every intermediate is an exact
-  float64 integer and one kernel decides; otherwise float64 residues modulo
-  primes small enough that the products stay below 2^53, reduced exactly by
-  reduce_mod, until the primes' product exceeds twice the bound, so sides
-  that agree modulo every prime are equal over Z.
+  wraps; below 2^53 int_matmul multiplies on float64 BLAS.  Public outputs
+  (to_int_scaled, to_fractions) hold Python ints and Fractions.  Identities
+  between integer expressions take their kernels from float_kernels, on
+  float64 so that BLAS multiplies them: when the bound is below 2^53 (a
+  further sum of terms c * (A B) multiplies the product bound by sum |c|),
+  every intermediate is an exact float64 integer and one kernel decides;
+  otherwise float64 residues modulo primes small enough that the products
+  stay below 2^53, reduced exactly by reduce_mod, until the primes' product
+  exceeds twice the bound, so sides that agree modulo every prime are equal
+  over Z.
 * One residue form: float64 integers in (-p, p).  An integer enters by one
   % p cast; then residues are reduced only by reduce_mod and multiplied only
   elementwise or in mod_matmul (float64 on BLAS).  Every prime comes from
@@ -93,9 +94,11 @@ def to_int_scaled(A: np.ndarray) -> tuple[np.ndarray, Fraction]:
 
 
 def primitive_part(A: np.ndarray) -> np.ndarray:
-    """An integer matrix divided by the gcd of its entries (its content).
-
-    The zero matrix is returned unchanged."""
+    """An integer matrix, or each of a stack (leading axes), divided by the
+    gcd of its entries (its content); a zero matrix is returned unchanged."""
+    if A.ndim > 2:
+        g = np.gcd.reduce(A.reshape(A.shape[:-2] + (-1,)), axis=-1)
+        return A // np.maximum(g, 1)[..., None, None]
     g = int(np.gcd.reduce(A.ravel())) if A.size else 0
     return A // g if g > 1 else A
 
@@ -242,12 +245,17 @@ def mod_matmul(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def int_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Exact product of two integer matrices, in int64 when certified.
-
-    The certificate also bounds every entry of A and B, so a zero factor
-    does not let the other one be cast to int64 unchecked."""
-    bound = max(max_abs(A), 1) * max(max_abs(B), 1) * A.shape[1]
+def int_matmul(A: np.ndarray, B: np.ndarray, bound: int | None = None) -> np.ndarray:
+    """Exact product of two integer matrices, or stacks of them, in int64
+    when certified.  ``bound`` is at least every entry of A and B and every
+    absolute sum of product terms: by default max|A| max|B| times the inner
+    dimension, each max at least 1 so that a zero factor does not let the
+    other be cast unchecked.  Below 2^53 every such value is an exact float64
+    integer, in any order of summation, and the product runs on BLAS."""
+    if bound is None:
+        bound = max(max_abs(A), 1) * max(max_abs(B), 1) * A.shape[-1]
+    if bound < _FLOAT_EXACT:
+        return np.matmul(A.astype(np.float64), B.astype(np.float64)).astype(np.int64)
     return certified(A, bound) @ certified(B, bound)
 
 

@@ -41,7 +41,6 @@ from .linalg import (
     ScaledIntMatrix,
     certified,
     float_kernels,
-    int64_certified,
     int_matmul,
     kernel_moduli,
     mat_equal,
@@ -63,7 +62,7 @@ from .tensor import (
     restricted_chain,
     reversal_index,
     structural_ops,
-    transpose_legs,
+    transposed,
     two_leg_entries,
 )
 
@@ -364,15 +363,18 @@ def block_product(blocks, dims) -> FrameBlock:
 
     The numerators multiply as exact-tail series, each block on its own
     slots (MatrixLaurentSeries.embedded), the scalar denominators as one
-    Poly, and the content of the product frames moves into the scale."""
-    acc = MatrixLaurentSeries.identity(math.prod(dims))
-    den = Poly.const(1)
-    for fb, slots in blocks:
-        block = MatrixLaurentSeries(0, fb.frames, fb.scale, exact_tail=True)
-        acc = acc @ block.embedded(slots, dims)
-        den = den * fb.den
-    content = math.gcd(*(int(np.gcd.reduce(fr.ravel())) for fr in acc.coeffs)) or 1
-    return FrameBlock([fr // content for fr in acc.coeffs], acc.scale * content, den, tuple(dims))
+    Poly, and the content of the product frames moves into the scale.  A
+    single block on every leg in order is its own product."""
+    den = math.prod((fb.den for fb, _ in blocks), start=Poly.const(1))
+    if len(blocks) == 1 and tuple(blocks[0][1]) == tuple(range(len(dims))):
+        frames, scale = blocks[0][0].frames, blocks[0][0].scale
+    else:
+        acc = MatrixLaurentSeries.identity(math.prod(dims))
+        for fb, slots in blocks:
+            acc = acc @ MatrixLaurentSeries(0, fb.frames, fb.scale, exact_tail=True).embedded(slots, dims)
+        frames, scale = acc.coeffs, acc.scale
+    content = math.gcd(*(int(np.gcd.reduce(fr.ravel())) for fr in frames)) or 1
+    return FrameBlock([fr // content for fr in frames], scale * content, den, tuple(dims))
 
 
 def frame_product(blocks, dims) -> tuple[int, ScaledIntMatrix]:
@@ -532,8 +534,7 @@ def s_factors(Z: FusedModuleSpec, K: int) -> tuple[list, list, Fraction]:
     B = _t_data(Z).at_infinity(K)
     int_form, c = _cleared_form(Z.form)
     dims = (Z.N,) + Z.factor_dims
-    A = [transpose_legs(TensorOperator(Bm.mat, dims), {1}, int_form).mat * (-1) ** m
-         for m, Bm in enumerate(B)]
+    A = [transposed(Bm.mat, dims, {1}, int_form) * (-1) ** m for m, Bm in enumerate(B)]
     return A, [Bm.mat for Bm in B], c * B[0].scale ** 2
 
 
@@ -602,41 +603,40 @@ class RelationReport:
 
 
 def _aux(diag, X: np.ndarray, scale: Fraction) -> np.ndarray:
-    """diag * 1 + scale * X on the two auxiliary legs, for an integer
-    N^2 x N^2 matrix X, times the lcm of the denominators of diag and scale:
-    an integer matrix (int64 when it and its sums fit), or a stack of them
-    for an array of diag, each with its own lcm.  R(u-v) = (u-v) - P and
-    R'(u+v) = -(u+v) - Q are such matrices.  Both sides of a relation are
-    linear in each of them, so the factor does not change equality."""
-    diag = np.asarray(diag, dtype=object)
-    lcms = [math.lcm(q.denominator, scale.denominator) for q in diag.flat]
-    a = [q.numerator * (L // q.denominator) for q, L in zip(diag.flat, lcms)]
-    b = [scale.numerator * (L // scale.denominator) for L in lcms]
-    top = (max(map(abs, a)) + max(map(abs, b)) * max_abs(X)) * X.size
-    dtype = np.int64 if int64_certified(top) else object
-    a, b = (np.array(c, dtype=dtype).reshape(diag.shape + (1, 1)) for c in (a, b))
-    return np.eye(len(X), dtype=dtype) * a + X.astype(dtype) * b
+    """diag * 1 + scale * X on the two auxiliary legs (X an integer N^2 x N^2
+    matrix) times the lcm of the denominators of diag and scale, int64 when
+    it and its sums fit; a stack for an array of diag, each with its own lcm.
+    R(u-v) = (u-v) - P and R'(u+v) = -(u+v) - Q are such matrices, and both
+    sides of a relation are linear in each, so the factor keeps equality."""
+    diag = np.asarray(diag)
+    if diag.dtype == object:
+        qs = [Fraction(q) for q in diag.flat]
+        lcms = [math.lcm(q.denominator, scale.denominator) for q in qs]
+        a, b = (np.array(c, dtype=object).reshape(diag.shape) for c in (
+            [q.numerator * (L // q.denominator) for q, L in zip(qs, lcms)],
+            [scale.numerator * (L // scale.denominator) for L in lcms]))
+    else:
+        a, b = diag * scale.denominator, np.array(scale.numerator)
+    top = (max_abs(a) + max_abs(b) * max_abs(X)) * X.size
+    a, b = (certified(c, top)[..., None, None] for c in (a, b))
+    return np.eye(len(X), dtype=a.dtype) * a + certified(X, top) * b
 
 
 def _blocked(mat: np.ndarray, N: int, d: int) -> np.ndarray:
-    """An integer (N d) x (N d) matrix as its (N, N, d, d) array of d x d
-    blocks, in int64 when its entries fit.
-
-    The sampler hands in integer matrices that equal T(u0) or S(u0) only up
-    to a nonzero scalar: denominators are cleared and contents divided out.
-    Every defining relation is homogeneous of degree one in each sampled
-    matrix, so both of its sides carry the same scalar product and integer
-    equality of the scaled sides is exact, and so is equality modulo the
-    primes of a residue kernel (see _rtt_holds)."""
-    blocks = np.ascontiguousarray(mat.reshape(N, d, N, d).transpose(0, 2, 1, 3))
-    return blocks.astype(np.int64) if int64_certified(max_abs(blocks)) else blocks
+    """An integer (N d) x (N d) matrix, or each of a stack, as its (N, N, d, d)
+    array of d x d blocks, in int64 when its entries fit.  The sampler hands
+    in T(u0) and S(u0) only up to nonzero scalars (denominators cleared,
+    contents divided out); every defining relation is homogeneous of degree
+    one in each sampled matrix, so equality of the sides, over Z or modulo
+    the primes of a residue kernel, is unaffected."""
+    blocks = np.ascontiguousarray(mat.reshape(mat.shape[:-2] + (N, d, N, d)).swapaxes(-3, -2))
+    return certified(blocks, max_abs(blocks))
 
 
-# Float64 entries of each of the three reused work buffers of a relation
-# check, N^4 d^2 per sample pair of a batch.  49152 is the largest multiple
-# of 2^14 below two dim-18 pairs: dims 18 and 27 go one pair at a time, as
-# larger batches ran no faster, and the small modules, whose pairs cost
-# more in per-call overhead than in arithmetic, 7 pairs (dim 9) or more.
+# Float64 entries of each of the three work buffers of a relation check,
+# N^4 d^2 per sample pair: the largest multiple of 2^14 below two dim-18
+# pairs, so dims 18 and 27 go one pair at a time (larger batches ran no
+# faster) and dim 9 7 pairs, the smaller modules more.
 _RELATION_ELEMENTS = 49152
 
 
@@ -686,20 +686,23 @@ def _decide(samples, auxes, sides):
     """One bool per pair of the batch, the broadcast leading axes of two
     (..., N, N, d, d) sample stacks and of integer (..., N^2, N^2) auxes, or
     one bool without them.  With weight the product of the sums |aux|, the
-    pairs whose bounds max|a| * max|b| * d * weight need the same kernels
-    (kernel_moduli) share those of the largest of their bounds; each kernel
-    converts the sample stacks once.  A pair fails when any kernel sees its
-    sides differ, and later kernels skip it.  ``sides`` takes
+    pairs whose bounds max|a| max|b| d weight (int64 where the largest fits)
+    need the same kernels (kernel_moduli) share those of the largest bound;
+    each kernel converts the sample stacks once.  A pair fails when a kernel
+    sees its sides differ, and later kernels skip it.  ``sides`` takes
     _RELATION_ELEMENTS // (N^4 d^2) pairs, at least one, at a time."""
     samples, auxes = [A[None] for A in samples], [R[None] for R in auxes]
     N, d = samples[0].shape[-4], samples[0].shape[-1]
-    weights = math.prod(np.abs(R).sum(axis=(-2, -1)).astype(object) for R in auxes)
     shape = np.broadcast_shapes(*(A.shape[:-4] for A in samples), *(R.shape[:-2] for R in auxes))
-    a, b = (np.abs(A).reshape(A.shape[:-4] + (-1,)).max(axis=-1).astype(object) for A in samples)
+    a, b = (np.abs(A).reshape(A.shape[:-4] + (-1,)).max(axis=-1) for A in samples)
+    sums = [np.abs(R).sum(axis=(-2, -1)) for R in auxes]
+    top = d * math.prod(max(max_abs(X), 1) for X in [a, b] + sums)
+    a, b, *sums = (certified(X, top) for X in [a, b] + sums)
+    weights = math.prod(sums)
     bounds = np.broadcast_to(a * b * weights * d, shape).ravel()
     weight = int(weights.max())
-    kernels = {b: len(kernel_moduli(b, d, weight)) for b in set(bounds)}
-    keys = np.array([kernels[b] for b in bounds])
+    levels, at = np.unique(bounds, return_inverse=True)
+    keys = np.array([len(kernel_moduli(int(b), d, weight)) for b in levels])[at]
     auxes = [np.broadcast_to(R.astype(np.float64), shape + R.shape[-2:]) for R in auxes]
     step = max(1, _RELATION_ELEMENTS // (N**4 * d * d))
     work = np.empty((3, step * N**4 * d * d))
@@ -720,17 +723,14 @@ def _rtt_holds(Tu, Tv, R: np.ndarray):
     """R(u-v) T_1(u) T_2(v) = T_2(v) T_1(u) R(u-v) on the (..., N, N, d, d)
     integer blocks of T(u) and T(v), with R the integer (..., N^2, N^2)
     matrices of R(u-v): one bool per sample pair of the broadcast leading
-    axes (see _decide), or one bool when there are none.
+    axes, or one bool when there are none (_decide).
 
     T_1(u) T_2(v) is the stack Tu[a, k] Tv[b, l] at [a, b, k, l], so lhs is
     R applied to its first two axes; T_2(v) T_1(u) is the stack
     Tv[y, j] Tu[x, i] at [i, j, x, y], so rhs, with its column pair first,
     is R^T (a swap of the last two axes only) applied to its first two axes.
     Both sides, and every partial sum, are at most
-    bound = max|Tu| * max|Tv| * d * sum|R| in absolute value, and the
-    kernels of float_kernels decide: below 2^53 exactly, otherwise modulo
-    primes whose product exceeds 2 * bound, the block products reduced mod p
-    and lhs - rhs once."""
+    max|Tu| * max|Tv| * d * sum|R|, the bound of the kernels."""
     return _decide((Tu, Tv), (R,), _rtt_sides)
 
 
@@ -744,10 +744,9 @@ def _reflection_holds(Su, Sv, R: np.ndarray, Rp: np.ndarray):
     [a, dd, i, l], then one axis transpose; lhs is R applied to X as in
     _rtt_holds.  Y = S_2(v) R' S_1(u) is Rq^T applied to the stack
     Sv[j, b] Su[c, k] at [b, c, j, k], then one axis transpose; rhs is R^T
-    applied to Y, with its column pair first.  Both sides are at most
-    bound = max|Su| * max|Sv| * d * sum|R| * sum|R'| in absolute value, and
-    so is every partial sum; the kernels decide as in _rtt_holds, with the
-    weight sum|R| * sum|R'| of the two coefficient stages."""
+    applied to Y, with its column pair first.  Both sides and every partial
+    sum are at most max|Su| * max|Sv| * d * sum|R| * sum|R'|, the weight
+    sum|R| * sum|R'| from the two coefficient stages."""
     Rq = np.moveaxis(Rp.reshape(Rp.shape[:-2] + (Su.shape[-4],) * 4), -4, -2).reshape(Rp.shape)
     return _decide((Su, Sv), (R, Rq), _reflection_sides)
 
@@ -759,17 +758,36 @@ def _sample_grid(size: int, poles) -> list[Fraction]:
     return list(itertools.islice((q for q in near_zero if q not in poles), size))
 
 
+def _relation_samples(Z: FusedModuleSpec, points, iu, iv):
+    """(Ts, Ss, R, Rp): T(u0) and S(u0) = T^t(-u0) T(u0), each up to its own
+    nonzero scalar, as block stacks over the points (_blocked), and R(u-v)
+    and R'(u+v) (_aux) of the pairs (points[iu], points[iv]).  T is one
+    evaluation at the points and their negatives (FrameBlock.at_ints), S one
+    transposition of the T(-u0) stack by the cleared g and g^-1 and one
+    batched product."""
+    N, d = Z.N, Z.dimZ
+    (P, sp), (Q, sq) = (to_int_scaled(X.mat) for X in structural_ops(Z.form))
+    signed = points + [-q for q in points]
+    at = {x: k for k, x in enumerate(dict.fromkeys(signed))}
+    Tu, Tm = np.split(_t_data(Z).at_ints(list(at))[[at[x] for x in signed]], 2)
+    S = primitive_part(int_matmul(transposed(Tm, (N, d), {1}, _cleared_form(Z.form)[0]), Tu))
+    vals = np.array([q.numerator if q.denominator == 1 else q for q in points], dtype=object)
+    if all(q.denominator == 1 for q in points):  # on the grid, R and R' are int64 stacks
+        vals = certified(vals, 2 * max_abs(vals) * sp.denominator * sq.denominator)
+    u, v = vals[iu], vals[iv]
+    return _blocked(Tu, N, d), _blocked(S, N, d), _aux(u - v, P, -sp), _aux(-(u + v), Q, -sq)
+
+
 def check_defining_relations(Z: FusedModuleSpec, samples=None) -> RelationReport:
     """RTT and the reflection relation on Z, exactly, at a grid of rational
     points whose size beats the degree bound 2n+2 per variable (so agreement
     is an identity of rational functions); user-supplied samples are checked
     as given, with per-sample pole reporting.
 
-    The grid is _sample_grid(2n+3, poles).  The pole set is symmetric, so
-    -u0 is no pole either and S(u0) is defined.  T(u0) and S(u0) go into one
-    block stack each, and one call of _rtt_holds or _reflection_holds
-    decides all pairs of a relation, for the grid as an outer product."""
-    N, d = Z.N, Z.dimZ
+    The grid is _sample_grid(2n+3, poles); the pole set is symmetric, so S
+    is defined at each point.  _relation_samples samples every point and
+    pair at once, and one _rtt_holds and one _reflection_holds call decide
+    all pairs, for the grid as an outer product."""
     bound = 2 * Z.n_total + 2
     poles = {s * p for p in Z.all_box_params() for s in (1, -1)}
     singular = []
@@ -786,20 +804,7 @@ def check_defining_relations(Z: FusedModuleSpec, samples=None) -> RelationReport
     us, vs = np.broadcast_arrays(*(np.array(points, dtype=object)[i] for i in (iu, iv)))
     rtt_ok = refl_ok = np.ones(us.shape, dtype=bool)
     if points:
-        (P, sp), (Q, sq) = (to_int_scaled(X.mat) for X in structural_ops(Z.form))
-        # g and g^-1 cleared to integers: the transposition they define is
-        # the true one times a nonzero scalar
-        int_form, _ = _cleared_form(Z.form)
-        # T(u0) and S(u0) = T^t(-u0) T(u0), each up to its own nonzero scalar
-        t = {q: _t_data(Z).at_int(q) for q in points + [-q for q in points]}
-        dims = (N,) + Z.factor_dims
-        Ts = np.stack([_blocked(t[q], N, d) for q in points])
-        Ss = np.stack([_blocked(primitive_part(int_matmul(
-            transpose_legs(TensorOperator(t[-q], dims), {1}, int_form).mat, t[q])), N, d)
-            for q in points])
-        del t  # the stacks hold what the kernels need
-        R = _aux(us - vs, P, -sp)  # R(u-v) = (u-v) - P
-        Rp = _aux(-(us + vs), Q, -sq)  # R'(u+v) = -(u+v) - Q
+        Ts, Ss, R, Rp = _relation_samples(Z, points, iu, iv)
         rtt_ok = _rtt_holds(Ts[iu], Ts[iv], R)
         refl_ok = _reflection_holds(Ss[iu], Ss[iv], R, Rp)
     rtt_fail, refl_fail = (
@@ -872,14 +877,12 @@ def duality_check(omega: SkewDiagram, z, form: GForm) -> DualityReport:
     def conj(X: np.ndarray) -> np.ndarray:
         return X[np.ix_(rev, rev)]
 
-    def transposed(X: np.ndarray) -> np.ndarray:
-        return transpose_legs(TensorOperator(X, dims), legs, int_form).mat
-
     failures = []
     for k, (Cs, Ct) in enumerate(zip(U_sharp.at_infinity(K), U_tau.at_infinity(K))):
         # L_k = sL * L and R_k = sR * R, compared exactly across the scales
         L, sL = int_matmul(conj(Cs.mat), Fse), Cs.scale * sFs
-        R = conj(transposed(int_matmul(conj(transposed(Ct.mat)), Fe)))
+        R = conj(transposed(int_matmul(conj(transposed(Ct.mat, dims, legs, int_form)), Fe),
+                                dims, legs, int_form))
         sR = Ct.scale * sF * c ** (2 * n)
         if not np.array_equal(L.astype(object) * (sL.numerator * sR.denominator),
                               R.astype(object) * (sR.numerator * sL.denominator)):

@@ -30,6 +30,7 @@ from .linalg import (
     fzeros,
     generic_dot,
     int64_certified,
+    int_matmul,
     is_zero_matrix,
     mat_equal,
     max_abs,
@@ -161,9 +162,6 @@ class TensorOperator:
         """Evaluate RatFunc entries at a point; numeric entries pass through."""
         return self.map_entries(lambda v: v.eval(a) if isinstance(v, RatFunc) else v)
 
-    def as_tensor(self) -> np.ndarray:
-        return self.mat.reshape(self.dims + self.dims)
-
     def to_json(self) -> dict:
         """Row-major entries as rational strings (numeric matrices only)."""
         return {
@@ -222,11 +220,6 @@ def reversal_index(N: int, kept: int, n: int) -> np.ndarray:
     dims = (N,) * (kept + n)
     digits = np.unravel_index(np.arange(N ** (kept + n)), dims)
     return np.ravel_multi_index(digits[:kept] + digits[kept:][::-1], dims)
-
-
-def reversal_op(n: int, N: int) -> TensorOperator:
-    """sigma_hat_n for the order-reversing permutation i -> n+1-i."""
-    return TensorOperator(feye(N**n)[reversal_index(N, 0, n)], (N,) * n)
 
 
 def embed_two_leg(op: TensorOperator, a: int, b: int, n: int) -> TensorOperator:
@@ -295,29 +288,34 @@ def embed_matrix(block: np.ndarray, slots, dims, zero=_F0) -> np.ndarray:
 
 
 def transpose_legs(A: TensorOperator, legs, form: GForm) -> TensorOperator:
-    """Apply x -> g x^T g^-1 on the selected legs (1-indexed set); int64 A,
-    g and g^-1 stay int64 under max|A| (N^2 max|g| max|g^-1|)^legs (the
-    int64 rule)."""
+    """Apply x -> g x^T g^-1 on the selected legs (1-indexed set)."""
+    return TensorOperator(transposed(A.mat, A.dims, legs, form), A.dims)
+
+
+def transposed(mats: np.ndarray, dims, legs, form: GForm) -> np.ndarray:
+    """transpose_legs of a matrix on the legs of the tuple ``dims``, or of
+    each matrix of a stack (leading axes); int64 matrices, g and g^-1 stay
+    int64 under max|x| (N^2 max|g| max|g^-1|)^legs (the int64 rule)."""
     legs = sorted(set(int(l) for l in legs))
-    n = A.n_legs
+    n, b = len(dims), mats.ndim - 2
     for l in legs:
         if not 1 <= l <= n:
             raise IndexOutOfRange(f"leg {l} outside 1..{n}")
-        if A.dims[l - 1] != form.N:
+        if dims[l - 1] != form.N:
             raise DimensionMismatch("transposed leg dimension differs from form size")
     if not legs:
-        return TensorOperator(A.mat.copy(), A.dims)
-    T = A.as_tensor()
+        return mats.copy()
+    T = mats.reshape(mats.shape[:b] + dims + dims)
     g, g_inv = form.g, form.g_inv
     g_id = np.array_equal(g, np.eye(form.N, dtype=np.int64))
     if not g_id and T.dtype == np.int64 and g.dtype == np.int64:
         bound = max_abs(T) * (form.N**2 * max_abs(g) * max_abs(g_inv)) ** len(legs)
         T, g, g_inv = (certified(X, bound) for X in (T, g, g_inv))
     for l in legs:
-        k = l - 1
-        Y = np.moveaxis(T, (n + k, k), (-2, -1))  # leg l's two indices last, swapped
-        T = np.moveaxis(Y if g_id else g @ Y @ g_inv, (-2, -1), (k, n + k))
-    return TensorOperator(T.reshape(A.size, A.size), A.dims)
+        row, col = b + l - 1, b + n + l - 1
+        Y = np.moveaxis(T, (col, row), (-2, -1))  # leg l's two indices last, swapped
+        T = np.moveaxis(Y if g_id else g @ Y @ g_inv, (-2, -1), (row, col))
+    return T.reshape(mats.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -669,13 +667,7 @@ class FrameBlock:
     and a scalar Poly den.  Every operator that depends on the deformation
     variable zeta or the spectral parameter u takes this form.  The frames
     are int64 under their largest entry ``top`` (the int64 rule).  den may
-    be the pairs (a, b) of its factors a + b x, made a Poly when read.
-
-    The relation sampler evaluates T only up to a nonzero scalar: it drops
-    the scale, den(u0) and the content of the result (at_int).  Each
-    defining relation is homogeneous in every sampled T(u0) and S(u0), so
-    the same scalar product appears on both of its sides and equality is
-    unaffected."""
+    be the pairs (a, b) of its factors a + b x, made a Poly when read."""
 
     def __init__(self, frames, scale: Fraction, den, dims):
         self.top = max(max_abs(fr) for fr in frames)
@@ -726,24 +718,25 @@ class FrameBlock:
             frames[k] = (self.frames[k] % p).astype(np.float64)
         return frames[k]
 
-    def _horner(self, x0: Fraction) -> tuple[Fraction, np.ndarray]:
-        """den(x0), SingularParameter if x0 is a pole, and for x0 = p/q the
-        integer matrix sum_k frames[k] p^k q^(deg - k), deg = len(frames) - 1:
-        the frame sum at x0 times q^deg, under top (|p| + q)^deg (the int64 rule)."""
-        d = self.den.eval(x0)
-        if d == 0:
-            raise SingularParameter(f"{x0} is a pole of the operator")
-        p, q = x0.numerator, x0.denominator
-        frames = self._frames_within((abs(p) + q) ** (len(self.frames) - 1))
-        acc, qk = frames[-1], 1
-        for fr in reversed(frames[:-1]):
-            qk *= q
-            acc = acc * p + fr * qk
-        return d, acc
-
-    def _frames_within(self, growth: int) -> list[np.ndarray]:
-        """The frames under the bound max(top, 1) * growth, growth >= every scalar factor."""
-        return [certified(fr, max(self.top, 1) * growth) for fr in self.frames]
+    def _horner(self, xs) -> np.ndarray:
+        """The stack of sum_k frames[k] p^k q^(deg - k), deg = len(frames) - 1,
+        at the points p/q of ``xs``: the frame sums times q^deg, by one product
+        of the homogenised power rows [p^k q^(m - k)], m = max(deg, deg den),
+        over q^(m - deg), with the stacked frames, under top max (|p| + q)^deg
+        (int_matmul).  The rows times den's cleared coefficients are den's
+        values times positive scalars: SingularParameter at a pole."""
+        L = math.lcm(*(c.denominator for c in self.den.coeffs))
+        den, deg = [int(c * L) for c in self.den.coeffs], len(self.frames) - 1
+        m, rows = max(deg, len(den) - 1), []
+        for x in xs:
+            row = [x.numerator**k * x.denominator ** (m - k) for k in range(m + 1)]
+            if not sum(c * r for c, r in zip(den, row)):
+                raise SingularParameter(f"{x} is a pole of the operator")
+            rows.append([r // x.denominator ** (m - deg) for r in row[:deg + 1]])
+        bound = max(self.top, 1) * max(abs(x.numerator) + x.denominator for x in xs) ** deg
+        sums = int_matmul(np.array(rows, dtype=object), np.stack(self.frames).reshape(deg + 1, -1),
+                          bound)
+        return sums.reshape((len(rows),) + self.frames[0].shape)
 
     def substituted(self, t: Fraction, s: int, den: Poly) -> "FrameBlock":
         """The numerator scale * sum_m frames[m] x^m at x = t + s*y, as
@@ -762,8 +755,9 @@ class FrameBlock:
         D = len(self.frames) - 1
         scale = self.scale / q**D
         if s == 0:
-            return FrameBlock([self._horner(t)[1]], scale, den, self.dims)
-        frames = self._frames_within((abs(p) + q * (1 + abs(s))) ** D)
+            return FrameBlock([self._horner([t])[0]], scale, den, self.dims)
+        frames = [certified(fr, max(self.top, 1) * (abs(p) + q * (1 + abs(s))) ** D)
+                  for fr in self.frames]
         c = [fr * q ** (D - m) for m, fr in enumerate(frames)]
         if p:
             for i in range(D):
@@ -776,14 +770,17 @@ class FrameBlock:
     def at(self, x0) -> TensorOperator:
         """The exact value at x0, a Fraction matrix."""
         x0 = Fraction(x0)
-        d, acc = self._horner(x0)
+        acc = self._horner([x0])[0].astype(object)
         q_deg = x0.denominator ** (len(self.frames) - 1)
-        return TensorOperator(acc.astype(object) * (self.scale / (d * q_deg)), self.dims)
+        return TensorOperator(acc * (self.scale / (self.den.eval(x0) * q_deg)), self.dims)
+
+    def at_ints(self, xs) -> np.ndarray:
+        """Primitive integer matrices equal to the values at the points xs up
+        to nonzero scalars, stacked: the Horner sums over their contents."""
+        return primitive_part(self._horner(xs))
 
     def at_int(self, u0: Fraction) -> np.ndarray:
-        """A primitive integer matrix equal to the value at u0 up to a
-        nonzero scalar: the homogenised Horner sum divided by its content."""
-        return primitive_part(self._horner(u0)[1])
+        return self.at_ints([Fraction(u0)])[0]
 
     def at_infinity(self, K: int) -> list[ScaledIntMatrix]:
         """Coefficients of u^0, u^-1, ..., u^-K, straight from the integer
@@ -792,21 +789,17 @@ class FrameBlock:
         With n = deg den, 1/den(u) = u^-n sum_j h_j u^-j, the h_j given by
         the linear recurrence on the coefficients of den; so the u^-m
         coefficient is sum_k frames[k] h_(m+k-n).  The h_j are cleared to
-        integers H_j = L h_j by one common L; sums run under top * sum |H_j|
-        (the int64 rule)."""
-        n = self.den.degree
+        integers H_j = L h_j by one common L, and all coefficients are one
+        product of the rows [H_(m+k-n)]_k with the stacked frames, under
+        top * sum |H_j| (int_matmul)."""
+        n, deg = self.den.degree, len(self.frames) - 1
         h = RatFunc(Poly.const(1), self.den, _normalized=True).series_at_infinity(K + n)[n:]
         L = math.lcm(*(c.denominator for c in h))
         H = [int(c * L) for c in h]
-        frames = self._frames_within(sum(map(abs, H)))
-        out = []
-        for m in range(K + 1):
-            acc = np.zeros(frames[0].shape, dtype=frames[0].dtype)
-            for k, F in enumerate(frames):
-                if m + k >= n:
-                    acc = acc + F * H[m + k - n]
-            out.append(ScaledIntMatrix(acc, self.scale / L))
-        return out
+        rows = [[H[m + k - n] if m + k >= n else 0 for k in range(deg + 1)] for m in range(K + 1)]
+        sums = int_matmul(np.array(rows, dtype=object), np.stack(self.frames).reshape(deg + 1, -1),
+                          max(self.top, 1) * sum(map(abs, H)))
+        return [ScaledIntMatrix(S.reshape(self.frames[0].shape), self.scale / L) for S in sums]
 
     def ratfunc_matrix(self) -> np.ndarray:
         """The entries as RatFuncs in x: the symbolic view, for references."""

@@ -7,7 +7,6 @@ from twistfusion.errors import PoleAtInfinity, PoleAtPoint, ZeroFunction
 from twistfusion.exactnum import (
     Poly,
     RatFunc,
-    format_rational,
     parse_rational,
 )
 
@@ -18,7 +17,6 @@ def test_parse_rational():
     assert parse_rational("3/4") == Fraction(3, 4)
     assert parse_rational("-7") == Fraction(-7)
     assert parse_rational(" 2/6 ") == Fraction(1, 3)
-    assert format_rational(Fraction(-1, 3)) == "-1/3"
     with pytest.raises(ValueError):
         parse_rational("1/0")
     with pytest.raises(ValueError):

@@ -371,6 +371,25 @@ def test_int_matmul_int64_boundary(top, path):
     assert scale == 1 and all(type(v) is int for v in cleared.flat)
 
 
+@pytest.mark.parametrize("a,b", [(6361 * 69431, 20394401), (321, 28059810762433)],
+                         ids=["2^53-1", "2^53+1"])
+def test_int_matmul_float64_boundary(a, b):
+    # a * b = 2^53 - 1 is exact in float64 and runs on BLAS; 2^53 + 1 is
+    # not, and the bound sends it to int64; both on a stack of two
+    A = np.array([[[a]], [[-a]]], dtype=object)
+    B = np.array([[[b]], [[1]]], dtype=object)
+    got = linalg.int_matmul(A, B)
+    assert got.dtype == np.int64 and got.shape == (2, 1, 1)
+    assert int(got[0, 0, 0]) == a * b and int(got[1, 0, 0]) == -a
+    assert int(linalg.int_matmul(A[0], B[0], bound=a * b)[0, 0]) == a * b
+
+
+def test_primitive_part_of_a_stack():
+    A = np.array([[[2, 4], [6, 8]], [[0, 0], [0, 0]], [[3, -9], [2**70 * 3, 3]]], dtype=object)
+    got = linalg.primitive_part(A)
+    assert all(np.array_equal(got[k], linalg.primitive_part(A[k])) for k in range(3))
+
+
 @pytest.mark.parametrize("top,path", [(_LIMIT - 1, np.int64), (_LIMIT, object)])
 def test_echelon_residues_int64_boundary(top, path, monkeypatch):
     # the cleared matrix is reduced mod p, and checked, from an int64 copy

@@ -450,6 +450,18 @@ def test_relations_grid_catches_a_perturbed_top_frame():
     assert not rep.proven and not rep.passed
 
 
+def _criterion_3_specs():
+    """(label, spec): the criterion-3 specs, and two over a custom rational g
+    whose cleared g and g^-1 carry nontrivial scales."""
+    for N, form in ((2, SO2), (2, SP2), (3, SO3)):
+        for dia in enumerate_skew(3, max_col_height=N):
+            yield f"{form.kind}{N} {dia}", FusedModuleSpec(form, [(dia, Fraction(1, 3))])
+        yield f"{form.kind}{N} 1;1", spec(form, (BOX, Fraction(1, 3)), (BOX, Fraction(7, 5)))
+    custom = GForm.from_matrix([[Fraction(1, 2), 0], [0, 3]])
+    yield "g=diag(1/2,3) 1;1", spec(custom, (BOX, Fraction(1, 3)), (BOX, Fraction(7, 5)))
+    yield "g=diag(1/2,3) 2", spec(custom, (SkewDiagram((2,)), Fraction(2, 5)))
+
+
 def _per_pair_failures(Z):
     """The grid failures of each relation from one _rtt_holds and one
     _reflection_holds call per sample pair, in (u, v) order."""
@@ -501,21 +513,153 @@ def test_batched_relations_list_the_per_pair_failures(path, monkeypatch):
 
 def test_user_samples_are_checked_as_given(monkeypatch):
     # user samples are neither moved nor replaced by the grid: T is
-    # evaluated exactly at u, v and, for S(u) = T^t(-u) T(u), at -u and -v
+    # evaluated exactly at u, v and, for S(u) = T^t(-u) T(u), at -u and -v,
+    # all in one call of the batched evaluator
     Z = spec(SP2, (BOX, Fraction(1, 3)), (BOX, Fraction(7, 5)))
     samples = [(Fraction(7), Fraction(-3, 4)), (Fraction(2, 3), Fraction(7))]
     points = []
-    real = FrameBlock.at_int
+    real = FrameBlock.at_ints
 
-    def recording(self, u0):
-        points.append(u0)
-        return real(self, u0)
+    def recording(self, xs):
+        points.extend(xs)
+        return real(self, xs)
 
-    monkeypatch.setattr(FrameBlock, "at_int", recording)
+    monkeypatch.setattr(FrameBlock, "at_ints", recording)
     rep = check_defining_relations(Z, samples=samples)
     assert rep.rtt_checked == rep.reflection_checked == 2 and not rep.proven
     assert not rep.rtt_failures and not rep.reflection_failures
     assert set(points) == {s * u for pair in samples for u in pair for s in (1, -1)}
+    assert len(points) == len(set(points))
+
+
+def _per_point_samples(Z, points, pairs):
+    """T(u0) and S(u0) block stacks over ``points`` and the R, R' matrices
+    of ``pairs`` (indices into points), one point or pair at a time by the
+    route of _per_pair_failures: at_int, transpose_legs, _blocked, _aux."""
+    N, d = Z.N, Z.dimZ
+    td = repmatrix._t_data(Z)
+    int_form, _ = repmatrix._cleared_form(Z.form)
+    (P, sp), (Q, sq) = (linalg.to_int_scaled(X.mat) for X in structural_ops(Z.form))
+
+    def s_mat(u):
+        Tt = transpose_legs(TensorOperator(td.at_int(-u), td.dims), {1}, int_form).mat
+        return linalg.primitive_part(linalg.int_matmul(Tt, td.at_int(u)))
+
+    T = [repmatrix._blocked(td.at_int(u), N, d) for u in points]
+    S = [repmatrix._blocked(s_mat(u), N, d) for u in points]
+    R = [repmatrix._aux(points[i] - points[j], P, -sp) for i, j in pairs]
+    Rp = [repmatrix._aux(-(points[i] + points[j]), Q, -sq) for i, j in pairs]
+    return T, S, R, Rp
+
+
+def _assert_batch_matches_per_point(Z, points, iu, iv):
+    Ts, Ss, R, Rp = repmatrix._relation_samples(Z, points, iu, iv)
+    at = np.broadcast_arrays(*(np.arange(len(points))[i] for i in (iu, iv)))
+    pairs = list(zip(at[0].flat, at[1].flat))
+    T, S, R1, Rp1 = _per_point_samples(Z, points, pairs)
+    assert Ts.shape == (len(points), Z.N, Z.N, Z.dimZ, Z.dimZ) == Ss.shape
+    assert all(np.array_equal(Ts[k], T[k]) and np.array_equal(Ss[k], S[k])
+               for k in range(len(points)))
+    assert R.shape[:-2] == Rp.shape[:-2] == at[0].shape
+    R, Rp = (X.reshape((-1,) + X.shape[-2:]) for X in (R, Rp))
+    assert all(np.array_equal(R[k], R1[k]) and np.array_equal(Rp[k], Rp1[k])
+               for k in range(len(pairs)))
+    return Ts, Ss, R, Rp
+
+
+@pytest.mark.parametrize("label,Z", list(_criterion_3_specs()),
+                         ids=[label for label, _ in _criterion_3_specs()])
+def test_batched_sampler_matches_the_per_point_route_on_the_grid(label, Z):
+    # the T and S stacks and R, R' of every grid pair, at every criterion-3
+    # spec, equal those made one point and one pair at a time; on the grid
+    # R and R' are int64
+    poles = {s * p for p in Z.all_box_params() for s in (1, -1)}
+    grid = repmatrix._sample_grid(2 * Z.n_total + 3, poles)
+    _, _, R, Rp = _assert_batch_matches_per_point(Z, grid, (slice(None), None),
+                                                  (None, slice(None)))
+    assert R.dtype == Rp.dtype == np.int64
+
+
+def test_batched_sampler_matches_the_per_point_route_at_rational_samples():
+    Z = spec(SP2, (BOX, Fraction(1, 3)), (BOX, Fraction(7, 5)))
+    points = [Fraction(2, 3), Fraction(-3, 4), Fraction(7), Fraction(0)]
+    iu, iv = np.array([0, 1, 2, 3, 0]), np.array([1, 0, 3, 2, 0])
+    _assert_batch_matches_per_point(Z, points, iu, iv)
+    custom = GForm.from_matrix([[Fraction(1, 2), 0], [0, 3]])
+    _assert_batch_matches_per_point(spec(custom, (SkewDiagram((2,)), Fraction(2, 5))),
+                                    points, iu, iv)
+
+
+def test_batched_sampler_takes_large_integer_samples_on_python_ints():
+    # integer samples whose u - v or u + v would leave int64 take _aux's
+    # lcm route, so R and R' are neither wrapped nor cast
+    Z = spec(SP2, (BOX, Fraction(1, 3)), (BOX, Fraction(7, 5)))
+    points = [Fraction(2**61), Fraction(-2**61 + 1), Fraction(3)]
+    iu, iv = np.array([0, 1, 2]), np.array([1, 0, 0])
+    _, _, R, Rp = _assert_batch_matches_per_point(Z, points, iu, iv)
+    assert R.dtype == object and linalg.max_abs(R) >= 2**62
+
+
+def test_batched_sampler_matches_the_per_point_route_on_python_ints():
+    # frames past 2^62 send the evaluation, the S product and the stacks to
+    # Python ints
+    Z = spec(SO3, (VDOM, Fraction(1, 3)))
+    td = repmatrix._t_data(Z)
+    frames = [fr.astype(object) * (2**62 + 1) for fr in td.frames]
+    frames[0][0, 1] += 1
+    Z._tdata = FrameBlock(frames, td.scale, td.den, td.dims)
+    poles = {s * p for p in Z.all_box_params() for s in (1, -1)}
+    grid = repmatrix._sample_grid(2 * Z.n_total + 3, poles)
+    for points, iu, iv in ((grid, (slice(None), None), (None, slice(None))),
+                           ([Fraction(3, 4), Fraction(-2, 5)], np.array([0, 1]), np.array([1, 1]))):
+        Ts, Ss, _, _ = _assert_batch_matches_per_point(Z, points, iu, iv)
+        assert Ts.dtype == Ss.dtype == object and linalg.max_abs(Ts) >= 2**62
+
+
+def test_batched_t_values_are_the_homogenised_horner_sums():
+    # at_ints against sum_k frames[k] p^k q^(deg - k) in Python ints, over
+    # its content, point by point, on the float64, int64 and Python-int paths
+    Z = spec(SP2, (BOX, Fraction(1, 3)), (BOX, Fraction(7, 5)))
+    td = repmatrix._t_data(Z)
+    deg = len(td.frames) - 1
+    xs = [Fraction(2, 3), Fraction(-3, 4), Fraction(0), Fraction(5), Fraction(-1, 7)]
+    for c in (1, 2**40 + 1, 2**62 + 1):
+        fb = FrameBlock([fr.astype(object) * c for fr in td.frames], td.scale, td.den, td.dims)
+        got = fb.at_ints(xs)
+        for x, value in zip(xs, got):
+            p, q = x.numerator, x.denominator
+            acc = sum(fr.astype(object) * c * (p**k * q ** (deg - k))
+                      for k, fr in enumerate(td.frames))
+            assert np.array_equal(value, linalg.primitive_part(acc))
+    with pytest.raises(SingularParameter):
+        td.at_ints([Fraction(0), Fraction(7, 5)])
+
+
+@pytest.mark.parametrize("label,Z", list(_criterion_3_specs()),
+                         ids=[label for label, _ in _criterion_3_specs()])
+def test_t_denominator_vanishes_only_at_box_parameters(label, Z):
+    # den = c * prod (u - box parameter), so the relation check's pole set
+    # holds every zero of den
+    den = repmatrix._t_data(Z).den
+    boxes = math.prod((Poly((-v, 1)) for v in Z.all_box_params()), start=Poly.const(1))
+    assert den == boxes * (den.lc() / boxes.lc())
+
+
+def test_block_product_of_one_block_on_every_leg_is_that_block():
+    # a one-factor T is its breve block, not a product with the identity;
+    # the content of the frames moves into the scale as on the product route
+    Z = spec(SP2, (BOX, Fraction(1, 3)))
+    td = repmatrix._t_data(Z)
+    fb = FrameBlock([fr * 6 for fr in td.frames], td.scale / 4, td.den, td.dims)
+    one = FrameBlock([np.eye(len(td.frames[0]), dtype=np.int64)], Fraction(1), Poly.const(1),
+                     td.dims)
+    slots = tuple(range(len(td.dims)))
+    got = repmatrix.block_product([(fb, slots)], td.dims)
+    ref = repmatrix.block_product([(fb, slots), (one, slots)], td.dims)
+    assert got.scale == ref.scale == td.scale * Fraction(6, 4) and got.den == ref.den == td.den
+    assert len(got.frames) == len(ref.frames)
+    assert all(np.array_equal(a, b) and np.array_equal(a, c)
+               for a, b, c in zip(got.frames, ref.frames, td.frames))
 
 
 def _sample_blocks(Z, u0, v0):
@@ -1134,18 +1278,6 @@ def _s_generators_ratfunc(Z, K):
     A = _entrywise_series(Tt, K)
     B = _entrywise_series(T, K)
     return [sum(linalg.fdot(A[a], B[k - a]) for a in range(k + 1)) for k in range(K + 1)]
-
-
-def _criterion_3_specs():
-    """(label, spec): the criterion-3 specs, and two over a custom rational g
-    whose cleared g and g^-1 carry nontrivial scales."""
-    for N, form in ((2, SO2), (2, SP2), (3, SO3)):
-        for dia in enumerate_skew(3, max_col_height=N):
-            yield f"{form.kind}{N} {dia}", FusedModuleSpec(form, [(dia, Fraction(1, 3))])
-        yield f"{form.kind}{N} 1;1", spec(form, (BOX, Fraction(1, 3)), (BOX, Fraction(7, 5)))
-    custom = GForm.from_matrix([[Fraction(1, 2), 0], [0, 3]])
-    yield "g=diag(1/2,3) 1;1", spec(custom, (BOX, Fraction(1, 3)), (BOX, Fraction(7, 5)))
-    yield "g=diag(1/2,3) 2", spec(custom, (SkewDiagram((2,)), Fraction(2, 5)))
 
 
 @pytest.mark.parametrize("label,Z", list(_criterion_3_specs()),

@@ -23,7 +23,7 @@ from twistfusion.tensor import (
     partial_trace_first,
     permutation_op,
     restrict,
-    reversal_op,
+    reversal_index,
     structural_ops,
     transpose_legs,
 )
@@ -93,6 +93,11 @@ def test_embed_errors():
         embed_two_leg(P, 0, 2, 3)
     with pytest.raises(IndexOutOfRange):
         embed_two_leg(P, 1, 4, 3)
+
+
+def reversal_op(n: int, N: int) -> TensorOperator:
+    """sigma_hat_n for the order-reversing permutation i -> n+1-i."""
+    return TensorOperator(feye(N**n)[reversal_index(N, 0, n)], (N,) * n)
 
 
 def test_permutation_basics():

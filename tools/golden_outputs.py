@@ -14,6 +14,10 @@ Sections, each headed by a line starting with ``##``:
     point of every criterion-9 shape;
   * ``scan --json --jobs 1`` on the scan-walls grids of seeds 1-3;
   * ``check-relations --json`` on the relations-sweep specs of seed 1;
+  * the ``RelationReport`` fields of
+    ``repmatrix.check_defining_relations(Z, samples=...)`` at the specs of
+    RELATION_SAMPLES: rational samples, integer samples, and samples that
+    include a pole (a box parameter), which the CLI cannot pass;
   * ``duality --json`` on the criterion-7 cases;
   * the verdicts, phi and rho (K = 2) of sp2 and so3 with no factors, and
     of the one-dimensional so2 ``1,1:1/3``;
@@ -52,6 +56,12 @@ OPERATOR_PAIRS = [
     ("so", 3, "", "1:1/4;1,1:2/9"),
 ]
 ACTION_PARAMS = [(2, ["1/3", "-2/5", "7/4"]), (3, ["2/7", "4/3"])]
+RELATION_SAMPLES = [("so", 2, "2,1/1:1/5"), ("sp", 2, "1:1/3;1:7/5"), ("so", 3, "1,1:2/9"),
+                    ("so", 3, "2:-2/5;1:3/7")]
+SAMPLE_SETS = [
+    [("2/3", "-3/4"), ("-3/4", "2/3"), ("5/7", "1/2"), ("7", "-3/4")],
+    [("1", "2"), ("-3", "4"), ("0", "-1")],
+]
 
 
 def cli(tf, argv) -> str:
@@ -114,6 +124,19 @@ def operators(tf, kind, N, w_modules, z_modules) -> str:
     return out
 
 
+def relation_samples(tf, kind, N, modules) -> str:
+    """The RelationReport of each sample set of SAMPLE_SETS, and of the
+    first set with a pair at the first box parameter added."""
+    Z = tf.repmatrix.FusedModuleSpec.from_string(tf.tensor.GForm.default(kind, N), modules)
+    pole = Z.all_box_params()[0]
+    out = ""
+    for samples in SAMPLE_SETS + [SAMPLE_SETS[0] + [(str(pole), "1/2")]]:
+        rep = tf.repmatrix.check_defining_relations(
+            Z, samples=[(Fraction(u), Fraction(v)) for u, v in samples])
+        out += f"samples {samples}\n{rep}\npassed {rep.passed}\n"
+    return out
+
+
 def main(argv) -> int:
     if len(argv) != 2:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
@@ -148,6 +171,9 @@ def main(argv) -> int:
         section(f"check-relations {kind}{N} {modules}",
                 cli(tf, ["check-relations", "--n", str(N), "--form", kind,
                          f"--modules={modules}", "--json"]))
+
+    for kind, N, modules in RELATION_SAMPLES:
+        section(f"relation samples {kind}{N} {modules}", relation_samples(tf, kind, N, modules))
 
     for kind in ("so", "sp"):
         for diagram in ("1", "1,1"):

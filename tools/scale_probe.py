@@ -43,10 +43,13 @@ them:
     generators, ``algebra_generators`` without a prime, shown apart);
   * ``commutant``: ``irreducibility.commutant_dim`` at the default K, which
     no verdict reads;
-  * ``relations``: ``repmatrix.check_defining_relations``, with the number
-    of RTT and reflection sample pairs decided by the exact float64 kernel
-    and by residue kernels, and how many residue kernels (primes) those
-    pairs took in all, counted per pair although one call decides them all;
+  * ``relations``: ``repmatrix.check_defining_relations``, with its time
+    split between building the T frames (once per module, so 0 after other
+    stages), sampling T, S, R and R' at every point and the RTT and
+    reflection kernels, the number of RTT and reflection sample pairs
+    decided by the exact float64 kernel and by residue kernels, and how many
+    residue kernels (primes) those pairs took in all, counted per pair
+    although one call decides them all;
   * ``scan``: once, after the modules, ``cli.main`` running ``scan --jobs 2``
     and then ``scan --jobs 1`` over the 4 points of SCAN_GRID on the dim-9
     shape so3 ``1,1;1,1``, each twice in this process.  The first ``--jobs
@@ -57,8 +60,12 @@ them:
     cached here, and the workers inherit them when they fork.
 
 At dim 27, on a 2-vCPU Xeon VM, ``phi`` takes 7-10 s and ``witness``
-4.4-6 s, most of it building the two breve pair blocks; ``--stages
-relations`` takes about half a second.  The dim-36 witness takes 0.5-0.6 s.
+4.4-6 s, most of it building the two breve pair blocks.  ``--stages
+relations`` takes about 0.5 s in all: ``check_defining_relations`` takes
+0.020-0.022, 0.037-0.040 and 0.141-0.158 s at dims 9, 18 and 27, of which
+sampling is 0.7-0.8, 1.2-1.4 and 2.1-2.3 ms, and the dim-27 reflection
+kernels, 80 of its 81 samples on three primes each, 0.11-0.13 s.  The
+dim-36 witness takes 0.5-0.6 s.
 Times are wall times of one run in this process, except the ``wall``
 stage's best-of-runs.
 """
@@ -118,17 +125,38 @@ def _record_kernels(repmatrix) -> Counter:
     return counts
 
 
+def _record_relation_split(repmatrix) -> Counter:
+    """Accumulate the time of the steps of a relation check: rebinds
+    ``_t_data`` (the T frames, built once per module), ``_relation_samples``
+    (T, S, R and R' at every point, T frames included) and the two relation
+    kernels ``_rtt_holds`` and ``_reflection_holds`` of ``repmatrix``."""
+    spent: Counter = Counter()
+
+    def timed(name, fn):
+        def run(*args):
+            t0 = time.perf_counter()
+            out = fn(*args)
+            spent[name] += time.perf_counter() - t0
+            return out
+        return run
+
+    for name in ("_t_data", "_relation_samples", "_rtt_holds", "_reflection_holds"):
+        setattr(repmatrix, name, timed(name, getattr(repmatrix, name)))
+    return spent
+
+
 def _record_matmuls(linalg, modules) -> Counter:
     """Count ``int_matmul`` calls and those that fail the int64 certificate:
     rebinds ``int_matmul`` in ``linalg`` and in every module that imports it."""
     counts: Counter = Counter()
     int_matmul = linalg.int_matmul
 
-    def recording(A, B):
-        bound = max(linalg.max_abs(A), 1) * max(linalg.max_abs(B), 1) * A.shape[1]
+    def recording(A, B, bound=None):
+        if bound is None:
+            bound = max(linalg.max_abs(A), 1) * max(linalg.max_abs(B), 1) * A.shape[-1]
         counts["calls"] += 1
         counts["python"] += not linalg.int64_certified(bound)
-        return int_matmul(A, B)
+        return int_matmul(A, B, bound)
 
     for mod in (linalg,) + modules:
         mod.int_matmul = recording
@@ -253,7 +281,7 @@ def _timed(label: str, fn, note):
 
 
 def probe(tf, kind: str, N: int, modules: str, warm, stages, counts: Counter,
-          matmuls: Counter, seen: dict, spent: dict) -> None:
+          matmuls: Counter, seen: dict, spent: dict, split: Counter) -> None:
     irr, repmatrix = tf.irreducibility, tf.repmatrix
     form = tf.tensor.GForm.default(kind, N)
     Z = repmatrix.FusedModuleSpec.from_string(form, modules)
@@ -291,8 +319,13 @@ def probe(tf, kind: str, N: int, modules: str, warm, stages, counts: Counter,
         _timed("commutant_dim", lambda: irr.commutant_dim(Z, K), lambda c: f"dim {c[0]} (K = {K})")
     if "relations" in stages:
         counts.clear()
+        split.clear()
         _timed("check_defining_relations", lambda: repmatrix.check_defining_relations(Z),
                lambda rep: "proven" if rep.proven else "NOT proven")
+        print(f"    split: T frames {split['_t_data']:.4f} s, sampling (T, S, R, R') "
+              f"{split['_relation_samples'] - split['_t_data']:.4f} s, RTT kernels "
+              f"{split['_rtt_holds']:.4f} s, reflection kernels {split['_reflection_holds']:.4f} s",
+              flush=True)
         for rel in ("rtt", "reflection"):
             print(f"    {rel + ':':<12}{counts[rel, 'exact']:4d} exact float64, "
                   f"{counts[rel, 'residue']:4d} residue samples ({counts[rel, 'primes']} primes)")
@@ -324,6 +357,7 @@ def main(argv=None) -> int:
     from twistfusion import cli
 
     counts = _record_kernels(tf.repmatrix)
+    split = _record_relation_split(tf.repmatrix)
     matmuls = _record_matmuls(tf.linalg, (tf.tensor, tf.repmatrix, tf.irreducibility))
     seen = _record_witness(tf.irreducibility)
     spent = _record_burnside(tf.irreducibility)
@@ -331,7 +365,7 @@ def main(argv=None) -> int:
         for kind, N, modules, warm, only in MODULES:
             run = [s for s in stages if s in (only or set(STAGES) - {"wall"})]
             if run:
-                probe(tf, kind, N, modules, warm, run, counts, matmuls, seen, spent)
+                probe(tf, kind, N, modules, warm, run, counts, matmuls, seen, spent, split)
     if "scan" in stages:
         scan_probe(cli)
     return 0
