@@ -8,7 +8,7 @@ Four layers, all exact:
 * The int64 rule.  An exact integer matrix may be int64 only when a bound
   on its entries and every intermediate is below 2^62 (int64_certified),
   else it holds Python ints.  An operation that makes entries larger bounds
-  its result first (int_matmul: max|A| * max|B| * inner dimension) and
+  its result first (int_matmul: max|B| * the largest row sum of |A|) and
   casts to object before any arithmetic when the bound fails, so nothing
   wraps; below 2^53 int_matmul multiplies on float64 BLAS.  Public outputs
   (to_int_scaled, to_fractions) hold Python ints and Fractions.  Identities
@@ -245,15 +245,15 @@ def mod_matmul(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def int_matmul(A: np.ndarray, B: np.ndarray, bound: int | None = None) -> np.ndarray:
+def int_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Exact product of two integer matrices, or stacks of them, in int64
-    when certified.  ``bound`` is at least every entry of A and B and every
-    absolute sum of product terms: by default max|A| max|B| times the inner
-    dimension, each max at least 1 so that a zero factor does not let the
-    other be cast unchecked.  Below 2^53 every such value is an exact float64
-    integer, in any order of summation, and the product runs on BLAS."""
-    if bound is None:
-        bound = max(max_abs(A), 1) * max(max_abs(B), 1) * A.shape[-1]
+    when certified.  The certificate is max|B| times the largest row sum of
+    |A|, each at least 1: it bounds every entry of A and B, so a zero factor
+    does not let the other be cast unchecked, and every partial sum of
+    product terms.  Below 2^53 every such value is an exact float64 integer,
+    in any order of summation, and the product runs on BLAS."""
+    rows = np.abs(certified(A, max_abs(A) * A.shape[-1])).sum(axis=-1)
+    bound = max(max_abs(B), 1) * max(int(rows.max(initial=0)), 1)
     if bound < _FLOAT_EXACT:
         return np.matmul(A.astype(np.float64), B.astype(np.float64)).astype(np.int64)
     return certified(A, bound) @ certified(B, bound)

@@ -722,9 +722,9 @@ class FrameBlock:
         """The stack of sum_k frames[k] p^k q^(deg - k), deg = len(frames) - 1,
         at the points p/q of ``xs``: the frame sums times q^deg, by one product
         of the homogenised power rows [p^k q^(m - k)], m = max(deg, deg den),
-        over q^(m - deg), with the stacked frames, under top max (|p| + q)^deg
-        (int_matmul).  The rows times den's cleared coefficients are den's
-        values times positive scalars: SingularParameter at a pole."""
+        over q^(m - deg), with the stacked frames (int_matmul, whose bound is
+        at most top (|p| + q)^deg).  The rows times den's cleared coefficients
+        are den's values times positive scalars: SingularParameter at a pole."""
         L = math.lcm(*(c.denominator for c in self.den.coeffs))
         den, deg = [int(c * L) for c in self.den.coeffs], len(self.frames) - 1
         m, rows = max(deg, len(den) - 1), []
@@ -733,9 +733,7 @@ class FrameBlock:
             if not sum(c * r for c, r in zip(den, row)):
                 raise SingularParameter(f"{x} is a pole of the operator")
             rows.append([r // x.denominator ** (m - deg) for r in row[:deg + 1]])
-        bound = max(self.top, 1) * max(abs(x.numerator) + x.denominator for x in xs) ** deg
-        sums = int_matmul(np.array(rows, dtype=object), np.stack(self.frames).reshape(deg + 1, -1),
-                          bound)
+        sums = int_matmul(np.array(rows, dtype=object), np.stack(self.frames).reshape(deg + 1, -1))
         return sums.reshape((len(rows),) + self.frames[0].shape)
 
     def substituted(self, t: Fraction, s: int, den: Poly) -> "FrameBlock":
@@ -790,15 +788,14 @@ class FrameBlock:
         the linear recurrence on the coefficients of den; so the u^-m
         coefficient is sum_k frames[k] h_(m+k-n).  The h_j are cleared to
         integers H_j = L h_j by one common L, and all coefficients are one
-        product of the rows [H_(m+k-n)]_k with the stacked frames, under
-        top * sum |H_j| (int_matmul)."""
+        product of the rows [H_(m+k-n)]_k with the stacked frames
+        (int_matmul, whose bound is at most top * sum |H_j|)."""
         n, deg = self.den.degree, len(self.frames) - 1
         h = RatFunc(Poly.const(1), self.den, _normalized=True).series_at_infinity(K + n)[n:]
         L = math.lcm(*(c.denominator for c in h))
         H = [int(c * L) for c in h]
         rows = [[H[m + k - n] if m + k >= n else 0 for k in range(deg + 1)] for m in range(K + 1)]
-        sums = int_matmul(np.array(rows, dtype=object), np.stack(self.frames).reshape(deg + 1, -1),
-                          max(self.top, 1) * sum(map(abs, H)))
+        sums = int_matmul(np.array(rows, dtype=object), np.stack(self.frames).reshape(deg + 1, -1))
         return [ScaledIntMatrix(S.reshape(self.frames[0].shape), self.scale / L) for S in sums]
 
     def ratfunc_matrix(self) -> np.ndarray:

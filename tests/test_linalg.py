@@ -381,7 +381,15 @@ def test_int_matmul_float64_boundary(a, b):
     got = linalg.int_matmul(A, B)
     assert got.dtype == np.int64 and got.shape == (2, 1, 1)
     assert int(got[0, 0, 0]) == a * b and int(got[1, 0, 0]) == -a
-    assert int(linalg.int_matmul(A[0], B[0], bound=a * b)[0, 0]) == a * b
+
+
+def test_int_matmul_bound_is_the_row_sums_of_a():
+    # max|A| max|B| inner is 2^63, but max|B| times the row sum of |A| is
+    # 2^61 + 6, so the product is certified int64
+    A = np.array([[2**60, 1, -1, 1]], dtype=object)
+    B = np.array([[2], [1], [1], [1]], dtype=object)
+    got = linalg.int_matmul(A, B)
+    assert got.dtype == np.int64 and int(got[0, 0]) == 2**61 + 1
 
 
 def test_primitive_part_of_a_stack():

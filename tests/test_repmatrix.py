@@ -534,21 +534,49 @@ def test_user_samples_are_checked_as_given(monkeypatch):
 
 def _per_point_samples(Z, points, pairs):
     """T(u0) and S(u0) block stacks over ``points`` and the R, R' matrices
-    of ``pairs`` (indices into points), one point or pair at a time by the
-    route of _per_pair_failures: at_int, transpose_legs, _blocked, _aux."""
+    of ``pairs`` (indices into points), one point or pair at a time in
+    Python ints, by none of the sampler's code: T is the homogenised Horner
+    sum of the frames over its content, S(u0) = T^t(-u0) T(u0) with the
+    aux-leg transposition g X^t g^-1 written out entrywise and an object
+    matmul, and R(u-v), R'(u+v) are diag + scale * X in Fractions times the
+    lcm of the denominators of diag and scale."""
     N, d = Z.N, Z.dimZ
     td = repmatrix._t_data(Z)
-    int_form, _ = repmatrix._cleared_form(Z.form)
+    deg = len(td.frames) - 1
+    form, _ = repmatrix._cleared_form(Z.form)
+    g, g_inv = form.g.astype(object), form.g_inv.astype(object)
     (P, sp), (Q, sq) = (linalg.to_int_scaled(X.mat) for X in structural_ops(Z.form))
 
-    def s_mat(u):
-        Tt = transpose_legs(TensorOperator(td.at_int(-u), td.dims), {1}, int_form).mat
-        return linalg.primitive_part(linalg.int_matmul(Tt, td.at_int(u)))
+    def content_free(X):
+        c = math.gcd(*(int(v) for v in X.flat))
+        return X // c if c else X
 
-    T = [repmatrix._blocked(td.at_int(u), N, d) for u in points]
-    S = [repmatrix._blocked(s_mat(u), N, d) for u in points]
-    R = [repmatrix._aux(points[i] - points[j], P, -sp) for i, j in pairs]
-    Rp = [repmatrix._aux(-(points[i] + points[j]), Q, -sq) for i, j in pairs]
+    def t_mat(x):
+        p, q = x.numerator, x.denominator
+        return content_free(sum(fr.astype(object) * (p**k * q ** (deg - k))
+                                for k, fr in enumerate(td.frames)))
+
+    def s_mat(u):
+        X = t_mat(-u).reshape(N, d, N, d)
+        Xt = np.empty_like(X)
+        for a in range(N):
+            for b in range(N):
+                Xt[a, :, b, :] = sum(g[a, c] * X[e, :, c, :] * g_inv[e, b]
+                                     for c in range(N) for e in range(N))
+        return content_free(Xt.reshape(N * d, N * d) @ t_mat(u))
+
+    def blocks(X):
+        return X.reshape(N, d, N, d).transpose(0, 2, 1, 3)
+
+    def aux(diag, X, scale):
+        L = math.lcm(diag.denominator, scale.denominator)
+        return np.array([[int((diag * (i == j) + scale * X[i, j]) * L) for j in range(len(X))]
+                         for i in range(len(X))], dtype=object)
+
+    T = [blocks(t_mat(u)) for u in points]
+    S = [blocks(s_mat(u)) for u in points]
+    R = [aux(points[i] - points[j], P, -sp) for i, j in pairs]
+    Rp = [aux(-(points[i] + points[j]), Q, -sq) for i, j in pairs]
     return T, S, R, Rp
 
 
