@@ -26,7 +26,7 @@ from .diagrams import parse_skew
 from .errors import MalformedInput, TwistFusionError, WorkerLost
 from .exactnum import parse_rational
 from .fusion import fusion_operator, verify_fusion_invariants
-from .irreducibility import verdict
+from .irreducibility import phi_witnesses, verdict
 from .repmatrix import FusedModuleSpec, check_defining_relations, duality_check, yang_matrices
 from .tensor import GForm, embed_two_leg
 
@@ -251,21 +251,41 @@ def _parse_scan_modules(text: str):
     return out
 
 
-def _scan_point(payload):
-    (kind, N, grows, modules, box_cap, zs) = payload
+def _spec_text(modules, zs) -> str:
+    return ";".join(f"{d}:{z}" for d, z in zip(modules, zs))
+
+
+def _point_error(zs, exc: Exception) -> dict:
+    """The scan entry of the point zs whose spec or verdict raised exc, made
+    where exc is caught: one bad point must not sink the scan."""
+    if not isinstance(exc, TwistFusionError):
+        traceback.print_exc(file=sys.stderr)
+    return {"z": [str(q) for q in zs], "error": f"{type(exc).__name__}: {exc}"}
+
+
+def _point_result(zs, run, *args, **kwargs) -> dict:
+    """The scan entry of the point zs: the report run(*args, **kwargs)
+    returns, or the error it raises."""
     try:
+        return {"z": [str(q) for q in zs], "report": run(*args, **kwargs).to_json()}
+    except Exception as exc:
+        return _point_error(zs, exc)
+
+
+def _scan_point(payload):
+    """The scan entry of a point that a worker decides, from picklable
+    parts: the form, the diagrams, the point and its witness."""
+    (kind, N, grows, modules, box_cap, zs, witness) = payload
+
+    def run():
         if grows is not None:
             form = GForm.from_matrix([[parse_rational(v) for v in row] for row in grows])
         else:
             form = GForm.default(kind, N)
-        spec_text = ";".join(f"{d}:{z}" for d, z in zip(modules, zs))
-        spec = FusedModuleSpec.from_string(form, spec_text, box_cap=box_cap)
-        rep = verdict(spec)
-        return {"z": [str(q) for q in zs], "report": rep.to_json()}
-    except Exception as exc:  # one bad point must not sink the scan
-        if not isinstance(exc, TwistFusionError):
-            traceback.print_exc(file=sys.stderr)
-        return {"z": [str(q) for q in zs], "error": f"{type(exc).__name__}: {exc}"}
+        spec = FusedModuleSpec.from_string(form, _spec_text(modules, zs), box_cap=box_cap)
+        return verdict(spec, witness=witness)
+
+    return _point_result(zs, run)
 
 
 # The scan workers of this process: made by the first scan that needs them,
@@ -320,19 +340,41 @@ def cmd_scan(args) -> int:
             if not axis:
                 raise MalformedInput(f"grid list of factor {i + 1} (diagram {dias[i]}) is empty")
         points = list(product(*axes))
-    grows = [[str(v) for v in row] for row in form.g] if args.g_file else None
     modules = [str(d) for d in dias]
-    payloads = [(args.form, args.n, grows, modules, args.box_cap, zs) for zs in points]
+    results, specs = [None] * len(points), {}
+    for k, zs in enumerate(points):
+        try:
+            specs[k] = FusedModuleSpec.from_string(form, _spec_text(modules, zs), box_cap=args.box_cap)
+        except Exception as exc:
+            results[k] = _point_error(zs, exc)
+    # The residue witnesses of all points, in one batch: a point of full
+    # rank is decided here, every other one takes the exact path with its
+    # witness.  Where the batch fails, each point's own verdict reports why.
+    try:
+        witnesses = dict(zip(specs, phi_witnesses(list(specs.values()))))
+    except Exception:
+        witnesses = dict.fromkeys(specs)
+    rest = []
+    for k, spec in specs.items():
+        if witnesses[k] is not None and witnesses[k][1] == spec.dimZ**2:
+            results[k] = _point_result(points[k], verdict, spec, witness=witnesses[k])
+        else:
+            rest.append(k)
     # a pool starts all its workers at its first task: ask for no more than
-    # points, nor than the CPUs this process may run on
-    jobs = min(args.jobs, len(payloads))
+    # the points left, nor than the CPUs this process may run on
+    jobs = min(args.jobs, len(rest))
     if jobs > 1:
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
         jobs = min(jobs, cpus or 1)
     if jobs > 1:
-        results = _scan_in_pool(payloads, jobs)
+        grows = [[str(v) for v in row] for row in form.g] if args.g_file else None
+        payloads = [(args.form, args.n, grows, modules, args.box_cap, points[k], witnesses[k])
+                    for k in rest]
+        for k, r in zip(rest, _scan_in_pool(payloads, jobs)):
+            results[k] = r
     else:
-        results = [_scan_point(pl) for pl in payloads]
+        for k in rest:
+            results[k] = _point_result(points[k], verdict, specs[k], witness=witnesses[k])
     summary = {"irreducible": 0, "reducible": 0, "errors": 0}
     for r in results:
         if "error" in r:

@@ -11,14 +11,19 @@ is the same over Q and over C.
    End(Z), has its image in A_Z.  If phi is surjective, A_Z = End(Z): the
    module is irreducible, algebra_dim is d^2 and nothing else runs.  This is
    the witness of the main theorem, and every off-wall point has it.
-   Off the walls it is read from one residue (phi_witness): the product of
-   each block's lowest nonzero frame mod one prime p, from residues of the
-   cached argument blocks (term_residue), is the family's coefficient at
-   order o = sum of frame orders minus the denominators' valuations.  A
-   nonzero residue proves the order o; rank cannot rise mod p, so rank d^2
-   mod p proves phi surjective, and the exact frame product and rank do not
-   run.  Any other residue (zero where a block residue cannot tell its
-   lowest frame), and every point on a wall, takes the exact path.
+   It is read from one residue (phi_witness): the product of each block's
+   lowest nonzero frame mod one prime p, from residues of the cached
+   argument blocks (term_residue), is the family's coefficient at order
+   o = sum of frame orders minus the denominators' valuations.  A nonzero
+   residue proves the order o; rank cannot rise mod p, so rank d^2 mod p
+   proves phi surjective, and the exact frame product and rank do not run.
+   Any other residue (zero where a block residue cannot tell its lowest
+   frame) takes the exact path.  A single verdict takes the witness off
+   the walls only, and every wall point takes the exact path; a scan takes
+   the witnesses of all its points in one batch (phi_witnesses, one
+   stacked residue product and one stacked rank per slice of modules) and
+   hands each to its verdict, so a wall point whose phi the witness
+   proves surjective is decided by it too.
 2. Otherwise Burnside growth decides: words in the residues of the integer
    blocks of S_1 .. S_2n (n boxes; default_truncation shows that they span
    every coefficient) modulo a prime below 2^21, the leftmost independent
@@ -38,6 +43,7 @@ does not fix.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -70,7 +76,7 @@ from .repmatrix import (
     s_factors,
     s_sums,
     swz_frame_blocks,
-    swz_terms,
+    swz_term_lists,
     term_residue,
 )
 from .tensor import TensorOperator, contraction_map_matrix
@@ -131,6 +137,27 @@ def surjectivity(phi: PhiOperator) -> tuple[int, bool]:
     return r, r == phi.dimZ**2
 
 
+# The residue witnesses of a batch are formed in slices whose residue
+# stacks hold at most this many entries, P D^2 for P modules of D = d^2 (the
+# dimension of W (x) Z); a module whose D^2 alone passes it goes alone.
+_WITNESS_BATCH = 2**20
+
+
+def phi_witnesses(Zs) -> list[tuple[int, int]]:
+    """phi_witness of each module of ``Zs``, all of one shape (form and
+    diagrams), in slices of _WITNESS_BATCH entries: each slice takes one
+    term_residue and one rank_mod_p on the stacks of its modules."""
+    if not Zs:
+        return []
+    dZ, dims, p = Zs[0].dimZ, Zs[0].factor_dims * 2, _WITNESS_PRIME
+    step = max(1, _WITNESS_BATCH // math.prod(dims) ** 2)
+    out = []
+    for lo in range(0, len(Zs), step):
+        orders, coeffs = term_residue(swz_term_lists(Zs[lo:lo + step]), dims, p)
+        out += zip(orders, rank_mod_p(contraction_map_matrix(coeffs, dZ, dZ), p))
+    return out
+
+
 def phi_witness(Z: FusedModuleSpec) -> tuple[int, int]:
     """(o, r) from one residue modulo _WITNESS_PRIME p: o the Laurent order
     of the family if its coefficient there is nonzero (term_residue), r the
@@ -138,10 +165,9 @@ def phi_witness(Z: FusedModuleSpec) -> tuple[int, int]:
 
     r > 0 proves that the order is o.  Rank cannot rise under reduction mod
     p, so r = (dim Z)^2 proves that phi is surjective: then (o, r) is
-    exactly what phi_leading and surjectivity give."""
-    dZ, p = Z.dimZ, _WITNESS_PRIME
-    order, coeff = term_residue(swz_terms(Z), Z.factor_dims + Z.factor_dims, p)
-    return order, rank_mod_p(contraction_map_matrix(coeff, dZ, dZ), p)
+    exactly what phi_leading and surjectivity give.  The one-module call of
+    phi_witnesses."""
+    return phi_witnesses([Z])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -470,17 +496,21 @@ def default_truncation(Z: FusedModuleSpec) -> int:
     return 2 * Z.n_total + 2
 
 
-def verdict(Z: FusedModuleSpec) -> IrreducibilityReport:
+def verdict(Z: FusedModuleSpec, witness: tuple[int, int] | None = None) -> IrreducibilityReport:
     """Walls, leading-coefficient surjectivity and, only where phi is not
     surjective, Burnside growth of A_Z; irreducible exactly when
-    dim A_Z = d^2.  Off the walls surjectivity is first tried on the
-    residue witness, which gives the exact report when it proves it.  A phi
-    of rank above dim A_Z contradicts the theory (its image lies in A_Z)
-    and aborts."""
+    dim A_Z = d^2.  ``witness`` is the module's phi_witness, as
+    phi_witnesses gives it for a batch; without it the witness is taken
+    off the walls only.  A witness of rank d^2 proves surjectivity and
+    gives the exact report at any point, walls included; any other takes
+    the exact path.  A phi of rank above dim A_Z contradicts the theory
+    (its image lies in A_Z) and aborts."""
     params = [z for _, z in Z.factors]
     on_wall = [c.describe() for c in walls(Z).violated(params)]
     full = Z.dimZ**2
-    order, rank = (0, 0) if on_wall else phi_witness(Z)
+    if witness is None:
+        witness = (0, 0) if on_wall else phi_witness(Z)
+    order, rank = witness
     if rank == full:
         surj, dim = True, full
     else:

@@ -167,16 +167,14 @@ def _reduce_bound(p: int) -> int:
     return min(_FLOAT_EXACT - p, ((1 << 51) - 1) * p)
 
 
-def float_kernels(arrays, bound: int, inner: int, weight: int):
+def float_kernels(arrays, bound: int, inner: int):
     """Float64 kernels (arrays, modulus) for an identity between two integer
     expressions in ``arrays``, each side at most ``bound`` in absolute value,
     and so every partial sum of either side.
 
-    The expressions are products of two arrays with inner dimension
-    ``inner``, then combinations of those products with small integer
-    coefficients whose absolute values sum to at most ``weight`` per entry.
-    Integers below 2^53 are exact in float64, and so is every sum of them
-    that stays below 2^53, in any summation order, so BLAS may compute them.
+    The expressions are chains of products of the arrays.  Integers below
+    2^53 are exact in float64, and so is every sum of them that stays below
+    2^53, in any summation order, so BLAS may compute them.
 
     When ``bound`` is below 2^53 there is one kernel: the arrays in float64
     and modulus None.  Otherwise there is one kernel per prime p: the arrays
@@ -184,23 +182,24 @@ def float_kernels(arrays, bound: int, inner: int, weight: int):
     primes exceeds 2 * bound.  Then |lhs - rhs| <= 2 * bound is below that
     product, so sides that agree modulo every prime are equal over Z.
 
-    The caller reduces (reduce_mod) each product of two residues and then
-    lhs - rhs, and nothing else.  A product is at most inner * (p - 1)^2,
-    each later value at most weight * p, and lhs - rhs at most
-    2 * weight * p.  The primes lie below 2^width, with width the smaller of
-    (53 - bitlength(inner)) // 2 and 51 - bitlength(weight), so for every
-    such prime both values that are reduced are within reduce_mod's bound
-    (_reduce_bound): below 2^53 - p, and below (2^51 - 1) p because
-    inner * (p - 1) and 2 * weight are below 2^51."""
-    for p in kernel_moduli(bound, inner, weight):
+    The caller reduces (reduce_mod) each factor of a product to residues
+    before the product, and lhs - rhs at the end, so that every value it
+    reduces is a sum of at most ``inner`` products of two residues, at most
+    inner * (p - 1)^2.  The primes lie below 2^width, width =
+    (53 - bitlength(inner)) // 2, so for every such prime that value is
+    within reduce_mod's bound (_reduce_bound): below 2^53 - p, and below
+    (2^51 - 1) p because inner * (p - 1) is below 2^51.  The width depends
+    on the shapes alone, so no entry of any array, however large, narrows
+    the primes."""
+    for p in kernel_moduli(bound, inner):
         yield [(A if p is None else A % p).astype(np.float64) for A in arrays], p
 
 
-def kernel_moduli(bound: int, inner: int, weight: int) -> list:
+def kernel_moduli(bound: int, inner: int) -> list:
     """The moduli of float_kernels: [None], or its primes."""
     if bound < _FLOAT_EXACT:
         return [None]
-    width = max(0, min((53 - inner.bit_length()) // 2, 51 - weight.bit_length()))
+    width = max(0, (53 - inner.bit_length()) // 2)
     primes, modulus = [], 1
     for p in _residue_primes(width):
         primes.append(p)
@@ -228,20 +227,23 @@ def reduce_mod(X: np.ndarray, p: int, scratch=None) -> np.ndarray:
 
 
 def mod_matmul(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
-    """A @ B mod p in (-p, p), as float64 on BLAS, for 2-d integer matrices
-    with entries below p in absolute value.  Delayed reduction (Dumas,
-    Giorgi & Pernet 2008): each chunk of k inner terms is added to the
-    reduced sum before it and reduced (reduce_mod), k the largest with
-    k (p - 1)^2 + p - 1 within reduce_mod's bound (_reduce_bound): every
-    partial sum is an exact float64 integer it reduces, in any order.
-    DimensionMismatch for p^2 > 2^53 (k = 0): one product may be inexact."""
+    """A @ B mod p in (-p, p), as float64 on BLAS, for integer matrices, or
+    stacks of them (leading axes, as np.matmul), with entries below p in
+    absolute value.  Delayed reduction (Dumas, Giorgi & Pernet 2008): each
+    chunk of k inner terms is added to the reduced sum before it and
+    reduced (reduce_mod), k the largest with k (p - 1)^2 + p - 1 within
+    reduce_mod's bound (_reduce_bound): every partial sum is an exact
+    float64 integer it reduces, in any order.  DimensionMismatch for
+    p^2 > 2^53 (k = 0): one product may be inexact."""
     k = (_reduce_bound(p) - p + 1) // (p - 1) ** 2
     if k < 1:
         raise DimensionMismatch(f"products of residues mod {p} are not exact in float64")
     A, B = np.asarray(A, dtype=np.float64), np.asarray(B, dtype=np.float64)
-    out = reduce_mod(A[:, :k] @ B[:k], p)
-    for lo in range(k, A.shape[1], k):
-        out = reduce_mod(out + A[:, lo:lo + k] @ B[lo:lo + k], p)
+    if A.shape[-1] <= k:
+        return reduce_mod(A @ B, p)
+    out = reduce_mod(A[..., :k] @ B[..., :k, :], p)
+    for lo in range(k, A.shape[-1], k):
+        out = reduce_mod(out + A[..., lo:lo + k] @ B[..., lo:lo + k, :], p)
     return out
 
 
@@ -373,63 +375,80 @@ def _modp_rref(M: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
     return pivots, M
 
 
-def stacked_blocks(A: np.ndarray) -> np.ndarray:
-    """The blocks of a residue matrix A (nonzero exactly where nonzero mod
-    p), one per connected component of its bipartite nonzero pattern, rows
-    and columns in order, zero-padded into a (G, m, n) float64 array; label
-    propagation with pointer jumping finds the components."""
+def stacked_blocks(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(S, owner): the blocks of the residue matrices of a stack A (nonzero
+    exactly where nonzero mod p; a matrix is a stack of one), one per
+    connected component of the bipartite nonzero pattern, rows and columns
+    in order, zero-padded into the (G, m, n) float64 array S, and the index
+    in A of each block's matrix.  The
+    matrices of a stack share no row or column, so one pass of label
+    propagation with pointer jumping finds the components of all of them."""
     M = np.asarray(A, dtype=np.float64)
-    M = M[M.any(axis=1)][:, M.any(axis=0)]
-    rows, cols = M.shape
-    i, j = np.divmod(np.flatnonzero(M), cols)
+    M = M[None] if M.ndim == 2 else M
+    P, m, n = M.shape
+    flat = np.flatnonzero(M)
+    if not flat.size:
+        return np.zeros((1, 0, 0)), np.zeros(1, dtype=np.int64)
+    gr, j = np.divmod(flat, n)  # rows of the stack, in order; columns
+    gc = j if P == 1 else gr // m * n + j
+    r = np.concatenate(([0], np.cumsum(gr[1:] != gr[:-1])))
+    used = np.zeros(P * n, dtype=bool)
+    used[gc] = True
+    c = np.cumsum(used)
+    rows, cols = int(r[-1]) + 1, int(c[-1])
+    c = c[gc] - 1
     label, new = None, np.arange(rows)
     while label is None or (new != label).any():
         label, col = new, np.full(cols, rows)
-        np.minimum.at(col, j, label[i])
+        np.minimum.at(col, c, label[r])
         new = label.copy()
-        np.minimum.at(new, i, col[j])
+        np.minimum.at(new, r, col[c])
         new = new[new]
     group = np.cumsum(label == np.arange(rows)) - 1
-    if not rows or group[-1] == 0:
-        return M[None]
     G = int(group[-1]) + 1
+    owner = np.zeros(G, dtype=np.int64)
+    if P > 1:
+        owner[group[label[r]]] = gr // m
     key = np.concatenate([group[label], G + group[col]])
     counts = np.bincount(key)
     pos = np.empty_like(key)
     pos[np.argsort(key, kind="stable")] = np.arange(key.size) - np.repeat(
         np.cumsum(counts) - counts, counts)
     S = np.zeros((G, counts[:G].max(), counts[G:].max()))
-    S[key[i], pos[i], pos[rows + j]] = M[i, j]
-    return S
+    S[key[r], pos[r], pos[rows + c]] = M.reshape(-1)[flat]
+    return S, owner
 
 
-def rank_mod_p(A: np.ndarray, p: int) -> int:
+def rank_mod_p(A: np.ndarray, p: int):
     """Rank modulo a prime p of a matrix of residues in (-p, p) (any
     integer or integral float dtype): at most the rank over Q of any integer
     matrix it reduces, since a minor that vanishes over Z vanishes mod p.
+    For a stack of matrices, the list of their ranks.
 
-    The blocks of A (stacked_blocks) are eliminated together in float64,
-    one column of each per step (Dumas, Giorgi & Pernet 2008), pivoting on
-    the column's entry of largest absolute value: row * pivot - factor *
-    pivot row needs no inverse, clears the column and the pivot row, and is
-    at most 2 (p - 1)^2 before reduce_mod.  DimensionMismatch for a prime
-    where that passes reduce_mod's bound (_reduce_bound)."""
+    The blocks of every matrix (stacked_blocks) are eliminated together
+    in float64, one column of each per step (Dumas, Giorgi & Pernet 2008),
+    pivoting on the column's entry of largest absolute value: row * pivot -
+    factor * pivot row needs no inverse, clears the column and the pivot
+    row, and is at most 2 (p - 1)^2 before reduce_mod.  DimensionMismatch
+    for a prime where that passes reduce_mod's bound (_reduce_bound)."""
     if 2 * (p - 1) ** 2 > _reduce_bound(p):
         raise DimensionMismatch(f"eliminating residues mod {p} is not exact in float64")
-    S = stacked_blocks(A)
+    S, owner = stacked_blocks(A)
     if S.shape[2] > S.shape[1]:
         S = S.transpose(0, 2, 1)
-    g, rank = np.arange(S.shape[0]), 0
-    for _ in range(S.shape[2]):
+    g, pivots = np.arange(S.shape[0]), np.zeros((S.shape[2], S.shape[0]))
+    for pivot in pivots:
         col = S[:, :, 0]
         at = np.abs(col).argmax(axis=1)
-        pivot = col[g, at]
-        rank += int(np.count_nonzero(pivot))
+        pivot[:] = col[g, at]
         prow = S[g, at, 1:]
         S = S[:, :, 1:] * np.where(pivot == 0, 1, pivot)[:, None, None]
         S -= col[:, :, None] * prow[:, None, :]
         S = reduce_mod(S, p)
-    return rank
+    ranks = np.count_nonzero(pivots, axis=0)
+    if np.ndim(A) == 2:
+        return int(ranks.sum())
+    return np.bincount(owner, weights=ranks, minlength=len(A)).astype(np.int64).tolist()
 
 
 def _rat_reconstruct(a: int, m: int) -> Fraction | None:

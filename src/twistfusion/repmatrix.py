@@ -17,6 +17,7 @@ Ordering conventions (leftmost factor first):
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import OrderedDict
@@ -206,7 +207,7 @@ def _pair_order(kind: str, nA: int, nB: int) -> list[tuple[int, int]]:
 # The numerator blocks in their own argument, keyed by form, diagrams and
 # kind, least recently used first; they hold at most _BLOCK_ENTRIES frame
 # entries in all (_held of them now), and a larger block is built but not
-# kept.  A block's residues (FrameBlock.residue) go with it.
+# kept.  A block's residues (FrameBlock.lowest_frames) go with it.
 _BLOCK_ENTRIES = 2**20
 _blocks: OrderedDict = OrderedDict()
 _held = 0
@@ -303,8 +304,9 @@ def _elementary_s_term(omega: SkewDiagram, z, shifted: bool, form: GForm) -> Blo
     n = omega.size
     basis = fusion_mod.fusion_operator(omega, form.N, box_cap=max(6, n)).module_basis
     one, size = Poly.const(1), basis.size
-    if n <= 1:
-        return BlockTerm(FrameBlock([np.eye(size, dtype=object)], _F1, one, (size,)), 0, 1)
+    t, s = 2 * Fraction(z), 2 if shifted else 0
+    if n <= 1:  # constant: the identity at every x
+        return BlockTerm(FrameBlock([np.eye(size, dtype=object)], _F1, one, (size,)), t, s)
 
     def build() -> FrameBlock:
         cont = column_tableau(omega).contents
@@ -314,42 +316,66 @@ def _elementary_s_term(omega: SkewDiagram, z, shifted: bool, form: GForm) -> Blo
         frames, scale = restricted_chain(chain, basis, (form.N,) * n)
         return FrameBlock(frames, scale, one, (size,))
 
-    return BlockTerm(_argument_block((form.key, omega, "S"), build), 2 * Fraction(z),
-                     2 if shifted else 0)
+    return BlockTerm(_argument_block((form.key, omega, "S"), build), t, s)
 
 
-def _s_fused_terms(Z: FusedModuleSpec, shifted: bool) -> list:
-    """Ordered block terms of the fused S-matrix of Z, every parameter
-    shifted by zeta if asked: for i descending, S_i, then R'_{i,j} for j
-    descending."""
-    terms = []
-    for i in reversed(range(Z.ell)):
-        terms.append((_elementary_s_term(Z.factors[i][0], Z.z(i), shifted, Z.form), (i,)))
-        for j in reversed(range(i)):
-            terms.append((_pair_term(Z, i, shifted, Z, j, shifted, "R'"), (i, j)))
-    return terms
+def _s_fused_plan(ell: int, shifted: bool) -> list:
+    """The blocks of the fused S-matrix of ell factors, every parameter
+    shifted by zeta if asked, in order: for i descending, S_i, then R'_{i,j}
+    for j descending; each as (kind, i, j, shifts, slots), kind "S" for
+    S_i (with j = i)."""
+    both = (shifted, shifted)
+    return [entry for i in reversed(range(ell))
+            for entry in [("S", i, i, both, (i,))] + [("R'", i, j, both, (i, j))
+                                                     for j in reversed(range(i))]]
 
 
-def _breve_r_terms(Z: FusedModuleSpec) -> list:
-    ell = Z.ell
-    return [(_pair_term(Z, i, True, Z, j, False, "Rb"), (i, ell + j))
-            for i, j in _pair_order("Rb", ell, ell)]
+def _breve_r_plan(ell: int) -> list:
+    return [("Rb", i, j, (True, False), (i, ell + j)) for i, j in _pair_order("Rb", ell, ell)]
+
+
+@functools.cache
+def _swz_plan(ell: int) -> list:
+    """The blocks of S_{W,Z}(zeta) = breve-R'_{W,Z} . S_W . breve-R_{W,Z}, as
+    in _s_fused_plan; slots 0..l-1 are the W factors, l..2l-1 the Z factors."""
+    return ([("Rb'", i, j, (True, False), (i, ell + j)) for i, j in _pair_order("Rb'", ell, ell)]
+            + _s_fused_plan(ell, True) + _breve_r_plan(ell))
+
+
+def _plan_terms(Z: FusedModuleSpec, plan) -> list[tuple[BlockTerm, tuple[int, ...]]]:
+    """The (block term, slots) of the entries of a plan, on factors of Z."""
+    return [(_elementary_s_term(Z.factors[i][0], Z.z(i), shifts[0], Z.form) if kind == "S"
+             else _pair_term(Z, i, shifts[0], Z, j, shifts[1], kind), slots)
+            for kind, i, j, shifts, slots in plan]
 
 
 def swz_terms(Z: FusedModuleSpec) -> list[tuple[BlockTerm, tuple[int, ...]]]:
-    """Ordered block terms of S_{W,Z}(zeta) = breve-R'_{W,Z} . S_W . breve-R_{W,Z},
-    W the zeta-shifted copy of Z.
+    """Ordered block terms of S_{W,Z}(zeta), W the zeta-shifted copy of Z
+    (_swz_plan): the one-module call of swz_term_lists."""
+    return swz_term_lists([Z])[0]
 
-    Slots 0..l-1 are the W factors, l..2l-1 the Z factors."""
-    ell = Z.ell
-    terms = [(_pair_term(Z, i, True, Z, j, False, "Rb'"), (i, ell + j))
-             for i, j in _pair_order("Rb'", ell, ell)]
-    return terms + _s_fused_terms(Z, True) + _breve_r_terms(Z)
+
+def swz_term_lists(Zs) -> list[list[tuple[BlockTerm, tuple[int, ...]]]]:
+    """swz_terms of each module of ``Zs``, all of one shape (form and
+    diagrams).  The terms of the first module give every block, shift,
+    denominator and slots; each other module only its own t, z_i - z_j for
+    breve R (W_i against Z_j) and z_i + z_j for the primed kinds and S_i
+    (2 z_i), as _pair_term and _elementary_s_term take it.  No swz block is
+    singular (every breve one has shift 1), so nothing else is checked."""
+    plan = _swz_plan(Zs[0].ell)
+    first = _plan_terms(Zs[0], plan)
+    lists = [first]
+    for Y in Zs[1:]:
+        z = [q for _, q in Y.factors]
+        lists.append([(BlockTerm(term.block, z[i] - z[j] if kind == "Rb" else z[i] + z[j],
+                                 term.s, term.den), slots)
+                      for (term, slots), (kind, i, j, _, _) in zip(first, plan)])
+    return lists
 
 
 def breve_r_frame_blocks(Z: FusedModuleSpec) -> list[tuple[FrameBlock, tuple[int, ...]]]:
     """Ordered frame blocks of breve-R_{W,Z}(zeta), W the zeta-shifted copy of Z."""
-    return [(term.exact(), slots) for term, slots in _breve_r_terms(Z)]
+    return [(term.exact(), slots) for term, slots in _plan_terms(Z, _breve_r_plan(Z.ell))]
 
 
 def swz_frame_blocks(Z: FusedModuleSpec) -> list[tuple[FrameBlock, tuple[int, ...]]]:
@@ -416,37 +442,50 @@ def frame_product(blocks, dims) -> tuple[int, ScaledIntMatrix]:
         return prod.order - sum(v for v, _ in lows), ScaledIntMatrix(coeff, prod.scale / low)
 
 
-def term_residue(terms, dims, p: int) -> tuple[int, np.ndarray]:
-    """(o, R): R the numerator of the coefficient of zeta^o in the ordered
-    product of block terms, modulo p, as float64 residues in (-p, p), and o
-    the Laurent order that frame_product returns on their exact blocks
-    whenever R is nonzero.
+def term_residue(points, dims, p: int) -> tuple[list[int], np.ndarray]:
+    """(o, R) at each of the P ``points``, each the ordered (BlockTerm,
+    slots) of one product, all with the same slots and argument blocks: R the
+    numerator of the coefficient of zeta^o in the product, modulo p, as
+    float64 residues in (-p, p), stacked (P, D, D), and o the Laurent order
+    that frame_product returns on the exact blocks whenever R is nonzero.
 
     Each numerator starts at its lowest nonzero frame k0, so the product's
     coefficient at sum k0 is the product of the lowest frames, and o is sum
     k0 minus the denominators' valuations; a residue nonzero mod p proves
     that coefficient nonzero.  Scales and the denominators' lowest
     coefficients are nonzero scalars, left out.  k0 and the lowest frame
-    mod p come from the argument block (FrameBlock.residue); where it
-    cannot tell them, R is zero, which proves nothing.
+    mod p come from the argument block (FrameBlock.lowest_frames, one call
+    for all points); where it cannot tell them, R is zero, which proves
+    nothing.
 
-    The product starts at the identity, float64 residues on a row axis and
-    one axis per leg; each lowest frame contracts its slots' axes, moved
-    last (Van Loan 2000), in one mod_matmul."""
-    D, legs = math.prod(dims), list(range(len(dims)))
-    acc = np.eye(D).reshape(D, *dims)
-    order = -sum(term.den.count(-term.t) for term, _ in terms)  # factors zero at y = 0
-    for term, slots in terms:
-        lowest = term.block.residue(term.t, term.s, p)
-        if lowest is None:
-            return order, np.zeros((D, D))
-        k0, low = lowest
-        order += k0
+    The products start at the identity, float64 residues on a point axis, a
+    row axis and one axis per leg; the lowest frames of each term contract
+    its slots' axes, moved last (Van Loan 2000), in one stacked mod_matmul."""
+    D, legs, P = math.prod(dims), list(range(len(dims))), len(points)
+    acc = np.eye(D).reshape((1, D) + tuple(dims))  # the first product broadcasts it
+    # factors zero at y = 0: den holds integers, so only at an integer t
+    order = [-sum(term.den.count(-term.t.numerator) for term, _ in terms
+                  if term.den and term.t.denominator == 1) for terms in points]
+    live = [True] * P
+    for column in zip(*points):
+        terms, slots = [term for term, _ in column], column[0][1]
+        block = terms[0].block
+        if any(term.block is not block for term in terms):
+            raise ValueError("the points of term_residue share their blocks (swz_term_lists)")
+        ks, low = block.lowest_frames([term.t for term in terms], terms[0].s, p)
+        for i, k in enumerate(ks):
+            live[i] = live[i] and k is not None
+            order[i] += k if live[i] else 0
+        if not any(live):
+            return order, np.zeros((P, D, D))
+        m = low.shape[-1]
         moved = [leg for leg in legs if leg not in slots] + list(slots)
-        acc = acc.transpose([0] + [1 + legs.index(leg) for leg in moved])
-        acc, legs = mod_matmul(acc.reshape(-1, low.shape[0]), low, p).reshape(acc.shape), moved
-    acc = acc.transpose([0] + [1 + legs.index(leg) for leg in range(len(dims))])
-    return order, acc.reshape(D, D)
+        acc = acc.transpose([0, 1] + [2 + legs.index(leg) for leg in moved])
+        acc = mod_matmul(acc.reshape(len(acc), -1, m), low, p).reshape((P,) + acc.shape[1:])
+        legs = moved
+    acc = acc.transpose([0, 1] + [2 + legs.index(leg) for leg in range(len(dims))])
+    acc = acc.reshape(-1, D, D)
+    return order, acc if len(acc) == P else np.repeat(acc, P, axis=0)  # no terms
 
 
 def ratfunc_product(blocks, dims) -> TensorOperator:
@@ -487,7 +526,7 @@ def s_elementary(omega: SkewDiagram, z, form: GForm) -> TensorOperator:
 
 def s_fused(Z: FusedModuleSpec) -> TensorOperator:
     """The fused S-matrix of Z, from its ordered blocks at zeta = 0."""
-    blocks = [(term.exact(), slots) for term, slots in _s_fused_terms(Z, False)]
+    blocks = [(term.exact(), slots) for term, slots in _plan_terms(Z, _s_fused_plan(Z.ell, False))]
     return block_product(blocks, Z.factor_dims).at(0)
 
 
@@ -530,12 +569,14 @@ def s_factors(Z: FusedModuleSpec, K: int) -> tuple[list, list, Fraction]:
     """(A, B, scale): the u^0, ..., u^-K coefficients of T(u) over one
     scale, from the integer T frames (FrameBlock.at_infinity), as integer
     matrices B_m, and A_m = (-1)^m B_m^t those of T^t(-u), int64 where
-    certified: S_k = scale * sum_m A_m B_(k-m)."""
+    certified: S_k = scale * sum_m A_m B_(k-m).  The B_m are transposed
+    in one call on their stack."""
     B = _t_data(Z).at_infinity(K)
     int_form, c = _cleared_form(Z.form)
-    dims = (Z.N,) + Z.factor_dims
-    A = [transposed(Bm.mat, dims, {1}, int_form) * (-1) ** m for m, Bm in enumerate(B)]
-    return A, [Bm.mat for Bm in B], c * B[0].scale ** 2
+    mats = np.stack([Bm.mat for Bm in B])
+    signs = np.array([(-1) ** m for m in range(len(B))])[:, None, None]
+    A = transposed(mats, (Z.N,) + Z.factor_dims, {1}, int_form) * signs
+    return list(A), list(mats), c * B[0].scale ** 2
 
 
 def s_sums(factors, p: int | None = None):
@@ -673,12 +714,13 @@ def _reflection_sides(A, B, Rm, Rq, p, work):
     np.matmul(At[:, :, None, :, None], B[:, None, :, None, :], out=W0)  # Su[i, a] Sv[dd, l]
     X = np.matmul(Rq, _reduced(W0, p, W1).reshape(c, n2, -1), out=W1.reshape(c, n2, -1))
     W0[...] = X.reshape(W0.shape).transpose(0, 3, 1, 2, 4, 5, 6)  # X at [i, b, c, l]
-    lhs = np.matmul(Rm, W0.reshape(c, n2, -1), out=W2.reshape(c, n2, -1))
+    lhs = np.matmul(Rm, _reduced(W0, p, W2).reshape(c, n2, -1), out=W2.reshape(c, n2, -1))
     np.matmul(Bt[:, :, None, :, None], A[:, None, :, None, :], out=W0)  # Sv[j, b] Su[c, k]
     Y = np.matmul(Rq.swapaxes(1, 2), _reduced(W0, p, W1).reshape(c, n2, -1),
                   out=W1.reshape(c, n2, -1))
     W0[...] = Y.reshape(W0.shape).transpose(0, 4, 2, 1, 3, 5, 6)  # Y at [k, dd, a, j]
-    rhs = np.matmul(Rm.swapaxes(1, 2), W0.reshape(c, n2, -1), out=W1.reshape(c, n2, -1))
+    rhs = np.matmul(Rm.swapaxes(1, 2), _reduced(W0, p, W1).reshape(c, n2, -1),
+                    out=W1.reshape(c, n2, -1))
     return _agree(lhs, rhs, p, W0)
 
 
@@ -688,8 +730,12 @@ def _decide(samples, auxes, sides):
     one bool without them.  With weight the product of the sums |aux|, the
     pairs whose bounds max|a| max|b| d weight (int64 where the largest fits)
     need the same kernels (kernel_moduli) share those of the largest bound;
-    each kernel converts the sample stacks once.  A pair fails when a kernel
-    sees its sides differ, and later kernels skip it.  ``sides`` takes
+    each kernel converts the sample and aux stacks once.  In a residue
+    kernel the sides reduce every factor before a product, so each value
+    reduced is a sum of at most max(d, 2 N^2) products of two residues: d
+    in a sample product, 2 N^2 in lhs - rhs after the aux products; the
+    primes depend on N and d alone.  A pair fails when a kernel sees its
+    sides differ, and later kernels skip it.  ``sides`` takes
     _RELATION_ELEMENTS // (N^4 d^2) pairs, at least one, at a time."""
     samples, auxes = [A[None] for A in samples], [R[None] for R in auxes]
     N, d = samples[0].shape[-4], samples[0].shape[-1]
@@ -698,22 +744,21 @@ def _decide(samples, auxes, sides):
     sums = [np.abs(R).sum(axis=(-2, -1)) for R in auxes]
     top = d * math.prod(max(max_abs(X), 1) for X in [a, b] + sums)
     a, b, *sums = (certified(X, top) for X in [a, b] + sums)
-    weights = math.prod(sums)
-    bounds = np.broadcast_to(a * b * weights * d, shape).ravel()
-    weight = int(weights.max())
+    bounds = np.broadcast_to(a * b * math.prod(sums) * d, shape).ravel()
+    inner = max(d, 2 * N * N)
     levels, at = np.unique(bounds, return_inverse=True)
-    keys = np.array([len(kernel_moduli(int(b), d, weight)) for b in levels])[at]
-    auxes = [np.broadcast_to(R.astype(np.float64), shape + R.shape[-2:]) for R in auxes]
+    keys = np.array([len(kernel_moduli(int(b), inner)) for b in levels])[at]
     step = max(1, _RELATION_ELEMENTS // (N**4 * d * d))
     work = np.empty((3, step * N**4 * d * d))
     ok = np.ones(len(bounds), dtype=bool)
+    trail = [4] * len(samples) + [2] * len(auxes)  # the matrix axes of each stack
     for group in (keys == key for key in np.unique(keys)):
-        for arrays, p in float_kernels(samples, int(bounds[group].max()), d, weight):
-            arrays = [np.broadcast_to(A, shape + A.shape[-4:]) for A in arrays]
+        for arrays, p in float_kernels(samples + auxes, int(bounds[group].max()), inner):
+            arrays = [np.broadcast_to(X, shape + X.shape[-k:]) for X, k in zip(arrays, trail)]
             live = np.flatnonzero(ok & group)
             for k in range(0, len(live), step):
                 at = np.unravel_index(live[k:k + step], shape)
-                ok[live[k:k + step]] = sides(*(X[at] for X in arrays + auxes), p, work)
+                ok[live[k:k + step]] = sides(*(X[at] for X in arrays), p, work)
             if not (ok & group).any():
                 break
     return ok.reshape(shape)[0] if len(shape) > 1 else bool(ok[0])

@@ -34,6 +34,7 @@ from .linalg import (
     is_zero_matrix,
     mat_equal,
     max_abs,
+    mod_matmul,
     primitive_part,
     reduce_mod,
 )
@@ -441,12 +442,15 @@ def partial_trace_first(M: TensorOperator, dimW: int):
 
 
 def contraction_map_matrix(M: np.ndarray, dimW: int, dimZ: int) -> np.ndarray:
-    """Matrix of A -> Tr_W((A (x) 1) M) as a map End(W) -> End(Z).
+    """Matrix of A -> Tr_W((A (x) 1) M) as a map End(W) -> End(Z), or of
+    each matrix of a stack (leading axes).
 
     Row index (z1, z2), column index (w', w); pure reindexing of M.
     """
-    T = M.reshape(dimW, dimZ, dimW, dimZ)
-    return np.transpose(T, (1, 3, 2, 0)).reshape(dimZ * dimZ, dimW * dimW)
+    b = M.ndim - 2
+    T = M.reshape(M.shape[:b] + (dimW, dimZ, dimW, dimZ))
+    T = np.transpose(T, tuple(range(b)) + (b + 1, b + 3, b + 2, b))
+    return T.reshape(M.shape[:b] + (dimZ * dimZ, dimW * dimW))
 
 
 # ---------------------------------------------------------------------------
@@ -691,32 +695,51 @@ class FrameBlock:
         """The index of the lowest nonzero frame; None for a zero block."""
         return next((k for k, fr in enumerate(self.frames) if not is_zero_matrix(fr)), None)
 
-    def residue(self, t: Fraction, s: int, p: int) -> tuple[int, np.ndarray] | None:
-        """(k, R): the index k of the lowest nonzero frame of substituted(t,
-        s, ...) and that frame mod p as float64 residues in (-p, p); None
-        for a zero block and where frame 0 is zero mod p at t != 0 or s = 0.
-        At t = 0 and s != 0 frame k is s^k frames[k]; otherwise frame 0 is
-        the homogenised Horner sum at t (_horner), here mod p, its scalars
-        taken in [-p/2, p/2]: each value reduced is at most (p - 1)^2 for p
-        odd, within reduce_mod's bound (_reduce_bound) for every prime that
-        mod_matmul takes."""
-        if t == 0 and s:
-            k = self.low
-            return None if k is None else (k, reduce_mod(self._frame_mod(k, p) * pow(s, k, p), p))
-        half = p // 2
-        num, qk = (t.numerator + half) % p - half, 1
-        acc = self._frame_mod(-1, p)
-        for k in range(len(self.frames) - 2, -1, -1):
-            qk = (qk * t.denominator + half) % p - half
-            acc = reduce_mod(acc * num + self._frame_mod(k, p) * qk, p)
-        return (0, acc) if acc.any() else None
+    def lowest_frames(self, ts, s: int, p: int) -> tuple[list, np.ndarray]:
+        """(ks, R): for each t of ``ts`` the index k of the lowest nonzero
+        frame of substituted(t, s, ...), and that frame mod p as float64
+        residues in (-p, p), stacked; k is None, and its frame zero, for a
+        zero block and where frame 0 is zero mod p at t != 0 or s = 0.  At
+        t = 0 and s != 0 frame k is s^k frames[k], and a constant block is
+        its one frame everywhere; otherwise frame 0 is the homogenised
+        Horner sum at t = a/b (_horner), sum_k frames[k] a^k b^(deg - k).
+        Either is one row of scalars mod p times the stacked frames, so all
+        points take one mod_matmul with the frame residues, kept per
+        prime."""
+        k0, deg, shape = self.low, len(self.frames) - 1, (len(ts),) + self.frames[0].shape
+        if k0 is None:
+            return [None] * len(ts), np.zeros(shape)
+        if not deg or s and not any(ts):  # frame k0 at every point
+            c, R = pow(s, k0, p), np.empty(shape)
+            R[:] = self._stacked_mod(p)[k0].reshape(shape[1:])
+            return [k0] * len(ts), R if c == 1 else reduce_mod(R * c, p)
+        rows, ks = [], []
+        for t in ts:
+            if t == 0 and s:
+                rows.append([pow(s, k0, p) if k == k0 else 0 for k in range(deg + 1)])
+                ks.append(k0)  # a residue of frame k0 itself
+            else:
+                a, b = t.numerator % p, t.denominator % p
+                row = [1]
+                for _ in range(deg):
+                    row.append(row[-1] * a % p)
+                bk = 1
+                for k in range(deg, -1, -1):
+                    row[k] = row[k] * bk % p
+                    bk = bk * b % p
+                rows.append(row)
+                ks.append(-1)  # frame 0, known nonzero only if its residue is
+        R = mod_matmul(np.array(rows, dtype=np.float64), self._stacked_mod(p), p)
+        told = R.any(axis=1).tolist()
+        return [k if k != -1 else 0 if nonzero else None
+                for k, nonzero in zip(ks, told)], R.reshape(shape)
 
-    def _frame_mod(self, k: int, p: int) -> np.ndarray:
-        """frames[k] mod p in float64, made when first read, kept per prime."""
-        frames = self._mod.setdefault(p, [None] * len(self.frames))
-        if frames[k] is None:
-            frames[k] = (self.frames[k] % p).astype(np.float64)
-        return frames[k]
+    def _stacked_mod(self, p: int) -> np.ndarray:
+        """The frames mod p in float64, one row each, made when first read,
+        kept per prime."""
+        if p not in self._mod:
+            self._mod[p] = (np.stack(self.frames).reshape(len(self.frames), -1) % p).astype(np.float64)
+        return self._mod[p]
 
     def _horner(self, xs) -> np.ndarray:
         """The stack of sum_k frames[k] p^k q^(deg - k), deg = len(frames) - 1,

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -161,12 +162,21 @@ def fresh_pool(monkeypatch):
     cli._shutdown_pool()
 
 
+# Scan grids whose points the residue witness leaves to the exact path, so
+# that --jobs 2 sends them to workers: sp2 2 at 1/2, 0 and -1/2, where phi
+# is not surjective; the witness decides sp2 2 at 1 and 3/2 (on the walls)
+# and at 2/5 (off them) in the calling process.
+UNDECIDED = ["scan", "--n", "2", "--form", "sp", "--modules", "2"]
+
+
 def test_scan_parallel_matches_sequential(fresh_pool):
     from twistfusion import cli
 
-    # the second grid runs through the reducible wall point 1/3;4/3, where
-    # Burnside decides inside a worker
-    for grid in ("1/3,2/3;7/5", "1/3;4/3,-1/3"):
+    # the first grid mixes off-wall points, wall points whose phi is
+    # surjective and four where it is not; the second runs through the
+    # reducible wall points 1/3;4/3 and 1/3;-1/3, where Burnside decides
+    # inside a worker
+    for grid in ("1/3,-1/3;4/3,1/3,-1/3,2/5", "1/3;4/3,-1/3"):
         args = ["scan", "--n", "2", "--form", "sp", "--modules", "1;1",
                 "--grid", grid, "--json"]
         _, seq = run_cli(args)
@@ -176,6 +186,34 @@ def test_scan_parallel_matches_sequential(fresh_pool):
         # jobs flag is not part of the report; outputs must be identical
         assert seq == par == again
         assert cli._pool is pool is not None
+
+
+@pytest.mark.parametrize("modules,grid", [
+    ("1;1", "1/3,-1/3;4/3,1/3,-1/3,2/5"),
+    ("2", "2/5,1,1/2,0,3/2,-1/2"),
+    ("1,1,1", "1/3,1/2"),
+], ids=["sp2 1;1", "sp2 2", "too tall"])
+def test_scan_reports_equal_per_point_verdicts(fresh_pool, modules, grid):
+    # the points the batched witness decides in this process, those left to
+    # the exact path (in workers at --jobs 2) and those whose spec fails
+    # each give what a verdict of that point alone gives
+    from twistfusion.errors import TwistFusionError
+    from twistfusion.irreducibility import verdict
+    from twistfusion.repmatrix import FusedModuleSpec
+    from twistfusion.tensor import GForm
+
+    args = ["scan", "--n", "2", "--form", "sp", "--modules", modules, f"--grid={grid}", "--json"]
+    _, seq = run_cli(args + ["--jobs", "1"])
+    assert run_cli(args + ["--jobs", "2"]) == (0, seq)
+    points = json.loads(seq)["points"]
+    assert len(points) == math.prod(len(axis.split(",")) for axis in grid.split(";"))
+    for point in points:
+        text = ";".join(f"{d}:{z}" for d, z in zip(modules.split(";"), point["z"]))
+        try:
+            want = {"report": verdict(FusedModuleSpec.from_string(GForm.symplectic(2), text)).to_json()}
+        except TwistFusionError as exc:
+            want = {"error": f"{type(exc).__name__}: {exc}"}
+        assert point == {"z": point["z"], **want}
 
 
 @pytest.fixture
@@ -208,8 +246,7 @@ def test_scan_pool_capped_at_point_count(monkeypatch, in_process_pool):
     seen, shut = in_process_pool
     # three CPUs, so that the three-worker pool below can replace the first
     monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    args = ["scan", "--n", "2", "--form", "sp", "--modules", "1",
-            "--grid", "1/3,2/5", "--json"]
+    args = UNDECIDED + ["--grid", "1/2,0", "--json"]
     _, seq = run_cli(args + ["--jobs", "1"])
     assert seen == []
     _, par = run_cli(args + ["--jobs", "8"])
@@ -218,15 +255,16 @@ def test_scan_pool_capped_at_point_count(monkeypatch, in_process_pool):
     # a second scan with the same worker count reuses the pool
     assert run_cli(args + ["--jobs", "2"]) == (0, seq)
     assert seen == [2] and shut == []
-    # one point, or none, runs in this process whatever --jobs asks
-    run_cli(["scan", "--n", "2", "--form", "sp", "--modules", "1", "--grid", "1/3",
-             "--jobs", "500", "--json"])
-    run_cli(["scan", "--n", "2", "--form", "sp", "--modules", "1", "--grid", "",
-             "--jobs", "2", "--json"])
+    # one point left, or none, runs in this process whatever --jobs asks:
+    # the cap is over the points the witness leaves
+    run_cli(UNDECIDED + ["--grid", "1/2", "--jobs", "500", "--json"])
+    run_cli(UNDECIDED + ["--grid", "", "--jobs", "2", "--json"])
+    run_cli(UNDECIDED + ["--grid", "2/5,1,3/2,1/2", "--jobs", "8", "--json"])
+    run_cli(["scan", "--n", "2", "--form", "sp", "--modules", "1", "--grid", "1/3,2/5,2/7",
+             "--jobs", "8", "--json"])
     assert seen == [2]
     # three workers: the two-worker pool is shut down before a new one starts
-    args = ["scan", "--n", "2", "--form", "sp", "--modules", "1",
-            "--grid", "1/3,2/5,2/7", "--json"]
+    args = UNDECIDED + ["--grid", "1/2,0,-1/2", "--json"]
     _, seq = run_cli(args + ["--jobs", "1"])
     assert run_cli(args + ["--jobs", "3"]) == (0, seq)
     assert seen == [2, 3] and shut == [True]
@@ -237,8 +275,8 @@ def test_scan_pool_capped_at_available_cpus(in_process_pool):
     # asks for no more workers than the two CPUs; the output does not
     # depend on it
     seen, _ = in_process_pool
-    args = ["scan", "--n", "2", "--form", "sp", "--modules", "1",
-            "--grid", "1/3,2/5,2/7,3/7,4/9,5/11", "--json"]
+    args = ["scan", "--n", "2", "--form", "sp", "--modules", "1;1",
+            "--grid", "1/3,-1/3;4/3,-1/3,1/3", "--json"]
     _, seq = run_cli(args + ["--jobs", "1"])
     assert run_cli(args + ["--jobs", "1000"]) == (0, seq)
     assert seen == [2]
@@ -252,8 +290,7 @@ def test_scan_pool_capped_at_cpu_count_without_affinity(monkeypatch, in_process_
     seen, _ = in_process_pool
     monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    args = ["scan", "--n", "2", "--form", "sp", "--modules", "1",
-            "--grid", "1/3,2/5,2/7", "--json"]
+    args = UNDECIDED + ["--grid", "1/2,0,-1/2", "--json"]
     _, seq = run_cli(args + ["--jobs", "1"])
     assert run_cli(args + ["--jobs", "1000"]) == (0, seq)
     assert seen == [2]
@@ -268,14 +305,15 @@ def test_scan_lost_worker_is_a_typed_failure(monkeypatch, fresh_pool, capsys):
     real_verdict = cli.verdict
 
     def dying(spec, **kwargs):
-        if spec.z(0) == Fraction(2, 3):
+        if spec.z(0) == 0:
             os._exit(3)
         return real_verdict(spec, **kwargs)
 
-    # patched before the pool is made, so the forked workers call it
+    # patched before the pool is made, so the forked workers call it; the
+    # point 0 is left to the exact path, so only a worker reaches it, and
+    # the point 1, which the witness decides, runs here
     monkeypatch.setattr(cli, "verdict", dying)
-    args = ["scan", "--n", "2", "--form", "sp", "--modules", "1",
-            "--grid", "1/3,2/3,2/5", "--json"]
+    args = UNDECIDED + ["--grid", "1,1/2,0,-1/2", "--json"]
     assert run_cli(args + ["--jobs", "2"]) == (1, "")
     err = capsys.readouterr().err
     assert err.startswith("FAILED: WorkerLost:") and "Traceback" not in err
@@ -291,8 +329,8 @@ def test_scan_workers_exit_with_the_interpreter():
         from contextlib import redirect_stdout
         from twistfusion.cli import main
         os.sched_getaffinity = lambda pid: {0, 1}  # two workers on any host
-        args = ["scan", "--n", "2", "--form", "sp", "--modules", "1",
-                "--grid", "1/3,2/5", "--jobs", "2"]
+        args = ["scan", "--n", "2", "--form", "sp", "--modules", "2",
+                "--grid", "1/2,0", "--jobs", "2"]
         with redirect_stdout(io.StringIO()):
             assert main(args) == 0 and main(args) == 0
         print(*(p.pid for p in multiprocessing.active_children()))

@@ -1,15 +1,17 @@
+import io
 import itertools
 import math
 import random
 import sys
+from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from twistfusion.diagrams import SkewDiagram
-from twistfusion import irreducibility
+from twistfusion.diagrams import SkewDiagram, parse_skew
+from twistfusion import cli, irreducibility, repmatrix
 from twistfusion.errors import InternalInconsistency
 from twistfusion.exactnum import Poly, RatFunc
 from twistfusion.irreducibility import (
@@ -35,12 +37,14 @@ from twistfusion.repmatrix import (
     frame_product,
     ratfunc_product,
     s_coefficients,
+    s_factors,
     s_generators,
     swz_frame_blocks,
     swz_terms,
     term_residue,
 )
 from twistfusion.tensor import (
+    FrameBlock,
     GForm,
     MatrixLaurentSeries,
     TensorOperator,
@@ -638,22 +642,92 @@ BURNSIDE_WALL_POINTS = [(SP2, "1:1/3;1:4/3"), (SO3, "1:2/3;1:5/3"), (SP2, "1:1/4
                         (SP2, "1:1/3;1:-4/3"), (SP2, "2:1/2")]
 
 
-def _scan_walls_points():
-    """Every point of the benchmark's scan-walls grids at seeds 1-3."""
+def _bench_workloads():
+    """The benchmark's workload module, imported from perfbench/."""
     bench = str(Path(__file__).resolve().parents[1] / "perfbench")
     sys.path.insert(0, bench)
     try:
         import bench_workloads
     finally:
         sys.path.remove(bench)
-    texts = set()
-    for seed in (1, 2, 3):
-        for kind, N, mods, lists in bench_workloads.ScanWalls(seed).grids:
-            for zs in itertools.product(*lists):
-                text = ";".join(f"{d}:{Fraction(z)}" for d, z in zip(mods.split(";"), zs))
-                texts.add((kind, N, text))
-    return [FusedModuleSpec.from_string(GForm.default(kind, N), text)
-            for kind, N, text in sorted(texts)]
+    return bench_workloads
+
+
+def _scan_walls_grids(seeds=(1, 2, 3)):
+    """The points of each of the benchmark's scan-walls grids, as specs."""
+    grids = []
+    for seed in seeds:
+        for kind, N, mods, lists in _bench_workloads().ScanWalls(seed).grids:
+            grids.append([FusedModuleSpec.from_string(GForm.default(kind, N), ";".join(
+                f"{d}:{Fraction(z)}" for d, z in zip(mods.split(";"), zs)))
+                for zs in itertools.product(*lists)])
+    return grids
+
+
+def _scan_walls_points():
+    """Every point of the benchmark's scan-walls grids at seeds 1-3."""
+    specs = {(Z.form.kind, Z.N, Z.spec_string()): Z for grid in _scan_walls_grids() for Z in grid}
+    return [specs[key] for key in sorted(specs)]
+
+
+def _verdict_generic_shapes(seeds=range(1, 11)):
+    """The benchmark's verdict-generic points, one list per shape."""
+    shapes: dict = {}
+    for seed in seeds:
+        for kind, N, shape, zs in _bench_workloads().VerdictGeneric(seed).points:
+            shapes.setdefault((kind, N, tuple(shape)), []).append(FusedModuleSpec(
+                GForm.default(kind, N), [(parse_skew(d), z) for d, z in zip(shape, zs)]))
+    return list(shapes.values())
+
+
+def _agrees_with_the_exact_path(Z, witness):
+    """A witness of rank d^2 is exactly phi_leading's order and rank; any
+    other never overstates the rank, and gives the exact order when its
+    rank is above 0."""
+    phi = phi_leading(Z)
+    exact, (order, rank) = surjectivity(phi)[0], witness
+    if rank == Z.dimZ**2:
+        return (order, rank) == (phi.order, exact)
+    return rank <= exact and (rank == 0 or order == phi.order)
+
+
+def test_batched_witness_matches_the_exact_path():
+    # the 156 scan-walls points of seeds 1-3, one batch per grid, and the 80
+    # verdict-generic points of seeds 1-10, one batch per shape; every batch
+    # gives the one-module witnesses
+    grids = _scan_walls_grids()
+    shapes = _verdict_generic_shapes()
+    assert [sum(map(len, batches)) for batches in (grids, shapes)] == [156, 80]
+    full = []
+    for batch in grids + shapes:
+        got = irreducibility.phi_witnesses(batch)
+        assert got == [phi_witness(Z) for Z in batch]
+        for Z, witness in zip(batch, got):
+            assert _agrees_with_the_exact_path(Z, witness), Z
+        full.append(sum(rank == Z.dimZ**2 for Z, (_, rank) in zip(batch, got)))
+    # every verdict-generic point is certified (off the walls phi is
+    # surjective); the scan-walls grids hold points of both kinds
+    assert full[len(grids):] == list(map(len, shapes))
+    assert 0 < sum(full[:len(grids)]) < 156
+
+
+def test_witness_batch_cut_into_slices_gives_the_same_witnesses(monkeypatch):
+    batch = _scan_walls_grids(seeds=(1,))[0] + _scan_walls_grids(seeds=(2,))[0]
+    whole = irreducibility.phi_witnesses(batch)
+    D2 = math.prod(batch[0].factor_dims * 2) ** 2
+    slices = []
+    term_residue = irreducibility.term_residue
+
+    def recording(points, dims, p):
+        slices.append(len(points))
+        return term_residue(points, dims, p)
+
+    monkeypatch.setattr(irreducibility, "term_residue", recording)
+    for budget, sizes in ((5 * D2, [5, 5, 2]), (D2, [1] * 12), (1, [1] * 12)):
+        monkeypatch.setattr(irreducibility, "_WITNESS_BATCH", budget)
+        slices.clear()
+        assert irreducibility.phi_witnesses(batch) == whole
+        assert slices == sizes
 
 
 def _block_residue_points():
@@ -661,10 +735,16 @@ def _block_residue_points():
             + [FusedModuleSpec.from_string(form, text) for form, text in BURNSIDE_WALL_POINTS])
 
 
+def _one_residue(terms, dims, p):
+    """term_residue of the product of one point's terms: (o, R)."""
+    orders, R = term_residue([terms], dims, p)
+    return orders[0], R[0]
+
+
 def _frame_residue(blocks, dims, p):
     """term_residue of exact frame blocks, each the term (fb, 0, 1) over
     fb.den: the reference for the residues of the argument blocks."""
-    order, R = term_residue([(BlockTerm(fb, 0, 1), slots) for fb, slots in blocks], dims, p)
+    order, R = _one_residue([(BlockTerm(fb, 0, 1), slots) for fb, slots in blocks], dims, p)
     return order - sum(fb.den.valuation() for fb, _ in blocks), R
 
 
@@ -688,16 +768,16 @@ def test_block_residues_match_the_exact_blocks():
         vanished = False
         for term, _ in terms:
             exact = term.exact()
-            got = term.block.residue(term.t, term.s, p)
-            if got is None:
+            (k, ), (R, ) = term.block.lowest_frames([term.t], term.s, p)
+            if k is None:
                 deferred += 1
                 vanished = True
                 assert not (exact.frames[0] % p).any()
             else:
                 want = _exact_lowest(exact, p)
-                assert got[0] == want[0] and np.array_equal(got[1] % p, want[1]), Z
+                assert k == want[0] and np.array_equal(R % p, want[1]), Z
             assert term.den.count(-term.t) == exact.den.valuation(), Z
-        order, R = term_residue(terms, dims, p)
+        order, R = _one_residue(terms, dims, p)
         if vanished:
             assert not R.any(), Z
         else:
@@ -716,10 +796,9 @@ def _gather_scatter_residue(terms, dims, p):
     acc = np.eye(D, dtype=np.int64)
     order = -sum(term.den.count(-term.t) for term, _ in terms)
     for term, slots in terms:
-        lowest = term.block.residue(term.t, term.s, p)
-        if lowest is None:
+        (k0,), (low,) = term.block.lowest_frames([term.t], term.s, p)
+        if k0 is None:
             return order, np.zeros((D, D), dtype=np.int64)
-        k0, low = lowest
         order += k0
         cols = _slot_rest_index(slots, dims).T
         prod = acc[:, cols].reshape(-1, cols.shape[1]) @ (low % p).astype(np.int64) % p
@@ -734,7 +813,7 @@ def test_term_residue_matches_a_gather_scatter_product():
     for p in (3, irreducibility._WITNESS_PRIME, 94906249):
         for Z in _criterion_9_points() + _scan_walls_points():
             terms, dims = swz_terms(Z), Z.factor_dims * 2
-            got, want = term_residue(terms, dims, p), _gather_scatter_residue(terms, dims, p)
+            got, want = _one_residue(terms, dims, p), _gather_scatter_residue(terms, dims, p)
             assert got[0] == want[0] and np.array_equal(got[1] % p, want[1]), (p, Z)
             assert got[1].dtype == np.float64 and np.abs(got[1]).max() < p
 
@@ -748,12 +827,13 @@ def test_vanishing_block_residues_send_the_verdict_to_the_exact_path(monkeypatch
         monkeypatch.setattr(irreducibility, "_WITNESS_PRIME", p)
         for Z in _criterion_9_points(per_shape=2):
             terms, dims = swz_terms(Z), Z.factor_dims * 2
-            missing = [term for term, _ in terms if term.block.residue(term.t, term.s, p) is None]
+            missing = [term for term, _ in terms
+                       if term.block.lowest_frames([term.t], term.s, p)[0] == [None]]
             if not missing:
                 continue
             vanished += 1
             assert all(term.t != 0 or term.s == 0 for term in missing)
-            assert not term_residue(terms, dims, p)[1].any()
+            assert not _one_residue(terms, dims, p)[1].any()
             assert verdict(Z).to_json() == _exact_report(Z, monkeypatch), (p, Z)
     assert vanished > 0
 
@@ -775,16 +855,28 @@ def _spy_frame_product(monkeypatch):
     return calls
 
 
+def _scan_output(modules, grid):
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        assert cli.main(["scan", "--n", "2", "--form", "sp", "--modules", modules,
+                         f"--grid={grid}", "--jobs", "1", "--json"]) == 0
+    return buf.getvalue()
+
+
 def test_small_witness_primes_fall_back_to_the_same_report(monkeypatch):
     # modulo 2, 3 and 5 residues vanish and ranks drop at many points; every
-    # such point takes the exact path and the report does not change
+    # such point takes the exact path and the report does not change, nor
+    # does the output of a scan, whose batch then decides fewer points
     points = _criterion_9_points(per_shape=1)
     exact = [_exact_report(Z, monkeypatch) for Z in points]
+    scans = [("1;1", "1/3,-1/3;4/3,1/3,-1/3,2/5"), ("2", "2/5,1,1/2,0,3/2,-1/2")]
+    scanned = [_scan_output(*scan) for scan in scans]
     calls = _spy_frame_product(monkeypatch)
     for p in (2, 3, 5):
         monkeypatch.setattr(irreducibility, "_WITNESS_PRIME", p)
         assert [verdict(Z).to_json() for Z in points] == exact
-    assert 0 < len(calls) < 3 * len(points)
+        assert [_scan_output(*scan) for scan in scans] == scanned
+    assert 0 < len(calls) < 3 * (len(points) + 14)
 
 
 def test_warm_offwall_verdict_takes_no_exact_step(monkeypatch):
@@ -841,6 +933,38 @@ def test_residue_s_blocks_are_the_exact_blocks_mod_p(form, shape):
                          ids=["dim27", "dim36"])
 def test_residue_s_blocks_at_large_dims(form, text):
     _s_block_residues_match(FusedModuleSpec.from_string(form, text), (2, 3, 2097143))
+
+
+def _aux_transposed(X, N, g, g_inv):
+    """g X^t g^-1 on the auxiliary leg of an (N d) x (N d) matrix, written
+    out entrywise in Python ints."""
+    X4 = X.astype(object).reshape(N, -1, N, X.shape[1] // N)
+    out = np.empty_like(X4)
+    for a, b in np.ndindex(N, N):
+        out[a, :, b, :] = sum(g[a, c] * X4[e, :, c, :] * g_inv[e, b]
+                              for c in range(N) for e in range(N))
+    return out.reshape(X.shape)
+
+
+def test_s_factors_are_the_signed_transposes_of_the_t_coefficients():
+    # A_m = (-1)^m g B_m^t g^-1 on the auxiliary leg, all coefficients
+    # transposed in one call: at every criterion-9 shape, and at a module
+    # whose T frames are pushed past int64, so that B and A hold Python ints
+    rng = random.Random(5)
+    modules = [FusedModuleSpec(form, list(zip(shape, random_offwall(len(shape), rng))))
+               for form, shape in CRITERION_9_SHAPES]
+    big = spec(SP2, (BOX, Fraction(1, 3)), (HDOM, Fraction(-2, 5)))
+    td = repmatrix._t_data(big)
+    big._tdata = FrameBlock([fr.astype(object) * 2**70 for fr in td.frames], td.scale, td.den,
+                            td.dims)
+    for Z in modules + [big]:
+        A, B, _ = s_factors(Z, 2 * Z.n_total)
+        form = repmatrix._cleared_form(Z.form)[0]
+        g, g_inv = form.g.astype(object), form.g_inv.astype(object)
+        assert len(A) == len(B) == 2 * Z.n_total + 1
+        for m, (Am, Bm) in enumerate(zip(A, B)):
+            assert np.array_equal(Am.astype(object), (-1) ** m * _aux_transposed(Bm, Z.N, g, g_inv))
+    assert A[1].dtype == B[1].dtype == object
 
 
 def test_closure_proof_rejects_a_generator_outside_the_span():

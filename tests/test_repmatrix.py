@@ -386,10 +386,10 @@ def _record_moduli(monkeypatch, force_residues=False):
     seen = []
     kernels = repmatrix.float_kernels
 
-    def recording(arrays, bound, inner, weight):
+    def recording(arrays, bound, inner):
         if force_residues:
             bound = max(bound, 1 << 53)
-        for arrays, p in kernels(arrays, bound, inner, weight):
+        for arrays, p in kernels(arrays, bound, inner):
             seen.append(p)
             yield arrays, p
 
@@ -411,6 +411,28 @@ def test_relations_reject_perturbed_t_frame(path, monkeypatch):
     assert seen and all((p is None) == (path == "exact") for p in seen)
     # the unperturbed module passes on the same path
     assert check_defining_relations(spec(SO3, (VDOM, Fraction(1, 3)))).proven
+
+
+@pytest.mark.parametrize("samples", [[(2**20, 3)], [(2**40, -2**40)]],
+                         ids=["2^20,3", "2^40,-2^40"])
+def test_large_user_samples_are_decided(samples, monkeypatch):
+    # the weight sum|R| sum|R'| grows with u +- v; the residue kernels reduce
+    # R and R' mod p as they reduce the samples, so the primes depend on N
+    # and d alone and more of them cover the larger bound (146 and 213 bits
+    # here, which the primes below 2^6 and 2^7 did not reach)
+    pairs = [(Fraction(u), Fraction(v)) for u, v in samples]
+    Z = spec(SP2, (BOX, Fraction(1, 3)), (BOX, Fraction(7, 5)))
+    seen = _record_moduli(monkeypatch)
+    rep = check_defining_relations(Z, samples=pairs)
+    assert (rep.rtt_checked, rep.reflection_checked, rep.singular_samples) == (1, 1, [])
+    assert not rep.rtt_failures and not rep.reflection_failures
+    assert None not in seen and min(seen) > 1 << 20
+    td = repmatrix._t_data(Z)
+    frames = [fr.copy() for fr in td.frames]
+    frames[0][0, 1] += 1
+    Z._tdata = FrameBlock(frames, td.scale, td.den, td.dims)
+    rep = check_defining_relations(Z, samples=pairs)
+    assert rep.rtt_failures and rep.reflection_failures
 
 
 @pytest.mark.parametrize("form,modules", [(SP2, "2:1;1:0"), (SO3, "1,1:1/3"), (SO2, "1:-2")],
@@ -830,9 +852,9 @@ def test_residue_kernels_reject_perturbation_hidden_from_all_but_last_prime(
     sets = []
     kernels = repmatrix.float_kernels
 
-    def kernel_sets(arrays, bound, inner, weight):
-        sets.append(len(linalg.kernel_moduli(bound, inner, weight)))
-        return kernels(arrays, bound, inner, weight)
+    def kernel_sets(arrays, bound, inner):
+        sets.append(len(linalg.kernel_moduli(bound, inner)))
+        return kernels(arrays, bound, inner)
 
     monkeypatch.setattr(repmatrix, "float_kernels", kernel_sets)
     need = []
@@ -1192,10 +1214,10 @@ def test_evicting_an_argument_block_drops_its_residues(fresh_blocks, monkeypatch
         return repmatrix._pair_term(Z, 0, True, Z, 1, False, kind)
 
     first = term("R'")
-    assert first.block.residue(first.t, first.s, p) is not None
+    assert first.block.lowest_frames([first.t], first.s, p)[0] != [None]
     assert list(first.block._mod) == [p]
     held = weakref.ref(first.block)
-    residues = weakref.ref(first.block._mod[p][0])
+    residues = weakref.ref(first.block._mod[p])
     del first
     term("R")
     term("Rb")  # evicts R', the least recent

@@ -57,7 +57,14 @@ them:
     ``--jobs 1`` runs show the same points without workers.  Run alone
     (``--stages scan``), the first run of each computes cold points, the
     second warm ones; after the other stages the shape's blocks are already
-    cached here, and the workers inherit them when they fork.
+    cached here, and the workers inherit them when they fork.  Then, for
+    each scan-walls grid of the benchmark at seed 1 (read from
+    ``perfbench/bench_workloads.py``), the split a scan makes: how many
+    points the batched witness (``irreducibility.phi_witnesses``) decides
+    and how many it sends to the exact path, the batch time and the time
+    of the exact verdicts of the points sent on, all in this process, each
+    the best of SCAN_RUNS runs on fresh specs after one run that fills the
+    caches.
 
 At dim 27, on a 2-vCPU Xeon VM, ``phi`` takes 7-10 s and ``witness``
 4.4-6 s, most of it building the two breve pair blocks.  ``--stages
@@ -74,12 +81,14 @@ from __future__ import annotations
 
 import argparse
 import io
+import itertools
 import math
 import os
 import sys
 import time
 from collections import Counter
 from contextlib import redirect_stdout
+from fractions import Fraction
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 STAGES = ("phi", "rank", "witness", "burnside", "wall", "commutant", "relations", "scan")
@@ -93,6 +102,7 @@ MODULES = (("so", 3, "1,1:-1/3;1,1:1/5", "1,1:2/7;1,1:-3/11", None),
            ("sp", 2, "1:2/5;2:7/5", None, ("wall",)))
 WALL_RUNS = 20
 SCAN_GRID = "-1/3,2/7;1/5,-3/11"
+SCAN_RUNS = 10
 
 
 def _record_kernels(repmatrix) -> Counter:
@@ -106,8 +116,8 @@ def _record_kernels(repmatrix) -> Counter:
     kernels = repmatrix.float_kernels
     first = [False]
 
-    def recording(arrays, bound, inner, weight):
-        for k, (arrays, p) in enumerate(kernels(arrays, bound, inner, weight)):
+    def recording(arrays, bound, inner):
+        for k, (arrays, p) in enumerate(kernels(arrays, bound, inner)):
             first[0] = k == 0
             yield arrays, p
 
@@ -246,7 +256,7 @@ def wall_probe(tf, form, modules: str, spent: dict) -> None:
 
 
 def _witness_split(linalg, seen: dict) -> str:
-    S = linalg.stacked_blocks(seen["matrix"])
+    S = linalg.stacked_blocks(seen["matrix"])[0]
     rows, cols = S.any(axis=2).sum(axis=1), S.any(axis=1).sum(axis=1)
     k = int((rows * cols).argmax())
     return (f"    term_residue {seen['term_residue']:.3f} s, rank_mod_p {seen['rank_mod_p']:.3f} s; "
@@ -330,7 +340,7 @@ def probe(tf, kind: str, N: int, modules: str, warm, stages, counts: Counter,
                   f"{counts[rel, 'residue']:4d} residue samples ({counts[rel, 'primes']} primes)")
 
 
-def scan_probe(cli) -> None:
+def scan_probe(tf, cli) -> None:
     argv = ["scan", "--n", "3", "--form", "so", "--modules", "1,1;1,1", f"--grid={SCAN_GRID}",
             "--json"]
     print(f"scan so3 1,1;1,1 --grid={SCAN_GRID}  (4 points, dim 9)", flush=True)
@@ -341,6 +351,40 @@ def scan_probe(cli) -> None:
                     return cli.main(argv + ["--jobs", str(jobs)])
 
             _timed(f"scan --jobs {jobs} ({run})", quiet_scan, lambda code: f"exit {code}")
+    scan_walls_split(tf)
+
+
+def scan_walls_split(tf) -> None:
+    """For each seed-1 scan-walls grid: the points the batched witness
+    decides, those it sends to the exact path, and the best of SCAN_RUNS
+    times of the batch and of the exact verdicts of the points sent on."""
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    import bench_workloads
+
+    irr, repmatrix = tf.irreducibility, tf.repmatrix
+    print("scan-walls grids, seed 1: batched witness and exact path, best of "
+          f"{SCAN_RUNS}", flush=True)
+    for kind, N, mods, lists in bench_workloads.ScanWalls(1).grids:
+        form = tf.tensor.GForm.default(kind, N)
+        texts = [";".join(f"{d}:{Fraction(z)}" for d, z in zip(mods.split(";"), zs))
+                 for zs in itertools.product(*lists)]
+        best = {}
+        for run in range(SCAN_RUNS + 1):  # the first run fills the caches
+            Zs = [repmatrix.FusedModuleSpec.from_string(form, text) for text in texts]
+            t0 = time.perf_counter()
+            witnesses = irr.phi_witnesses(Zs)
+            t1 = time.perf_counter()
+            rest = [(Z, w) for Z, w in zip(Zs, witnesses) if w[1] < Z.dimZ ** 2]
+            for Z, w in rest:
+                irr.verdict(Z, witness=w)
+            t2 = time.perf_counter()
+            if run:
+                best["batch"] = min(best.get("batch", t1 - t0), t1 - t0)
+                best["exact"] = min(best.get("exact", t2 - t1), t2 - t1)
+        print(f"  {kind}{N} {mods:<4} {texts[0].split(';')[0]:<10} {len(texts)} points: "
+              f"{len(texts) - len(rest)} decided by the batch, {len(rest)} to the exact path; "
+              f"batch {best['batch'] * 1e3:.2f} ms, exact {best['exact'] * 1e3:.2f} ms",
+              flush=True)
 
 
 def main(argv=None) -> int:
@@ -366,7 +410,7 @@ def main(argv=None) -> int:
             if run:
                 probe(tf, kind, N, modules, warm, run, counts, matmuls, seen, spent, split)
     if "scan" in stages:
-        scan_probe(cli)
+        scan_probe(tf, cli)
     return 0
 
 
