@@ -4,12 +4,14 @@ Builds the modules attached to skew Young diagrams, the factorized R- and
 S-matrices acting on them, and tests irreducibility at rational parameter
 points: the leading-Laurent-coefficient witness where it is surjective,
 Burnside growth of the generated algebra everywhere else.  All arithmetic is
-exact.
+exact.  The symbolic RatFunc-matrix views of the same operators, kept as
+independent references, live in ``twistfusion.reference``, which the
+engine never imports.
 """
 
 from .diagrams import SkewDiagram, column_tableau, parse_skew, sharp, ssyt_count
 from .exactnum import Poly, RatFunc
-from .fusion import FusionOperator, fusion_operator, intertwining_check, verify_fusion_invariants
+from .fusion import FusionOperator, fusion_operator, verify_fusion_invariants
 from .irreducibility import (
     AlgebraSpan,
     IrreducibilityReport,
@@ -19,7 +21,6 @@ from .irreducibility import (
     commutant_dim,
     phi_leading,
     random_offwall,
-    s_WZ_family,
     surjectivity,
     verdict,
     walls,
@@ -33,21 +34,18 @@ from .repmatrix import (
     s_elementary,
     s_fused,
     s_generators,
-    t_action,
-    yang_matrices,
 )
-from .tensor import (
-    Basis,
-    GForm,
-    TensorOperator,
+from .reference import (
     embed_two_leg,
-    image_basis,
+    intertwining_check,
     partial_trace_first,
     permutation_op,
     restrict,
-    structural_ops,
-    transpose_legs,
+    s_WZ_family,
+    t_action,
+    yang_matrices,
 )
+from .tensor import Basis, GForm, TensorOperator, image_basis, structural_ops, transpose_legs
 
 __all__ = [
     "AlgebraSpan",

@@ -27,8 +27,9 @@ from .errors import MalformedInput, TwistFusionError, WorkerLost
 from .exactnum import parse_rational
 from .fusion import fusion_operator, verify_fusion_invariants
 from .irreducibility import phi_witnesses, verdict
-from .repmatrix import FusedModuleSpec, check_defining_relations, duality_check, yang_matrices
-from .tensor import GForm, embed_two_leg
+from .reference import embed_two_leg, yang_matrices
+from .repmatrix import FusedModuleSpec, check_defining_relations, duality_check
+from .tensor import GForm
 
 
 def _emit(args, payload: dict):
@@ -124,13 +125,8 @@ def cmd_check_ybe(args) -> int:
             q = Fraction(rng.randint(-12, 12), rng.choice((1, 2, 3, 5, 7)))
             if q not in us:
                 us.append(q)
-        u1, u2, u3 = us
-        R12, _, _, _ = yang_matrices(form, u1, u2)
-        R13, _, _, _ = yang_matrices(form, u1, u3)
-        R23, _, _, _ = yang_matrices(form, u2, u3)
-        A12 = embed_two_leg(R12, 1, 2, 3)
-        A13 = embed_two_leg(R13, 1, 3, 3)
-        A23 = embed_two_leg(R23, 2, 3, 3)
+        A12, A13, A23 = (embed_two_leg(yang_matrices(form, us[i], us[j])[0], i + 1, j + 1, 3)
+                         for i, j in ((0, 1), (0, 2), (1, 2)))
         passed = (A12 @ A13 @ A23) == (A23 @ A13 @ A12)
         ok &= passed
         rows.append({"u": [str(u) for u in us], "passed": passed})

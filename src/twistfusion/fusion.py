@@ -24,11 +24,10 @@ from .errors import (
     BoxCapExceeded,
     LimitSingular,
     ShapeTooTall,
-    SingularParameter,
     SlopeCollision,
 )
 from .exactnum import Poly
-from .linalg import feye, is_zero_matrix
+from .linalg import is_zero_matrix
 from .tensor import (
     Basis,
     FrameBlock,
@@ -195,56 +194,3 @@ def defining_action_product(params, N: int) -> FrameBlock:
     dims = (N,) * (n + 1)
     identity = np.eye(N ** (n + 1), dtype=int).astype(object)
     return FrameBlock(*apply_factor_chain(identity, dims, chain), den, dims)
-
-
-@dataclass
-class IntertwiningReport:
-    diagram: SkewDiagram
-    N: int
-    z: Fraction
-    samples: list
-    failures: list
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures and len(self.samples) > 0
-
-
-def intertwining_check(omega: SkewDiagram, N: int, z, u_samples=None) -> IntertwiningReport:
-    """F intertwines the module action with the leg-reversed action:
-    F h(v_1..v_n) = sigma_hat h(v_n..v_1) sigma_hat F, with v_p = z + c_p,
-    h running over the coefficients of the auxiliary single-box product."""
-    z = Fraction(z)
-    F = fusion_operator(omega, N)
-    n = omega.size
-    if n == 0:
-        return IntertwiningReport(omega, N, z, samples=[0], failures=[])
-    cont = column_tableau(omega).contents
-    a = [z + c for c in cont]
-    a_rev = list(reversed(a))
-    poles = set(a)
-    if u_samples is None:
-        u_samples = []
-        k = 1
-        while len(u_samples) < n + 2:
-            if Fraction(k) not in poles:
-                u_samples.append(Fraction(k))
-            k += 1
-    taut = defining_action_product(a, N)
-    rev = defining_action_product(a_rev, N)
-    dims = (N,) * (n + 1)
-    F_emb = TensorOperator(np.kron(feye(N), F.matrix.mat), dims)
-    # sigma_hat on the module legs: rev's action read on the reversed index
-    s_idx = reversal_index(N, 1, n)
-    failures = []
-    used = []
-    for u0 in u_samples:
-        u0 = Fraction(u0)
-        if u0 in poles:
-            raise SingularParameter(f"u = {u0} is a pole of a factor (v_q = {u0})")
-        lhs = F_emb @ taut.at(u0)
-        rhs = TensorOperator(rev.at(u0).mat[np.ix_(s_idx, s_idx)], dims) @ F_emb
-        used.append(u0)
-        if lhs != rhs:
-            failures.append(u0)
-    return IntertwiningReport(omega, N, z, samples=used, failures=failures)

@@ -18,12 +18,9 @@ is the same over Q and over C.
    residue proves the order o; rank cannot rise mod p, so rank d^2 mod p
    proves phi surjective, and the exact frame product and rank do not run.
    Any other residue (zero where a block residue cannot tell its lowest
-   frame) takes the exact path.  A single verdict takes the witness off
-   the walls only, and every wall point takes the exact path; a scan takes
-   the witnesses of all its points in one batch (phi_witnesses, one
-   stacked residue product and one stacked rank per slice of modules) and
-   hands each to its verdict, so a wall point whose phi the witness
-   proves surjective is decided by it too.
+   frame) takes the exact path.  A scan takes the witnesses of all its
+   points in one batch (phi_witnesses, one stacked residue product and one
+   stacked rank per slice of modules) and hands each to its verdict.
 2. Otherwise Burnside growth decides: words in the residues of the integer
    blocks of S_1 .. S_2n (n boxes; default_truncation shows that they span
    every coefficient) modulo a prime below 2^21, the leftmost independent
@@ -71,7 +68,6 @@ from .linalg import (
 from .repmatrix import (
     FusedModuleSpec,
     frame_product,
-    ratfunc_product,
     s_coefficients,
     s_factors,
     s_sums,
@@ -79,7 +75,7 @@ from .repmatrix import (
     swz_term_lists,
     term_residue,
 )
-from .tensor import TensorOperator, contraction_map_matrix
+from .tensor import contraction_map_matrix
 
 _PRIME_DENOMS = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 # The phi witness and Burnside growth run modulo the first of linalg's
@@ -91,12 +87,6 @@ _BURNSIDE_PRIMES = _PRIMES[:3]
 
 # ---------------------------------------------------------------------------
 # the zeta-family and its leading term
-
-def s_WZ_family(Z: FusedModuleSpec) -> TensorOperator:
-    """Exact matrix of the family on W (x) Z over RatFunc(zeta): the dense
-    product of the frame blocks that phi_leading expands."""
-    return ratfunc_product(swz_frame_blocks(Z), Z.factor_dims + Z.factor_dims)
-
 
 @dataclass
 class PhiOperator:
@@ -173,12 +163,6 @@ def phi_witness(Z: FusedModuleSpec) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 # commutant oracle
 
-def check_truncation(K: int) -> None:
-    """MalformedInput unless K is a usable generator truncation order."""
-    if K < 2:
-        raise MalformedInput(f"K must be >= 2, got {K}")
-
-
 def commutant_dim(Z: FusedModuleSpec, K: int) -> tuple[int, bool]:
     """Dimension of the joint commutant of the generator matrices up to
     truncation K, and whether it stabilized between K-1 and K.
@@ -193,7 +177,8 @@ def commutant_dim(Z: FusedModuleSpec, K: int) -> tuple[int, bool]:
     its nullspace gives the candidates that commute with them.  S_k is built
     only while more than one candidate remains.
     """
-    check_truncation(K)
+    if K < 2:
+        raise MalformedInput(f"K must be >= 2, got {K}")
     N, d = Z.N, Z.dimZ
     coeffs = islice(s_coefficients(Z, K), 1, None)
     B = np.eye(d * d, dtype=np.int64).astype(object)  # columns span the candidates
@@ -500,17 +485,14 @@ def verdict(Z: FusedModuleSpec, witness: tuple[int, int] | None = None) -> Irred
     """Walls, leading-coefficient surjectivity and, only where phi is not
     surjective, Burnside growth of A_Z; irreducible exactly when
     dim A_Z = d^2.  ``witness`` is the module's phi_witness, as
-    phi_witnesses gives it for a batch; without it the witness is taken
-    off the walls only.  A witness of rank d^2 proves surjectivity and
-    gives the exact report at any point, walls included; any other takes
-    the exact path.  A phi of rank above dim A_Z contradicts the theory
-    (its image lies in A_Z) and aborts."""
+    phi_witnesses gives it for a batch, and is taken here when not given.
+    A witness of rank d^2 proves surjectivity and gives the exact report;
+    any other takes the exact path.  A phi of rank above dim A_Z
+    contradicts the theory (its image lies in A_Z) and aborts."""
     params = [z for _, z in Z.factors]
     on_wall = [c.describe() for c in walls(Z).violated(params)]
     full = Z.dimZ**2
-    if witness is None:
-        witness = (0, 0) if on_wall else phi_witness(Z)
-    order, rank = witness
+    order, rank = phi_witness(Z) if witness is None else witness
     if rank == full:
         surj, dim = True, full
     else:

@@ -34,10 +34,9 @@ from .errors import (
     DimensionMismatch,
     MalformedInput,
     ShapeTooTall,
-    SingularFamily,
     SingularParameter,
 )
-from .exactnum import Poly, RatFunc, parse_rational
+from .exactnum import Poly, parse_rational
 from .linalg import (
     ScaledIntMatrix,
     certified,
@@ -58,7 +57,6 @@ from .tensor import (
     MatrixLaurentSeries,
     TensorOperator,
     _WindowExhausted,
-    embed_matrix,
     minus_flip_entries,
     restricted_chain,
     reversal_index,
@@ -70,42 +68,6 @@ from .tensor import (
 _F1 = Fraction(1)
 
 KINDS = ("R", "R'", "Rb", "Rb'")
-
-
-def _lift(val):
-    return val if isinstance(val, RatFunc) else Fraction(val)
-
-
-def _is_symbolic(*vals) -> bool:
-    return any(isinstance(v, RatFunc) for v in vals)
-
-
-def yang_matrices(form: GForm, u, v):
-    """(R, R', breve-R, breve-R') on two legs, exact in u, v."""
-    N = form.N
-    P, Q = structural_ops(form)
-    ident = TensorOperator.identity((N, N))
-    u, v = _lift(u), _lift(v)
-    R = (u - v) * ident - P
-    Rp = -((u + v) * ident) - Q
-    duv = u - v
-    suv = u + v
-    if _is_symbolic(u, v):
-        if isinstance(duv, RatFunc) and duv.is_zero():
-            raise SingularFamily("u - v vanishes identically")
-        if isinstance(suv, RatFunc) and suv.is_zero():
-            raise SingularFamily("u + v vanishes identically")
-    else:
-        if duv == 0:
-            raise SingularParameter(f"breve R singular at u = v = {u}")
-        if suv == 0:
-            raise SingularParameter(f"breve R' singular at u = -v = {u}")
-    Rb = ident - (1 / duv) * P
-    Rbp = ident + (1 / suv) * Q
-    if _is_symbolic(u, v):
-        lift = lambda op: op.map_entries(RatFunc.coerce)  # noqa: E731
-        return lift(R), lift(Rp), lift(Rb), lift(Rbp)
-    return R, Rp, Rb, Rbp
 
 
 # ---------------------------------------------------------------------------
@@ -373,11 +335,6 @@ def swz_term_lists(Zs) -> list[list[tuple[BlockTerm, tuple[int, ...]]]]:
     return lists
 
 
-def breve_r_frame_blocks(Z: FusedModuleSpec) -> list[tuple[FrameBlock, tuple[int, ...]]]:
-    """Ordered frame blocks of breve-R_{W,Z}(zeta), W the zeta-shifted copy of Z."""
-    return [(term.exact(), slots) for term, slots in _plan_terms(Z, _breve_r_plan(Z.ell))]
-
-
 def swz_frame_blocks(Z: FusedModuleSpec) -> list[tuple[FrameBlock, tuple[int, ...]]]:
     """The exact frame blocks of swz_terms."""
     return [(term.exact(), slots) for term, slots in swz_terms(Z)]
@@ -488,22 +445,6 @@ def term_residue(points, dims, p: int) -> tuple[list[int], np.ndarray]:
     return order, acc if len(acc) == P else np.repeat(acc, P, axis=0)  # no terms
 
 
-def ratfunc_product(blocks, dims) -> TensorOperator:
-    """The ordered product of frame blocks as one dense matrix over
-    RatFunc(zeta): the exact symbolic reference for frame_product."""
-    out = TensorOperator.identity(dims)
-    for fb, slots in blocks:
-        out = out @ TensorOperator(embed_matrix(fb.ratfunc_matrix(), slots, dims), dims)
-    return out
-
-
-def breve_r_family_leading(Z: FusedModuleSpec):
-    """Laurent order and exact leading coefficient matrix of the breve-R
-    family of the shifted pair (W, Z) at zeta = 0."""
-    order, coeff = frame_product(breve_r_frame_blocks(Z), Z.factor_dims + Z.factor_dims)
-    return order, coeff.to_fractions()
-
-
 def r_factorized(W: FusedModuleSpec, Z: FusedModuleSpec, kind: str) -> TensorOperator:
     """The R_{W,Z}-type operator of the given kind on W (x) Z: the ordered
     product of the pair blocks between factor i of W and factor j of Z, on
@@ -546,13 +487,6 @@ def _t_data(Z: FusedModuleSpec) -> FrameBlock:
                   for j in range(Z.ell)]
         Z._tdata = block_product(blocks, (Z.N,) + Z.factor_dims)
     return Z._tdata
-
-
-def t_action(Z: FusedModuleSpec) -> TensorOperator:
-    """T_Z(u): operator on (auxiliary C^N) (x) Z with RatFunc(u) entries,
-    the ordered product of single-box breve factors restricted per factor."""
-    td = _t_data(Z)
-    return TensorOperator(td.ratfunc_matrix(), td.dims)
 
 
 @dataclass

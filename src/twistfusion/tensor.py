@@ -39,7 +39,6 @@ from .linalg import (
     reduce_mod,
 )
 
-_F0 = Fraction(0)
 _F1 = Fraction(1)
 
 
@@ -159,10 +158,6 @@ class TensorOperator:
             out[idx] = fn(v)
         return TensorOperator(out, self.dims)
 
-    def eval_ratfuncs(self, a: Fraction) -> "TensorOperator":
-        """Evaluate RatFunc entries at a point; numeric entries pass through."""
-        return self.map_entries(lambda v: v.eval(a) if isinstance(v, RatFunc) else v)
-
     def to_json(self) -> dict:
         """Row-major entries as rational strings (numeric matrices only)."""
         return {
@@ -193,27 +188,6 @@ def structural_ops(form: GForm) -> tuple[TensorOperator, TensorOperator]:
     return cached
 
 
-def permutation_op(perm, N: int) -> TensorOperator:
-    """Matrix moving leg k's content to position perm(k) (1-indexed images).
-
-    With this convention the map sigma -> sigma_hat is a group homomorphism.
-    """
-    perm = tuple(int(p) for p in perm)
-    n = len(perm)
-    if sorted(perm) != list(range(1, n + 1)):
-        raise IndexOutOfRange(f"not a permutation of 1..{n}: {perm}")
-    dims = (N,) * n
-    D = math.prod(dims)
-    digits = np.unravel_index(np.arange(D), dims)
-    new_digits = [None] * n
-    for k in range(n):
-        new_digits[perm[k] - 1] = digits[k]
-    target = np.ravel_multi_index(tuple(new_digits), dims)
-    mat = fzeros((D, D))
-    mat[target, np.arange(D)] = _F1
-    return TensorOperator(mat, dims)
-
-
 def reversal_index(N: int, kept: int, n: int) -> np.ndarray:
     """The index of (C^N)^(kept + n) with the first ``kept`` legs kept and
     the last n reversed.  sigma_hat on those n legs is an involutive
@@ -221,23 +195,6 @@ def reversal_index(N: int, kept: int, n: int) -> np.ndarray:
     dims = (N,) * (kept + n)
     digits = np.unravel_index(np.arange(N ** (kept + n)), dims)
     return np.ravel_multi_index(digits[:kept] + digits[kept:][::-1], dims)
-
-
-def embed_two_leg(op: TensorOperator, a: int, b: int, n: int) -> TensorOperator:
-    """Embed a 2-leg operator to act on legs (a, b) of n legs of dimension N."""
-    if op.n_legs != 2 or op.dims[0] != op.dims[1]:
-        raise DimensionMismatch("expected a 2-leg operator with equal leg dims")
-    N = op.dims[0]
-    if not (1 <= a <= n and 1 <= b <= n) or a == b:
-        raise IndexOutOfRange(f"legs ({a},{b}) invalid for n={n}")
-    return embed_operator(op, (a - 1, b - 1), (N,) * n)
-
-
-def embed_operator(block: TensorOperator, slots, dims) -> TensorOperator:
-    """block acting on the given slots (0-indexed) of the space with leg dims."""
-    dims = tuple(dims)
-    mat = embed_matrix(block.mat, slots, dims)
-    return TensorOperator(mat, dims)
 
 
 def _slot_rest_index(slots, dims) -> np.ndarray:
@@ -267,24 +224,6 @@ def _slot_rest_index_of(slots: tuple, dims: tuple) -> np.ndarray:
     out = np.empty((math.prod(sdims), math.prod(rdims)), dtype=np.int64)
     out[scode, rcode] = np.arange(D)
     out.flags.writeable = False
-    return out
-
-
-def embed_matrix(block: np.ndarray, slots, dims, zero=_F0) -> np.ndarray:
-    """Dense matrix of block (x) identity-on-the-rest, any entry type."""
-    gmap = _slot_rest_index(slots, dims)
-    ds, dr = gmap.shape
-    if block.shape != (ds, ds):
-        raise DimensionMismatch("block size does not match slot dimensions")
-    D = ds * dr
-    out = np.empty((D, D), dtype=object)
-    out[...] = zero
-    for a in range(ds):
-        rows = gmap[a]
-        for b in range(ds):
-            v = block[a, b]
-            if v != 0:
-                out[rows, gmap[b]] = v
     return out
 
 
@@ -320,7 +259,7 @@ def transposed(mats: np.ndarray, dims, legs, form: GForm) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# bases, images, restriction
+# bases and images
 
 class Basis:
     """A basis of a subspace of Q^ambient in reduced echelon form, which
@@ -408,37 +347,6 @@ class Basis:
 def image_basis(A: TensorOperator) -> Basis:
     """The reduced echelon basis of the column space, read off echelon(A^T)."""
     return Basis.from_echelon(A.size, *linalg.echelon(A.mat.T))
-
-
-def restrict(A: TensorOperator, domain: Basis, codomain: Basis, dims=None) -> TensorOperator:
-    """Matrix of A in the given bases; NotInvariant if A leaves the codomain span."""
-    rhs, scale = linalg.to_int_scaled(generic_dot(A.mat, domain.matrix()))
-    X = codomain.solve(rhs)
-    if X is None:
-        raise NotInvariant("operator does not map domain span into codomain span")
-    if domain.size != codomain.size:
-        raise DimensionMismatch("restriction of a square operator needs equal basis sizes")
-    return TensorOperator(X * scale, dims if dims is not None else (domain.size,))
-
-
-def partial_trace_first(M: TensorOperator, dimW: int):
-    """Partial trace over the first factor, and A -> Tr_W((A (x) 1) M).
-
-    M acts on W (x) Z with dim(W) = dimW; returns (Tr_W M, contraction).
-    """
-    D = M.size
-    if D % dimW != 0:
-        raise DimensionMismatch("dimW does not divide the operator size")
-    dimZ = D // dimW
-    T = M.mat.reshape(dimW, dimZ, dimW, dimZ)
-    traced = TensorOperator(np.trace(T, axis1=0, axis2=2).reshape(dimZ, dimZ), (dimZ,))
-
-    def contraction(A: np.ndarray) -> np.ndarray:
-        if A.shape != (dimW, dimW):
-            raise DimensionMismatch("A must be an endomorphism of W")
-        return np.tensordot(A, T, axes=([0, 1], [2, 0]))
-
-    return traced, contraction
 
 
 def contraction_map_matrix(M: np.ndarray, dimW: int, dimZ: int) -> np.ndarray:
@@ -800,9 +708,6 @@ class FrameBlock:
         to nonzero scalars, stacked: the Horner sums over their contents."""
         return primitive_part(self._horner(xs))
 
-    def at_int(self, u0: Fraction) -> np.ndarray:
-        return self.at_ints([Fraction(u0)])[0]
-
     def at_infinity(self, K: int) -> list[ScaledIntMatrix]:
         """Coefficients of u^0, u^-1, ..., u^-K, straight from the integer
         frames.
@@ -820,11 +725,3 @@ class FrameBlock:
         rows = [[H[m + k - n] if m + k >= n else 0 for k in range(deg + 1)] for m in range(K + 1)]
         sums = int_matmul(np.array(rows, dtype=object), np.stack(self.frames).reshape(deg + 1, -1))
         return [ScaledIntMatrix(S.reshape(self.frames[0].shape), self.scale / L) for S in sums]
-
-    def ratfunc_matrix(self) -> np.ndarray:
-        """The entries as RatFuncs in x: the symbolic view, for references."""
-        shape = self.frames[0].shape
-        out = np.empty(shape, dtype=object)
-        for idx in np.ndindex(shape):
-            out[idx] = RatFunc(Poly([self.scale * int(fr[idx]) for fr in self.frames]), self.den)
-        return out

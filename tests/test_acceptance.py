@@ -23,20 +23,9 @@ from twistfusion.diagrams import SkewDiagram, column_tableau, enumerate_skew, pa
 from twistfusion.fusion import fusion_operator, verify_fusion_invariants
 from twistfusion.irreducibility import random_offwall, verdict
 from twistfusion.linalg import mat_equal
-from twistfusion.repmatrix import (
-    FusedModuleSpec,
-    check_defining_relations,
-    duality_check,
-    yang_matrices,
-)
-from twistfusion.tensor import (
-    GForm,
-    TensorOperator,
-    embed_two_leg,
-    flip,
-    permutation_op,
-    structural_ops,
-)
+from twistfusion.reference import embed_two_leg, permutation_op, yang_matrices
+from twistfusion.repmatrix import FusedModuleSpec, check_defining_relations, duality_check
+from twistfusion.tensor import GForm, TensorOperator, flip, structural_ops
 
 BOX = SkewDiagram((1,))
 VDOM = SkewDiagram((1, 1))
@@ -170,7 +159,7 @@ def test_criterion_07_duality():
 
 
 def test_criterion_08_leading_term_is_flip():
-    from twistfusion.repmatrix import breve_r_family_leading
+    from twistfusion.reference import breve_r_family_leading
 
     ok = True
     for N in (2, 3):

@@ -6,21 +6,19 @@ import pytest
 from twistfusion.diagrams import SkewDiagram, column_tableau, parse_skew, ssyt_count
 from twistfusion.errors import BoxCapExceeded, ShapeTooTall, SingularParameter, SlopeCollision
 from twistfusion.exactnum import RatFunc
-from twistfusion import fusion, linalg
+from twistfusion import fusion, linalg, reference
 from twistfusion.fusion import (
     default_slopes,
     defining_action_product,
     fusion_operator,
-    intertwining_check,
     verify_fusion_invariants,
 )
-from twistfusion.repmatrix import yang_matrices
+from twistfusion.reference import embed_two_leg, intertwining_check, yang_matrices
 from twistfusion.linalg import fdot, feye, mat_equal
 from twistfusion.tensor import (
     Basis,
     GForm,
     TensorOperator,
-    embed_two_leg,
     image_basis,
     structural_ops,
 )
@@ -202,7 +200,7 @@ def test_intertwining_passes():
 
 def test_intertwining_detects_missing_reversal(monkeypatch):
     # with sigma_hat replaced by the identity the two actions differ
-    monkeypatch.setattr(fusion, "reversal_index",
+    monkeypatch.setattr(reference, "reversal_index",
                         lambda N, kept, n: np.arange(N ** (kept + n)))
     rep = intertwining_check(SkewDiagram((2, 1)), 2, Fraction(1, 3))
     assert len(rep.samples) == 5 and rep.failures == rep.samples

@@ -23,19 +23,22 @@ from twistfusion.irreducibility import (
     phi_leading,
     phi_witness,
     random_offwall,
-    s_WZ_family,
     surjectivity,
     verdict,
     walls,
 )
 from twistfusion.linalg import fdot, feye, fzeros, mat_equal, nullspace_exact, rank_exact
+from twistfusion.reference import (
+    breve_r_family_leading,
+    breve_r_frame_blocks,
+    ratfunc_product,
+    s_WZ_family,
+)
 from twistfusion.repmatrix import (
     BlockTerm,
     FusedModuleSpec,
-    breve_r_frame_blocks,
     check_defining_relations,
     frame_product,
-    ratfunc_product,
     s_coefficients,
     s_factors,
     s_generators,
@@ -87,31 +90,16 @@ def test_phi_leading_single_box_against_family():
     z = Fraction(1, 3)
     Z = spec(SP2, (BOX, z))
     phi = phi_leading(Z)
-    assert phi.order == -1
-    fam = s_WZ_family(Z)
-    coeff = np.empty(fam.mat.shape, dtype=object)
-    for idx, v in np.ndenumerate(fam.mat):
-        f = v if isinstance(v, RatFunc) else RatFunc.const(v)
-        if f.is_zero():
-            coeff[idx] = Fraction(0)
-        else:
-            o, cs = f.laurent_at(0, 1)
-            coeff[idx] = cs[0] if o == -1 else Fraction(0)
+    order, coeff = _leading_by_laurent(swz_frame_blocks(Z), Z.factor_dims * 2)
+    assert order == phi.order == -1
     assert mat_equal(phi.matrix, contraction_map_matrix(coeff, 2, 2))
 
 
 def test_phi_leading_two_factors_against_family():
     Z = spec(SP2, (BOX, Fraction(1, 3)), (BOX, Fraction(7, 5)))
     phi = phi_leading(Z)
-    fam = s_WZ_family(Z)
-    coeff = np.empty(fam.mat.shape, dtype=object)
-    for idx, v in np.ndenumerate(fam.mat):
-        f = v if isinstance(v, RatFunc) else RatFunc.const(v)
-        if f.is_zero():
-            coeff[idx] = Fraction(0)
-        else:
-            o, cs = f.laurent_at(0, 1)
-            coeff[idx] = cs[0] if o == phi.order else Fraction(0)
+    order, coeff = _leading_by_laurent(swz_frame_blocks(Z), Z.factor_dims * 2)
+    assert order == phi.order
     assert mat_equal(phi.matrix, contraction_map_matrix(coeff, 4, 4))
 
 
@@ -232,7 +220,6 @@ def test_random_offwall_never_on_wall():
 def test_breve_leading_restricted_flip_two_box_factors():
     """Leading coefficient of the breve family is a multiple of the flip
     restricted to the module pair, including multi-box factors."""
-    from twistfusion.repmatrix import breve_r_family_leading
     from twistfusion.tensor import flip
 
     HDOM = SkewDiagram((2,))
@@ -255,19 +242,10 @@ def test_breve_leading_restricted_flip_two_box_factors():
 
 
 def test_breve_leading_agrees_with_symbolic_route():
-    from twistfusion.repmatrix import breve_r_family_leading, breve_r_frame_blocks, ratfunc_product
-
     Z = spec(SP2, (BOX, Fraction(1, 3)), (BOX, Fraction(7, 5)))
     order, coeff = breve_r_family_leading(Z)
-    fam = ratfunc_product(breve_r_frame_blocks(Z), Z.factor_dims * 2)
-    expected = np.empty(fam.mat.shape, dtype=object)
-    for idx, v in np.ndenumerate(fam.mat):
-        f = v if isinstance(v, RatFunc) else RatFunc.const(v)
-        if f.is_zero():
-            expected[idx] = Fraction(0)
-        else:
-            o, cs = f.laurent_at(0, 1)
-            expected[idx] = cs[0] if o == order else Fraction(0)
+    expected_order, expected = _leading_by_laurent(breve_r_frame_blocks(Z), Z.factor_dims * 2)
+    assert order == expected_order
     assert mat_equal(coeff, expected)
 
 
@@ -893,14 +871,16 @@ def test_warm_offwall_verdict_takes_no_exact_step(monkeypatch):
     assert rep.verdict == "irreducible"
 
 
-def test_wall_verdict_never_calls_the_witness(monkeypatch):
-    def refuse(Z):
-        raise AssertionError("a wall point takes the exact path")
-
-    monkeypatch.setattr(irreducibility, "phi_witness", refuse)
-    for form, text in ((SP2, "1:1/3;1:4/3"), (SP2, "1:1/2"), (SO3, "1:1/3;1:-1/3")):
-        rep = verdict(FusedModuleSpec.from_string(form, text))
-        assert rep.on_wall
+def test_wall_verdict_matches_the_exact_path(monkeypatch):
+    # a single verdict takes its residue witness at wall points too, and
+    # gives the exact path's report at every scan-walls wall point
+    calls, witness = [], irreducibility.phi_witness
+    monkeypatch.setattr(irreducibility, "phi_witness", lambda Z: calls.append(Z) or witness(Z))
+    points = [Z for Z in _scan_walls_points() if walls(Z).violated([z for _, z in Z.factors])]
+    assert len(points) == 52
+    for Z in points:
+        assert verdict(Z).to_json() == _exact_report(Z, monkeypatch), Z
+    assert calls == points
 
 
 # ---------------------------------------------------------------------------

@@ -17,28 +17,31 @@ from twistfusion.exactnum import Poly, RatFunc
 from twistfusion import cli, fusion, linalg, repmatrix, tensor
 from twistfusion.fusion import fusion_operator
 from twistfusion.linalg import mat_equal, rank_exact
+from twistfusion.reference import (
+    breve_r_frame_blocks,
+    embed_operator,
+    embed_two_leg,
+    eval_ratfuncs,
+    ratfunc_product,
+    restrict,
+    t_action,
+    yang_matrices,
+)
 from twistfusion.repmatrix import (
     FusedModuleSpec,
-    breve_r_frame_blocks,
     check_defining_relations,
     duality_check,
     r_factorized,
-    ratfunc_product,
     s_elementary,
     s_fused,
     s_generators,
-    t_action,
-    yang_matrices,
 )
 from twistfusion.tensor import (
     Basis,
     FrameBlock,
     GForm,
     TensorOperator,
-    embed_operator,
-    embed_two_leg,
     flip,
-    restrict,
     structural_ops,
     transpose_legs,
 )
@@ -94,44 +97,35 @@ def test_r_factorized_single_boxes_matches_yang():
     assert mat_equal(R.mat, Ry.mat)
 
 
+def _breve_leading_by_laurent(Z):
+    """Order and leading coefficient at zeta = 0 of the symbolic breve-R
+    family of Z, every entry expanded through RatFunc.laurent_at."""
+    fam = ratfunc_product(breve_r_frame_blocks(Z), Z.factor_dims * 2).mat
+    expansions = {idx: RatFunc.coerce(f).laurent_at(0, 1)
+                  for idx, f in np.ndenumerate(fam) if not RatFunc.coerce(f).is_zero()}
+    order = min(o for o, _ in expansions.values())
+    coeff = np.full(fam.shape, Fraction(0), dtype=object)
+    for idx, (o, cs) in expansions.items():
+        if o == order:
+            coeff[idx] = cs[0]
+    return order, coeff
+
+
 def test_r_factorized_symbolic_single_pair():
     # W = Z = one box at z, W shifted: breve R = 1 - P/zeta
     Z = spec(SO2, (BOX, Fraction(1, 3)))
-    fam = ratfunc_product(breve_r_frame_blocks(Z), Z.factor_dims * 2)
+    order, coeff = _breve_leading_by_laurent(Z)
     P, _ = structural_ops(SO2)
-    orders = []
-    for (i, j), v in np.ndenumerate(fam.mat):
-        f = v if isinstance(v, RatFunc) else RatFunc.const(v)
-        if f.is_zero():
-            continue
-        o, cs = f.laurent_at(0, 1)
-        orders.append(o)
-        if o == -1:
-            assert cs[0] == -P.mat[i, j]
-    assert min(orders) == -1
+    assert order == -1
+    assert mat_equal(coeff, -P.mat)
 
 
 def test_rb_leading_term_proportional_to_flip():
     # two single-box factors at (1/3, 7/5): leading coefficient is a scalar
     # multiple of the flip of the two copies
     Z = spec(SP2, (BOX, Fraction(1, 3)), (BOX, Fraction(7, 5)))
-    fam = ratfunc_product(breve_r_frame_blocks(Z), Z.factor_dims * 2)
-    D = 4
-    r_min = None
-    for (_, v) in np.ndenumerate(fam.mat):
-        f = v if isinstance(v, RatFunc) else RatFunc.const(v)
-        if not f.is_zero():
-            o, _ = f.laurent_at(0, 1)
-            r_min = o if r_min is None else min(r_min, o)
-    coeff = np.empty(fam.mat.shape, dtype=object)
-    for idx, v in np.ndenumerate(fam.mat):
-        f = v if isinstance(v, RatFunc) else RatFunc.const(v)
-        if f.is_zero():
-            coeff[idx] = Fraction(0)
-        else:
-            o, cs = f.laurent_at(0, 1)
-            coeff[idx] = cs[0] if o == r_min else Fraction(0)
-    FL = flip(D).mat
+    _, coeff = _breve_leading_by_laurent(Z)
+    FL = flip(4).mat
     scale = None
     for idx in np.ndindex(coeff.shape):
         if FL[idx] != 0:
@@ -372,7 +366,7 @@ def test_integer_t_at_rational_sample():
     oracle = t_action(Z)
     td = repmatrix._t_data(Z)
     for u in (u0, -u0, Fraction(-3, 4)):
-        _assert_proportional(td.at_int(u), oracle.eval_ratfuncs(u).mat)
+        _assert_proportional(td.at_ints([u])[0], eval_ratfuncs(oracle, u).mat)
     rep = check_defining_relations(Z, samples=[(u0, Fraction(5, 7)), (Fraction(-3, 4), u0)])
     assert rep.rtt_checked == 2 and rep.reflection_checked == 2
     assert not rep.rtt_failures and not rep.reflection_failures
@@ -495,10 +489,10 @@ def _per_pair_failures(Z):
     (P, sp), (Q, sq) = (linalg.to_int_scaled(X.mat) for X in structural_ops(Z.form))
 
     def s_mat(u):
-        Tt = transpose_legs(TensorOperator(td.at_int(-u), td.dims), {1}, int_form).mat
-        return linalg.primitive_part(linalg.int_matmul(Tt, td.at_int(u)))
+        Tt = transpose_legs(TensorOperator(td.at_ints([-u])[0], td.dims), {1}, int_form).mat
+        return linalg.primitive_part(linalg.int_matmul(Tt, td.at_ints([u])[0]))
 
-    T = {u: repmatrix._blocked(td.at_int(u), N, d) for u in grid}
+    T = {u: repmatrix._blocked(td.at_ints([u])[0], N, d) for u in grid}
     S = {u: repmatrix._blocked(s_mat(u), N, d) for u in grid}
     rtt, refl = [], []
     for u in grid:
@@ -718,10 +712,10 @@ def _sample_blocks(Z, u0, v0):
     T = t_action(Z)
 
     def t_mat(u):
-        return linalg.to_int_scaled(T.eval_ratfuncs(u).mat)[0]
+        return linalg.to_int_scaled(eval_ratfuncs(T, u).mat)[0]
 
     def s_mat(u):
-        S = transpose_legs(T.eval_ratfuncs(-u), {1}, Z.form) @ T.eval_ratfuncs(u)
+        S = transpose_legs(eval_ratfuncs(T, -u), {1}, Z.form) @ eval_ratfuncs(T, u)
         return linalg.to_int_scaled(S.mat)[0]
 
     (P, sp), (Q, sq) = (linalg.to_int_scaled(X.mat) for X in structural_ops(Z.form))
@@ -1293,8 +1287,8 @@ def test_t_frames_with_a_zero_coefficient():
     for u0 in (Fraction(2, 7), Fraction(-3), Fraction(5, 4)):
         oracle = _t_dense_oracle(Z, u0)
         assert td.at(u0) == oracle
-        assert T.eval_ratfuncs(u0) == oracle
-        _assert_proportional(td.at_int(u0), oracle.mat)
+        assert eval_ratfuncs(T, u0) == oracle
+        _assert_proportional(td.at_ints([u0])[0], oracle.mat)
 
 
 def test_s_generators_zeroth_slice():

@@ -8,6 +8,14 @@ from twistfusion.errors import DimensionMismatch, IndexOutOfRange, NotInvariant,
 from twistfusion.exactnum import Poly
 from twistfusion.linalg import feye, fzeros, mat_equal, to_int_scaled
 from twistfusion import tensor as tensor_mod
+from twistfusion.reference import (
+    embed_matrix,
+    embed_two_leg,
+    partial_trace_first,
+    permutation_op,
+    ratfunc_matrix,
+    restrict,
+)
 from twistfusion.tensor import (
     Basis,
     FrameBlock,
@@ -16,13 +24,8 @@ from twistfusion.tensor import (
     TensorOperator,
     _WindowExhausted,
     _slot_rest_index,
-    embed_matrix,
-    embed_two_leg,
     flip,
     image_basis,
-    partial_trace_first,
-    permutation_op,
-    restrict,
     reversal_index,
     structural_ops,
     transpose_legs,
@@ -382,12 +385,12 @@ def test_frame_block_views_agree():
                         for _ in range(4)], dtype=object) for _ in range(3)]
     mats, scale = to_int_scaled(np.array(frames))
     fb = FrameBlock(list(mats), scale, Poly((Fraction(-3, 2), Fraction(5, 2), 1)), (2, 2))
-    sym = fb.ratfunc_matrix()
+    sym = ratfunc_matrix(fb)
     for x0 in (Fraction(0), Fraction(2, 7), Fraction(-5)):
         value = fb.at(x0)
         assert value.dims == (2, 2)
         assert all(value.mat[idx] == sym[idx].eval(x0) for idx in np.ndindex(4, 4))
-        ints = fb.at_int(x0)
+        ints = fb.at_ints([x0])[0]
         r, c = next(idx for idx, v in np.ndenumerate(ints) if v != 0)
         assert mat_equal(ints * (value.mat[r, c] / ints[r, c]), value.mat)
     K = 4
@@ -398,7 +401,7 @@ def test_frame_block_views_agree():
         with pytest.raises(SingularParameter):
             fb.at(pole)
         with pytest.raises(SingularParameter):
-            fb.at_int(pole)
+            fb.at_ints([pole])[0]
 
 
 @pytest.mark.parametrize("s", [0, 1, 2, -1])
@@ -490,7 +493,7 @@ def test_horner_int64_boundary(top, path):
     # at x0 = 2 the Horner bound top * (|p| + q)^deg is 3 top
     fb = FrameBlock([_ints([[top, 1], [0, 0]]), _ints([[top, 0], [0, 0]])], Fraction(1),
                     Poly.const(1), (2,))
-    got = fb.at_int(Fraction(2))
+    got = fb.at_ints([Fraction(2)])[0]
     assert got.dtype == path and _is_exact(got, _ints([[3 * top, 1], [0, 0]]))
     value = fb.at(Fraction(2)).mat
     assert mat_equal(value, _ints([[3 * top, 1], [0, 0]])) and type(value[0, 0]) is Fraction
