@@ -156,10 +156,6 @@ class Poly:
             acc = acc * xa + Poly.const(c)
         return acc
 
-    def compose_neg(self) -> "Poly":
-        """Return p(-x)."""
-        return Poly(tuple(c if i % 2 == 0 else -c for i, c in enumerate(self.coeffs)))
-
     def valuation(self) -> int:
         """Index of the lowest nonzero coefficient (0 for the zero polynomial)."""
         for i, c in enumerate(self.coeffs):
@@ -294,10 +290,6 @@ class RatFunc:
         if d == 0:
             raise PoleAtPoint(f"denominator vanishes at {a}")
         return self.num.eval(a) / d
-
-    def subs_neg(self) -> "RatFunc":
-        """Return f(-x)."""
-        return RatFunc(self.num.compose_neg(), self.den.compose_neg())
 
     def laurent_at(self, a, count: int) -> tuple[int, list[Fraction]]:
         """Laurent expansion around x = a: minimal exponent and `count` coefficients."""

@@ -27,9 +27,12 @@ Four layers, all exact:
 * One certified echelon, echelon(A): the leftmost pivot columns of A over Q
   and the exact coefficients of the other columns in them.  Modular RREF
   proposes both, rational reconstruction (Wang, Guy & Davenport) over CRT
-  lifts the coefficients and one integer product proves the lift; Fraction
-  RREF decides when no prime gives a verified lift.  Ranks, nullspaces,
-  inverses and basis solves are all read off it.
+  lifts the coefficients and one integer product proves the lift.  Primes
+  are drawn until a lift is proven, with no cap: a reconstruction is tried
+  at 1, 2, 4, 8, ... agreeing primes, and once the primes drawn multiply to
+  more than twice the cube of the Hadamard bound a correct lift must have
+  been proven, so a failure there is InternalInconsistency.  Ranks,
+  nullspaces, inverses and basis solves are all read off it.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InternalInconsistency
 
 
 def fzeros(shape) -> np.ndarray:
@@ -154,9 +157,9 @@ def _residue_primes(width: int):
         i += 1
 
 
-# The echelon's CRT primes, the twelve largest below 2^21 (product about
-# 2^252); the phi witness and Burnside growth take the first ones.
-_PRIMES = tuple(islice(_residue_primes(21), 12))
+# The three largest primes below 2^21, the first of the sequence echelon
+# draws from: the phi witness takes the first and Burnside growth all three.
+_PRIMES = tuple(islice(_residue_primes(21), 3))
 
 # float64 holds every integer below 2^53 exactly
 _FLOAT_EXACT = 1 << 53
@@ -311,37 +314,6 @@ class ScaledIntMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Fraction Gaussian elimination (the fallback of echelon)
-
-def fraction_rref(A: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form over Fraction, with pivot column list."""
-    M = A.copy()
-    rows, cols = M.shape
-    piv_row = 0
-    pivots: list[int] = []
-    for c in range(cols):
-        sel = None
-        for i in range(piv_row, rows):
-            if M[i, c] != 0:
-                sel = i
-                break
-        if sel is None:
-            continue
-        if sel != piv_row:
-            M[[sel, piv_row]] = M[[piv_row, sel]]
-        inv = Fraction(1) / Fraction(M[piv_row, c])
-        M[piv_row] = M[piv_row] * inv
-        for i in range(rows):
-            if i != piv_row and M[i, c] != 0:
-                M[i] = M[i] - M[i, c] * M[piv_row]
-        pivots.append(c)
-        piv_row += 1
-        if piv_row == rows:
-            break
-    return M, pivots
-
-
-# ---------------------------------------------------------------------------
 # certified echelon
 
 def _modp_rref(M: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
@@ -472,26 +444,27 @@ def _free_columns(pivots: list[int], cols: int) -> list[int]:
     return [c for c in range(cols) if c not in taken]
 
 
-def _lift(residues: np.ndarray, modulus: int, pivots, free, prev) -> tuple[np.ndarray, bool]:
-    """Rational reconstruction of the RREF coefficients: (C, True) with C
-    the Fractions, or (C, False) when some entry has none (None in C, to
-    be reconstructed at the next modulus).  Entries left of their row's
-    pivot are zero in any RREF and are set so here.
+def _lift(residues: np.ndarray, modulus: int, pivots, free) -> np.ndarray | None:
+    """Rational reconstruction of the RREF coefficients: C as Fractions,
+    or None at the first entry that has none.  Entries left of their row's
+    pivot are zero in any RREF and are set so here."""
+    zero = (np.array(free)[None, :] < np.array(pivots)[:, None]).ravel().tolist()
+    C = []
+    for v, z in zip(residues.ravel().tolist(), zero):
+        q = Fraction(0) if z else _rat_reconstruct(v, modulus)
+        if q is None:
+            return None
+        C.append(q)
+    return np.array(C, dtype=object).reshape(residues.shape)
 
-    ``prev`` is the C of the previous modulus of the same CRT (which divides
-    this one), or None.  An entry whose lift q there satisfies
-    q.num = r * q.den mod the new modulus is kept: q meets the bounds of the
-    larger modulus too, and a reconstruction within those bounds is unique,
-    so no other value could come back.  Only the other entries, the open
-    ones, are reconstructed."""
-    C = np.full(residues.shape, None, dtype=object) if prev is None else prev.copy()
-    C[np.array(free)[None, :] < np.array(pivots)[:, None]] = Fraction(0)
-    vals = residues.ravel().tolist()
-    open_ = [i for i, (q, v) in enumerate(zip(C.ravel().tolist(), vals))
-             if q is None or (q.numerator - v * q.denominator) % modulus]
-    for i in open_:
-        C.flat[i] = _rat_reconstruct(vals[i], modulus)
-    return C, all(C.flat[i] is not None for i in open_)
+
+def _hadamard_bound(M: np.ndarray) -> int:
+    """An integer at least |det| of every square submatrix of the integer
+    matrix M: the product of the Euclidean norms of its rows, or of its
+    columns, each taken at least 1, whichever is smaller, rounded up."""
+    sq = M.astype(object) ** 2
+    prods = [math.prod(max(1, v) for v in sq.sum(axis=a).tolist()) for a in (0, 1)]
+    return math.isqrt(min(prods) - 1) + 1
 
 
 def relation_holds(M: np.ndarray, pivots, free, C: np.ndarray) -> bool:
@@ -516,44 +489,61 @@ def echelon(A: np.ndarray) -> tuple[list[int], np.ndarray]:
 
     A is cleared once to an integer matrix M, so no prime divides a
     denominator, and is int64 when certified (the int64 rule) for its
-    residues and the integer check.  Modular RREF of M proposes the pivots
-    and C; CRT and rational reconstruction lift C, and one integer product
-    proves it.  The
-    proof: pivot columns independent mod p are independent over Q, and C is
-    zero left of each pivot, so every free column lies in the span of the
-    pivot columns to its left; the verified pivots are therefore the
-    leftmost basis of the column space.  Without free columns the nonzero
-    pivot minor mod p is the whole proof.  Each prefix of columns has a rank
-    mod p at most its rank over Q, so more pivots, then earlier ones, are
-    nearer the true ones: a prime with fewer or later pivots than one seen
-    before is unlucky and skipped, and a better one restarts the CRT.  When
-    no prime gives a verified lift, Fraction RREF decides.
+    residues and the integer check.  Modular RREF of M, at the primes below
+    2^21 in turn, proposes the pivots and C; CRT and rational
+    reconstruction lift C, and one integer product proves it.  The proof:
+    pivot columns independent mod p are independent over Q, and C is zero
+    left of each pivot, so every free column lies in the span of the pivot
+    columns to its left; the verified pivots are therefore the leftmost
+    basis of the column space.  Without free columns the nonzero pivot
+    minor mod p is the whole proof.  Each prefix of columns has a rank mod p
+    at most its rank over Q, so more pivots, then earlier ones, are nearer
+    the true ones: a prime with fewer or later pivots than one seen before
+    is unlucky and skipped, and a better one restarts the CRT.
+
+    A lift is tried when the count of primes that agree on the pivots
+    reaches 1, 2, 4, 8, ..., so the reconstructions cost at most about
+    twice those of the last one.  After the first failed try, H is the
+    Hadamard bound of M: every minor of M is at most H.  A prime is unlucky
+    only if it divides a nonzero pivot minor, so the unlucky primes multiply
+    to at most H.  Every entry of C is a ratio of two minors, so at most H
+    above and below, and reconstruction recovers it once the agreeing
+    primes multiply to more than 2 H^2.  Once all the primes drawn multiply
+    to more than 2 H^3, the agreeing ones do, and a lift is tried there
+    whatever the count: if it fails the integer check, the modular and the
+    exact arithmetic disagree, and InternalInconsistency is raised.
     """
     cols = A.shape[1]
     M = A if A.dtype.kind in "iu" else to_int_scaled(A)[0]
     M = certified(M, max_abs(M))
     best: list[int] | None = None
-    residues, modulus, C = None, 1, None
-    for p in _PRIMES:
+    drawn, limit = 1, None
+    for p in _residue_primes(21):
+        drawn *= p
         pivots, R = _modp_rref((M % p).astype(np.float64), p)
         if best is None or (-len(pivots), pivots) < (-len(best), best):
-            best, residues, modulus, C = pivots, None, 1, None
-        if pivots != best:
-            continue
-        free = _free_columns(pivots, cols)
-        if not free:
-            return pivots, np.empty((len(pivots), 0), dtype=object)
-        vals = R[: len(pivots)][:, free].astype(np.int64).astype(object)  # ints for the CRT
-        if residues is None:
-            residues = vals
-        else:
-            residues = residues + modulus * ((vals - residues) * pow(modulus, -1, p) % p)
-        modulus *= p
-        C, lifted = _lift(residues, modulus, pivots, free, C)
-        if lifted and relation_holds(M, pivots, free, C):
-            return pivots, C
-    R, pivots = fraction_rref(M.astype(object))
-    return pivots, R[: len(pivots)][:, _free_columns(pivots, cols)]
+            best, free, residues, modulus, agree = pivots, _free_columns(pivots, cols), None, 1, 0
+            if not free:
+                return pivots, np.empty((len(pivots), 0), dtype=object)
+        if pivots == best:
+            vals = R[: len(pivots)][:, free].astype(np.int64).astype(object)  # ints for the CRT
+            if residues is None:
+                residues = vals
+            else:
+                residues = residues + modulus * ((vals - residues) * pow(modulus, -1, p) % p)
+            modulus *= p
+            agree += 1
+        if (limit is not None and drawn > limit) or (pivots == best and agree & (agree - 1) == 0):
+            C = _lift(residues, modulus, best, free)
+            if C is not None and relation_holds(M, best, free, C):
+                return best, C
+            if limit is None:
+                limit = 2 * _hadamard_bound(M) ** 3
+            if drawn > limit:
+                raise InternalInconsistency(
+                    f"no verified lift over {drawn.bit_length()}-bit primes, past the "
+                    f"{limit.bit_length()}-bit bound 2 H^3 that a correct lift meets")
+    raise DimensionMismatch("the primes below 2^21 do not reach the Hadamard bound")
 
 
 def rank_exact(A: np.ndarray) -> int:

@@ -19,7 +19,8 @@ import numpy as np
 
 from twistfusion import irreducibility, linalg, repmatrix
 from twistfusion.cli import main as cli_main
-from twistfusion.diagrams import SkewDiagram, column_tableau, enumerate_skew, parse_skew, sharp
+from skew_shapes import enumerate_skew
+from twistfusion.diagrams import SkewDiagram, column_tableau, parse_skew, sharp
 from twistfusion.fusion import fusion_operator, verify_fusion_invariants
 from twistfusion.irreducibility import random_offwall, verdict
 from twistfusion.linalg import mat_equal

@@ -1,4 +1,6 @@
+import itertools
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twistfusion import linalg
-from twistfusion.errors import DimensionMismatch
+from twistfusion.errors import DimensionMismatch, InternalInconsistency
 from twistfusion.tensor import Basis
 
 
@@ -19,19 +21,28 @@ def _thirds_of_rank_60() -> np.ndarray:
     return np.vectorize(lambda v: Fraction(int(v), 3), otypes=[object])(np.vstack([top, low]))
 
 
-def _count_fallbacks(monkeypatch) -> list:
-    calls = []
-    original = linalg.fraction_rref
-
-    def counting(A):
-        calls.append(A.shape)
-        return original(A)
-
-    monkeypatch.setattr(linalg, "fraction_rref", counting)
-    return calls
-
-
-_fraction_rref = linalg.fraction_rref  # the reference, whatever a test patches
+def _fraction_rref(A: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """The reference: reduced row echelon form over Fraction, with the pivot
+    column list."""
+    M = A.copy()
+    rows, cols = M.shape
+    piv_row = 0
+    pivots: list[int] = []
+    for c in range(cols):
+        sel = next((i for i in range(piv_row, rows) if M[i, c] != 0), None)
+        if sel is None:
+            continue
+        if sel != piv_row:
+            M[[sel, piv_row]] = M[[piv_row, sel]]
+        M[piv_row] = M[piv_row] * (Fraction(1) / Fraction(M[piv_row, c]))
+        for i in range(rows):
+            if i != piv_row and M[i, c] != 0:
+                M[i] = M[i] - M[i, c] * M[piv_row]
+        pivots.append(c)
+        piv_row += 1
+        if piv_row == rows:
+            break
+    return M, pivots
 
 
 def _reference(A: np.ndarray):
@@ -49,14 +60,36 @@ def _assert_matches_reference(A: np.ndarray):
     return pivots, C
 
 
+def _record_echelon(monkeypatch) -> tuple[list, list]:
+    """The primes echelon draws and the modulus of each reconstruction it
+    tries: rebinds _modp_rref and _lift."""
+    primes, moduli = [], []
+    rref, lift = linalg._modp_rref, linalg._lift
+
+    def counting_rref(M, p):
+        primes.append(p)
+        return rref(M, p)
+
+    def counting_lift(residues, modulus, *args):
+        moduli.append(modulus)
+        return lift(residues, modulus, *args)
+
+    monkeypatch.setattr(linalg, "_modp_rref", counting_rref)
+    monkeypatch.setattr(linalg, "_lift", counting_lift)
+    return primes, moduli
+
+
 def test_rank_exact_when_every_prime_divides_a_denominator(monkeypatch):
+    # the first prime drawn is 3, which divides every denominator of A: mod
+    # 3 the entries of C cannot be reconstructed, and the later primes decide
     A = _thirds_of_rank_60()
-    monkeypatch.setattr(linalg, "_PRIMES", (3,))
-    calls = _count_fallbacks(monkeypatch)
+    residue_primes = linalg._residue_primes
+    monkeypatch.setattr(linalg, "_residue_primes",
+                        lambda width: itertools.chain([3], residue_primes(width)))
+    primes, _ = _record_echelon(monkeypatch)
     assert linalg.rank_exact(A) == 60
     assert linalg.rank_exact(A.T.copy()) == 60
-    # mod 3 the entries of C cannot be reconstructed, so Fraction RREF decided
-    assert len(calls) == 2
+    assert primes.count(3) == 2 and len(primes) > 2
 
 
 _entries = st.one_of(
@@ -179,17 +212,23 @@ _P0 = linalg._PRIMES[0]
     [[1, 1, 2], [1, 1 + _P0, 2 + _P0]],  # rank 1 mod the first prime, 2 over Q
     [[1, 1, 0], [0, _P0, 1]],  # rank 2 mod it, but pivots [0, 2], not [0, 1]
 ])
-def test_unlucky_first_prime(rows, monkeypatch):
+def test_unlucky_first_prime(rows):
     A = np.array(rows, dtype=object)
-    calls = _count_fallbacks(monkeypatch)
     pivots, _ = _assert_matches_reference(A)
     assert pivots == [0, 1]
-    assert calls == []  # a later prime gave the verified lift
 
 
 def test_perturbed_lift_is_rejected(monkeypatch):
     A = np.array([[2, 4, 1, 3], [1, 2, Fraction(1, 2), 5], [3, 6, Fraction(3, 2), 8]],
                  dtype=object)
+    M, _ = linalg.to_int_scaled(A)
+    H = linalg._hadamard_bound(M)
+    # H bounds every minor of M
+    for k in (1, 2, 3):
+        for rows in itertools.combinations(range(3), k):
+            for cols in itertools.combinations(range(4), k):
+                sub = M[np.ix_(rows, cols)].astype(float)
+                assert abs(round(np.linalg.det(sub))) <= H
     original = linalg._rat_reconstruct
 
     def perturbed(a, m):
@@ -197,37 +236,60 @@ def test_perturbed_lift_is_rejected(monkeypatch):
         return None if q is None else q + Fraction(1, 7)
 
     monkeypatch.setattr(linalg, "_rat_reconstruct", perturbed)
-    calls = _count_fallbacks(monkeypatch)
-    pivots, _ = _assert_matches_reference(A)
-    assert pivots == [0, 3]
-    assert calls == [A.shape]  # the integer check refused every lift
+    primes, _ = _record_echelon(monkeypatch)
+    t0 = time.perf_counter()
+    with pytest.raises(InternalInconsistency):
+        linalg.echelon(A)
+    assert time.perf_counter() - t0 < 1.0
+    # the integer check refused every lift, and echelon stopped at the first
+    # prime past the bound 2 H^3
+    assert math.prod(primes[:-1]) <= 2 * H**3 < math.prod(primes)
 
 
-def test_lift_keeps_entries_confirmed_by_a_later_prime(monkeypatch):
-    # every coefficient of A = [1 | C] lifts at the first prime but the last,
-    # (2^60 + 1) / 3, which needs six primes of 21 bits: the first lifts are
-    # kept (each congruent to the later residues), so only the last entry is
-    # reconstructed again
+def _doubling_moduli(primes: list) -> list:
+    """The moduli of the CRT over primes at 1, 2, 4, ... of them."""
+    return [math.prod(primes[:k]) for k in range(1, len(primes) + 1) if k & (k - 1) == 0]
+
+
+def test_lift_is_tried_at_doubling_counts_of_agreeing_primes(monkeypatch):
+    # A = [1 | C]: every coefficient lifts at the first prime but the last,
+    # (2^60 + 1) / 3, which needs six primes of 21 bits; reconstruction is
+    # tried at 1, 2, 4 and 8 primes, and the last try is exact
     C = np.array([[Fraction(k - 7, k % 5 + 1) for k in range(4)] for _ in range(6)], dtype=object)
     C[-1, -1] = Fraction(2**60 + 1, 3)
     A = np.concatenate([linalg.feye(6), C], axis=1)
-    calls, primes = [], []
-    original, rref = linalg._rat_reconstruct, linalg._modp_rref
-
-    def counting(a, m):
-        calls.append(m)
-        return original(a, m)
-
-    def counting_rref(M, p):
-        primes.append(p)
-        return rref(M, p)
-
-    monkeypatch.setattr(linalg, "_rat_reconstruct", counting)
-    monkeypatch.setattr(linalg, "_modp_rref", counting_rref)
+    primes, moduli = _record_echelon(monkeypatch)
     pivots, lifted = linalg.echelon(A)
     assert pivots == list(range(6)) and linalg.mat_equal(lifted, C)
-    assert len(primes) == 6
-    assert len(calls) == C.size - 1 + len(primes)
+    assert len(primes) == 8 and moduli == _doubling_moduli(primes)
+
+
+def test_echelon_decides_past_twelve_primes(monkeypatch):
+    # (2^300 + 1) / 3 needs primes whose product passes 2 (2^300 + 1)^2:
+    # 29 of 21 bits, more than the twelve primes past which echelon once
+    # fell back to Fraction elimination; the lift is tried at 1, 2, 4, 8, 16
+    # and 32 agreeing primes, and no more are drawn
+    C = np.array([[Fraction(2**300 + 1, 3), Fraction(-5, 2)], [Fraction(7), Fraction(1, 3)]],
+                 dtype=object)
+    A = np.concatenate([linalg.feye(2), C], axis=1)
+    primes, moduli = _record_echelon(monkeypatch)
+    _assert_matches_reference(A)
+    need = next(k for k in itertools.count(1)
+                if math.prod(itertools.islice(linalg._residue_primes(21), k)) > 2 * (2**300 + 1)**2)
+    assert 12 < need <= len(primes) <= 1 << (need - 1).bit_length()
+    assert moduli == _doubling_moduli(primes)
+
+
+def test_echelon_matches_the_reference_on_wide_random_matrices():
+    # the 40 x 60 matrices of rank 40 that tools/scale_probe.py --stages
+    # echelon times: the lift stops at a doubling count or at the bound
+    # 2 H^3, and equals Fraction elimination either way
+    rng = np.random.default_rng(1)
+    for bits in (20, 30, 40):
+        A = rng.integers(-(1 << bits), 1 << bits, size=(40, 60), endpoint=True)
+        pivots, C = linalg.echelon(A)
+        ref_pivots, ref_C = _reference(A.astype(object))
+        assert pivots == ref_pivots == list(range(40)) and linalg.mat_equal(C, ref_C)
 
 
 @pytest.mark.parametrize("inner", [1, 27, 300])
@@ -415,31 +477,3 @@ def test_echelon_residues_int64_boundary(top, path, monkeypatch):
     monkeypatch.setattr(linalg, "relation_holds", recording)
     pivots, C = _assert_matches_reference(A)
     assert pivots == [0, 1] and seen == [path]
-
-
-def test_lift_reconstructs_only_the_open_entries(monkeypatch):
-    # A = [1 | C] with coefficients that need one to four primes: each
-    # prime reconstructs exactly the entries no earlier prime lifted, and
-    # keeps the others
-    primes = linalg._PRIMES
-    need = [1, 2, 3, 4, 1, 2, 1, 1]
-    heights = [math.isqrt(math.prod(primes[:k]) // 2) for k in range(5)]
-    C = np.array([[Fraction(heights[k - 1] + 1 + j) for k in need] for j in range(3)], dtype=object)
-    A = np.concatenate([linalg.feye(3), C], axis=1)
-    calls, moduli = [], []
-    original, rref = linalg._rat_reconstruct, linalg._modp_rref
-
-    def counting(a, m):
-        calls.append(m)
-        return original(a, m)
-
-    def counting_rref(M, p):
-        moduli.append(math.prod(moduli[-1:]) * p)
-        return rref(M, p)
-
-    monkeypatch.setattr(linalg, "_rat_reconstruct", counting)
-    monkeypatch.setattr(linalg, "_modp_rref", counting_rref)
-    pivots, lifted = linalg.echelon(A)
-    assert pivots == [0, 1, 2] and linalg.mat_equal(lifted, C)
-    assert len(moduli) == 4
-    assert [calls.count(m) for m in moduli] == [3 * sum(k > i for k in need) for i in range(4)]

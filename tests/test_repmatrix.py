@@ -11,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from twistfusion.diagrams import SkewDiagram, column_tableau, enumerate_skew, parse_skew, sharp
+from skew_shapes import enumerate_skew
+from twistfusion.diagrams import SkewDiagram, column_tableau, parse_skew, sharp
 from twistfusion.errors import BoxCapExceeded, ShapeTooTall, SingularParameter
 from twistfusion.exactnum import Poly, RatFunc
 from twistfusion import cli, fusion, linalg, repmatrix, tensor
@@ -1313,12 +1314,19 @@ def _entrywise_series(op, K):
     return frames
 
 
+def _at_minus_u(f) -> RatFunc:
+    """f(-u) for a RatFunc or a constant f."""
+    f = RatFunc.coerce(f)
+    return RatFunc(*(Poly(tuple(c if i % 2 == 0 else -c for i, c in enumerate(p.coeffs)))
+                     for p in (f.num, f.den)))
+
+
 def _s_generators_ratfunc(Z, K):
     """The RatFunc route, kept as an oracle: T(u) as a RatFunc matrix, the
     transposed T(-u), each entry expanded at infinity, and the Fraction
     Cauchy product of the two expansions."""
     T = t_action(Z)
-    Tt = transpose_legs(T.map_entries(lambda f: RatFunc.coerce(f).subs_neg()), {1}, Z.form)
+    Tt = transpose_legs(T.map_entries(_at_minus_u), {1}, Z.form)
     A = _entrywise_series(Tt, K)
     B = _entrywise_series(T, K)
     return [sum(linalg.fdot(A[a], B[k - a]) for a in range(k + 1)) for k in range(K + 1)]

@@ -50,6 +50,11 @@ them:
     decided by the exact float64 kernel and by residue kernels, and how many
     residue kernels (primes) those pairs took in all, counted per pair
     although one call decides them all;
+  * ``echelon``: once, after the modules, ``linalg.echelon`` on three 40 x
+    60 integer matrices of rank 40 with entries uniform in +-2^20, +-2^30
+    and +-2^40, drawn in that order from ``np.random.default_rng(1)``: the
+    median of ECHELON_RUNS times of each, the primes a run draws and the
+    reconstructions it tries (``_modp_rref`` and ``_lift`` calls);
   * ``scan``: once, after the modules, ``cli.main`` running ``scan --jobs 2``
     and then ``scan --jobs 1`` over the 4 points of SCAN_GRID on the dim-9
     shape so3 ``1,1;1,1``, each twice in this process.  The first ``--jobs
@@ -91,7 +96,10 @@ from contextlib import redirect_stdout
 from fractions import Fraction
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-STAGES = ("phi", "rank", "witness", "burnside", "wall", "commutant", "relations", "scan")
+STAGES = ("phi", "rank", "witness", "burnside", "wall", "commutant", "relations", "echelon",
+          "scan")
+# the stages that run once, not per module
+ONCE = ("echelon", "scan")
 # (form, N, modules, a second point of the shape for the warm lines, the
 # stages the module runs: None for all)
 MODULES = (("so", 3, "1,1:-1/3;1,1:1/5", "1,1:2/7;1,1:-3/11", None),
@@ -103,6 +111,8 @@ MODULES = (("so", 3, "1,1:-1/3;1,1:1/5", "1,1:2/7;1,1:-3/11", None),
 WALL_RUNS = 20
 SCAN_GRID = "-1/3,2/7;1/5,-3/11"
 SCAN_RUNS = 10
+ECHELON_BITS = (20, 30, 40)
+ECHELON_RUNS = 3
 
 
 def _record_kernels(repmatrix) -> Counter:
@@ -340,6 +350,38 @@ def probe(tf, kind: str, N: int, modules: str, warm, stages, counts: Counter,
                   f"{counts[rel, 'residue']:4d} residue samples ({counts[rel, 'primes']} primes)")
 
 
+def echelon_probe(linalg) -> None:
+    """Median of ECHELON_RUNS times of ``echelon`` on a 40 x 60 integer
+    matrix per entry width in ECHELON_BITS, with the primes and the
+    reconstructions of a run: rebinds ``_modp_rref`` and ``_lift`` of
+    ``linalg`` while it runs."""
+    import numpy as np
+
+    counts: Counter = Counter()
+    rref, lift = linalg._modp_rref, linalg._lift
+
+    def counted(name, fn):
+        def run(*args):
+            counts[name] += 1
+            return fn(*args)
+        return run
+
+    linalg._modp_rref, linalg._lift = counted("primes", rref), counted("lifts", lift)
+    rng = np.random.default_rng(1)
+    print(f"echelon of 40 x 60 integer matrices, median of {ECHELON_RUNS}", flush=True)
+    for bits in ECHELON_BITS:
+        A = rng.integers(-(1 << bits), 1 << bits, size=(40, 60), endpoint=True)
+        times = []
+        for _ in range(ECHELON_RUNS):
+            counts.clear()
+            t0 = time.perf_counter()
+            pivots, _ = linalg.echelon(A)
+            times.append(time.perf_counter() - t0)
+        print(f"  entries +-2^{bits}: {sorted(times)[len(times) // 2]:.3f} s, rank {len(pivots)}, "
+              f"{counts['primes']} primes, {counts['lifts']} reconstructions tried", flush=True)
+    linalg._modp_rref, linalg._lift = rref, lift
+
+
 def scan_probe(tf, cli) -> None:
     argv = ["scan", "--n", "3", "--form", "so", "--modules", "1,1;1,1", f"--grid={SCAN_GRID}",
             "--json"]
@@ -404,11 +446,12 @@ def main(argv=None) -> int:
     matmuls = _record_matmuls(tf.linalg, (tf.tensor, tf.repmatrix, tf.irreducibility))
     seen = _record_witness(tf.irreducibility)
     spent = _record_burnside(tf.irreducibility)
-    if set(stages) - {"scan"}:
-        for kind, N, modules, warm, only in MODULES:
-            run = [s for s in stages if s in (only or set(STAGES) - {"wall"})]
-            if run:
-                probe(tf, kind, N, modules, warm, run, counts, matmuls, seen, spent, split)
+    for kind, N, modules, warm, only in MODULES:
+        run = [s for s in stages if s in (only or set(STAGES) - {"wall", *ONCE})]
+        if run:
+            probe(tf, kind, N, modules, warm, run, counts, matmuls, seen, spent, split)
+    if "echelon" in stages:
+        echelon_probe(tf.linalg)
     if "scan" in stages:
         scan_probe(tf, cli)
     return 0
