@@ -251,17 +251,59 @@ def _doubling_moduli(primes: list) -> list:
     return [math.prod(primes[:k]) for k in range(1, len(primes) + 1) if k & (k - 1) == 0]
 
 
-def test_lift_is_tried_at_doubling_counts_of_agreeing_primes(monkeypatch):
+def _record_reconstructions(monkeypatch) -> list:
+    """The (modulus, result) of every _rat_reconstruct call: rebinds it."""
+    calls = []
+    original = linalg._rat_reconstruct
+
+    def recording(a, m):
+        q = original(a, m)
+        calls.append((m, q))
+        return q
+
+    monkeypatch.setattr(linalg, "_rat_reconstruct", recording)
+    return calls
+
+
+def test_lift_keeps_entries_confirmed_by_a_later_prime(monkeypatch):
     # A = [1 | C]: every coefficient lifts at the first prime but the last,
     # (2^60 + 1) / 3, which needs six primes of 21 bits; reconstruction is
-    # tried at 1, 2, 4 and 8 primes, and the last try is exact
+    # tried at 1, 2, 4 and 8 primes, every try lifts each other entry to its
+    # value in C, and the last try is exact
     C = np.array([[Fraction(k - 7, k % 5 + 1) for k in range(4)] for _ in range(6)], dtype=object)
     C[-1, -1] = Fraction(2**60 + 1, 3)
     A = np.concatenate([linalg.feye(6), C], axis=1)
     primes, moduli = _record_echelon(monkeypatch)
+    calls = _record_reconstructions(monkeypatch)
     pivots, lifted = linalg.echelon(A)
     assert pivots == list(range(6)) and linalg.mat_equal(lifted, C)
     assert len(primes) == 8 and moduli == _doubling_moduli(primes)
+    entries = C.ravel().tolist()
+    for m in moduli:
+        lifts = [q for n, q in calls if n == m]
+        assert lifts[:-1] == entries[:-1]
+    assert [q for _, q in calls[-len(entries):]] == entries
+    assert [q for m, q in calls if m != moduli[-1]][-1] is None
+
+
+def test_lift_reconstructs_only_the_open_entries(monkeypatch):
+    # A = [1 | C] with coefficients that need one to four primes: a try
+    # reconstructs the entries in order and stops at the first one still
+    # open (no lift at its modulus), so none past it is reconstructed; the
+    # tries at 1 and 2 primes stop there, the one at 4 lifts all of C
+    primes = list(itertools.islice(linalg._residue_primes(21), 4))
+    need = [1, 2, 3, 4, 1, 2, 1, 1]
+    heights = [math.isqrt(math.prod(primes[:k]) // 2) for k in range(5)]
+    C = np.array([[Fraction(heights[k - 1] + 1 + j) for k in need] for j in range(3)], dtype=object)
+    A = np.concatenate([linalg.feye(3), C], axis=1)
+    drawn, moduli = _record_echelon(monkeypatch)
+    calls = _record_reconstructions(monkeypatch)
+    pivots, lifted = linalg.echelon(A)
+    assert pivots == [0, 1, 2] and linalg.mat_equal(lifted, C)
+    assert drawn == primes and moduli == _doubling_moduli(primes)
+    for k, m in zip((1, 2, 4), moduli):
+        first_open = next((i for i, n in enumerate(need * 3) if n > k), C.size - 1)
+        assert sum(n == m for n, _ in calls) == first_open + 1
 
 
 def test_echelon_decides_past_twelve_primes(monkeypatch):
