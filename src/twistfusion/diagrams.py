@@ -73,7 +73,9 @@ class SkewDiagram:
         return j in self.row_span(i)
 
     def column_height(self, j: int) -> int:
-        return sum(1 for i in range(1, self.n_rows + 1) if self.has_box(i, j))
+        """Boxes in column j: the rows with lambda_i >= j less those with
+        mu_i >= j (both sequences decrease, and mu <= lambda)."""
+        return sum(x >= j for x in self.lam) - sum(x >= j for x in self.mu)
 
     def max_column_height(self) -> int:
         return max((self.column_height(j) for j in range(1, self.n_cols + 1)), default=0)

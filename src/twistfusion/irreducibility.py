@@ -12,15 +12,18 @@ is the same over Q and over C.
    module is irreducible, algebra_dim is d^2 and nothing else runs.  This is
    the witness of the main theorem, and every off-wall point has it.
    It is read from one residue (phi_witness): the product of each block's
-   lowest nonzero frame mod one prime p, from residues of the cached
-   argument blocks (term_residue), is the family's coefficient at order
-   o = sum of frame orders minus the denominators' valuations.  A nonzero
-   residue proves the order o; rank cannot rise mod p, so rank d^2 mod p
-   proves phi surjective, and the exact frame product and rank do not run.
-   Any other residue (zero where a block residue cannot tell its lowest
-   frame) takes the exact path.  A scan takes the witnesses of all its
-   points in one batch (phi_witnesses, one stacked residue product and one
-   stacked rank per slice of modules) and hands each to its verdict.
+   lowest nonzero frame mod one prime p is the family's coefficient at
+   order o = sum of frame orders minus the denominators' valuations.  What
+   that needs per shape (the frames mod p, the leg permutations and the
+   certified blocks of the contraction) is a WitnessPlan, built once per
+   shape and cached; per point it takes the terms' arguments, one product
+   for every lowest frame, the leg contractions and one blocked rank.  A
+   nonzero residue proves the order o; rank cannot rise mod p, so rank d^2
+   mod p proves phi surjective, and the exact frame product and rank do
+   not run.  Any other residue (zero where a block residue cannot tell its
+   lowest frame) takes the exact path.  A scan takes the witnesses of all
+   its points in one batch (phi_witnesses, one residue stack and one rank
+   stack per slice of modules) and hands each to its verdict.
 2. Otherwise Burnside growth decides: words in the residues of the integer
    blocks of S_1 .. S_2n (n boxes; default_truncation shows that they span
    every coefficient) modulo a prime below 2^21, the leftmost independent
@@ -60,7 +63,6 @@ from .linalg import (
     nullspace_exact,
     primitive_part,
     rank_exact,
-    rank_mod_p,
     reduce_mod,
     relation_holds,
     to_int_scaled,
@@ -72,8 +74,7 @@ from .repmatrix import (
     s_factors,
     s_sums,
     swz_frame_blocks,
-    swz_term_lists,
-    term_residue,
+    witness_plan,
 )
 from .tensor import contraction_map_matrix
 
@@ -136,22 +137,22 @@ _WITNESS_BATCH = 2**20
 def phi_witnesses(Zs) -> list[tuple[int, int]]:
     """phi_witness of each module of ``Zs``, all of one shape (form and
     diagrams), in slices of _WITNESS_BATCH entries: each slice takes one
-    term_residue and one rank_mod_p on the stacks of its modules."""
+    residue stack and one rank stack from the shape's WitnessPlan."""
     if not Zs:
         return []
-    dZ, dims, p = Zs[0].dimZ, Zs[0].factor_dims * 2, _WITNESS_PRIME
-    step = max(1, _WITNESS_BATCH // math.prod(dims) ** 2)
+    plan, p = witness_plan(Zs[0]), _WITNESS_PRIME
+    step = max(1, _WITNESS_BATCH // plan.D**2)
     out = []
     for lo in range(0, len(Zs), step):
-        orders, coeffs = term_residue(swz_term_lists(Zs[lo:lo + step]), dims, p)
-        out += zip(orders, rank_mod_p(contraction_map_matrix(coeffs, dZ, dZ), p))
+        orders, R = plan.residues([plan.arguments(Z) for Z in Zs[lo:lo + step]], p)
+        out += zip(orders, plan.ranks(R, p))
     return out
 
 
 def phi_witness(Z: FusedModuleSpec) -> tuple[int, int]:
     """(o, r) from one residue modulo _WITNESS_PRIME p: o the Laurent order
-    of the family if its coefficient there is nonzero (term_residue), r the
-    rank mod p of that coefficient's contraction.
+    of the family if its coefficient there is nonzero (WitnessPlan.residues),
+    r the rank mod p of that coefficient's contraction (WitnessPlan.ranks).
 
     r > 0 proves that the order is o.  Rank cannot rise under reduction mod
     p, so r = (dim Z)^2 proves that phi is surjective: then (o, r) is

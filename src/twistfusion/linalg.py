@@ -347,65 +347,48 @@ def _modp_rref(M: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
     return pivots, M
 
 
-def stacked_blocks(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(S, owner): the blocks of the residue matrices of a stack A (nonzero
-    exactly where nonzero mod p; a matrix is a stack of one), one per
-    connected component of the bipartite nonzero pattern, rows and columns
-    in order, zero-padded into the (G, m, n) float64 array S, and the index
-    in A of each block's matrix.  The
-    matrices of a stack share no row or column, so one pass of label
-    propagation with pointer jumping finds the components of all of them."""
-    M = np.asarray(A, dtype=np.float64)
-    M = M[None] if M.ndim == 2 else M
-    P, m, n = M.shape
-    flat = np.flatnonzero(M)
-    if not flat.size:
-        return np.zeros((1, 0, 0)), np.zeros(1, dtype=np.int64)
-    gr, j = np.divmod(flat, n)  # rows of the stack, in order; columns
-    gc = j if P == 1 else gr // m * n + j
-    r = np.concatenate(([0], np.cumsum(gr[1:] != gr[:-1])))
-    used = np.zeros(P * n, dtype=bool)
-    used[gc] = True
-    c = np.cumsum(used)
-    rows, cols = int(r[-1]) + 1, int(c[-1])
-    c = c[gc] - 1
-    label, new = None, np.arange(rows)
+def support_blocks(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The connected components of the bipartite nonzero pattern of M, in
+    the order of their first rows, as the (G, m) rows and (G, n) columns of
+    each, ascending and padded with -1; rows and columns without a nonzero
+    are in none.  Label propagation with pointer jumping: each row takes the
+    least row label of its columns until none changes."""
+    r, c = np.nonzero(M)
+    label, new = None, np.arange(M.shape[0])
     while label is None or (new != label).any():
-        label, col = new, np.full(cols, rows)
+        label, col = new, np.full(M.shape[1], M.shape[0])
         np.minimum.at(col, c, label[r])
         new = label.copy()
         np.minimum.at(new, r, col[c])
         new = new[new]
-    group = np.cumsum(label == np.arange(rows)) - 1
-    G = int(group[-1]) + 1
-    owner = np.zeros(G, dtype=np.int64)
-    if P > 1:
-        owner[group[label[r]]] = gr // m
-    key = np.concatenate([group[label], G + group[col]])
-    counts = np.bincount(key)
-    pos = np.empty_like(key)
-    pos[np.argsort(key, kind="stable")] = np.arange(key.size) - np.repeat(
-        np.cumsum(counts) - counts, counts)
-    S = np.zeros((G, counts[:G].max(), counts[G:].max()))
-    S[key[r], pos[r], pos[rows + c]] = M.reshape(-1)[flat]
-    return S, owner
+    groups: dict = {}  # by root, the least row: in the order of first rows
+    for k, (used, root) in enumerate(((M.any(axis=1), label), (M.any(axis=0), col))):
+        roots = root.tolist()
+        for i in np.flatnonzero(used).tolist():
+            groups.setdefault(roots[i], ([], []))[k].append(i)
+    return tuple(_padded([g[k] for g in groups.values()]) for k in (0, 1))
 
 
-def rank_mod_p(A: np.ndarray, p: int):
-    """Rank modulo a prime p of a matrix of residues in (-p, p) (any
-    integer or integral float dtype): at most the rank over Q of any integer
+def _padded(lists: list) -> np.ndarray:
+    """The lists as the rows of an int64 array, padded with -1."""
+    width = max(map(len, lists), default=0)
+    padded = [x + [-1] * (width - len(x)) for x in lists]
+    return np.array(padded, dtype=np.int64).reshape(len(lists), width)
+
+
+def block_ranks_mod_p(S: np.ndarray, p: int) -> np.ndarray:
+    """The rank modulo a prime p of each matrix of a (G, m, n) float64
+    stack of residues in (-p, p): at most the rank over Q of any integer
     matrix it reduces, since a minor that vanishes over Z vanishes mod p.
-    For a stack of matrices, the list of their ranks.
 
-    The blocks of every matrix (stacked_blocks) are eliminated together
-    in float64, one column of each per step (Dumas, Giorgi & Pernet 2008),
-    pivoting on the column's entry of largest absolute value: row * pivot -
-    factor * pivot row needs no inverse, clears the column and the pivot
-    row, and is at most 2 (p - 1)^2 before reduce_mod.  DimensionMismatch
-    for a prime where that passes reduce_mod's bound (_reduce_bound)."""
+    The matrices are eliminated together, one column of each per step
+    (Dumas, Giorgi & Pernet 2008), pivoting on the column's entry of largest
+    absolute value: row * pivot - factor * pivot row needs no inverse,
+    clears the column and the pivot row, and is at most 2 (p - 1)^2 before
+    reduce_mod.  DimensionMismatch for a prime where that passes reduce_mod's
+    bound (_reduce_bound)."""
     if 2 * (p - 1) ** 2 > _reduce_bound(p):
         raise DimensionMismatch(f"eliminating residues mod {p} is not exact in float64")
-    S, owner = stacked_blocks(A)
     if S.shape[2] > S.shape[1]:
         S = S.transpose(0, 2, 1)
     g, pivots = np.arange(S.shape[0]), np.zeros((S.shape[2], S.shape[0]))
@@ -417,10 +400,7 @@ def rank_mod_p(A: np.ndarray, p: int):
         S = S[:, :, 1:] * np.where(pivot == 0, 1, pivot)[:, None, None]
         S -= col[:, :, None] * prow[:, None, :]
         S = reduce_mod(S, p)
-    ranks = np.count_nonzero(pivots, axis=0)
-    if np.ndim(A) == 2:
-        return int(ranks.sum())
-    return np.bincount(owner, weights=ranks, minlength=len(A)).astype(np.int64).tolist()
+    return np.count_nonzero(pivots, axis=0)
 
 
 def _rat_reconstruct(a: int, m: int) -> Fraction | None:

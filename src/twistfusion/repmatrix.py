@@ -39,6 +39,7 @@ from .errors import (
 from .exactnum import Poly, parse_rational
 from .linalg import (
     ScaledIntMatrix,
+    block_ranks_mod_p,
     certified,
     float_kernels,
     int_matmul,
@@ -48,6 +49,7 @@ from .linalg import (
     mod_matmul,
     primitive_part,
     reduce_mod,
+    support_blocks,
     to_int_scaled,
 )
 from .tensor import (
@@ -57,6 +59,7 @@ from .tensor import (
     MatrixLaurentSeries,
     TensorOperator,
     _WindowExhausted,
+    contraction_map_matrix,
     minus_flip_entries,
     restricted_chain,
     reversal_index,
@@ -85,7 +88,7 @@ class FusedModuleSpec:
         self.n_total = sum(d.size for d, _ in self.factors)
         if self.n_total > box_cap:
             raise BoxCapExceeded(f"{self.n_total} boxes exceed cap {box_cap}")
-        self._fusion = None
+        self._fusion = self._dims = None
         self._tdata = None
         self._contents = [column_tableau(d).contents for d, _ in self.factors]
 
@@ -123,7 +126,9 @@ class FusedModuleSpec:
 
     @property
     def factor_dims(self) -> tuple[int, ...]:
-        return tuple(self.fusion(i).dim for i in range(self.ell))
+        if self._dims is None:
+            self._dims = tuple(self.fusion(i).dim for i in range(self.ell))
+        return self._dims
 
     @property
     def dimZ(self) -> int:
@@ -167,32 +172,36 @@ def _pair_order(kind: str, nA: int, nB: int) -> list[tuple[int, int]]:
 
 
 # The numerator blocks in their own argument, keyed by form, diagrams and
-# kind, least recently used first; they hold at most _BLOCK_ENTRIES frame
-# entries in all (_held of them now), and a larger block is built but not
-# kept.  A block's residues (FrameBlock.lowest_frames) go with it.
+# kind, and the witness plans, keyed by form and diagrams (witness_plan),
+# least recently used first; they hold at most _BLOCK_ENTRIES entries in all
+# (_held of them now): a block its frame entries, a plan its frame residues
+# for one prime and its gather indices.  A larger one is built but not kept.
+# A plan keeps its residues for each prime it has seen, and they go with it.
 _BLOCK_ENTRIES = 2**20
 _blocks: OrderedDict = OrderedDict()
 _held = 0
 
 
-def _entries(fb: FrameBlock) -> int:
-    return sum(fr.size for fr in fb.frames)
+def _entries(item) -> int:
+    if isinstance(item, WitnessPlan):
+        return item.entries
+    return sum(fr.size for fr in item.frames)
 
 
-def _argument_block(key, build) -> FrameBlock:
-    """The cached numerator block of ``key``, made by ``build`` on a miss."""
+def _cached(key, build):
+    """The cached block or plan of ``key``, made by ``build`` on a miss."""
     global _held
-    fb = _blocks.get(key)
-    if fb is not None:
+    item = _blocks.get(key)
+    if item is not None:
         _blocks.move_to_end(key)
-        return fb
-    fb = build()
-    if _entries(fb) <= _BLOCK_ENTRIES:
-        _blocks[key] = fb
-        _held += _entries(fb)
+        return item
+    item = build()
+    if _entries(item) <= _BLOCK_ENTRIES:
+        _blocks[key] = item
+        _held += _entries(item)
         while _held > _BLOCK_ENTRIES:
             _held -= _entries(_blocks.popitem(last=False)[1])
-    return fb
+    return item
 
 
 class BlockTerm(NamedTuple):
@@ -252,7 +261,7 @@ def _pair_term(
         return FrameBlock(frames, scale, Poly.const(1), (A.basis(i).size, B.basis(j).size))
 
     key = (B.form.key, A.factors[i][0], B.factors[j][0], kind)
-    return BlockTerm(_argument_block(key, build), t, s, tuple(e) if breve else ())
+    return BlockTerm(_cached(key, build), t, s, tuple(e) if breve else ())
 
 
 def _elementary_s_term(omega: SkewDiagram, z, shifted: bool, form: GForm) -> BlockTerm:
@@ -278,7 +287,7 @@ def _elementary_s_term(omega: SkewDiagram, z, shifted: bool, form: GForm) -> Blo
         frames, scale = restricted_chain(chain, basis, (form.N,) * n)
         return FrameBlock(frames, scale, one, (size,))
 
-    return BlockTerm(_argument_block((form.key, omega, "S"), build), t, s)
+    return BlockTerm(_cached((form.key, omega, "S"), build), t, s)
 
 
 def _s_fused_plan(ell: int, shifted: bool) -> list:
@@ -313,26 +322,8 @@ def _plan_terms(Z: FusedModuleSpec, plan) -> list[tuple[BlockTerm, tuple[int, ..
 
 def swz_terms(Z: FusedModuleSpec) -> list[tuple[BlockTerm, tuple[int, ...]]]:
     """Ordered block terms of S_{W,Z}(zeta), W the zeta-shifted copy of Z
-    (_swz_plan): the one-module call of swz_term_lists."""
-    return swz_term_lists([Z])[0]
-
-
-def swz_term_lists(Zs) -> list[list[tuple[BlockTerm, tuple[int, ...]]]]:
-    """swz_terms of each module of ``Zs``, all of one shape (form and
-    diagrams).  The terms of the first module give every block, shift,
-    denominator and slots; each other module only its own t, z_i - z_j for
-    breve R (W_i against Z_j) and z_i + z_j for the primed kinds and S_i
-    (2 z_i), as _pair_term and _elementary_s_term take it.  No swz block is
-    singular (every breve one has shift 1), so nothing else is checked."""
-    plan = _swz_plan(Zs[0].ell)
-    first = _plan_terms(Zs[0], plan)
-    lists = [first]
-    for Y in Zs[1:]:
-        z = [q for _, q in Y.factors]
-        lists.append([(BlockTerm(term.block, z[i] - z[j] if kind == "Rb" else z[i] + z[j],
-                                 term.s, term.den), slots)
-                      for (term, slots), (kind, i, j, _, _) in zip(first, plan)])
-    return lists
+    (_swz_plan).  No swz block is singular: every breve one has shift 1."""
+    return _plan_terms(Z, _swz_plan(Z.ell))
 
 
 def swz_frame_blocks(Z: FusedModuleSpec) -> list[tuple[FrameBlock, tuple[int, ...]]]:
@@ -399,50 +390,170 @@ def frame_product(blocks, dims) -> tuple[int, ScaledIntMatrix]:
         return prod.order - sum(v for v, _ in lows), ScaledIntMatrix(coeff, prod.scale / low)
 
 
-def term_residue(points, dims, p: int) -> tuple[list[int], np.ndarray]:
-    """(o, R) at each of the P ``points``, each the ordered (BlockTerm,
-    slots) of one product, all with the same slots and argument blocks: R the
-    numerator of the coefficient of zeta^o in the product, modulo p, as
-    float64 residues in (-p, p), stacked (P, D, D), and o the Laurent order
-    that frame_product returns on the exact blocks whenever R is nonzero.
+class WitnessPlan:
+    """What the residue witness of one shape (form and diagrams) needs that
+    does not depend on the point, built once (witness_plan).
 
-    Each numerator starts at its lowest nonzero frame k0, so the product's
-    coefficient at sum k0 is the product of the lowest frames, and o is sum
-    k0 minus the denominators' valuations; a residue nonzero mod p proves
-    that coefficient nonzero.  Scales and the denominators' lowest
-    coefficients are nonzero scalars, left out.  k0 and the lowest frame
-    mod p come from the argument block (FrameBlock.lowest_frames, one call
-    for all points); where it cannot tell them, R is zero, which proves
-    nothing.
+    ``terms`` are the ordered (BlockTerm, slots) of a product on the legs
+    ``dims``, W's then Z's; per point only each term's t changes, z_i +
+    sign z_j for its (i, j, sign) of ``pairs`` (arguments).  A call takes a
+    stack of points in four steps:
 
-    The products start at the identity, float64 residues on a point axis, a
-    row axis and one axis per leg; the lowest frames of each term contract
-    its slots' axes, moved last (Van Loan 2000), in one stacked mod_matmul."""
-    D, legs, P = math.prod(dims), list(range(len(dims))), len(points)
-    acc = np.eye(D).reshape((1, D) + tuple(dims))  # the first product broadcasts it
-    # factors zero at y = 0: den holds integers, so only at an integer t
-    order = [-sum(term.den.count(-term.t.numerator) for term, _ in terms
-                  if term.den and term.t.denominator == 1) for terms in points]
-    live = [True] * P
-    for column in zip(*points):
-        terms, slots = [term for term, _ in column], column[0][1]
-        block = terms[0].block
-        if any(term.block is not block for term in terms):
-            raise ValueError("the points of term_residue share their blocks (swz_term_lists)")
-        ks, low = block.lowest_frames([term.t for term in terms], terms[0].s, p)
-        for i, k in enumerate(ks):
-            live[i] = live[i] and k is not None
-            order[i] += k if live[i] else 0
-        if not any(live):
-            return order, np.zeros((P, D, D))
-        m = low.shape[-1]
-        moved = [leg for leg in legs if leg not in slots] + list(slots)
-        acc = acc.transpose([0, 1] + [2 + legs.index(leg) for leg in moved])
-        acc = mod_matmul(acc.reshape(len(acc), -1, m), low, p).reshape((P,) + acc.shape[1:])
-        legs = moved
-    acc = acc.transpose([0, 1] + [2 + legs.index(leg) for leg in range(len(dims))])
-    acc = acc.reshape(-1, D, D)
-    return order, acc if len(acc) == P else np.repeat(acc, P, axis=0)  # no terms
+    1. the t of every term at every point (arguments);
+    2. one mod_matmul of the power rows of all terms with the
+       block-diagonal stack of the terms' frame residues, kept per prime:
+       the lowest frame of every term at every point (residues);
+    3. the leg contractions, each term's slots moved last along permutations
+       made here (Van Loan 2000);
+    4. one gather of the contraction phi into the certified blocks and their
+       elimination mod p (ranks).
+
+    The blocks are the connected components of a support that holds every
+    point's: the product of the terms' unions of frame supports (each
+    lowest frame is a combination of its block's frames), contracted.  So
+    every phi is block-diagonal on them and its rank is the sum of theirs.
+    Each block is gathered by its rows' and columns' offsets into the
+    residue, padded with -1 (``block_rows``, ``block_cols``)."""
+
+    def __init__(self, terms, dims, pairs=()):
+        self.dims, self.D = tuple(dims), math.prod(dims)
+        self.blocks = [term.block for term, _ in terms]
+        self.slopes = [term.s for term, _ in terms]
+        self.dens = [term.den for term, _ in terms]
+        self.pairs = list(dict.fromkeys(pairs))
+        self._pair_of = [self.pairs.index(pair) for pair in pairs]
+        k0 = [fb.low for fb in self.blocks]
+        # each row of the power rows: its term, and the powers of a and b in
+        # a^k b^(deg - k)
+        self._row_term, self._row_k, self._row_dk = np.array(
+            [(t, k, len(fb.frames) - 1 - k) for t, fb in enumerate(self.blocks)
+             for k in range(len(fb.frames))], dtype=np.int64).reshape(-1, 3).T
+        # k0 at every point for a constant block, and at t = 0 for a sloped one
+        self._const, self._sloped = np.array(
+            [(k is not None and len(fb.frames) == 1, k is not None and len(fb.frames) > 1 and s)
+             for fb, k, s in zip(self.blocks, k0, self.slopes)], dtype=bool).reshape(-1, 2).T
+        self._k0 = np.array([k or 0 for k in k0], dtype=np.int64)
+        self._cols = np.array([0, *itertools.accumulate(fb.frames[0].size for fb in self.blocks)])
+        self._mod: dict = {}
+        legs, self._steps = list(range(len(dims))), []
+        for (_, slots), fb in zip(terms, self.blocks):
+            moved = [leg for leg in legs if leg not in slots] + list(slots)
+            self._steps.append(([0, 1] + [2 + legs.index(leg) for leg in moved], len(fb.frames[0])))
+            legs = moved
+        self._final = [0, 1] + [2 + legs.index(leg) for leg in range(len(dims))]
+        # the product of the 0/1 unions of frame supports counts paths, so it
+        # is positive exactly on their product's support (an overflow could
+        # only add entries)
+        unions = {id(fb): (np.stack(fb.frames) != 0).any(axis=0) for fb in self.blocks}
+        support = self._contract([unions[id(fb)] for fb in self.blocks], np.matmul)[0]
+        dZ = math.prod(self.dims[len(dims) // 2:])
+        self.block_rows, self.block_cols = support_blocks(contraction_map_matrix(support, dZ, dZ))
+        rows, cols = self.block_rows, self.block_cols
+        D = self.D
+        self._row_at = np.where(rows < 0, 0, rows // dZ * D + rows % dZ)
+        self._col_at = np.where(cols < 0, 0, cols % dZ * dZ * D + cols // dZ * dZ)
+        self.entries = len(self._row_term) * int(self._cols[-1]) + rows.size + cols.size
+
+    def _contract(self, lows, product) -> np.ndarray:
+        """The ordered product of the terms' (P, m, m) or (m, m) ``lows`` on
+        their slots, from the identity, each by ``product``, as (P, D, D)."""
+        acc = np.eye(self.D).reshape((1, self.D) + self.dims)
+        for (perm, m), low in zip(self._steps, lows):
+            acc = acc.transpose(perm)
+            shape = acc.shape[1:]
+            acc = product(acc.reshape(len(acc), -1, m), low)
+            acc = acc.reshape((len(acc),) + shape)
+        return acc.transpose(self._final).reshape(-1, self.D, self.D)
+
+    def arguments(self, Z: FusedModuleSpec) -> list[Fraction]:
+        """The t of each term at Z."""
+        z = [q for _, q in Z.factors]
+        vals = [z[i] - z[j] if sign < 0 else z[i] + z[j] for i, j, sign in self.pairs]
+        return [vals[k] for k in self._pair_of]
+
+    def _frames_mod(self, p: int) -> tuple[np.ndarray, np.ndarray]:
+        """The block-diagonal stack of the terms' frames mod p, one row per
+        frame and one column range per term, and the power row of the
+        sloped terms at t = 0 (s^k0 at k0), made when first read."""
+        if p not in self._mod:
+            F = np.zeros((len(self._row_term), self._cols[-1]))
+            at0 = np.zeros(len(self._row_term))
+            residues = {id(fb): np.stack(fb.frames).reshape(len(fb.frames), -1) % p
+                        for fb in self.blocks}
+            row = 0
+            for t, fb in enumerate(self.blocks):
+                F[row:row + len(fb.frames), self._cols[t]:self._cols[t + 1]] = residues[id(fb)]
+                if self._sloped[t]:
+                    at0[row + self._k0[t]] = pow(self.slopes[t], int(self._k0[t]), p)
+                row += len(fb.frames)
+            self._mod[p] = F, at0
+        return self._mod[p]
+
+    def residues(self, ts, p: int) -> tuple[list[int], np.ndarray]:
+        """(o, R) at each of the P points of ``ts``, each the t of every term
+        (arguments): R the numerator of the coefficient of zeta^o in the
+        product, modulo p, as float64 residues in (-p, p), stacked (P, D, D),
+        and o the Laurent order that frame_product returns on the exact
+        blocks whenever R is nonzero.
+
+        Each numerator starts at its lowest nonzero frame k0, so the
+        product's coefficient at sum k0 is the product of the lowest frames,
+        and o is sum k0 minus the denominators' valuations; a residue
+        nonzero mod p proves that coefficient nonzero.  Scales and the
+        denominators' lowest coefficients are nonzero scalars, left out.
+
+        A term's lowest frame is frame k0 of its block for a constant block,
+        s^k0 times it at t = 0 for a block of slope s != 0, and otherwise
+        frame 0 of the substituted block, the homogenised Horner sum at t =
+        a/b, sum_k frames[k] a^k b^(deg - k), known to be the lowest only
+        where its residue is nonzero.  Where it is zero the residue is zero,
+        which proves nothing, and o stops at the term before."""
+        P, T, D = len(ts), len(self.blocks), self.D
+        F, at0_row = self._frames_mod(p)
+        flat = [t for row in ts for t in row]
+        base = np.array([[t.numerator % p for t in flat], [t.denominator % p for t in flat]],
+                        dtype=np.int64).reshape(2, P, T)
+        at0 = np.array([not t for t in flat], dtype=bool).reshape(P, T) & self._sloped
+        powers = np.ones((2, P, T, int(self._row_k.max(initial=0)) + 1), dtype=np.int64)
+        for k in range(1, powers.shape[-1]):
+            powers[..., k] = powers[..., k - 1] * base % p
+        rows = (powers[0][:, self._row_term, self._row_k]
+                * powers[1][:, self._row_term, self._row_dk] % p)
+        rows = np.where(at0[:, self._row_term], at0_row, rows)
+        L = mod_matmul(rows, F, p)
+        fixed = self._const | at0
+        told = np.logical_or.reduceat(L != 0, self._cols[:-1], axis=1)
+        alive = np.logical_and.accumulate(fixed | told, axis=1)
+        valuation = [sum(den.count(-t.numerator) for t, den in zip(row, self.dens)
+                         if den and t.denominator == 1) for row in ts]
+        orders = ((np.where(fixed, self._k0, 0) * alive).sum(axis=1) - valuation).tolist()
+        if T and not alive[:, -1].any():
+            return orders, np.zeros((P, D, D))
+        lows = [L[:, a:b].reshape(P, m, m)
+                for a, b, (_, m) in zip(self._cols[:-1], self._cols[1:], self._steps)]
+        R = self._contract(lows, lambda X, low: mod_matmul(X, low, p))
+        return orders, R if len(R) == P else np.repeat(R, P, axis=0)
+
+    def ranks(self, R: np.ndarray, p: int) -> list[int]:
+        """The rank mod p of the contraction phi of each residue of the
+        (P, D, D) stack R: its certified blocks gathered by their offsets
+        (phi at (z1 z2, w' w) is R at (w z1, w' z2)), the pads zeroed, and
+        eliminated together (block_ranks_mod_p)."""
+        P, (G, m), n = len(R), self.block_rows.shape, self.block_cols.shape[1]
+        if not G:
+            return [0] * P
+        S = R.reshape(P, -1)[:, self._row_at[:, :, None] + self._col_at[:, None, :]]
+        S *= (self.block_rows >= 0)[:, :, None] & (self.block_cols >= 0)[:, None, :]
+        return block_ranks_mod_p(S.reshape(P * G, m, n), p).reshape(P, G).sum(axis=1).tolist()
+
+
+def witness_plan(Z: FusedModuleSpec) -> WitnessPlan:
+    """The WitnessPlan of Z's shape for S_{W,Z}(zeta) (swz_terms) on the legs
+    of W (x) Z, kept in _blocks: t is z_i - z_j for breve R (W_i against
+    Z_j) and z_i + z_j for the primed kinds and S_i (2 z_i)."""
+    pairs = [(i, j, -1 if kind == "Rb" else 1) for kind, i, j, _, _ in _swz_plan(Z.ell)]
+    key = (Z.form.key, tuple(d for d, _ in Z.factors))
+    return _cached(key, lambda: WitnessPlan(swz_terms(Z), Z.factor_dims * 2, pairs))
 
 
 def r_factorized(W: FusedModuleSpec, Z: FusedModuleSpec, kind: str) -> TensorOperator:

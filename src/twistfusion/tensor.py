@@ -34,9 +34,7 @@ from .linalg import (
     is_zero_matrix,
     mat_equal,
     max_abs,
-    mod_matmul,
     primitive_part,
-    reduce_mod,
 )
 
 _F1 = Fraction(1)
@@ -584,7 +582,7 @@ class FrameBlock:
     def __init__(self, frames, scale: Fraction, den, dims):
         self.top = max(max_abs(fr) for fr in frames)
         self.frames = [certified(fr, self.top) for fr in frames]
-        self.scale, self._den, self.dims, self._mod = scale, den, tuple(dims), {}
+        self.scale, self._den, self.dims = scale, den, tuple(dims)
 
     @property
     def den(self) -> Poly:
@@ -602,52 +600,6 @@ class FrameBlock:
     def low(self) -> int | None:
         """The index of the lowest nonzero frame; None for a zero block."""
         return next((k for k, fr in enumerate(self.frames) if not is_zero_matrix(fr)), None)
-
-    def lowest_frames(self, ts, s: int, p: int) -> tuple[list, np.ndarray]:
-        """(ks, R): for each t of ``ts`` the index k of the lowest nonzero
-        frame of substituted(t, s, ...), and that frame mod p as float64
-        residues in (-p, p), stacked; k is None, and its frame zero, for a
-        zero block and where frame 0 is zero mod p at t != 0 or s = 0.  At
-        t = 0 and s != 0 frame k is s^k frames[k], and a constant block is
-        its one frame everywhere; otherwise frame 0 is the homogenised
-        Horner sum at t = a/b (_horner), sum_k frames[k] a^k b^(deg - k).
-        Either is one row of scalars mod p times the stacked frames, so all
-        points take one mod_matmul with the frame residues, kept per
-        prime."""
-        k0, deg, shape = self.low, len(self.frames) - 1, (len(ts),) + self.frames[0].shape
-        if k0 is None:
-            return [None] * len(ts), np.zeros(shape)
-        if not deg or s and not any(ts):  # frame k0 at every point
-            c, R = pow(s, k0, p), np.empty(shape)
-            R[:] = self._stacked_mod(p)[k0].reshape(shape[1:])
-            return [k0] * len(ts), R if c == 1 else reduce_mod(R * c, p)
-        rows, ks = [], []
-        for t in ts:
-            if t == 0 and s:
-                rows.append([pow(s, k0, p) if k == k0 else 0 for k in range(deg + 1)])
-                ks.append(k0)  # a residue of frame k0 itself
-            else:
-                a, b = t.numerator % p, t.denominator % p
-                row = [1]
-                for _ in range(deg):
-                    row.append(row[-1] * a % p)
-                bk = 1
-                for k in range(deg, -1, -1):
-                    row[k] = row[k] * bk % p
-                    bk = bk * b % p
-                rows.append(row)
-                ks.append(-1)  # frame 0, known nonzero only if its residue is
-        R = mod_matmul(np.array(rows, dtype=np.float64), self._stacked_mod(p), p)
-        told = R.any(axis=1).tolist()
-        return [k if k != -1 else 0 if nonzero else None
-                for k, nonzero in zip(ks, told)], R.reshape(shape)
-
-    def _stacked_mod(self, p: int) -> np.ndarray:
-        """The frames mod p in float64, one row each, made when first read,
-        kept per prime."""
-        if p not in self._mod:
-            self._mod[p] = (np.stack(self.frames).reshape(len(self.frames), -1) % p).astype(np.float64)
-        return self._mod[p]
 
     def _horner(self, xs) -> np.ndarray:
         """The stack of sum_k frames[k] p^k q^(deg - k), deg = len(frames) - 1,

@@ -27,7 +27,16 @@ from twistfusion.irreducibility import (
     verdict,
     walls,
 )
-from twistfusion.linalg import fdot, feye, fzeros, mat_equal, nullspace_exact, rank_exact
+from twistfusion.linalg import (
+    fdot,
+    feye,
+    fzeros,
+    mat_equal,
+    mod_matmul,
+    nullspace_exact,
+    rank_exact,
+    reduce_mod,
+)
 from twistfusion.reference import (
     breve_r_family_leading,
     breve_r_frame_blocks,
@@ -42,9 +51,10 @@ from twistfusion.repmatrix import (
     s_coefficients,
     s_factors,
     s_generators,
+    WitnessPlan,
     swz_frame_blocks,
     swz_terms,
-    term_residue,
+    witness_plan,
 )
 from twistfusion.tensor import (
     FrameBlock,
@@ -694,13 +704,13 @@ def test_witness_batch_cut_into_slices_gives_the_same_witnesses(monkeypatch):
     whole = irreducibility.phi_witnesses(batch)
     D2 = math.prod(batch[0].factor_dims * 2) ** 2
     slices = []
-    term_residue = irreducibility.term_residue
+    residues = WitnessPlan.residues
 
-    def recording(points, dims, p):
-        slices.append(len(points))
-        return term_residue(points, dims, p)
+    def recording(plan, ts, p):
+        slices.append(len(ts))
+        return residues(plan, ts, p)
 
-    monkeypatch.setattr(irreducibility, "term_residue", recording)
+    monkeypatch.setattr(WitnessPlan, "residues", recording)
     for budget, sizes in ((5 * D2, [5, 5, 2]), (D2, [1] * 12), (1, [1] * 12)):
         monkeypatch.setattr(irreducibility, "_WITNESS_BATCH", budget)
         slices.clear()
@@ -713,17 +723,130 @@ def _block_residue_points():
             + [FusedModuleSpec.from_string(form, text) for form, text in BURNSIDE_WALL_POINTS])
 
 
-def _one_residue(terms, dims, p):
-    """term_residue of the product of one point's terms: (o, R)."""
-    orders, R = term_residue([terms], dims, p)
+# The references for the witness plan: the per-term residue product and the
+# per-point block search that the plan replaced, kept here as they stood.
+
+def _lowest_frames(fb, ts, s: int, p: int) -> tuple[list, np.ndarray]:
+    """(ks, R): for each t of ``ts`` the index k of the lowest nonzero frame
+    of fb.substituted(t, s, ...), and that frame mod p as float64 residues
+    in (-p, p), stacked; k is None, and its frame zero, for a zero block and
+    where frame 0 is zero mod p at t != 0 or s = 0.  At t = 0 and s != 0
+    frame k is s^k frames[k], and a constant block is its one frame
+    everywhere; otherwise frame 0 is the homogenised Horner sum at t = a/b,
+    sum_k frames[k] a^k b^(deg - k)."""
+    k0, deg, shape = fb.low, len(fb.frames) - 1, (len(ts),) + fb.frames[0].shape
+    stacked = (np.stack(fb.frames).reshape(len(fb.frames), -1) % p).astype(np.float64)
+    if k0 is None:
+        return [None] * len(ts), np.zeros(shape)
+    if not deg or s and not any(ts):  # frame k0 at every point
+        c, R = pow(s, k0, p), np.empty(shape)
+        R[:] = stacked[k0].reshape(shape[1:])
+        return [k0] * len(ts), R if c == 1 else reduce_mod(R * c, p)
+    rows, ks = [], []
+    for t in ts:
+        if t == 0 and s:
+            rows.append([pow(s, k0, p) if k == k0 else 0 for k in range(deg + 1)])
+            ks.append(k0)  # a residue of frame k0 itself
+        else:
+            a, b = t.numerator % p, t.denominator % p
+            row = [1]
+            for _ in range(deg):
+                row.append(row[-1] * a % p)
+            bk = 1
+            for k in range(deg, -1, -1):
+                row[k] = row[k] * bk % p
+                bk = bk * b % p
+            rows.append(row)
+            ks.append(-1)  # frame 0, known nonzero only if its residue is
+    R = mod_matmul(np.array(rows, dtype=np.float64), stacked, p)
+    told = R.any(axis=1).tolist()
+    return [k if k != -1 else 0 if nonzero else None
+            for k, nonzero in zip(ks, told)], R.reshape(shape)
+
+
+def _term_residue(points, dims, p: int) -> tuple[list[int], np.ndarray]:
+    """(o, R) at each of the P ``points``, each the ordered (BlockTerm,
+    slots) of one product with the same slots and blocks, as
+    WitnessPlan.residues gives them: one _lowest_frames call per term for
+    all points, contracted term by term with the slots moved last."""
+    D, legs, P = math.prod(dims), list(range(len(dims))), len(points)
+    acc = np.eye(D).reshape((1, D) + tuple(dims))
+    order = [-sum(term.den.count(-term.t.numerator) for term, _ in terms
+                  if term.den and term.t.denominator == 1) for terms in points]
+    live = [True] * P
+    for column in zip(*points):
+        terms, slots = [term for term, _ in column], column[0][1]
+        ks, low = _lowest_frames(terms[0].block, [term.t for term in terms], terms[0].s, p)
+        for i, k in enumerate(ks):
+            live[i] = live[i] and k is not None
+            order[i] += k if live[i] else 0
+        if not any(live):
+            return order, np.zeros((P, D, D))
+        m = low.shape[-1]
+        moved = [leg for leg in legs if leg not in slots] + list(slots)
+        acc = acc.transpose([0, 1] + [2 + legs.index(leg) for leg in moved])
+        acc = mod_matmul(acc.reshape(len(acc), -1, m), low, p).reshape((P,) + acc.shape[1:])
+        legs = moved
+    acc = acc.transpose([0, 1] + [2 + legs.index(leg) for leg in range(len(dims))])
+    return order, acc.reshape(-1, D, D)
+
+
+def _stacked_blocks(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(S, owner): the blocks of the residue matrices of a stack A (nonzero
+    exactly where nonzero mod p; a matrix is a stack of one), one per
+    connected component of the bipartite nonzero pattern, rows and columns
+    in order, zero-padded into the (G, m, n) float64 array S, and the index
+    in A of each block's matrix.  The
+    matrices of a stack share no row or column, so one pass of label
+    propagation with pointer jumping finds the components of all of them."""
+    M = np.asarray(A, dtype=np.float64)
+    M = M[None] if M.ndim == 2 else M
+    P, m, n = M.shape
+    flat = np.flatnonzero(M)
+    if not flat.size:
+        return np.zeros((1, 0, 0)), np.zeros(1, dtype=np.int64)
+    gr, j = np.divmod(flat, n)  # rows of the stack, in order; columns
+    gc = j if P == 1 else gr // m * n + j
+    r = np.concatenate(([0], np.cumsum(gr[1:] != gr[:-1])))
+    used = np.zeros(P * n, dtype=bool)
+    used[gc] = True
+    c = np.cumsum(used)
+    rows, cols = int(r[-1]) + 1, int(c[-1])
+    c = c[gc] - 1
+    label, new = None, np.arange(rows)
+    while label is None or (new != label).any():
+        label, col = new, np.full(cols, rows)
+        np.minimum.at(col, c, label[r])
+        new = label.copy()
+        np.minimum.at(new, r, col[c])
+        new = new[new]
+    group = np.cumsum(label == np.arange(rows)) - 1
+    G = int(group[-1]) + 1
+    owner = np.zeros(G, dtype=np.int64)
+    if P > 1:
+        owner[group[label[r]]] = gr // m
+    key = np.concatenate([group[label], G + group[col]])
+    counts = np.bincount(key)
+    pos = np.empty_like(key)
+    pos[np.argsort(key, kind="stable")] = np.arange(key.size) - np.repeat(
+        np.cumsum(counts) - counts, counts)
+    S = np.zeros((G, counts[:G].max(), counts[G:].max()))
+    S[key[r], pos[r], pos[rows + c]] = M.reshape(-1)[flat]
+    return S, owner
+
+
+def _one_residue(Z, p):
+    """The witness plan's residue of Z modulo p: (o, R)."""
+    plan = witness_plan(Z)
+    orders, R = plan.residues([plan.arguments(Z)], p)
     return orders[0], R[0]
 
 
 def _frame_residue(blocks, dims, p):
-    """term_residue of exact frame blocks, each the term (fb, 0, 1) over
+    """_term_residue of exact frame blocks, each the term (fb, 0, 1) over
     fb.den: the reference for the residues of the argument blocks."""
-    order, R = _one_residue([(BlockTerm(fb, 0, 1), slots) for fb, slots in blocks], dims, p)
-    return order - sum(fb.den.valuation() for fb, _ in blocks), R
+    orders, R = _term_residue([[(BlockTerm(fb, 0, 1), slots) for fb, slots in blocks]], dims, p)
+    return orders[0] - sum(fb.den.valuation() for fb, _ in blocks), R[0]
 
 
 def _exact_lowest(fb, p):
@@ -738,7 +861,8 @@ def test_block_residues_match_the_exact_blocks():
     # None only where frame 0 is zero mod p (at so3 1,1:1/2 and sp2 2:-1/2,
     # on walls, frame 0 of two blocks is zero), and the product is zero
     # there; elsewhere it is the product of the exact lowest frames, which
-    # is zero only at wall points where they cancel
+    # is zero only at wall points where they cancel.  The witness plan gives
+    # that product, and so does the per-term reference
     p = irreducibility._WITNESS_PRIME
     deferred = 0
     for Z in _block_residue_points():
@@ -746,7 +870,7 @@ def test_block_residues_match_the_exact_blocks():
         vanished = False
         for term, _ in terms:
             exact = term.exact()
-            (k, ), (R, ) = term.block.lowest_frames([term.t], term.s, p)
+            (k, ), (R, ) = _lowest_frames(term.block, [term.t], term.s, p)
             if k is None:
                 deferred += 1
                 vanished = True
@@ -755,7 +879,9 @@ def test_block_residues_match_the_exact_blocks():
                 want = _exact_lowest(exact, p)
                 assert k == want[0] and np.array_equal(R % p, want[1]), Z
             assert term.den.count(-term.t) == exact.den.valuation(), Z
-        order, R = _one_residue(terms, dims, p)
+        order, R = _one_residue(Z, p)
+        orders, ref = _term_residue([terms], dims, p)
+        assert order == orders[0] and np.array_equal(R % p, ref[0] % p), Z
         if vanished:
             assert not R.any(), Z
         else:
@@ -765,7 +891,7 @@ def test_block_residues_match_the_exact_blocks():
 
 
 def _gather_scatter_residue(terms, dims, p):
-    """The reference for term_residue: the accumulator's columns gathered by
+    """The reference for the plan's residue: the accumulator's columns gathered by
     slot map (_slot_rest_index) into (rest, slot) rows, multiplied by each
     lowest frame and scattered back, in int64 (a sum of d_slots products of
     residues stays below 2^63 at these primes); zero where a block residue
@@ -774,7 +900,7 @@ def _gather_scatter_residue(terms, dims, p):
     acc = np.eye(D, dtype=np.int64)
     order = -sum(term.den.count(-term.t) for term, _ in terms)
     for term, slots in terms:
-        (k0,), (low,) = term.block.lowest_frames([term.t], term.s, p)
+        (k0,), (low,) = _lowest_frames(term.block, [term.t], term.s, p)
         if k0 is None:
             return order, np.zeros((D, D), dtype=np.int64)
         order += k0
@@ -791,29 +917,89 @@ def test_term_residue_matches_a_gather_scatter_product():
     for p in (3, irreducibility._WITNESS_PRIME, 94906249):
         for Z in _criterion_9_points() + _scan_walls_points():
             terms, dims = swz_terms(Z), Z.factor_dims * 2
-            got, want = _one_residue(terms, dims, p), _gather_scatter_residue(terms, dims, p)
+            got, want = _one_residue(Z, p), _gather_scatter_residue(terms, dims, p)
             assert got[0] == want[0] and np.array_equal(got[1] % p, want[1]), (p, Z)
             assert got[1].dtype == np.float64 and np.abs(got[1]).max() < p
 
 
 def test_vanishing_block_residues_send_the_verdict_to_the_exact_path(monkeypatch):
     # modulo 2 and 3 some frame 0 vanishes at t != 0, so the block residue
-    # cannot tell the lowest frame: term_residue is then the zero residue,
+    # cannot tell the lowest frame: the plan's residue is then zero,
     # and the verdict gives exactly the report of the exact path
     vanished = 0
     for p in (2, 3):
         monkeypatch.setattr(irreducibility, "_WITNESS_PRIME", p)
         for Z in _criterion_9_points(per_shape=2):
-            terms, dims = swz_terms(Z), Z.factor_dims * 2
-            missing = [term for term, _ in terms
-                       if term.block.lowest_frames([term.t], term.s, p)[0] == [None]]
+            missing = [term for term, _ in swz_terms(Z)
+                       if _lowest_frames(term.block, [term.t], term.s, p)[0] == [None]]
             if not missing:
                 continue
             vanished += 1
             assert all(term.t != 0 or term.s == 0 for term in missing)
-            assert not _one_residue(terms, dims, p)[1].any()
+            assert not _one_residue(Z, p)[1].any()
             assert verdict(Z).to_json() == _exact_report(Z, monkeypatch), (p, Z)
     assert vanished > 0
+
+
+def _block_labels(plan, size):
+    """The block of each row and of each column of phi in the plan, -1 for
+    none."""
+    labels = []
+    for index in (plan.block_rows, plan.block_cols):
+        label = np.full(size, -1)
+        for g, members in enumerate(index):
+            label[members[members >= 0]] = g
+        labels.append(label)
+    return labels
+
+
+def test_plan_blocks_hold_the_residue_support_at_every_point():
+    # the plan's blocks are the components of a support made once per
+    # shape; every point's contracted residue is zero off them, at a small
+    # prime, at the witness prime and at the largest prime mod_matmul takes
+    for p in (3, irreducibility._WITNESS_PRIME, 94906249):
+        for Z in _block_residue_points():
+            plan, d2 = witness_plan(Z), Z.dimZ**2
+            rows, cols = _block_labels(plan, d2)
+            r, c = np.nonzero(contraction_map_matrix(_one_residue(Z, p)[1], Z.dimZ, Z.dimZ))
+            assert (rows[r] >= 0).all() and (rows[r] == cols[c]).all(), (p, Z)
+
+
+def _plan_gather(plan, phi):
+    """phi's certified blocks, zero-padded, as the plan gathers them."""
+    rows, cols = plan.block_rows, plan.block_cols
+    S = phi[rows[:, :, None], cols[:, None, :]]
+    return S * ((rows >= 0)[:, :, None] & (cols >= 0)[:, None, :])
+
+
+def test_plan_blocks_are_the_components_of_each_residue():
+    # at the verdict-generic points the plan's blocks are those that a
+    # search of each point's own support finds, but at so3 1,1, where the
+    # per-shape support joins pairs of 2 x 2 blocks into 3 x 3 ones
+    p = irreducibility._WITNESS_PRIME
+    for batch in _verdict_generic_shapes():
+        for Z in batch:
+            plan = witness_plan(Z)
+            phi = contraction_map_matrix(_one_residue(Z, p)[1], Z.dimZ, Z.dimZ)
+            got, want = _plan_gather(plan, phi), _stacked_blocks(phi)[0]
+            if (Z.form.kind, [str(d) for d, _ in Z.factors]) == ("so", ["1,1"]):
+                assert (got.shape, want.shape) == ((4, 3, 3), (6, 2, 2)), Z
+            else:
+                assert np.array_equal(got, want), Z
+
+
+def test_a_plan_past_the_budget_is_built_and_used_but_not_kept(monkeypatch):
+    batch = _scan_walls_grids(seeds=(1,))[0]
+    whole = irreducibility.phi_witnesses(batch)
+    plan = witness_plan(batch[0])
+    assert witness_plan(batch[0]) is plan  # kept within the budget
+    monkeypatch.setattr(repmatrix, "_blocks", type(repmatrix._blocks)())
+    monkeypatch.setattr(repmatrix, "_held", 0)
+    monkeypatch.setattr(repmatrix, "_BLOCK_ENTRIES", plan.entries - 1)
+    assert irreducibility.phi_witnesses(batch) == whole
+    assert repmatrix._blocks  # the argument blocks are kept
+    assert not any(isinstance(item, WitnessPlan) for item in repmatrix._blocks.values())
+    assert witness_plan(batch[0]) is not witness_plan(batch[0])
 
 
 def _exact_report(Z, monkeypatch):

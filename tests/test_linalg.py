@@ -132,6 +132,16 @@ def test_echelon_matches_fraction_rref(A):
         assert linalg.is_zero_matrix(A @ v)
 
 
+def _rank_mod_p(A, p: int) -> int:
+    """The rank mod p of a matrix of residues in (-p, p), as the witness
+    plan takes it: the components of its support (support_blocks) gathered
+    into zero-padded blocks and eliminated together (block_ranks_mod_p)."""
+    M = np.asarray(A, dtype=np.float64)
+    rows, cols = linalg.support_blocks(M)
+    S = M[rows[:, :, None], cols[:, None, :]] * ((rows >= 0)[:, :, None] & (cols >= 0)[:, None, :])
+    return int(linalg.block_ranks_mod_p(S, p).sum())
+
+
 @settings(max_examples=40, deadline=None)
 @given(_rational_matrices())
 def test_rank_mod_p_is_at_most_the_rank(A):
@@ -139,19 +149,19 @@ def test_rank_mod_p_is_at_most_the_rank(A):
     rank = linalg.rank_exact(A)
     for p in (2, 3, 2097143):
         R = (M % p).astype(np.float64)
-        r = linalg.rank_mod_p(R, p)
+        r = _rank_mod_p(R, p)
         assert r <= rank
         # the same residues with representatives in (-p, p) of either sign
-        assert linalg.rank_mod_p(R - p * (R > p // 2), p) == r
+        assert _rank_mod_p(R - p * (R > p // 2), p) == r
 
 
 def test_rank_mod_p_drops_where_a_minor_vanishes():
     A = np.array([[1, 1, 4], [1, 3, 10]], dtype=object)  # minors 2, 6, -2
-    assert [linalg.rank_mod_p(A % p, p) for p in (2, 3, 5)] == [1, 2, 2]
+    assert [_rank_mod_p(A % p, p) for p in (2, 3, 5)] == [1, 2, 2]
     assert linalg.rank_exact(A) == 2
 
 
-# the largest prime p that rank_mod_p takes (2 (p - 1)^2 within
+# the largest prime p that block_ranks_mod_p takes (2 (p - 1)^2 within
 # reduce_mod's bound), and the next prime, which it refuses
 _RANK_PRIME, _RANK_REFUSED = 67108859, 67108879
 
@@ -188,9 +198,9 @@ def test_rank_mod_p_matches_rref_on_permuted_blocks(case):
     A, p = case
     if p == _RANK_REFUSED:
         with pytest.raises(DimensionMismatch):
-            linalg.rank_mod_p(A, p)
+            _rank_mod_p(A, p)
         return
-    assert linalg.rank_mod_p(A, p) == len(linalg._modp_rref((A % p).astype(np.float64), p)[0])
+    assert _rank_mod_p(A, p) == len(linalg._modp_rref((A % p).astype(np.float64), p)[0])
 
 
 def test_rank_mod_p_counts_a_block_that_loses_rank_only_mod_p():
@@ -200,8 +210,8 @@ def test_rank_mod_p_counts_a_block_that_loses_rank_only_mod_p():
                   [1, 0, 1, 0, 0],
                   [0, 1, 0, 1, 1],
                   [1, 0, 3, 0, 0]], dtype=np.int64)
-    assert linalg.stacked_blocks(A % 2)[0].shape[0] == 2
-    assert [linalg.rank_mod_p(A % p, p) for p in (2, 3)] == [3, 4]
+    assert linalg.support_blocks(A % 2)[0].shape[0] == 2
+    assert [_rank_mod_p(A % p, p) for p in (2, 3)] == [3, 4]
     assert linalg.rank_exact(A.astype(object)) == 4
 
 

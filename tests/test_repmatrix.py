@@ -1198,29 +1198,26 @@ def test_block_cache_evicts_least_recent_and_keeps_no_large_block(fresh_blocks, 
 
 
 def test_evicting_an_argument_block_drops_its_residues(fresh_blocks, monkeypatch):
-    # the residues of an argument block live on the block: once the cache
-    # evicts it, nothing holds them, and a rebuilt block starts with none
-    small = 2 * 81
-    monkeypatch.setattr(repmatrix, "_BLOCK_ENTRIES", 2 * small)
+    # the frame residues of the witness live on the shape's plan, which the
+    # block cache keeps beside the argument blocks: once the cache evicts the
+    # plan, nothing holds them, and a rebuilt plan starts with none
     Z = FusedModuleSpec.from_string(SO3, "1:1/3;1:-2/5")
     p = 2097143
-
-    def term(kind):
-        return repmatrix._pair_term(Z, 0, True, Z, 1, False, kind)
-
-    first = term("R'")
-    assert first.block.lowest_frames([first.t], first.s, p)[0] != [None]
-    assert list(first.block._mod) == [p]
-    held = weakref.ref(first.block)
-    residues = weakref.ref(first.block._mod[p])
-    del first
-    term("R")
-    term("Rb")  # evicts R', the least recent
-    assert [key[-1] for key in repmatrix._blocks] == ["R", "Rb"]
+    plan = repmatrix.witness_plan(Z)
+    plan.residues([plan.arguments(Z)], p)
+    assert list(plan._mod) == [p]
+    held, residues = weakref.ref(plan), weakref.ref(plan._mod[p][0])
+    del plan
+    monkeypatch.setattr(repmatrix, "_BLOCK_ENTRIES", repmatrix._held)
+    repmatrix.swz_terms(Z)  # hits: the plan becomes the least recent
+    built = len(fresh_blocks)
+    repmatrix._pair_term(Z, 0, True, Z, 1, False, "R")  # a miss that evicts it
+    assert len(fresh_blocks) == built + 1
+    assert not any(isinstance(item, repmatrix.WitnessPlan) for item in repmatrix._blocks.values())
     gc.collect()
     assert held() is None and residues() is None
-    rebuilt = term("R'")
-    assert rebuilt.block._mod == {} and len(fresh_blocks) == 4
+    rebuilt = repmatrix.witness_plan(Z)
+    assert rebuilt._mod == {} and len(fresh_blocks) == built + 1
 
 
 def test_block_lookup_hashes_no_fraction(monkeypatch):

@@ -16,6 +16,7 @@ from twistfusion.reference import (
     ratfunc_matrix,
     restrict,
 )
+from twistfusion.repmatrix import BlockTerm, WitnessPlan
 from twistfusion.tensor import (
     Basis,
     FrameBlock,
@@ -437,9 +438,12 @@ def test_residue_is_the_lowest_substituted_frame_mod_p(t, s, p):
     fb = FrameBlock([0 * F, 0 * F, -3 * F, F], Fraction(3, 14), Poly.const(1), (2, 2))
     exact = fb.substituted(t, s, Poly.const(1))
     k0 = next((k for k, fr in enumerate(exact.frames) if fr.any()), None)
-    (k,), (R,) = fb.lowest_frames([t], s, p)
+    # the witness plan of the one block on legs (2, 2): its residue is the
+    # block's lowest frame, and its order that frame's index
+    plan = WitnessPlan([(BlockTerm(fb, Fraction(0), s), (0, 1))], (2, 2))
+    (k,), (R,) = plan.residues([[t]], p)
     if k0 is None or (t != 0 or s == 0) and not (exact.frames[0] % p).any():
-        assert k is None
+        assert R.dtype == np.float64 and not R.any()
     else:
         assert k == k0 and R.dtype == np.float64 and np.abs(R).max() < p
         assert np.array_equal(R % p, exact.frames[k0] % p)

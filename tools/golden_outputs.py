@@ -28,7 +28,8 @@ Sections, each headed by a line starting with ``##``:
     factor), ``s_fused`` and ``s_elementary``, and the defining action
     ``defining_action_product(params, N).at(u0)`` at two points u0.
 
-Needs the standard library and numpy only; takes a few minutes.
+Needs the standard library and numpy only; a run takes about 1.5 s
+(1.3-1.6 s measured on a 2-vCPU Xeon VM).
 """
 
 from __future__ import annotations

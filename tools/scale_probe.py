@@ -19,17 +19,21 @@ them:
     and S blocks come from the block cache the first point filled;
   * ``rank``: ``irreducibility.surjectivity`` of that phi (needs ``phi``);
   * ``witness``: ``irreducibility.phi_witness``, the residue witness an
-    off-wall verdict runs instead of ``phi`` and ``rank``: it reads each
-    block's lowest frame mod p from the residues of the cached argument
-    block, without substituting the blocks exactly.  It prints the
-    witnessed Laurent order and rank, or why they do not decide (a zero
-    residue, also where a block's residue cannot tell its lowest frame, or
-    a rank below (dim Z)^2): a verdict then takes the exact path instead.
-    It adds a ``warm`` line as for ``phi`` (after ``phi`` the first line is
-    warm too, since its blocks are cached).  Below each line, the
-    witness time split between its residue product (``term_residue``) and
-    its rank mod p (``rank_mod_p``), and the number of independent blocks
-    (connected components) of the contraction matrix with the largest;
+    off-wall verdict runs instead of ``phi`` and ``rank``: the shape's
+    witness plan (``repmatrix.WitnessPlan``, built once per shape) reads
+    each block's lowest frame mod p from its frame residues, without
+    substituting the blocks exactly.  It prints the witnessed Laurent order
+    and rank, or why they do not decide (a zero residue, also where a
+    block's residue cannot tell its lowest frame, or a rank below (dim
+    Z)^2): a verdict then takes the exact path instead.  It adds a ``warm``
+    line at the second point of the shape, for the dim-9, dim-18 and dim-36
+    modules (after ``phi`` the first line is warm too, since its blocks are
+    cached).  Below each line, the plan's one-time build (cold; ``plan
+    cached`` on a warm line), the witness time split between the plan's
+    residue half (``WitnessPlan.residues``) and rank half
+    (``WitnessPlan.ranks``), and the number of the plan's blocks (connected
+    components of a support that holds every point's contraction matrix)
+    with the largest;
   * ``burnside``: ``irreducibility.burnside``, the Burnside growth of the
     algebra the S(u) coefficients generate, with its dimension, the number
     of words and whether the exact closure proof ran (only when the words
@@ -72,12 +76,17 @@ them:
     caches.
 
 At dim 27, on a 2-vCPU Xeon VM, ``phi`` takes 7-10 s and ``witness``
-4.4-6 s, most of it building the two breve pair blocks.  ``--stages
+3.6 s, most of it building the two breve pair blocks (the plan's build
+0.1 s, residues 0.27 s, ranks 0.07 s).  ``--stages
 relations`` takes about 0.5 s in all: ``check_defining_relations`` takes
 0.020-0.022, 0.037-0.040 and 0.141-0.158 s at dims 9, 18 and 27, of which
 sampling is 0.7-0.8, 1.2-1.4 and 2.1-2.3 ms, and the dim-27 reflection
 kernels, 80 of its 81 samples on three primes each, 0.11-0.13 s.  The
-dim-36 witness takes 0.5-0.6 s.
+dim-36 witness takes 1.1 s cold, of which the plan's build 0.5 s, and
+0.16-0.21 s warm; the dim-9 one 8 ms cold and under 1 ms warm.  The warm
+dim-18 witness takes 11-13 ms, or about 60 ms in processes where the
+OpenBLAS threads of its small products run slowly (both sides of a
+comparison alike; ``OPENBLAS_NUM_THREADS=1`` keeps it at 11-12 ms).
 Times are wall times of one run in this process, except the ``wall``
 stage's best-of-runs.
 """
@@ -105,7 +114,7 @@ ONCE = ("echelon", "scan")
 MODULES = (("so", 3, "1,1:-1/3;1,1:1/5", "1,1:2/7;1,1:-3/11", None),
            ("so", 3, "1,1:1/5;2:-3/7", "1,1:-2/9;2:4/11", None),
            ("so", 3, "3,2,1/2,1:1/7", None, None),
-           ("so", 4, "1,1:1/5;1,1:-2/7", None, ("witness", "burnside")),
+           ("so", 4, "1,1:1/5;1,1:-2/7", "1,1:2/7;1,1:-3/11", ("witness", "burnside")),
            ("sp", 2, "1:1/2;2:-2/5", None, ("wall",)),
            ("sp", 2, "1:2/5;2:7/5", None, ("wall",)))
 WALL_RUNS = 20
@@ -182,24 +191,24 @@ def _record_matmuls(linalg, modules) -> Counter:
     return counts
 
 
-def _record_witness(irr) -> dict:
-    """Time the residue product and the rank of each witness, and keep the
-    rank's matrix and prime: rebinds ``term_residue`` and ``rank_mod_p`` in
-    ``irreducibility``."""
+def _record_witness(repmatrix) -> dict:
+    """Time the one-time build of each witness plan and the residue and rank
+    halves of each witness, and keep the rank's residues and plan: rebinds
+    ``__init__``, ``residues`` and ``ranks`` of ``repmatrix.WitnessPlan``."""
     seen: dict = {}
+    plan = repmatrix.WitnessPlan
 
     def timed(name, fn):
-        def run(*args):
+        def run(self, *args):
             t0 = time.perf_counter()
-            out = fn(*args)
-            seen[name] = time.perf_counter() - t0
-            if name == "rank_mod_p":
-                seen["matrix"], seen["p"] = args
+            out = fn(self, *args)
+            seen[name] = seen.get(name, 0.0) + time.perf_counter() - t0
+            seen["plan"] = self
             return out
         return run
 
-    irr.term_residue = timed("term_residue", irr.term_residue)
-    irr.rank_mod_p = timed("rank_mod_p", irr.rank_mod_p)
+    for name in ("__init__", "residues", "ranks"):
+        setattr(plan, name, timed(name, getattr(plan, name)))
     return seen
 
 
@@ -265,13 +274,14 @@ def wall_probe(tf, form, modules: str, spent: dict) -> None:
           flush=True)
 
 
-def _witness_split(linalg, seen: dict) -> str:
-    S = linalg.stacked_blocks(seen["matrix"])[0]
-    rows, cols = S.any(axis=2).sum(axis=1), S.any(axis=1).sum(axis=1)
+def _witness_split(seen: dict) -> str:
+    plan = seen["plan"]
+    rows, cols = (plan.block_rows >= 0).sum(axis=1), (plan.block_cols >= 0).sum(axis=1)
     k = int((rows * cols).argmax())
-    return (f"    term_residue {seen['term_residue']:.3f} s, rank_mod_p {seen['rank_mod_p']:.3f} s; "
-            f"{seen['matrix'].shape[0]} x {seen['matrix'].shape[1]} contraction, "
-            f"{S.shape[0]} blocks, largest {rows[k]} x {cols[k]}")
+    built = (f"plan built {seen['__init__']:.3f} s (cold)" if "__init__" in seen
+             else "plan cached")
+    return (f"    {built}; residues {seen['residues']:.3f} s, ranks {seen['ranks']:.3f} s; "
+            f"{plan.D} x {plan.D} contraction, {len(rows)} blocks, largest {rows[k]} x {cols[k]}")
 
 
 def _phi_note(linalg, phi, matmuls: Counter) -> str:
@@ -320,13 +330,13 @@ def probe(tf, kind: str, N: int, modules: str, warm, stages, counts: Counter,
     if "witness" in stages:
         seen.clear()
         _timed("phi_witness", lambda: irr.phi_witness(Z), lambda w: _witness_note(irr, Z, w))
-        print(_witness_split(tf.linalg, seen), flush=True)
+        print(_witness_split(seen), flush=True)
         if warm is not None:
             seen.clear()
             W = repmatrix.FusedModuleSpec.from_string(form, warm)
             _timed("phi_witness (warm)", lambda: irr.phi_witness(W),
                    lambda w: f"at {warm}; " + _witness_note(irr, W, w))
-            print(_witness_split(tf.linalg, seen), flush=True)
+            print(_witness_split(seen), flush=True)
     if "burnside" in stages:
         _timed("burnside", lambda: irr.burnside(Z),
                lambda b: f"dim {b.dim} of {Z.dimZ ** 2}; {len(b.words)} words, closure proof "
@@ -444,7 +454,7 @@ def main(argv=None) -> int:
     counts = _record_kernels(tf.repmatrix)
     split = _record_relation_split(tf.repmatrix)
     matmuls = _record_matmuls(tf.linalg, (tf.tensor, tf.repmatrix, tf.irreducibility))
-    seen = _record_witness(tf.irreducibility)
+    seen = _record_witness(tf.repmatrix)
     spent = _record_burnside(tf.irreducibility)
     for kind, N, modules, warm, only in MODULES:
         run = [s for s in stages if s in (only or set(STAGES) - {"wall", *ONCE})]
