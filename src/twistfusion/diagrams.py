@@ -67,11 +67,6 @@ class SkewDiagram:
         """All boxes in row-major order."""
         return [(i, j) for i in range(1, self.n_rows + 1) for j in self.row_span(i)]
 
-    def has_box(self, i: int, j: int) -> bool:
-        if not 1 <= i <= self.n_rows:
-            return False
-        return j in self.row_span(i)
-
     def column_height(self, j: int) -> int:
         """Boxes in column j: the rows with lambda_i >= j less those with
         mu_i >= j (both sequences decrease, and mu <= lambda)."""
@@ -92,10 +87,6 @@ class SkewDiagram:
 
     def to_json(self) -> dict:
         return {"lambda": list(self.lam), "mu": list(self.mu)}
-
-    @staticmethod
-    def from_json(data: dict) -> "SkewDiagram":
-        return SkewDiagram(data["lambda"], data.get("mu", ()))
 
 
 def parse_skew(text: str) -> SkewDiagram:

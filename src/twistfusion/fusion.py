@@ -26,7 +26,6 @@ from .errors import (
     ShapeTooTall,
     SlopeCollision,
 )
-from .exactnum import Poly
 from .linalg import is_zero_matrix
 from .tensor import (
     Basis,
@@ -188,9 +187,7 @@ def defining_action_product(params, N: int) -> FrameBlock:
     n = len(params)
     minus_p = minus_flip_entries(N)
     chain = [(0, q, -params[q - 1], 1, minus_p) for q in range(n, 0, -1)]
-    den = Poly.const(1)
-    for a_q in params:
-        den = den * Poly((-a_q, 1))
+    den = tuple((-a_q, 1) for a_q in params)
     dims = (N,) * (n + 1)
     identity = np.eye(N ** (n + 1), dtype=int).astype(object)
     return FrameBlock(*apply_factor_chain(identity, dims, chain), den, dims)

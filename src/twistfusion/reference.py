@@ -159,10 +159,11 @@ def eval_ratfuncs(op: TensorOperator, a: Fraction) -> TensorOperator:
 
 def ratfunc_matrix(fb: FrameBlock) -> np.ndarray:
     """The entries of a frame block as RatFuncs in its variable."""
+    den = math.prod((Poly((a, Fraction(b))) for a, b in fb.den), start=Poly.const(1))
     shape = fb.frames[0].shape
     out = np.empty(shape, dtype=object)
     for idx in np.ndindex(shape):
-        out[idx] = RatFunc(Poly([fb.scale * int(fr[idx]) for fr in fb.frames]), fb.den)
+        out[idx] = RatFunc(Poly([fb.scale * int(fr[idx]) for fr in fb.frames]), den)
     return out
 
 

@@ -36,7 +36,7 @@ from .errors import (
     ShapeTooTall,
     SingularParameter,
 )
-from .exactnum import Poly, parse_rational
+from .exactnum import parse_rational
 from .linalg import (
     ScaledIntMatrix,
     block_ranks_mod_p,
@@ -162,7 +162,7 @@ def form_equal(a: GForm, b: GForm) -> bool:
 
 # ---------------------------------------------------------------------------
 # box-level blocks: polynomial coefficient frames in the deformation
-# variable over one scalar denominator (keeps everything numeric)
+# variable over a scalar denominator kept as its linear factors
 
 def _pair_order(kind: str, nA: int, nB: int) -> list[tuple[int, int]]:
     """Factor order of a block of the given kind, leftmost first: p
@@ -258,7 +258,7 @@ def _pair_term(
         chain = [(p, nA + q, sigma * epq, sigma, entries) for (p, q), epq in zip(order, e)]
         basis = Basis.kron(A.basis(i), B.basis(j))
         frames, scale = restricted_chain(chain, basis, (B.N,) * (nA + nB))
-        return FrameBlock(frames, scale, Poly.const(1), (A.basis(i).size, B.basis(j).size))
+        return FrameBlock(frames, scale, (), (A.basis(i).size, B.basis(j).size))
 
     key = (B.form.key, A.factors[i][0], B.factors[j][0], kind)
     return BlockTerm(_cached(key, build), t, s, tuple(e) if breve else ())
@@ -274,10 +274,10 @@ def _elementary_s_term(omega: SkewDiagram, z, shifted: bool, form: GForm) -> Blo
     Polynomial: the denominator is 1."""
     n = omega.size
     basis = fusion_mod.fusion_operator(omega, form.N, box_cap=max(6, n)).module_basis
-    one, size = Poly.const(1), basis.size
+    size = basis.size
     t, s = 2 * Fraction(z), 2 if shifted else 0
     if n <= 1:  # constant: the identity at every x
-        return BlockTerm(FrameBlock([np.eye(size, dtype=object)], _F1, one, (size,)), t, s)
+        return BlockTerm(FrameBlock([np.eye(size, dtype=object)], _F1, (), (size,)), t, s)
 
     def build() -> FrameBlock:
         cont = column_tableau(omega).contents
@@ -285,7 +285,7 @@ def _elementary_s_term(omega: SkewDiagram, z, shifted: bool, form: GForm) -> Blo
         chain = [(p, q, -(cont[p] + cont[q]), -1, entries)
                  for p in reversed(range(n)) for q in reversed(range(p))]
         frames, scale = restricted_chain(chain, basis, (form.N,) * n)
-        return FrameBlock(frames, scale, one, (size,))
+        return FrameBlock(frames, scale, (), (size,))
 
     return BlockTerm(_cached((form.key, omega, "S"), build), t, s)
 
@@ -336,10 +336,10 @@ def block_product(blocks, dims) -> FrameBlock:
     the legs ``dims``.
 
     The numerators multiply as exact-tail series, each block on its own
-    slots (MatrixLaurentSeries.embedded), the scalar denominators as one
-    Poly, and the content of the product frames moves into the scale.  A
+    slots (MatrixLaurentSeries.embedded), the denominators' factors are
+    joined, and the content of the product frames moves into the scale.  A
     single block on every leg in order is its own product."""
-    den = math.prod((fb.den for fb, _ in blocks), start=Poly.const(1))
+    den = sum((fb.den for fb, _ in blocks), ())
     if len(blocks) == 1 and tuple(blocks[0][1]) == tuple(range(len(dims))):
         frames, scale = blocks[0][0].frames, blocks[0][0].scale
     else:
@@ -586,8 +586,8 @@ def s_fused(Z: FusedModuleSpec) -> TensorOperator:
 # Yangian action and twisted-Yangian generator matrices
 
 def _t_data(Z: FusedModuleSpec) -> FrameBlock:
-    """T_Z(u) as polynomial coefficient frames over the scalar denominator
-    prod_q (u - v_q), on the legs (N,) + factor dims; cached on Z.
+    """T_Z(u) as polynomial coefficient frames over the denominator factors
+    u - v_q, one per box, on the legs (N,) + factor dims; cached on Z.
 
     T_Z(u) is the product of the breve-R blocks between the auxiliary
     one-box module C^N(u) (one box at 0, shifted by u) and each factor j

@@ -2,8 +2,11 @@
 
 Leg convention: leg 1 is the leftmost (slowest-varying) tensor index in
 row-major vectorization; an operator on legs of dimensions ``dims`` is a
-square object-dtype matrix of size ``prod(dims)``.  Entries are Fractions,
-Python ints, or RatFunc values, uniformly per matrix.
+square object-dtype matrix of size ``prod(dims)``.  Entries are exact
+scalars, uniformly per matrix: Fractions or Python ints in the engine, and
+RatFunc values in the symbolic reference routes.  An operator that depends
+on one variable is a FrameBlock: integer polynomial frames over one scale
+and a scalar denominator kept as its linear factors.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from .errors import (
     NotInvariant,
     SingularParameter,
 )
-from .exactnum import Poly, RatFunc
 from .linalg import (
     ScaledIntMatrix,
     certified,
@@ -569,32 +571,25 @@ class _WindowExhausted(Exception):
 
 
 # ---------------------------------------------------------------------------
-# operators in one variable: polynomial frames over one scalar denominator
+# operators in one variable: polynomial frames over linear factors
 
 class FrameBlock:
     """The operator scale * (sum_k frames[k] x^k) / den(x) on the legs
     ``dims``, with integer frames (lowest degree first), one Fraction scale
-    and a scalar Poly den.  Every operator that depends on the deformation
-    variable zeta or the spectral parameter u takes this form.  The frames
-    are int64 under their largest entry ``top`` (the int64 rule).  den may
-    be the pairs (a, b) of its factors a + b x, made a Poly when read."""
+    and the scalar den(x) = prod (a + b x) kept as the tuple ``den`` of its
+    factors (a, b), rational a and b not both 0 (() is 1).  Every operator
+    that depends on the deformation variable zeta or the spectral parameter
+    u takes this form.  The frames are int64 under their largest entry
+    ``top`` (the int64 rule)."""
 
-    def __init__(self, frames, scale: Fraction, den, dims):
+    def __init__(self, frames, scale: Fraction, den: tuple, dims):
         self.top = max(max_abs(fr) for fr in frames)
         self.frames = [certified(fr, self.top) for fr in frames]
-        self.scale, self._den, self.dims = scale, den, tuple(dims)
-
-    @property
-    def den(self) -> Poly:
-        if not isinstance(self._den, Poly):
-            self._den = math.prod((Poly((a, Fraction(b))) for a, b in self._den), start=Poly.const(1))
-        return self._den
+        self.scale, self.den, self.dims = scale, den, tuple(dims)
 
     def den_low(self) -> tuple[int, Fraction]:
         """The valuation of den and its lowest nonzero coefficient."""
-        if isinstance(self._den, Poly):
-            return self._den.valuation(), self._den.coeffs[self._den.valuation()]
-        return sum(a == 0 for a, _ in self._den), math.prod(a or b for a, b in self._den)
+        return sum(a == 0 for a, _ in self.den), math.prod(a or b for a, b in self.den)
 
     @functools.cached_property
     def low(self) -> int | None:
@@ -604,25 +599,22 @@ class FrameBlock:
     def _horner(self, xs) -> np.ndarray:
         """The stack of sum_k frames[k] p^k q^(deg - k), deg = len(frames) - 1,
         at the points p/q of ``xs``: the frame sums times q^deg, by one product
-        of the homogenised power rows [p^k q^(m - k)], m = max(deg, deg den),
-        over q^(m - deg), with the stacked frames (int_matmul, whose bound is
-        at most top (|p| + q)^deg).  The rows times den's cleared coefficients
-        are den's values times positive scalars: SingularParameter at a pole."""
-        L = math.lcm(*(c.denominator for c in self.den.coeffs))
-        den, deg = [int(c * L) for c in self.den.coeffs], len(self.frames) - 1
-        m, rows = max(deg, len(den) - 1), []
+        of the homogenised power rows [p^k q^(deg - k)] with the stacked frames
+        (int_matmul, whose bound is at most top (|p| + q)^deg).
+        SingularParameter at a root of a factor: a q + b p = 0."""
+        deg, rows = len(self.frames) - 1, []
         for x in xs:
-            row = [x.numerator**k * x.denominator ** (m - k) for k in range(m + 1)]
-            if not sum(c * r for c, r in zip(den, row)):
+            p, q = x.numerator, x.denominator
+            if any(a * q + b * p == 0 for a, b in self.den):
                 raise SingularParameter(f"{x} is a pole of the operator")
-            rows.append([r // x.denominator ** (m - deg) for r in row[:deg + 1]])
+            rows.append([p**k * q ** (deg - k) for k in range(deg + 1)])
         sums = int_matmul(np.array(rows, dtype=object), np.stack(self.frames).reshape(deg + 1, -1))
         return sums.reshape((len(rows),) + self.frames[0].shape)
 
-    def substituted(self, t: Fraction, s: int, den: Poly) -> "FrameBlock":
+    def substituted(self, t: Fraction, s: int, den: tuple) -> "FrameBlock":
         """The numerator scale * sum_m frames[m] x^m at x = t + s*y, as
-        frames in y, over the scalar denominator den(y).  This block is a
-        numerator: its own den is 1.
+        frames in y, over the denominator factors ``den`` in y.  This block
+        is a numerator: its own den is ().
 
         For t = p/q and D = len(frames) - 1, frame k of q^D N(t + s y) is
         s^k sum_m C(m, k) p^(m-k) q^(D-m+k) frames[m], over the scale
@@ -653,7 +645,8 @@ class FrameBlock:
         x0 = Fraction(x0)
         acc = self._horner([x0])[0].astype(object)
         q_deg = x0.denominator ** (len(self.frames) - 1)
-        return TensorOperator(acc * (self.scale / (self.den.eval(x0) * q_deg)), self.dims)
+        den = math.prod((a + b * x0 for a, b in self.den), start=_F1)
+        return TensorOperator(acc * (self.scale / (den * q_deg)), self.dims)
 
     def at_ints(self, xs) -> np.ndarray:
         """Primitive integer matrices equal to the values at the points xs up
@@ -664,14 +657,21 @@ class FrameBlock:
         """Coefficients of u^0, u^-1, ..., u^-K, straight from the integer
         frames.
 
-        With n = deg den, 1/den(u) = u^-n sum_j h_j u^-j, the h_j given by
-        the linear recurrence on the coefficients of den; so the u^-m
-        coefficient is sum_k frames[k] h_(m+k-n).  The h_j are cleared to
-        integers H_j = L h_j by one common L, and all coefficients are one
-        product of the rows [H_(m+k-n)]_k with the stacked frames
-        (int_matmul, whose bound is at most top * sum |H_j|)."""
-        n, deg = self.den.degree, len(self.frames) - 1
-        h = RatFunc(Poly.const(1), self.den, _normalized=True).series_at_infinity(K + n)[n:]
+        With n factors a + b u of den that have b != 0, 1/den(u) = u^-n
+        sum_j h_j u^-j: the product of the geometric series sum_j (-a/b)^j
+        u^-j of those factors, over the product of their b's and of the
+        constant factors.  So the u^-m coefficient is sum_k frames[k]
+        h_(m+k-n).  The h_j are cleared to integers H_j = L h_j by one common
+        L, and all coefficients are one product of the rows [H_(m+k-n)]_k
+        with the stacked frames (int_matmul, whose bound is at most top *
+        sum |H_j|)."""
+        n, deg = sum(b != 0 for _, b in self.den), len(self.frames) - 1
+        h = [_F1 / math.prod((b or a for a, b in self.den), start=_F1)] + [Fraction(0)] * K
+        for a, b in self.den:
+            if b:
+                r = -Fraction(a) / b
+                for j in range(1, K + 1):
+                    h[j] += r * h[j - 1]
         L = math.lcm(*(c.denominator for c in h))
         H = [int(c * L) for c in h]
         rows = [[H[m + k - n] if m + k >= n else 0 for k in range(deg + 1)] for m in range(K + 1)]

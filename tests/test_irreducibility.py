@@ -317,7 +317,7 @@ def test_frame_product_against_symbolic_product(case):
     assert mat_equal(coeff.to_fractions(), expected)
     if make_blocks is breve_r_frame_blocks:
         # the diagonal blocks' denominators vanish at zeta = 0
-        assert any(fb.den.valuation() > 0 for fb, _ in blocks)
+        assert any(fb.den_low()[0] > 0 for fb, _ in blocks)
 
 
 def _recording_windows(monkeypatch):
@@ -344,7 +344,7 @@ def test_phi_leading_one_product_at_generic_points(form, factors, monkeypatch):
     phi = phi_leading(Z)
     assert windows == [1]
     # the exact block orders add up to the order of the product
-    orders = [MatrixLaurentSeries.from_frames(fb.frames, fb.scale, 1).order - fb.den.valuation()
+    orders = [MatrixLaurentSeries.from_frames(fb.frames, fb.scale, 1).order - fb.den_low()[0]
               for fb, _ in swz_frame_blocks(Z)]
     assert sum(orders) == phi.order
 
@@ -375,20 +375,30 @@ def test_no_denominator_is_expanded(monkeypatch):
 @pytest.mark.parametrize("modules", ["1:1/3;1:7/5", "1:1/3;1:4/3"], ids=["generic", "wall"])
 def test_frame_product_multiplies_no_polynomial(modules, monkeypatch):
     """frame_product reads each denominator only through its valuation and
-    its lowest coefficient: with Poly products refused it returns the same
-    leading term."""
+    its lowest coefficient, and T(u) keeps its denominator as linear
+    factors: with Poly products and RatFunc series refused, frame_product,
+    the T frames, s_factors and the relation check give the same results."""
     Z = FusedModuleSpec.from_string(SP2, modules)
     blocks = swz_frame_blocks(Z)
     dims = Z.factor_dims * 2
     order, coeff = frame_product(blocks, dims)
+    td, (A, B, c) = repmatrix._t_data(Z), s_factors(Z, 4)
+    report = check_defining_relations(Z)
 
-    def refuse(self, other):
-        raise AssertionError("frame_product multiplied two polynomials")
+    def refuse(*args):
+        raise AssertionError("a polynomial was multiplied or expanded")
 
     monkeypatch.setattr(Poly, "__mul__", refuse)
+    monkeypatch.setattr(RatFunc, "series_at_infinity", refuse)
     order_kept, coeff_kept = frame_product(blocks, dims)
     assert order_kept == order
     assert mat_equal(coeff_kept.to_fractions(), coeff.to_fractions())
+    fresh = FusedModuleSpec.from_string(SP2, modules)
+    td_kept, (A_kept, B_kept, c_kept) = repmatrix._t_data(fresh), s_factors(fresh, 4)
+    assert (td_kept.scale, td_kept.den) == (td.scale, td.den)
+    assert all(np.array_equal(a, b) for a, b in zip(td_kept.frames, td.frames, strict=True))
+    assert c_kept == c and all(np.array_equal(a, b) for a, b in zip(A_kept + B_kept, A + B))
+    assert check_defining_relations(fresh) == report
 
 
 # ---------------------------------------------------------------------------
@@ -846,7 +856,7 @@ def _frame_residue(blocks, dims, p):
     """_term_residue of exact frame blocks, each the term (fb, 0, 1) over
     fb.den: the reference for the residues of the argument blocks."""
     orders, R = _term_residue([[(BlockTerm(fb, 0, 1), slots) for fb, slots in blocks]], dims, p)
-    return orders[0] - sum(fb.den.valuation() for fb, _ in blocks), R[0]
+    return orders[0] - sum(fb.den_low()[0] for fb, _ in blocks), R[0]
 
 
 def _exact_lowest(fb, p):
@@ -878,7 +888,7 @@ def test_block_residues_match_the_exact_blocks():
             else:
                 want = _exact_lowest(exact, p)
                 assert k == want[0] and np.array_equal(R % p, want[1]), Z
-            assert term.den.count(-term.t) == exact.den.valuation(), Z
+            assert term.den.count(-term.t) == exact.den_low()[0], Z
         order, R = _one_residue(Z, p)
         orders, ref = _term_residue([terms], dims, p)
         assert order == orders[0] and np.array_equal(R % p, ref[0] % p), Z

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from twistfusion.errors import DimensionMismatch, IndexOutOfRange, NotInvariant, SingularParameter
-from twistfusion.exactnum import Poly
+from twistfusion.exactnum import Poly, RatFunc
 from twistfusion.linalg import feye, fzeros, mat_equal, to_int_scaled
 from twistfusion import tensor as tensor_mod
 from twistfusion.reference import (
@@ -385,7 +386,7 @@ def test_frame_block_views_agree():
     frames = [np.array([[Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(4)]
                         for _ in range(4)], dtype=object) for _ in range(3)]
     mats, scale = to_int_scaled(np.array(frames))
-    fb = FrameBlock(list(mats), scale, Poly((Fraction(-3, 2), Fraction(5, 2), 1)), (2, 2))
+    fb = FrameBlock(list(mats), scale, ((Fraction(-1, 2), 1), (3, 1)), (2, 2))
     sym = ratfunc_matrix(fb)
     for x0 in (Fraction(0), Fraction(2, 7), Fraction(-5)):
         value = fb.at(x0)
@@ -405,6 +406,60 @@ def test_frame_block_views_agree():
             fb.at_ints([pole])[0]
 
 
+def _poly_of(den) -> Poly:
+    """The product of the factors a + b x of a factor tuple, as a Poly."""
+    return math.prod((Poly((a, Fraction(b))) for a, b in den), start=Poly.const(1))
+
+
+def test_at_infinity_is_the_series_of_the_factor_product():
+    # random factor tuples with constant factors (b = 0), b != 1 and repeated
+    # factors: the u^0..u^-K coefficients of a 1 x 1 block equal the series of
+    # its RatFunc at infinity
+    rng = random.Random(34)
+    K = 6
+    for _ in range(60):
+        den = []
+        for _ in range(rng.randint(0, 4)):
+            if den and rng.random() < 0.3:
+                den.append(rng.choice(den))
+                continue
+            b = rng.choice([0, 1, Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 5))])
+            a = Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+            den.append((a or 1 if b == 0 else a, b))
+        n = sum(b != 0 for _, b in den)
+        frames = [np.array([[rng.randint(-9, 9)]], dtype=object) for _ in range(rng.randint(1, n + 1))]
+        if not any(fr[0, 0] for fr in frames):
+            frames[0][0, 0] = 1
+        fb = FrameBlock(frames, Fraction(rng.randint(1, 9), rng.randint(1, 9)), tuple(den), (1,))
+        num = Poly([fb.scale * int(fr[0, 0]) for fr in frames])
+        expect = RatFunc(num, _poly_of(den)).series_at_infinity(K)
+        assert [c.to_fractions()[0, 0] for c in fb.at_infinity(K)] == expect, den
+
+
+def test_poles_are_exactly_the_roots_of_the_factors():
+    # a non-monic factor (root -14/15), a monic one (root 1), one through 0
+    # and a constant: at, at_ints and substituted(t, 0, ...) raise
+    # SingularParameter exactly at the three roots of a small grid
+    den = ((Fraction(2, 3), Fraction(5, 7)), (-1, 1), (0, 2), (Fraction(3, 4), 0))
+    rng = random.Random(35)
+    frames = [np.array([[rng.randint(-9, 9) for _ in range(2)] for _ in range(2)], dtype=object)
+              for _ in range(3)]
+    fb = FrameBlock(frames, Fraction(2, 5), den, (2,))
+    roots = {Fraction(-14, 15), Fraction(1), Fraction(0)}
+    grid = {Fraction(k, q) for k in range(-16, 17) for q in (1, 2, 3, 15)} | roots
+    for x in sorted(grid):
+        calls = (lambda: fb.at(x), lambda: fb.at_ints([x]), lambda: fb.substituted(x, 0, ()))
+        for call in calls:
+            if x in roots:
+                with pytest.raises(SingularParameter):
+                    call()
+            else:
+                call()
+        if x not in roots:
+            value = fb.scale * sum(fr * x**k for k, fr in enumerate(frames)) / _poly_of(den).eval(x)
+            assert mat_equal(fb.at(x).mat, value)
+
+
 @pytest.mark.parametrize("s", [0, 1, 2, -1])
 @pytest.mark.parametrize("t", [Fraction(-7, 5), Fraction(0), Fraction(3),
                                Fraction(10**12 + 39, 10**18 + 9)], ids=str)
@@ -414,15 +469,15 @@ def test_substituted_is_the_numerator_at_the_affine_argument(t, s):
     frames = [np.array([[rng.randint(-9, 9) for _ in range(4)] for _ in range(4)], dtype=object)
               for _ in range(4)]
     scale = Fraction(3, 14)
-    den = Poly((Fraction(-1, 2), 1))
-    fb = FrameBlock(frames, scale, Poly.const(1), (2, 2)).substituted(t, s, den)
+    den = ((Fraction(-1, 2), 1),)
+    fb = FrameBlock(frames, scale, (), (2, 2)).substituted(t, s, den)
     assert fb.den == den and fb.dims == (2, 2)
     assert len(fb.frames) == (1 if s == 0 else 4)
     # integer-valued frames, int64 or Python ints (the int64 rule)
     assert all(fr.dtype == np.int64 or all(type(v) is int for v in fr.flat) for fr in fb.frames)
     for y in (Fraction(0), Fraction(2, 9), Fraction(-5, 3)):
         x = t + s * y
-        expect = sum(fr * x**m for m, fr in enumerate(frames)) * (scale / den.eval(y))
+        expect = sum(fr * x**m for m, fr in enumerate(frames)) * (scale / (y - Fraction(1, 2)))
         assert mat_equal(fb.at(y).mat, expect)
 
 
@@ -435,8 +490,8 @@ def test_residue_is_the_lowest_substituted_frame_mod_p(t, s, p):
     # lowest frame and is None
     rng = random.Random(12)
     F = np.array([[rng.randint(-9, 9) for _ in range(4)] for _ in range(4)], dtype=object)
-    fb = FrameBlock([0 * F, 0 * F, -3 * F, F], Fraction(3, 14), Poly.const(1), (2, 2))
-    exact = fb.substituted(t, s, Poly.const(1))
+    fb = FrameBlock([0 * F, 0 * F, -3 * F, F], Fraction(3, 14), (), (2, 2))
+    exact = fb.substituted(t, s, ())
     k0 = next((k for k, fr in enumerate(exact.frames) if fr.any()), None)
     # the witness plan of the one block on legs (2, 2): its residue is the
     # block's lowest frame, and its order that frame's index
@@ -477,7 +532,7 @@ def test_laurent_sum_int64_boundary(y, path):
 @pytest.mark.parametrize("top,path", [((_LIMIT - 1) // 3, True), ((_LIMIT - 1) // 3 + 1, False)])
 def test_substituted_int64_boundary(top, path, monkeypatch):
     # D = 1 at t = 1, s = 1: the bound top * (|p| + q (1 + |s|))^D is 3 top
-    fb = FrameBlock([_ints([[top], [1]]), _ints([[top], [-1]])], Fraction(1), Poly.const(1), (2,))
+    fb = FrameBlock([_ints([[top], [1]]), _ints([[top], [-1]])], Fraction(1), (), (2,))
     seen = []
     certified = tensor_mod.certified
 
@@ -486,7 +541,7 @@ def test_substituted_int64_boundary(top, path, monkeypatch):
         return certified(A, bound)
 
     monkeypatch.setattr(tensor_mod, "certified", recording)
-    out = fb.substituted(Fraction(1), 1, Poly.const(1))
+    out = fb.substituted(Fraction(1), 1, ())
     assert all(seen) == path
     assert _is_exact(out.frames[0], _ints([[2 * top], [0]]))
     assert _is_exact(out.frames[1], _ints([[top], [-1]]))
@@ -495,8 +550,8 @@ def test_substituted_int64_boundary(top, path, monkeypatch):
 @pytest.mark.parametrize("top,path", [((_LIMIT - 1) // 3, np.int64), ((_LIMIT - 1) // 3 + 1, object)])
 def test_horner_int64_boundary(top, path):
     # at x0 = 2 the Horner bound top * (|p| + q)^deg is 3 top
-    fb = FrameBlock([_ints([[top, 1], [0, 0]]), _ints([[top, 0], [0, 0]])], Fraction(1),
-                    Poly.const(1), (2,))
+    fb = FrameBlock([_ints([[top, 1], [0, 0]]), _ints([[top, 0], [0, 0]])], Fraction(1), (),
+                    (2,))
     got = fb.at_ints([Fraction(2)])[0]
     assert got.dtype == path and _is_exact(got, _ints([[3 * top, 1], [0, 0]]))
     value = fb.at(Fraction(2)).mat
@@ -507,8 +562,7 @@ def test_horner_int64_boundary(top, path):
 def test_at_infinity_int64_boundary(top, path):
     # 1 / (u + 2) = u^-1 (1 - 2 u^-1 + ...): to order 1 the bound is
     # top * (1 + 2); the u^-1 coefficient is F0 - 2 F1
-    fb = FrameBlock([_ints([[top], [1]]), _ints([[top], [0]])], Fraction(1),
-                    Poly((Fraction(2), Fraction(1))), (2,))
+    fb = FrameBlock([_ints([[top], [1]]), _ints([[top], [0]])], Fraction(1), ((2, 1),), (2,))
     c0, c1 = fb.at_infinity(1)
     assert c0.mat.dtype == c1.mat.dtype == path
     assert _is_exact(c0.mat, _ints([[top], [0]])) and _is_exact(c1.mat, _ints([[-top], [1]]))

@@ -28,7 +28,13 @@ them:
     Z)^2): a verdict then takes the exact path instead.  It adds a ``warm``
     line at the second point of the shape, for the dim-9, dim-18 and dim-36
     modules (after ``phi`` the first line is warm too, since its blocks are
-    cached).  Below each line, the plan's one-time build (cold; ``plan
+    cached).  The warm dim-18 line reads 11-13 ms in some processes and
+    55-70 ms in others, on any checkout: OpenBLAS threads on the small
+    stacked products of its leg contractions ((1, 5832, 18) @ (1, 18, 18),
+    7-11 ms each in the slow mode against 0.1-0.2 ms) set the time, not
+    the code.  ``OPENBLAS_NUM_THREADS=1`` in the environment makes it stable
+    at 11-13 ms; the tool does not set it, so compare dim-18 rows only
+    between runs made with the same setting.  Below each line, the plan's one-time build (cold; ``plan
     cached`` on a warm line), the witness time split between the plan's
     residue half (``WitnessPlan.residues``) and rank half
     (``WitnessPlan.ranks``), and the number of the plan's blocks (connected
@@ -83,11 +89,7 @@ relations`` takes about 0.5 s in all: ``check_defining_relations`` takes
 sampling is 0.7-0.8, 1.2-1.4 and 2.1-2.3 ms, and the dim-27 reflection
 kernels, 80 of its 81 samples on three primes each, 0.11-0.13 s.  The
 dim-36 witness takes 1.1 s cold, of which the plan's build 0.5 s, and
-0.16-0.21 s warm; the dim-9 one 8 ms cold and under 1 ms warm.  The warm
-dim-18 witness takes 11-13 ms, or about 60 ms in processes where the
-OpenBLAS threads of its small products run slowly (both sides of a
-comparison alike; ``OPENBLAS_NUM_THREADS=1`` keeps it at 11-12 ms).
-Times are wall times of one run in this process, except the ``wall``
+0.16-0.21 s warm; the dim-9 one 8 ms cold and under 1 ms warm.  Times are wall times of one run in this process, except the ``wall``
 stage's best-of-runs.
 """
 
