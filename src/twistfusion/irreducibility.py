@@ -104,17 +104,18 @@ class PhiOperator:
         return self.coeff.to_fractions()
 
 
-def phi_leading(Z: FusedModuleSpec) -> PhiOperator:
+def phi_leading(Z: FusedModuleSpec, *, window: int = 1) -> PhiOperator:
     """Leading trace-contraction coefficient of S_{W,Z}(zeta) at 0.
 
     frame_product locates the matrix-level leading term exactly: the
     numerators of the frame blocks multiply as integer matrices and their
     scalar denominators are kept aside, so no denominator is expanded.  The
     contraction only reindexes the leading coefficient, which is nonzero, so
-    phi is nonzero; a zero phi is a bug.
+    phi is nonzero; a zero phi is a bug.  ``window`` is where frame_product
+    starts its window, which changes only the work.
     """
     dZ = Z.dimZ
-    order, coeff = frame_product(swz_frame_blocks(Z), Z.factor_dims + Z.factor_dims)
+    order, coeff = frame_product(swz_frame_blocks(Z), Z.factor_dims + Z.factor_dims, window)
     phi = ScaledIntMatrix(contraction_map_matrix(coeff.mat, dZ, dZ), coeff.scale)
     if phi.is_zero():
         raise InternalInconsistency(f"zero contracted coefficient at order {order}")
@@ -488,8 +489,12 @@ def verdict(Z: FusedModuleSpec, witness: tuple[int, int] | None = None) -> Irred
     dim A_Z = d^2.  ``witness`` is the module's phi_witness, as
     phi_witnesses gives it for a batch, and is taken here when not given.
     A witness of rank d^2 proves surjectivity and gives the exact report;
-    any other takes the exact path.  A phi of rank above dim A_Z
-    contradicts the theory (its image lies in A_Z) and aborts."""
+    any other takes the exact path.  A witness of rank 0, where the
+    product of the lowest frames cancelled modulo its prime or a block's
+    residue vanished, starts frame_product at window 2, past the window 1
+    that such points use up; that changes only the work.  A phi of rank
+    above dim A_Z contradicts the theory (its image lies in A_Z) and
+    aborts."""
     params = [z for _, z in Z.factors]
     on_wall = [c.describe() for c in walls(Z).violated(params)]
     full = Z.dimZ**2
@@ -497,7 +502,7 @@ def verdict(Z: FusedModuleSpec, witness: tuple[int, int] | None = None) -> Irred
     if rank == full:
         surj, dim = True, full
     else:
-        phi = phi_leading(Z)
+        phi = phi_leading(Z, window=2 if rank == 0 else 1)
         rank, surj = surjectivity(phi)
         order = phi.order
         dim = full if surj else burnside(Z).dim

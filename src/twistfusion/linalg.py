@@ -38,8 +38,9 @@ Four layers, all exact:
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
-from itertools import islice
+from itertools import accumulate, islice
 
 import numpy as np
 
@@ -211,6 +212,20 @@ def kernel_moduli(bound: int, inner: int) -> list:
             return primes
     raise DimensionMismatch(
         f"the primes below 2^{width} do not reach a {bound.bit_length()}-bit bound")
+
+
+def kernel_counts(bounds: np.ndarray, inner: int) -> np.ndarray:
+    """For each bound of an integer array, the number of float_kernels'
+    kernels at it that are residue kernels: 0 below 2^53 (the float64
+    kernel), else its number of primes, read for every bound at once off
+    the running products of the primes of the largest (kernel_moduli), as
+    the first k whose product exceeds twice the bound."""
+    top = int(bounds.max(initial=0))
+    if top < _FLOAT_EXACT:
+        return np.zeros(bounds.shape, dtype=np.int64)
+    products = np.array(list(accumulate(kernel_moduli(top, inner), operator.mul)), dtype=object)
+    counts = np.searchsorted(products, 2 * bounds.astype(object), side="right") + 1
+    return np.where(bounds < _FLOAT_EXACT, 0, counts)
 
 
 def reduce_mod(X: np.ndarray, p: int, scratch=None) -> np.ndarray:

@@ -42,8 +42,9 @@ from .linalg import (
     block_ranks_mod_p,
     certified,
     float_kernels,
+    int64_certified,
     int_matmul,
-    kernel_moduli,
+    kernel_counts,
     mat_equal,
     max_abs,
     mod_matmul,
@@ -217,6 +218,14 @@ class BlockTerm(NamedTuple):
         """The block substituted exactly (FrameBlock.substituted), its den as factors."""
         return self.block.substituted(self.t, self.s, tuple((self.t + e, self.s) for e in self.den))
 
+    def at_ints(self, ys) -> np.ndarray:
+        """The term at each point y of ``ys`` over its content, stacked: the
+        cached block at x = t + s*y (FrameBlock.at_ints, shifted by t), a
+        positive multiple of the term's value there.  SingularParameter where
+        a factor (t + e) + s*y = x + e of den vanishes."""
+        xs = ys if self.s == 1 else [self.s * y for y in ys]
+        return self.block.at_ints(xs, self.t, tuple((e, 1) for e in self.den))
+
 
 def _pair_term(
     A: FusedModuleSpec, i: int, shiftA: bool, B: FusedModuleSpec, j: int, shiftB: bool, kind: str
@@ -351,7 +360,7 @@ def block_product(blocks, dims) -> FrameBlock:
     return FrameBlock([fr // content for fr in frames], scale * content, den, tuple(dims))
 
 
-def frame_product(blocks, dims) -> tuple[int, ScaledIntMatrix]:
+def frame_product(blocks, dims, window: int = 1) -> tuple[int, ScaledIntMatrix]:
     """Laurent order and exact leading coefficient at zeta = 0 of the
     ordered product of frame blocks.
 
@@ -369,13 +378,13 @@ def frame_product(blocks, dims) -> tuple[int, ScaledIntMatrix]:
     through ``window`` coefficients past their orders; the identity is
     padded with zero frames to the length of the numerator product, so a
     window that covers that length makes the product exact.  The window
-    starts at 1 and doubles while cancellations eat the known ones."""
+    starts at ``window`` and doubles while cancellations eat the known
+    ones; the result does not depend on where it starts."""
     lows = [fb.den_low() for fb, _ in blocks]
     low = math.prod(c for _, c in lows)
     D = math.prod(dims)
     length = 1 + sum(len(fb.frames) - 1 for fb, _ in blocks)
     one = MatrixLaurentSeries.identity(D).coeffs + [np.zeros((D, D), dtype=np.int64)] * (length - 1)
-    window = 1
     while True:
         prod = MatrixLaurentSeries.from_frames(one, _F1, window)
         for fb, slots in blocks:
@@ -593,11 +602,40 @@ def _t_data(Z: FusedModuleSpec) -> FrameBlock:
     one-box module C^N(u) (one box at 0, shifted by u) and each factor j
     ascending, on slots (0, 1 + j)."""
     if Z._tdata is None:
-        aux = FusedModuleSpec(Z.form, [(SkewDiagram((1,)), 0)])
+        aux = _form_parts(Z.form).aux
         blocks = [(_pair_term(aux, 0, True, Z, j, False, "Rb").exact(), (0, 1 + j))
                   for j in range(Z.ell)]
         Z._tdata = block_product(blocks, (Z.N,) + Z.factor_dims)
     return Z._tdata
+
+
+def _t_samples(Z: FusedModuleSpec, us) -> np.ndarray:
+    """T_Z(u0) at each point u0 of ``us``, as the (P, N d, N d) stack of
+    primitive integer matrices _t_data(Z).at_ints(us) gives, with no
+    symbolic work per spec.
+
+    Each factor's breve-R block with C^N(u) is the cached block G_j at x =
+    u0 - z_j over its linear factors, so one at_ints call of its term
+    (BlockTerm.at_ints) takes it at every point, a positive multiple of
+    the factor's value.  The factors multiply on slots (0, 1 + j) in
+    _t_data's order, one batched integer product per factor: the product so
+    far, on the legs (N, X) with X the factors before j, has its column aux
+    index moved last and meets G_j's row aux index.  Positive multiples of
+    T(u0) over their contents are equal, so this is _t_data's value."""
+    aux, P, N = _form_parts(Z.form).aux, len(us), Z.N
+    acc = None
+    for j, dj in enumerate(Z.factor_dims):
+        G = _pair_term(aux, 0, True, Z, j, False, "Rb").at_ints(us)
+        if acc is None:
+            acc = G
+            continue
+        X = acc.shape[-1] // N
+        left = acc.reshape(P, N, X, N, X).transpose(0, 1, 2, 4, 3).reshape(P, -1, N)
+        prod = int_matmul(left, G.reshape(P, N, -1)).reshape(P, N, X, X, dj, N, dj)
+        acc = primitive_part(prod.transpose(0, 1, 2, 4, 5, 3, 6).reshape(P, N * X * dj, -1))
+    if acc is None:  # no factors: T(u) = 1 on C^N
+        acc = np.broadcast_to(np.eye(N, dtype=np.int64), (P, N, N))
+    return acc
 
 
 @dataclass
@@ -655,13 +693,65 @@ def s_generators(Z: FusedModuleSpec, K: int) -> GeneratorMatrices:
     return GeneratorMatrices(K=K, N=N, dimZ=dZ, rho=rho)
 
 
+class _FormParts(NamedTuple):
+    """What T(u), S(u) and the relation check read of one form, made once
+    (_form_parts): the one-box module C^N(u) at 0, the flip P and Q =
+    (t (x) id)(P) cleared to integers with their scales, and g and g^-1
+    cleared to integers with the scale c of the transposition
+    (_cleared_form)."""
+
+    aux: FusedModuleSpec
+    P: np.ndarray
+    sp: Fraction
+    Q: np.ndarray
+    sq: Fraction
+    cleared: GForm
+    c: Fraction
+
+
+# _FormParts, and the grid's R and R' stacks (_aux_stacks), keyed by form.key
+# (kind, N and g, so a form over another g keeps its own), at most
+# _FORM_ENTRIES of each, least recently used first.
+_FORM_ENTRIES = 64
+_forms: OrderedDict = OrderedDict()
+_grid_auxes: OrderedDict = OrderedDict()
+
+
+def _kept(cache: OrderedDict, key, build):
+    """cache[key], made by ``build`` on a miss, the least recent entry
+    dropped past _FORM_ENTRIES; its arrays are read-only, as every call
+    shares them."""
+    item = cache.get(key)
+    if item is not None:
+        cache.move_to_end(key)
+        return item
+    item = cache[key] = build()
+    for X in item:
+        if isinstance(X, np.ndarray):
+            X.flags.writeable = False
+    if len(cache) > _FORM_ENTRIES:
+        cache.popitem(last=False)
+    return item
+
+
+def _form_parts(form: GForm) -> _FormParts:
+    """The _FormParts of ``form``, made on its first use (_kept)."""
+    def build() -> _FormParts:
+        (P, sp), (Q, sq) = (to_int_scaled(X.mat) for X in structural_ops(form))
+        (g, sg), (g_inv, sgi) = (to_int_scaled(X) for X in (form.g, form.g_inv))
+        g, g_inv = (certified(X, max_abs(X)) for X in (g, g_inv))
+        aux = FusedModuleSpec(form, [(SkewDiagram((1,)), 0)])
+        return _FormParts(aux, P, sp, Q, sq, GForm(form.kind, form.N, g, g_inv), sg * sgi)
+
+    return _kept(_forms, form.key, build)
+
+
 def _cleared_form(form: GForm) -> tuple[GForm, Fraction]:
     """g and g^-1 cleared to integers, int64 where certified, and the scale c with
-    (true transposition) = c * (transposition of the cleared form)."""
-    g, sg = to_int_scaled(form.g)
-    g_inv, sgi = to_int_scaled(form.g_inv)
-    g, g_inv = (certified(X, max_abs(X)) for X in (g, g_inv))
-    return GForm(form.kind, form.N, g, g_inv), sg * sgi
+    (true transposition) = c * (transposition of the cleared form); made
+    once per form (_form_parts)."""
+    parts = _form_parts(form)
+    return parts.cleared, parts.c
 
 
 # ---------------------------------------------------------------------------
@@ -732,78 +822,150 @@ def _reduced(X, p, scratch):
 
 
 def _agree(lhs, rhs, p, diff) -> np.ndarray:
-    """Per pair of the leading axis: lhs as [rows, columns] == rhs as
-    [columns, rows], over Z (p None) or mod p; lhs and diff are overwritten."""
-    c, n2 = lhs.shape[:2]
-    rhs = rhs.reshape(c, n2, n2, -1).swapaxes(1, 2)
+    """Per pair of the leading axes, flattened: lhs as [rows, columns] ==
+    rhs as [columns, rows], over Z (p None) or mod p; lhs and diff are
+    overwritten."""
+    n2 = lhs.shape[-2]
+    rhs = rhs.reshape(-1, n2, n2, lhs.shape[-1] // n2).swapaxes(1, 2)
     diff = np.subtract(lhs.reshape(rhs.shape), rhs, out=diff.reshape(rhs.shape))
-    return ~_reduced(diff, p, lhs.reshape(rhs.shape)).reshape(c, -1).any(axis=1)
+    return ~_reduced(diff, p, lhs.reshape(rhs.shape)).reshape(len(rhs), -1).any(axis=1)
+
+
+# The largest block size d at which _block_pairs stacks each pair's blocks:
+# there one product of the stacked blocks and one transpose took 0.4-0.8
+# times the time of the N^4 products of d x d blocks (2-vCPU Xeon VM, numpy
+# 2.4), and 1.2-1.6 times at d = 6, 9, 18 and 27.
+_STACKED_D = 4
+
+
+def _block_pairs(L, R, out, swap=False):
+    """out[..., p, q, r, s] = L[..., p, r] @ R[..., q, s], or with ``swap``
+    L[..., q, s] @ R[..., p, r], for (..., N, N, d, d) block stacks L and R
+    broadcast over the leading axes of out.  Up to d = _STACKED_D one
+    product per pair of all of L's block rows with all of R's block columns,
+    [(a, b, x), (c, e, y)] = (L[a, b] @ R[c, e])[x, y], and one transpose
+    into out; above it N^4 products of d x d blocks written in place."""
+    N, d = L.shape[-4], L.shape[-1]
+    if d > _STACKED_D:
+        L = L[..., None, :, None, :, :, :] if swap else L[..., :, None, :, None, :, :]
+        R = R[..., :, None, :, None, :, :] if swap else R[..., None, :, None, :, :, :]
+        np.matmul(L, R, out=out)
+        return
+    M = np.matmul(L.reshape(L.shape[:-4] + (N * N * d, d)),
+                  R.swapaxes(-2, -3).swapaxes(-3, -4).reshape(R.shape[:-4] + (d, N * N * d)))
+    k = M.ndim - 2
+    axes = (3, 0, 4, 1, 2, 5) if swap else (0, 3, 1, 4, 2, 5)
+    out[...] = M.reshape(M.shape[:k] + (N, N, d, N, N, d)).transpose(
+        tuple(range(k)) + tuple(k + i for i in axes))
 
 
 def _rtt_sides(A, B, Rm, p, work):
-    c, n2 = len(A), A.shape[1] ** 2
-    W0, W1, W2 = (w[:A.size * n2].reshape(A.shape[:3] + A.shape[1:]) for w in work)
-    np.matmul(A[:, :, None, :, None], B[:, None, :, None, :], out=W0)  # Tu[a, k] Tv[b, l]
-    lhs = np.matmul(Rm, _reduced(W0, p, W1).reshape(c, n2, -1), out=W1.reshape(c, n2, -1))
+    W0, W1, W2 = work
+    N = A.shape[-4]
+    flat = W0.shape[:-6] + (N * N, -1)
+    _block_pairs(A, B, W0)  # Tu[a, k] Tv[b, l]
+    lhs = np.matmul(Rm, _reduced(W0, p, W1).reshape(flat), out=W1.reshape(flat))
     # Tv[y, j] Tu[x, i] at [i, j, x, y]
-    np.matmul(B.swapaxes(1, 2)[:, None, :, None, :], A.swapaxes(1, 2)[:, :, None, :, None], out=W0)
-    rhs = np.matmul(Rm.swapaxes(1, 2), _reduced(W0, p, W2).reshape(c, n2, -1),
-                    out=W2.reshape(c, n2, -1))
+    _block_pairs(B.swapaxes(-4, -3), A.swapaxes(-4, -3), W0, swap=True)
+    rhs = np.matmul(Rm.swapaxes(-1, -2), _reduced(W0, p, W2).reshape(flat), out=W2.reshape(flat))
     return _agree(lhs, rhs, p, W0)
 
 
 def _reflection_sides(A, B, Rm, Rq, p, work):
-    c, n2 = len(A), A.shape[1] ** 2
-    W0, W1, W2 = (w[:A.size * n2].reshape(A.shape[:3] + A.shape[1:]) for w in work)
-    At, Bt = A.swapaxes(1, 2), B.swapaxes(1, 2)
-    np.matmul(At[:, :, None, :, None], B[:, None, :, None, :], out=W0)  # Su[i, a] Sv[dd, l]
-    X = np.matmul(Rq, _reduced(W0, p, W1).reshape(c, n2, -1), out=W1.reshape(c, n2, -1))
-    W0[...] = X.reshape(W0.shape).transpose(0, 3, 1, 2, 4, 5, 6)  # X at [i, b, c, l]
-    lhs = np.matmul(Rm, _reduced(W0, p, W2).reshape(c, n2, -1), out=W2.reshape(c, n2, -1))
-    np.matmul(Bt[:, :, None, :, None], A[:, None, :, None, :], out=W0)  # Sv[j, b] Su[c, k]
-    Y = np.matmul(Rq.swapaxes(1, 2), _reduced(W0, p, W1).reshape(c, n2, -1),
-                  out=W1.reshape(c, n2, -1))
-    W0[...] = Y.reshape(W0.shape).transpose(0, 4, 2, 1, 3, 5, 6)  # Y at [k, dd, a, j]
-    rhs = np.matmul(Rm.swapaxes(1, 2), _reduced(W0, p, W1).reshape(c, n2, -1),
-                    out=W1.reshape(c, n2, -1))
+    W0, W1, W2 = work
+    N, L = A.shape[-4], W0.ndim - 6
+    flat, keep = W0.shape[:L] + (N * N, -1), tuple(range(L))
+
+    def legs(*order):  # W0's axes with its four aux legs in this order
+        return keep + tuple(L + k for k in order) + (L + 4, L + 5)
+
+    At, Bt = A.swapaxes(-4, -3), B.swapaxes(-4, -3)
+    _block_pairs(At, B, W0)  # Su[i, a] Sv[dd, l]
+    X = np.matmul(Rq, _reduced(W0, p, W1).reshape(flat), out=W1.reshape(flat))
+    W0[...] = X.reshape(W0.shape).transpose(legs(2, 0, 1, 3))  # X at [i, b, c, l]
+    lhs = np.matmul(Rm, _reduced(W0, p, W2).reshape(flat), out=W2.reshape(flat))
+    _block_pairs(Bt, A, W0)  # Sv[j, b] Su[c, k]
+    Y = np.matmul(Rq.swapaxes(-1, -2), _reduced(W0, p, W1).reshape(flat), out=W1.reshape(flat))
+    W0[...] = Y.reshape(W0.shape).transpose(legs(3, 1, 0, 2))  # Y at [k, dd, a, j]
+    rhs = np.matmul(Rm.swapaxes(-1, -2), _reduced(W0, p, W1).reshape(flat), out=W1.reshape(flat))
     return _agree(lhs, rhs, p, W0)
+
+
+def _side_bounds(samples, auxes) -> tuple[np.ndarray, np.ndarray]:
+    """For each pair of the broadcast leading axes of two (..., N, N, d, d)
+    integer sample stacks a, b and integer (..., N^2, N^2) auxes, a bound on
+    lhs and one on rhs of its relation, each also on every partial sum of
+    that side, int64 where the largest fits.
+
+    lhs multiplies each d x d block of a by one of b, then applies each aux
+    in turn, so each of its values is a sum of terms whose absolute values
+    sum to at most r_a m_b R_1 R_2 ...: r_a the largest row sum of |a|
+    within its blocks, m_b = max|b| and R_k the largest row sum of |aux k|.
+    rhs multiplies the blocks the other way round and applies the
+    transposed auxes, so its bound is r_b m_a C_1 C_2 ..., C_k the largest
+    column sum of |aux k|.  A partial sum is at most the sum of the absolute
+    values of its terms, and the final one is the side.  Every factor and
+    product is at most the product over a, b and the auxes of max|X| times
+    the length of a row of X, which certifies their dtype."""
+    tops = []
+
+    def absolute(X):  # |X|, on Python ints where a row or column sum could wrap
+        Y = np.abs(X)
+        tops.append(int(Y.max(initial=0)) * X.shape[-1])
+        return Y if int64_certified(tops[-1]) else Y.astype(object)
+
+    def largest(X, k):  # over the last k axes
+        return X.reshape(X.shape[:X.ndim - k] + (-1,)).max(axis=-1)
+
+    (a, b), auxes = (absolute(X) for X in samples), [absolute(X) for X in auxes]
+    sides = ([largest(a.sum(axis=-1), 3), largest(b, 4)]
+             + [largest(R.sum(axis=-1), 1) for R in auxes],
+             [largest(b.sum(axis=-1), 3), largest(a, 4)]
+             + [largest(R.sum(axis=-2), 1) for R in auxes])
+    top = math.prod(tops)
+    return tuple(math.prod(certified(X, top) for X in side) for side in sides)
 
 
 def _decide(samples, auxes, sides):
     """One bool per pair of the batch, the broadcast leading axes of two
     (..., N, N, d, d) sample stacks and of integer (..., N^2, N^2) auxes, or
-    one bool without them.  With weight the product of the sums |aux|, the
-    pairs whose bounds max|a| max|b| d weight (int64 where the largest fits)
-    need the same kernels (kernel_moduli) share those of the largest bound;
-    each kernel converts the sample and aux stacks once.  In a residue
-    kernel the sides reduce every factor before a product, so each value
-    reduced is a sum of at most max(d, 2 N^2) products of two residues: d
-    in a sample product, 2 N^2 in lhs - rhs after the aux products; the
-    primes depend on N and d alone.  A pair fails when a kernel sees its
-    sides differ, and later kernels skip it.  ``sides`` takes
-    _RELATION_ELEMENTS // (N^4 d^2) pairs, at least one, at a time."""
+    one bool without them.  Each pair's kernels are those of float_kernels
+    at its bound, the larger of its sides' (_side_bounds), chosen for all
+    pairs in one step (kernel_counts); the pairs that need the same kernels
+    share those of their largest bound, and each kernel converts the sample
+    and aux stacks once.  In a residue kernel the sides reduce every factor before a
+    product, so each value reduced is a sum of at most max(d, 2 N^2)
+    products of two residues: d in a sample product, 2 N^2 in lhs - rhs
+    after the aux products; the primes depend on N and d alone.  A pair
+    fails when a kernel sees its sides differ, and later kernels skip it.
+    ``sides`` takes _RELATION_ELEMENTS // (N^4 d^2) pairs, at least one, at
+    a time: every pair at once, as the broadcast stacks, when they fit."""
     samples, auxes = [A[None] for A in samples], [R[None] for R in auxes]
     N, d = samples[0].shape[-4], samples[0].shape[-1]
     shape = np.broadcast_shapes(*(A.shape[:-4] for A in samples), *(R.shape[:-2] for R in auxes))
-    a, b = (np.abs(A).reshape(A.shape[:-4] + (-1,)).max(axis=-1) for A in samples)
-    sums = [np.abs(R).sum(axis=(-2, -1)) for R in auxes]
-    top = d * math.prod(max(max_abs(X), 1) for X in [a, b] + sums)
-    a, b, *sums = (certified(X, top) for X in [a, b] + sums)
-    bounds = np.broadcast_to(a * b * math.prod(sums) * d, shape).ravel()
+    bounds = np.broadcast_to(np.maximum(*_side_bounds(samples, auxes)), shape).ravel()
     inner = max(d, 2 * N * N)
-    levels, at = np.unique(bounds, return_inverse=True)
-    keys = np.array([len(kernel_moduli(int(b), inner)) for b in levels])[at]
-    step = max(1, _RELATION_ELEMENTS // (N**4 * d * d))
-    work = np.empty((3, step * N**4 * d * d))
-    ok = np.ones(len(bounds), dtype=bool)
+    counts = kernel_counts(bounds, inner)
+    n, step = len(bounds), max(1, _RELATION_ELEMENTS // (N**4 * d * d))
+    buffers = np.empty((3, min(step, n) * N**4 * d * d))
+
+    def work(lead):  # the buffers as (lead..., N, N, N, N, d, d) arrays
+        return [w[:math.prod(lead) * N**4 * d * d].reshape(lead + (N,) * 4 + (d, d))
+                for w in buffers]
+
+    ok = np.ones(n, dtype=bool)
     trail = [4] * len(samples) + [2] * len(auxes)  # the matrix axes of each stack
-    for group in (keys == key for key in np.unique(keys)):
+    for group in (counts == count for count in np.unique(counts)):
         for arrays, p in float_kernels(samples + auxes, int(bounds[group].max()), inner):
-            arrays = [np.broadcast_to(X, shape + X.shape[-k:]) for X, k in zip(arrays, trail)]
             live = np.flatnonzero(ok & group)
-            for k in range(0, len(live), step):
-                at = np.unravel_index(live[k:k + step], shape)
-                ok[live[k:k + step]] = sides(*(X[at] for X in arrays), p, work)
+            if len(live) == n <= step:
+                ok[:] = sides(*arrays, p, work(shape))
+            else:
+                arrays = [np.broadcast_to(X, shape + X.shape[-k:]) for X, k in zip(arrays, trail)]
+                for k in range(0, len(live), step):
+                    chunk = live[k:k + step]
+                    at = np.unravel_index(chunk, shape)
+                    ok[chunk] = sides(*(X[at] for X in arrays), p, work((len(chunk),)))
             if not (ok & group).any():
                 break
     return ok.reshape(shape)[0] if len(shape) > 1 else bool(ok[0])
@@ -819,8 +981,10 @@ def _rtt_holds(Tu, Tv, R: np.ndarray):
     R applied to its first two axes; T_2(v) T_1(u) is the stack
     Tv[y, j] Tu[x, i] at [i, j, x, y], so rhs, with its column pair first,
     is R^T (a swap of the last two axes only) applied to its first two axes.
-    Both sides, and every partial sum, are at most
-    max|Tu| * max|Tv| * d * sum|R|, the bound of the kernels."""
+    So lhs and every partial sum of it are at most the largest row sum of
+    |Tu| within its blocks times max|Tv| times the largest row sum of |R|,
+    and rhs the same with Tu and Tv swapped and a column sum of |R|: the
+    bounds of the kernels (_side_bounds)."""
     return _decide((Tu, Tv), (R,), _rtt_sides)
 
 
@@ -834,9 +998,11 @@ def _reflection_holds(Su, Sv, R: np.ndarray, Rp: np.ndarray):
     [a, dd, i, l], then one axis transpose; lhs is R applied to X as in
     _rtt_holds.  Y = S_2(v) R' S_1(u) is Rq^T applied to the stack
     Sv[j, b] Su[c, k] at [b, c, j, k], then one axis transpose; rhs is R^T
-    applied to Y, with its column pair first.  Both sides and every partial
-    sum are at most max|Su| * max|Sv| * d * sum|R| * sum|R'|, the weight
-    sum|R| * sum|R'| from the two coefficient stages."""
+    applied to Y, with its column pair first.  So lhs and every partial sum
+    of it are at most the largest block row sum of |Su| times max|Sv| times
+    the largest row sums of |Rq| and |R|, from the two coefficient stages,
+    and rhs the same with Su and Sv swapped and column sums: the bound of
+    the kernels (_side_bounds)."""
     Rq = np.moveaxis(Rp.reshape(Rp.shape[:-2] + (Su.shape[-4],) * 4), -4, -2).reshape(Rp.shape)
     return _decide((Su, Sv), (R, Rq), _reflection_sides)
 
@@ -844,28 +1010,61 @@ def _reflection_holds(Su, Sv, R: np.ndarray, Rp: np.ndarray):
 def _sample_grid(size: int, poles) -> list[Fraction]:
     """The ``size`` integers nearest 0 that are not in ``poles``, in the
     order 0, 1, -1, 2, -2, ...: small points keep the sampled values short."""
-    near_zero = (Fraction(s * k) for k in itertools.count() for s in ((1, -1) if k else (1,)))
-    return list(itertools.islice((q for q in near_zero if q not in poles), size))
+    near_zero = (s * k for k in itertools.count() for s in ((1, -1) if k else (1,)))
+    integer_poles = {q.numerator for q in poles if q.denominator == 1}
+    return [Fraction(k) for k in itertools.islice(
+        (k for k in near_zero if k not in integer_poles), size)]
+
+
+# every pair (u, v) of the grid, as views: check_defining_relations' pairs,
+# whose R and R' stacks are kept (_aux_stacks)
+_GRID = ((slice(None), None), (None, slice(None)))
+
+
+def _aux_stacks(form: GForm, points, iu, iv) -> tuple[np.ndarray, np.ndarray]:
+    """R(u-v) and R'(u+v) (_aux) of the pairs (points[iu], points[iv]); the
+    grid's, every pair of integer points (_GRID), kept per form and grid."""
+    parts = _form_parts(form)
+
+    def build():
+        vals = np.array([q.numerator if q.denominator == 1 else q for q in points], dtype=object)
+        if all(q.denominator == 1 for q in points):  # on the grid, R and R' are int64 stacks
+            vals = certified(vals, 2 * max_abs(vals) * parts.sp.denominator * parts.sq.denominator)
+        u, v = vals[iu], vals[iv]
+        return _aux(u - v, parts.P, -parts.sp), _aux(-(u + v), parts.Q, -parts.sq)
+
+    if iu is _GRID[0] and iv is _GRID[1] and all(q.denominator == 1 for q in points):
+        return _kept(_grid_auxes, (form.key, tuple(q.numerator for q in points)), build)
+    return build()
 
 
 def _relation_samples(Z: FusedModuleSpec, points, iu, iv):
     """(Ts, Ss, R, Rp): T(u0) and S(u0) = T^t(-u0) T(u0), each up to its own
     nonzero scalar, as block stacks over the points (_blocked), and R(u-v)
-    and R'(u+v) (_aux) of the pairs (points[iu], points[iv]).  T is one
-    evaluation at the points and their negatives (FrameBlock.at_ints), S one
-    transposition of the T(-u0) stack by the cleared g and g^-1 and one
-    batched product."""
+    and R'(u+v) of the pairs (points[iu], points[iv]) (_aux_stacks).  T is
+    sampled at the points and their negatives from the cached blocks
+    (_t_samples), S is one transposition of the T(-u0) stack by the cleared
+    g and g^-1 and one batched product.  The points are not poles."""
     N, d = Z.N, Z.dimZ
-    (P, sp), (Q, sq) = (to_int_scaled(X.mat) for X in structural_ops(Z.form))
     signed = points + [-q for q in points]
-    at = {x: k for k, x in enumerate(dict.fromkeys(signed))}
-    Tu, Tm = np.split(_t_data(Z).at_ints(list(at))[[at[x] for x in signed]], 2)
+    at = {}  # each distinct point once, keyed by its integers
+    for x in signed:
+        at.setdefault((x.numerator, x.denominator), x)
+    index = {key: k for k, key in enumerate(at)}
+    T = _t_samples(Z, list(at.values()))[[index[x.numerator, x.denominator] for x in signed]]
+    Tu, Tm = T[:len(points)], T[len(points):]
     S = primitive_part(int_matmul(transposed(Tm, (N, d), {1}, _cleared_form(Z.form)[0]), Tu))
-    vals = np.array([q.numerator if q.denominator == 1 else q for q in points], dtype=object)
-    if all(q.denominator == 1 for q in points):  # on the grid, R and R' are int64 stacks
-        vals = certified(vals, 2 * max_abs(vals) * sp.denominator * sq.denominator)
-    u, v = vals[iu], vals[iv]
-    return _blocked(Tu, N, d), _blocked(S, N, d), _aux(u - v, P, -sp), _aux(-(u + v), Q, -sq)
+    return (_blocked(Tu, N, d), _blocked(S, N, d)) + _aux_stacks(Z.form, points, iu, iv)
+
+
+def _failed_pairs(ok: np.ndarray, points, iu, iv) -> list[tuple[str, str]]:
+    """(u, v) as strings at each pair (points[iu], points[iv]) where ``ok``
+    is False, in order."""
+    bad = np.flatnonzero(~ok)
+    if not bad.size:
+        return []
+    us, vs = np.broadcast_arrays(*(np.arange(len(points))[i] for i in (iu, iv)))
+    return [(str(points[us.flat[k]]), str(points[vs.flat[k]])) for k in bad]
 
 
 def check_defining_relations(Z: FusedModuleSpec, samples=None) -> RelationReport:
@@ -879,11 +1078,12 @@ def check_defining_relations(Z: FusedModuleSpec, samples=None) -> RelationReport
     pair at once, and one _rtt_holds and one _reflection_holds call decide
     all pairs, for the grid as an outer product."""
     bound = 2 * Z.n_total + 2
-    poles = {s * p for p in Z.all_box_params() for s in (1, -1)}
+    params = Z.all_box_params()
+    poles = set(params).union(-p for p in params)
     singular = []
     if samples is None:
         points = _sample_grid(bound + 1, poles)
-        iu, iv = (slice(None), None), (None, slice(None))  # every pair, as views
+        iu, iv = _GRID
     else:
         pairs = [(Fraction(u), Fraction(v)) for (u, v) in samples]
         singular = [{"u": str(u0), "v": str(v0), "error": "SingularParameter: sample at a pole"}
@@ -891,21 +1091,18 @@ def check_defining_relations(Z: FusedModuleSpec, samples=None) -> RelationReport
         pairs = [pair for pair in pairs if not poles.intersection(pair)]
         points = list(dict.fromkeys(q for pair in pairs for q in pair))
         iu, iv = (np.array([points.index(pair[k]) for pair in pairs], dtype=int) for k in (0, 1))
-    us, vs = np.broadcast_arrays(*(np.array(points, dtype=object)[i] for i in (iu, iv)))
-    rtt_ok = refl_ok = np.ones(us.shape, dtype=bool)
+    rtt_ok = refl_ok = np.ones(0, dtype=bool)
     if points:
         Ts, Ss, R, Rp = _relation_samples(Z, points, iu, iv)
         rtt_ok = _rtt_holds(Ts[iu], Ts[iv], R)
         refl_ok = _reflection_holds(Ss[iu], Ss[iv], R, Rp)
-    rtt_fail, refl_fail = (
-        [(str(u0), str(v0)) for u0, v0, good in zip(us.flat, vs.flat, ok.flat) if not good]
-        for ok in (rtt_ok, refl_ok))
+    rtt_fail, refl_fail = (_failed_pairs(ok, points, iu, iv) for ok in (rtt_ok, refl_ok))
     return RelationReport(
         spec=Z.spec_string(),
         degree_bound=bound,
-        rtt_checked=us.size,
+        rtt_checked=rtt_ok.size,
         rtt_failures=rtt_fail,
-        reflection_checked=us.size,
+        reflection_checked=refl_ok.size,
         reflection_failures=refl_fail,
         singular_samples=singular,
         proven=samples is None and not rtt_fail and not refl_fail,

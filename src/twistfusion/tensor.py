@@ -596,20 +596,34 @@ class FrameBlock:
         """The index of the lowest nonzero frame; None for a zero block."""
         return next((k for k, fr in enumerate(self.frames) if not is_zero_matrix(fr)), None)
 
-    def _horner(self, xs) -> np.ndarray:
+    def _horner(self, xs, shift=0, den=None) -> np.ndarray:
         """The stack of sum_k frames[k] p^k q^(deg - k), deg = len(frames) - 1,
-        at the points p/q of ``xs``: the frame sums times q^deg, by one product
-        of the homogenised power rows [p^k q^(deg - k)] with the stacked frames
-        (int_matmul, whose bound is at most top (|p| + q)^deg).
-        SingularParameter at a root of a factor: a q + b p = 0."""
-        deg, rows = len(self.frames) - 1, []
-        for x in xs:
-            p, q = x.numerator, x.denominator
-            if any(a * q + b * p == 0 for a, b in self.den):
-                raise SingularParameter(f"{x} is a pole of the operator")
-            rows.append([p**k * q ** (deg - k) for k in range(deg + 1)])
-        sums = int_matmul(np.array(rows, dtype=object), np.stack(self.frames).reshape(deg + 1, -1))
-        return sums.reshape((len(rows),) + self.frames[0].shape)
+        at the points p/q = x + shift of ``xs``, p = a d + c b and q = b d for
+        x = a/b and shift = c/d (reduced when shift is 0, else a positive
+        multiple of the reduced pair): the frame sums times q^deg, by one
+        product of the homogenised power rows [p^k q^(deg - k)] with the
+        stacked frames (int_matmul, whose bound is at most top (|p| +
+        q)^deg).  The rows are int64 under (|p| + q)^deg, their bound (the
+        int64 rule).  SingularParameter at a root of a factor (a, b) of
+        ``den``, the block's own by default: a q + b p = 0."""
+        shift = Fraction(shift)
+        c, e = shift.numerator, shift.denominator
+        den = self.den if den is None else den
+        ps = np.array([x.numerator * e + c * x.denominator for x in xs], dtype=object)
+        qs = np.array([x.denominator * e for x in xs], dtype=object)
+        if den:
+            a, b = (np.array(f, dtype=object) for f in zip(*den))
+            roots = np.multiply.outer(qs, a) + np.multiply.outer(ps, b) == 0
+            hit = np.flatnonzero(roots.any(axis=1))
+            if hit.size:
+                raise SingularParameter(f"{xs[hit[0]] + shift} is a pole of the operator")
+        deg = len(self.frames) - 1
+        if int64_certified(int((abs(ps) + qs).max(initial=0)) ** deg):
+            ps, qs = ps.astype(np.int64), qs.astype(np.int64)
+        k = np.arange(deg + 1)
+        rows = ps[:, None] ** k * qs[:, None] ** (deg - k)
+        sums = int_matmul(rows, np.stack(self.frames).reshape(deg + 1, -1))
+        return sums.reshape((len(xs),) + self.frames[0].shape)
 
     def substituted(self, t: Fraction, s: int, den: tuple) -> "FrameBlock":
         """The numerator scale * sum_m frames[m] x^m at x = t + s*y, as
@@ -648,10 +662,11 @@ class FrameBlock:
         den = math.prod((a + b * x0 for a, b in self.den), start=_F1)
         return TensorOperator(acc * (self.scale / (den * q_deg)), self.dims)
 
-    def at_ints(self, xs) -> np.ndarray:
-        """Primitive integer matrices equal to the values at the points xs up
-        to nonzero scalars, stacked: the Horner sums over their contents."""
-        return primitive_part(self._horner(xs))
+    def at_ints(self, xs, shift=0, den=None) -> np.ndarray:
+        """Primitive integer matrices equal to the values at the points x +
+        shift of xs up to positive scalars, stacked: the Horner sums over
+        their contents (_horner, with its poles)."""
+        return primitive_part(self._horner(xs, shift, den))
 
     def at_infinity(self, K: int) -> list[ScaledIntMatrix]:
         """Coefficients of u^0, u^-1, ..., u^-K, straight from the integer

@@ -358,6 +358,26 @@ def test_phi_leading_retries_at_wall_point(monkeypatch):
         assert windows == [1, 2]
 
 
+@pytest.mark.parametrize("form,modules", [(SP2, "1:1/3;1:4/3"), (SP2, "1:1;1:2"),
+                                          (SP2, "2:-1/2"), (SO3, "1,1:1/2")])
+def test_verdict_starts_the_window_at_2_after_a_zero_witness(form, modules, monkeypatch):
+    # the residue product cancelled (the first two) or a block residue
+    # vanished (the last two): verdict's frame product starts at window 2
+    # and reads the order and phi that window 1 reads
+    Z = FusedModuleSpec.from_string(form, modules)
+    assert phi_witness(Z)[1] == 0
+    phi = phi_leading(Z)
+    windows = _recording_windows(monkeypatch)
+    rep = verdict(Z)
+    assert windows[0] == 2
+    monkeypatch.undo()
+    assert rep.laurent_order == phi.order
+    assert rep.phi_rank == surjectivity(phi)[0]
+    got = phi_leading(Z, window=2)
+    assert got.order == phi.order and got.coeff.scale == phi.coeff.scale
+    assert np.array_equal(got.coeff.mat, phi.coeff.mat)
+
+
 def test_no_denominator_is_expanded(monkeypatch):
     """Verdicts and relation checks keep every scalar denominator aside:
     none is expanded as a Laurent series."""
@@ -1021,9 +1041,9 @@ def _exact_report(Z, monkeypatch):
 def _spy_frame_product(monkeypatch):
     calls = []
 
-    def spy(blocks, dims):
+    def spy(blocks, dims, *window):
         calls.append(dims)
-        return frame_product(blocks, dims)
+        return frame_product(blocks, dims, *window)
 
     monkeypatch.setattr(irreducibility, "frame_product", spy)
     return calls

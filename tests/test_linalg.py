@@ -367,6 +367,22 @@ def test_float_kernels_cover_twice_the_bound(inner):
         list(linalg.float_kernels([A], 1 << 60, 1 << 52))
 
 
+@pytest.mark.parametrize("inner", [1, 27, 300])
+def test_kernel_counts_match_kernel_moduli_per_bound(inner):
+    # the counts read off the largest bound's primes are each bound's own:
+    # 0 for the float64 kernel, else its number of primes, also where half
+    # the product of k primes sits just below, at or just above a bound
+    primes = linalg.kernel_moduli(1 << 200, inner)
+    edges = [math.prod(primes[:k]) // 2 + e for k in (2, 3, 4, 5) for e in (-1, 0, 1)]
+    bounds = [0, 5, (1 << 53) - 1, 1 << 53, 1 << 80, 1 << 200] + edges
+    for dtype in (np.int64, object):
+        small = [b for b in bounds if dtype is object or b < 1 << 63]
+        got = linalg.kernel_counts(np.array(small, dtype=dtype), inner)
+        want = [0 if b < 1 << 53 else len(linalg.kernel_moduli(b, inner)) for b in small]
+        assert got.tolist() == want
+    assert linalg.kernel_counts(np.array([], dtype=np.int64), inner).tolist() == []
+
+
 # 94906249 and 94906297 are the primes on either side of 2^26.5, the
 # largest that mod_matmul takes (p^2 <= 2^53) and the first it refuses
 _TOP, _PAST = 94906249, 94906297

@@ -1,3 +1,4 @@
+import contextlib
 import gc
 import math
 import os
@@ -393,15 +394,38 @@ def _record_moduli(monkeypatch, force_residues=False):
     return seen
 
 
+@contextlib.contextmanager
+def _perturbed_t_block(Z, change):
+    """The cached breve-R block between C^N(u) and the first factor of Z,
+    which the relation sampler (_t_samples) and _t_data read, replaced by
+    one with frames change(frames), on Python-int copies, for the block of
+    the with statement.  A spec whose T is built inside it sees the change
+    on both routes."""
+    aux = repmatrix._form_parts(Z.form).aux
+    block = repmatrix._pair_term(aux, 0, True, Z, 0, False, "Rb").block
+    key = next(k for k, v in repmatrix._blocks.items() if v is block)
+    frames = change([fr.astype(object) for fr in block.frames])
+    repmatrix._blocks[key] = FrameBlock(frames, block.scale, block.den, block.dims)
+    try:
+        yield
+    finally:
+        repmatrix._blocks[key] = block
+
+
+def _bump(k, at):
+    """A frame change: entry ``at`` of frame k plus 1."""
+    def change(frames):
+        frames[k][at] += 1
+        return frames
+    return change
+
+
 @pytest.mark.parametrize("path", ["exact", "residue"])
 def test_relations_reject_perturbed_t_frame(path, monkeypatch):
     Z = spec(SO3, (VDOM, Fraction(1, 3)))
-    td = repmatrix._t_data(Z)
-    frames = [fr.copy() for fr in td.frames]
-    frames[0][0, 1] += 1
-    Z._tdata = FrameBlock(frames, td.scale, td.den, td.dims)
     seen = _record_moduli(monkeypatch, force_residues=path == "residue")
-    rep = check_defining_relations(Z)
+    with _perturbed_t_block(Z, _bump(0, (0, 1))):
+        rep = check_defining_relations(Z)
     assert rep.rtt_failures or rep.reflection_failures
     assert not rep.proven and not rep.passed
     assert seen and all((p is None) == (path == "exact") for p in seen)
@@ -423,11 +447,8 @@ def test_large_user_samples_are_decided(samples, monkeypatch):
     assert (rep.rtt_checked, rep.reflection_checked, rep.singular_samples) == (1, 1, [])
     assert not rep.rtt_failures and not rep.reflection_failures
     assert None not in seen and min(seen) > 1 << 20
-    td = repmatrix._t_data(Z)
-    frames = [fr.copy() for fr in td.frames]
-    frames[0][0, 1] += 1
-    Z._tdata = FrameBlock(frames, td.scale, td.den, td.dims)
-    rep = check_defining_relations(Z, samples=pairs)
+    with _perturbed_t_block(Z, _bump(0, (0, 1))):
+        rep = check_defining_relations(Z, samples=pairs)
     assert rep.rtt_failures and rep.reflection_failures
 
 
@@ -456,15 +477,11 @@ def test_relation_grid_is_the_non_poles_nearest_zero(form, modules, monkeypatch)
 
 
 def test_relations_grid_catches_a_perturbed_top_frame():
-    # T(0) reads only the lowest frame, so the other grid points must see a
-    # change in the top one
+    # a change in the top frame of the cached block, which T reads at
+    # x = u0 - z, must show on the grid as a change in the lowest one does
     Z = spec(SO3, (VDOM, Fraction(1, 3)))
-    td = repmatrix._t_data(Z)
-    assert Fraction(0) not in Z.all_box_params()  # so 0 is on the grid
-    frames = [fr.copy() for fr in td.frames]
-    frames[-1][1, 0] += 1
-    Z._tdata = FrameBlock(frames, td.scale, td.den, td.dims)
-    rep = check_defining_relations(Z)
+    with _perturbed_t_block(Z, _bump(-1, (1, 0))):
+        rep = check_defining_relations(Z)
     assert not rep.proven and not rep.passed
 
 
@@ -514,40 +531,39 @@ def test_batched_relations_list_the_per_pair_failures(path, monkeypatch):
     # batch and the whole grid in one batch fail exactly the pairs that one
     # call per pair fails, in the same order
     Z = spec(SO3, (VDOM, Fraction(1, 3)))
-    td = repmatrix._t_data(Z)
-    frames = [fr.copy() for fr in td.frames]
-    frames[-1][1, 0] += 1
-    Z._tdata = FrameBlock(frames, td.scale, td.den, td.dims)
     seen = _record_moduli(monkeypatch, force_residues=path == "residue")
-    rtt, refl = _per_pair_failures(Z)
-    grid_pairs = (2 * Z.n_total + 3) ** 2
-    assert 0 < len(rtt) < grid_pairs and 0 < len(refl) < grid_pairs
-    for elements in (1, grid_pairs * Z.N ** 4 * Z.dimZ ** 2):
-        monkeypatch.setattr(repmatrix, "_RELATION_ELEMENTS", elements)
-        rep = check_defining_relations(Z)
-        assert (rep.rtt_failures, rep.reflection_failures) == (rtt, refl)
+    with _perturbed_t_block(Z, _bump(-1, (1, 0))):
+        rtt, refl = _per_pair_failures(Z)
+        grid_pairs = (2 * Z.n_total + 3) ** 2
+        assert 0 < len(rtt) < grid_pairs and 0 < len(refl) < grid_pairs
+        for elements in (1, grid_pairs * Z.N ** 4 * Z.dimZ ** 2):
+            monkeypatch.setattr(repmatrix, "_RELATION_ELEMENTS", elements)
+            rep = check_defining_relations(Z)
+            assert (rep.rtt_failures, rep.reflection_failures) == (rtt, refl)
     assert seen and all((p is None) == (path == "exact") for p in seen)
 
 
 def test_user_samples_are_checked_as_given(monkeypatch):
     # user samples are neither moved nor replaced by the grid: T is
     # evaluated exactly at u, v and, for S(u) = T^t(-u) T(u), at -u and -v,
-    # all in one call of the batched evaluator
+    # in one call of the batched evaluator per factor, each at those points
     Z = spec(SP2, (BOX, Fraction(1, 3)), (BOX, Fraction(7, 5)))
     samples = [(Fraction(7), Fraction(-3, 4)), (Fraction(2, 3), Fraction(7))]
-    points = []
+    calls = []
     real = FrameBlock.at_ints
 
-    def recording(self, xs):
-        points.extend(xs)
-        return real(self, xs)
+    def recording(self, xs, *args):
+        calls.append(list(xs))
+        return real(self, xs, *args)
 
     monkeypatch.setattr(FrameBlock, "at_ints", recording)
     rep = check_defining_relations(Z, samples=samples)
     assert rep.rtt_checked == rep.reflection_checked == 2 and not rep.proven
     assert not rep.rtt_failures and not rep.reflection_failures
-    assert set(points) == {s * u for pair in samples for u in pair for s in (1, -1)}
-    assert len(points) == len(set(points))
+    assert len(calls) == Z.ell
+    for points in calls:
+        assert set(points) == {s * u for pair in samples for u in pair for s in (1, -1)}
+        assert len(points) == len(set(points))
 
 
 def _per_point_samples(Z, points, pairs):
@@ -650,16 +666,20 @@ def test_batched_sampler_matches_the_per_point_route_on_python_ints():
     # frames past 2^62 send the evaluation, the S product and the stacks to
     # Python ints
     Z = spec(SO3, (VDOM, Fraction(1, 3)))
-    td = repmatrix._t_data(Z)
-    frames = [fr.astype(object) * (2**62 + 1) for fr in td.frames]
-    frames[0][0, 1] += 1
-    Z._tdata = FrameBlock(frames, td.scale, td.den, td.dims)
+
+    def change(frames):
+        frames = [fr * (2**62 + 1) for fr in frames]
+        frames[0][0, 1] += 1
+        return frames
+
     poles = {s * p for p in Z.all_box_params() for s in (1, -1)}
     grid = repmatrix._sample_grid(2 * Z.n_total + 3, poles)
-    for points, iu, iv in ((grid, (slice(None), None), (None, slice(None))),
-                           ([Fraction(3, 4), Fraction(-2, 5)], np.array([0, 1]), np.array([1, 1]))):
-        Ts, Ss, _, _ = _assert_batch_matches_per_point(Z, points, iu, iv)
-        assert Ts.dtype == Ss.dtype == object and linalg.max_abs(Ts) >= 2**62
+    with _perturbed_t_block(Z, change):
+        for points, iu, iv in ((grid, (slice(None), None), (None, slice(None))),
+                               ([Fraction(3, 4), Fraction(-2, 5)], np.array([0, 1]),
+                                np.array([1, 1]))):
+            Ts, Ss, _, _ = _assert_batch_matches_per_point(Z, points, iu, iv)
+            assert Ts.dtype == Ss.dtype == object and linalg.max_abs(Ts) >= 2**62
 
 
 def test_batched_t_values_are_the_homogenised_horner_sums():
@@ -705,6 +725,179 @@ def test_block_product_of_one_block_on_every_leg_is_that_block():
     assert len(got.frames) == len(ref.frames)
     assert all(np.array_equal(a, b) and np.array_equal(a, c)
                for a, b, c in zip(got.frames, ref.frames, td.frames))
+
+
+# so2, sp2 and so3 with one, two and three factors; sp2 2:1/2;1:1 and so2
+# 1:-2 have integer poles, which shift the grid (walls)
+_SAMPLER_SPECS = [(SO2, "1,1:-1/3"), (SP2, "3,1/1:1/3"), (SO3, "3,2,1/2,1:-2/3"),
+                  (SP2, "1:1/3;1:-4/5"), (SO3, "1:1/3;1,1:-4/5"), (SP2, "2:1/2;1:1"),
+                  (SO2, "1:-2"), (SO2, "1:1/2;1,1:-3/7"), (SP2, "1:1/3;2:2/5;1:-1/7")]
+
+
+def _poles(Z):
+    return {s * p for p in Z.all_box_params() for s in (1, -1)}
+
+
+@pytest.mark.parametrize("form,modules", _SAMPLER_SPECS,
+                         ids=[f"{f.kind}{f.N} {m}" for f, m in _SAMPLER_SPECS])
+def test_sampled_t_and_s_equal_the_t_data_route(form, modules):
+    # T from the cached aux-factor blocks equals _t_data(Z).at_ints, and S
+    # equals T^t(-u0) T(u0) formed from those values point by point, on the
+    # grid and at rational points
+    Z = FusedModuleSpec.from_string(form, modules)
+    N, d = Z.N, Z.dimZ
+    poles = _poles(Z)
+    grid = repmatrix._sample_grid(2 * Z.n_total + 3, poles)
+    if any(p.denominator == 1 for p in poles):
+        assert grid != repmatrix._sample_grid(len(grid), set())  # the poles shift it
+    rational = [Fraction(2, 11), Fraction(-3, 13), Fraction(5, 17)]
+    assert not poles.intersection(rational)
+    td = repmatrix._t_data(Z)
+    int_form, _ = repmatrix._cleared_form(Z.form)
+    for points in (grid, rational + grid[:2]):
+        signed = points + [-q for q in points]
+        expect = td.at_ints(signed)
+        assert np.array_equal(repmatrix._t_samples(Z, signed), expect)
+        Ts, Ss, _, _ = repmatrix._relation_samples(Z, points, np.arange(len(points)),
+                                                   np.arange(len(points)))
+        for k, u in enumerate(points):
+            Tu, Tm = expect[k], expect[len(points) + k]
+            Tt = transpose_legs(TensorOperator(Tm, td.dims), {1}, int_form).mat
+            S = linalg.primitive_part(linalg.int_matmul(Tt, Tu))
+            assert np.array_equal(Ts[k], repmatrix._blocked(Tu, N, d))
+            assert np.array_equal(Ss[k], repmatrix._blocked(S, N, d))
+
+
+def test_sampled_t_raises_at_a_pole_and_samples_at_poles_are_skipped():
+    Z = FusedModuleSpec.from_string(SP2, "2:1/2;1:1")
+    pole = Fraction(3, 2)  # z + 1 of the first factor
+    assert pole in Z.all_box_params()
+    for points in ([pole], [Fraction(0), Fraction(1, 2)], [Fraction(1)]):
+        with pytest.raises(SingularParameter):
+            repmatrix._t_samples(Z, points)
+    rep = check_defining_relations(Z, samples=[(pole, 2), (2, 5), (-1, Fraction(1, 3))])
+    assert rep.singular_samples == [
+        {"u": "3/2", "v": "2", "error": "SingularParameter: sample at a pole"},
+        {"u": "-1", "v": "1/3", "error": "SingularParameter: sample at a pole"}]
+    assert rep.rtt_checked == rep.reflection_checked == 1
+    assert not rep.rtt_failures and not rep.reflection_failures
+
+
+def test_relation_check_builds_no_t_frames(monkeypatch):
+    # the relation check samples T from the cached blocks: _t_data, which
+    # Burnside and the reference route keep, is never called on its path
+    def refuse(Z):
+        raise AssertionError("the relation check built the T frames")
+
+    monkeypatch.setattr(repmatrix, "_t_data", refuse)
+    for form, modules in _SAMPLER_SPECS[:2] + _SAMPLER_SPECS[3:]:
+        Z = FusedModuleSpec.from_string(form, modules)
+        assert check_defining_relations(Z).proven
+        rep = check_defining_relations(Z, samples=[(Fraction(2, 3), 5), (7, Fraction(-1, 4))])
+        assert not rep.rtt_failures and not rep.reflection_failures
+    with pytest.raises(AssertionError, match="T frames"):
+        s_generators(spec(SO2, (BOX, Fraction(1, 3))), 1)
+
+
+def test_form_caches_are_kept_per_g():
+    # a form read from a g file, of the kind and N of a default one, keeps
+    # its own cleared P, Q, g and g^-1 and its own grid R, R' stacks
+    custom = GForm.from_matrix([[Fraction(1, 2), 0], [0, 3]])
+    assert (custom.kind, custom.N) == (SO2.kind, SO2.N) and custom.key != SO2.key
+    grid = [Fraction(k) for k in (0, 1, -1, 2, -2)]
+    for form in (SO2, custom, SO2):
+        parts = repmatrix._form_parts(form)
+        (P, sp), (Q, sq) = (linalg.to_int_scaled(X.mat) for X in structural_ops(form))
+        assert np.array_equal(parts.P, P) and parts.sp == sp
+        assert np.array_equal(parts.Q, Q) and parts.sq == sq
+        g, sg = linalg.to_int_scaled(form.g)
+        assert np.array_equal(parts.cleared.g, g) and parts.aux.form.key == form.key
+        R, Rp = repmatrix._aux_stacks(form, grid, *repmatrix._GRID)
+        fresh = repmatrix._aux_stacks(form, grid, (slice(None), None), (None, slice(None)))
+        assert np.array_equal(R, fresh[0]) and np.array_equal(Rp, fresh[1])
+        assert repmatrix._aux_stacks(form, grid, *repmatrix._GRID)[1] is Rp
+        assert check_defining_relations(spec(form, (SkewDiagram((2,)), Fraction(2, 5)))).proven
+    default, other = (repmatrix._form_parts(form) for form in (SO2, custom))
+    assert not np.array_equal(default.Q * default.sq, other.Q * other.sq)
+    # a second form object over the same g shares the entry
+    assert repmatrix._form_parts(GForm.from_matrix([[Fraction(1, 2), 0], [0, 3]])) is other
+
+
+def _absolute_sides(relation, a, b, R, Rp, N, d):
+    """The stages of lhs and those of rhs of a relation on one pair, in
+    Python ints, with every sample and aux entry replaced by its absolute
+    value: each entry is the sum of the absolute values of the terms of
+    that value of the true stage, which bounds each of its partial sums.
+    Written after the sides' own layout: lhs multiplies the blocks of a by
+    those of b, rhs those of b by those of a, and the auxes act on the
+    first two legs, transposed on rhs."""
+    a, b, R = (np.abs(X).astype(object) for X in (a, b, R))
+    n2 = N * N
+
+    def pairs(X, Y):  # out[p, q, r, s] = X[p, r] @ Y[q, s]
+        return np.matmul(X[:, None, :, None], Y[None, :, None, :])
+
+    at, bt = a.swapaxes(0, 1), b.swapaxes(0, 1)
+    if relation == "rtt":
+        lhs0, rhs0 = pairs(a, b), np.matmul(bt[None, :, None, :], at[:, None, :, None])
+        return [lhs0, R @ lhs0.reshape(n2, -1)], [rhs0, R.T @ rhs0.reshape(n2, -1)]
+    Rq = np.abs(np.moveaxis(Rp.reshape((N,) * 4), 0, 2).reshape(n2, n2)).astype(object)
+    lhs0, rhs0 = pairs(at, b), pairs(bt, a)
+    X = (Rq @ lhs0.reshape(n2, -1)).reshape(lhs0.shape).transpose(2, 0, 1, 3, 4, 5)
+    Y = (Rq.T @ rhs0.reshape(n2, -1)).reshape(rhs0.shape).transpose(3, 1, 0, 2, 4, 5)
+    return [lhs0, X, R @ X.reshape(n2, -1)], [rhs0, Y, R.T @ Y.reshape(n2, -1)]
+
+
+@pytest.mark.parametrize("relation", ["rtt", "reflection"])
+def test_relation_bounds_cover_every_absolute_sum(relation):
+    # at the dim-27 so3 spec, on the pairs of the largest grid points, every
+    # stage of either side summed in absolute values stays within the bound
+    # that picks the kernels, which is at most the earlier max|a| max|b| d
+    # times the total sum|aux|
+    Z = FusedModuleSpec.from_string(SO3, "3,2,1/2,1:-2/3")
+    N, d = Z.N, Z.dimZ
+    grid = repmatrix._sample_grid(2 * Z.n_total + 3, _poles(Z))
+    last = len(grid) - 1
+    iu, iv = np.array([last, last - 1, 0]), np.array([last - 1, last, 4])
+    Ts, Ss, R, Rp = repmatrix._relation_samples(Z, grid, iu, iv)
+    A, B = (Ts[iu], Ts[iv]) if relation == "rtt" else (Ss[iu], Ss[iv])
+    Rq = np.moveaxis(Rp.reshape(Rp.shape[:-2] + (N,) * 4), -4, -2).reshape(Rp.shape)
+    auxes = (R,) if relation == "rtt" else (R, Rq)
+    bounds = repmatrix._side_bounds((A, B), auxes)
+    for k in range(len(iu)):
+        for stages, bound in zip(_absolute_sides(relation, A[k], B[k], R[k], Rp[k], N, d), bounds):
+            assert max(linalg.max_abs(X) for X in stages) <= bound[k]
+        earlier = (linalg.max_abs(A[k]) * linalg.max_abs(B[k]) * d
+                   * math.prod(_weight(X[k]) for X in auxes))
+        assert max(bound[k] for bound in bounds) <= earlier
+
+
+@pytest.mark.parametrize("relation", ["rtt", "reflection"])
+def test_relation_bounds_cover_each_side(relation):
+    # positive entries, so the absolute sums are the values, and every
+    # stage of a side within 8 times its bound: flat samples (every row sum
+    # d max), and a flat one against a spiky one (one entry per block) each
+    # way round, with each aux in turn one with a heavy row (row sums N^2
+    # times its column sums) or its transpose while the other is 1.  So a
+    # row sum, column sum or factor that either side's bound leaves out or
+    # swaps shows in that side's stages
+    N, d = 2, 3
+    flat = np.full((N * d, N * d), 7, dtype=np.int64)
+    spiky = np.zeros((N * d, N * d), dtype=np.int64)
+    spiky[::d, ::d] = 7
+    heavy = np.eye(N * N, dtype=np.int64)
+    heavy[1] = 50
+    one = np.eye(N * N, dtype=np.int64)
+    for R, Rq in ((heavy, one), (one, heavy), (heavy.T, one), (one, heavy.T)):
+        if relation == "rtt" and Rq is not one:
+            continue
+        Rp = np.moveaxis(Rq.reshape((N,) * 4), 2, 0).reshape(N * N, N * N)
+        for x, y in ((flat, flat), (flat, spiky), (spiky, flat)):
+            a, b = repmatrix._blocked(x, N, d), repmatrix._blocked(y, N, d)
+            bounds = repmatrix._side_bounds((a, b), (R,) if relation == "rtt" else (R, Rq))
+            for stages, bound in zip(_absolute_sides(relation, a, b, R, Rp, N, d), bounds):
+                top = max(linalg.max_abs(X) for X in stages)
+                assert top <= bound < 8 * top
 
 
 def _sample_blocks(Z, u0, v0):
@@ -798,24 +991,43 @@ def _dense_reflection_holds(x, y, R, Rp, N, d):
     return np.array_equal(Rd @ S1 @ Rpd @ S2, S2 @ Rpd @ S1 @ Rd)
 
 
+def _kernel_bound(monkeypatch, holds, x, y):
+    """The bound that the relation check of the one pair (x, y) hands to
+    float_kernels (_side_bounds)."""
+    bounds = []
+    kernels = repmatrix.float_kernels
+
+    def recording(arrays, bound, inner):
+        bounds.append(bound)
+        return kernels(arrays, bound, inner)
+
+    monkeypatch.setattr(repmatrix, "float_kernels", recording)
+    holds(x, y)
+    monkeypatch.undo()
+    return bounds[0]
+
+
 @pytest.mark.parametrize("relation", ["rtt", "reflection"])
 def test_float_exact_boundary(relation, monkeypatch):
-    # scale the first sample so the bound lands just below and just above
-    # 2^53: one exact float64 kernel below, residue kernels above.  Both
-    # sides of a relation scale alike, so the truth is kept
-    a, b, weight, holds, oracle = _relation_case(relation)
-    unit = linalg.max_abs(a) * linalg.max_abs(b) * weight
+    # scale the first sample so its bound (_side_bounds, linear in each sample)
+    # lands just below and just above 2^53: one exact float64 kernel below,
+    # residue kernels above.  Both sides of a relation scale alike, so the
+    # truth is kept
+    a, b, _, holds, oracle = _relation_case(relation)
+    unit = _kernel_bound(monkeypatch, holds, a, b)
     limit = 1 << 53
     scale = (limit - 1) // unit
     for k, exact in ((scale, True), (scale + 1, False)):
-        assert (k * unit < limit) == exact
         big = (a * k).astype(object)
+        assert _kernel_bound(monkeypatch, holds, big, b) == k * unit
+        assert (k * unit < limit) == exact
         broken = big.copy()
         broken[0, 1] += 1
         for x, truth in ((big, True), (broken, False)):
+            below = _kernel_bound(monkeypatch, holds, x, b) < limit
             seen = _record_moduli(monkeypatch)
             auto = holds(x, b)
-            assert (seen == [None]) == exact and None not in seen[int(exact):]
+            assert (seen == [None]) == below and None not in seen[int(below):]
             monkeypatch.undo()
             _record_moduli(monkeypatch, force_residues=True)
             forced = holds(x, b)
@@ -840,10 +1052,15 @@ def test_residue_kernels_reject_perturbation_hidden_from_all_but_last_prime(
     assert not oracle(broken, b)
     assert not holds(broken, b)
     assert moduli == primes
-    # one batch of three pairs, the middle one broken: the pairs are grouped
-    # by the kernels their own bounds need, 4 primes for the unperturbed
-    # pairs and, for the reflection relation, 5 for the broken pair, whose
-    # perturbation makes its bound larger; its last prime but one rejects it
+    # one batch of three pairs, the middle one broken and the last a
+    # multiple of the first whose bound needs more primes: the pairs are
+    # grouped by the kernels their own bounds need, each group drawing its
+    # own; the first group's primes all run, since its good pair passes
+    # each and only the last rejects the broken one
+    bigger = big * 2**40
+    del moduli[:]
+    assert holds(bigger, b) and oracle(bigger, b)
+    more = list(moduli)
     sets = []
     kernels = repmatrix.float_kernels
 
@@ -853,14 +1070,14 @@ def test_residue_kernels_reject_perturbation_hidden_from_all_but_last_prime(
 
     monkeypatch.setattr(repmatrix, "float_kernels", kernel_sets)
     need = []
-    for x in (big, broken):
+    for x in (big, broken, bigger):
         del sets[:]
         holds(x, b)
         need.append(sets[0])
-    assert need == [4, 4 if relation == "rtt" else 5]
+    assert need == [len(primes), len(primes), len(more)] and len(more) > len(primes)
     del sets[:], moduli[:]
-    assert holds([big, broken, big], b).tolist() == [True, False, True]
-    assert sets == sorted(set(need)) and moduli == primes * len(sets)
+    assert holds([big, broken, bigger], b).tolist() == [True, False, True]
+    assert sets == [len(primes), len(more)] and moduli == primes + more
     # a pair that fails at the first prime does not end the batch there
     visible = big.copy()
     visible[0, 1] += 1
