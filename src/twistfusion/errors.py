@@ -72,3 +72,7 @@ class InternalInconsistency(TwistFusionError, RuntimeError):
 
 class WorkerLost(TwistFusionError, RuntimeError):
     """A scan worker process exited before it returned its points."""
+
+
+class SizeLimit(TwistFusionError, RuntimeError):
+    """A module is too large for the memory its verdict would need."""

@@ -24,14 +24,14 @@ is the same over Q and over C.
    lowest frame) takes the exact path.  A scan takes the witnesses of all
    its points in one batch (phi_witnesses, one residue stack and one rank
    stack per slice of modules) and hands each to its verdict.
-2. Otherwise Burnside growth decides: words in the residues of the integer
-   blocks of S_1 .. S_2n (n boxes; default_truncation shows that they span
-   every coefficient) modulo a prime below 2^21, the leftmost independent
-   ones, are grown from the identity in mod_matmul.  d^2 words independent
-   mod p are independent over Q, so A_Z = End(Z).  Fewer words span A_Z
-   exactly when, on the exact blocks, their span is closed under the blocks
-   grown from and holds every other block, which one exact echelon proves;
-   a prime whose span fails that proof is skipped.  Then dim A_Z < d^2.
+2. Otherwise Burnside growth decides: words in the residues modulo a prime
+   below 2^21 of the integer blocks of S(u0) at 2n + 1 non-poles (n boxes;
+   default_truncation shows that they generate A_Z), the leftmost
+   independent ones, are grown from the identity in mod_matmul.  d^2 words
+   independent mod p are independent over Q, so A_Z = End(Z).  Fewer words
+   span A_Z exactly when, on the exact blocks, their span is closed under
+   the blocks grown from and holds every other block, which one exact
+   echelon proves; a prime whose span fails that proof is skipped.
 
 The image of phi lies in A_Z, so rank(phi) > dim A_Z contradicts the theory
 and aborts.  commutant_dim (the joint commutant of the generators) stays as
@@ -51,7 +51,7 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import InternalInconsistency, MalformedInput
+from .errors import InternalInconsistency, MalformedInput, SizeLimit
 from .linalg import (
     _PRIMES,
     ScaledIntMatrix,
@@ -69,10 +69,10 @@ from .linalg import (
 )
 from .repmatrix import (
     FusedModuleSpec,
+    _sample_grid,
     frame_product,
     s_coefficients,
-    s_factors,
-    s_sums,
+    s_samples,
     swz_frame_blocks,
     witness_plan,
 )
@@ -217,7 +217,7 @@ def _primitive_columns(vectors, length: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Burnside: the algebra generated by the S(u) coefficients
+# Burnside: the algebra generated by the S(u) values
 
 @dataclass
 class AlgebraSpan:
@@ -234,18 +234,13 @@ class AlgebraSpan:
     generators: list[int] = field(default_factory=list)
 
 
-def algebra_generators(Z: FusedModuleSpec, p: int | None = None, factors=None) -> np.ndarray:
-    """The N^2 blocks of S_1 .. S_2n, which generate A_Z (default_truncation),
-    as a (2n N^2, d, d) array, block (i, j) of S_k at (k - 1) N^2 + i N + j:
-    with a prime p float64 residues mod p of the integer blocks (integer
-    multiples of the blocks), else the primitive part of each exact integer
-    block.  ``factors`` are s_factors(Z, 2n), made here when not given."""
+def algebra_generators(Z: FusedModuleSpec) -> np.ndarray:
+    """The N^2 blocks of S(u0) (s_samples) at the 2n + 1 non-poles of
+    _sample_grid, which generate A_Z (default_truncation): a ((2n + 1) N^2,
+    d, d) stack of primitive integer blocks, (i, j) of point k at k N^2 + i N + j."""
     N, d = Z.N, Z.dimZ
-    S = islice(s_sums(factors or s_factors(Z, 2 * Z.n_total), p), 1, None)
-    G = [(Sk if p else Sk.mat).reshape(N, d, N, d).transpose(0, 2, 1, 3).reshape(N * N, d, d)
-         for Sk in S]
-    G = np.concatenate(G) if G else np.empty((0, d, d))
-    return G if p else np.array([primitive_part(g) for g in G]).reshape(-1, d, d)
+    S = s_samples(Z, _sample_grid(2 * Z.n_total + 1, Z.poles()))[1]
+    return primitive_part(S.reshape(-1, N, d, N, d).transpose(0, 1, 3, 2, 4).reshape(-1, d, d))
 
 
 # Burnside growth multiplies a slice of words by all generators at once;
@@ -361,25 +356,23 @@ def _index_sequences(grown: list[tuple[int, int]]) -> list[tuple[int, ...]]:
 
 
 def burnside(Z: FusedModuleSpec) -> AlgebraSpan:
-    """dim A_Z, the algebra generated by the S(u) coefficients, by Burnside
+    """dim A_Z, the algebra generated by the S(u) values, by Burnside
     growth modulo a prime and an exact closure proof.
 
-    s_factors runs once.  Growth mod p starts from the leftmost blocks
+    Growth mod p starts from the leftmost generators G (algebra_generators)
     independent mod p; its words are independent over Q, and d^2 of them
-    span End(Z) with no exact S_k formed.  Fewer span A_Z exactly when
-    _span_closed proves it on the exact blocks, formed once; a prime that
-    gave too small a span fails that proof and the next one is tried."""
+    span End(Z).  Fewer span A_Z exactly when _span_closed proves it on G;
+    a prime that gave too small a span fails that proof and the next one
+    is tried."""
     d = Z.dimZ
-    factors = s_factors(Z, 2 * Z.n_total)
-    G, rejected = None, []
+    G, rejected = algebra_generators(Z), []
     for p in _BURNSIDE_PRIMES:
-        R = algebra_generators(Z, p, factors)
+        R = (G % p).astype(np.float64)
         chosen = _modp_rref(R.reshape(len(R), d * d).T.copy(), p)[0]
         grown = _grow_mod_p(R[chosen], p)
         words = _index_sequences(grown)
         if len(grown) == d * d:
             return AlgebraSpan(d * d, words, p, rejected, False, chosen)
-        G = algebra_generators(Z, factors=factors) if G is None else G
         if _span_closed(G, chosen, grown):
             return AlgebraSpan(len(grown), words, p, rejected, True, chosen)
         rejected.append(p)
@@ -473,13 +466,14 @@ class IrreducibilityReport:
 def default_truncation(Z: FusedModuleSpec) -> int:
     """The generator truncation order K = 2n + 2 of a module with n boxes.
 
-    S_Z(u) = F^t(-u) F(u) / (den(-u) den(u)) with a denominator q of degree
-    2n, so q(u) S_Z(u) is a polynomial and its u^-m coefficient vanishes for
-    m >= 1: sum_i q_i S_(m+i) = 0.  Each S_k with k > 2n is therefore a fixed
-    combination of the 2n coefficients before it, and S_1 .. S_2n span all of
-    them: the blocks of S_1 .. S_2n generate A_Z (algebra_generators).  K
-    is two orders past them, so commutant_dim at K is the commutant of every
-    coefficient, already reached at K - 1.  No verdict reads K."""
+    S_Z(u) = F^t(-u) F(u) / q(u), q(u) = den(-u) den(u) of degree 2n, so
+    P = q S_Z is a matrix polynomial of degree <= 2n whose coefficients span
+    what S_0 = I, S_1, ..., S_2n span, which holds every S_k (P = q S and
+    S = P / q, term by term at infinity).  P's values at 2n + 1 distinct
+    points are its coefficients times an invertible Vandermonde matrix, and
+    q != 0 at non-poles: so the blocks of S(u_i) there span I and the blocks
+    of S_1 .. S_2n and generate A_Z (algebra_generators).  commutant_dim at
+    K > 2n sees every coefficient; no verdict reads K."""
     return 2 * Z.n_total + 2
 
 
@@ -494,20 +488,24 @@ def verdict(Z: FusedModuleSpec, witness: tuple[int, int] | None = None) -> Irred
     residue vanished, starts frame_product at window 2, past the window 1
     that such points use up; that changes only the work.  A phi of rank
     above dim A_Z contradicts the theory (its image lies in A_Z) and
-    aborts."""
+    aborts.  A MemoryError is raised as SizeLimit, naming Z and dim Z."""
     params = [z for _, z in Z.factors]
     on_wall = [c.describe() for c in walls(Z).violated(params)]
     full = Z.dimZ**2
-    order, rank = phi_witness(Z) if witness is None else witness
-    if rank == full:
-        surj, dim = True, full
-    else:
-        phi = phi_leading(Z, window=2 if rank == 0 else 1)
-        rank, surj = surjectivity(phi)
-        order = phi.order
-        dim = full if surj else burnside(Z).dim
-        if rank > dim:
-            raise InternalInconsistency(f"phi of rank {rank} into an algebra of dimension {dim}")
+    try:
+        order, rank = phi_witness(Z) if witness is None else witness
+        if rank == full:
+            surj, dim = True, full
+        else:
+            phi = phi_leading(Z, window=2 if rank == 0 else 1)
+            rank, surj = surjectivity(phi)
+            order = phi.order
+            dim = full if surj else burnside(Z).dim
+    except MemoryError as exc:
+        raise SizeLimit(f"{Z.form.kind}{Z.N} {Z.spec_string()} (dim Z = {Z.dimZ}) "
+                        f"does not fit in memory") from exc
+    if rank > dim:
+        raise InternalInconsistency(f"phi of rank {rank} into an algebra of dimension {dim}")
     return IrreducibilityReport(
         spec=Z.to_json(),
         on_wall=on_wall,

@@ -147,6 +147,10 @@ class FusedModuleSpec:
     def all_box_params(self) -> list[Fraction]:
         return [p for i in range(self.ell) for p in self.box_params(i)]
 
+    def poles(self) -> set[Fraction]:
+        """The poles of S(u): every box parameter and its negative."""
+        return {s * p for p in self.all_box_params() for s in (1, -1)}
+
     def spec_string(self) -> str:
         return ";".join(f"{d}:{z}" for d, z in self.factors)
 
@@ -600,7 +604,7 @@ def _t_data(Z: FusedModuleSpec) -> FrameBlock:
 
     T_Z(u) is the product of the breve-R blocks between the auxiliary
     one-box module C^N(u) (one box at 0, shifted by u) and each factor j
-    ascending, on slots (0, 1 + j)."""
+    ascending, on slots (0, 1 + j).  Only s_factors and t_action build it."""
     if Z._tdata is None:
         aux = _form_parts(Z.form).aux
         blocks = [(_pair_term(aux, 0, True, Z, j, False, "Rb").exact(), (0, 1 + j))
@@ -653,7 +657,7 @@ def s_factors(Z: FusedModuleSpec, K: int) -> tuple[list, list, Fraction]:
     scale, from the integer T frames (FrameBlock.at_infinity), as integer
     matrices B_m, and A_m = (-1)^m B_m^t those of T^t(-u), int64 where
     certified: S_k = scale * sum_m A_m B_(k-m).  The B_m are transposed
-    in one call on their stack."""
+    in one call on their stack.  Only s_coefficients reads them."""
     B = _t_data(Z).at_infinity(K)
     int_form, c = _cleared_form(Z.form)
     mats = np.stack([Bm.mat for Bm in B])
@@ -662,24 +666,14 @@ def s_factors(Z: FusedModuleSpec, K: int) -> tuple[list, list, Fraction]:
     return list(A), list(mats), c * B[0].scale ** 2
 
 
-def s_sums(factors, p: int | None = None):
-    """Yield S_0, ..., S_K from s_factors, each formed when drawn by one
-    product [A_0 ... A_k] [B_k; ...; B_0]: exactly as ScaledIntMatrix, or
-    with a prime p its integer matrix mod p as float64 residues in (-p, p)
-    (mod_matmul), since all its products share the scale."""
-    A, B, scale = factors
-    if p is not None:
-        A, B = ([(X % p).astype(np.float64) for X in Y] for Y in (A, B))
-    Acat, D = np.hstack(A), len(B[0])
-    for k in range(len(B)):
-        left, right = Acat[:, :(k + 1) * D], np.vstack(B[k::-1])
-        yield mod_matmul(left, right, p) if p else ScaledIntMatrix(left, scale) @ ScaledIntMatrix(right)
-
-
 def s_coefficients(Z: FusedModuleSpec, K: int):
     """Yield the u^0, u^-1, ..., u^-K coefficients of S_Z(u) = T^t(-u) T(u)
-    as ScaledIntMatrix, each built only when drawn (s_sums)."""
-    return s_sums(s_factors(Z, K))
+    as ScaledIntMatrix, each formed when drawn by one product [A_0 ... A_k]
+    [B_k; ...; B_0] of s_factors, for s_generators and commutant_dim."""
+    A, B, scale = s_factors(Z, K)
+    Acat, D = np.hstack(A), len(B[0])
+    for k in range(len(B)):
+        yield ScaledIntMatrix(Acat[:, :(k + 1) * D], scale) @ ScaledIntMatrix(np.vstack(B[k::-1]))
 
 
 def s_generators(Z: FusedModuleSpec, K: int) -> GeneratorMatrices:
@@ -1038,23 +1032,27 @@ def _aux_stacks(form: GForm, points, iu, iv) -> tuple[np.ndarray, np.ndarray]:
     return build()
 
 
-def _relation_samples(Z: FusedModuleSpec, points, iu, iv):
-    """(Ts, Ss, R, Rp): T(u0) and S(u0) = T^t(-u0) T(u0), each up to its own
-    nonzero scalar, as block stacks over the points (_blocked), and R(u-v)
-    and R'(u+v) of the pairs (points[iu], points[iv]) (_aux_stacks).  T is
-    sampled at the points and their negatives from the cached blocks
-    (_t_samples), S is one transposition of the T(-u0) stack by the cleared
-    g and g^-1 and one batched product.  The points are not poles."""
+def s_samples(Z: FusedModuleSpec, points) -> tuple[np.ndarray, np.ndarray]:
+    """(T, S): T(u0) and S(u0) = T^t(-u0) T(u0) at the points u0, none a
+    pole, each up to its own nonzero scalar, as (P, N d, N d) primitive
+    integer stacks: T at the points and their negatives from one
+    _t_samples call, S by one transposition of the T(-u0) stack by the
+    cleared g and g^-1 and one batched product."""
     N, d = Z.N, Z.dimZ
     signed = points + [-q for q in points]
-    at = {}  # each distinct point once, keyed by its integers
-    for x in signed:
-        at.setdefault((x.numerator, x.denominator), x)
+    at = {(x.numerator, x.denominator): x for x in signed}  # each point once, by its integers
     index = {key: k for k, key in enumerate(at)}
     T = _t_samples(Z, list(at.values()))[[index[x.numerator, x.denominator] for x in signed]]
     Tu, Tm = T[:len(points)], T[len(points):]
-    S = primitive_part(int_matmul(transposed(Tm, (N, d), {1}, _cleared_form(Z.form)[0]), Tu))
-    return (_blocked(Tu, N, d), _blocked(S, N, d)) + _aux_stacks(Z.form, points, iu, iv)
+    return Tu, primitive_part(int_matmul(transposed(Tm, (N, d), {1}, _cleared_form(Z.form)[0]), Tu))
+
+
+def _relation_samples(Z: FusedModuleSpec, points, iu, iv):
+    """(Ts, Ss, R, Rp): s_samples as block stacks (_blocked), and R(u-v) and
+    R'(u+v) of the pairs (points[iu], points[iv]) (_aux_stacks)."""
+    N, d = Z.N, Z.dimZ
+    T, S = s_samples(Z, points)
+    return (_blocked(T, N, d), _blocked(S, N, d)) + _aux_stacks(Z.form, points, iu, iv)
 
 
 def _failed_pairs(ok: np.ndarray, points, iu, iv) -> list[tuple[str, str]]:
@@ -1073,13 +1071,12 @@ def check_defining_relations(Z: FusedModuleSpec, samples=None) -> RelationReport
     is an identity of rational functions); user-supplied samples are checked
     as given, with per-sample pole reporting.
 
-    The grid is _sample_grid(2n+3, poles); the pole set is symmetric, so S
-    is defined at each point.  _relation_samples samples every point and
+    The grid is _sample_grid(2n+3, Z.poles()); the pole set is symmetric,
+    so S is defined at each point.  _relation_samples samples every point and
     pair at once, and one _rtt_holds and one _reflection_holds call decide
     all pairs, for the grid as an outer product."""
     bound = 2 * Z.n_total + 2
-    params = Z.all_box_params()
-    poles = set(params).union(-p for p in params)
+    poles = Z.poles()
     singular = []
     if samples is None:
         points = _sample_grid(bound + 1, poles)

@@ -679,7 +679,7 @@ class FrameBlock:
         h_(m+k-n).  The h_j are cleared to integers H_j = L h_j by one common
         L, and all coefficients are one product of the rows [H_(m+k-n)]_k
         with the stacked frames (int_matmul, whose bound is at most top *
-        sum |H_j|)."""
+        sum |H_j|).  Only s_factors and duality_check expand at infinity."""
         n, deg = sum(b != 0 for _, b in self.den), len(self.frames) - 1
         h = [_F1 / math.prod((b or a for a, b in self.den), start=_F1)] + [Fraction(0)] * K
         for a, b in self.den:

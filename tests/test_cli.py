@@ -138,6 +138,40 @@ def test_scan_unexpected_exception_stays_at_its_point(monkeypatch):
     assert data["summary"]["errors"] == 1
 
 
+def _out_of_memory(*args):
+    raise MemoryError("Unable to allocate 16.2 GiB")
+
+
+def test_memory_error_fails_the_verdict_as_a_size_limit(monkeypatch, capsys):
+    # a stage that runs out of memory: the command names the module and
+    # dim Z in a typed failure, exits 1 and prints no traceback
+    from twistfusion import irreducibility
+
+    monkeypatch.setattr(irreducibility, "burnside", _out_of_memory)
+    code = main(["irreducible", "--n", "2", "--form", "sp", "--modules", "1:1/3;1:4/3"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err == ("FAILED: SizeLimit: sp2 1:1/3;1:4/3 (dim Z = 4) does not fit in memory\n")
+
+
+def test_scan_reports_a_size_limit_and_goes_on(monkeypatch, capsys):
+    # the reducible wall point 1/3;4/3 reaches Burnside and runs out of
+    # memory; it gets an error entry, and the point 1/3;7/5 its report
+    from twistfusion import irreducibility
+
+    monkeypatch.setattr(irreducibility, "burnside", _out_of_memory)
+    code = main(["scan", "--n", "2", "--form", "sp", "--modules", "1;1", "--grid=1/3;4/3,7/5",
+                 "--jobs", "1", "--json"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert [p["z"] for p in data["points"]] == [["1/3", "4/3"], ["1/3", "7/5"]]
+    assert data["points"][0]["error"] == (
+        "SizeLimit: sp2 1:1/3;1:4/3 (dim Z = 4) does not fit in memory")
+    assert data["points"][1]["report"]["verdict"] == "irreducible"
+    assert data["summary"] == {"irreducible": 1, "reducible": 0, "errors": 1}
+
+
 def test_determinism_byte_identical():
     args = ["irreducible", "--n", "2", "--form", "sp", "--modules", "1:1/3", "--json"]
     _, out1 = run_cli(args)

@@ -34,6 +34,7 @@ from twistfusion.linalg import (
     mat_equal,
     mod_matmul,
     nullspace_exact,
+    primitive_part,
     rank_exact,
     reduce_mod,
 )
@@ -575,7 +576,7 @@ def test_burnside_skips_a_prime_whose_span_is_too_small(monkeypatch, text, dim):
     # modulo 3 the growth stops short at these points; the closure proof
     # rejects that span and the next prime gives the algebra
     Z = FusedModuleSpec.from_string(SP2, text)
-    assert len(irreducibility._grow_mod_p(irreducibility.algebra_generators(Z, 3), 3)) < dim
+    assert len(irreducibility._grow_mod_p(irreducibility.algebra_generators(Z) % 3, 3)) < dim
     primes = irreducibility._BURNSIDE_PRIMES
     monkeypatch.setattr(irreducibility, "_BURNSIDE_PRIMES", (3,) + primes)
     span = burnside(Z)
@@ -602,7 +603,7 @@ def test_burnside_words_multiply_out_to_the_algebra():
 def test_growth_by_slices_takes_the_words_of_one_at_a_time(monkeypatch):
     Z = FusedModuleSpec.from_string(SO3, "1:2/3;1:5/3")
     p = irreducibility._BURNSIDE_PRIMES[0]
-    G = irreducibility.algebra_generators(Z, p)
+    G = irreducibility.algebra_generators(Z) % p
     sliced = irreducibility._grow_mod_p(G, p)
     monkeypatch.setattr(irreducibility, "_GROWTH_BATCH", 1)
     assert irreducibility._grow_mod_p(G, p) == sliced
@@ -1100,35 +1101,73 @@ def test_wall_verdict_matches_the_exact_path(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Burnside from residues of the S(u) coefficients
+# Burnside from residues of the sampled S(u) values
 
-def _s_block_residues_match(Z, primes):
-    """Every residue block of algebra_generators(Z, p) is the integer block
-    of S_1 .. S_2n mod p, in the order (k, i, j)."""
-    N, d = Z.N, Z.dimZ
-    exact = [Sk.mat.astype(object).reshape(N, d, N, d)[i, :, j, :]
-             for Sk in itertools.islice(s_coefficients(Z, 2 * Z.n_total), 1, None)
-             for i, j in np.ndindex(N, N)]
-    for p in primes:
-        R = irreducibility.algebra_generators(Z, p)
-        assert R.dtype == np.float64 and len(R) == len(exact) and np.all(np.abs(R) < p)
-        for r, block in zip(R, exact):
-            assert np.all((r.astype(np.int64).astype(object) - block) % p == 0), (Z, p)
+class _Residues(Exception):
+    """Carries the residues Burnside hands to its first _modp_rref."""
+
+
+def _burnside_residues(Z, p, monkeypatch):
+    """The residues modulo p that burnside(Z) grows from, one row per
+    generator: what it hands to _modp_rref (transposed), stopped there."""
+    def stop(M, q):
+        raise _Residues(M.copy(), q)
+
+    with monkeypatch.context() as m:
+        m.setattr(irreducibility, "_BURNSIDE_PRIMES", (p,))
+        m.setattr(irreducibility, "_modp_rref", stop)
+        with pytest.raises(_Residues) as info:
+            burnside(Z)
+    M, q = info.value.args
+    assert q == p
+    return M.T
+
+
+def _s_value_blocks_match(Z, monkeypatch, primes, p=None):
+    """Burnside's residues modulo each of ``primes`` are the primitive
+    blocks of S(u0) at the 2n + 1 non-poles of the grid (s_samples), in the
+    order (point, i, j); and those blocks span exactly the space of I and
+    of the blocks of S_1 .. S_2n at infinity (s_coefficients): the ranks of
+    the two sets and of their union agree exactly, or with p, modulo p."""
+    N, d, n = Z.N, Z.dimZ, Z.n_total
+    grid = repmatrix._sample_grid(2 * n + 1, Z.poles())
+    S = repmatrix.s_samples(Z, grid)[1].astype(object).reshape(len(grid), N, d, N, d)
+    sampled = [S[k, i, :, j, :] for k in range(len(grid)) for i, j in np.ndindex(N, N)]
+    G = irreducibility.algebra_generators(Z)
+    assert len(G) == len(sampled) == (2 * n + 1) * N * N
+    for g, block in zip(G, sampled):
+        content = math.gcd(*block.ravel())
+        assert np.array_equal(g.astype(object) * max(content, 1), block), Z
+    for q in primes:
+        R = _burnside_residues(Z, q, monkeypatch)
+        assert R.dtype == np.float64 and R.shape == (len(G), d * d) and np.all(np.abs(R) < q)
+        assert np.all((R.astype(np.int64).astype(object) - G.reshape(len(G), -1)) % q == 0), (Z, q)
+    coeffs = itertools.islice(s_coefficients(Z, 2 * n), 1, None)
+    oracle = [np.eye(d, dtype=object)] + [Sk.mat.astype(object).reshape(N, d, N, d)[i, :, j, :]
+                                          for Sk in coeffs for i, j in np.ndindex(N, N)]
+    sets = [np.stack([b.ravel() for b in blocks]) for blocks in (sampled, oracle)]
+    sets.append(np.vstack(sets))
+    if p is None:
+        ranks = [rank_exact(M) for M in sets]
+    else:
+        ranks = [len(irreducibility._modp_rref((M % p).astype(np.float64), p)[0]) for M in sets]
+    assert ranks[0] == ranks[1] == ranks[2], (Z, ranks)
 
 
 @pytest.mark.parametrize("form,shape", CRITERION_9_SHAPES,
                          ids=[f"{f.kind}{f.N}-{i}" for i, (f, _) in enumerate(CRITERION_9_SHAPES)])
-def test_residue_s_blocks_are_the_exact_blocks_mod_p(form, shape):
+def test_residue_s_blocks_are_the_exact_blocks_mod_p(form, shape, monkeypatch):
     rng = random.Random(12)
     Z = FusedModuleSpec(form, list(zip(shape, random_offwall(len(shape), rng))))
-    _s_block_residues_match(Z, (2, 3, 2097143))
+    _s_value_blocks_match(Z, monkeypatch, (2, 3, 2097143))
 
 
 @pytest.mark.parametrize("form,text", [(SO3, "3,2,1/2,1:1/7"),
                                        (GForm.orthogonal(4), "1,1:1/5;1,1:-2/7")],
                          ids=["dim27", "dim36"])
-def test_residue_s_blocks_at_large_dims(form, text):
-    _s_block_residues_match(FusedModuleSpec.from_string(form, text), (2, 3, 2097143))
+def test_residue_s_blocks_at_large_dims(form, text, monkeypatch):
+    _s_value_blocks_match(FusedModuleSpec.from_string(form, text), monkeypatch,
+                          (2, 3, 2097143), p=2097143)
 
 
 def _aux_transposed(X, N, g, g_inv):
@@ -1169,7 +1208,7 @@ def test_closure_proof_rejects_a_generator_outside_the_span():
     # chosen but moved outside that span fails the proof
     Z = FusedModuleSpec.from_string(SP2, "1:1/3;1:4/3")
     p = irreducibility._BURNSIDE_PRIMES[0]
-    R = irreducibility.algebra_generators(Z, p)
+    R = irreducibility.algebra_generators(Z) % p
     chosen = irreducibility._modp_rref(R.reshape(len(R), 16).T.copy(), p)[0]
     grown = irreducibility._grow_mod_p(R[chosen], p)
     G = irreducibility.algebra_generators(Z)
@@ -1183,21 +1222,60 @@ def test_closure_proof_rejects_a_generator_outside_the_span():
     assert not irreducibility._span_closed(moved, chosen, grown)
 
 
-def test_irreducible_burnside_forms_no_exact_s(monkeypatch):
-    # a wall point of rank 27 < 36 where Burnside growth finds all 36 words:
-    # only residues of the S(u) coefficients are formed
-    drawn = []
-    sums = irreducibility.s_sums
+def test_verdict_reads_no_coefficients_at_infinity(monkeypatch):
+    # Burnside samples S(u0) from the cached blocks: the symbolic T(u), its
+    # coefficients at infinity and their expansion are never formed, at a
+    # wall point of rank 27 < 36 whose growth finds all 36 words, nor at a
+    # reducible one, whose closure proof runs
+    def refuse(*args):
+        raise AssertionError("a verdict formed coefficients at infinity")
 
-    def recording(factors, p=None):
-        drawn.append(p)
-        return sums(factors, p)
-
-    monkeypatch.setattr(irreducibility, "s_sums", recording)
+    monkeypatch.setattr(repmatrix, "_t_data", refuse)
+    monkeypatch.setattr(repmatrix, "s_factors", refuse)
+    monkeypatch.setattr(FrameBlock, "at_infinity", refuse)
     rep = verdict(FusedModuleSpec.from_string(SP2, "1:1/2;2:-2/5"))
     assert (rep.phi_rank, rep.algebra_dim, rep.verdict) == (27, 36, "irreducible")
-    assert drawn == [irreducibility._BURNSIDE_PRIMES[0]]
-    # at a reducible point the exact coefficients are formed once
-    drawn.clear()
-    assert verdict(FusedModuleSpec.from_string(SP2, "1:2/5;2:7/5")).algebra_dim == 28
-    assert drawn == [irreducibility._BURNSIDE_PRIMES[0], None]
+    span = burnside(FusedModuleSpec.from_string(SP2, "1:1/2;2:-2/5"))
+    assert (len(span.words), span.closure_proved) == (36, False)
+    rep = verdict(FusedModuleSpec.from_string(SP2, "1:2/5;2:7/5"))
+    assert (rep.phi_rank, rep.algebra_dim, rep.verdict) == (28, 28, "reducible")
+    span = burnside(FusedModuleSpec.from_string(SP2, "1:2/5;2:7/5"))
+    assert (span.dim, span.closure_proved) == (28, True)
+
+
+# the wall points of criterion 10
+CRITERION_10_WALLS = [(SP2, "1:1/2"), (SP2, "1:1"), (SP2, "1:3/2"), (SP2, "1:1/3;1:4/3"),
+                      (SP2, "1:1/4;1:3/4"), (SP2, "2:1/2"), (SO3, "1,1:1/2"),
+                      (SO3, "1:2/3;1:5/3")]
+
+
+def _at_infinity_dim(Z, monkeypatch):
+    """burnside(Z).dim grown from the primitive blocks of S_1 .. S_2n at
+    infinity (s_coefficients), the generators the sampled values replaced."""
+    N, d = Z.N, Z.dimZ
+    coeffs = itertools.islice(s_coefficients(Z, 2 * Z.n_total), 1, None)
+    G = np.array([primitive_part(Sk.mat.reshape(N, d, N, d)[i, :, j, :])
+                  for Sk in coeffs for i, j in np.ndindex(N, N)]).reshape(-1, d, d)
+    with monkeypatch.context() as m:
+        m.setattr(irreducibility, "algebra_generators", lambda Z: G)
+        return burnside(Z).dim
+
+
+def test_sampled_generators_grow_the_algebra_of_the_coefficients(monkeypatch):
+    # at the scan-walls points of seeds 1-3, the criterion-9 points and the
+    # criterion-10 wall points
+    walls10 = [FusedModuleSpec.from_string(form, text) for form, text in CRITERION_10_WALLS]
+    for Z in _scan_walls_points() + _criterion_9_points() + walls10:
+        assert burnside(Z).dim == _at_infinity_dim(Z, monkeypatch), Z
+
+
+def test_sampled_generators_step_over_integer_poles(monkeypatch):
+    # the box parameter 1 puts the poles 1 and -1 on the integer grid: the
+    # sampler skips them, and the verdict is the one of the coefficients
+    Z = FusedModuleSpec.from_string(SP2, "1:1;1:1/3")
+    grid = repmatrix._sample_grid(2 * Z.n_total + 1, Z.poles())
+    assert grid == [0, 2, -2, 3, -3] != repmatrix._sample_grid(len(grid), set())
+    assert len(irreducibility.algebra_generators(Z)) == len(grid) * 4
+    rep = verdict(Z)
+    assert rep.algebra_dim == burnside(Z).dim == _at_infinity_dim(Z, monkeypatch)
+    assert rep.verdict == ("irreducible" if rep.algebra_dim == 16 else "reducible")

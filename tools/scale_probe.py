@@ -42,16 +42,16 @@ them:
     components of a support that holds every point's contraction matrix)
     with the largest;
   * ``burnside``: ``irreducibility.burnside``, the Burnside growth of the
-    algebra the S(u) coefficients generate, with its dimension, the number
-    of words and whether the exact closure proof ran (only when the words
-    are fewer than (dim Z)^2);
+    algebra the sampled S(u0) blocks generate, with its dimension, the
+    number of words and whether the exact closure proof ran (only when the
+    words are fewer than (dim Z)^2), split as in the ``wall`` stage below;
   * ``wall``: the steps of a verdict at a wall point where phi is not
     surjective, each the best of WALL_RUNS runs on a fresh spec with warm
     block caches: the exact phi (``phi_leading``), its exact rank
-    (``surjectivity``) and ``burnside``, split into the residue generators
-    (``algebra_generators`` with a prime), growth (``_grow_mod_p``) and the
-    closure proof (the rest of ``burnside``, which includes the exact
-    generators, ``algebra_generators`` without a prime, shown apart);
+    (``surjectivity``) and ``burnside``, split into the sampled generators
+    (``algebra_generators``, the integer S(u0) blocks, and the ``_modp_rref``
+    that picks the ones to grow from), growth (``_grow_mod_p``) and the
+    closure proof (the rest of ``burnside``);
   * ``commutant``: ``irreducibility.commutant_dim`` at the default K, which
     no verdict reads;
   * ``relations``: ``repmatrix.check_defining_relations`` once (its
@@ -231,28 +231,22 @@ def _record_witness(repmatrix) -> dict:
 
 def _record_burnside(irr) -> dict:
     """Accumulate the time of the Burnside steps: rebinds
-    ``algebra_generators`` (residue or exact, by whether a prime is given)
-    and ``_grow_mod_p`` in ``irreducibility``, and counts ``s_factors``
-    and ``_modp_rref`` (which picks the generators to grow from), where
-    ``irreducibility`` has them, with the residue generators."""
+    ``algebra_generators`` and ``_modp_rref`` (which picks the generators to
+    grow from) as the sampled generators, and ``_grow_mod_p`` as growth, in
+    ``irreducibility``."""
     spent: dict = {}
 
-    def timed(name, fn):
-        def run(*args, **kwargs):
+    def timed(key, fn):
+        def run(*args):
             t0 = time.perf_counter()
-            out = fn(*args, **kwargs)
-            key = name(args, kwargs) if callable(name) else name
+            out = fn(*args)
             spent[key] = spent.get(key, 0.0) + time.perf_counter() - t0
             return out
         return run
 
-    irr.algebra_generators = timed(
-        lambda a, k: "exact" if len(a) < 2 and k.get("p") is None else "residue",
-        irr.algebra_generators)
+    irr.algebra_generators = timed("generators", irr.algebra_generators)
+    irr._modp_rref = timed("generators", irr._modp_rref)
     irr._grow_mod_p = timed("growth", irr._grow_mod_p)
-    for name in ("s_factors", "_modp_rref"):
-        if hasattr(irr, name):
-            setattr(irr, name, timed("residue", getattr(irr, name)))
     return spent
 
 
@@ -279,16 +273,15 @@ def wall_probe(tf, form, modules: str, spent: dict) -> None:
         keep("exact phi", t1 - t0)
         keep("exact rank", t2 - t1)
         keep("burnside", t3 - t2)
-        for key in ("residue", "exact", "growth"):
+        for key in ("generators", "growth"):
             keep(key, spent.get(key, 0.0))
-        keep("closure", t3 - t2 - spent.get("residue", 0.0) - spent.get("growth", 0.0))
+        keep("closure", t3 - t2 - spent.get("generators", 0.0) - spent.get("growth", 0.0))
     print(f"  wall verdict steps, best of {WALL_RUNS}: phi rank {rank} of {Z.dimZ ** 2}, "
           f"dim A_Z {span.dim}", flush=True)
     print(f"    exact phi {best['exact phi'] * 1e3:.2f} ms, exact rank {best['exact rank'] * 1e3:.2f} "
-          f"ms, burnside {best['burnside'] * 1e3:.2f} ms: residue generators "
-          f"{best['residue'] * 1e3:.2f} ms, growth {best['growth'] * 1e3:.2f} ms, closure proof "
-          f"{best['closure'] * 1e3:.2f} ms (exact generators {best['exact'] * 1e3:.2f} ms)",
-          flush=True)
+          f"ms, burnside {best['burnside'] * 1e3:.2f} ms: sampled generators "
+          f"{best['generators'] * 1e3:.2f} ms, growth {best['growth'] * 1e3:.2f} ms, closure proof "
+          f"{best['closure'] * 1e3:.2f} ms", flush=True)
 
 
 def _witness_split(seen: dict) -> str:
@@ -355,9 +348,14 @@ def probe(tf, kind: str, N: int, modules: str, warm, stages, counts: Counter,
                    lambda w: f"at {warm}; " + _witness_note(irr, W, w))
             print(_witness_split(seen), flush=True)
     if "burnside" in stages:
+        spent.clear()
+        t0 = time.perf_counter()
         _timed("burnside", lambda: irr.burnside(Z),
                lambda b: f"dim {b.dim} of {Z.dimZ ** 2}; {len(b.words)} words, closure proof "
                          f"{'ran' if b.closure_proved else 'not needed'}")
+        rest = time.perf_counter() - t0 - spent["generators"] - spent["growth"]
+        print(f"    sampled generators {spent['generators']:.3f} s, growth {spent['growth']:.3f} s, "
+              f"closure proof and the rest {rest:.3f} s", flush=True)
     if "wall" in stages:
         wall_probe(tf, form, modules, spent)
     if "commutant" in stages:
